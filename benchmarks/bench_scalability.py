@@ -9,7 +9,7 @@ Two exhibits share this module:
   (``repro.shard``) vs the unsharded one on a 32K-job / 40K-machine
   pool under online churn (one arrival + one profile republish per
   step).  CI guards the recorded timings via
-  ``check_scale_baseline.py`` against ``baseline_scale.json``.
+  ``check_baseline.py`` against ``baseline_scale.json``.
 """
 
 from repro.experiments import scalability

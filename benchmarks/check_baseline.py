@@ -1,23 +1,31 @@
-"""Shared engine of the committed-baseline timing guards.
+"""CI regression guard: benchmark timings vs a committed baseline.
 
-``check_sim_baseline.py`` and ``check_sched_baseline.py`` are thin
-wrappers over :func:`run_guard`: read a pytest-benchmark JSON, compare
-every timing named in the committed baseline file against its budget,
-and fail — exit code 1 — when any exceeds ``max_ratio`` times the
-budget.  Timings are addressed as ``<benchmark-name>.mean`` (the
-harness's measured mean seconds) or
+Reads a pytest-benchmark JSON and fails — exit code 1 — when any
+timing named in the baseline file exceeds its committed budget by more
+than the file's ``max_ratio``, naming each breaching benchmark with its
+measured-vs-limit numbers.  Timings are addressed as
+``<benchmark-name>.mean`` (the harness's measured mean seconds) or
 ``<benchmark-name>.extra_info.<key>`` (a value the benchmark recorded
 via ``benchmark.extra_info``).
 
 The baselines are intentionally generous (CI-runner-scale numbers):
-the guards exist to catch real regressions — a fast path decaying back
-toward recompute-everything cost — not to police machine noise.
+the guard exists to catch real regressions — a fast path decaying back
+toward recompute-everything cost — not to police machine noise.  It
+only enforces upper bounds, so a speedup floor is committed as its
+reciprocal (``baseline_scale.json``'s ``inverse_speedup``).
+
+Usage::
+
+    python benchmarks/check_baseline.py benchmarks/baseline_sim.json bench.json
+    python benchmarks/check_baseline.py benchmarks/baseline_sched.json bench.json
+    python benchmarks/check_baseline.py benchmarks/baseline_scale.json scale.json
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
 
 def resolve(benchmarks: list[dict], spec: str) -> float:
@@ -36,18 +44,13 @@ def resolve(benchmarks: list[dict], spec: str) -> float:
                      f"was it removed from bench-smoke?")
 
 
-def run_guard(baseline_file: str, label: str,
-              argv: list[str]) -> int:
-    """Check one committed baseline against a benchmark results file.
-
-    ``baseline_file`` is resolved relative to this directory; ``label``
-    names the guard in the failure summary (e.g. ``"simulator"``).
-    """
-    results_path = argv[1] if len(argv) > 1 else "bench.json"
-    here = pathlib.Path(__file__).resolve().parent
-    baseline = json.loads((here / baseline_file).read_text())
-    with open(results_path) as handle:
-        benchmarks = json.load(handle)["benchmarks"]
+def main(argv: list[str]) -> int:
+    if len(argv) != 3:
+        raise SystemExit(f"usage: {argv[0]} BASELINE.json RESULTS.json")
+    baseline_path, results_path = argv[1], argv[2]
+    baseline = json.loads(pathlib.Path(baseline_path).read_text())
+    benchmarks = json.loads(
+        pathlib.Path(results_path).read_text())["benchmarks"]
 
     max_ratio = float(baseline["max_ratio"])
     failures: list[str] = []
@@ -64,9 +67,13 @@ def run_guard(baseline_file: str, label: str,
     if failures:
         # Name every breaching benchmark with its numbers so the CI
         # log's last lines say exactly what regressed and by how much.
-        print(f"{label} timing regression ({len(failures)} "
+        print(f"{baseline_path}: timing regression ({len(failures)} "
               f"benchmark(s) over budget):")
         for failure in failures:
             print(f"  {failure}")
         return 1
     return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv))

@@ -1,9 +1,9 @@
 """CONC rules: concurrency discipline for the threaded runtime.
 
-The shard fan-out (:mod:`repro.shard`), the PS stack (:mod:`repro.ps`)
-and the local runtime (:mod:`repro.core.local_runtime`) all run real
-threads under a repo whose guarantees are bitwise; a forgotten lock is
-a nondeterminism bug, not a style issue.  These rules query the
+The PS stack (:mod:`repro.ps`) and the local runtime
+(:mod:`repro.core.local_runtime`) run real threads under a repo whose
+guarantees are bitwise; a forgotten lock is a nondeterminism bug, not
+a style issue.  These rules query the
 interprocedural :mod:`repro.analysis.callgraph` model:
 
 - CONC001 — a field mutated under ``with self._lock:`` in one method

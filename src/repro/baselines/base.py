@@ -5,22 +5,22 @@ demand/metrics oracles; *which* queued jobs start, grouped how, is
 delegated to a :class:`~repro.policies.base.SchedulingPolicy`.  The
 master observes (queue, free machines, running groups), the policy
 decides (:class:`~repro.policies.base.PolicyDecision`), and the master
-applies the starts and re-asks until a pass makes no progress.
+applies the starts and re-asks until a pass makes no progress.  The
+ledgers, the group start/stop lifecycle and the run loop are the ones
+Harmony's master and runtime use (:class:`~repro.core.master.MasterBase`,
+:class:`~repro.core.runtime.RuntimeBase`).
 
 The historical baselines are one policy family at fixed parameters:
 FIFO + demand-skip backfill packing up to ``group_size`` jobs
-(:func:`repro.policies.queueing.packed_fifo`) — the default policy
-transcribes the pre-refactor admission scan exactly, and the
-differential tests pin naive/isolated outcomes bitwise-equal to it.
-What differs between registry entries beyond the policy is the
-execution discipline
+(:func:`repro.policies.queueing.packed_fifo`), which transcribes the
+original admission scan exactly; the differential tests pin
+naive/isolated outcomes bitwise-equal to it.  What differs between
+registry entries beyond the policy is the execution discipline
 (:class:`~repro.core.group_runtime.ExecutionMode`).
 """
 
 from __future__ import annotations
 
-import itertools
-import time as _time
 from collections.abc import Sequence
 
 from repro.check.oracle import exact_metrics
@@ -28,10 +28,11 @@ from repro.cluster.cluster import Cluster
 from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.group_runtime import ExecutionMode, GroupRuntime
 from repro.core.job import Job, JobState
+from repro.core.master import MasterBase
 from repro.core.perfmodel import PerfModel
 from repro.core.profiler import JobMetrics
-from repro.core.runtime import JobOutcome, RunResult
-from repro.errors import SchedulingError, SimulationError
+from repro.core.runtime import RuntimeBase
+from repro.errors import SimulationError
 from repro.metrics.utilization import ClusterUsageRecorder
 from repro.policies.base import (
     PolicyDecision,
@@ -39,7 +40,6 @@ from repro.policies.base import (
     RunningGroupView,
     SchedulingPolicy,
 )
-from repro.policies.queueing import packed_fifo
 from repro.sim import RandomStreams, Simulator
 from repro.workloads.apps import JobSpec
 from repro.workloads.costmodel import CostModel
@@ -49,8 +49,10 @@ from repro.workloads.costmodel import CostModel
 MAX_DOP = 32
 
 
-class BaselineMaster:
+class BaselineMaster(MasterBase):
     """Queue-driven admission onto dedicated machine groups."""
+
+    group_prefix = "b"
 
     #: Queue policies neither profile nor pause: ``on_iteration`` is a
     #: no-op and groups are only ever created, never mutated while
@@ -61,52 +63,28 @@ class BaselineMaster:
     def __init__(self, sim: Simulator, cluster: Cluster,
                  cost_model: CostModel, config: SimConfig,
                  streams: RandomStreams, recorder: ClusterUsageRecorder,
-                 mode: ExecutionMode, group_size: int = 1,
+                 mode: ExecutionMode, policy: SchedulingPolicy,
                  shuffle_seed: int | None = None,
-                 dop_scale: float = 1.0,
-                 backfill: bool = True,
-                 colocate_only_if_fits: bool = False,
-                 policy: SchedulingPolicy | None = None):
-        if group_size < 1:
-            raise SchedulingError(f"group_size must be >= 1, "
-                                  f"got {group_size}")
-        self.sim = sim
-        self.cluster = cluster
-        self.cost_model = cost_model
-        self.config = config
-        self.streams = streams
-        self.recorder = recorder
+                 dop_scale: float = 1.0):
+        # Uncoordinated modes do not spill (alpha = 0); when a spill
+        # ratio is forced through the config (the ablation's
+        # static-spill stages), the memory floor honours it.
+        alpha = 0.0
+        if mode.spill_enabled and config.memory.spill_enabled:
+            fixed = config.memory.fixed_alpha
+            alpha = 1.0 if fixed is None else fixed
+        super().__init__(sim, cluster, cost_model, config, streams,
+                         recorder, floor_alpha=alpha,
+                         floor_spills_model=False)
         self.mode = mode
-        self.group_size = group_size
+        #: The admission brain.
+        self.policy = policy
         self.dop_scale = dop_scale
-        self.backfill = backfill
-        #: When set, a batch is only co-located if its no-spill memory
-        #: floor does not dominate its balanced allocation (used by the
-        #: §V-C ablation's "subtasks only" stage, where co-location is
-        #: available but data spilling is not).
-        self.colocate_only_if_fits = colocate_only_if_fits
-        #: The admission brain; the legacy constructor parameters are
-        #: exactly the default policy's parameters.
-        self.policy: SchedulingPolicy = policy if policy is not None \
-            else packed_fifo(group_size=group_size, backfill=backfill,
-                             colocate_only_if_fits=colocate_only_if_fits)
-        self.jobs: dict[str, Job] = {}
-        self.groups: dict[str, GroupRuntime] = {}
-        self.finished_cycles: list = []
-        #: Final conservation snapshots of torn-down groups, for
-        #: :mod:`repro.check` (live groups are audited on demand).
-        self.group_audits: list = []
-        #: Queue masters never roll work back; the ledger exists so the
-        #: invariant checker consumes every runtime uniformly.
-        self.rolled_back_iterations: dict[str, int] = {}
         self._queue: list[str] = []
-        self._group_ids = itertools.count()
-        # machines_for/_memory_floor are pure in the batch's specs (the
-        # cost model and config never change mid-run) but are re-asked
-        # on every _pump pass — profiling showed the floor's linear
-        # scan over resident_bytes dominating baseline wall time.
+        # machines_for is pure in the batch's specs (the cost model and
+        # config never change mid-run) but is re-asked on every _pump
+        # pass, as is the memory floor behind it.
         self._machines_cache: dict[tuple[str, ...], int] = {}
-        self._floor_cache: dict[tuple[str, ...], int] = {}
         self._metrics_cache: dict[tuple[str, int], JobMetrics] = {}
         #: Eq. 1 model for the running-group release predictions the
         #: reservation-backfill policies observe.
@@ -122,10 +100,7 @@ class BaselineMaster:
     # -- submission -----------------------------------------------------------
 
     def submit(self, spec: JobSpec) -> Job:
-        if spec.job_id in self.jobs:
-            raise SchedulingError(f"duplicate job id {spec.job_id}")
-        job = Job(spec)
-        self.jobs[spec.job_id] = job
+        job = self._add_job(spec)
         self._queue.append(spec.job_id)
         if self._shuffle_rng is not None:
             # The naive baseline's grouping is arbitrary; a shuffled
@@ -134,10 +109,6 @@ class BaselineMaster:
             self._queue = [self._queue[i] for i in order]
         self._pump()
         return job
-
-    @property
-    def all_done(self) -> bool:
-        return all(job.is_done for job in self.jobs.values())
 
     # -- demand / metrics oracles -----------------------------------------------
 
@@ -153,7 +124,7 @@ class BaselineMaster:
         cached = self._machines_cache.get(key)
         if cached is not None:
             return cached
-        floor = self._memory_floor(specs)
+        floor = self._specs_floor(specs)
         total_work = sum(spec.cpu_work_machine_seconds for spec in specs)
         total_comm = sum(self.cost_model.profile(spec, 1).t_comm
                          for spec in specs)
@@ -176,34 +147,6 @@ class BaselineMaster:
         balanced = total_work / max(total_comm, 1e-9) * self.dop_scale
         return wanted > max(1.0, balanced) * 1.5
 
-    def _memory_floor(self, specs: Sequence[JobSpec]) -> int:
-        """Smallest DoP at which the jobs fit.
-
-        Uncoordinated modes do not spill (alpha = 0); when a spill
-        ratio is forced through the config (the ablation's static-spill
-        stages), the floor honours it.
-        """
-        key = tuple(spec.job_id for spec in specs)
-        cached = self._floor_cache.get(key)
-        if cached is not None:
-            return cached
-        alpha = 0.0
-        if self.mode.spill_enabled and self.config.memory.spill_enabled:
-            fixed = self.config.memory.fixed_alpha
-            alpha = 1.0 if fixed is None else fixed
-        budget = (self.cost_model.spec.usable_memory_bytes
-                  * self.config.memory.target_pressure)
-        floor = self.cluster.size + 1  # cannot co-locate this batch
-        for m in range(1, self.cluster.size + 1):
-            need = sum(self.cost_model.resident_bytes(spec, m,
-                                                      alpha=alpha)
-                       for spec in specs)
-            if need <= budget:
-                floor = m
-                break
-        self._floor_cache[key] = floor
-        return floor
-
     def _specs_of(self, job_ids: tuple[str, ...]) -> list[JobSpec]:
         return [self.jobs[job_id].spec for job_id in job_ids]
 
@@ -211,7 +154,7 @@ class BaselineMaster:
         return self.machines_for(self._specs_of(job_ids))
 
     def _floor_for_ids(self, job_ids: tuple[str, ...]) -> int:
-        return self._memory_floor(self._specs_of(job_ids))
+        return self._specs_floor(self._specs_of(job_ids))
 
     def _dominated_for_ids(self, job_ids: tuple[str, ...],
                            wanted: int) -> bool:
@@ -309,22 +252,15 @@ class BaselineMaster:
 
     def _start(self, batch: Sequence[Job], n_machines: int,
                start_offsets: Sequence[float] | None = None) -> None:
-        group_id = f"b{next(self._group_ids)}"
-        machine_ids = self.cluster.allocate(n_machines, group_id)
-        group = GroupRuntime(self.sim, group_id, machine_ids, self.mode,
-                             self.cost_model, self.config, self.streams,
-                             hooks=self)
-        self.groups[group_id] = group
+        group = self._start_group(n_machines)
         # Freeze the Eq. 1 release prediction now, from decision-time
         # state only, so later observations are engine-independent.
         estimate = self._perf_model.estimate_group(
             [self._metrics_at(job.job_id, n_machines) for job in batch],
             n_machines)
         remaining = max(job.remaining_iterations for job in batch)
-        self._release_predictions[group_id] = \
+        self._release_predictions[group.group_id] = \
             self.sim.now + remaining * estimate.t_group_iteration
-        self.recorder.group_started(group_id, n_machines, self.sim.now,
-                                    group.cpu, group.net)
         for index, job in enumerate(batch):
             job.state = JobState.RUNNING  # queue policies do not profile
             delay = (start_offsets[index] if start_offsets is not None
@@ -334,107 +270,46 @@ class BaselineMaster:
                 job.state = JobState.FAILED
                 job.finish_time = self.sim.now
 
+    def _stop_group(self, group: GroupRuntime,
+                    crashed: bool = False) -> list[Job]:
+        self._release_predictions.pop(group.group_id, None)
+        return super()._stop_group(group, crashed)
+
     # -- GroupHooks ----------------------------------------------------------------
 
     def on_iteration(self, job: Job, group: GroupRuntime) -> None:
         pass  # queue policies do not profile
 
     def on_job_finished(self, job: Job, group: GroupRuntime) -> None:
-        job.transition(JobState.FINISHED)
-        job.finish_time = self.sim.now
-        self._teardown_if_idle(group)
-        self._pump()
+        self._end_job(job, JobState.FINISHED)
+        self._job_left(group)
 
     def on_job_paused(self, job: Job, group: GroupRuntime) -> None:
         raise SimulationError(
             "baseline runtimes never pause jobs")  # pragma: no cover
 
-    def on_job_failed(self, job: Job, group: GroupRuntime,
-                      error: Exception) -> None:
-        job.transition(JobState.FAILED)
-        job.finish_time = self.sim.now
-        self._teardown_if_idle(group)
+    def _job_left(self, group: GroupRuntime) -> None:
+        if group.is_idle and group.group_id in self.groups:
+            self._stop_group(group)
         self._pump()
 
-    def _teardown_if_idle(self, group: GroupRuntime) -> None:
-        if group.is_idle and group.group_id in self.groups:
-            del self.groups[group.group_id]
-            self._release_predictions.pop(group.group_id, None)
-            group.stop()
-            self.group_audits.append(group.audit())
-            self.finished_cycles.extend(group.cycles)
-            self.recorder.group_stopped(group.group_id, self.sim.now)
-            self.cluster.release_all(group.group_id)
 
+class BaselineRuntime(RuntimeBase):
+    """Drives one queue policy end-to-end."""
 
-class BaselineRuntime:
-    """Drives one queue policy end-to-end; mirrors
-    :class:`~repro.core.runtime.HarmonyRuntime`."""
+    master: BaselineMaster
 
     def __init__(self, n_machines: int, workload: Sequence[JobSpec],
                  mode: ExecutionMode, name: str,
+                 policy: SchedulingPolicy,
                  config: SimConfig = DEFAULT_SIM_CONFIG,
-                 group_size: int = 1,
                  shuffle_seed: int | None = None,
                  dop_scale: float = 1.0,
-                 backfill: bool = True,
-                 colocate_only_if_fits: bool = False,
-                 cost_model: CostModel | None = None,
-                 policy: SchedulingPolicy | None = None):
-        self.config = config
-        self.sim = Simulator()
-        self.cluster = Cluster(n_machines, config.machine)
-        self.cost_model = cost_model if cost_model is not None \
-            else CostModel(config.machine)
-        self.streams = RandomStreams(config.seed)
-        self.recorder = ClusterUsageRecorder(
-            n_machines, bin_seconds=config.utilization_bin_seconds)
+                 cost_model: CostModel | None = None):
+        super().__init__(n_machines, workload, config, cost_model, name)
         self.master = BaselineMaster(self.sim, self.cluster,
                                      self.cost_model, config, self.streams,
                                      self.recorder, mode=mode,
-                                     group_size=group_size,
+                                     policy=policy,
                                      shuffle_seed=shuffle_seed,
-                                     dop_scale=dop_scale,
-                                     backfill=backfill,
-                                     colocate_only_if_fits=(
-                                         colocate_only_if_fits),
-                                     policy=policy)
-        self.workload = list(workload)
-        self.name = name
-
-    def run(self, max_sim_seconds: float | None = None) -> RunResult:
-        # harmony: allow[DET001] wall_seconds measures real runtime, never simulation state
-        wall_start = _time.perf_counter()
-        if max_sim_seconds is not None:
-            # A truncated run must stop mid-job; batching a whole job
-            # past the horizon would diverge from the reference engine.
-            self.sim.fastpath_enabled = False
-        for spec in self.workload:
-            self.sim.call_at(spec.submit_time,
-                             lambda s=spec: self.master.submit(s))
-        self.sim.run(until=max_sim_seconds)
-        stuck = [job for job in self.master.jobs.values()
-                 if not job.is_done]
-        if stuck and max_sim_seconds is None:
-            raise SimulationError(
-                f"{self.name}: {len(stuck)} jobs never finished "
-                f"(first: {stuck[0].job_id} {stuck[0].state.value})")
-        all_cycles = list(self.master.finished_cycles)
-        for group in self.master.groups.values():
-            all_cycles.extend(group.cycles)
-        self.recorder.finish(self.sim.now)
-        outcomes = {
-            job.job_id: JobOutcome(job_id=job.job_id, state=job.state,
-                                   submit_time=job.submit_time,
-                                   finish_time=job.finish_time,
-                                   migrations=job.migrations)
-            for job in self.master.jobs.values()}
-        return RunResult(
-            scheduler_name=self.name,
-            total_machines=self.cluster.size,
-            outcomes=outcomes,
-            recorder=self.recorder,
-            _all_cycles=all_cycles,
-            alpha_samples=[],
-            # harmony: allow[DET001] wall_seconds measures real runtime, never simulation state
-            wall_seconds=_time.perf_counter() - wall_start)
+                                     dop_scale=dop_scale)

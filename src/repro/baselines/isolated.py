@@ -18,6 +18,7 @@ from collections.abc import Sequence
 from repro.baselines.base import BaselineRuntime
 from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.group_runtime import ExecutionMode
+from repro.policies.queueing import packed_fifo
 from repro.workloads.apps import JobSpec
 from repro.workloads.costmodel import CostModel
 
@@ -38,7 +39,7 @@ class IsolatedRuntime(BaselineRuntime):
         super().__init__(n_machines, workload,
                          mode=ExecutionMode.ISOLATED,
                          name="isolated",
+                         policy=packed_fifo(group_size=1),
                          config=config,
-                         group_size=1,
                          dop_scale=dop_scale,
                          cost_model=cost_model)

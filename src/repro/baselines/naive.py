@@ -24,6 +24,7 @@ from repro.baselines.base import BaselineRuntime
 from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.group_runtime import ExecutionMode
 from repro.core.runtime import RunResult
+from repro.policies.queueing import packed_fifo
 from repro.workloads.apps import JobSpec
 from repro.workloads.costmodel import CostModel
 
@@ -40,8 +41,8 @@ class NaiveRuntime(BaselineRuntime):
         super().__init__(n_machines, workload,
                          mode=ExecutionMode.NAIVE,
                          name="naive",
+                         policy=packed_fifo(group_size=group_size),
                          config=config,
-                         group_size=group_size,
                          shuffle_seed=shuffle_seed,
                          dop_scale=dop_scale,
                          cost_model=cost_model)

@@ -198,11 +198,6 @@ class ShardConfig:
     #: (with its own plan cache); a thin global placer routes jobs to
     #: cells with O(#cells) load vectors instead of O(#machines) scans.
     n_cells: int = 1
-    #: Worker threads for fanning cold per-cell ``schedule()`` calls
-    #: out over a ``concurrent.futures`` pool.  1 = serial; the serial
-    #: and parallel modes are pinned bitwise-equal (cells are
-    #: independent and results merge in deterministic cell order).
-    max_workers: int = 1
     #: Schedule calls between two cross-cell rebalance checks; 0
     #: disables periodic rebalancing entirely.
     rebalance_every: int = 32

@@ -13,6 +13,10 @@ wait} by predicted cluster utilization (the paper's "adds it to a
 proper group that maximizes U or let it wait"), and a periodic check
 realizes §IV-B2's "constantly seeks for higher resource utilization"
 under the 5% benefit threshold.
+
+:class:`MasterBase` holds what this master shares with the queue-policy
+master (:mod:`repro.baselines.base`): the job and group ledgers and
+the group start/stop lifecycle.
 """
 
 from __future__ import annotations
@@ -70,24 +74,140 @@ class _Rebuild:
     slots: list[tuple[str, tuple[str, ...], int]]
 
 
-class _SchedulerPlanner:
-    """Default planner: forwards to the master's ``HarmonyScheduler``.
+class MasterBase:
+    """The ledgers and the group lifecycle every master shares.
 
-    Structurally identical to
-    :class:`repro.policies.planner.SchedulerPlanner`; duplicated here
-    because this module must not import :mod:`repro.policies` (the
-    policy registry imports the runtimes, which import this master).
+    A master owns the submitted jobs and the live groups.  Starting a
+    group allocates machines, builds its :class:`GroupRuntime` and opens
+    its usage record; stopping one (drained or crashed) keeps its audit
+    and cycles, closes the record and frees the machines.  Subclasses
+    decide which groups to start and when.  They set ``mode`` (the
+    groups' execution discipline) and ``group_prefix``: group ids key
+    the groups' RNG stream names, so each master keeps its prefix.
     """
 
-    def __init__(self, scheduler):
-        self.scheduler = scheduler
+    group_prefix: str
+    mode: ExecutionMode
 
-    def plan(self, jobs, total_machines):
-        return self.scheduler.schedule(jobs, total_machines)
+    def __init__(self, sim: Simulator, cluster: Cluster,
+                 cost_model: CostModel, config: SimConfig,
+                 streams: RandomStreams, recorder: ClusterUsageRecorder,
+                 floor_alpha: float, floor_spills_model: bool):
+        self.sim = sim
+        self.cluster = cluster
+        self.cost_model = cost_model
+        self.config = config
+        self.streams = streams
+        self.recorder = recorder
+        self.jobs: dict[str, Job] = {}
+        self.groups: dict[str, GroupRuntime] = {}
+        #: Cycle records of groups that have been torn down.
+        self.finished_cycles: list = []
+        #: Final conservation snapshots of torn-down groups, for
+        #: :mod:`repro.check` (live groups are audited on demand).
+        self.group_audits: list = []
+        #: Iterations rolled back per job by crash recovery — the
+        #: checker's no-lost-iterations ledger: a finished job must have
+        #: executed exactly ``spec.iterations + rolled_back`` cycles.
+        self.rolled_back_iterations: dict[str, int] = {}
+        self.migration_overhead_seconds = 0.0
+        #: (time, n_machines, n_jobs) per group membership epoch — the
+        #: raw data behind Fig. 12's DoP / jobs-per-group CDFs.
+        self.group_shape_log: list[tuple[float, int, int]] = []
+        self._group_ids = itertools.count()
+        #: Input spill ratio the memory floor assumes, and whether it
+        #: may fall back to spilling the model itself (§IV-C).
+        self._floor_alpha = floor_alpha
+        self._floor_spills_model = floor_spills_model
+        # Feasibility floors are pure in the (immutable) job specs —
+        # memoized for the life of the master.
+        self._floor_cache: dict[tuple[str, ...], int] = {}
+
+    def _add_job(self, spec: JobSpec) -> Job:
+        if spec.job_id in self.jobs:
+            raise SchedulingError(f"duplicate job id {spec.job_id}")
+        job = Job(spec)
+        self.jobs[spec.job_id] = job
+        return job
+
+    @property
+    def all_done(self) -> bool:
+        return all(job.is_done for job in self.jobs.values())
+
+    def _end_job(self, job: Job, state: JobState) -> None:
+        job.transition(state)
+        job.finish_time = self.sim.now
+
+    def on_job_failed(self, job: Job, group: GroupRuntime,
+                      error: Exception) -> None:
+        self._end_job(job, JobState.FAILED)
+        self._job_left(group)
+
+    def _job_left(self, group: GroupRuntime) -> None:
+        """React to a job leaving ``group`` for good."""
+        raise NotImplementedError
+
+    def _start_group(self, n_machines: int) -> GroupRuntime:
+        group_id = f"{self.group_prefix}{next(self._group_ids)}"
+        machine_ids = self.cluster.allocate(n_machines, group_id)
+        group = GroupRuntime(self.sim, group_id, machine_ids, self.mode,
+                             self.cost_model, self.config, self.streams,
+                             hooks=self)
+        self.groups[group_id] = group
+        self.recorder.group_started(group_id, n_machines, self.sim.now,
+                                    group.cpu, group.net)
+        return group
+
+    def _stop_group(self, group: GroupRuntime,
+                    crashed: bool = False) -> list[Job]:
+        """Take a group down; returns the jobs a crash displaced."""
+        del self.groups[group.group_id]
+        if crashed:
+            victims = group.crash()
+        else:
+            group.stop()
+            victims = []
+        self.group_audits.append(group.audit())
+        self.finished_cycles.extend(group.cycles)
+        self.recorder.group_stopped(group.group_id, self.sim.now)
+        self.cluster.release_all(group.group_id)
+        return victims
+
+    def _specs_floor(self, specs: Sequence[JobSpec]) -> int:
+        """Smallest machine count where ``specs`` co-locate within the
+        target memory pressure (cluster size + 1 if they never do)."""
+        key = tuple(spec.job_id for spec in specs)
+        cached = self._floor_cache.get(key)
+        if cached is None:
+            cached = self._floor_cache[key] = self._scan_floor(specs)
+        return cached
+
+    def _scan_floor(self, specs: Sequence[JobSpec]) -> int:
+        budget = (self.cost_model.spec.usable_memory_bytes
+                  * self.config.memory.target_pressure)
+        for m in range(1, self.cluster.size + 1):
+            need = sum(self.cost_model.resident_bytes(
+                spec, m, alpha=self._floor_alpha) for spec in specs)
+            if need <= budget:
+                return m
+        if self._floor_spills_model:
+            # §IV-C fallback: the model data itself can be spilled when
+            # input spill is not enough (essential under all-reduce,
+            # where every machine holds a full model replica).
+            for m in range(1, self.cluster.size + 1):
+                need = sum(self.cost_model.resident_bytes(
+                    spec, m, alpha=1.0, model_spilled=True)
+                    for spec in specs)
+                if need <= budget:
+                    return m
+        return self.cluster.size + 1
 
 
-class HarmonyMaster:
+class HarmonyMaster(MasterBase):
     """Scheduling brain bound to a simulator and a cluster."""
+
+    group_prefix = "g"
+    mode = ExecutionMode.HARMONY
 
     #: Fast-path contract (see :class:`repro.core.group_runtime
     #: .GroupHooks`): the per-iteration hooks observe and mutate live
@@ -106,14 +226,16 @@ class HarmonyMaster:
                  recorder: ClusterUsageRecorder,
                  perf_model: PerfModel | None = None,
                  scheduler_factory=None,
-                 planner=None,
                  fault_log: FaultLog | None = None):
-        self.sim = sim
-        self.cluster = cluster
-        self.cost_model = cost_model
-        self.config = config
-        self.streams = streams
-        self.recorder = recorder
+        # The scheduler's feasibility view assumes maximal input spill
+        # unless the config forces a ratio.
+        memory = config.memory
+        alpha = 1.0 if memory.spill_enabled else 0.0
+        if memory.fixed_alpha is not None:
+            alpha = memory.fixed_alpha
+        super().__init__(sim, cluster, cost_model, config, streams,
+                         recorder, floor_alpha=alpha,
+                         floor_spills_model=memory.spill_enabled)
         self.profiler = Profiler(ema_alpha=config.scheduler.ema_alpha)
         self.perf_model = perf_model if perf_model is not None \
             else PerfModel(cpu_weight=config.scheduler.cpu_weight)
@@ -135,14 +257,6 @@ class HarmonyMaster:
         self.scheduler = scheduler_factory(
             perf_model=self.perf_model, config=config.scheduler,
             memory_floor=self._memory_floor)
-        # Planner seam (repro.policies.planner.PlannerPolicy): every
-        # observe->plan step goes through ``self.planner.plan(...)``, so
-        # alternative planners inject without subclassing the master.
-        # The default adapter is defined inline (_SchedulerPlanner)
-        # because importing repro.policies here would cycle back through
-        # the registry into this module.
-        self.planner = planner if planner is not None \
-            else _SchedulerPlanner(self.scheduler)
         # Observability (repro.trace): scheduler decisions land on a
         # dedicated "master" lane as instant events; None when tracing
         # is off so decision paths pay one attribute check.
@@ -151,9 +265,6 @@ class HarmonyMaster:
             sim.tracer.track("master", "scheduler", process_sort=0)
             if self._trace is not None else None)
 
-        self.jobs: dict[str, Job] = {}
-        self.groups: dict[str, GroupRuntime] = {}
-        self._group_ids = itertools.count()
         self._waiting: list[str] = []
         self._profiling_iterations: dict[str, int] = {}
         self._pending_moves: dict[str, str] = {}
@@ -161,19 +272,6 @@ class HarmonyMaster:
         self._last_apply_time = float("-inf")
         #: group_id -> index of its open DecisionRecord + epoch start.
         self._open_decisions: dict[str, tuple[int, float]] = {}
-        self.migration_overhead_seconds = 0.0
-        #: (time, n_machines, n_jobs) per group membership epoch — the
-        #: raw data behind Fig. 12's DoP / jobs-per-group CDFs.
-        self.group_shape_log: list[tuple[float, int, int]] = []
-        #: Cycle records of groups that have been torn down.
-        self.finished_cycles: list = []
-        #: Final conservation snapshots of torn-down groups, for
-        #: :mod:`repro.check` (live groups are audited on demand).
-        self.group_audits: list = []
-        #: Iterations rolled back per job by crash recovery — the
-        #: checker's no-lost-iterations ledger: a finished job must have
-        #: executed exactly ``spec.iterations + rolled_back`` cycles.
-        self.rolled_back_iterations: dict[str, int] = {}
         #: Count of machine failures processed (§VI fault tolerance).
         self.failures_injected = 0
         #: Recovery accounting sink (repro.faults); optional.
@@ -191,10 +289,6 @@ class HarmonyMaster:
         self._estimate_cache: dict[tuple, GroupEstimate | None] = {}
         self.estimate_cache_hits = 0
         self.estimate_cache_misses = 0
-        # Feasibility floors are pure in the (immutable) job specs —
-        # memoized for the life of the master, unlike the estimate
-        # cache, which tracks live profiles.
-        self._memory_floor_cache: dict[tuple[str, ...], int] = {}
         # §IV-B1: a moving-average publish is exactly when memoized
         # estimates and plans stop matching what Algorithm 1 would
         # recompute — wire the profiler's listener hook to both caches.
@@ -207,17 +301,10 @@ class HarmonyMaster:
 
     def submit(self, spec: JobSpec) -> Job:
         """Accept a job into the queue (the Fig. 6 'waiting' state)."""
-        if spec.job_id in self.jobs:
-            raise SchedulingError(f"duplicate job id {spec.job_id}")
-        job = Job(spec)
-        self.jobs[spec.job_id] = job
+        job = self._add_job(spec)
         self._waiting.append(spec.job_id)
         self._pump()
         return job
-
-    @property
-    def all_done(self) -> bool:
-        return all(job.is_done for job in self.jobs.values())
 
     def _instant(self, name: str, **args) -> None:
         """Emit a scheduler-decision instant on the master lane."""
@@ -243,8 +330,7 @@ class HarmonyMaster:
                 self._on_job_profiled(job)
 
     def on_job_finished(self, job: Job, group: GroupRuntime) -> None:
-        job.transition(JobState.FINISHED)
-        job.finish_time = self.sim.now
+        self._end_job(job, JobState.FINISHED)
         self._note_membership_change(group)
         if self._rebuild is None:
             self._handle_completion(group, job)
@@ -265,10 +351,7 @@ class HarmonyMaster:
         self._check_rebuild()
         self._pump()
 
-    def on_job_failed(self, job: Job, group: GroupRuntime,
-                      error: Exception) -> None:
-        job.transition(JobState.FAILED)
-        job.finish_time = self.sim.now
+    def _job_left(self, group: GroupRuntime) -> None:
         self._note_membership_change(group)
         self._check_rebuild()
         self._pump()
@@ -292,18 +375,14 @@ class HarmonyMaster:
 
     def _cleanup_idle_groups(self) -> None:
         reserved = set(self._pending_moves.values())
-        for group_id in [gid for gid, g in self.groups.items()
-                         if g.is_idle and gid not in reserved]:
-            self._stop_group(group_id)
+        for group in [g for gid, g in self.groups.items()
+                      if g.is_idle and gid not in reserved]:
+            self._stop_group(group)
 
-    def _stop_group(self, group_id: str) -> None:
-        group = self.groups.pop(group_id)
+    def _stop_group(self, group: GroupRuntime,
+                    crashed: bool = False) -> list[Job]:
         self._close_decision(group, self.sim.now)
-        group.stop()
-        self.group_audits.append(group.audit())
-        self.finished_cycles.extend(group.cycles)
-        self.recorder.group_stopped(group_id, self.sim.now)
-        self.cluster.release_all(group_id)
+        return super()._stop_group(group, crashed)
 
     # -------------------------------------------------------- profiling path
 
@@ -356,7 +435,7 @@ class HarmonyMaster:
         wanted = max(_BOOTSTRAP_MACHINES, floor)
         if wanted > self.cluster.n_free:
             return None
-        return self._start_group((), wanted)
+        return self._start_group(wanted)
 
     # ---------------------------------------------------- failure injection
 
@@ -384,15 +463,9 @@ class HarmonyMaster:
             self.failures_injected += 1
             return []  # free machine, or a non-group owner
         group_id = group.group_id
-        self._close_decision(group, self.sim.now)
-        victims = group.crash()
+        victims = self._stop_group(group, crashed=True)
         self.failures_injected += 1
-        self.group_audits.append(group.audit())
-        self.finished_cycles.extend(group.cycles)
-        del self.groups[group_id]
         self._estimate_cache.clear()
-        self.recorder.group_stopped(group_id, self.sim.now)
-        self.cluster.release_all(group_id)
         if self._rebuild is not None:
             self._rebuild.draining.discard(group_id)
 
@@ -481,7 +554,7 @@ class HarmonyMaster:
         pool += self._paused_metrics()
         if not pool:
             return
-        plan = self.planner.plan(pool, budget)
+        plan = self.scheduler.schedule(pool, budget)
         if plan is None:
             return
         current_estimates = []
@@ -557,7 +630,7 @@ class HarmonyMaster:
             assert current_group is not None
             current_group.request_pause(job.job_id)
         elif action == "new":
-            group = self._start_group((), new_m)  # type: ignore[arg-type]
+            group = self._start_group(new_m)  # type: ignore[arg-type]
             self._pending_moves[job.job_id] = group.group_id
             assert current_group is not None
             current_group.request_pause(job.job_id)
@@ -694,7 +767,7 @@ class HarmonyMaster:
                       + self.cluster.n_free)
             if budget < 1:
                 continue
-            plan = self.planner.plan(pool, budget)
+            plan = self.scheduler.schedule(pool, budget)
             if plan is None:
                 continue
             score = self._score_plan_with_rest(plan, exclude=scope_ids)
@@ -721,7 +794,7 @@ class HarmonyMaster:
         paused = self._paused_metrics()
         if free < 1 or not paused:
             return
-        plan = self.planner.plan(paused, free)
+        plan = self.scheduler.schedule(paused, free)
         if plan is None:
             return
         for group_plan in plan.groups:
@@ -729,7 +802,7 @@ class HarmonyMaster:
                     if not self.jobs[jid].is_done]
             if not jobs or group_plan.n_machines > self.cluster.n_free:
                 continue
-            group = self._start_group((), group_plan.n_machines)
+            group = self._start_group(group_plan.n_machines)
             for job in jobs:
                 self._resume_into(job, group)
 
@@ -825,7 +898,7 @@ class HarmonyMaster:
             if group is None:
                 rebuild.draining.discard(group_id)
             elif group.is_idle:
-                self._stop_group(group_id)
+                self._stop_group(group)
                 rebuild.draining.discard(group_id)
         # Eagerly materialize any slot whose machines are already free:
         # waiting for the whole drain would leave the cluster idle for
@@ -843,7 +916,7 @@ class HarmonyMaster:
                     if self._pending_moves.get(jid) == slot:
                         del self._pending_moves[jid]
                 continue
-            group = self._start_group((), n_machines)
+            group = self._start_group(n_machines)
             for job_id, target in list(self._pending_moves.items()):
                 if target == slot:
                     self._pending_moves[job_id] = group.group_id
@@ -901,20 +974,6 @@ class HarmonyMaster:
                                                      group.n_machines))
         self._note_membership_change(group)
         return True
-
-    def _start_group(self, job_ids: Sequence[str],
-                     n_machines: int) -> GroupRuntime:
-        group_id = f"g{next(self._group_ids)}"
-        machine_ids = self.cluster.allocate(n_machines, group_id)
-        group = GroupRuntime(self.sim, group_id, machine_ids,
-                             ExecutionMode.HARMONY, self.cost_model,
-                             self.config, self.streams, hooks=self)
-        self.groups[group_id] = group
-        self.recorder.group_started(group_id, n_machines, self.sim.now,
-                                    group.cpu, group.net)
-        for job_id in job_ids:
-            self._resume_into(self.jobs[job_id], group)
-        return group
 
     # ------------------------------------------------------ scoring helpers
 
@@ -1014,42 +1073,12 @@ class HarmonyMaster:
         """Smallest machine count where the given jobs co-locate near the
         target memory pressure, assuming maximal input spill (the
         scheduler's feasibility view, based on sampled sizes)."""
-        key = tuple(job_ids)
-        cached = self._memory_floor_cache.get(key)
+        # The scheduler asks on every candidate group: answer cache hits
+        # by id before building the spec list.
+        cached = self._floor_cache.get(tuple(job_ids))
         if cached is not None:
             return cached
-        result = self._memory_floor_uncached(job_ids)
-        self._memory_floor_cache[key] = result
-        return result
-
-    def _memory_floor_uncached(self, job_ids: Sequence[str]) -> int:
-        # Pure in the job specs: sizes, the cost model, and the config
-        # never change after submission, so the linear scan (a
-        # resident_bytes sum per candidate m) runs once per job set.
-        budget = (self.cost_model.spec.usable_memory_bytes
-                  * self.config.memory.target_pressure)
-        spill = self.config.memory.spill_enabled
-        alpha = 1.0 if spill else 0.0
-        fixed = self.config.memory.fixed_alpha
-        if fixed is not None:
-            alpha = fixed
-        specs = [self.jobs[jid].spec for jid in job_ids]
-        for m in range(1, self.cluster.size + 1):
-            need = sum(self.cost_model.resident_bytes(spec, m, alpha=alpha)
-                       for spec in specs)
-            if need <= budget:
-                return m
-        if spill:
-            # §IV-C fallback: the model data itself can be spilled when
-            # input spill is not enough (essential under all-reduce,
-            # where every machine holds a full model replica).
-            for m in range(1, self.cluster.size + 1):
-                need = sum(self.cost_model.resident_bytes(
-                    spec, m, alpha=1.0, model_spilled=True)
-                    for spec in specs)
-                if need <= budget:
-                    return m
-        return self.cluster.size + 1  # cannot be placed at all
+        return self._specs_floor([self.jobs[jid].spec for jid in job_ids])
 
     # ------------------------------------------------- decision bookkeeping
 

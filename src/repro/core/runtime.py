@@ -1,15 +1,18 @@
-"""End-to-end Harmony runs on the simulated cluster.
+"""End-to-end runs on the simulated cluster.
 
-:class:`HarmonyRuntime` wires a simulator, a cluster, and a
-:class:`~repro.core.master.HarmonyMaster` together, submits a workload,
-runs it to completion, and returns a :class:`RunResult` with everything
-the evaluation section measures: per-job JCTs, makespan, utilization
-timelines, group shapes, alpha statistics, and the performance model's
-prediction errors.
+:class:`RuntimeBase` wires a simulator, a cluster and a master
+together, submits a workload, runs it to completion, and returns a
+:class:`RunResult` with everything the evaluation section measures:
+per-job JCTs, makespan, utilization timelines, group shapes, alpha
+statistics, and the performance model's prediction errors.
+:class:`HarmonyRuntime` runs it under the
+:class:`~repro.core.master.HarmonyMaster`; the queue-policy runtimes
+(:mod:`repro.baselines.base`) run it under their own master.
 """
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -18,7 +21,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.job import JobState
-from repro.core.master import HarmonyMaster
+from repro.core.master import HarmonyMaster, MasterBase
 from repro.core.perfmodel import PerfModel
 from repro.errors import SimulationError
 from repro.metrics.faults import FaultLog
@@ -165,19 +168,23 @@ class RunResult:
         return "\n".join(lines)
 
 
-class HarmonyRuntime:
-    """One Harmony experiment: workload in, RunResult out."""
+class RuntimeBase:
+    """One experiment on the simulated cluster: workload in, RunResult
+    out.
+
+    Owns what every master's run shares: the simulator (with a tracer
+    when ``config.trace`` is enabled), the cluster, the cost model, the
+    RNG streams and the usage recorder; submitting the workload,
+    driving the simulation and collecting the result.  A subclass sets
+    ``self.master`` and may schedule its own processes in
+    :meth:`_install`.
+    """
+
+    master: MasterBase
 
     def __init__(self, n_machines: int, workload: Sequence[JobSpec],
-                 config: SimConfig = DEFAULT_SIM_CONFIG,
-                 perf_model: PerfModel | None = None,
-                 cost_model: CostModel | None = None,
-                 scheduler_factory=None,
-                 scheduler_name: str = "harmony",
-                 failure_times: Sequence[float] | None = None,
-                 fault_plan=None,
-                 heartbeat_interval: float = 30.0,
-                 heartbeat_timeout: float = 90.0):
+                 config: SimConfig, cost_model: CostModel | None,
+                 name: str):
         self.config = config
         self.sim = Simulator()
         if config.trace.enabled:
@@ -191,14 +198,92 @@ class HarmonyRuntime:
         self.streams = RandomStreams(config.seed)
         self.recorder = ClusterUsageRecorder(
             n_machines, bin_seconds=config.utilization_bin_seconds)
+        self.workload = list(workload)
+        self.name = name
+        #: Recovery accounting when a fault plan was injected (else None).
+        self.fault_log: FaultLog | None = None
+
+    def _install(self) -> None:
+        """Schedule processes beyond the submissions (none by default);
+        runs right after the submissions are queued."""
+
+    def run(self, max_sim_seconds: float | None = None,
+            max_events: int | None = None) -> RunResult:
+        """Submit the workload and simulate until every job terminates."""
+        # harmony: allow[DET001] wall_seconds measures real runtime of run() itself
+        wall_start = time.perf_counter()
+        truncated = max_sim_seconds is not None or max_events is not None
+        if truncated:
+            # Truncated runs must stop mid-job; a batch skipping past
+            # the horizon would diverge from the reference engine.
+            self.sim.fastpath_enabled = False
+        for spec in self.workload:
+            self.sim.call_at(spec.submit_time,
+                             lambda s=spec: self.master.submit(s))
+        self._install()
+        self.sim.run(until=max_sim_seconds, max_events=max_events)
+
+        stuck = [job for job in self.master.jobs.values()
+                 if not job.is_done]
+        if stuck and not truncated:
+            states = {job.job_id: job.state.value for job in stuck[:10]}
+            raise SimulationError(
+                f"{self.name}: simulation drained with {len(stuck)} "
+                f"unfinished jobs (first few: {states})")
+
+        # Collect per-job outcomes and close open groups.
+        all_cycles = list(self.master.finished_cycles)
+        for group in self.master.groups.values():
+            all_cycles.extend(group.cycles)
+        self.recorder.finish(self.sim.now)
+
+        outcomes = {
+            job.job_id: JobOutcome(job_id=job.job_id, state=job.state,
+                                   submit_time=job.submit_time,
+                                   finish_time=job.finish_time,
+                                   migrations=job.migrations)
+            for job in self.master.jobs.values()}
+        return RunResult(
+            scheduler_name=self.name,
+            total_machines=self.cluster.size,
+            outcomes=outcomes,
+            recorder=self.recorder,
+            migration_overhead_seconds=(
+                self.master.migration_overhead_seconds),
+            group_shape_log=list(self.master.group_shape_log),
+            _all_cycles=all_cycles,
+            alpha_samples=[c.alpha for c in all_cycles],
+            gc_seconds=sum(c.gc_overhead for c in all_cycles),
+            stall_seconds=sum(c.stall for c in all_cycles),
+            # harmony: allow[DET001] wall_seconds measures real runtime of run() itself
+            wall_seconds=time.perf_counter() - wall_start,
+            fault_log=self.fault_log,
+            trace=self.sim.tracer if self.sim.tracer.enabled else None)
+
+
+class HarmonyRuntime(RuntimeBase):
+    """One Harmony experiment: workload in, RunResult out."""
+
+    master: HarmonyMaster
+
+    def __init__(self, n_machines: int, workload: Sequence[JobSpec],
+                 config: SimConfig = DEFAULT_SIM_CONFIG,
+                 perf_model: PerfModel | None = None,
+                 cost_model: CostModel | None = None,
+                 scheduler_factory=None,
+                 scheduler_name: str = "harmony",
+                 failure_times: Sequence[float] | None = None,
+                 fault_plan=None,
+                 heartbeat_interval: float = 30.0,
+                 heartbeat_timeout: float = 90.0):
+        super().__init__(n_machines, workload, config, cost_model,
+                         name=scheduler_name)
         self.fault_log = FaultLog() if fault_plan is not None else None
         self.master = HarmonyMaster(self.sim, self.cluster,
                                     self.cost_model, config, self.streams,
                                     self.recorder, perf_model=perf_model,
                                     scheduler_factory=scheduler_factory,
                                     fault_log=self.fault_log)
-        self.workload = list(workload)
-        self.scheduler_name = scheduler_name
         self.failure_times = sorted(failure_times or [])
         self.fault_plan = fault_plan
         self.monitor = None
@@ -268,60 +353,18 @@ class HarmonyRuntime:
         return (self.injector is not None
                 and self.injector.pending_repairs > 0)
 
-    def run(self, max_sim_seconds: float | None = None,
-            max_events: int | None = None) -> RunResult:
-        """Submit the workload and simulate until every job terminates."""
-        import time as _time
-        # harmony: allow[DET001] wall_seconds measures real runtime of run() itself
-        wall_start = _time.perf_counter()
-        if max_sim_seconds is not None or max_events is not None:
-            # Truncated runs must stop mid-job; a batch skipping past
-            # the horizon would diverge from the reference engine.
-            self.sim.fastpath_enabled = False
-        for spec in self.workload:
-            self.sim.call_at(spec.submit_time,
-                             lambda s=spec: self.master.submit(s))
+    def _install(self) -> None:
         for when in self.failure_times:
             self.sim.call_at(when, self._fail_random_machine)
         if self.injector is not None:
             self.injector.install()
             self.monitor.start()
         self.sim.spawn(self._pacer(), name="periodic-reschedule")
-        self.sim.run(until=max_sim_seconds, max_events=max_events)
 
-        stuck = [job for job in self.master.jobs.values()
-                 if not job.is_done]
-        if stuck and max_sim_seconds is None and max_events is None:
-            states = {job.job_id: job.state.value for job in stuck[:10]}
-            raise SimulationError(
-                f"simulation drained with {len(stuck)} unfinished jobs "
-                f"(first few: {states})")
-
-        # Collect per-job outcomes and close open groups.
-        all_cycles = list(self.master.finished_cycles)
-        for group in self.master.groups.values():
-            all_cycles.extend(group.cycles)
-        self.recorder.finish(self.sim.now)
-
-        outcomes = {
-            job.job_id: JobOutcome(job_id=job.job_id, state=job.state,
-                                   submit_time=job.submit_time,
-                                   finish_time=job.finish_time,
-                                   migrations=job.migrations)
-            for job in self.master.jobs.values()}
-        return RunResult(
-            scheduler_name=self.scheduler_name,
-            total_machines=self.cluster.size,
-            outcomes=outcomes,
-            recorder=self.recorder,
-            migration_overhead_seconds=(
-                self.master.migration_overhead_seconds),
-            group_shape_log=list(self.master.group_shape_log),
-            _all_cycles=all_cycles,
-            alpha_samples=[c.alpha for c in all_cycles],
-            gc_seconds=sum(c.gc_overhead for c in all_cycles),
-            stall_seconds=sum(c.stall for c in all_cycles),
-            # harmony: allow[DET001] wall_seconds measures real runtime of run() itself
-            wall_seconds=_time.perf_counter() - wall_start,
-            fault_log=self.fault_log,
-            trace=self.sim.tracer if self.sim.tracer.enabled else None)
+    def run(self, max_sim_seconds: float | None = None,
+            max_events: int | None = None) -> RunResult:
+        """Submit the workload and simulate until every job terminates."""
+        # Defined on this class, not only inherited, so that tools that
+        # patch ``HarmonyRuntime.run`` in the class dict (the host-clock
+        # span recorder in benchmarks/perf/spans.py) keep finding it.
+        return super().run(max_sim_seconds, max_events)

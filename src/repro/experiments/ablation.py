@@ -29,6 +29,7 @@ from repro.core.group_runtime import ExecutionMode
 from repro.core.runtime import HarmonyRuntime, RunResult
 from repro.experiments.common import scaled_workload
 from repro.metrics.reporting import format_table
+from repro.policies.queueing import packed_fifo
 
 #: Static spill ratio for stages 1-2 (between Fig. 4's no-spill OOM and
 #: full spill; the §V-G sweep shows mid-range ratios are workable).
@@ -85,8 +86,8 @@ def run(scale: float = 1.0, seed: int = 2021,
     # Stage 1: coordinated subtasks, queue-order grouping, static spill.
     subtasks_only = BaselineRuntime(
         n_machines, workload, mode=ExecutionMode.HARMONY,
-        name="subtasks-only", config=_static_spill(config),
-        group_size=3, dop_scale=0.5).run()
+        name="subtasks-only", policy=packed_fifo(group_size=3),
+        config=_static_spill(config), dop_scale=0.5).run()
     # Stage 2: the full scheduler, spill ratio still static.
     with_grouping = HarmonyRuntime(n_machines, workload,
                                    config=_static_spill(config)).run()

@@ -150,7 +150,6 @@ def run_sharded(
                                               (8000, 10_000)),
         cells: tuple[int, ...] = (1, 8),
         churn_steps: int = 16,
-        max_workers: int = 1,
         seed: int = 2021,
         config: SimConfig = DEFAULT_SIM_CONFIG) -> ShardScalabilityResult:
     """The cells × cluster-size sweep in the online-churn setting.
@@ -179,8 +178,7 @@ def run_sharded(
         for n_cells in cells:
             scheduler = ShardedScheduler(
                 config=config.scheduler,
-                shard=ShardConfig(n_cells=n_cells,
-                                  max_workers=max_workers))
+                shard=ShardConfig(n_cells=n_cells))
             pool = list(pool0)
             # harmony: allow[DET001] scalability exhibit measures real scheduling wall time
             started = time.perf_counter()

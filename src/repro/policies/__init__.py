@@ -11,8 +11,8 @@ and decides which queued jobs start, grouped how
   packing scored on the Eq. 3 perf model.
 * :mod:`repro.policies.interleave` — CASSINI-style phase-offset COMM
   interleaving.
-* :mod:`repro.policies.planner` — Harmony's Algorithm 1 behind the
-  planner seam, plus its one-shot queue-policy form.
+* :mod:`repro.policies.planner` — Harmony's Algorithm 1 as a one-shot
+  queue policy.
 * :mod:`repro.policies.registry` — name -> runtime factories for all
   of the above and the paper's three systems.
 """
@@ -27,11 +27,7 @@ from repro.policies.base import (
 )
 from repro.policies.interleave import cassini
 from repro.policies.packing import synergy
-from repro.policies.planner import (
-    HarmonyPlanPolicy,
-    PlannerPolicy,
-    SchedulerPlanner,
-)
+from repro.policies.planner import HarmonyPlanPolicy
 from repro.policies.queueing import (
     conservative,
     conservative_backfill,
@@ -64,8 +60,6 @@ __all__ = [
     "RunningGroupView",
     "SchedulingPolicy",
     "HarmonyPlanPolicy",
-    "PlannerPolicy",
-    "SchedulerPlanner",
     "available",
     "build_runtime",
     "register",

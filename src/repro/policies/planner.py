@@ -1,50 +1,20 @@
-"""Harmony's Algorithm 1 behind the policy protocols.
+"""Harmony's Algorithm 1 as a queue policy.
 
-Two adapters live here:
-
-* :class:`SchedulerPlanner` — the :class:`PlannerPolicy` the
-  :class:`~repro.core.master.HarmonyMaster` plans through.  It simply
-  forwards to a :class:`~repro.core.scheduler.HarmonyScheduler`, making
-  the master's observe→plan step an injectable seam (the §V-F oracle
-  and any future planner plug in here without subclassing the master).
-* :class:`HarmonyPlanPolicy` — Algorithm 1 as a *queue* policy: a
-  one-shot grouping over the queued jobs using exact cost-model
-  metrics.  This is Harmony's grouping without profiling or dynamic
-  regrouping — the "harmony-static" competitor of the tournament,
-  isolating how much of Harmony's win comes from the grouping math
-  versus from the runtime adaptation loop.
+:class:`HarmonyPlanPolicy` is a one-shot grouping over the queued jobs
+using exact cost-model metrics.  This is Harmony's grouping without
+profiling or dynamic regrouping — the "harmony-static" competitor of
+the tournament, isolating how much of Harmony's win comes from the
+grouping math versus from the runtime adaptation loop.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import Protocol
-
-from repro.core.profiler import JobMetrics
-from repro.core.scheduler import ORDERING_DOP, SchedulePlan
+from repro.core.scheduler import ORDERING_DOP
 from repro.policies.base import (
     GroupStart,
     PolicyDecision,
     PolicyObservation,
 )
-
-
-class PlannerPolicy(Protocol):
-    """Observe profiled metrics + a machine budget, emit a plan."""
-
-    def plan(self, jobs: Sequence[JobMetrics],
-             total_machines: int) -> SchedulePlan | None: ...
-
-
-class SchedulerPlanner:
-    """The default planner: Algorithm 1 via a ``HarmonyScheduler``."""
-
-    def __init__(self, scheduler):
-        self.scheduler = scheduler
-
-    def plan(self, jobs: Sequence[JobMetrics],
-             total_machines: int) -> SchedulePlan | None:
-        return self.scheduler.schedule(jobs, total_machines)
 
 
 class HarmonyPlanPolicy:

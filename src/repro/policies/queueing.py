@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
+from repro.errors import SchedulingError
 from repro.policies.base import (
     FunctionPolicy,
     GroupStart,
@@ -85,6 +86,8 @@ def packed_fifo(group_size: int = 1, backfill: bool = True,
                 colocate_only_if_fits: bool = False,
                 name: str | None = None) -> FunctionPolicy:
     """The legacy baseline admission policy at explicit parameters."""
+    if group_size < 1:
+        raise SchedulingError(f"group_size must be >= 1, got {group_size}")
     if name is None:
         name = (f"packed-fifo(size={group_size}"
                 f"{'' if backfill else ', no-backfill'})")

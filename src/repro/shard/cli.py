@@ -5,7 +5,6 @@ cell counts and cluster sizes, prints the table, and (optionally)
 checks a speedup floor so the sweep can double as a smoke gate::
 
     python -m repro scale --cells 1,8,32 --sizes 8000x10000,32000x40000
-    python -m repro scale --workers 4 --churn 32
     python -m repro scale --min-speedup 3.0   # exit 1 below the floor
 """
 
@@ -52,10 +51,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="online churn steps after the cold call, "
                              "each one arrival + one profile republish "
                              "(default 16)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="thread-pool width for cold per-cell "
-                             "fan-out (1 = serial; plan-equal either "
-                             "way)")
     parser.add_argument("--seed", type=int, default=2021,
                         help="workload seed")
     parser.add_argument("--min-speedup", type=float, default=None,
@@ -66,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
 
     result = scalability.run_sharded(
         sizes=args.sizes, cells=args.cells, churn_steps=args.churn,
-        max_workers=args.workers, seed=args.seed)
+        seed=args.seed)
     print(scalability.report_sharded(result))
     speedup = result.speedup_at_largest
     if speedup > 0.0:

@@ -15,11 +15,9 @@ independent Algorithm 1 per cell:
   unsharded scheduler re-plans the *whole* pool per arrival, a sharded
   one re-plans ``1/n_cells`` of it (see
   ``benchmarks/bench_scalability.py``).
-* Cold calls (every cell dirty) fan out over a
-  ``concurrent.futures.ThreadPoolExecutor`` when
-  ``ShardConfig.max_workers > 1``.  Cells share nothing mutable, and
-  results are merged in cell order, so serial and parallel modes are
-  pinned plan-equal by ``tests/test_shard.py``.
+* Dirty cells are planned one after another, in cell order, and their
+  plans merged in that order.  Cells are pure-Python Algorithm 1 under
+  the GIL, so a thread pool never beat the serial loop.
 * Every ``ShardConfig.rebalance_every`` calls the
   :mod:`~repro.shard.rebalance` pass drains hot cells; donors keep
   their plans through the §IV-B4 splice
@@ -33,8 +31,6 @@ differential suite pins bitwise-equal to the unsharded scheduler.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 from repro.config import ShardConfig
 from repro.core.allocation import MemoryFloorFn
@@ -97,9 +93,6 @@ class ShardedScheduler:
         if self.shard.n_cells < 1:
             raise SchedulingError(
                 f"n_cells must be >= 1, got {self.shard.n_cells}")
-        if self.shard.max_workers < 1:
-            raise SchedulingError(
-                f"max_workers must be >= 1, got {self.shard.max_workers}")
         tracer = tracer if tracer is not None else NULL_TRACER
         self._trace = tracer if tracer.enabled else None
         self._trace_track = (
@@ -176,38 +169,15 @@ class ShardedScheduler:
 
     def _schedule_cells(self, routed: Sequence[tuple[JobMetrics, ...]]) \
             -> tuple[list[SchedulePlan | None], list[ScheduleStats], int]:
-        """Run Algorithm 1 in every dirty cell; skip clean ones.
-
-        Dirty cells fan out over a thread pool when configured; each
-        cell's scheduler instance sees the same call sequence either
-        way, so serial and parallel modes produce equal plans.
-        """
+        """Run Algorithm 1 in every dirty cell; skip clean ones."""
         occupied = sum(1 for members in routed if members)
         dirty = [cell for cell, members
                  in zip(self._cells, routed, strict=True)
                  if members and not cell.unchanged(members)]
         if self._trace is not None:
             self._trace.counter("shard.cells_rescheduled").add(len(dirty))
-        if len(dirty) > 1 and self.shard.max_workers > 1:
-            with ThreadPoolExecutor(
-                    max_workers=self.shard.max_workers) as pool:
-                futures = [
-                    # One submit per cell: each mutates only its own
-                    # scheduler; the shared perf_model/config stay
-                    # read-only during schedule.
-                    # harmony: allow[CONC002] cells share nothing mutable
-                    pool.submit(cell.scheduler.schedule,
-                                routed[cell.index], cell.n_machines)
-                    for cell in dirty]
-                for cell, future in zip(dirty, futures, strict=True):
-                    self._finish_cell(cell, routed[cell.index],
-                                      future.result)
-        else:
-            for cell in dirty:
-                self._finish_cell(cell, routed[cell.index],
-                                  partial(cell.scheduler.schedule,
-                                          routed[cell.index],
-                                          cell.n_machines))
+        for cell in dirty:
+            self._schedule_cell(cell, routed[cell.index])
         plans = [cell.last_plan if members else None
                  for cell, members
                  in zip(self._cells, routed, strict=True)]
@@ -215,21 +185,16 @@ class ShardedScheduler:
                  if cell.scheduler.last_stats is not None]
         return plans, stats, occupied - len(dirty)
 
-    def _finish_cell(self, cell: Cell, members: tuple[JobMetrics, ...],
-                     result) -> None:
-        """Resolve one dirty cell's plan under a per-cell trace span.
-
-        ``result`` is a no-arg callable (a bound ``schedule`` in serial
-        mode, a future's ``.result`` in parallel mode) so the span —
-        emitted from the coordinator thread only — covers the compute
-        or the wait, whichever this mode pays.
-        """
+    def _schedule_cell(self, cell: Cell,
+                       members: tuple[JobMetrics, ...]) -> None:
+        """Plan one dirty cell, under a per-cell trace span."""
         if self._trace is None:
-            cell.remember(members, result())
+            cell.remember(members, cell.scheduler.schedule(
+                members, cell.n_machines))
             return
         span = self._trace.begin(self._trace_track,
                                  f"cell·{cell.index}", cat="shard")
-        plan = result()
+        plan = cell.scheduler.schedule(members, cell.n_machines)
         self._trace.end(span, args={
             "jobs": len(members),
             "placed": (len(plan.scheduled_job_ids)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from repro.errors import ResourceError
+from repro.errors import ResourceError, SimulationError
 from repro.sim.events import Event
 from repro.sim.simulator import Simulator
 
@@ -429,6 +429,8 @@ class RateResource:
                 owner.park_changed(self)
             return
         when = self.sim._now + max(horizon, 0.0)
+        if when - self.sim._now <= _EPSILON:
+            raise self._stalled(self.sim._now)
         if self._autodrain:
             if owner is not None:
                 # Coordinated lane: mirror the event-driven entry
@@ -569,6 +571,10 @@ class RateResource:
                 self.work_served += delivered
                 served_by_tag[tag] = (
                     served_by_tag.get(tag, 0.0) + delivered)
+            else:
+                # Nothing served (remaining > _EPSILON here): the next
+                # cycle would land on the same instant forever.
+                raise self._stalled(last, remaining)
             last = when
             generation += 1
             if remaining <= _EPSILON:
@@ -730,7 +736,10 @@ class RateResource:
             return
         if self._wake_generation != generation:
             return  # superseded by a nested reschedule in _pop_finished
-        self._pending_wake_at = now + max(horizon, 0.0)
+        when = now + max(horizon, 0.0)
+        if when - now <= _EPSILON:
+            raise self._stalled(now)
+        self._pending_wake_at = when
         self._pending_wake_seq = next(sim._sequence)  # draw_sequence()
 
     def _rates_for(
@@ -749,6 +758,25 @@ class RateResource:
         entry = (rates, level, active)
         self._rates_cache[n] = entry
         return entry
+
+    def _stalled(self, at: float,
+                 remaining: float | None = None) -> SimulationError:
+        """The error for a queue that can no longer make progress.
+
+        The next completion lands within ``_EPSILON`` of the clock while
+        more than ``_EPSILON`` of work remains, so the wake there serves
+        nothing and re-lands on the same instant forever.  This happens
+        once the clock is so large (from 2**24 s, ~1.7e7 s, its float
+        spacing is 3.7e-9 s or more) that it swallows the last few
+        nanoseconds of a task.
+        """
+        if remaining is None:
+            remaining = min(task.work_remaining for task in self._tasks)
+        return SimulationError(
+            f"resource {self.name!r} stalled at t={at!r}: "
+            f"{remaining:.3g}s of work left, but its next completion "
+            f"lands within {_EPSILON:g}s of the clock, so it would never "
+            f"be served")
 
     def _sample_level(self) -> None:
         """Record the delivered service level going forward from now."""

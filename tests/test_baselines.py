@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import IsolatedRuntime, NaiveRuntime
 from repro.baselines.naive import best_and_worst, run_naive_cases
+from repro.policies.queueing import packed_fifo
 from repro.workloads.apps import DATASETS, JobSpec, MLR
 from repro.workloads.generator import WorkloadGenerator
 
@@ -28,7 +29,8 @@ class TestIsolated:
 
     def test_one_job_per_group(self, workload):
         runtime = IsolatedRuntime(24, workload)
-        assert runtime.master.group_size == 1
+        assert runtime.master.policy.name == \
+            packed_fifo(group_size=1).name
 
     def test_machines_for_balances_cpu_and_network(self, workload):
         runtime = IsolatedRuntime(100, workload)
@@ -40,7 +42,7 @@ class TestIsolated:
         """A big job is never squeezed below its no-spill floor."""
         spec = JobSpec("big", MLR, DATASETS["MLR"][1], iterations=2)
         runtime = IsolatedRuntime(100, [spec])
-        floor = runtime.master._memory_floor([spec])
+        floor = runtime.master._specs_floor([spec])
         assert runtime.master.machines_for([spec]) >= floor
         assert floor > 1
 
@@ -89,7 +91,8 @@ class TestNaive:
 
     def test_group_size_respected(self, workload):
         runtime = NaiveRuntime(24, workload, group_size=3)
-        assert runtime.master.group_size == 3
+        assert runtime.master.policy.name == \
+            packed_fifo(group_size=3).name
 
 
 class TestComparativeShape:

@@ -4,6 +4,7 @@
 from repro.baselines.base import BaselineRuntime
 from repro.core.group_runtime import ExecutionMode
 from repro.experiments.common import run_single_group, scaled_workload
+from repro.policies.queueing import packed_fifo
 from repro.workloads.apps import DATASETS, JobSpec, LDA, MLR
 from repro.workloads.generator import WorkloadGenerator
 
@@ -57,8 +58,8 @@ class TestColocationGating:
         jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
         return BaselineRuntime(
             32, jobs, mode=ExecutionMode.HARMONY, name="gated",
-            group_size=3, dop_scale=0.5, config=config,
-            colocate_only_if_fits=gated)
+            policy=packed_fifo(group_size=3, colocate_only_if_fits=gated),
+            dop_scale=0.5, config=config)
 
     def test_gated_runtime_completes(self):
         result = self._runtime(True).run()

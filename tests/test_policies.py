@@ -149,13 +149,12 @@ class TestDifferentialPins:
                 for job_id, outcome in result.outcomes.items()}
 
     def test_legacy_args_equal_explicit_policy(self, jobs):
-        legacy = BaselineRuntime(
-            20, jobs, mode=ExecutionMode.NAIVE, name="legacy",
-            group_size=2, shuffle_seed=0, dop_scale=0.4).run()
+        legacy = NaiveRuntime(20, jobs, group_size=2, shuffle_seed=0,
+                              dop_scale=0.4).run()
         explicit = BaselineRuntime(
             20, jobs, mode=ExecutionMode.NAIVE, name="explicit",
-            group_size=2, shuffle_seed=0, dop_scale=0.4,
-            policy=packed_fifo(group_size=2)).run()
+            policy=packed_fifo(group_size=2), shuffle_seed=0,
+            dop_scale=0.4).run()
         # harmony: allow[DET006] bitwise equality is the property under test
         assert self._finish_times(legacy) == self._finish_times(explicit)
 
@@ -216,6 +215,44 @@ class TestCompetitorRuntimes:
             RandomStreams(7), hooks=_InertHooks())
         with pytest.raises(SimulationError):
             group.add_job(Job(jobs[0]), start_delay=-1.0)
+
+
+class TestSharedRunLoop:
+    """Every registry entry runs through the same run loop, so tracing
+    and the cycle-derived result fields behave the same for all."""
+
+    @pytest.fixture(scope="class")
+    def jobs(self):
+        return WorkloadGenerator(5).base_workload(
+            hyper_params_per_pair=1)
+
+    @pytest.mark.parametrize("name", [name for name, _ in available()])
+    def test_traced_run_matches_untraced(self, name, jobs):
+        config = SimConfig(seed=11)
+        plain = build_runtime(name, 20, jobs, config=config).run()
+        traced = build_runtime(name, 20, jobs,
+                               config=config.with_tracing()).run()
+        assert plain.trace is None
+        assert traced.trace is not None and traced.trace.spans
+        # harmony: allow[DET006] bitwise equality is the property under test
+        assert traced.jcts == plain.jcts
+        # harmony: allow[DET006] bitwise equality is the property under test
+        assert traced.makespan == plain.makespan
+        for which in ("cpu", "net"):
+            # harmony: allow[DET006] bitwise equality is the property under test
+            assert traced.average_utilization(which) == \
+                plain.average_utilization(which)
+
+    def test_naive_result_sums_its_cycles(self, jobs):
+        result = NaiveRuntime(20, jobs).run()
+        cycles = result._all_cycles
+        assert cycles
+        assert result.gc_seconds > 0.0
+        # harmony: allow[DET006] the result field is this very sum
+        assert result.gc_seconds == sum(c.gc_overhead for c in cycles)
+        # harmony: allow[DET006] the result field is this very sum
+        assert result.stall_seconds == sum(c.stall for c in cycles)
+        assert result.alpha_samples == [c.alpha for c in cycles]
 
 
 class _InertHooks:

@@ -3,8 +3,7 @@
 The correctness story mirrors the repo's established technique
 (tests/test_sched_fastpath.py): the 1-cell sharded scheduler is pinned
 bitwise-equal to the unsharded ``HarmonyScheduler`` over hypothesis
-sweeps, serial (``max_workers=1``) and parallel fan-out are pinned
-plan-equal, and the placer's routing is pinned stable under varying
+sweeps, and the placer's routing is pinned stable under varying
 ``PYTHONHASHSEED`` via subprocess runs (the test_analysis.py pattern).
 """
 
@@ -131,26 +130,6 @@ class TestOneCellPin:
         sharded = ShardedScheduler(shard=ShardConfig(n_cells=n_cells))
         assert sharded.schedule(jobs, machines) \
             == HarmonyScheduler().schedule(jobs, machines)
-
-
-class TestSerialParallelPin:
-    @settings(max_examples=20, deadline=None)
-    @given(values=job_values, machines=st.integers(8, 300),
-           n_cells=st.integers(2, 4))
-    def test_serial_equals_parallel_across_sequences(self, values,
-                                                     machines, n_cells):
-        """Cells are independent and merge order is fixed, so worker
-        fan-out can never change the plan."""
-        jobs = make_jobs(values)
-        serial = ShardedScheduler(
-            shard=ShardConfig(n_cells=n_cells, max_workers=1))
-        parallel = ShardedScheduler(
-            shard=ShardConfig(n_cells=n_cells, max_workers=4))
-        for end in range(1, len(jobs) + 1):
-            pool = jobs[:end]
-            assert serial.schedule(pool, machines) \
-                == parallel.schedule(pool, machines)
-            assert serial.last_stats == parallel.last_stats
 
 
 # ---------------------------------------------------------------------------

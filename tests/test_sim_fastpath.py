@@ -489,6 +489,53 @@ class TestEngineConfig:
             group.crash()
 
 
+class _DrivingOwner:
+    """A coordinated owner mid-drive: parks need no driver sync."""
+
+    _in_drive = True
+    active = True
+
+
+class TestStalledResource:
+    """Past 2**24 simulated seconds (~1.7e7) the clock's float spacing
+    can swallow a task's last nanoseconds: its completion lands within
+    the resource's epsilon of the clock while more than epsilon of work
+    remains, so no wake ever serves it.  Every lane must raise instead
+    of spinning on the same instant forever."""
+
+    CLOCK = 3.4e7
+    LEFT = 3e-9
+
+    def _resource(self, sim):
+        from repro.sim.resources import RateResource, serial
+        return RateResource(sim, serial(), name="cpu")
+
+    def test_reference_engine_raises(self, sim):
+        resource = self._resource(sim)
+        sim.call_at(self.CLOCK,
+                    lambda: resource.submit(self.LEFT, tag="j"))
+        with pytest.raises(SimulationError, match="'cpu' stalled at"):
+            sim.run()
+
+    def test_solo_lane_raises(self, sim):
+        resource = self._resource(sim)
+        resource.set_autodrain(True)
+        sim.warp(self.CLOCK)
+        with pytest.raises(SimulationError, match="'cpu' stalled at"):
+            resource.serve_solo(self.LEFT, tag="j")
+
+    def test_drive_lane_raises(self, sim):
+        resource = self._resource(sim)
+        resource.set_wake_owner(_DrivingOwner())
+        resource.submit(1.0, tag="j")
+        # The parked task reaches the large clock with LEFT work left.
+        resource._tasks[0].work_remaining = self.LEFT
+        sim.warp(self.CLOCK)
+        resource._last_update = self.CLOCK
+        with pytest.raises(SimulationError, match="'cpu' stalled at"):
+            resource.serve_parked()
+
+
 class TestBatchStats:
     def test_struct_of_arrays_views(self):
         stats = BatchStats()
