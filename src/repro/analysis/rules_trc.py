@@ -28,16 +28,14 @@ _METRIC_METHODS = {"counter": declared.COUNTER_NAMES,
                    "instant": declared.INSTANT_NAMES,
                    "_instant": declared.INSTANT_NAMES}
 
-#: Keyword arguments that carry a gauge name to a resource.
-_GAUGE_KEYWORDS = {"trace_gauge"}
 
-
-def _literal_or_pattern(node: ast.expr) -> str | None:
-    """A string literal verbatim, or an f-string reduced to a
-    ``*``-pattern (one ``*`` per interpolated field); None when the
-    name is fully dynamic (a variable)."""
+def _literals_or_patterns(node: ast.expr) -> list[str]:
+    """Every name ``node`` can statically evaluate to: a string literal
+    verbatim, an f-string reduced to a ``*``-pattern (one ``*`` per
+    interpolated field), and both arms of a conditional expression.
+    Fully dynamic names (a variable) contribute nothing."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
+        return [node.value]
     if isinstance(node, ast.JoinedStr):
         parts: list[str] = []
         for value in node.values:
@@ -45,8 +43,11 @@ def _literal_or_pattern(node: ast.expr) -> str | None:
                 parts.append(str(value.value))
             else:
                 parts.append("*")
-        return "".join(parts)
-    return None
+        return ["".join(parts)]
+    if isinstance(node, ast.IfExp):
+        return (_literals_or_patterns(node.body)
+                + _literals_or_patterns(node.orelse))
+    return []
 
 
 @register
@@ -123,25 +124,16 @@ class MetricNameRule(BaseRule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            if isinstance(node.func, ast.Attribute) and \
-                    node.func.attr in _METRIC_METHODS and node.args:
-                universe = _METRIC_METHODS[node.func.attr]
-                name = _literal_or_pattern(node.args[0])
-                if name is not None and \
-                        not declared.is_declared(name, universe):
+            if not (isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _METRIC_METHODS and node.args):
+                continue
+            universe = _METRIC_METHODS[node.func.attr]
+            for name in _literals_or_patterns(node.args[0]):
+                if not declared.is_declared(name, universe):
                     yield ctx.finding(
                         self.rule, node,
                         f"{node.func.attr} name {name!r} is not "
                         f"declared in repro.trace.names")
-            for keyword in node.keywords:
-                if keyword.arg in _GAUGE_KEYWORDS:
-                    name = _literal_or_pattern(keyword.value)
-                    if name is not None and not declared.is_declared(
-                            name, declared.GAUGE_NAMES):
-                        yield ctx.finding(
-                            self.rule, node,
-                            f"trace_gauge name {name!r} is not "
-                            f"declared in repro.trace.names")
 
 
 @register
@@ -171,10 +163,9 @@ class SpanNameRule(BaseRule):
                     name_node = node.args[index]
             if name_node is None:
                 continue
-            name = _literal_or_pattern(name_node)
-            if name is not None and not declared.is_declared(
-                    name, declared.SPAN_NAMES):
-                yield ctx.finding(
-                    self.rule, node,
-                    f"span name {name!r} is not declared in "
-                    f"repro.trace.names")
+            for name in _literals_or_patterns(name_node):
+                if not declared.is_declared(name, declared.SPAN_NAMES):
+                    yield ctx.finding(
+                        self.rule, node,
+                        f"span name {name!r} is not declared in "
+                        f"repro.trace.names")

@@ -41,7 +41,7 @@ from repro.sim import (
     serial,
 )
 from repro.sim.fastpath import GroupBatchEngine
-from repro.sim.resources import ResourceAudit
+from repro.sim.resources import ResourceAudit, level_samples
 from repro.workloads.costmodel import CostModel
 
 
@@ -180,14 +180,13 @@ class GroupRuntime:
         else:
             cpu_policy = serial()
             net_policy = primary_secondary(execution.secondary_comm_rate)
-        self.cpu = RateResource(sim, cpu_policy, f"{group_id}:cpu",
-                                trace_gauge=f"{group_id}.cpu.level")
-        self.net = RateResource(sim, net_policy, f"{group_id}:net",
-                                trace_gauge=f"{group_id}.net.level")
+        self.cpu = RateResource(sim, cpu_policy, f"{group_id}:cpu")
+        self.net = RateResource(sim, net_policy, f"{group_id}:net")
         # Disk: reloads/checkpoints of co-located jobs share bandwidth.
+        # Its segments feed only the traced level gauge.
         self.disk = RateResource(sim, processor_sharing(),
-                                 f"{group_id}:disk", record_segments=False,
-                                 trace_gauge=f"{group_id}.disk.level")
+                                 f"{group_id}:disk",
+                                 record_segments=sim.tracer.enabled)
         if self._trace is not None:
             self._trace.instant(
                 "group-start", cat="lifecycle", args={
@@ -595,10 +594,6 @@ class GroupRuntime:
                     job.spec, self.n_machines, job.alpha))
         return self.disk.submit(seconds, tag=job.job_id)
 
-    def _jitter(self, job_id: str) -> float:
-        return self.streams.jitter(f"duration:{self.group_id}:{job_id}",
-                                   self._duration_jitter_cv)
-
     def _comm_interference(self) -> float:
         """Occasional bursty-traffic slowdown on a COMM subtask (§VI
         multi-tenant interference; off by default)."""
@@ -675,6 +670,7 @@ class GroupRuntime:
         self.disk.purge()
         self.cpu.close_segments()
         self.net.close_segments()
+        self.record_levels()
         self.stopped_at = self.sim.now
         self.crashed = True
         return victims
@@ -689,7 +685,29 @@ class GroupRuntime:
                 f"{sorted(self._jobs)}")
         self.cpu.close_segments()
         self.net.close_segments()
+        self.record_levels()
         self.stopped_at = self.sim.now
+
+    def record_levels(self) -> None:
+        """Trace the ``<group>.{cpu,net,disk}.level`` gauges.
+
+        Derived after the fact from each resource's busy segments
+        (sealed here), stamped with the segments' own times — so the
+        wake paths carry no tracing and both engines yield the same
+        series.  Called once, when the group stops or crashes, or at
+        the end of a run that leaves it live.  No-op when untraced.
+        """
+        trace = self._trace
+        if trace is None:
+            return
+        group_id = self.group_id
+        for resource, gauge in (
+                (self.cpu, trace.gauge(f"{group_id}.cpu.level")),
+                (self.net, trace.gauge(f"{group_id}.net.level")),
+                (self.disk, trace.gauge(f"{group_id}.disk.level"))):
+            resource.close_segments()
+            for when, level in level_samples(resource.segments):
+                gauge.set_at(when, level)
 
     def audit(self) -> GroupAudit:
         """Conservation snapshot for :mod:`repro.check` (any time)."""

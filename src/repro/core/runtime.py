@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.errors import SimulationError
 from repro.metrics.faults import FaultLog
 from repro.metrics.timeline import Timeline
 from repro.metrics.utilization import ClusterUsageRecorder
-from repro.sim import RandomStreams, Simulator
+from repro.sim import FastpathStats, RandomStreams, Simulator
 from repro.trace.tracer import Tracer, build_tracer
 from repro.workloads.apps import JobSpec
 from repro.workloads.costmodel import CostModel
@@ -72,6 +72,9 @@ class RunResult:
     #: The run's tracer when tracing was enabled (else None); feed it
     #: to :func:`repro.trace.write_chrome_trace` for a Perfetto view.
     trace: Tracer | None = None
+    #: The simulator's fast-path engagement counters at the end of the
+    #: run (all zero under ``engine="reference"``).
+    fastpath: FastpathStats = field(default_factory=FastpathStats)
 
     # -- headline numbers -------------------------------------------------
 
@@ -149,6 +152,7 @@ class RunResult:
         return total_group_seconds / span if span > 0 else 0.0
 
     def summary(self) -> str:
+        fp = self.fastpath
         lines = [
             f"scheduler={self.scheduler_name}",
             f"jobs: {len(self.finished)} finished, {len(self.failed)} "
@@ -157,6 +161,9 @@ class RunResult:
             f"makespan: {self.makespan / 60:.1f} min",
             f"avg CPU util: {self.average_utilization('cpu'):.1%}",
             f"avg net util: {self.average_utilization('net'):.1%}",
+            f"fast path: {fp.solo_batches} solo batches, "
+            f"{fp.wakes_served} wakes in {fp.drive_windows} drive "
+            f"windows, {fp.engines_deactivated} engines deactivated",
         ]
         if self.fault_log is not None and self.fault_log.records:
             s = self.fault_log.summary()
@@ -231,10 +238,12 @@ class RuntimeBase:
                 f"{self.name}: simulation drained with {len(stuck)} "
                 f"unfinished jobs (first few: {states})")
 
-        # Collect per-job outcomes and close open groups.
+        # Collect per-job outcomes and close open groups (only a
+        # truncated run leaves any).
         all_cycles = list(self.master.finished_cycles)
         for group in self.master.groups.values():
             all_cycles.extend(group.cycles)
+            group.record_levels()
         self.recorder.finish(self.sim.now)
 
         outcomes = {
@@ -258,7 +267,8 @@ class RuntimeBase:
             # harmony: allow[DET001] wall_seconds measures real runtime of run() itself
             wall_seconds=time.perf_counter() - wall_start,
             fault_log=self.fault_log,
-            trace=self.sim.tracer if self.sim.tracer.enabled else None)
+            trace=self.sim.tracer if self.sim.tracer.enabled else None,
+            fastpath=replace(self.sim.fastpath_stats))
 
 
 class HarmonyRuntime(RuntimeBase):

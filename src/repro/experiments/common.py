@@ -120,8 +120,7 @@ def run_single_group(specs: Sequence[JobSpec], n_machines: int,
         job.state = JobState.RUNNING
         group.add_job(job)
     sim.run()
-    group.cpu.close_segments()
-    group.net.close_segments()
+    group.stop()  # every job has left the group by now
     duration = sim.now
     oom = None
     for _job_id, error in hooks.failed:

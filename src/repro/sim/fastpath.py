@@ -37,13 +37,10 @@ external heap entry must interleave.  See
 Because the identical float operations run in the identical order,
 both lanes are bitwise equal to the reference engine by construction;
 the differential suite (``tests/test_sim_fastpath.py``) and the
-``repro.check`` invariants pin it there.
-
-Hot per-batch state is accumulated in struct-of-arrays form
-(:class:`BatchStats`, :func:`ledger_view`) the way PR 5's
-``MetricsView`` vectorized the scheduler: plain numpy arrays, cheap to
-append to and comparable across engines with ``np.array_equal`` (exact
-— no tolerance).
+``repro.check`` invariants pin it there.  Engagement is counted once,
+on the simulator (``sim.fastpath_stats``); :func:`ledger_view` and
+:func:`cycles_view` flatten a run into numpy arrays that compare
+across engines with ``np.array_equal`` (exact — no tolerance).
 """
 
 from __future__ import annotations
@@ -56,51 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.group_runtime import GroupRuntime
     from repro.sim.events import Event
     from repro.sim.resources import RateResource
-
-
-class BatchStats:
-    """Struct-of-arrays record of the batches an engine ran.
-
-    One row per closed batch: open time, close time, and the number of
-    training iterations the batch covered.  Kept as parallel Python
-    lists while hot (appends are O(1)) and materialized to numpy on
-    read, mirroring how the scheduler's ``MetricsView`` exposes its
-    column store.
-    """
-
-    __slots__ = ("_opened", "_closed", "_iterations")
-
-    def __init__(self):
-        self._opened: list[float] = []
-        self._closed: list[float] = []
-        self._iterations: list[int] = []
-
-    def record(self, opened: float, closed: float,
-               iterations: int) -> None:
-        self._opened.append(opened)
-        self._closed.append(closed)
-        self._iterations.append(iterations)
-
-    @property
-    def n_batches(self) -> int:
-        return len(self._opened)
-
-    @property
-    def opened(self) -> np.ndarray:
-        return np.asarray(self._opened, dtype=np.float64)
-
-    @property
-    def closed(self) -> np.ndarray:
-        return np.asarray(self._closed, dtype=np.float64)
-
-    @property
-    def iterations(self) -> np.ndarray:
-        return np.asarray(self._iterations, dtype=np.int64)
-
-    @property
-    def batched_seconds(self) -> float:
-        """Total simulated time covered by closed-form skips."""
-        return float(np.sum(self.closed - self.opened))
 
 
 def ledger_view(resource: "RateResource") -> np.ndarray:
@@ -166,9 +118,8 @@ class GroupBatchEngine:
     """
 
     __slots__ = ("group", "sim", "active", "solo_ok", "_t_open",
-                 "_iterations_at_open", "stats", "_resources",
-                 "_attached", "_driver_handle", "_driver_key",
-                 "_in_drive")
+                 "_resources", "_attached", "_driver_handle",
+                 "_driver_key", "_in_drive")
 
     def __init__(self, group: "GroupRuntime", solo_ok: bool = True):
         self.group = group
@@ -178,8 +129,6 @@ class GroupBatchEngine:
         #: replayable hooks must observe iterations at true times).
         self.solo_ok = solo_ok
         self._t_open = 0.0
-        self._iterations_at_open = 0
-        self.stats = BatchStats()
         self._resources = (group.cpu, group.net, group.disk)
         self._attached = False
         #: The single real heap entry backing the earliest parked wake.
@@ -193,10 +142,11 @@ class GroupBatchEngine:
     def attach(self) -> bool:
         """Enter coordinated mode: park the group's resources under
         this engine and register for fast-path teardown.  Returns
-        False (leaving everything untouched) when the master switch is
-        already off."""
+        False (leaving the resources untouched, and counting the engine
+        as deactivated) when the master switch is already off."""
         sim = self.sim
         if not sim.fastpath_enabled:
+            sim.fastpath_stats.engines_deactivated += 1
             return False
         for resource in self._resources:
             resource.set_wake_owner(self)
@@ -348,7 +298,6 @@ class GroupBatchEngine:
                 or group.disk.queue_length):
             return False
         self._t_open = sim.now
-        self._iterations_at_open = len(group.cycles)
         self.active = True
         return True
 
@@ -382,15 +331,12 @@ class GroupBatchEngine:
         the job's end still resolves in the reference engine's order);
         the driver sync below makes its wake real.
         """
-        group = self.group
         sim = self.sim
         t_end = sim.now
         sim.warp(self._t_open)
         self.active = False
-        self.stats.record(self._t_open, t_end,
-                          len(group.cycles) - self._iterations_at_open)
         fp = sim.fastpath_stats
         fp.solo_batches += 1
         fp.solo_batched_seconds += t_end - self._t_open
         self._sync_driver()
-        return sim.at(t_end, name=f"{group.group_id}:batch-park")
+        return sim.at(t_end, name=f"{self.group.group_id}:batch-park")

@@ -122,6 +122,30 @@ class BusySegment:
         return self.end - self.start
 
 
+def level_samples(
+        segments: Sequence[BusySegment]) -> list[tuple[float, float]]:
+    """A busy-segment ledger as ``(time, level)`` step samples.
+
+    One sample where a segment starts at a level different from the
+    previous sample, and a ``0.0`` sample at each idle gap and at the
+    end — the resource's delivered-service level as a step function.
+    """
+    samples: list[tuple[float, float]] = []
+    level = 0.0
+    end: float | None = None
+    for segment in segments:
+        if end is not None and segment.start > end:
+            samples.append((end, 0.0))
+            level = 0.0
+        if segment.level != level:
+            level = segment.level
+            samples.append((segment.start, level))
+        end = segment.end
+    if end is not None:
+        samples.append((end, 0.0))
+    return samples
+
+
 @dataclass(frozen=True)
 class ResourceAudit:
     """Work-conservation snapshot of one resource (repro.check).
@@ -146,8 +170,7 @@ class RateResource:
     """A shared resource serving FIFO-ordered tasks at policy rates."""
 
     def __init__(self, sim: Simulator, policy: RatePolicy, name: str = "",
-                 record_segments: bool = True,
-                 trace_gauge: str | None = None):
+                 record_segments: bool = True):
         self.sim = sim
         self.name = name
         # Event name shared by every task of this resource; building it
@@ -185,15 +208,9 @@ class RateResource:
         self._rates_cache: dict[
             int, tuple[tuple[float, ...], float, tuple[int, ...]]] = {}
         self._record_segments = record_segments
-        # Observability: a gauge lane sampling the delivered service
-        # level at every rate change (renders as a Perfetto counter
-        # track).  None unless tracing is enabled, so the simulation
-        # hot path pays a single attribute check.
-        self._level_gauge = (sim.tracer.gauge(trace_gauge)
-                            if trace_gauge and sim.tracer.enabled
-                            else None)
-        self._last_level = 0.0
-        #: Utilization history: one entry per constant-rate interval.
+        #: Utilization history: one entry per constant-rate interval
+        #: (also the source of the traced level gauges, see
+        #: :func:`level_samples`).
         self.segments: list[BusySegment] = []
         # Segments below this index are sealed: close_segments() has
         # published them (exporters/recorders take shallow copies), so
@@ -272,8 +289,6 @@ class RateResource:
         self._wake_handle = None
         self._pending_wake_at = None
         self._pending_wake_seq = None
-        if self._level_gauge is not None:
-            self._sample_level()
         if self._wake_owner is not None:
             self._wake_owner.park_changed(self)
         return dropped
@@ -320,7 +335,7 @@ class RateResource:
         if dt <= _EPSILON:
             self._last_update = now
             return
-        if self._wake_owner is not None and self._level_gauge is None:
+        if self._wake_owner is not None:
             # Coordinated mode: replay the same arithmetic from the
             # per-queue-length memo (identical values in identical
             # order — see _rates_for) without rebuilding rate lists.
@@ -400,15 +415,13 @@ class RateResource:
         # Pop any tasks that are already done (zero-work or finished
         # exactly at the current instant).
         self._pop_finished()
-        if self._level_gauge is not None:
-            self._sample_level()
         owner = self._wake_owner
         if not self._tasks:
             if owner is not None and not (owner._in_drive
                                           or owner.active):
                 owner._sync_driver()  # park_changed(), inlined
             return
-        if owner is not None and self._level_gauge is None:
+        if owner is not None:
             # Coordinated mode: the horizon scan over the memoized
             # active set replays _next_horizon's arithmetic exactly.
             tasks = self._tasks
@@ -482,8 +495,8 @@ class RateResource:
         """Serve the queue to completion by warping the clock.
 
         Replays exactly the wake-cycle float operations of the
-        event-driven path — advance, pop, gauge sample, next horizon —
-        in the same order, without queue round-trips.  Only a fast-path
+        event-driven path — advance, pop, next horizon — in the same
+        order, without queue round-trips.  Only a fast-path
         batch that owns the simulator clock may call this.
         """
         if self._wake_handle is not None:
@@ -518,8 +531,7 @@ class RateResource:
             rates = self._policy(1)
             head_rate = self._solo_rate = rates[0] if rates else 0.0
         if (not self._autodrain or self._tasks or work <= _EPSILON
-                or head_rate <= _EPSILON
-                or self._level_gauge is not None):
+                or head_rate <= _EPSILON):
             event = self.submit(work, tag=tag)
             self.drain()
             if not event.triggered:
@@ -635,12 +647,6 @@ class RateResource:
         operations are replayed in the reference order, so the result
         is bitwise equal.
         """
-        if self._level_gauge is not None:
-            # Tracing samples the level at every rate change; take the
-            # generic path so gauge points land identically.
-            self._advance()
-            self._reschedule()
-            return
         sim = self.sim
         now = sim._now
         # _advance(), inlined (the memoized coordinated branch): this
@@ -686,8 +692,7 @@ class RateResource:
                     served_by_tag[tag] = (
                         served_by_tag.get(tag, 0.0) + delivered)
             self._last_update = now
-        # _reschedule(), fused.  No wake handle to cancel and no gauge
-        # to sample in this mode.
+        # _reschedule(), fused.  No wake handle to cancel in this mode.
         self._pending_wake_at = None
         self._pending_wake_seq = None
         self._wake_generation += 1
@@ -740,7 +745,9 @@ class RateResource:
         if when - now <= _EPSILON:
             raise self._stalled(now)
         self._pending_wake_at = when
-        self._pending_wake_seq = next(sim._sequence)  # draw_sequence()
+        # Drawn here, where the reference _reschedule's call_at draws
+        # it, so a same-instant race resolves in the reference order.
+        self._pending_wake_seq = next(sim._sequence)
 
     def _rates_for(
             self, n: int
@@ -777,13 +784,6 @@ class RateResource:
             f"{remaining:.3g}s of work left, but its next completion "
             f"lands within {_EPSILON:g}s of the clock, so it would never "
             f"be served")
-
-    def _sample_level(self) -> None:
-        """Record the delivered service level going forward from now."""
-        level = min(1.0, sum(self.current_rates())) if self._tasks else 0.0
-        if level != self._last_level:
-            self._last_level = level
-            self._level_gauge.set(level)
 
     def _on_wake(self, generation: int) -> None:
         if generation != self._wake_generation:

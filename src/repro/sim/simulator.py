@@ -72,7 +72,9 @@ class FastpathStats:
     wakes_served: int = 0
     #: Group engines that attached in coordinated (parked) mode.
     groups_attached: int = 0
-    #: Engines torn down by ``fastpath_enabled = False``.
+    #: Group engines ``fastpath_enabled = False`` kept off the batched
+    #: lanes: torn down mid-run, or refused at attach because the
+    #: switch was already off (truncated runs).
     engines_deactivated: int = 0
 
     @property
@@ -173,16 +175,6 @@ class Simulator:
                        (when, seq, next(self._insertions), callback,
                         handle))
         return handle
-
-    def draw_sequence(self) -> int:
-        """Draw the next tiebreak sequence number without queueing.
-
-        Parked wakes call this at exactly the point the reference
-        engine's ``call_at`` would, so an eventual re-queue (or a race
-        against a live entry at the same timestamp) resolves in the
-        reference order.
-        """
-        return next(self._sequence)
 
     def call_in(self, delay: float, callback: Callable[[], None],
                 cancellable: bool = False) -> ScheduledCall | None:

@@ -50,7 +50,9 @@ COUNTER_NAMES = frozenset({
     "shard.cells_rescheduled", "shard.jobs_moved",
 })
 
-#: Gauge names (includes the ``trace_gauge`` lanes of RateResource).
+#: Gauge names.  ``<group>.{cpu,net,disk}.level`` are each resource's
+#: delivered-service level, derived from its busy segments when the
+#: group stops (``GroupRuntime.record_levels``).
 GAUGE_NAMES = frozenset({
     "*.alpha",
     "*.cpu.level", "*.net.level", "*.disk.level",
@@ -58,7 +60,8 @@ GAUGE_NAMES = frozenset({
 
 #: Span (duration) event names.
 SPAN_NAMES = frozenset({
-    "COMP", "PULL", "PUSH", "RELOAD", "CHECKPOINT", "RELOAD-STALL",
+    "COMP", "PULL", "PUSH", "LOAD", "RESTORE+LOAD", "RELOAD",
+    "CHECKPOINT", "RELOAD-STALL",
     "wait·*", "barrier·*",
     # per-cell schedule spans of the sharded scheduler (repro.shard)
     "cell·*",

@@ -122,9 +122,14 @@ class Gauge:
         self._clock = clock
 
     def set(self, value: float) -> None:
+        self.set_at(self._clock(), value)
+
+    def set_at(self, when: float, value: float) -> None:
+        """:meth:`set`, stamped ``when`` instead of the clock's now (for
+        series derived after the fact)."""
         self.value = float(value)
         if self.samples is not None:
-            self.samples.append((self._clock(), self.value))
+            self.samples.append((when, self.value))
 
 
 class MetricsRegistry:

@@ -263,6 +263,25 @@ class TestTrcFamily:
             """})
         assert "TRC003" in rule_ids(report)
 
+    def test_conditional_span_name_checks_both_arms(self, tmp_path):
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            def work(self, record, c):
+                self._trace_service("disk", "j", "BOGUS" if c else "LOAD",
+                                    record, "load")
+            """})
+        messages = [f.message for f in report.findings
+                    if f.rule_id == "TRC003"]
+        assert len(messages) == 1 and "'BOGUS'" in messages[0]
+
+    def test_conditional_metric_name_checks_both_arms(self, tmp_path):
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            def bump(tracer, c):
+                tracer.counter("faults.detected" if c else "bogus.name")
+            """})
+        messages = [f.message for f in report.findings
+                    if f.rule_id == "TRC002"]
+        assert len(messages) == 1 and "'bogus.name'" in messages[0]
+
 
 CACHE_PROFILER = """
 from dataclasses import dataclass

@@ -79,6 +79,10 @@ class TestEndToEnd:
         text = result.summary()
         assert "mean JCT" in text
         assert "makespan" in text
+        fp = result.fastpath
+        assert (f"fast path: {fp.solo_batches} solo batches, "
+                f"{fp.wakes_served} wakes in {fp.drive_windows} drive "
+                f"windows, 0 engines deactivated") in text
 
 
 class TestArrivals:
@@ -155,6 +159,19 @@ class TestBudgetedRun:
         runtime = HarmonyRuntime(24, jobs)
         runtime.run(max_sim_seconds=60.0)
         assert runtime.sim.now <= 60.0 + 1e-6
+
+    def test_summary_reports_fast_path_fallback(self):
+        """A truncated run cannot batch; the summary says so."""
+        jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
+        runtime = HarmonyRuntime(24, jobs,
+                                 config=SimConfig().with_engine("fast"))
+        result = runtime.run(max_sim_seconds=3000.0)
+        assert result.finished  # summary() needs a finished job
+        deactivated = result.fastpath.engines_deactivated
+        assert deactivated > 0
+        assert not result.fastpath.engaged
+        assert (f"fast path: 0 solo batches, 0 wakes in 0 drive windows, "
+                f"{deactivated} engines deactivated") in result.summary()
 
     def test_unfinished_jobs_raise_without_budget(self):
         """A cluster too small for a job's memory floor deadlocks its

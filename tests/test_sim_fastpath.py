@@ -28,7 +28,7 @@ from repro.core.runtime import HarmonyRuntime
 from repro.errors import SimulationError
 from repro.experiments.common import _CollectingHooks
 from repro.sim import Event, RandomStreams, Simulator
-from repro.sim.fastpath import BatchStats, cycles_view, ledger_view
+from repro.sim.fastpath import cycles_view, ledger_view
 from repro.workloads.costmodel import CostModel
 from repro.workloads.generator import WorkloadGenerator
 
@@ -151,12 +151,12 @@ class TestGroupDifferential:
     def test_fast_engine_actually_batches(self):
         """Guard against the fast path silently never engaging."""
         spec = replace(POOL[0], iterations=10, submit_time=0.0)
-        _, group, _ = run_group(spec, ExecutionMode.HARMONY, "fast",
-                                DEFAULT_SIM_CONFIG)
-        stats = group._engine.stats
-        assert stats.n_batches >= 1
-        assert stats.batched_seconds > 0.0
-        assert int(stats.iterations.sum()) == 10
+        sim, group, _ = run_group(spec, ExecutionMode.HARMONY, "fast",
+                                  DEFAULT_SIM_CONFIG)
+        stats = sim.fastpath_stats
+        assert stats.solo_batches == 1  # the whole job, in one batch
+        assert stats.solo_batched_seconds > 0.0
+        assert len(group.cycles) == 10
 
     def test_reference_engine_never_batches(self):
         spec = replace(POOL[0], iterations=5, submit_time=0.0)
@@ -170,9 +170,9 @@ class TestGroupDifferential:
         sim, group, _ = run_multi_group(multi_specs(2),
                                         ExecutionMode.HARMONY, "fast",
                                         DEFAULT_SIM_CONFIG, m=4)
-        assert group._engine.stats.n_batches == 0
         assert sim.fastpath_stats.solo_batches == 0
         assert sim.fastpath_stats.wakes_served > 0
+        assert len(group.cycles) == 5 + 6  # multi_specs staggers 5, 6
 
 
 class TestMultiJobDifferential:
@@ -537,16 +537,6 @@ class TestStalledResource:
 
 
 class TestBatchStats:
-    def test_struct_of_arrays_views(self):
-        stats = BatchStats()
-        stats.record(0.0, 10.0, 3)
-        stats.record(12.0, 30.0, 5)
-        assert stats.n_batches == 2
-        assert np.array_equal(stats.opened, [0.0, 12.0])
-        assert np.array_equal(stats.closed, [10.0, 30.0])
-        assert np.array_equal(stats.iterations, [3, 5])
-        assert stats.batched_seconds == 28.0
-
     def test_cycles_view_empty(self):
         assert cycles_view([]).shape == (0, 6)
 

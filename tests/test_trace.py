@@ -2,16 +2,20 @@
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.baselines import IsolatedRuntime
 from repro.config import SimConfig
+from repro.core.group_runtime import ExecutionMode
 from repro.core.runtime import HarmonyRuntime
 from repro.core.subtask import SubTaskKind
 from repro.core.synchronizer import SubTaskSynchronizer
 from repro.errors import TraceError
 from repro.experiments.common import run_single_group, scaled_workload
-from repro.sim import Simulator
+from repro.sim import RateResource, Simulator
+from repro.sim.resources import BusySegment, level_samples
 from repro.trace import (
     NULL_TRACER,
     TraceConfig,
@@ -282,3 +286,146 @@ class TestTracedRuns:
         out = []
         InvariantChecker().check_trace(tracer, horizon, out)
         assert out == []
+
+
+class TestLevelSamples:
+    def test_steps_gaps_and_end(self):
+        segments = [BusySegment(0.0, 2.0, 1.0),
+                    BusySegment(2.0, 3.0, 0.4),
+                    BusySegment(3.0, 4.0, 0.4),  # sealed split: no sample
+                    BusySegment(6.0, 7.0, 0.4)]  # after an idle gap
+        assert level_samples(segments) == [
+            (0.0, 1.0), (2.0, 0.4), (4.0, 0.0), (6.0, 0.4), (7.0, 0.0)]
+
+    def test_idle_resource_has_no_samples(self):
+        assert level_samples([]) == []
+
+
+def _run(make, engine: str, traced: bool):
+    config = SimConfig(seed=3).with_engine(engine)
+    if traced:
+        config = config.with_tracing()
+    runtime = make(config)
+    return runtime, runtime.run()
+
+
+def _lane(tracer, track):
+    if track is None:
+        return ("", "")
+    return (tracer.process_names[track.pid],
+            tracer.thread_names[(track.pid, track.tid)])
+
+
+def _args(args):
+    return json.dumps(args, sort_keys=True, default=str) if args else ""
+
+
+def _trace_signature(tracer):
+    """Everything a trace records, independent of recording order and
+    of the pid/tid numbering that order assigns."""
+    registry = tracer.registry
+    return {
+        "spans": sorted((_lane(tracer, s.track), s.name, s.cat, s.start,
+                         s.end, _args(s.args)) for s in tracer.spans),
+        "instants": sorted((i.name, i.cat, i.time, _lane(tracer, i.track),
+                            _args(i.args)) for i in tracer.instants),
+        "counters": {name: (c.value, c.samples)
+                     for name, c in registry.counters.items()},
+        "gauges": {name: (g.value, g.samples)
+                   for name, g in registry.gauges.items()},
+    }
+
+
+class TestTracingObservesTheFastEngine:
+    """Level gauges are derived from the busy-segment ledger when a
+    group stops, so a traced run takes the same fused solo and drive
+    lanes as an untraced one — and records the same trace as the
+    per-event reference engine."""
+
+    MAKERS = {
+        # Drive lane: HarmonyMaster's hooks are replayable.
+        "harmony": lambda specs, machines: lambda config: HarmonyRuntime(
+            machines, specs, config=config),
+        # Solo lane: one job per group under inert hooks.
+        "isolated": lambda specs, machines: lambda config: IsolatedRuntime(
+            machines, specs, config=config),
+    }
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        specs, machines = scaled_workload(scale=0.1, seed=3)
+        runs = {}
+        for name, maker in self.MAKERS.items():
+            make = maker(specs[:5], machines)
+            for engine in ("fast", "reference"):
+                for traced in (False, True):
+                    runs[name, engine, traced] = _run(make, engine, traced)
+        return runs
+
+    def test_traced_solo_job_makes_no_submit_calls(self, monkeypatch):
+        """The solo lane serves PULL/COMP/PUSH in closed form; tracing
+        must not push it back onto per-event submits."""
+        calls = [0]
+        submit = RateResource.submit
+
+        def counting_submit(self, *args, **kwargs):
+            calls[0] += 1
+            return submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(RateResource, "submit", counting_submit)
+        spec = replace(
+            WorkloadGenerator(7).base_workload(hyper_params_per_pair=1)[0],
+            iterations=8000, submit_time=0.0)
+        counts = {}
+        for traced in (False, True):
+            config = SimConfig().with_engine("fast")
+            if traced:
+                config = config.with_tracing()
+            calls[0] = 0
+            result = run_single_group([spec], 4, ExecutionMode.ISOLATED,
+                                      config)
+            assert (result.trace is not None) == traced
+            counts[traced] = calls[0]
+        assert counts == {False: 0, True: 0}
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_traced_fastpath_stats_match_untraced(self, runs, name):
+        _, plain = runs[name, "fast", False]
+        _, traced = runs[name, "fast", True]
+        assert traced.fastpath.engaged
+        assert traced.fastpath == plain.fastpath
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_fast_engine_trace_equals_reference_trace(self, runs, name):
+        _, fast = runs[name, "fast", True]
+        _, ref = runs[name, "reference", True]
+        assert not ref.fastpath.engaged
+        assert _trace_signature(fast.trace) == _trace_signature(ref.trace)
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_level_gauges_integrate_to_busy_seconds(self, runs, name):
+        runtime, result = runs[name, "fast", True]
+        gauges = result.trace.registry.gauges
+        audits = runtime.master.group_audits
+        assert audits
+        for audit in audits:
+            for lane in ("cpu", "net"):
+                samples = gauges[f"{audit.group_id}.{lane}.level"].samples
+                area = sum(level * (t1 - t0) for (t0, level), (t1, _)
+                           in zip(samples, samples[1:], strict=False))
+                busy = getattr(audit, lane).busy_seconds
+                assert busy > 0.0
+                assert area == pytest.approx(busy, rel=1e-9)
+                assert samples[-1][1] == 0.0
+
+    def test_truncated_run_flushes_live_groups(self):
+        specs, machines = scaled_workload(scale=0.1, seed=3)
+        runtime = HarmonyRuntime(machines, specs[:5],
+                                 config=SimConfig(seed=3).with_tracing())
+        result = runtime.run(max_sim_seconds=2000.0)
+        assert runtime.master.groups  # the horizon cut groups short
+        gauges = result.trace.registry.gauges
+        for group_id in runtime.master.groups:
+            samples = gauges[f"{group_id}.cpu.level"].samples
+            assert samples
+            assert samples[-1] == (runtime.sim.now, 0.0)
