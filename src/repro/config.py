@@ -196,7 +196,7 @@ class ShardConfig:
     #: Number of scheduling cells the machine pool is partitioned into.
     #: Each cell owns an independent Harmony master/scheduler instance
     #: (with its own plan cache); a thin global placer routes jobs to
-    #: cells with O(#cells) load vectors instead of O(#machines) scans.
+    #: cells by per-cell load instead of O(#machines) scans.
     n_cells: int = 1
     #: Schedule calls between two cross-cell rebalance checks; 0
     #: disables periodic rebalancing entirely.

@@ -2,8 +2,9 @@
 
 The ROADMAP's scale jump past the paper's 1,000-machine §V-F sweep:
 partition the machine pool into cells, run one independent Algorithm 1
-per cell, route jobs with O(#cells) load vectors, and rebalance hot
-cells through the §IV-B4 migration path.  ``SimConfig.with_sharding``
+per cell, route jobs by per-cell load (one id lookup over the pool,
+Python work only for changed cells), and rebalance hot cells through
+the §IV-B4 migration path.  ``SimConfig.with_sharding``
 turns it on; ``python -m repro scale`` runs the cells × cluster-size
 sweep.
 """

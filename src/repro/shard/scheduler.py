@@ -9,8 +9,9 @@ machine pool into :class:`~repro.shard.cells.Cell` shards and runs one
 independent Algorithm 1 per cell:
 
 * The :class:`~repro.shard.placer.GlobalPlacer` sticks each job to a
-  cell with O(#cells) load vectors, so one arrival dirties exactly one
-  cell; every clean cell answers from its memoized plan without
+  cell, so one arrival dirties exactly one cell; its per-call cost is
+  one C-level id lookup over the pool plus Python work for the changed
+  cells only.  Every clean cell answers from its memoized plan without
   touching Algorithm 1 at all.  That is where the speedup lives: an
   unsharded scheduler re-plans the *whole* pool per arrival, a sharded
   one re-plans ``1/n_cells`` of it (see
@@ -56,9 +57,10 @@ class _ShardPlanCache:
     The master wires ``profiler.add_listener(plan_cache.invalidate_job)``
     against whatever ``scheduler.plan_cache`` exposes; this forwards
     each publish to the solo delegate and all cells, and drops the
-    affected cell's memoized last plan (its job tuple is about to stop
-    matching anyway, but the underlying prefix caches key on
-    fingerprints and must be told explicitly).
+    memoized last plan of the job's home cell, found through the
+    placer's assignment rather than a scan of the pool (its job tuple
+    is about to stop matching anyway, but the underlying prefix caches
+    key on fingerprints and must be told explicitly).
     """
 
     def __init__(self, owner: "ShardedScheduler"):
@@ -72,9 +74,10 @@ class _ShardPlanCache:
             cache = cell.scheduler.plan_cache
             if cache is not None:
                 cache.invalidate_job(job_id)
-            if cell.last_key is not None and any(
-                    job.job_id == job_id for job in cell.last_key[0]):
-                cell.forget()
+        placer = self._owner._placer
+        home = placer.cell_of(job_id) if placer is not None else None
+        if home is not None:
+            self._owner._cells[home].forget()
 
 
 class ShardedScheduler:
@@ -157,7 +160,8 @@ class ShardedScheduler:
             n_prefixes_evaluated=sum(
                 s.n_prefixes_evaluated for s in stats),
             best_n_groups=len(merged.groups) if merged is not None else 0,
-            best_n_jobs=(len(merged.scheduled_job_ids)
+            best_n_jobs=(sum(len(group.job_ids)
+                             for group in merged.groups)
                          if merged is not None else 0),
             best_score=merged.score if merged is not None else 0.0,
             cache_hits=sum(s.cache_hits for s in stats),
@@ -233,17 +237,7 @@ class ShardedScheduler:
             max_moves=self.shard.max_rebalance_moves)
         if not moves:
             return routed
-        members = [list(cell_members) for cell_members in routed]
-        for move in moves:
-            self._placer.reassign(move.job.job_id, move.target)
-            members[move.source].remove(move.job)
-            members[move.target].append(move.job)
-        # Receivers take migrants at the pool-order position an
-        # unsharded admission would see them in.
-        order = {job.job_id: index for index, job in enumerate(jobs)}
-        for target in sorted({move.target for move in moves}):
-            members[target].sort(key=lambda job: order[job.job_id])
-        rerouted = [tuple(cell_members) for cell_members in members]
+        rerouted = self._placer.migrate(jobs, routed, moves)
         for source in sorted({move.source for move in moves}):
             self._patch_donor(
                 self._cells[source], routed[source], rerouted[source],

@@ -9,8 +9,10 @@ sweeps, and the placer's routing is pinned stable under varying
 
 import json
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.cluster import Cluster, split_machine_counts
 from repro.config import SchedulerConfig, ShardConfig, SimConfig
 from repro.core.master import HarmonyMaster
-from repro.core.profiler import JobMetrics
+from repro.core.profiler import JobMetrics, Profiler
 from repro.core.scheduler import HarmonyScheduler
 from repro.errors import ClusterError, SchedulingError
 from repro.experiments.scalability import (
@@ -35,6 +37,7 @@ from repro.shard import (
 )
 from repro.sim import RandomStreams, Simulator
 from repro.workloads.costmodel import CostModel
+from tests.shard_oracle import ReferencePlacer, reference_migrate
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -158,13 +161,17 @@ class TestGlobalPlacer:
         assert placer.cell_of("light0") == 1 - first_cell
 
     def test_loads_are_normalized_by_cell_machines(self):
-        job = make_jobs([(8.0, 0.0)])
+        """Load is work per machine: 8 units on 4 machines outweigh 16
+        units on 16, so the newcomer joins the large cell."""
+        heavy, bulky = make_jobs([(8.0, 0.0), (16.0, 0.0)])
         placer = GlobalPlacer((4, 16))
-        placer.reassign("j0", 0)
-        wide = placer.loads(job)
-        placer.reassign("j0", 1)
-        narrow = placer.loads(job)
-        assert wide[0] == pytest.approx(4.0 * narrow[1])
+        placer.route([heavy])
+        assert placer.cell_of(heavy.job_id) == 0
+        placer.route([heavy, bulky])
+        assert placer.cell_of(bulky.job_id) == 1
+        newcomer = make_jobs([(1.0, 0.0)], "new")
+        placer.route([heavy, bulky] + newcomer)
+        assert placer.cell_of("new0") == 1
 
     def test_route_preserves_pool_order_within_cells(self):
         jobs = make_jobs([(float(i % 5 + 1), 0.1) for i in range(30)])
@@ -185,6 +192,97 @@ class TestGlobalPlacer:
         placer = GlobalPlacer((10, 10))
         with pytest.raises(ValueError):
             placer.reassign("j0", 2)
+
+
+# One step of a placer call sequence: (kind, a, b), with a and b read
+# per kind by TestRouteDifferential._apply.
+_STEP_KINDS = ("arrive", "depart", "republish", "reassign", "reorder",
+               "churn", "migrate")
+placer_steps = st.lists(
+    st.tuples(st.sampled_from(_STEP_KINDS), st.integers(0, 2**16),
+              st.integers(0, 2**16)),
+    min_size=1, max_size=30)
+
+
+class TestRouteDifferential:
+    """The indexed, cached ``GlobalPlacer`` against the original
+    whole-pool router (``tests/shard_oracle.py``), call by call."""
+
+    def fresh(self, state, count, b):
+        jobs = []
+        for _ in range(count):
+            state["next"] += 1
+            # Few distinct weights, so heap ties are common.
+            jobs.append(JobMetrics(
+                job_id=f"n{state['next']}",
+                cpu_work=float(1 + (b + state["next"]) % 4),
+                t_net=0.1 * (state["next"] % 3), m_observed=16))
+        return jobs
+
+    def apply(self, kind, a, b, pool, placers, state):
+        if kind == "arrive":
+            at = a % (len(pool) + 1)
+            pool[at:at] = self.fresh(state, 1 + b % 6, b)
+        elif kind == "depart" and pool:
+            at = a % len(pool)
+            del pool[at:at + 1 + b % 6]
+        elif kind == "republish" and pool:
+            at = a % len(pool)
+            job = pool[at]
+            # A new object with the same id: equal values half the time.
+            pool[at] = replace(job) if b % 2 else replace(
+                job, cpu_work=job.cpu_work * 1.5 + b % 3,
+                samples=job.samples + 1)
+        elif kind == "reassign":
+            # Known pool jobs, and now and then the next fresh id, which
+            # then arrives already pinned.
+            job_id = pool[a % len(pool)].job_id if pool and b % 5 \
+                else f"n{state['next'] + 1}"
+            for placer in placers:
+                placer.reassign(job_id, b % placer.n_cells)
+        elif kind == "reorder":
+            random.Random(a).shuffle(pool)
+        elif kind == "churn":
+            # A burst of 90 short-lived jobs passes through, then most of
+            # the pool departs: with at most 15 jobs left, the burst's
+            # stale ids exceed the 2 * pool + 64 bound and get pruned.
+            pool[:] = self.fresh(state, 90, b)
+            self.route_both(pool, placers, state)
+            pool[:] = pool[:b % 8] + self.fresh(state, 1 + a % 8, b)
+
+    def route_both(self, pool, placers, state):
+        placer, oracle = placers
+        routed = placer.route(pool)
+        expected = oracle.route(pool)
+        self.assert_same(routed, expected, placers, state)
+        return routed, expected
+
+    def assert_same(self, routed, expected, placers, state):
+        placer, oracle = placers
+        assert [[id(job) for job in cell] for cell in routed] \
+            == [[id(job) for job in cell] for cell in expected]
+        for index in range(1, state["next"] + 2):
+            assert placer.cell_of(f"n{index}") \
+                == oracle.cell_of(f"n{index}")
+        assert len(placer._assignment) == len(oracle._assignment)
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=placer_steps,
+           machines=st.lists(st.integers(1, 20), min_size=1, max_size=5),
+           initial=st.integers(0, 60))
+    def test_route_matches_reference(self, steps, machines, initial):
+        placers = (GlobalPlacer(machines), ReferencePlacer(machines))
+        state = {"next": 0}
+        pool = self.fresh(state, initial, 0)
+        for kind, a, b in steps:
+            self.apply(kind, a, b, pool, placers, state)
+            routed, expected = self.route_both(pool, placers, state)
+            if kind == "migrate":
+                moves = plan_moves(routed, machines, 0.75, 0.0, 1 + b % 8)
+                self.assert_same(
+                    placers[0].migrate(pool, routed, moves),
+                    reference_migrate(placers[1], expected, pool, moves),
+                    placers, state)
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +406,24 @@ class TestShardedScheduler:
         assert plan.score == scheduler.perf_model.score(recomputed)
 
     def test_plan_cache_facade_invalidates_owning_cell(self):
+        """A profiler publish drops the memo of the published job's home
+        cell and leaves every other cell's memo object untouched."""
         jobs = make_jobs([(float(i + 1), 0.2) for i in range(16)])
         scheduler = ShardedScheduler(shard=ShardConfig(n_cells=4))
         scheduler.schedule(jobs, 40)
-        target = jobs[0].job_id
+        profiler = Profiler()
+        profiler.add_listener(scheduler.plan_cache.invalidate_job)
+        target = jobs[5].job_id
         owner = scheduler._placer.cell_of(target)
-        scheduler.plan_cache.invalidate_job(target)
-        assert scheduler._cells[owner].last_key is None
-        untouched = [cell for cell in scheduler._cells
-                     if cell.index != owner and cell.last_key]
-        assert untouched
+        memos = [(cell.last_key, cell.last_plan)
+                 for cell in scheduler._cells]
+        profiler.record_iteration(target, 0.4, 1.0, 4)
+        for cell, (key, plan) in zip(scheduler._cells, memos, strict=True):
+            if cell.index == owner:
+                assert cell.last_key is None and cell.last_plan is None
+            else:
+                assert key is not None
+                assert cell.last_key is key and cell.last_plan is plan
 
     def test_empty_pool_and_bad_machine_count(self):
         scheduler = ShardedScheduler(shard=ShardConfig(n_cells=4))
@@ -406,7 +512,7 @@ class TestHashSeedStability:
     _SCRIPT = """
 import json, sys
 sys.path.insert(0, {src!r})
-from repro.core.profiler import JobMetrics
+from repro.core.profiler import JobMetrics, Profiler
 from repro.shard import GlobalPlacer
 
 def jobs(prefix, n, scale):
