@@ -54,11 +54,10 @@ class BaselineMaster(MasterBase):
 
     group_prefix = "b"
 
-    #: Queue policies neither profile nor pause: ``on_iteration`` is a
-    #: no-op and groups are only ever created, never mutated while
-    #: running — the contract that lets the fast path batch their
-    #: groups (:mod:`repro.sim.fastpath`).
-    iteration_hooks_inert = True
+    #: Queue policies neither profile nor pause: no per-iteration
+    #: callback, so single-job groups may take the fast path's solo
+    #: lane (:mod:`repro.sim.fastpath`).
+    on_iteration = None
 
     def __init__(self, sim: Simulator, cluster: Cluster,
                  cost_model: CostModel, config: SimConfig,
@@ -276,9 +275,6 @@ class BaselineMaster(MasterBase):
         return super()._stop_group(group, crashed)
 
     # -- GroupHooks ----------------------------------------------------------------
-
-    def on_iteration(self, job: Job, group: GroupRuntime) -> None:
-        pass  # queue policies do not profile
 
     def on_job_finished(self, job: Job, group: GroupRuntime) -> None:
         self._end_job(job, JobState.FINISHED)

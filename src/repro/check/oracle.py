@@ -7,7 +7,7 @@ arithmetic backs both roles:
   group's iteration time from the cost model alone, and the differential
   suite compares the prediction against the simulated engine; and
 * the *fast-path* role — :mod:`repro.sim.fastpath` batch-advances
-  iteration-inert groups, and these helpers provide the vectorized
+  groups in closed form, and these helpers provide the vectorized
   closed-form timelines (:func:`step_boundaries`,
   :func:`predict_iteration_seconds`) used for struct-of-arrays batch
   accounting and cross-engine comparison.

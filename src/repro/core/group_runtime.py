@@ -23,6 +23,7 @@ machine's; the barrier latency and straggler effects appear as the
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -73,28 +74,13 @@ _LANE_SORT = {"cpu": 0, "net": 1, "disk": 2}
 class GroupHooks(Protocol):
     """Callbacks a :class:`GroupRuntime` delivers to its master.
 
-    A hooks implementation may additionally declare one of two class
-    attributes governing the batched fast path
-    (:mod:`repro.sim.fastpath`):
-
-    * ``iteration_hooks_inert = True`` promises that ``on_iteration``
-      neither mutates the group (no pause/crash/regroup/add-job) nor
-      reads cluster state keyed to the wall clock.  That promise is
-      what lets the fused solo lane run a whole single-job group's
-      iterations under a warped clock; terminal hooks
-      (``on_job_finished``/``on_job_failed``) still fire at real time.
-    * ``iteration_hooks_replayable = True`` is the weaker contract:
-      hooks may observe and mutate (pause jobs, record utilization,
-      hill-climb alpha) but only through the simulator/group APIs.
-      Such groups take the coordinated drive lane, where every hook —
-      per-iteration and terminal — runs at its true simulated time
-      with true state, so no warped-clock restriction applies.
-
-    ``inert`` implies ``replayable``; declaring both is redundant but
-    harmless.
+    Every hook runs at its true simulated time with true state.
+    ``on_iteration`` may be ``None`` (no per-iteration callback), which
+    also lets a single-job group take the fast path's solo lane
+    (:mod:`repro.sim.fastpath`).
     """
 
-    def on_iteration(self, job: Job, group: "GroupRuntime") -> None: ...
+    on_iteration: Callable[[Job, "GroupRuntime"], None] | None
 
     def on_job_finished(self, job: Job, group: "GroupRuntime") -> None: ...
 
@@ -215,22 +201,12 @@ class GroupRuntime:
         # (retransmits).  Overlapping windows compose multiplicatively.
         self._fault_cpu_factor = 1.0
         self._fault_net_factor = 1.0
-        # Batched fast path.  Masters whose per-iteration hooks are
-        # declared inert get both lanes (the fused single-job solo lane
-        # and the coordinated drive lane for multi-job groups); masters
-        # declaring them replayable — hooks that observe/mutate only
-        # through simulator APIs, like HarmonyMaster's profiler and
-        # pause machinery — get the coordinated lane, which runs every
-        # callback at true simulated times.  Everyone else stays on the
-        # frozen per-event reference path.
-        hooks_inert = bool(getattr(hooks, "iteration_hooks_inert", False))
-        hooks_replayable = bool(
-            getattr(hooks, "iteration_hooks_replayable", False))
+        # Batched fast path (repro.sim.fastpath).
         engine = None
-        if config.engine == "fast" and (hooks_inert or hooks_replayable):
-            engine = GroupBatchEngine(self, solo_ok=hooks_inert)
+        if config.engine == "fast":
+            engine = GroupBatchEngine(self)
             if not engine.attach():
-                engine = None  # fastpath_enabled already off
+                engine = None  # a max_events run turned it off
         self._engine = engine
 
     # -- inspection ------------------------------------------------------------
@@ -400,6 +376,7 @@ class GroupRuntime:
         jitter = self.streams.jitter
         jitter_name = f"duration:{self.group_id}:{job_id}"
         jitter_cv = self._duration_jitter_cv
+        on_iteration = self.hooks.on_iteration
         # Bytes moved per COMM subtask, for the registry's throughput
         # counters (PULL is a no-op under all-reduce).
         pull_bytes = (spec.comm_gb_per_direction * GB
@@ -552,7 +529,8 @@ class GroupRuntime:
                         cycle.gc_overhead)
                 registry.gauge(f"{prefix}.alpha").set(job.alpha)
             finished = job.complete_iteration()
-            self.hooks.on_iteration(job, self)
+            if on_iteration is not None:
+                on_iteration(job, self)
             if finished:
                 break
 
@@ -647,8 +625,8 @@ class GroupRuntime:
         their last checkpoint.
         """
         if self._engine is not None and self._engine.active:
-            # Inert masters never inject faults; a crash landing inside
-            # an open batch means the eligibility contract was violated.
+            # A solo batch runs inside one process step, so nothing can
+            # deliver a crash into it; one that lands there is a bug.
             raise SimulationError(
                 f"group {self.group_id} crashed inside an open "
                 f"fast-path batch")

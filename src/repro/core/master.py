@@ -209,17 +209,6 @@ class HarmonyMaster(MasterBase):
     group_prefix = "g"
     mode = ExecutionMode.HARMONY
 
-    #: Fast-path contract (see :class:`repro.core.group_runtime
-    #: .GroupHooks`): the per-iteration hooks observe and mutate live
-    #: state (profiler EMA updates, PROFILING→PROFILED transitions that
-    #: cascade into Algorithm 1, pause requests) — not inert — but they
-    #: act only through the simulator/group APIs, so they are correct
-    #: whenever they run at true simulated times.  That qualifies this
-    #: master's groups for the coordinated drive lane, which serves
-    #: every parked completion at its true ``(when, seq)`` heap
-    #: position.
-    iteration_hooks_replayable = True
-
     def __init__(self, sim: Simulator, cluster: Cluster,
                  cost_model: CostModel, config: SimConfig,
                  streams: RandomStreams,
@@ -976,11 +965,6 @@ class HarmonyMaster(MasterBase):
         return True
 
     # ------------------------------------------------------ scoring helpers
-
-    def _schedulable_metrics(self) -> list[JobMetrics]:
-        return [self.profiler.get(job.job_id)
-                for job in self.jobs.values()
-                if job.is_schedulable and self.profiler.has(job.job_id)]
 
     def _paused_metrics(self) -> list[JobMetrics]:
         return [self.profiler.get(job.job_id)

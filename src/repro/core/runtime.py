@@ -220,10 +220,6 @@ class RuntimeBase:
         # harmony: allow[DET001] wall_seconds measures real runtime of run() itself
         wall_start = time.perf_counter()
         truncated = max_sim_seconds is not None or max_events is not None
-        if truncated:
-            # Truncated runs must stop mid-job; a batch skipping past
-            # the horizon would diverge from the reference engine.
-            self.sim.fastpath_enabled = False
         for spec in self.workload:
             self.sim.call_at(spec.submit_time,
                              lambda s=spec: self.master.submit(s))

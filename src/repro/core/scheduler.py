@@ -99,12 +99,6 @@ class SchedulePlan:
     def machines_used(self) -> int:
         return sum(group.n_machines for group in self.groups)
 
-    def group_shapes(self) -> tuple[tuple[tuple[str, ...], int], ...]:
-        """``(job_ids, n_machines)`` per group — the estimate-free
-        shape the policy layer and tournament replays compare on."""
-        return tuple((group.job_ids, group.n_machines)
-                     for group in self.groups)
-
     def describe(self) -> str:
         lines = [f"SchedulePlan: {len(self.groups)} groups, "
                  f"{self.machines_used}/{self.total_machines} machines, "

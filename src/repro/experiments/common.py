@@ -71,15 +71,12 @@ class SingleGroupResult:
 class _CollectingHooks:
     """Minimal GroupHooks that records terminal events."""
 
-    #: No per-iteration behaviour at all — fast-path eligible.
-    iteration_hooks_inert = True
+    #: No per-iteration behaviour at all.
+    on_iteration = None
 
     def __init__(self):
         self.finished: list[str] = []
         self.failed: list[tuple[str, Exception]] = []
-
-    def on_iteration(self, job, group):
-        pass
 
     def on_job_finished(self, job, group):
         job.state = JobState.FINISHED

@@ -10,44 +10,32 @@ submitted: the completion horizon is Eq. 1's closed form
 joint timeline is still piecewise closed-form between queue-length
 changes (the per-segment fixed point).
 
-:class:`GroupBatchEngine` exploits that in two lanes.  The **solo
-lane** (single-job group, inert hooks): while a batch is open the
-group's resources run in *autodrain* mode — :meth:`RateResource.drain`
-jumps the clock straight to each closed-form completion instead of
-round-tripping through the heap — and the group's **real** generator
-code executes unchanged under the warped clock.  A batch covers a
-whole job (every training iteration plus the initial load) and closes
-with a *park*: the clock is restored to the batch's opening time,
-in-flight background work is re-armed onto the real event queue, and
-the job's terminal hooks wait on a queue entry at the batch's end
-time — so the rest of the cluster observes the job finish exactly
-when, and in the same order as, the reference engine would deliver
-it.
+:class:`GroupBatchEngine` exploits that in two lanes.  Every group
+under ``engine="fast"`` takes the **drive lane**: its resources are
+permanently parked — each wake becomes a ``(when, seq)`` pair held on
+its resource instead of a heap entry — and one cancellable *driver*
+entry stands in for the group's earliest park.  When it fires,
+consecutive parked wakes are served at their true times (forward-only
+warps, so every hook observes true state) until an external heap
+entry must interleave.
 
-The **coordinated drive lane** (multi-job groups, and any master
-whose hooks are at least *replayable*, e.g. ``HarmonyMaster``): the
-group's resources are permanently parked — each wake becomes a
-``(when, seq)`` pair held on its resource instead of a heap entry —
-and one cancellable *driver* entry stands in for the group's earliest
-park.  When it fires, consecutive parked wakes are served at their
-true times (forward-only warps, hooks observe true state) until an
-external heap entry must interleave.  See
-:class:`GroupBatchEngine` for the lane-by-lane contract.
+A single-job group whose hooks have no per-iteration callback
+(``hooks.on_iteration is None``) may instead take the **solo lane**:
+the whole job — initial load plus every iteration — runs under a
+warped clock in one process step, :meth:`RateResource.serve_solo`
+jumping straight to each closed-form completion, and parks at the
+closed-form end time, where its terminal hooks fire at real time.
 
 Because the identical float operations run in the identical order,
 both lanes are bitwise equal to the reference engine by construction;
 the differential suite (``tests/test_sim_fastpath.py``) and the
 ``repro.check`` invariants pin it there.  Engagement is counted once,
-on the simulator (``sim.fastpath_stats``); :func:`ledger_view` and
-:func:`cycles_view` flatten a run into numpy arrays that compare
-across engines with ``np.array_equal`` (exact — no tolerance).
+on the simulator (``sim.fastpath_stats``).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.group_runtime import GroupRuntime
@@ -55,79 +43,34 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.resources import RateResource
 
 
-def ledger_view(resource: "RateResource") -> np.ndarray:
-    """The resource's conservation ledger as one float64 vector.
-
-    Layout: ``[busy_seconds, work_submitted, work_served,
-    work_discarded]``.  Snapshots from the two engines must satisfy
-    ``np.array_equal`` — bitwise, not approximate — which is what the
-    differential suite asserts.
-    """
-    return np.array([resource.busy_seconds, resource.work_submitted,
-                     resource.work_served, resource.work_discarded],
-                    dtype=np.float64)
-
-
-def cycles_view(cycles) -> np.ndarray:
-    """A group's :class:`CycleRecord` list as an (n, 6) float64 matrix.
-
-    Columns: finished_at, duration, t_cpu_measured, t_net_measured,
-    gc_overhead, stall.  Used for vectorized cross-engine comparison.
-    """
-    if not cycles:
-        return np.empty((0, 6), dtype=np.float64)
-    return np.array([[c.finished_at, c.duration, c.t_cpu_measured,
-                      c.t_net_measured, c.gc_overhead, c.stall]
-                     for c in cycles], dtype=np.float64)
-
-
 class GroupBatchEngine:
     """Coordinates one group's batched execution.
 
-    Created by :class:`~repro.core.group_runtime.GroupRuntime` when
-    ``config.engine == "fast"`` and the master's hooks declare either
-    ``iteration_hooks_inert`` (per-iteration callbacks never mutate the
-    group or read clock-keyed cluster state, so a warped clock is
-    safe) or ``iteration_hooks_replayable`` (callbacks may observe and
-    mutate — pause jobs, hill-climb alpha, record utilization — but
-    only through the simulator/group APIs, so they are correct as long
-    as they run at true simulated times).
+    Created by :class:`~repro.core.group_runtime.GroupRuntime` under
+    ``config.engine == "fast"``.  Two lanes:
 
-    Two lanes:
-
-    * **Solo lane** (inert hooks, single-job group): the whole job runs
-      under a warped clock inside one process step (``open`` /
-      ``serve_solo`` / ``close``), parked at the closed-form end time.
-    * **Coordinated drive lane** (any attached group, and the only
-      lane for multi-job groups): the group's resources are permanently
-      parked — every wake the reference engine would queue becomes a
-      ``(when, seq)`` pair held on the resource — and the engine keeps
-      exactly one real *driver* entry on the heap at the group's
-      earliest parked wake, queued at that wake's own tiebreak
-      sequence number.  When the driver fires, :meth:`_drive` serves
-      consecutive parked wakes (warping the clock **forward only**, to
-      each wake's true fire time) until the next external heap entry
-      precedes the next parked wake.  Because completion callbacks run
-      synchronously at true simulated times with true state, *any*
-      hook — including ``HarmonyMaster``'s profiler transitions,
-      pauses, and regroups — observes exactly what it would under the
-      reference engine: the drive lane is bitwise equal by
-      construction.  (This subsumes the record-at-warp/apply-at-park
-      replay idea: nothing is ever observed at a warped time, so
-      nothing needs replaying.)
+    * **Drive lane** (every attached group): the engine keeps exactly
+      one real *driver* entry on the heap at the group's earliest
+      parked wake, queued at that wake's own tiebreak sequence number.
+      When it fires, :meth:`_drive` serves consecutive parked wakes
+      (warping the clock **forward only**) until the next external
+      heap entry precedes the next parked wake.  Completion callbacks
+      run at true simulated times with true state, so any hook —
+      ``HarmonyMaster``'s profiler transitions, pauses and regroups
+      included — sees exactly what the reference engine shows it.
+    * **Solo lane** (see :meth:`open`): the whole job runs under a
+      warped clock inside one process step (``open`` / ``serve_solo``
+      / ``close``), parked at the closed-form end time.
     """
 
-    __slots__ = ("group", "sim", "active", "solo_ok", "_t_open",
+    __slots__ = ("group", "sim", "active", "_t_open",
                  "_resources", "_attached", "_driver_handle",
                  "_driver_key", "_in_drive")
 
-    def __init__(self, group: "GroupRuntime", solo_ok: bool = True):
+    def __init__(self, group: "GroupRuntime"):
         self.group = group
         self.sim = group.sim
         self.active = False
-        #: Whether the fused solo lane may be used (inert hooks only —
-        #: replayable hooks must observe iterations at true times).
-        self.solo_ok = solo_ok
         self._t_open = 0.0
         self._resources = (group.cpu, group.net, group.disk)
         self._attached = False
@@ -137,13 +80,13 @@ class GroupBatchEngine:
         self._driver_key: tuple[float, int] | None = None
         self._in_drive = False
 
-    # -- coordinated drive lane ----------------------------------------
+    # -- drive lane ----------------------------------------------------
 
     def attach(self) -> bool:
-        """Enter coordinated mode: park the group's resources under
-        this engine and register for fast-path teardown.  Returns
-        False (leaving the resources untouched, and counting the engine
-        as deactivated) when the master switch is already off."""
+        """Park the group's resources under this engine and register
+        for fast-path teardown.  Returns False (leaving the resources
+        untouched, and counting the engine as deactivated) when a
+        ``max_events`` run has already turned the fast path off."""
         sim = self.sim
         if not sim.fastpath_enabled:
             sim.fastpath_stats.engines_deactivated += 1
@@ -156,7 +99,7 @@ class GroupBatchEngine:
         return True
 
     def deactivate(self) -> None:
-        """Leave coordinated mode (fast-path teardown).
+        """Leave the batched lanes (fast-path teardown).
 
         Parked wakes are re-queued as real events at their exact
         ``(when, seq)`` keys and the driver entry is cancelled, so the
@@ -279,18 +222,18 @@ class GroupBatchEngine:
     def open(self) -> bool:
         """Open a solo batch if the group is isolated enough to warp.
 
-        Eligible when the master switch is on, the hooks are inert
-        (``solo_ok``), exactly one job runs in the group (multi-job
-        groups contend through shared policies — they take the
-        coordinated drive lane instead), no foreign work is queued on
-        the group's resources, and the current ``run()`` call has no
+        Eligible when the engine is attached, the hooks have no
+        per-iteration callback (one would observe the warped clock),
+        exactly one job runs in the group (multi-job groups contend
+        through shared policies), no foreign work is queued on the
+        group's resources, and the current ``run()`` call has no
         ``until`` horizon (a solo batch would warp past it).
         """
         group = self.group
         sim = self.sim
-        if self.active or not self._attached or not sim.fastpath_enabled:
+        if self.active or not self._attached:
             return False
-        if not self.solo_ok or group.n_jobs != 1:
+        if group.hooks.on_iteration is not None or group.n_jobs != 1:
             return False
         if sim.run_until is not None:
             return False

@@ -184,20 +184,18 @@ class RateResource:
         #: superseded or purged wake is retracted instead of left to
         #: rot in the event queue.
         self._wake_handle = None
-        #: Fast-path mode (:mod:`repro.sim.fastpath`): wake-ups are not
-        #: queued; their exact fire time is parked here for
-        #: :meth:`drain` to warp to.
-        self._autodrain = False
-        self._pending_wake_at: float | None = None
-        #: Tiebreak sequence number of the parked wake (coordinated
-        #: mode only), drawn at exactly the point the reference
-        #: engine's ``call_at`` would have drawn it.
-        self._pending_wake_seq: int | None = None
-        #: Coordinated fast-path owner (a ``GroupBatchEngine``).  When
-        #: set, parked wakes draw sequence numbers and the owner is
-        #: notified on every park change so it can keep one real
-        #: "driver" event at the group's earliest parked wake.
+        #: Fast-path owner (a ``GroupBatchEngine``,
+        #: :mod:`repro.sim.fastpath`).  While set the resource is
+        #: *parked*: wake-ups are not queued but held as ``(when, seq)``
+        #: below, and the owner is notified on every park change so it
+        #: can keep one real "driver" event at the group's earliest
+        #: parked wake.
         self._wake_owner = None
+        self._pending_wake_at: float | None = None
+        #: Tiebreak sequence number of the parked wake, drawn at exactly
+        #: the point the reference engine's ``call_at`` would have
+        #: drawn it.
+        self._pending_wake_seq: int | None = None
         # Head-of-line service rate for a queue of one, memoized for
         # serve_solo (policies are pure functions of the queue length).
         self._solo_rate: float | None = None
@@ -444,27 +442,21 @@ class RateResource:
         when = self.sim._now + max(horizon, 0.0)
         if when - self.sim._now <= _EPSILON:
             raise self._stalled(self.sim._now)
-        if self._autodrain:
-            if owner is not None:
-                # Coordinated lane: mirror the event-driven entry
-                # exactly.  _pop_finished may have resumed a process
-                # whose submit() ran a nested _reschedule — that nested
-                # park is the live one (the entry this frame would have
-                # queued is generation-dead on arrival in the reference
-                # engine), so a stale frame must not overwrite it.  The
-                # park draws its tiebreak sequence number at the same
-                # point call_at would have.
-                if self._wake_generation != generation:
-                    return
-                self._pending_wake_at = when
-                self._pending_wake_seq = next(self.sim._sequence)
-                if not (owner._in_drive or owner.active):
-                    owner._sync_driver()  # park_changed(), inlined
+        if owner is not None:
+            # Parked: mirror the event-driven entry exactly.
+            # _pop_finished may have resumed a process whose submit()
+            # ran a nested _reschedule — that nested park is the live
+            # one (the entry this frame would have queued is
+            # generation-dead on arrival in the reference engine), so a
+            # stale frame must not overwrite it.  The park draws its
+            # tiebreak sequence number at the same point call_at would
+            # have.
+            if self._wake_generation != generation:
                 return
-            # Solo lane: the owning batch will drain() synchronously.
-            # Park the exact fire time the event-driven engine would
-            # have used, so the warped timeline stays bitwise equal.
             self._pending_wake_at = when
+            self._pending_wake_seq = next(self.sim._sequence)
+            if not (owner._in_drive or owner.active):
+                owner._sync_driver()  # park_changed(), inlined
             return
         self._wake_handle = self.sim.call_at(
             when, lambda: self._on_wake(generation), cancellable=True)
@@ -484,27 +476,14 @@ class RateResource:
 
     # -- fast path (repro.sim.fastpath) --------------------------------
 
-    def set_autodrain(self, enabled: bool) -> None:
-        """Enter/leave fast-path mode.  Entering keeps an already
-        queued wake-up where it is (:meth:`drain` absorbs it); leaving
-        must go through :meth:`rearm` instead, which re-queues the
-        parked wake."""
-        self._autodrain = enabled
-
     def drain(self) -> None:
         """Serve the queue to completion by warping the clock.
 
         Replays exactly the wake-cycle float operations of the
         event-driven path — advance, pop, next horizon — in the same
-        order, without queue round-trips.  Only a fast-path
-        batch that owns the simulator clock may call this.
+        order, without queue round-trips.  Only a solo batch of the
+        owner, which holds the simulator clock, may call this.
         """
-        if self._wake_handle is not None:
-            # A wake queued before the batch opened (e.g. a background
-            # reload already in flight): absorb it at its exact time.
-            self._pending_wake_at = self._wake_handle.when
-            self.sim.cancel(self._wake_handle)
-            self._wake_handle = None
         while self._tasks:
             when = self._pending_wake_at
             if when is None:
@@ -514,7 +493,7 @@ class RateResource:
             self._reschedule()
 
     def serve_solo(self, work: float, tag: str) -> ServiceRecord:
-        """Fused submit + drain for an empty autodrained resource.
+        """Fused submit + drain for an empty parked resource.
 
         The fast path's hot loop: one subtask on an otherwise idle
         resource, served to completion in closed form, returning the
@@ -530,7 +509,7 @@ class RateResource:
         if head_rate is None:
             rates = self._policy(1)
             head_rate = self._solo_rate = rates[0] if rates else 0.0
-        if (not self._autodrain or self._tasks or work <= _EPSILON
+        if (self._wake_owner is None or self._tasks or work <= _EPSILON
                 or head_rate <= _EPSILON):
             event = self.submit(work, tag=tag)
             self.drain()
@@ -600,16 +579,13 @@ class RateResource:
             finished_at=when, work=work)
 
     def rearm(self) -> None:
-        """Leave fast-path mode, re-queueing the parked wake (if any).
+        """Leave parked mode, re-queueing the parked wake (if any).
 
-        Called when a solo batch closes with a task still in flight (a
-        background reload crossing the batch boundary) and when a
-        coordinated engine deactivates: the wake returns to the event
-        queue at the exact parked time — and, in coordinated mode, at
-        the exact tiebreak sequence number it drew when it parked, so
+        Called when the owning engine deactivates: the wake returns to
+        the event queue at the exact parked time and at the exact
+        tiebreak sequence number it drew when it parked, so
         same-instant races resolve in the reference order.
         """
-        self._autodrain = False
         self._wake_owner = None
         when, self._pending_wake_at = self._pending_wake_at, None
         seq, self._pending_wake_seq = self._pending_wake_seq, None
@@ -620,19 +596,16 @@ class RateResource:
             when, lambda: self._on_wake(generation), cancellable=True,
             sequence=seq)
 
-    # -- coordinated fast path (multi-job groups) ----------------------
-
     def set_wake_owner(self, owner) -> None:
-        """Enter coordinated fast-path mode under ``owner``.
+        """Park the resource under ``owner`` until :meth:`rearm`.
 
-        The resource stays permanently autodrained: every wake the
-        reference engine would queue is parked as ``(when, seq)`` and
-        the owner is notified so it can maintain one real driver event
-        at the group's earliest parked wake.  :meth:`rearm` leaves this
-        mode.
+        Every wake the reference engine would queue is parked as
+        ``(when, seq)`` and the owner is notified so it can maintain
+        one real driver event at the group's earliest parked wake.
+        Owners attach before the first submit, so no queued wake is
+        ever left behind.
         """
         self._wake_owner = owner
-        self._autodrain = True
 
     def serve_parked(self) -> None:
         """Serve one parked wake — the coordinated drive's hot step.
@@ -714,17 +687,12 @@ class RateResource:
                     break
             else:
                 self._complete(tasks.pop(first))
-        owner = self._wake_owner
-        if owner is None:
-            # The engine deactivated while a completion callback ran
-            # (fast-path teardown mid-serve): fall back to the generic
-            # rescheduling pass, which queues a real wake.
-            self._reschedule()
-            return
         # No owner notification on any exit: serve_parked only runs
         # inside the owner's _drive loop (which rescans every park on
         # each step and reconciles the driver once, on exit), so
-        # park_changed would be suppressed anyway.
+        # park_changed would be suppressed anyway.  The owner cannot
+        # detach mid-drive: teardown runs only as a Simulator.run call
+        # starts.
         tasks = self._tasks
         if not tasks:
             return

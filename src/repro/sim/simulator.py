@@ -72,9 +72,9 @@ class FastpathStats:
     wakes_served: int = 0
     #: Group engines that attached in coordinated (parked) mode.
     groups_attached: int = 0
-    #: Group engines ``fastpath_enabled = False`` kept off the batched
-    #: lanes: torn down mid-run, or refused at attach because the
-    #: switch was already off (truncated runs).
+    #: Group engines a ``run(max_events=)`` budget kept off the batched
+    #: lanes: torn down as the run started, or refused at attach
+    #: afterwards.
     engines_deactivated: int = 0
 
     @property
@@ -95,19 +95,18 @@ class Simulator:
         self._insertions = itertools.count()
         self._running = False
         self._fastpath_enabled = True
-        #: Coordinated group engines currently parked on this simulator
-        #: (:class:`repro.sim.fastpath.GroupBatchEngine`).  Clearing
-        #: :attr:`fastpath_enabled` deactivates them all — parked wakes
-        #: are re-queued as ordinary entries so the run can continue on
-        #: the reference path.
+        #: Group engines currently parked on this simulator
+        #: (:class:`repro.sim.fastpath.GroupBatchEngine`), for
+        #: :meth:`_disable_fastpath`.
         self._batch_engines: list[Any] = []
         #: Engagement counters for the batched fast path; all zero
         #: under ``engine="reference"``.
         self.fastpath_stats = FastpathStats()
         #: Horizon of the current :meth:`run` call (its ``until``
-        #: argument), or ``None``.  Coordinated drives never serve a
-        #: parked wake past this, so an ``until``-truncated run stops
-        #: at exactly the same state as the reference engine.
+        #: argument), or ``None``.  Drives never serve a parked wake
+        #: past this and solo batches refuse to open under it, so an
+        #: ``until``-truncated run stops at exactly the same state as
+        #: the reference engine.
         self.run_until: float | None = None
         #: The observability bus every kernel client reads its tracer
         #: from (:mod:`repro.trace`).  Defaults to the no-op tracer;
@@ -121,30 +120,26 @@ class Simulator:
 
     @property
     def fastpath_enabled(self) -> bool:
-        """Master switch for the batched fast path.
+        """Whether group engines may still attach to the batched lanes.
 
-        Runtimes clear it when the run is truncated by ``max_events``
-        (callback counts differ between engines) or to force reference
-        semantics.  Setting it to ``False`` deactivates every attached
-        coordinated engine: parked wake times are re-queued as real
-        events (preserving their tiebreak sequence numbers) and driver
-        entries are cancelled, so the run continues bit-for-bit on the
-        reference path.
+        Turned off, for good, by the first ``run(max_events=)`` call.
         """
         return self._fastpath_enabled
 
-    @fastpath_enabled.setter
-    def fastpath_enabled(self, enabled: bool) -> None:
-        enabled = bool(enabled)
-        was = self._fastpath_enabled
-        self._fastpath_enabled = enabled
-        if was and not enabled:
-            engines, self._batch_engines = self._batch_engines, []
-            for engine in engines:
-                engine.deactivate()
+    def _disable_fastpath(self) -> None:
+        """Tear the fast path down (a ``max_events`` budget counts
+        reference callbacks, which a drive window batches).  Every
+        attached engine deactivates: parked wake times are re-queued
+        as real events (preserving their tiebreak sequence numbers) and
+        driver entries are cancelled, so the run continues bit-for-bit
+        on the reference path."""
+        self._fastpath_enabled = False
+        engines, self._batch_engines = self._batch_engines, []
+        for engine in engines:
+            engine.deactivate()
 
     def register_batch_engine(self, engine: Any) -> None:
-        """Track a coordinated engine for fast-path teardown."""
+        """Track an attached engine for :meth:`_disable_fastpath`."""
         self._batch_engines.append(engine)
 
     # -- scheduling primitives ----------------------------------------
@@ -268,10 +263,7 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         if max_events is not None and self._fastpath_enabled:
-            # One coordinated drive window executes many reference
-            # callbacks, so an event-count budget cannot be replicated
-            # by the batched lane — tear it down before counting.
-            self.fastpath_enabled = False
+            self._disable_fastpath()
         self._running = True
         self.run_until = until
         try:

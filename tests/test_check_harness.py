@@ -358,6 +358,25 @@ class TestFuzzedScenarios:
         assert checked.ok, checked.report()
         assert checked.finished_jobs > 0
 
+    def test_scenarios_run_on_the_fast_engine(self, monkeypatch):
+        """The ``max_sim_seconds`` ceiling keeps the fast engine, so
+        the fuzzer exercises the default engine, not a fallback."""
+        results = []
+        run = HarmonyRuntime.run
+
+        def recording_run(self, *args, **kwargs):
+            results.append(run(self, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(HarmonyRuntime, "run", recording_run)
+        scenario = ScenarioGenerator(2021).generate()
+        scenario = replace(scenario,
+                           config=scenario.config.with_engine("fast"))
+        assert run_checked(scenario).ok
+        (result,) = results
+        assert result.fastpath.engaged
+        assert result.fastpath.engines_deactivated == 0
+
     def test_failing_run_reports_the_replay_command(self):
         scenario = ScenarioGenerator(99).generate()
         checked = CheckedRun(

@@ -37,13 +37,10 @@ from repro.workloads.costmodel import CostModel
 
 
 class _Hooks:
-    iteration_hooks_inert = True
+    on_iteration = None
 
     def __init__(self):
         self.finished = []
-
-    def on_iteration(self, job, group):
-        pass
 
     def on_job_finished(self, job, group):
         job.state = JobState.FINISHED

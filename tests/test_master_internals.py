@@ -100,25 +100,6 @@ class TestMemoryFloor:
         assert config_floor == master.cluster.size + 1
 
 
-class TestSchedulableSets:
-    def test_profiling_jobs_are_not_schedulable(self):
-        sim, master = build_master()
-        master.submit(lda_spec("a"))
-        assert master._schedulable_metrics() == []
-
-    def test_profiled_jobs_become_schedulable(self):
-        sim, master = build_master()
-        master.submit(lda_spec("a", iterations=500))
-        # Run long enough for profiling (3 iterations) to complete,
-        # but far short of the job's convergence.
-        sim.run(until=2500.0)
-        assert master.profiler.has("a")
-        job = master.jobs["a"]
-        assert job.state in (JobState.RUNNING, JobState.PROFILED,
-                             JobState.PAUSED)
-        assert len(master._schedulable_metrics()) == 1
-
-
 class TestEndToEndInvariants:
     def _run(self, specs, n_machines=24):
         sim, master = build_master(n_machines)

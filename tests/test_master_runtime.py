@@ -161,11 +161,12 @@ class TestBudgetedRun:
         assert runtime.sim.now <= 60.0 + 1e-6
 
     def test_summary_reports_fast_path_fallback(self):
-        """A truncated run cannot batch; the summary says so."""
+        """A ``max_events`` budget counts reference callbacks, so the
+        run cannot batch; the summary says so."""
         jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
         runtime = HarmonyRuntime(24, jobs,
                                  config=SimConfig().with_engine("fast"))
-        result = runtime.run(max_sim_seconds=3000.0)
+        result = runtime.run(max_events=20_000)
         assert result.finished  # summary() needs a finished job
         deactivated = result.fastpath.engines_deactivated
         assert deactivated > 0

@@ -256,10 +256,7 @@ class TestSharedRunLoop:
 
 
 class _InertHooks:
-    iteration_hooks_inert = True
-
-    def on_iteration(self, job, group):
-        pass
+    on_iteration = None
 
     def on_job_finished(self, job, group):
         pass

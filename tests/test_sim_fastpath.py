@@ -28,9 +28,9 @@ from repro.core.runtime import HarmonyRuntime
 from repro.errors import SimulationError
 from repro.experiments.common import _CollectingHooks
 from repro.sim import Event, RandomStreams, Simulator
-from repro.sim.fastpath import cycles_view, ledger_view
 from repro.workloads.costmodel import CostModel
 from repro.workloads.generator import WorkloadGenerator
+from tests.fastpath_views import cycles_view, ledger_view
 
 POOL = WorkloadGenerator(2021).base_workload(hyper_params_per_pair=1)
 
@@ -251,22 +251,30 @@ class TestMultiJobDifferential:
         assert stats.wakes_served == 0
         assert group._engine is None
 
-    def test_undeclared_hooks_fall_back_to_reference(self):
-        """Hooks that declare neither ``iteration_hooks_inert`` nor
-        ``iteration_hooks_replayable`` must keep the group off the
-        fast path entirely — and the run still matches bitwise."""
-        class OpaqueHooks(_CollectingHooks):
-            iteration_hooks_inert = False
+    def test_iteration_callback_takes_drive_lane(self):
+        """Hooks with a per-iteration callback must observe true
+        simulated times: a single-job group takes the drive lane, not
+        the solo lane — and the run still matches bitwise."""
+        class CountingHooks(_CollectingHooks):
+            def __init__(self):
+                super().__init__()
+                self.iterations = []
 
-        specs = multi_specs(2)
+            def on_iteration(self, job, group):
+                self.iterations.append((job.job_id, group.sim.now))
+
+        specs = multi_specs(1)
         fast = run_multi_group(specs, ExecutionMode.HARMONY, "fast",
                                DEFAULT_SIM_CONFIG,
-                               hooks_factory=OpaqueHooks)
+                               hooks_factory=CountingHooks)
         ref = run_multi_group(specs, ExecutionMode.HARMONY,
                               "reference", DEFAULT_SIM_CONFIG,
-                              hooks_factory=OpaqueHooks)
-        assert fast[1]._engine is None
-        assert not fast[0].fastpath_stats.engaged
+                              hooks_factory=CountingHooks)
+        stats = fast[0].fastpath_stats
+        assert stats.solo_batches == 0
+        assert stats.wakes_served > 0
+        assert fast[2].iterations == ref[2].iterations
+        assert len(fast[2].iterations) == 5
         assert_bitwise_equal(fast, ref)
 
 
@@ -304,8 +312,8 @@ class TestMasterDifferential:
         assert fast.stall_seconds == ref.stall_seconds
         assert (fast.migration_overhead_seconds
                 == ref.migration_overhead_seconds)
-        # HarmonyMaster's hooks are replayable, so the drive lane must
-        # actually carry the run — not silently fall back.
+        # The drive lane must actually carry the run — not silently
+        # fall back.
         assert fast_stats.engaged
         assert fast_stats.drive_windows >= 1
         assert fast_stats.wakes_served > 0
@@ -314,8 +322,9 @@ class TestMasterDifferential:
 
 
 class TestTruncation:
-    """Truncated runs cannot use the batched lane; tearing it down
-    mid-run must requeue parked wakes bit-for-bit."""
+    """A ``max_events`` budget cannot use the batched lanes; tearing
+    them down mid-run must requeue parked wakes bit-for-bit.  An
+    ``until`` horizon keeps them."""
 
     def _fresh(self, engine):
         sim = Simulator()
@@ -356,7 +365,7 @@ class TestTruncation:
                              self._reference_run())
 
     def test_mid_run_disable_requeues_parked_wakes(self):
-        """Clearing ``fastpath_enabled`` mid-run (between events, with
+        """A ``max_events`` run starting mid-run (between events, with
         wakes parked under the drive lane) requeues them at their
         exact ``(when, seq)`` keys: the rest of the run is bitwise
         reference."""
@@ -368,7 +377,9 @@ class TestTruncation:
         # Mid-run the group still has parked work under the engine.
         assert any(r._pending_wake_at is not None
                    for r in (group.cpu, group.net, group.disk))
-        sim.fastpath_enabled = False
+        sim.run(max_events=0)
+        assert sim.now == t_mid
+        assert sim.fastpath_stats.engines_deactivated == 1
         for resource in (group.cpu, group.net, group.disk):
             assert resource._pending_wake_at is None
         assert group._engine._driver_handle is None
@@ -431,14 +442,61 @@ class TestBaselineDifferential:
         assert np.array_equal(cycles_view(fast._all_cycles),
                               cycles_view(ref._all_cycles))
 
-    def test_truncated_run_disables_fastpath(self):
-        runtime = IsolatedRuntime(20, _workload())
-        runtime.run(max_sim_seconds=50.0)
-        assert runtime.sim.fastpath_enabled is False
-
 
 def _workload():
     return [replace(s, iterations=6) for s in POOL[:6]]
+
+
+def _staggered_workload():
+    return [replace(POOL[i % len(POOL)], job_id=f"j{i}", iterations=6,
+                    submit_time=float(40 * i))
+            for i in range(8)]
+
+
+#: Every master kind, built on a given config.
+RUNTIMES = {
+    "harmony": lambda cfg: HarmonyRuntime(20, _staggered_workload(),
+                                          config=cfg),
+    "sharded": lambda cfg: HarmonyRuntime(20, _staggered_workload(),
+                                          config=cfg.with_sharding(4)),
+    "isolated": lambda cfg: IsolatedRuntime(20, _workload(), config=cfg),
+    "naive": lambda cfg: NaiveRuntime(20, _workload(), config=cfg,
+                                      group_size=3, shuffle_seed=1),
+}
+
+
+class TestTruncatedRunDifferential:
+    """A ``max_sim_seconds`` cut-off keeps the fast engine: the drive
+    lane stops at the ``run(until=)`` horizon and the solo lane refuses
+    to open under it, so the truncated state is bitwise the reference
+    engine's — mid-job included."""
+
+    @pytest.mark.parametrize("cutoff", [60.0, 700.0, 2500.0, 9000.0])
+    @pytest.mark.parametrize("kind", sorted(RUNTIMES))
+    def test_truncated_run_bitwise_equal(self, kind, cutoff):
+        runs = {}
+        for engine in ("fast", "reference"):
+            runtime = RUNTIMES[kind](SimConfig(seed=5).with_engine(engine))
+            runs[engine] = (runtime, runtime.run(max_sim_seconds=cutoff))
+        (fast_rt, fast), (ref_rt, ref) = runs["fast"], runs["reference"]
+        assert fast_rt.sim.now == ref_rt.sim.now == cutoff
+        assert ({j: (o.state, o.finish_time, o.migrations)
+                 for j, o in fast.outcomes.items()}
+                == {j: (o.state, o.finish_time, o.migrations)
+                    for j, o in ref.outcomes.items()})
+        assert np.array_equal(cycles_view(fast._all_cycles),
+                              cycles_view(ref._all_cycles))
+        live_f, live_r = fast_rt.master.groups, ref_rt.master.groups
+        assert list(live_f) == list(live_r)
+        for group_id, group in live_f.items():
+            other = live_r[group_id]
+            for res_f, res_r in ((group.cpu, other.cpu),
+                                 (group.net, other.net),
+                                 (group.disk, other.disk)):
+                assert np.array_equal(ledger_view(res_f),
+                                      ledger_view(res_r))
+        assert fast.fastpath.engaged
+        assert fast.fastpath.engines_deactivated == 0
 
 
 class TestEngineConfig:
@@ -519,7 +577,7 @@ class TestStalledResource:
 
     def test_solo_lane_raises(self, sim):
         resource = self._resource(sim)
-        resource.set_autodrain(True)
+        resource.set_wake_owner(_DrivingOwner())
         sim.warp(self.CLOCK)
         with pytest.raises(SimulationError, match="'cpu' stalled at"):
             resource.serve_solo(self.LEFT, tag="j")

@@ -343,10 +343,10 @@ class TestTracingObservesTheFastEngine:
     per-event reference engine."""
 
     MAKERS = {
-        # Drive lane: HarmonyMaster's hooks are replayable.
+        # Drive lane: HarmonyMaster has a per-iteration callback.
         "harmony": lambda specs, machines: lambda config: HarmonyRuntime(
             machines, specs, config=config),
-        # Solo lane: one job per group under inert hooks.
+        # Solo lane: one job per group, no per-iteration callback.
         "isolated": lambda specs, machines: lambda config: IsolatedRuntime(
             machines, specs, config=config),
     }
