@@ -21,7 +21,7 @@ from repro.config import SchedulerConfig
 from repro.core.allocation import MemoryFloorFn, allocate_machines
 from repro.core.perfmodel import PerfModel
 from repro.core.profiler import JobMetrics
-from repro.core.scheduler import HarmonyScheduler, SchedulePlan
+from repro.core.scheduler import Candidate, HarmonyScheduler, ORDERING_DOP, SchedulePlan
 from repro.errors import SchedulingError
 
 #: Refuse exhaustive search beyond this pool size (Bell(11) > 600K).
@@ -97,8 +97,8 @@ class OracleScheduler:
         if not jobs:
             return None
         self.last_search_size = 0
-        best: SchedulePlan | None = None
-        ordered = sorted(jobs, key=lambda j: j.t_iteration_at(16))
+        best: Candidate | None = None
+        ordered = sorted(jobs, key=lambda j: j.t_iteration_at(ORDERING_DOP))
         for n_jobs in range(1, len(ordered) + 1):
             candidate = ordered[:n_jobs]
             for partition in set_partitions(
@@ -111,8 +111,10 @@ class OracleScheduler:
                                                self.memory_floor)
                 if allocation is None:
                     continue
-                plan = self._builder.build_plan(partition, allocation,
-                                                total_machines)
-                if best is None or plan.score > best.score:
-                    best = plan
-        return best
+                score = self._builder.plan_score(partition, allocation,
+                                                 total_machines)
+                if best is None or score > best[0]:
+                    best = (score, partition, allocation)
+        if best is None:
+            return None
+        return self._builder.build_plan(best[1], best[2], total_machines)

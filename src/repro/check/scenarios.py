@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 from repro.check.invariants import InvariantChecker, Violation
 from repro.config import (
+    ADMISSION_ORDERS,
     ExecutionConfig,
     MemoryConfig,
     SchedulerConfig,
@@ -114,9 +115,9 @@ class ScenarioGenerator:
                     submit_time=index * gap)
             for index, spec in enumerate(chosen))
 
-        orders = ("critical", "sjf", "ljf", "interleave")
         scheduler = SchedulerConfig(
-            admission_order=orders[int(rng.integers(0, len(orders)))],
+            admission_order=ADMISSION_ORDERS[
+                int(rng.integers(0, len(ADMISSION_ORDERS)))],
             reschedule_check_seconds=float(
                 rng.choice([600.0, 1200.0])))
         execution = ExecutionConfig(

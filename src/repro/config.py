@@ -83,6 +83,11 @@ class GCModel:
         return rho >= self.oom_ratio
 
 
+#: The orders Algorithm 1's L4 loop can grow the candidate job set in
+#: (``SchedulerConfig.admission_order``).
+ADMISSION_ORDERS = ("critical", "sjf", "ljf", "interleave")
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
     """Constants of Harmony's scheduling algorithm (§IV-B)."""
@@ -132,6 +137,31 @@ class SchedulerConfig:
     #: job groups, and the allocated machines", §IV-B2).  A regrouping is
     #: only applied when the predicted gain clears the 5% threshold.
     reschedule_check_seconds: float = 1200.0
+
+    def __post_init__(self):
+        # Conditions are stated positively so that NaN fails them too.
+        rules = (
+            ("admission_order", self.admission_order in ADMISSION_ORDERS,
+             f"one of {ADMISSION_ORDERS}"),
+            ("cpu_weight", 0.0 <= self.cpu_weight <= 1.0, "in [0, 1]"),
+            ("regroup_benefit_threshold",
+             self.regroup_benefit_threshold >= 0, ">= 0"),
+            ("similarity_threshold", self.similarity_threshold >= 0, ">= 0"),
+            ("fewer_jobs_preference", self.fewer_jobs_preference >= 0,
+             ">= 0"),
+            ("ema_alpha", 0.0 < self.ema_alpha <= 1.0, "in (0, 1]"),
+            ("max_jobs_per_group", self.max_jobs_per_group >= 1, ">= 1"),
+            ("profiling_iterations", self.profiling_iterations >= 1, ">= 1"),
+            ("max_swap_passes", self.max_swap_passes >= 0, ">= 0"),
+            ("schedule_patience", self.schedule_patience >= 0, ">= 0"),
+            ("plan_cache_entries", self.plan_cache_entries >= 0, ">= 0"),
+            ("reschedule_check_seconds", self.reschedule_check_seconds > 0,
+             "> 0"),
+        )
+        for name, valid, rule in rules:
+            if not valid:
+                raise ValueError(f"{name} must be {rule}, got "
+                                 f"{getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -120,8 +120,10 @@ class MasterBase:
         self._floor_alpha = floor_alpha
         self._floor_spills_model = floor_spills_model
         # Feasibility floors are pure in the (immutable) job specs —
-        # memoized for the life of the master.
+        # memoized for the life of the master, per job set and, below
+        # them, per (job, model spilled) row of resident bytes.
         self._floor_cache: dict[tuple[str, ...], int] = {}
+        self._floor_rows: dict[tuple[str, bool], list[float]] = {}
 
     def _add_job(self, spec: JobSpec) -> Job:
         if spec.job_id in self.jobs:
@@ -185,21 +187,39 @@ class MasterBase:
     def _scan_floor(self, specs: Sequence[JobSpec]) -> int:
         budget = (self.cost_model.spec.usable_memory_bytes
                   * self.config.memory.target_pressure)
-        for m in range(1, self.cluster.size + 1):
-            need = sum(self.cost_model.resident_bytes(
-                spec, m, alpha=self._floor_alpha) for spec in specs)
-            if need <= budget:
-                return m
-        if self._floor_spills_model:
+        floor = self._first_fit(specs, budget, spilled=False)
+        if floor > self.cluster.size and self._floor_spills_model:
             # §IV-C fallback: the model data itself can be spilled when
             # input spill is not enough (essential under all-reduce,
             # where every machine holds a full model replica).
-            for m in range(1, self.cluster.size + 1):
-                need = sum(self.cost_model.resident_bytes(
-                    spec, m, alpha=1.0, model_spilled=True)
-                    for spec in specs)
-                if need <= budget:
-                    return m
+            floor = self._first_fit(specs, budget, spilled=True)
+        return floor
+
+    def _first_fit(self, specs: Sequence[JobSpec], budget: float,
+                   spilled: bool) -> int:
+        """Smallest m whose summed per-machine resident bytes fit the
+        budget (cluster size + 1 if none does).
+
+        Every group the scheduler proposes re-asks about the same jobs
+        at small m, so each job keeps one row of resident bytes per
+        machine count, grown only as far as a scan has reached.  The
+        scan sums the very floats ``resident_bytes`` returns, in spec
+        order, so the floors are exactly the direct computation's.
+        """
+        footprint = ({"alpha": 1.0, "model_spilled": True} if spilled
+                     else {"alpha": self._floor_alpha})
+        rows = [self._floor_rows.setdefault((spec.job_id, spilled), [])
+                for spec in specs]
+        known = min(map(len, rows), default=0)
+        for m in range(1, self.cluster.size + 1):
+            if m > known:
+                for spec, row in zip(specs, rows, strict=True):
+                    if len(row) < m:
+                        row.append(self.cost_model.resident_bytes(
+                            spec, m, **footprint))
+                known = min(map(len, rows), default=0)
+            if sum(row[m - 1] for row in rows) <= budget:
+                return m
         return self.cluster.size + 1
 
 

@@ -21,8 +21,7 @@ levels").
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from repro.core.profiler import JobMetrics
 from repro.errors import SchedulingError
@@ -66,22 +65,21 @@ class GroupEstimate:
     t_cpu_sum: float
     t_net_sum: float
     t_itr_max: float
+    #: Eq. 1.  Derived once at construction: every scored estimate
+    #: reads it, and a ``cached_property`` would lock on first access.
+    t_group_iteration: float = field(init=False, repr=False, compare=False)
+    #: Eq. 3.
+    utilization: UtilizationVector = field(init=False, repr=False,
+                                           compare=False)
 
-    # Cached, not recomputed: estimates are immutable and the planning
-    # stack re-reads these on every candidate-plan scoring pass.
-    @cached_property
-    def t_group_iteration(self) -> float:
-        """Eq. 1."""
-        return max(self.t_cpu_sum, self.t_net_sum, self.t_itr_max)
-
-    @cached_property
-    def utilization(self) -> UtilizationVector:
-        """Eq. 3."""
-        t_g = self.t_group_iteration
-        if t_g <= 0:
-            return UtilizationVector(0.0, 0.0)
-        return UtilizationVector(cpu=self.t_cpu_sum / t_g,
-                                 net=self.t_net_sum / t_g)
+    def __post_init__(self):
+        t_g = max(self.t_cpu_sum, self.t_net_sum, self.t_itr_max)
+        object.__setattr__(self, "t_group_iteration", t_g)
+        object.__setattr__(
+            self, "utilization",
+            UtilizationVector(0.0, 0.0) if t_g <= 0 else
+            UtilizationVector(cpu=self.t_cpu_sum / t_g,
+                              net=self.t_net_sum / t_g))
 
     @property
     def bound_case(self) -> str:

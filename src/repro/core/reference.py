@@ -29,7 +29,7 @@ from collections.abc import Sequence
 
 from repro.core.allocation import MemoryFloorFn
 from repro.core.profiler import JobMetrics
-from repro.core.scheduler import HarmonyScheduler, SchedulePlan
+from repro.core.scheduler import Candidate, HarmonyScheduler
 from repro.errors import SchedulingError
 
 #: Head-window width of the greedy fill (must match the production
@@ -215,7 +215,7 @@ class ReferenceScheduler(HarmonyScheduler):
         self._estimate_memo = None  # re-estimate every group
 
     def _plan_for(self, jobs: Sequence[JobMetrics],
-                  total_machines: int) -> SchedulePlan | None:
+                  total_machines: int) -> Candidate | None:
         n_groups = self._pick_group_count(jobs, total_machines)
         groups = reference_assign_jobs(
             jobs, n_groups,
@@ -225,7 +225,8 @@ class ReferenceScheduler(HarmonyScheduler):
                                                  self.memory_floor)
         if allocation is None:
             return None
-        return self.build_plan(groups, allocation, total_machines)
+        return (self.build_plan(groups, allocation, total_machines).score,
+                groups, allocation)
 
     def _pick_group_count(self, jobs: Sequence[JobMetrics],
                           total_machines: int) -> int:

@@ -11,10 +11,12 @@ resulting grouping while the predicted cluster utilization improves
 This is the *incremental* implementation: one struct-of-arrays
 :class:`~repro.core.profiler.MetricsView` is extracted per ``schedule()``
 call and shared by every sub-step, prefix sort orders are warm-started
-from earlier prefixes, and whole prefix plans are memoized in a
+from earlier prefixes, and scored prefix candidates are memoized in a
 :class:`PlanCache` keyed by (job-set fingerprint, machine count) —
 invalidated through the profiler's listener hook whenever a job's
-moving averages change.  The pre-optimization path survives verbatim in
+moving averages change.  Each prefix is only scored; the winning one is
+the only :class:`SchedulePlan` a call assembles.  The pre-optimization
+path survives verbatim in
 :mod:`repro.core.reference`; ``tests/test_sched_fastpath.py`` pins the
 two to identical plans.
 """
@@ -39,11 +41,15 @@ from repro.errors import SchedulingError
 #: because the policy zoo characterizes queued jobs at the same DoP
 #: (:mod:`repro.policies.planner`).
 ORDERING_DOP = 16
-_ORDERING_DOP = ORDERING_DOP
 
-#: Sentinel distinguishing "not cached" from a cached infeasible plan
+#: Sentinel distinguishing "not cached" from a cached infeasible prefix
 #: (``None`` is a legitimate, cacheable planning outcome).
 _CACHE_MISS = object()
+
+#: What one prefix of Algorithm 1's loop yields: the plan score, the
+#: groups and their machine counts.  Only the winning prefix of a
+#: ``schedule()`` call is assembled into a :class:`SchedulePlan`.
+Candidate = tuple[float, Sequence[Sequence[JobMetrics]], Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,7 @@ def _prefix_sizes(n: int):
 
 
 class PlanCache:
-    """LRU memo of prefix plans, keyed by (fingerprint, n, machines).
+    """LRU memo of prefix candidates, keyed by (fingerprint, n, machines).
 
     The master calls ``schedule()`` with heavily overlapping job pools —
     every arrival, completion, and periodic regroup check re-plans a
@@ -180,7 +186,7 @@ class PlanCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        #: key -> (metrics tuple, plan-or-None)
+        #: key -> (metrics tuple, candidate-or-None)
         self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
         #: job_id -> keys of entries containing that job (invalidation
         #: is O(affected entries), not a full scan per profiler update).
@@ -190,7 +196,7 @@ class PlanCache:
         return len(self._entries)
 
     def get(self, key: tuple, jobs: tuple):
-        """The cached plan, or :data:`_CACHE_MISS` when absent."""
+        """The cached candidate, or :data:`_CACHE_MISS` when absent."""
         entry = self._entries.get(key)
         if entry is not None and entry[0] == jobs:
             self._entries.move_to_end(key)
@@ -200,12 +206,12 @@ class PlanCache:
         return _CACHE_MISS
 
     def put(self, key: tuple, jobs: tuple,
-            plan: "SchedulePlan | None") -> None:
+            candidate: "Candidate | None") -> None:
         if key in self._entries:
             self._drop(key)
         while len(self._entries) >= self.max_entries:
             self._drop(next(iter(self._entries)))
-        self._entries[key] = (jobs, plan)
+        self._entries[key] = (jobs, candidate)
         for job in jobs:
             self._by_job.setdefault(job.job_id, set()).add(key)
 
@@ -266,7 +272,7 @@ class HarmonyScheduler:
         #: is pure, so a repeated group returns the identical estimate
         #: object.  Keyed by member identity — only valid while the
         #: current call's job snapshots are pinned, so
-        #: :meth:`build_plan` consults it only inside ``schedule()``.
+        #: :meth:`_estimates` consults it only inside ``schedule()``.
         #: None disables it (the reference path).
         self._estimate_memo: "dict | None" = {}
 
@@ -289,7 +295,7 @@ class HarmonyScheduler:
         cache = self.plan_cache
         fingerprints = _prefix_fingerprints(ordered) \
             if cache is not None else None
-        best: SchedulePlan | None = None
+        best: Candidate | None = None
         no_improvement = 0
         n_prefixes = 0
         cache_hits = 0
@@ -302,24 +308,24 @@ class HarmonyScheduler:
             for n_jobs in _prefix_sizes(len(ordered)):
                 prefix = view.prefix(n_jobs)
                 n_prefixes += 1
-                plan = _CACHE_MISS
+                candidate = _CACHE_MISS
                 if cache is not None:
                     key = (fingerprints[n_jobs - 1], n_jobs,
                            total_machines)
-                    plan = cache.get(key, prefix.jobs)
-                if plan is _CACHE_MISS:
+                    candidate = cache.get(key, prefix.jobs)
+                if candidate is _CACHE_MISS:
                     cache_misses += 1
-                    plan = self._plan_for(prefix, total_machines)
+                    candidate = self._plan_for(prefix, total_machines)
                     if cache is not None:
-                        cache.put(key, prefix.jobs, plan)
+                        cache.put(key, prefix.jobs, candidate)
                 else:
                     cache_hits += 1
-                if plan is None:
+                if candidate is None:
                     if best is not None:
                         break  # adding jobs stopped being feasible
                     continue
-                if best is None or plan.score > best.score:
-                    best = plan
+                if best is None or candidate[0] > best[0]:
+                    best = candidate
                     no_improvement = 0
                 else:
                     # L12-13: stop growing once utilization stops
@@ -328,21 +334,25 @@ class HarmonyScheduler:
                     no_improvement += 1
                     if no_improvement > self.config.schedule_patience:
                         break
+            # Built while the estimate memo still holds the winner's
+            # groups; its score is the candidate's, bit for bit.
+            plan = self.build_plan(best[1], best[2], total_machines) \
+                if best is not None else None
         finally:
             warm_reuses = self._warm_reuses
             self._warm_orders = None
         self.last_stats = ScheduleStats(
             n_jobs_offered=len(ordered),
             n_prefixes_evaluated=n_prefixes,
-            best_n_groups=len(best.groups) if best is not None else 0,
-            best_n_jobs=(len(best.scheduled_job_ids)
-                         if best is not None else 0),
-            best_score=best.score if best is not None else 0.0,
+            best_n_groups=len(plan.groups) if plan is not None else 0,
+            best_n_jobs=(len(plan.scheduled_job_ids)
+                         if plan is not None else 0),
+            best_score=plan.score if plan is not None else 0.0,
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             warm_start_reuses=warm_reuses,
             fast_path=cache_hits > 0 or warm_reuses > 0)
-        return best
+        return plan
 
     def _admission_order(self, jobs: Sequence[JobMetrics]) -> \
             list[JobMetrics]:
@@ -352,7 +362,7 @@ class HarmonyScheduler:
         ``SchedulerConfig.admission_order`` for the choices.
         """
         view = jobs if isinstance(jobs, MetricsView) else MetricsView(jobs)
-        keys = view.t_iteration_at(_ORDERING_DOP)
+        keys = view.t_iteration_at(ORDERING_DOP)
         # Stable C-speed argsort == sorted(key=t_iteration) bit for bit.
         ascending = [view.jobs[index]
                      for index in np.argsort(keys, kind="stable")]
@@ -374,19 +384,19 @@ class HarmonyScheduler:
                     low += 1
                 take_long = not take_long
             return result
-        if order == "critical":
-            # The handful of longest jobs define the makespan's critical
-            # path and must start early; everything else goes shortest-
-            # first so completions front-load (short mean JCT).
-            n_critical = max(1, len(ascending) // 10)
-            critical = ascending[len(ascending) - n_critical:]
-            rest = ascending[:len(ascending) - n_critical]
-            return list(reversed(critical)) + rest
-        raise SchedulingError(f"unknown admission order {order!r}")
+        # "critical" (SchedulerConfig rejects any other order): the
+        # handful of longest jobs define the makespan's critical path and
+        # must start early; everything else goes shortest-first so
+        # completions front-load (short mean JCT).
+        n_critical = max(1, len(ascending) // 10)
+        critical = ascending[len(ascending) - n_critical:]
+        rest = ascending[:len(ascending) - n_critical]
+        return list(reversed(critical)) + rest
 
     def _plan_for(self, jobs: "Sequence[JobMetrics] | MetricsView",
-                  total_machines: int) -> SchedulePlan | None:
-        """One iteration of the L4-L13 loop body for a fixed job set."""
+                  total_machines: int) -> Candidate | None:
+        """One iteration of the L4-L13 loop body for a fixed job set:
+        its scored groups and allocation, or None when infeasible."""
         view = jobs if isinstance(jobs, MetricsView) else MetricsView(jobs)
         n_groups = self._pick_group_count(view, total_machines)
         m_ref = max(1, total_machines // n_groups)
@@ -398,7 +408,8 @@ class HarmonyScheduler:
                                        self.memory_floor)
         if allocation is None:
             return None
-        return self.build_plan(groups, allocation, total_machines)
+        return (self.plan_score(groups, allocation, total_machines),
+                groups, allocation)
 
     def _grouping_order_for(self, view: MetricsView,
                             m_ref: int) -> np.ndarray:
@@ -431,26 +442,10 @@ class HarmonyScheduler:
         Intentionally *not* vectorized: plan scores decide ties between
         prefixes (exact ties are real — saturated utilization is exactly
         1.0), so the fast path and the reference path must share this
-        exact floating-point arithmetic.  Repeated group compositions
-        within one ``schedule()`` call are served from the estimate
-        memo — the same pure function on the same pinned snapshots, so
-        the memo cannot change a single bit of the result.
+        exact floating-point arithmetic.  :meth:`plan_score` performs
+        the same arithmetic without assembling the plan.
         """
-        memo = self._estimate_memo if self._warm_orders is not None \
-            else None
-        if memo is None:
-            estimates = [self.perf_model.estimate_group(group, m)
-                         for group, m in zip(groups, allocation, strict=True)]
-        else:
-            estimate_group = self.perf_model.estimate_group
-            estimates = []
-            for group, m in zip(groups, allocation, strict=True):
-                key = (m, *map(id, group))
-                cached = memo.get(key)
-                if cached is None:
-                    cached = estimate_group(group, m)
-                    memo[key] = cached
-                estimates.append(cached)
+        estimates = self._estimates(groups, allocation)
         utilization = self.perf_model.cluster_utilization(
             estimates, total_machines=total_machines)
         plans = tuple(GroupPlan(job_ids=e.job_ids, n_machines=m, estimate=e)
@@ -458,6 +453,37 @@ class HarmonyScheduler:
         return SchedulePlan(groups=plans, utilization=utilization,
                             score=self.perf_model.score(utilization),
                             total_machines=total_machines)
+
+    def plan_score(self, groups: Sequence[Sequence[JobMetrics]],
+                   allocation: Sequence[int], total_machines: int) -> float:
+        """The score :meth:`build_plan` would give these groups, bit for
+        bit, without building the plan."""
+        perf_model = self.perf_model
+        return perf_model.score(perf_model.cluster_utilization(
+            self._estimates(groups, allocation),
+            total_machines=total_machines))
+
+    def _estimates(self, groups: Sequence[Sequence[JobMetrics]],
+                   allocation: Sequence[int]) -> list[GroupEstimate]:
+        """Eq. 1-3 per group.  Repeated group compositions within one
+        ``schedule()`` call are served from the estimate memo — the same
+        pure function on the same pinned snapshots, so the memo cannot
+        change a single bit of the result."""
+        memo = self._estimate_memo if self._warm_orders is not None \
+            else None
+        if memo is None:
+            return [self.perf_model.estimate_group(group, m)
+                    for group, m in zip(groups, allocation, strict=True)]
+        estimate_group = self.perf_model.estimate_group
+        estimates = []
+        for group, m in zip(groups, allocation, strict=True):
+            key = (m, *map(id, group))
+            cached = memo.get(key)
+            if cached is None:
+                cached = estimate_group(group, m)
+                memo[key] = cached
+            estimates.append(cached)
+        return estimates
 
     # -- L6: the group-count search ---------------------------------------------
 
@@ -478,10 +504,16 @@ class HarmonyScheduler:
 
         cpu_work = view.cpu_work
         t_net = view.t_net
+        # The search's final scan revisits its last probes; each n_G is
+        # reduced once.
+        costs: dict[int, float] = {}
 
         def cost(n_g: int) -> float:
-            return float(
-                np.abs(cpu_work * (n_g / total_machines) - t_net).sum())
+            value = costs.get(n_g)
+            if value is None:
+                value = costs[n_g] = float(
+                    np.abs(cpu_work * (n_g / total_machines) - t_net).sum())
+            return value
 
         # cost(n_g) = Σ|W_j · n_g / M − T_net_j| is convex in n_g, so a
         # ternary search finds the minimum in O(log M) evaluations —

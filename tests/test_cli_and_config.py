@@ -6,7 +6,15 @@ import pytest
 
 from repro import errors
 from repro.__main__ import DRIVERS, main
-from repro.config import DEFAULT_SIM_CONFIG, GB, GCModel, MB, MachineSpec
+from repro.config import (
+    ADMISSION_ORDERS,
+    DEFAULT_SIM_CONFIG,
+    GB,
+    GCModel,
+    MB,
+    MachineSpec,
+    SchedulerConfig,
+)
 
 
 class TestCli:
@@ -110,6 +118,46 @@ class TestSimConfig:
         assert scheduler.regroup_benefit_threshold == 0.05
         assert scheduler.similarity_threshold == 0.05
         assert scheduler.fewer_jobs_preference == 0.05
+
+
+class TestSchedulerConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("admission_order", "bogus"),
+        ("cpu_weight", -0.1),
+        ("cpu_weight", 1.5),
+        ("cpu_weight", float("nan")),
+        ("regroup_benefit_threshold", -0.01),
+        ("similarity_threshold", -1.0),
+        ("fewer_jobs_preference", -0.05),
+        ("ema_alpha", 0.0),
+        ("ema_alpha", 1.01),
+        ("max_jobs_per_group", 0),
+        ("profiling_iterations", 0),
+        ("max_swap_passes", -1),
+        ("schedule_patience", -1),
+        ("plan_cache_entries", -1),
+        ("reschedule_check_seconds", 0.0),
+    ])
+    def test_bad_value_fails_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SchedulerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_swap_passes", 0),            # the no-swap ablation
+        ("reschedule_check_seconds", 1e12),  # the no-periodic ablation
+        ("plan_cache_entries", 0),         # cache off
+        ("schedule_patience", 0),          # the paper's first-miss break
+        ("cpu_weight", 1.0),
+        ("ema_alpha", 1.0),
+        ("regroup_benefit_threshold", 0.0),
+    ])
+    def test_edge_values_stay_valid(self, field, value):
+        assert getattr(SchedulerConfig(**{field: value}), field) == value
+
+    def test_every_known_admission_order_is_valid(self):
+        for order in ADMISSION_ORDERS:
+            assert SchedulerConfig(admission_order=order).admission_order \
+                == order
 
 
 class TestErrorHierarchy:

@@ -1,6 +1,7 @@
 """White-box tests of the HarmonyMaster's scheduling machinery."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.config import ExecutionConfig, MemoryConfig, SimConfig
@@ -9,18 +10,20 @@ from repro.core.master import HarmonyMaster
 from repro.errors import SchedulingError
 from repro.metrics.utilization import ClusterUsageRecorder
 from repro.sim import RandomStreams, Simulator
-from repro.workloads.apps import DATASETS, JobSpec, LDA, MLR
+from repro.workloads.apps import APPS, DATASETS, JobSpec, LDA, MLR
 from repro.workloads.costmodel import CostModel
 
 
-def build_master(n_machines=24, config=None):
+def build_master(n_machines=24, config=None, comm_architecture="ps"):
     sim = Simulator()
     config = config if config is not None else SimConfig(
         execution=ExecutionConfig(duration_jitter_cv=0.0,
                                   barrier_overhead=0.0))
     cluster = Cluster(n_machines, config.machine)
     recorder = ClusterUsageRecorder(n_machines)
-    master = HarmonyMaster(sim, cluster, CostModel(config.machine),
+    cost_model = CostModel(config.machine,
+                           comm_architecture=comm_architecture)
+    master = HarmonyMaster(sim, cluster, cost_model,
                            config, RandomStreams(config.seed), recorder)
     return sim, master
 
@@ -98,6 +101,86 @@ class TestMemoryFloor:
                                compute_scale=1.0))
         config_floor = master._memory_floor(["huge"])
         assert config_floor == master.cluster.size + 1
+
+
+def linear_scan_floor(master, specs):
+    """The floor scan the per-job rows replaced: every resident byte
+    count re-derived from the cost model at every machine count."""
+    cost_model = master.cost_model
+    budget = (cost_model.spec.usable_memory_bytes
+              * master.config.memory.target_pressure)
+    for m in range(1, master.cluster.size + 1):
+        need = sum(cost_model.resident_bytes(
+            spec, m, alpha=master._floor_alpha) for spec in specs)
+        if need <= budget:
+            return m
+    if master._floor_spills_model:
+        for m in range(1, master.cluster.size + 1):
+            need = sum(cost_model.resident_bytes(
+                spec, m, alpha=1.0, model_spilled=True) for spec in specs)
+            if need <= budget:
+                return m
+    return master.cluster.size + 1
+
+
+#: (app, dataset index, model scale); a 40x model never fits a small
+#: cluster unless the model itself spills.
+job_draws = st.lists(st.tuples(st.sampled_from(sorted(APPS)),
+                               st.integers(0, 1),
+                               st.sampled_from((1.0, 3.0, 40.0))),
+                     min_size=1, max_size=6)
+
+
+def floor_specs(draws):
+    return [JobSpec(f"j{index}", APPS[app], DATASETS[app][dataset],
+                    model_scale=scale, iterations=1)
+            for index, (app, dataset, scale) in enumerate(draws)]
+
+
+class TestFloorRows:
+    """``_scan_floor`` reads per-job rows of resident bytes; it must
+    return the direct cost-model scan's floor for every group, in every
+    member order, whatever the rows already hold."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(draws=job_draws, n_machines=st.integers(1, 48),
+           architecture=st.sampled_from(("ps", "allreduce")),
+           spill=st.booleans(),
+           fixed_alpha=st.sampled_from((None, 0.0, 0.35, 1.0)),
+           data=st.data())
+    def test_rows_match_linear_scan(self, draws, n_machines, architecture,
+                                    spill, fixed_alpha, data):
+        config = SimConfig(memory=MemoryConfig(spill_enabled=spill,
+                                               fixed_alpha=fixed_alpha))
+        _, master = build_master(n_machines, config, architecture)
+        specs = floor_specs(draws)
+        groups = data.draw(st.lists(
+            st.permutations(specs).flatmap(
+                lambda order: st.integers(1, min(5, len(order))).map(
+                    lambda size: order[:size])),
+            min_size=1, max_size=12))
+        for group in groups:
+            for order in (group, group[::-1]):
+                assert master._scan_floor(order) \
+                    == linear_scan_floor(master, order)
+
+    @pytest.mark.parametrize("architecture", ["ps", "allreduce"])
+    @pytest.mark.parametrize("spill", [True, False])
+    def test_group_that_never_fits(self, architecture, spill):
+        config = SimConfig(memory=MemoryConfig(spill_enabled=spill))
+        _, master = build_master(2, config, architecture)
+        specs = floor_specs([("MLR", 1, 40.0), ("Lasso", 1, 40.0)])
+        assert linear_scan_floor(master, specs) == 3
+        assert master._scan_floor(specs) == 3
+        assert master._scan_floor(specs[:1]) \
+            == linear_scan_floor(master, specs[:1])
+        assert (("j0", True) in master._floor_rows) is spill
+
+    def test_rows_grow_only_as_far_as_the_scan(self):
+        _, master = build_master(24)
+        floor = master._scan_floor(floor_specs([("LDA", 1, 1.0)]))
+        assert list(master._floor_rows) == [("j0", False)]
+        assert len(master._floor_rows["j0", False]) == floor
 
 
 class TestEndToEndInvariants:

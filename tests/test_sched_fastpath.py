@@ -75,6 +75,34 @@ class TestSchedulerDifferential:
         assert stats.cache_hits == stats.n_prefixes_evaluated
         assert stats.fast_path
 
+    @settings(max_examples=30, deadline=None)
+    @given(values=job_values, machines=st.integers(1, 300),
+           fits=st.booleans())
+    def test_one_call_builds_at_most_one_plan(self, values, machines,
+                                              fits):
+        """Prefixes are only scored; the winner is the one plan a call
+        assembles, and a call that places nothing assembles none."""
+        jobs = make_jobs(values)
+        scheduler = HarmonyScheduler(
+            memory_floor=None if fits else lambda ids: machines + 1)
+        built = []
+
+        def spy(*args):
+            plan = HarmonyScheduler.build_plan(scheduler, *args)
+            built.append(plan)
+            return plan
+
+        scheduler.build_plan = spy
+        first = scheduler.schedule(jobs, machines)
+        assert built == ([first] if first is not None else [])
+        assert (first is not None) is fits
+        second = scheduler.schedule(jobs, machines)
+        assert scheduler.last_stats.cache_misses == 0
+        assert len(built) == (2 if fits else 0)
+        if fits:
+            assert second.describe() == first.describe()
+            assert second.score == first.score
+
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_scenario_generator_pools_match_reference(self, seed):
         """Pools drawn the way the check harness draws them (real Table

@@ -148,9 +148,8 @@ class TestSchedule:
             assert plan.machines_used <= 30
 
     def test_unknown_admission_order_raises(self):
-        config = SchedulerConfig(admission_order="bogus")
-        with pytest.raises(SchedulingError):
-            HarmonyScheduler(config=config).schedule(mixed_pool(4), 10)
+        with pytest.raises(ValueError, match="admission_order"):
+            SchedulerConfig(admission_order="bogus")
 
     def test_deterministic_for_same_inputs(self):
         pool = mixed_pool()
