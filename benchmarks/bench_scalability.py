@@ -8,8 +8,8 @@ Two exhibits share this module:
   paper's 1,000-machine sweep: the cluster-of-cells sharded scheduler
   (``repro.shard``) vs the unsharded one on a 32K-job / 40K-machine
   pool under online churn (one arrival + one profile republish per
-  step).  CI guards the recorded timings via
-  ``check_baseline.py`` against ``baseline_scale.json``.
+  step).  The ≥3x speedup floor is asserted in-process, so it holds on
+  any host speed.
 """
 
 from repro.experiments import scalability
@@ -61,10 +61,6 @@ def test_sharded_scalability(once, benchmark):
     benchmark.extra_info["sharded_total_seconds"] = round(
         sharded.total_seconds, 3)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    # The baseline guard only enforces upper bounds, so the >= 3x
-    # speedup floor is committed as its reciprocal: inverse_speedup
-    # regressing *up* past its budget means the sharded win decayed.
-    benchmark.extra_info["inverse_speedup"] = round(1.0 / speedup, 4)
 
     # The acceptance gate: >= 3x over the unsharded scheduler at the
     # largest size (32 cells x 40K machines / 32K jobs; measured

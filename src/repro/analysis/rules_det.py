@@ -1,8 +1,8 @@
 """DET — determinism rules.
 
 Everything the seeded-replay contract (``python -m repro check --seed
-N``) and the bitwise differential pinning against
-:mod:`repro.core.reference` rely on: no wall-clock reads feeding
+N``) and the bitwise differential pinning against the frozen test
+oracles rely on: no wall-clock reads feeding
 simulation state, no process-global RNG, no hash-order-dependent
 iteration or sorting, no float equality on computed times/scores.
 """

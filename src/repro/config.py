@@ -88,6 +88,18 @@ class GCModel:
 ADMISSION_ORDERS = ("critical", "sjf", "ljf", "interleave")
 
 
+def _check_rules(config, rules) -> None:
+    """Reject ``config`` at construction on its first broken rule.
+
+    ``rules`` holds ``(field, holds, description)`` triples.  Conditions
+    are stated positively so that NaN fails them too.
+    """
+    for name, holds, rule in rules:
+        if not holds:
+            raise ValueError(f"{name} must be {rule}, got "
+                             f"{getattr(config, name)!r}")
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
     """Constants of Harmony's scheduling algorithm (§IV-B)."""
@@ -128,9 +140,6 @@ class SchedulerConfig:
     #: "critical" = the top-decile longest jobs first (they set the
     #: makespan's critical path), then shortest-first for the rest.
     admission_order: str = "critical"
-    #: Capacity of the scheduler's prefix-plan memo (see
-    #: ``repro.core.scheduler.PlanCache``); 0 disables caching.
-    plan_cache_entries: int = 256
     #: How often the master re-evaluates the whole grouping ("Harmony
     #: constantly seeks for higher resource utilization U, and when it
     #: detects a potential improvement, it dynamically updates the jobs,
@@ -139,8 +148,7 @@ class SchedulerConfig:
     reschedule_check_seconds: float = 1200.0
 
     def __post_init__(self):
-        # Conditions are stated positively so that NaN fails them too.
-        rules = (
+        _check_rules(self, (
             ("admission_order", self.admission_order in ADMISSION_ORDERS,
              f"one of {ADMISSION_ORDERS}"),
             ("cpu_weight", 0.0 <= self.cpu_weight <= 1.0, "in [0, 1]"),
@@ -154,14 +162,9 @@ class SchedulerConfig:
             ("profiling_iterations", self.profiling_iterations >= 1, ">= 1"),
             ("max_swap_passes", self.max_swap_passes >= 0, ">= 0"),
             ("schedule_patience", self.schedule_patience >= 0, ">= 0"),
-            ("plan_cache_entries", self.plan_cache_entries >= 0, ">= 0"),
             ("reschedule_check_seconds", self.reschedule_check_seconds > 0,
              "> 0"),
-        )
-        for name, valid, rule in rules:
-            if not valid:
-                raise ValueError(f"{name} must be {rule}, got "
-                                 f"{getattr(self, name)!r}")
+        ))
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,17 @@ class MemoryConfig:
     #: Fraction of an epoch's disk traffic that overlaps with other
     #: jobs' subtasks for free (background reloading, §IV-C).
     gc_model: GCModel = field(default_factory=GCModel)
+
+    def __post_init__(self):
+        _check_rules(self, (
+            ("fixed_alpha", self.fixed_alpha is None
+             or 0.0 <= self.fixed_alpha <= 1.0, "None or in [0, 1]"),
+            ("alpha_step", self.alpha_step > 0, "> 0"),
+            ("adjust_every", self.adjust_every >= 1, ">= 1"),
+            ("target_pressure", 0.0 < self.target_pressure <= 1.0,
+             "in (0, 1]"),
+            ("tolerance", self.tolerance >= 0, ">= 0"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -237,6 +251,14 @@ class ShardConfig:
     rebalance_threshold: float = 0.25
     #: Most jobs one rebalance pass may migrate between cells.
     max_rebalance_moves: int = 64
+
+    def __post_init__(self):
+        _check_rules(self, (
+            ("n_cells", self.n_cells >= 1, ">= 1"),
+            ("rebalance_every", self.rebalance_every >= 0, ">= 0"),
+            ("rebalance_threshold", self.rebalance_threshold >= 0, ">= 0"),
+            ("max_rebalance_moves", self.max_rebalance_moves >= 0, ">= 0"),
+        ))
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,9 @@ loop executes exactly the ``spare`` highest-priority positive grants
 (ties across groups broken by group index).  Computing that set
 directly — with the very same float divisions and comparisons the
 one-at-a-time loop would perform — produces bitwise-identical
-allocations (pinned against
-:func:`repro.core.reference.reference_allocate_machines` by the
-differential suite) in a handful of vectorized passes.
+allocations (pinned against the original loop, kept as a test oracle
+in ``tests/sched_oracle.py``, by the differential suite) in a handful
+of vectorized passes.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ placement and per swap, the sort runs as one C-speed ``argsort`` over
 a :class:`~repro.core.profiler.MetricsView`, and the swap loop takes
 the most-imbalanced group by a single ``argmax`` instead of sorting
 all group imbalances each pass.  The original recompute-everything
-implementation survives verbatim in :mod:`repro.core.reference`; the
-differential suite pins the two to identical partitions.
+implementation is kept verbatim as a test oracle
+(``tests/sched_oracle.py``); the differential suite pins the two to
+identical partitions.
 """
 
 from __future__ import annotations

@@ -16,9 +16,8 @@ from earlier prefixes, and scored prefix candidates are memoized in a
 invalidated through the profiler's listener hook whenever a job's
 moving averages change.  Each prefix is only scored; the winning one is
 the only :class:`SchedulePlan` a call assembles.  The pre-optimization
-path survives verbatim in
-:mod:`repro.core.reference`; ``tests/test_sched_fastpath.py`` pins the
-two to identical plans.
+path is kept verbatim as a test oracle (``tests/sched_oracle.py``), and
+``tests/test_sched_fastpath.py`` pins the two to identical plans.
 """
 
 from __future__ import annotations
@@ -45,6 +44,9 @@ ORDERING_DOP = 16
 #: Sentinel distinguishing "not cached" from a cached infeasible prefix
 #: (``None`` is a legitimate, cacheable planning outcome).
 _CACHE_MISS = object()
+
+#: Capacity of each scheduler's :class:`PlanCache`.
+PLAN_CACHE_ENTRIES = 256
 
 #: What one prefix of Algorithm 1's loop yields: the plan score, the
 #: groups and their machine counts.  Only the winning prefix of a
@@ -179,7 +181,7 @@ class PlanCache:
 
     __slots__ = ("max_entries", "hits", "misses", "_entries", "_by_job")
 
-    def __init__(self, max_entries: int = 256):
+    def __init__(self, max_entries: int = PLAN_CACHE_ENTRIES):
         if max_entries < 1:
             raise SchedulingError(
                 f"cache needs >= 1 entry, got {max_entries}")
@@ -255,15 +257,12 @@ class HarmonyScheduler:
         #: Shape of the most recent :meth:`schedule` call (None before
         #: the first call); read by the master's trace instrumentation.
         self.last_stats: ScheduleStats | None = None
-        #: Prefix-plan memo; subclasses may set it to None to disable
-        #: (the reference path does), as does configuring 0 entries.
-        self.plan_cache: PlanCache | None = (
-            PlanCache(max_entries=self.config.plan_cache_entries)
-            if self.config.plan_cache_entries > 0 else None)
+        #: Prefix-candidate memo, shared across calls.
+        self.plan_cache = PlanCache()
         #: Per-call warm-start state: m_ref -> (sorted order, #jobs it
         #: covers).  Orders index into the current call's admission
         #: order, so the dict only lives for the span of one
-        #: ``schedule()`` call.
+        #: ``schedule()`` call; None outside one.
         self._warm_orders: "dict[int, tuple] | None" = None
         self._warm_reuses = 0
         #: Per-call group-estimate memo: warm-started prefixes share
@@ -273,8 +272,7 @@ class HarmonyScheduler:
         #: object.  Keyed by member identity — only valid while the
         #: current call's job snapshots are pinned, so
         #: :meth:`_estimates` consults it only inside ``schedule()``.
-        #: None disables it (the reference path).
-        self._estimate_memo: "dict | None" = {}
+        self._estimate_memo: dict = {}
 
     # -- Algorithm 1 ---------------------------------------------------------
 
@@ -293,8 +291,7 @@ class HarmonyScheduler:
         ordered = self._admission_order(jobs)
         view = MetricsView(ordered)
         cache = self.plan_cache
-        fingerprints = _prefix_fingerprints(ordered) \
-            if cache is not None else None
+        fingerprints = _prefix_fingerprints(ordered)
         best: Candidate | None = None
         no_improvement = 0
         n_prefixes = 0
@@ -302,22 +299,17 @@ class HarmonyScheduler:
         cache_misses = 0
         self._warm_orders = {}
         self._warm_reuses = 0
-        if self._estimate_memo is not None:
-            self._estimate_memo.clear()
+        self._estimate_memo.clear()
         try:
             for n_jobs in _prefix_sizes(len(ordered)):
                 prefix = view.prefix(n_jobs)
                 n_prefixes += 1
-                candidate = _CACHE_MISS
-                if cache is not None:
-                    key = (fingerprints[n_jobs - 1], n_jobs,
-                           total_machines)
-                    candidate = cache.get(key, prefix.jobs)
+                key = (fingerprints[n_jobs - 1], n_jobs, total_machines)
+                candidate = cache.get(key, prefix.jobs)
                 if candidate is _CACHE_MISS:
                     cache_misses += 1
                     candidate = self._plan_for(prefix, total_machines)
-                    if cache is not None:
-                        cache.put(key, prefix.jobs, candidate)
+                    cache.put(key, prefix.jobs, candidate)
                 else:
                     cache_hits += 1
                 if candidate is None:
@@ -418,8 +410,6 @@ class HarmonyScheduler:
         shorter prefix at the same ``m_ref`` (prefixes are nested, so
         the old order is a valid partial order of the new one)."""
         warm = self._warm_orders
-        if warm is None:
-            return grouping_order(view, m_ref)
         held = warm.get(m_ref)
         if held is not None and held[1] <= len(view):
             prev_order, prev_n = held
@@ -469,12 +459,11 @@ class HarmonyScheduler:
         ``schedule()`` call are served from the estimate memo — the same
         pure function on the same pinned snapshots, so the memo cannot
         change a single bit of the result."""
-        memo = self._estimate_memo if self._warm_orders is not None \
-            else None
-        if memo is None:
-            return [self.perf_model.estimate_group(group, m)
-                    for group, m in zip(groups, allocation, strict=True)]
         estimate_group = self.perf_model.estimate_group
+        if self._warm_orders is None:  # outside schedule(): not pinned
+            return [estimate_group(group, m)
+                    for group, m in zip(groups, allocation, strict=True)]
+        memo = self._estimate_memo
         estimates = []
         for group, m in zip(groups, allocation, strict=True):
             key = (m, *map(id, group))

@@ -1,34 +1,30 @@
-"""Scheduler churn benchmark: decision latency under arrival/completion
-streams.
+"""Scheduler churn stream: decisions under arrival/completion streams.
 
 Online DL-cluster schedulers run placement inside the serving loop, so
 what matters at the §V-F scale is not one cold ``schedule()`` call but
-the total scheduling time across a stream of arrivals, completions,
-metric updates, and periodic regroup checks — exactly the call pattern
+the decisions across a stream of arrivals, completions, metric updates,
+and periodic regroup checks — exactly the call pattern
 :class:`~repro.core.master.HarmonyMaster` generates.  This module
-replays one seeded stream twice: once through the incremental
+replays one seeded stream through the incremental
 :class:`~repro.core.scheduler.HarmonyScheduler` (plan cache, warm
-starts, §IV-B4 plan patching on completions) and once through the
-frozen :class:`~repro.core.reference.ReferenceScheduler`, and compares
-end-to-end scheduling time.
+starts, §IV-B4 plan patching on completions) and records every
+decision's plan score plus how often each shortcut engaged.
 
-The stream is generated up front as pure data, so both replays see the
-identical pool history; every scheduling event also records the plan
-score, which lets the benchmark assert the fast path's decisions match
-the reference (bitwise on full-schedule events, within the regroup
-threshold on patched ones).
+The stream is generated up front as pure data, so any two replays see
+the identical pool history and their score streams are
+position-aligned; ``tests/test_sched_fastpath.py`` replays it through
+the frozen test oracle as well.  Decision throughput is measured by the
+``churn`` workload of ``benchmarks/perf/``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.profiler import JobMetrics, Profiler
-from repro.core.reference import ReferenceScheduler
 from repro.core.regroup import find_similar_job, splice_plan
 from repro.core.scheduler import HarmonyScheduler
 from repro.metrics.reporting import format_table
@@ -45,26 +41,13 @@ class ChurnRunResult:
     """One replay of the stream under one scheduler."""
 
     label: str
-    scheduling_seconds: float
-    n_schedule_calls: int
-    n_patched: int
+    n_schedule_calls: int = 0
+    n_patched: int = 0
     #: (event kind, plan score) per scheduling event, in stream order.
     scores: list = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
     warm_start_reuses: int = 0
-
-
-@dataclass
-class ChurnComparison:
-    fast: ChurnRunResult
-    reference: ChurnRunResult
-    n_events: int
-
-    @property
-    def speedup(self) -> float:
-        return (self.reference.scheduling_seconds
-                / max(self.fast.scheduling_seconds, 1e-12))
 
 
 def _base_profiles(n_jobs: int, seed: int) -> list[tuple[str, float, float]]:
@@ -81,7 +64,7 @@ def _base_profiles(n_jobs: int, seed: int) -> list[tuple[str, float, float]]:
 def generate_stream(profiles: list[tuple[str, float, float]],
                     n_initial: int, n_events: int, seed: int,
                     similarity_threshold: float = 0.05) -> list[tuple]:
-    """The seeded event stream, as pure data shared by both replays.
+    """The seeded event stream, as pure data shared by every replay.
 
     Events: ``("arrival", job_id)``, ``("completion", finished_id,
     replacement_id_or_None)``, ``("iteration", job_id, cpu_factor,
@@ -127,40 +110,30 @@ def generate_stream(profiles: list[tuple[str, float, float]],
 def replay(scheduler, profiles: list[tuple[str, float, float]],
            events: list[tuple], n_initial: int, machines: int,
            label: str, use_patch: bool,
-           regroup_threshold: float = 0.05) -> ChurnRunResult:
-    """Drive one scheduler through the stream, timing scheduling work.
+           regroup_threshold: float) -> ChurnRunResult:
+    """Drive one scheduler through the stream, recording its decisions.
 
-    Only the scheduler's decisions are timed (``schedule()`` calls and,
-    on the fast path, plan patches); stream bookkeeping and profiler
-    recording are not — they are the master's cost either way.
+    With ``use_patch`` a completion first tries the §IV-B4 splice of the
+    current plan and falls back to a full schedule only when the splice
+    trips the regroup threshold; without it every completion
+    reschedules.
     """
     profiler = Profiler()
     for job_id, t_cpu, t_net in profiles:
         profiler.record_iteration(job_id, t_cpu, t_net, _PROFILE_DOP)
-    cache = getattr(scheduler, "plan_cache", None)
-    if cache is not None:
-        profiler.add_listener(cache.invalidate_job)
+    profiler.add_listener(scheduler.plan_cache.invalidate_job)
 
     pool_ids = [job_id for job_id, _, _ in profiles[:n_initial]]
-    result = ChurnRunResult(label=label, scheduling_seconds=0.0,
-                            n_schedule_calls=0, n_patched=0)
-
-    def absorb_stats() -> None:
-        stats = getattr(scheduler, "last_stats", None)
-        if stats is not None:
-            result.cache_hits += stats.cache_hits
-            result.cache_misses += stats.cache_misses
-            result.warm_start_reuses += stats.warm_start_reuses
+    result = ChurnRunResult(label=label)
 
     def full_schedule(kind: str):
         pool = [profiler.get(job_id) for job_id in pool_ids]
-        # harmony: allow[DET001] measures real scheduling latency, not sim state
-        started = time.perf_counter()
         plan = scheduler.schedule(pool, machines)
-        # harmony: allow[DET001] measures real scheduling latency, not sim state
-        result.scheduling_seconds += time.perf_counter() - started
         result.n_schedule_calls += 1
-        absorb_stats()
+        stats = scheduler.last_stats
+        result.cache_hits += stats.cache_hits
+        result.cache_misses += stats.cache_misses
+        result.warm_start_reuses += stats.warm_start_reuses
         result.scores.append((kind, plan.score if plan else 0.0))
         return plan
 
@@ -175,11 +148,15 @@ def replay(scheduler, profiles: list[tuple[str, float, float]],
             pool_ids.remove(finished)
             if replacement is not None:
                 pool_ids.append(replacement)
-            patched = _try_patch(scheduler, profiler, result, finished,
-                                 replacement, regroup_threshold) \
+            patched = _try_patch(scheduler, profiler, current_plan,
+                                 finished, replacement, regroup_threshold) \
                 if use_patch else None
-            current_plan = patched if patched is not None \
-                else full_schedule(kind)
+            if patched is not None:
+                result.n_patched += 1
+                result.scores.append(("patched", patched.score))
+                current_plan = patched
+            else:
+                current_plan = full_schedule(kind)
         elif kind == "iteration":
             job_id, cpu_factor, net_factor = event[1], event[2], event[3]
             metrics = profiler.get(job_id)
@@ -188,12 +165,15 @@ def replay(scheduler, profiles: list[tuple[str, float, float]],
                 metrics.t_net * net_factor, _PROFILE_DOP)
         else:  # periodic regroup check: unchanged pool
             current_plan = full_schedule("check")
-    del current_plan  # the last plan only matters to the stream itself
     return result
 
 
-def _try_patch(scheduler, profiler, result: ChurnRunResult,
-               finished: str, replacement,
+#: The name ``benchmarks/perf/workloads.py`` cross-checks its churn
+#: decisions against.
+_replay_with = replay
+
+
+def _try_patch(scheduler, profiler, previous, finished: str, replacement,
                regroup_threshold: float):
     """The §IV-B4 fast path: splice the previous plan and re-score.
 
@@ -201,88 +181,41 @@ def _try_patch(scheduler, profiler, result: ChurnRunResult,
     schedule (no previous plan, the finished job was not placed, or the
     patched score trips the regroup threshold).
     """
-    previous = getattr(scheduler, "_churn_last_plan", None)
-    # harmony: allow[DET001] measures real scheduling latency, not sim state
-    timed_from = time.perf_counter()
-    patched = None
-    if previous is not None and finished in previous.scheduled_job_ids:
-        group_index = next(index for index, group
-                           in enumerate(previous.groups)
-                           if finished in group.job_ids)
-        replacements = [profiler.get(replacement)] \
-            if replacement is not None else []
-        candidate = splice_plan(previous, scheduler.perf_model,
-                                group_index, finished, replacements,
-                                metrics_for=profiler.get)
-        if candidate.score >= previous.score * (1.0 - regroup_threshold):
-            patched = candidate
-            scheduler._churn_last_plan = patched
-            result.n_patched += 1
-            result.scores.append(("patched", patched.score))
-    # harmony: allow[DET001] measures real scheduling latency, not sim state
-    result.scheduling_seconds += time.perf_counter() - timed_from
-    return patched
+    if previous is None or finished not in previous.scheduled_job_ids:
+        return None
+    group_index = next(index for index, group in enumerate(previous.groups)
+                       if finished in group.job_ids)
+    replacements = [profiler.get(replacement)] \
+        if replacement is not None else []
+    candidate = splice_plan(previous, scheduler.perf_model, group_index,
+                            finished, replacements,
+                            metrics_for=profiler.get)
+    if candidate.score >= previous.score * (1.0 - regroup_threshold):
+        return candidate
+    return None
 
 
 def run(n_jobs: int = 220, n_initial: int = 120, n_events: int = 160,
         machines: int = 1000, seed: int = 2021,
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> ChurnComparison:
-    """Replay one seeded churn stream under both schedulers."""
+        config: SimConfig = DEFAULT_SIM_CONFIG) -> ChurnRunResult:
+    """Replay one seeded churn stream through the incremental scheduler."""
     profiles = _base_profiles(n_jobs, seed)
     events = generate_stream(
         profiles, n_initial, n_events, seed=seed + 1,
         similarity_threshold=config.scheduler.similarity_threshold)
-    threshold = config.scheduler.regroup_benefit_threshold
-
-    reference = _replay_with(
-        ReferenceScheduler(config=config.scheduler), profiles, events,
-        n_initial, machines, "reference", use_patch=False,
-        regroup_threshold=threshold)
-    fast = _replay_with(
-        HarmonyScheduler(config=config.scheduler), profiles, events,
-        n_initial, machines, "fast", use_patch=True,
-        regroup_threshold=threshold)
-    return ChurnComparison(fast=fast, reference=reference,
-                           n_events=len(events))
+    return replay(HarmonyScheduler(config=config.scheduler), profiles,
+                  events, n_initial, machines, "fast", use_patch=True,
+                  regroup_threshold=config.scheduler.regroup_benefit_threshold)
 
 
-def _replay_with(scheduler, profiles, events, n_initial, machines,
-                 label, use_patch, regroup_threshold) -> ChurnRunResult:
-    # The replay tracks the scheduler's latest plan on the instance so
-    # _try_patch can splice it without threading it through every call.
-    original_schedule = scheduler.schedule
-
-    def tracking_schedule(pool, total_machines):
-        plan = original_schedule(pool, total_machines)
-        scheduler._churn_last_plan = plan
-        return plan
-
-    scheduler._churn_last_plan = None
-    scheduler.schedule = tracking_schedule
-    result = replay(scheduler, profiles, events, n_initial, machines,
-                    label, use_patch, regroup_threshold)
-    return result
-
-
-def report(comparison: ChurnComparison) -> str:
-    """Render the churn comparison rows."""
-    rows = []
-    for run_result in (comparison.reference, comparison.fast):
-        rows.append((
-            run_result.label,
-            f"{run_result.scheduling_seconds:.3f}",
-            run_result.n_schedule_calls,
-            run_result.n_patched,
-            run_result.cache_hits,
-            run_result.warm_start_reuses))
-    table = format_table(
-        ["path", "sched seconds", "schedule() calls", "patched",
-         "cache hits", "warm starts"],
-        rows,
-        title=f"Scheduler churn stream ({comparison.n_events} events): "
-              f"incremental fast path vs reference "
-              f"({comparison.speedup:.1f}x)")
-    return table
+def report(result: ChurnRunResult) -> str:
+    """Render the replay's decision counts."""
+    return format_table(
+        ["schedule() calls", "patched", "cache hits", "cache misses",
+         "warm starts"],
+        [(result.n_schedule_calls, result.n_patched, result.cache_hits,
+          result.cache_misses, result.warm_start_reuses)],
+        title=f"Scheduler churn stream ({len(result.scores)} decisions)")
 
 
 if __name__ == "__main__":  # pragma: no cover - manual driver

@@ -16,8 +16,8 @@ the two runs' simulated durations and iteration times are asserted
 bitwise-equal by the caller (and exhaustively by
 ``tests/test_sim_fastpath.py``).
 
-Used by ``benchmarks/bench_sim_engines.py`` (the CI regression gate
-reads its recorded timings) and runnable standalone::
+Used by ``benchmarks/bench_sim_engines.py`` (which asserts the
+fast-over-reference ratio in-process) and runnable standalone::
 
     PYTHONPATH=src python -m repro.experiments.sim_engines
 """

@@ -67,13 +67,9 @@ class _ShardPlanCache:
         self._owner = owner
 
     def invalidate_job(self, job_id: str) -> None:
-        solo_cache = self._owner._solo.plan_cache
-        if solo_cache is not None:
-            solo_cache.invalidate_job(job_id)
+        self._owner._solo.plan_cache.invalidate_job(job_id)
         for cell in self._owner._cells:
-            cache = cell.scheduler.plan_cache
-            if cache is not None:
-                cache.invalidate_job(job_id)
+            cell.scheduler.plan_cache.invalidate_job(job_id)
         placer = self._owner._placer
         home = placer.cell_of(job_id) if placer is not None else None
         if home is not None:
@@ -93,9 +89,6 @@ class ShardedScheduler:
             else PerfModel(cpu_weight=self.config.cpu_weight)
         self.memory_floor = memory_floor
         self.shard = shard if shard is not None else ShardConfig()
-        if self.shard.n_cells < 1:
-            raise SchedulingError(
-                f"n_cells must be >= 1, got {self.shard.n_cells}")
         tracer = tracer if tracer is not None else NULL_TRACER
         self._trace = tracer if tracer.enabled else None
         self._trace_track = (

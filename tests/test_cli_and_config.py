@@ -13,7 +13,9 @@ from repro.config import (
     GCModel,
     MB,
     MachineSpec,
+    MemoryConfig,
     SchedulerConfig,
+    ShardConfig,
 )
 
 
@@ -135,7 +137,6 @@ class TestSchedulerConfig:
         ("profiling_iterations", 0),
         ("max_swap_passes", -1),
         ("schedule_patience", -1),
-        ("plan_cache_entries", -1),
         ("reschedule_check_seconds", 0.0),
     ])
     def test_bad_value_fails_at_construction(self, field, value):
@@ -145,7 +146,6 @@ class TestSchedulerConfig:
     @pytest.mark.parametrize("field, value", [
         ("max_swap_passes", 0),            # the no-swap ablation
         ("reschedule_check_seconds", 1e12),  # the no-periodic ablation
-        ("plan_cache_entries", 0),         # cache off
         ("schedule_patience", 0),          # the paper's first-miss break
         ("cpu_weight", 1.0),
         ("ema_alpha", 1.0),
@@ -158,6 +158,61 @@ class TestSchedulerConfig:
         for order in ADMISSION_ORDERS:
             assert SchedulerConfig(admission_order=order).admission_order \
                 == order
+
+
+class TestShardConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("n_cells", 0),
+        ("n_cells", -2),
+        ("rebalance_every", -1),
+        ("rebalance_threshold", -0.01),
+        ("rebalance_threshold", float("nan")),
+        ("max_rebalance_moves", -1),
+    ])
+    def test_bad_value_fails_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ShardConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_cells", 1),                # sharding inert
+        ("rebalance_every", 0),        # periodic rebalancing off
+        ("rebalance_threshold", 0.0),
+        ("max_rebalance_moves", 0),
+    ])
+    def test_edge_values_stay_valid(self, field, value):
+        assert getattr(ShardConfig(**{field: value}), field) == value
+
+    def test_with_sharding_validates(self):
+        with pytest.raises(ValueError, match="n_cells"):
+            DEFAULT_SIM_CONFIG.with_sharding(0)
+
+
+class TestMemoryConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("fixed_alpha", -0.1),
+        ("fixed_alpha", 1.5),
+        ("fixed_alpha", float("nan")),
+        ("alpha_step", 0.0),
+        ("alpha_step", -0.05),
+        ("adjust_every", 0),
+        ("target_pressure", 0.0),
+        ("target_pressure", 1.01),
+        ("tolerance", -0.01),
+    ])
+    def test_bad_value_fails_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MemoryConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("fixed_alpha", None),         # per-job hill climbing
+        ("fixed_alpha", 0.0),
+        ("fixed_alpha", 1.0),
+        ("adjust_every", 1),
+        ("target_pressure", 1.0),
+        ("tolerance", 0.0),
+    ])
+    def test_edge_values_stay_valid(self, field, value):
+        assert getattr(MemoryConfig(**{field: value}), field) == value
 
 
 class TestErrorHierarchy:

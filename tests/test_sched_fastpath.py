@@ -1,6 +1,7 @@
 """Differential tests pinning the incremental scheduler to the frozen
-reference implementation, plus regressions for the plan cache, warm
-starts, the closed-form allocator, and the §IV-B4 plan patch."""
+reference implementation (``tests/sched_oracle.py``), plus regressions
+for the plan cache, warm starts, the closed-form allocator, and the
+§IV-B4 plan patch."""
 
 import numpy as np
 import pytest
@@ -13,16 +14,17 @@ from repro.core.allocation import allocate_machines
 from repro.core.grouping import assign_jobs
 from repro.core.master import HarmonyMaster
 from repro.core.profiler import JobMetrics, Profiler
-from repro.core.reference import (
+from repro.core.regroup import splice_plan
+from repro.core.scheduler import HarmonyScheduler, PlanCache, _CACHE_MISS
+from repro.experiments import sched_churn
+from repro.metrics.utilization import ClusterUsageRecorder
+from repro.sim import RandomStreams, Simulator
+from repro.workloads.costmodel import CostModel
+from tests.sched_oracle import (
     ReferenceScheduler,
     reference_allocate_machines,
     reference_assign_jobs,
 )
-from repro.core.regroup import splice_plan
-from repro.core.scheduler import HarmonyScheduler, PlanCache, _CACHE_MISS
-from repro.metrics.utilization import ClusterUsageRecorder
-from repro.sim import RandomStreams, Simulator
-from repro.workloads.costmodel import CostModel
 
 ORDERS = ("critical", "sjf", "ljf", "interleave")
 
@@ -121,6 +123,37 @@ class TestSchedulerDifferential:
         ref = ReferenceScheduler(config=config).schedule(
             jobs, scenario.n_machines)
         assert fast == ref
+
+    def test_churn_stream_matches_reference(self):
+        """The one differential that carries scheduler state across
+        calls: a seeded stream of arrivals, completions, profile
+        updates and checks, replayed with the plan cache, profiler
+        invalidation and §IV-B4 patches against the reference
+        rescheduling every event from scratch.  Both replays see the
+        same pool at every event, so their score streams align."""
+        profiles = sched_churn._base_profiles(60, 2021)
+        events = sched_churn.generate_stream(profiles, 30, 60, seed=2022)
+        threshold = SchedulerConfig().regroup_benefit_threshold
+        fast = sched_churn.replay(
+            HarmonyScheduler(), profiles, events, 30, 200, "fast",
+            use_patch=True, regroup_threshold=threshold)
+        reference = sched_churn.replay(
+            ReferenceScheduler(), profiles, events, 30, 200, "reference",
+            use_patch=False, regroup_threshold=threshold)
+
+        assert fast.cache_hits > 0
+        assert fast.warm_start_reuses > 0
+        assert fast.n_patched > 0
+        assert len(fast.scores) == len(reference.scores)
+        for (kind, score), (_, ref_score) in zip(fast.scores,
+                                                 reference.scores,
+                                                 strict=True):
+            if kind == "patched":
+                # The splice keeps the previous grouping by design; it
+                # must stay close to the reschedule the reference ran.
+                assert score >= ref_score * 0.90
+            else:
+                assert score == ref_score
 
     @settings(max_examples=40, deadline=None)
     @given(values=st.lists(st.tuples(st.floats(0.01, 80.0),
@@ -231,20 +264,13 @@ class TestPlanCache:
         assert cache.get(("k0", 1, 10), (jobs[0],)) is _CACHE_MISS
         assert cache.get(("k2", 1, 10), (jobs[2],)) is None
 
-    def test_cache_disabled_by_config(self):
-        scheduler = HarmonyScheduler(
-            config=SchedulerConfig(plan_cache_entries=0))
-        assert scheduler.plan_cache is None
-        jobs = self.pool()
-        plan = scheduler.schedule(jobs, 60)
-        assert plan == ReferenceScheduler().schedule(jobs, 60)
-        assert scheduler.last_stats.cache_hits == 0
-
     def test_warm_starts_engage_without_cache(self):
-        scheduler = HarmonyScheduler(
-            config=SchedulerConfig(plan_cache_entries=0))
+        """A cold scheduler's first call has nothing cached, yet nested
+        prefixes still warm-start their sort orders."""
+        scheduler = HarmonyScheduler()
         scheduler.schedule(self.pool(), 60)
         stats = scheduler.last_stats
+        assert stats.cache_hits == 0
         assert stats.warm_start_reuses > 0
         assert stats.fast_path
 
