@@ -6,8 +6,9 @@ delegated to a :class:`~repro.policies.base.SchedulingPolicy`.  The
 master observes (queue, free machines, running groups), the policy
 decides (:class:`~repro.policies.base.PolicyDecision`), and the master
 applies the starts and re-asks until a pass makes no progress.  The
-ledgers, the group start/stop lifecycle and the run loop are the ones
-Harmony's master and runtime use (:class:`~repro.core.master.MasterBase`,
+ledgers, the group start/stop lifecycle, the decision-application path
+and the run loop are the ones Harmony's master and runtime use
+(:class:`~repro.core.master.MasterBase`,
 :class:`~repro.core.runtime.RuntimeBase`).
 
 The historical baselines are one policy family at fixed parameters:
@@ -29,13 +30,12 @@ from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.group_runtime import ExecutionMode, GroupRuntime
 from repro.core.job import Job, JobState
 from repro.core.master import MasterBase
-from repro.core.perfmodel import PerfModel
 from repro.core.profiler import JobMetrics
 from repro.core.runtime import RuntimeBase
 from repro.errors import SimulationError
 from repro.metrics.utilization import ClusterUsageRecorder
 from repro.policies.base import (
-    PolicyDecision,
+    GroupStart,
     PolicyObservation,
     RunningGroupView,
     SchedulingPolicy,
@@ -85,10 +85,6 @@ class BaselineMaster(MasterBase):
         # pass, as is the memory floor behind it.
         self._machines_cache: dict[tuple[str, ...], int] = {}
         self._metrics_cache: dict[tuple[str, int], JobMetrics] = {}
-        #: Eq. 1 model for the running-group release predictions the
-        #: reservation-backfill policies observe.
-        self._perf_model = PerfModel(
-            cpu_weight=config.scheduler.cpu_weight)
         #: group_id -> predicted machine-release time, frozen at start.
         self._release_predictions: dict[str, float] = {}
         self._shuffle_rng = None
@@ -152,9 +148,6 @@ class BaselineMaster(MasterBase):
     def _demand_for_ids(self, job_ids: tuple[str, ...]) -> int:
         return self.machines_for(self._specs_of(job_ids))
 
-    def _floor_for_ids(self, job_ids: tuple[str, ...]) -> int:
-        return self._specs_floor(self._specs_of(job_ids))
-
     def _dominated_for_ids(self, job_ids: tuple[str, ...],
                            wanted: int) -> bool:
         return self._memory_dominated(self._specs_of(job_ids), wanted)
@@ -182,7 +175,7 @@ class BaselineMaster(MasterBase):
         """Live groups with Eq. 1 release predictions, sorted by id.
 
         The release prediction is frozen at group start (see
-        ``_start``), *not* recomputed from live iteration counters: the
+        ``_admit``), *not* recomputed from live iteration counters: the
         batched fast path advances ``remaining_iterations`` in bulk, so
         observing it mid-run would make policy decisions depend on the
         simulation engine.
@@ -210,7 +203,7 @@ class BaselineMaster(MasterBase):
             n_free=self.cluster.n_free,
             queue=tuple(self._queue),
             batch_demand=self._demand_for_ids,
-            memory_floor=self._floor_for_ids,
+            memory_floor=self._memory_floor,
             memory_dominated=self._dominated_for_ids,
             metrics_at=self._metrics_at,
             remaining_iterations=self._remaining_iterations,
@@ -220,50 +213,24 @@ class BaselineMaster(MasterBase):
     def _pump(self) -> None:
         """Ask the policy for admission passes until one makes no
         progress (the policy sees the post-start cluster each time)."""
-        while True:
-            decision = self.policy.decide(self._observe())
-            if not decision.starts or not self._apply(decision):
-                return
+        while self._apply(self.policy.decide(self._observe()), self._queue):
+            pass
 
-    def _apply(self, decision: PolicyDecision) -> bool:
-        """Start every applicable group of a decision, in order.
-
-        A start referencing jobs no longer queued, or machines no
-        longer free, is skipped (policies reason about a snapshot; the
-        master owns the ledger) — skipping everything ends the pump.
-        """
-        applied = False
-        queued = set(self._queue)
-        for start in decision.starts:
-            ids = start.job_ids
-            if len(set(ids)) != len(ids) \
-                    or any(job_id not in queued for job_id in ids):
-                continue
-            if start.n_machines > self.cluster.n_free:
-                continue
-            for job_id in ids:
-                self._queue.remove(job_id)
-                queued.discard(job_id)
-            batch = [self.jobs[job_id] for job_id in ids]
-            self._start(batch, start.n_machines, start.start_offsets)
-            applied = True
-        return applied
-
-    def _start(self, batch: Sequence[Job], n_machines: int,
-               start_offsets: Sequence[float] | None = None) -> None:
-        group = self._start_group(n_machines)
+    def _admit(self, group: GroupRuntime, start: GroupStart) -> None:
+        batch = [self.jobs[job_id] for job_id in start.job_ids]
+        for job in batch:
+            self._queue.remove(job.job_id)
         # Freeze the Eq. 1 release prediction now, from decision-time
         # state only, so later observations are engine-independent.
-        estimate = self._perf_model.estimate_group(
-            [self._metrics_at(job.job_id, n_machines) for job in batch],
-            n_machines)
+        m = group.n_machines
+        estimate = self.perf_model.estimate_group(
+            [self._metrics_at(job.job_id, m) for job in batch], m)
         remaining = max(job.remaining_iterations for job in batch)
         self._release_predictions[group.group_id] = \
             self.sim.now + remaining * estimate.t_group_iteration
-        for index, job in enumerate(batch):
+        offsets = start.start_offsets or (0.0,) * len(batch)
+        for job, delay in zip(batch, offsets, strict=True):
             job.state = JobState.RUNNING  # queue policies do not profile
-            delay = (start_offsets[index] if start_offsets is not None
-                     else 0.0)
             if not group.add_job(job, start_delay=delay):
                 # No spill support: the job physically does not fit.
                 job.state = JobState.FAILED

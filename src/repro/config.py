@@ -282,6 +282,15 @@ class PolicyConfig:
     #: 1.0 = perfectly job-bound interleave) to accept a partner.
     interleave_compat_threshold: float = 0.85
 
+    def __post_init__(self):
+        _check_rules(self, (
+            ("queue_dop_scale", self.queue_dop_scale > 0, "> 0"),
+            ("max_group_jobs", self.max_group_jobs >= 1, ">= 1"),
+            ("pack_gain_threshold", self.pack_gain_threshold >= 0, ">= 0"),
+            ("interleave_compat_threshold",
+             0.0 <= self.interleave_compat_threshold <= 1.0, "in [0, 1]"),
+        ))
+
 
 @dataclass(frozen=True)
 class SimConfig:

@@ -704,14 +704,3 @@ class GroupRuntime:
             cpu_serial=coordinated,
             net_rate_cap=(1.0 + execution.secondary_comm_rate
                           if coordinated else 1.0))
-
-    # -- measurements ------------------------------------------------------------------
-
-    def measured_group_iteration(self, since: float = 0.0) -> float | None:
-        """Mean per-job cycle duration in steady state (Fig. 13b's
-        measured ``T_g_itr``); None when nothing completed yet."""
-        durations = [c.duration for c in self.cycles
-                     if c.finished_at >= since]
-        if not durations:
-            return None
-        return sum(durations) / len(durations)

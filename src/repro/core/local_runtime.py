@@ -72,10 +72,6 @@ class LocalJobResult:
     final_params: dict[str, np.ndarray]
     bytes_moved: int
 
-    @property
-    def converged_loss(self) -> float:
-        return self.losses[-1]
-
 
 class _LossBoard:
     """Synchronous per-epoch loss aggregation + convergence decision.
@@ -265,9 +261,6 @@ class LocalHarmonyRuntime:
         if self.coordinate:
             return token
         return _NullContext()
-
-    def _profile(self, job: LocalJob, worker_id: int, epoch: int) -> None:
-        """Hook point for subclasses (kept trivial here)."""
 
 
 class _NullContext:

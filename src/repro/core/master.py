@@ -15,15 +15,16 @@ realizes §IV-B2's "constantly seeks for higher resource utilization"
 under the 5% benefit threshold.
 
 :class:`MasterBase` holds what this master shares with the queue-policy
-master (:mod:`repro.baselines.base`): the job and group ledgers and
-the group start/stop lifecycle.
+master (:mod:`repro.baselines.base`): the job and group ledgers, the
+group start/stop lifecycle, and the one path that turns a
+:class:`~repro.policies.base.PolicyDecision` into running groups.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.cluster.cluster import Cluster
@@ -45,6 +46,8 @@ from repro.metrics.utilization import (
     DecisionRecord,
     busy_fraction,
 )
+from repro.policies.base import GroupStart, PolicyDecision
+from repro.policies.planner import plan_decision
 from repro.sim import RandomStreams, Simulator
 from repro.workloads.apps import JobSpec
 from repro.workloads.costmodel import CostModel
@@ -81,9 +84,12 @@ class MasterBase:
     group allocates machines, builds its :class:`GroupRuntime` and opens
     its usage record; stopping one (drained or crashed) keeps its audit
     and cycles, closes the record and frees the machines.  Subclasses
-    decide which groups to start and when.  They set ``mode`` (the
-    groups' execution discipline) and ``group_prefix``: group ids key
-    the groups' RNG stream names, so each master keeps its prefix.
+    decide which groups to start and when, as a
+    :class:`~repro.policies.base.PolicyDecision` that :meth:`_apply`
+    carries out, and place each started group's jobs in
+    :meth:`_admit`.  They set ``mode`` (the groups' execution
+    discipline) and ``group_prefix``: group ids key the groups' RNG
+    stream names, so each master keeps its prefix.
     """
 
     group_prefix: str
@@ -99,6 +105,8 @@ class MasterBase:
         self.config = config
         self.streams = streams
         self.recorder = recorder
+        #: Eq. 1-3 model behind the master's predictions.
+        self.perf_model = PerfModel(cpu_weight=config.scheduler.cpu_weight)
         self.jobs: dict[str, Job] = {}
         self.groups: dict[str, GroupRuntime] = {}
         #: Cycle records of groups that have been torn down.
@@ -175,6 +183,41 @@ class MasterBase:
         self.cluster.release_all(group.group_id)
         return victims
 
+    def _apply(self, decision: PolicyDecision,
+               eligible: Iterable[str]) -> bool:
+        """Start every applicable group of ``decision``, in order.
+
+        The only code that turns a decision into running groups.  A
+        start is stale, and skipped, when its ids repeat, when one of
+        them is not (or no longer) ``eligible``, or when it wants more
+        machines than are free: deciders reason about a snapshot, the
+        master owns the ledger.  Returns whether anything started.
+        """
+        eligible = set(eligible)
+        applied = False
+        for start in decision.starts:
+            ids = start.job_ids
+            if len(set(ids)) != len(ids) or not eligible.issuperset(ids) \
+                    or start.n_machines > self.cluster.n_free:
+                continue
+            eligible.difference_update(ids)
+            self._admit(self._start_group(start.n_machines), start)
+            applied = True
+        return applied
+
+    def _admit(self, group: GroupRuntime, start: GroupStart) -> None:
+        """Place ``start``'s jobs into ``group``, just started for it."""
+        raise NotImplementedError
+
+    def _memory_floor(self, job_ids: Sequence[str]) -> int:
+        """:meth:`_specs_floor` of the given jobs, by id."""
+        # Schedulers and policies ask on every candidate group: answer
+        # cache hits by id before building the spec list.
+        cached = self._floor_cache.get(tuple(job_ids))
+        if cached is not None:
+            return cached
+        return self._specs_floor([self.jobs[jid].spec for jid in job_ids])
+
     def _specs_floor(self, specs: Sequence[JobSpec]) -> int:
         """Smallest machine count where ``specs`` co-locate within the
         target memory pressure (cluster size + 1 if they never do)."""
@@ -246,8 +289,8 @@ class HarmonyMaster(MasterBase):
                          recorder, floor_alpha=alpha,
                          floor_spills_model=memory.spill_enabled)
         self.profiler = Profiler(ema_alpha=config.scheduler.ema_alpha)
-        self.perf_model = perf_model if perf_model is not None \
-            else PerfModel(cpu_weight=config.scheduler.cpu_weight)
+        if perf_model is not None:
+            self.perf_model = perf_model
         # The scheduling algorithm is pluggable so the §V-F Oracle can
         # drive the very same master (Fig. 14's comparison).  With
         # ShardConfig.n_cells > 1 the default becomes the
@@ -461,6 +504,9 @@ class HarmonyMaster(MasterBase):
         exceptions ... a machine/process failure may have an impact on
         all co-located jobs"; the :mod:`repro.faults` injector marks
         the machine failed first and repairs it after a downtime).
+        The health monitor calls this on heartbeat loss, once the
+        detection latency has elapsed on the simulator clock, so
+        recovery measurements include it.
         """
         owner = self.cluster.owner_of(machine_id)
         group = self.groups.get(owner) if owner else None
@@ -510,18 +556,6 @@ class HarmonyMaster(MasterBase):
         self._check_rebuild()
         self._pump()
         return [job.job_id for job in victims]
-
-    def on_machine_failure(self, machine_id: int,
-                           fault_record: FaultRecord | None = None,
-                           ) -> list[str]:
-        """Heartbeat-loss entry point (called by the health monitor).
-
-        The crash path is the same as direct injection; detection
-        latency has already elapsed on the simulator clock, so recovery
-        measurements naturally include it.
-        """
-        return self.inject_machine_failure(machine_id,
-                                           fault_record=fault_record)
 
     def machine_repaired(self, machine_id: int) -> None:
         """A failed machine rejoined the pool: admit waiting work."""
@@ -804,16 +838,12 @@ class HarmonyMaster(MasterBase):
         if free < 1 or not paused:
             return
         plan = self.scheduler.schedule(paused, free)
-        if plan is None:
-            return
-        for group_plan in plan.groups:
-            jobs = [self.jobs[jid] for jid in group_plan.job_ids
-                    if not self.jobs[jid].is_done]
-            if not jobs or group_plan.n_machines > self.cluster.n_free:
-                continue
-            group = self._start_group(group_plan.n_machines)
-            for job in jobs:
-                self._resume_into(job, group)
+        self._apply(plan_decision(plan, free),
+                    (metrics.job_id for metrics in paused))
+
+    def _admit(self, group: GroupRuntime, start: GroupStart) -> None:
+        for job_id in start.job_ids:
+            self._resume_into(self.jobs[job_id], group)
 
     # ------------------------------------------------------ plan application
 
@@ -1072,17 +1102,6 @@ class HarmonyMaster(MasterBase):
             exclude_groups=tuple(sorted(exclude)))
         estimates.extend(group.estimate for group in plan.groups)
         return self._score_estimates(estimates)
-
-    def _memory_floor(self, job_ids: Sequence[str]) -> int:
-        """Smallest machine count where the given jobs co-locate near the
-        target memory pressure, assuming maximal input spill (the
-        scheduler's feasibility view, based on sampled sizes)."""
-        # The scheduler asks on every candidate group: answer cache hits
-        # by id before building the spec list.
-        cached = self._floor_cache.get(tuple(job_ids))
-        if cached is not None:
-            return cached
-        return self._specs_floor([self.jobs[jid].spec for jid in job_ids])
 
     # ------------------------------------------------- decision bookkeeping
 

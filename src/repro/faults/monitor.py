@@ -95,5 +95,5 @@ class HealthMonitor:
                               "latency": now - self._last_beat[machine_id]})
                 if self.log is not None and record is not None:
                     self.log.crash_detected(record, at=now)
-                self.master.on_machine_failure(machine_id,
-                                               fault_record=record)
+                self.master.inject_machine_failure(machine_id,
+                                                   fault_record=record)

@@ -107,9 +107,6 @@ class FaultLog:
     def pending_recoveries(self) -> tuple[str, ...]:
         return tuple(sorted(self._open))
 
-    def is_recovering(self, job_id: str) -> bool:
-        return job_id in self._open
-
     def summary(self) -> FaultSummary:
         crashes = [r for r in self.records if r.kind == "machine_crash"]
         detections = [r.detection_seconds for r in crashes

@@ -9,7 +9,7 @@ grouping math versus from the runtime adaptation loop.
 
 from __future__ import annotations
 
-from repro.core.scheduler import ORDERING_DOP
+from repro.core.scheduler import ORDERING_DOP, SchedulePlan
 from repro.policies.base import (
     GroupStart,
     PolicyDecision,
@@ -48,14 +48,17 @@ class HarmonyPlanPolicy:
             pool.append(obs.metrics_at(job_id, characterize_at))
         if not pool:
             return PolicyDecision(())
-        plan = self._scheduler.schedule(pool, obs.n_free)
-        if plan is None:
-            return PolicyDecision(())
-        starts: list[GroupStart] = []
-        free = obs.n_free
-        for group in plan.groups:
-            if group.n_machines <= free:
-                starts.append(GroupStart(group.job_ids,
-                                         group.n_machines))
-                free -= group.n_machines
-        return PolicyDecision(tuple(starts))
+        return plan_decision(self._scheduler.schedule(pool, obs.n_free),
+                             obs.n_free)
+
+
+def plan_decision(plan: SchedulePlan | None, n_free: int) -> PolicyDecision:
+    """Start each group of an Algorithm 1 plan as-is, in plan order,
+    skipping a group once the earlier ones leave too few of ``n_free``
+    machines (no starts when there is no plan)."""
+    starts: list[GroupStart] = []
+    for group in plan.groups if plan is not None else ():
+        if group.n_machines <= n_free:
+            starts.append(GroupStart(group.job_ids, group.n_machines))
+            n_free -= group.n_machines
+    return PolicyDecision(tuple(starts))

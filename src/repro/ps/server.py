@@ -39,11 +39,6 @@ class PSServer:
         for key, value in values.items():
             self.store.init(key, value)
 
-    @property
-    def completed_clock(self) -> int:
-        with self._condition:
-            return self._completed_clock
-
     # -- the PS protocol -----------------------------------------------------
 
     def handle_pull(self, keys: list[str],

@@ -143,8 +143,3 @@ class JobSpec:
         return (f"{self.job_id}: {self.app.name}/{self.dataset.name} "
                 f"cs={self.compute_scale:.2f} ms={self.model_scale:.2f} "
                 f"iters={self.iterations}")
-
-
-def job_key(spec: JobSpec) -> tuple[str, str]:
-    """Stable (app, dataset) identity used in reports."""
-    return (spec.app.name, spec.dataset.name)

@@ -14,6 +14,7 @@ from repro.config import (
     MB,
     MachineSpec,
     MemoryConfig,
+    PolicyConfig,
     SchedulerConfig,
     ShardConfig,
 )
@@ -213,6 +214,32 @@ class TestMemoryConfig:
     ])
     def test_edge_values_stay_valid(self, field, value):
         assert getattr(MemoryConfig(**{field: value}), field) == value
+
+
+class TestPolicyConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("queue_dop_scale", 0.0),
+        ("queue_dop_scale", -0.5),
+        ("queue_dop_scale", float("nan")),
+        ("max_group_jobs", 0),
+        ("pack_gain_threshold", -0.01),
+        ("pack_gain_threshold", float("nan")),
+        ("interleave_compat_threshold", -0.01),
+        ("interleave_compat_threshold", 1.01),
+        ("interleave_compat_threshold", float("nan")),
+    ])
+    def test_bad_value_fails_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PolicyConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_group_jobs", 1),         # no co-location
+        ("pack_gain_threshold", 0.0),
+        ("interleave_compat_threshold", 0.0),
+        ("interleave_compat_threshold", 1.0),
+    ])
+    def test_edge_values_stay_valid(self, field, value):
+        assert getattr(PolicyConfig(**{field: value}), field) == value
 
 
 class TestErrorHierarchy:

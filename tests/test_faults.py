@@ -184,7 +184,7 @@ class _RecordingMaster:
         self.failures: list[tuple[int, float]] = []
         self.sim = None
 
-    def on_machine_failure(self, machine_id, fault_record=None):
+    def inject_machine_failure(self, machine_id, fault_record=None):
         self.failures.append((machine_id, self.sim.now))
         return []
 

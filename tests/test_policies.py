@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +24,9 @@ from repro.config import SimConfig
 from repro.core.group_runtime import ExecutionMode
 from repro.errors import SchedulingError, SimulationError
 from repro.policies.base import (
+    FunctionPolicy,
     GroupStart,
+    PolicyDecision,
     PolicyObservation,
     RunningGroupView,
     SchedulingPolicy,
@@ -35,6 +38,7 @@ from repro.policies.queueing import (
     fcfs,
     packed_fifo,
 )
+from repro.policies.planner import plan_decision
 from repro.policies.registry import available, build_runtime
 from repro.workloads.generator import WorkloadGenerator
 
@@ -215,6 +219,93 @@ class TestCompetitorRuntimes:
             RandomStreams(7), hooks=_InertHooks())
         with pytest.raises(SimulationError):
             group.add_job(Job(jobs[0]), start_delay=-1.0)
+
+
+class _StaleStartPolicy:
+    """fcfs, with stale starts around its own each pass: ahead of them,
+    one naming a job started in an earlier pass, one repeating an id
+    and one wider than the free machines; after them, a one-machine
+    start of the jobs its first start just took."""
+
+    name = "stale-starts"
+
+    def __init__(self):
+        self.inner = fcfs()
+        self.seen: list[str] = []
+        self.emitted = {"started-earlier": 0, "started-now": 0,
+                        "repeated": 0, "too-wide": 0}
+
+    def decide(self, obs):
+        self.seen += [job_id for job_id in obs.queue
+                      if job_id not in self.seen]
+        stale = []
+        started = [job_id for job_id in self.seen
+                   if job_id not in obs.queue]
+        if started:
+            stale.append(GroupStart((started[0],), 1))
+            self.emitted["started-earlier"] += 1
+        if obs.queue:
+            head = obs.queue[0]
+            stale.append(GroupStart((head, head), 1))
+            stale.append(GroupStart((head,), obs.n_free + 1))
+            self.emitted["repeated"] += 1
+            self.emitted["too-wide"] += 1
+        starts = self.inner.decide(obs).starts
+        if starts:
+            starts += (GroupStart(starts[0].job_ids, 1),)
+            self.emitted["started-now"] += 1
+        return PolicyDecision(tuple(stale) + starts)
+
+
+class TestStaleStarts:
+    """MasterBase._apply skips stale starts: the run is the one the
+    policy's valid starts alone would give."""
+
+    def test_stale_starts_start_no_group(self):
+        jobs = WorkloadGenerator(5).base_workload(hyper_params_per_pair=1)
+        policy = _StaleStartPolicy()
+
+        def run(policy):
+            runtime = BaselineRuntime(20, jobs, mode=ExecutionMode.ISOLATED,
+                                      name=policy.name, policy=policy)
+            return runtime, runtime.run()
+
+        stale_rt, stale = run(policy)
+        plain_rt, plain = run(fcfs())
+        assert all(count > 0 for count in policy.emitted.values())
+        assert len(stale.finished) == len(jobs)
+        assert not stale.failed
+        assert len(stale_rt.master.group_audits) == \
+            len(plain_rt.master.group_audits) == len(jobs)
+        # harmony: allow[DET006] skipped starts must not move a float
+        assert stale.jcts == plain.jcts
+
+    def test_a_pass_of_only_stale_starts_ends_the_pump(self):
+        # Every pass carries a start for a job id the master never saw;
+        # once fcfs has nothing to start, that start alone must end the
+        # pump rather than start a group or loop.
+        jobs = WorkloadGenerator(5).base_workload(hyper_params_per_pair=1)
+        runtime = BaselineRuntime(
+            20, jobs, mode=ExecutionMode.ISOLATED, name="ghost",
+            policy=FunctionPolicy("ghost", lambda obs: PolicyDecision(
+                (GroupStart(("ghost",), 1),) + fcfs().decide(obs).starts)))
+        result = runtime.run()
+        assert len(result.finished) == len(jobs)
+        assert "ghost" not in runtime.master.jobs
+
+
+class TestPlanDecision:
+    def test_no_plan_starts_nothing(self):
+        assert plan_decision(None, 8) == PolicyDecision(())
+
+    def test_groups_that_no_longer_fit_are_skipped_in_order(self):
+        plan = SimpleNamespace(groups=[
+            SimpleNamespace(job_ids=("a",), n_machines=5),
+            SimpleNamespace(job_ids=("b", "c"), n_machines=4),
+            SimpleNamespace(job_ids=("d",), n_machines=3)])
+        decision = plan_decision(plan, 8)
+        assert decision.starts == (GroupStart(("a",), 5),
+                                   GroupStart(("d",), 3))
 
 
 class TestSharedRunLoop:

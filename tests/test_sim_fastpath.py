@@ -688,7 +688,7 @@ class TestClosedFormBoundaries:
         from repro.faults.monitor import HealthMonitor
 
         class _Master:
-            def on_machine_failure(self, machine_id, fault_record=None):
+            def inject_machine_failure(self, machine_id, fault_record=None):
                 pass
 
         sim = Simulator()
