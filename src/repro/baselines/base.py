@@ -80,7 +80,7 @@ class BaselineMaster(MasterBase):
         self.policy = policy
         self.dop_scale = dop_scale
         self._queue: list[str] = []
-        # machines_for is pure in the batch's specs (the cost model and
+        # machines_for is pure in the batch's jobs (the cost model and
         # config never change mid-run) but is re-asked on every _pump
         # pass, as is the memory floor behind it.
         self._machines_cache: dict[tuple[str, ...], int] = {}
@@ -107,7 +107,7 @@ class BaselineMaster(MasterBase):
 
     # -- demand / metrics oracles -----------------------------------------------
 
-    def machines_for(self, specs: Sequence[JobSpec]) -> int:
+    def machines_for(self, job_ids: Sequence[str]) -> int:
         """Dedicated machine count for a (possibly co-located) job set.
 
         Balances computation against communication per job — "we try to
@@ -115,42 +115,29 @@ class BaselineMaster(MasterBase):
         overheads that occur with lower DoP" (§V-A) — while honouring
         the no-spill memory floor.
         """
-        key = tuple(spec.job_id for spec in specs)
-        cached = self._machines_cache.get(key)
-        if cached is not None:
-            return cached
-        floor = self._specs_floor(specs)
-        total_work = sum(spec.cpu_work_machine_seconds for spec in specs)
-        total_comm = sum(self.cost_model.profile(spec, 1).t_comm
-                         for spec in specs)
-        # Aggregate balance point: enough machines that the group's
-        # total COMP matches its total COMM demand.
-        balanced = total_work / max(total_comm, 1e-9)
-        wanted = int(round(balanced * self.dop_scale))
-        cap = min(MAX_DOP * len(specs), self.cluster.size)
-        result = max(floor, min(cap, wanted), 1)
-        self._machines_cache[key] = result
-        return result
+        key = tuple(job_ids)
+        machines = self._machines_cache.get(key)
+        if machines is None:
+            cap = min(MAX_DOP * len(key), self.cluster.size)
+            wanted = int(round(self._balanced(key)))
+            machines = max(self._memory_floor(key), min(cap, wanted), 1)
+            self._machines_cache[key] = machines
+        return machines
 
-    def _memory_dominated(self, specs: Sequence[JobSpec],
+    def _memory_dominated(self, job_ids: Sequence[str],
                           wanted: int) -> bool:
         """Whether a batch's allocation is driven by its memory floor
         rather than by compute/communication balance."""
+        return wanted > max(1.0, self._balanced(job_ids)) * 1.5
+
+    def _balanced(self, job_ids: Sequence[str]) -> float:
+        """Aggregate balance point, scaled by ``dop_scale``: enough
+        machines that the batch's total COMP matches its total COMM."""
+        specs = [self.jobs[job_id].spec for job_id in job_ids]
         total_work = sum(spec.cpu_work_machine_seconds for spec in specs)
         total_comm = sum(self.cost_model.profile(spec, 1).t_comm
                          for spec in specs)
-        balanced = total_work / max(total_comm, 1e-9) * self.dop_scale
-        return wanted > max(1.0, balanced) * 1.5
-
-    def _specs_of(self, job_ids: tuple[str, ...]) -> list[JobSpec]:
-        return [self.jobs[job_id].spec for job_id in job_ids]
-
-    def _demand_for_ids(self, job_ids: tuple[str, ...]) -> int:
-        return self.machines_for(self._specs_of(job_ids))
-
-    def _dominated_for_ids(self, job_ids: tuple[str, ...],
-                           wanted: int) -> bool:
-        return self._memory_dominated(self._specs_of(job_ids), wanted)
+        return total_work / max(total_comm, 1e-9) * self.dop_scale
 
     def _metrics_at(self, job_id: str, m: int) -> JobMetrics:
         """Exact (cost-model) metrics, as the profiler would converge."""
@@ -161,9 +148,6 @@ class BaselineMaster(MasterBase):
                                    self.jobs[job_id].spec, m)
             self._metrics_cache[key] = cached
         return cached
-
-    def _remaining_iterations(self, job_id: str) -> int:
-        return self.jobs[job_id].remaining_iterations
 
     def _solo_seconds(self, job_id: str, m: int) -> float:
         """Closed-form solo runtime of the remaining iterations (Eq. 1)."""
@@ -202,11 +186,10 @@ class BaselineMaster(MasterBase):
             cluster_size=self.cluster.size,
             n_free=self.cluster.n_free,
             queue=tuple(self._queue),
-            batch_demand=self._demand_for_ids,
+            batch_demand=self.machines_for,
             memory_floor=self._memory_floor,
-            memory_dominated=self._dominated_for_ids,
+            memory_dominated=self._memory_dominated,
             metrics_at=self._metrics_at,
-            remaining_iterations=self._remaining_iterations,
             solo_seconds=self._solo_seconds,
             running=self._running_views)
 

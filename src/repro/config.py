@@ -186,8 +186,7 @@ class MemoryConfig:
     #: Dead-band: overheads within this fraction of each other are
     #: considered balanced and alpha is left alone.
     tolerance: float = 0.02
-    #: Fraction of an epoch's disk traffic that overlaps with other
-    #: jobs' subtasks for free (background reloading, §IV-C).
+    #: Garbage-collection slowdown and OOM limit under memory pressure.
     gc_model: GCModel = field(default_factory=GCModel)
 
     def __post_init__(self):

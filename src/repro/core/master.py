@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.cluster.cluster import Cluster
@@ -210,22 +210,14 @@ class MasterBase:
         raise NotImplementedError
 
     def _memory_floor(self, job_ids: Sequence[str]) -> int:
-        """:meth:`_specs_floor` of the given jobs, by id."""
-        # Schedulers and policies ask on every candidate group: answer
-        # cache hits by id before building the spec list.
-        cached = self._floor_cache.get(tuple(job_ids))
-        if cached is not None:
-            return cached
-        return self._specs_floor([self.jobs[jid].spec for jid in job_ids])
-
-    def _specs_floor(self, specs: Sequence[JobSpec]) -> int:
-        """Smallest machine count where ``specs`` co-locate within the
+        """Smallest machine count where the jobs co-locate within the
         target memory pressure (cluster size + 1 if they never do)."""
-        key = tuple(spec.job_id for spec in specs)
-        cached = self._floor_cache.get(key)
-        if cached is None:
-            cached = self._floor_cache[key] = self._scan_floor(specs)
-        return cached
+        key = tuple(job_ids)
+        floor = self._floor_cache.get(key)
+        if floor is None:
+            floor = self._floor_cache[key] = self._scan_floor(
+                [self.jobs[job_id].spec for job_id in key])
+        return floor
 
     def _scan_floor(self, specs: Sequence[JobSpec]) -> int:
         budget = (self.cost_model.spec.usable_memory_bytes
@@ -584,33 +576,18 @@ class HarmonyMaster(MasterBase):
         settle = 2.0 * self.config.scheduler.reschedule_check_seconds
         if self.sim.now - self._last_apply_time < settle:
             return  # let the previous regrouping settle before re-judging
-        stable = {gid: g for gid, g in self.groups.items()
-                  if not any(j.state is JobState.PROFILING
-                             for j in g.jobs())}
-        budget = (sum(g.n_machines for g in stable.values())
-                  + self.cluster.n_free)
-        if budget < 1:
+        profiling = {gid for gid, g in self.groups.items()
+                     if any(j.state is JobState.PROFILING
+                            for j in g.jobs())}
+        stable = [g for gid, g in self.groups.items()
+                  if gid not in profiling]
+        scoped = self._plan_scope(stable)
+        if scoped is None:
             return
-        pool = [self.profiler.get(j.job_id)
-                for g in stable.values() for j in g.jobs()
-                if self.profiler.has(j.job_id)]
-        pool += self._paused_metrics()
-        if not pool:
-            return
-        plan = self.scheduler.schedule(pool, budget)
-        if plan is None:
-            return
-        current_estimates = []
-        for group in stable.values():
-            metrics = [self.profiler.get(j.job_id) for j in group.jobs()
-                       if self.profiler.has(j.job_id)]
-            if metrics:
-                current_estimates.append(self.perf_model.estimate_group(
-                    metrics, group.n_machines))
-        current = self.perf_model.score(
-            self.perf_model.cluster_utilization(current_estimates,
-                                                total_machines=budget)) \
-            if current_estimates else 0.0
+        plan, _, budget = scoped
+        current = self._score_estimates(
+            self._live_estimates(exclude_groups=profiling),
+            total_machines=budget)
         threshold = self.config.scheduler.regroup_benefit_threshold
         triggered = plan.score > current * (1.0 + threshold)
         if self._trace is not None:
@@ -633,7 +610,8 @@ class HarmonyMaster(MasterBase):
                 patched_completions=self.fast_path_replacements,
                 escalated_completions=self.full_path_regroups)
         if triggered:
-            self._apply_plan(plan, scope_group_ids=set(stable))
+            self._apply_plan(plan,
+                             scope_group_ids=self.groups.keys() - profiling)
 
     # ------------------------------------------------ profiled-job decision
 
@@ -644,21 +622,28 @@ class HarmonyMaster(MasterBase):
             return  # the in-flight regrouping will place everyone
         metrics = self.profiler.get(job.job_id)
         current_group = self.groups.get(job.group_id or "")
+        assert current_group is not None
 
-        options: list[tuple[float, str, str | None]] = []
-        options.append((self._score_with(job, placed_in=job.group_id),
-                        "stay", job.group_id))
+        def joining(group: GroupRuntime) -> float:
+            mates = self._metrics_of(group.jobs(), skip=job.job_id)
+            return self._score_estimates(
+                self._live_estimates(exclude_job=job.job_id,
+                                     exclude_groups=(group.group_id,))
+                + [self.perf_model.estimate_group(mates + [metrics],
+                                                  group.n_machines)])
+
+        options: list[tuple[float, str, str | None]] = [
+            (joining(current_group), "stay", current_group.group_id)]
         for group_id, group in self.groups.items():
-            if group_id == job.group_id or not group.can_admit(job):
-                continue
-            options.append((self._score_with(job, placed_in=group_id),
-                            "move", group_id))
+            if group is not current_group and group.can_admit(job):
+                options.append((joining(group), "move", group_id))
+        rest = self._live_estimates(exclude_job=job.job_id)
         new_m = self._balanced_machines(metrics)
         if new_m is not None:
-            options.append((self._score_with(job, new_group_m=new_m),
-                            "new", None))
-        options.append((self._score_with(job, placed_in=None),
-                        "wait", None))
+            options.append((self._score_estimates(
+                rest + [self.perf_model.estimate_group([metrics], new_m)]),
+                "new", None))
+        options.append((self._score_estimates(rest), "wait", None))
 
         options.sort(key=lambda option: -option[0])
         score, action, target_id = options[0]
@@ -668,18 +653,13 @@ class HarmonyMaster(MasterBase):
                           n_options=len(options))
         if action == "stay":
             job.transition(JobState.RUNNING)
-        elif action == "move":
+            return
+        if action == "move":
             self._pending_moves[job.job_id] = target_id  # type: ignore[arg-type]
-            assert current_group is not None
-            current_group.request_pause(job.job_id)
         elif action == "new":
             group = self._start_group(new_m)  # type: ignore[arg-type]
             self._pending_moves[job.job_id] = group.group_id
-            assert current_group is not None
-            current_group.request_pause(job.job_id)
-        else:  # wait
-            assert current_group is not None
-            current_group.request_pause(job.job_id)
+        current_group.request_pause(job.job_id)
 
     def _balanced_machines(self, metrics: JobMetrics) -> int | None:
         """Machine count balancing one job's CPU and network use, capped
@@ -712,7 +692,7 @@ class HarmonyMaster(MasterBase):
             return
         target = self.profiler.get(finished.job_id)
         m = group.n_machines
-        candidates = self._paused_metrics()
+        candidates = self._metrics_of(self.jobs_in_state(JobState.PAUSED))
 
         replacement = find_similar_job(candidates, target, m, threshold)
         if replacement is not None:
@@ -754,8 +734,7 @@ class HarmonyMaster(MasterBase):
         regroup threshold means the patched group would leave enough
         utilization on the table that full Algorithm 1 is warranted.
         """
-        survivors = [self.profiler.get(j.job_id) for j in group.jobs()
-                     if self.profiler.has(j.job_id)]
+        survivors = self._metrics_of(group.jobs())
         rest = self._live_estimates(
             exclude_groups=(group.group_id,))
         m = group.n_machines
@@ -784,36 +763,20 @@ class HarmonyMaster(MasterBase):
         whole cluster and the smallest-scope plan wins unless a larger
         one beats it by more than the 5% preference.
         """
-        paused = self._paused_metrics()
         others = sorted((g for g in self.groups.values()
-                         if g.group_id != anchor.group_id),
-                        key=lambda g: g.n_jobs)
-        scopes: list[list[GroupRuntime]] = []
-        scope: list[GroupRuntime] = [anchor]
-        scopes.append(list(scope))
-        for group in others[:_MAX_ESCALATION_GROUPS]:
-            scope.append(group)
-            scopes.append(list(scope))
-
+                         if g is not anchor), key=lambda g: g.n_jobs)
         evaluated: list[tuple[int, float, SchedulePlan,
                               set[str]]] = []
-        for scope_groups in scopes:
-            scope_ids = {g.group_id for g in scope_groups}
-            scope_jobs = [self.profiler.get(j.job_id)
-                          for g in scope_groups for j in g.jobs()
-                          if self.profiler.has(j.job_id)
-                          and j.state is not JobState.PROFILING]
-            pool = scope_jobs + paused
-            if not pool:
+        for k in range(min(len(others), _MAX_ESCALATION_GROUPS) + 1):
+            scope = [anchor, *others[:k]]
+            scoped = self._plan_scope(scope)
+            if scoped is None:
                 continue
-            budget = (sum(g.n_machines for g in scope_groups)
-                      + self.cluster.n_free)
-            if budget < 1:
-                continue
-            plan = self.scheduler.schedule(pool, budget)
-            if plan is None:
-                continue
-            score = self._score_plan_with_rest(plan, exclude=scope_ids)
+            plan, pool, _ = scoped
+            scope_ids = {g.group_id for g in scope}
+            score = self._score_estimates(
+                self._live_estimates(exclude_groups=scope_ids)
+                + [group.estimate for group in plan.groups])
             evaluated.append((len(pool), score, plan, scope_ids))
 
         if not evaluated:
@@ -823,23 +786,41 @@ class HarmonyMaster(MasterBase):
             preference=self.config.scheduler.fewer_jobs_preference)
         assert chosen_index is not None
         _, score, plan, scope_ids = evaluated[chosen_index]
-        current = self._score_current()
+        current = self._score_estimates(self._live_estimates())
         threshold = self.config.scheduler.regroup_benefit_threshold
         if score <= current * (1.0 + threshold):
             return  # expected benefit below 5% of U: skip regrouping
         self._apply_plan(plan, scope_group_ids=scope_ids)
 
+    def _plan_scope(self, groups: Sequence[GroupRuntime]) -> \
+            tuple[SchedulePlan, list[JobMetrics], int] | None:
+        """Algorithm 1 over ``groups`` and the idle capacity.
+
+        The pool is the scope's jobs that have metrics and are not still
+        profiling, plus every paused job; the budget is the scope's
+        machines plus the free ones.  The periodic check, the §IV-B4
+        escalation and free-machine admission all plan through here.
+        Returns ``(plan, pool, budget)``, or None when there is nothing
+        to plan or no plan fits.
+        """
+        budget = sum(g.n_machines for g in groups) + self.cluster.n_free
+        pool = self._metrics_of(j for g in groups for j in g.jobs()
+                                if j.state is not JobState.PROFILING)
+        pool += self._metrics_of(self.jobs_in_state(JobState.PAUSED))
+        if budget < 1 or not pool:
+            return None
+        plan = self.scheduler.schedule(pool, budget)
+        return None if plan is None else (plan, pool, budget)
+
     # --------------------------------------------------- waiting-pool drain
 
     def _admit_paused_to_free_machines(self) -> None:
         """Build new groups for paused jobs when machines are idle."""
-        free = self.cluster.n_free
-        paused = self._paused_metrics()
-        if free < 1 or not paused:
-            return
-        plan = self.scheduler.schedule(paused, free)
-        self._apply(plan_decision(plan, free),
-                    (metrics.job_id for metrics in paused))
+        scoped = self._plan_scope(())
+        if scoped is not None:
+            plan, pool, budget = scoped
+            self._apply(plan_decision(plan, budget),
+                        (metrics.job_id for metrics in pool))
 
     def _admit(self, group: GroupRuntime, start: GroupStart) -> None:
         for job_id in start.job_ids:
@@ -1016,10 +997,12 @@ class HarmonyMaster(MasterBase):
 
     # ------------------------------------------------------ scoring helpers
 
-    def _paused_metrics(self) -> list[JobMetrics]:
-        return [self.profiler.get(job.job_id)
-                for job in self.jobs_in_state(JobState.PAUSED)
-                if self.profiler.has(job.job_id)]
+    def _metrics_of(self, jobs: Iterable[Job],
+                    skip: str | None = None) -> list[JobMetrics]:
+        """The profiled metrics of ``jobs`` (bar ``skip``), in order."""
+        profiler = self.profiler
+        return [profiler.get(job.job_id) for job in jobs
+                if job.job_id != skip and profiler.has(job.job_id)]
 
     def _on_metrics_published(self, job_id: str) -> None:
         """Profiler listener: drop estimates that may mention the job."""
@@ -1043,16 +1026,14 @@ class HarmonyMaster(MasterBase):
             self.estimate_cache_hits += 1
             return self._estimate_cache[key]
         self.estimate_cache_misses += 1
-        metrics = [self.profiler.get(j.job_id) for j in group.jobs()
-                   if self.profiler.has(j.job_id)
-                   and j.job_id != exclude_job]
+        metrics = self._metrics_of(group.jobs(), skip=exclude_job)
         estimate = self.perf_model.estimate_group(
             metrics, group.n_machines) if metrics else None
         self._estimate_cache[key] = estimate
         return estimate
 
     def _live_estimates(self, exclude_job: str | None = None,
-                        exclude_groups: Sequence[str] = ()) -> \
+                        exclude_groups: Collection[str] = ()) -> \
             list[GroupEstimate]:
         estimates = []
         for group_id, group in self.groups.items():
@@ -1063,45 +1044,17 @@ class HarmonyMaster(MasterBase):
                 estimates.append(estimate)
         return estimates
 
-    def _score_estimates(self, estimates: Sequence[GroupEstimate]) -> float:
+    def _score_estimates(self, estimates: Sequence[GroupEstimate],
+                         total_machines: int | None = None) -> float:
+        """Predicted cluster score of ``estimates`` over
+        ``total_machines`` (the whole cluster by default)."""
         if not estimates:
             return 0.0
+        if total_machines is None:
+            total_machines = self.cluster.size
         utilization = self.perf_model.cluster_utilization(
-            estimates, total_machines=self.cluster.size)
+            estimates, total_machines=total_machines)
         return self.perf_model.score(utilization)
-
-    def _score_current(self) -> float:
-        return self._score_estimates(self._live_estimates())
-
-    def _score_with(self, job: Job, placed_in: str | None = None,
-                    new_group_m: int | None = None) -> float:
-        """Predicted cluster score with ``job`` placed as specified."""
-        metrics = self.profiler.get(job.job_id)
-        if new_group_m is not None:
-            estimates = self._live_estimates(exclude_job=job.job_id)
-            estimates.append(self.perf_model.estimate_group([metrics],
-                                                            new_group_m))
-        elif placed_in is not None:
-            group = self.groups.get(placed_in)
-            if group is None:
-                return float("-inf")
-            others = [self.profiler.get(j.job_id) for j in group.jobs()
-                      if self.profiler.has(j.job_id)
-                      and j.job_id != job.job_id]
-            estimates = self._live_estimates(exclude_job=job.job_id,
-                                             exclude_groups=(placed_in,))
-            estimates.append(self.perf_model.estimate_group(
-                others + [metrics], group.n_machines))
-        else:
-            estimates = self._live_estimates(exclude_job=job.job_id)
-        return self._score_estimates(estimates)
-
-    def _score_plan_with_rest(self, plan: SchedulePlan,
-                              exclude: set[str]) -> float:
-        estimates = self._live_estimates(
-            exclude_groups=tuple(sorted(exclude)))
-        estimates.extend(group.estimate for group in plan.groups)
-        return self._score_estimates(estimates)
 
     # ------------------------------------------------- decision bookkeeping
 
@@ -1110,8 +1063,7 @@ class HarmonyMaster(MasterBase):
         now = self.sim.now
         self._estimate_cache.clear()
         self._close_decision(group, now)
-        metrics = [self.profiler.get(j.job_id) for j in group.jobs()
-                   if self.profiler.has(j.job_id)]
+        metrics = self._metrics_of(group.jobs())
         if not metrics or len(metrics) != group.n_jobs:
             # A job without metrics (still profiling) consumes resources
             # the model cannot see; such epochs are not comparable.

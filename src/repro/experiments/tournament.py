@@ -16,7 +16,8 @@ Runnable standalone or through the CLI::
         --expect benchmarks/baseline_tournament.json
 
 The committed ``benchmarks/baseline_tournament.json`` pins the default
-tournament's leaderboard ordering; CI replays it on every push.
+tournament's leaderboard ordering and every cell's numbers (all fields
+but the wall clock); CI replays it on every push.
 """
 
 from __future__ import annotations
@@ -311,8 +312,36 @@ def _params_from_expect(payload: dict) -> TournamentParams:
     return TournamentParams(**raw)
 
 
+def _cell_key(cell: dict) -> tuple[str, str, int, str]:
+    return (cell["policy"], cell["arrival"], cell["n_machines"],
+            cell["engine"])
+
+
+def _cell_problems(result: TournamentResult,
+                   expected_cells: list[dict]) -> list[str]:
+    """Every field (bar the wall clock) where the result's cells differ
+    from ``expected_cells``, given in :func:`to_json` form."""
+    # A JSON round trip makes tuples lists, as in a committed file.
+    got = {_cell_key(cell): cell
+           for cell in json.loads(json.dumps(to_json(result)["cells"]))}
+    problems = []
+    for cell in expected_cells:
+        name = "/".join(map(str, _cell_key(cell)))
+        actual = got.get(_cell_key(cell))
+        if actual is None:
+            problems.append(f"cell {name} missing from this run")
+            continue
+        problems.extend(
+            f"cell {name}: {field} expected {value!r}, "
+            f"got {actual.get(field)!r}"
+            for field, value in cell.items()
+            if field != "wall_seconds" and actual.get(field) != value)
+    return problems
+
+
 def _check_expect(result: TournamentResult, path: str) -> list[str]:
-    """Compare a result's ordering against a committed expect file."""
+    """Compare a result's ordering and every cell against a committed
+    expect file."""
     with open(path) as handle:
         payload = json.load(handle)
     problems = []
@@ -322,7 +351,7 @@ def _check_expect(result: TournamentResult, path: str) -> list[str]:
             f"leaderboard ordering changed: expected "
             f"{' > '.join(expected)}, got "
             f"{' > '.join(result.ordering())}")
-    return problems
+    return problems + _cell_problems(result, payload["cells"])
 
 
 def _sanity_problems(result: TournamentResult) -> list[str]:
@@ -375,7 +404,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="write leaderboard + cells as CSV here")
     parser.add_argument("--expect", default=None,
                         help="JSON expect file; exit 1 unless this "
-                             "run reproduces its leaderboard ordering")
+                             "run reproduces its leaderboard ordering "
+                             "and every cell")
     parser.add_argument("--assert-sanity", action="store_true",
                         help="exit 1 on invariant violations, engine "
                              "disagreement, or harmony losing to naive")

@@ -103,8 +103,6 @@ class PolicyObservation:
     memory_dominated: Callable[[tuple[str, ...], int], bool]
     #: Exact (cost-model) metrics of one job as observed at DoP ``m``.
     metrics_at: Callable[[str, int], JobMetrics]
-    #: Iterations the job still has to run.
-    remaining_iterations: Callable[[str], int]
     #: Closed-form solo runtime of the job's remaining iterations at
     #: DoP ``m`` (Eq. 1; the backfill family's runtime estimate).
     solo_seconds: Callable[[str, int], float]

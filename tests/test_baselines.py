@@ -35,15 +35,17 @@ class TestIsolated:
     def test_machines_for_balances_cpu_and_network(self, workload):
         runtime = IsolatedRuntime(100, workload)
         spec = workload[0]
-        wanted = runtime.master.machines_for([spec])
+        runtime.master._add_job(spec)
+        wanted = runtime.master.machines_for([spec.job_id])
         assert 1 <= wanted <= 32
 
     def test_memory_floor_enforced(self):
         """A big job is never squeezed below its no-spill floor."""
         spec = JobSpec("big", MLR, DATASETS["MLR"][1], iterations=2)
         runtime = IsolatedRuntime(100, [spec])
-        floor = runtime.master._specs_floor([spec])
-        assert runtime.master.machines_for([spec]) >= floor
+        runtime.master._add_job(spec)
+        floor = runtime.master._memory_floor([spec.job_id])
+        assert runtime.master.machines_for([spec.job_id]) >= floor
         assert floor > 1
 
     def test_strict_fifo_blocks_head_of_line(self, workload):
@@ -56,8 +58,10 @@ class TestIsolated:
         spec = workload[0]
         small = IsolatedRuntime(100, workload, dop_scale=0.5)
         large = IsolatedRuntime(100, workload, dop_scale=1.0)
-        assert small.master.machines_for([spec]) <= \
-            large.master.machines_for([spec])
+        small.master._add_job(spec)
+        large.master._add_job(spec)
+        assert small.master.machines_for([spec.job_id]) <= \
+            large.master.machines_for([spec.job_id])
 
 
 class TestNaive:

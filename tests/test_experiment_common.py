@@ -68,17 +68,20 @@ class TestColocationGating:
     def test_memory_dominated_detection(self):
         runtime = self._runtime(True)
         master = runtime.master
-        big = [JobSpec(f"m{i}", MLR, DATASETS["MLR"][1], iterations=2)
+        big = [master._add_job(JobSpec(f"m{i}", MLR, DATASETS["MLR"][1],
+                                       iterations=2)).job_id
                for i in range(3)]
         wanted = master.machines_for(big)
         # Three large jobs without spill are memory-dominated.
         assert master._memory_dominated(big, wanted)
-        small = [JobSpec("s", LDA, DATASETS["LDA"][1], iterations=2)]
+        small = [master._add_job(JobSpec("s", LDA, DATASETS["LDA"][1],
+                                         iterations=2)).job_id]
         assert not master._memory_dominated(
             small, master.machines_for(small))
 
     def test_dop_scale_validation_through_machines_for(self):
         runtime = self._runtime(False)
         spec = JobSpec("x", LDA, DATASETS["LDA"][0], iterations=2)
-        wanted = runtime.master.machines_for([spec])
+        runtime.master._add_job(spec)
+        wanted = runtime.master.machines_for([spec.job_id])
         assert 1 <= wanted <= runtime.cluster.size

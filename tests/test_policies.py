@@ -60,7 +60,6 @@ def make_obs(queue=(), free=8, cluster=16, demands=None, solo=None,
         memory_floor=lambda job_ids: 1,
         memory_dominated=lambda job_ids, wanted: False,
         metrics_at=lambda job_id, m: None,
-        remaining_iterations=lambda job_id: 10,
         solo_seconds=lambda job_id, m: solo.get(job_id, 100.0),
         running=lambda: tuple(running))
 

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.tournament import (
     CellResult,
     TournamentParams,
+    _cell_key,
+    _cell_problems,
     _check_expect,
     _leaderboard,
+    _params_from_expect,
     _sanity_problems,
     main,
     one_line,
@@ -18,6 +23,9 @@ from repro.experiments.tournament import (
     to_json,
     write_csv,
 )
+
+BASELINE = (Path(__file__).resolve().parents[1] / "benchmarks"
+            / "baseline_tournament.json")
 
 MINI = TournamentParams(
     seed=0, scale=0.2,
@@ -109,6 +117,18 @@ class TestPersistence:
         assert len(problems) == 1
         assert "ordering changed" in problems[0]
 
+    def test_expect_pins_cell_numbers(self, mini_result, tmp_path):
+        # Same ordering, one number moved: the replay must still fail.
+        payload = to_json(mini_result)
+        payload["cells"][0]["makespan"] += 1.0
+        expect = tmp_path / "expect.json"
+        expect.write_text(json.dumps(payload))
+        problems = _check_expect(mini_result, str(expect))
+        assert len(problems) == 1
+        assert "makespan" in problems[0]
+        assert "/".join(map(str, _cell_key(payload["cells"][0]))) \
+            in problems[0]
+
     def test_csv_writer(self, mini_result, tmp_path):
         path = tmp_path / "tournament.csv"
         write_csv(mini_result, str(path))
@@ -144,3 +164,16 @@ class TestCli:
         assert written["params"]["policies"] == ["fcfs", "easy"]
         assert written["ordering"] == json.loads(
             expect.read_text())["ordering"]
+
+
+class TestCommittedBaseline:
+    def test_harmony_cells_match_committed_baseline(self):
+        payload = json.loads(BASELINE.read_text())
+        result = run(replace(_params_from_expect(payload),
+                             policies=("harmony", "harmony-static"),
+                             engines=("fast",)))
+        keys = {_cell_key(cell) for cell in to_json(result)["cells"]}
+        committed = [cell for cell in payload["cells"]
+                     if _cell_key(cell) in keys]
+        assert len(committed) == len(keys) == 8
+        assert _cell_problems(result, committed) == []
