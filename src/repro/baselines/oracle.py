@@ -69,7 +69,7 @@ class OracleScheduler:
                  max_jobs: int = MAX_ORACLE_JOBS):
         self.config = config if config is not None else SchedulerConfig()
         self.perf_model = perf_model if perf_model is not None \
-            else PerfModel(cpu_weight=self.config.cpu_weight)
+            else PerfModel()
         self.memory_floor = memory_floor
         self.max_jobs = max_jobs
         #: Partitions evaluated by the last schedule() call.

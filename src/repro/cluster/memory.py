@@ -22,9 +22,9 @@ class MemoryLedger:
     partitioned evenly), so a single per-machine figure suffices.
     """
 
-    def __init__(self, spec: MachineSpec, gc_model: GCModel | None = None):
+    def __init__(self, spec: MachineSpec):
         self.spec = spec
-        self.gc_model = gc_model if gc_model is not None else GCModel()
+        self.gc_model = GCModel()
         self._components: dict[tuple[str, str], float] = {}
 
     # -- bookkeeping ----------------------------------------------------

@@ -111,27 +111,10 @@ class SchedulerConfig:
     #: Two jobs are "similar" when iteration time and comp/comm ratio
     #: differ by less than this fraction (§IV-B4).
     similarity_threshold: float = 0.05
-    #: Prefer a decision with fewer regrouped jobs unless the larger
-    #: decision is better by more than this fraction.
-    fewer_jobs_preference: float = 0.05
-    #: Moving-average factor for profiled metrics (§IV-B1).
-    ema_alpha: float = 0.30
-    #: Iterations a new job runs in the profiling state before its
-    #: metrics are trusted.
-    profiling_iterations: int = 3
-    #: CPU utilization is weighted more than network utilization when
-    #: comparing candidate schedules ("CPU utilization rates are treated
-    #: more importantly", §IV-B2).
-    cpu_weight: float = 0.75
     #: Hard cap on jobs per group (memory pressure / JCT preference).
     max_jobs_per_group: int = 5
     #: Maximum swap fine-tuning passes in the grouping algorithm.
     max_swap_passes: int = 50
-    #: Consecutive non-improving prefix sizes tolerated before Algorithm
-    #: 1's L10-13 loop stops growing the job set.  The paper breaks on
-    #: the first non-improvement; a small patience makes the greedy loop
-    #: robust to bumps introduced by the discrete n_G* re-choice.
-    schedule_patience: int = 6
     #: Order in which Algorithm 1's L4 loop grows the candidate job set
     #: (the paper leaves J_to_sched's order unspecified):
     #: "sjf" = shortest iteration first (front-loads completions),
@@ -151,17 +134,11 @@ class SchedulerConfig:
         _check_rules(self, (
             ("admission_order", self.admission_order in ADMISSION_ORDERS,
              f"one of {ADMISSION_ORDERS}"),
-            ("cpu_weight", 0.0 <= self.cpu_weight <= 1.0, "in [0, 1]"),
             ("regroup_benefit_threshold",
              self.regroup_benefit_threshold >= 0, ">= 0"),
             ("similarity_threshold", self.similarity_threshold >= 0, ">= 0"),
-            ("fewer_jobs_preference", self.fewer_jobs_preference >= 0,
-             ">= 0"),
-            ("ema_alpha", 0.0 < self.ema_alpha <= 1.0, "in (0, 1]"),
             ("max_jobs_per_group", self.max_jobs_per_group >= 1, ">= 1"),
-            ("profiling_iterations", self.profiling_iterations >= 1, ">= 1"),
             ("max_swap_passes", self.max_swap_passes >= 0, ">= 0"),
-            ("schedule_patience", self.schedule_patience >= 0, ">= 0"),
             ("reschedule_check_seconds", self.reschedule_check_seconds > 0,
              "> 0"),
         ))
@@ -177,27 +154,11 @@ class MemoryConfig:
     #: When set, every job keeps this fixed disk-block ratio instead of
     #: hill-climbing (the §V-G fixed-alpha baseline).
     fixed_alpha: "float | None" = None
-    #: Hill-climbing step applied to a job's disk-block ratio alpha.
-    alpha_step: float = 0.05
-    #: Iterations between two alpha adjustments of the same job.
-    adjust_every: int = 2
-    #: Target memory-pressure ratio used to pick the initial alpha.
-    target_pressure: float = 0.75
-    #: Dead-band: overheads within this fraction of each other are
-    #: considered balanced and alpha is left alone.
-    tolerance: float = 0.02
-    #: Garbage-collection slowdown and OOM limit under memory pressure.
-    gc_model: GCModel = field(default_factory=GCModel)
 
     def __post_init__(self):
         _check_rules(self, (
             ("fixed_alpha", self.fixed_alpha is None
              or 0.0 <= self.fixed_alpha <= 1.0, "None or in [0, 1]"),
-            ("alpha_step", self.alpha_step > 0, "> 0"),
-            ("adjust_every", self.adjust_every >= 1, ">= 1"),
-            ("target_pressure", 0.0 < self.target_pressure <= 1.0,
-             "in (0, 1]"),
-            ("tolerance", self.tolerance >= 0, ">= 0"),
         ))
 
 
@@ -216,14 +177,8 @@ class ExecutionConfig:
     #: iteration (cross-worker barrier latency + straggler effect).
     barrier_overhead: float = 0.01
     #: Multi-tenant interference (§VI future work): probability that a
-    #: COMM subtask is hit by a bursty-traffic spike from other
-    #: tenants, and the worst-case slowdown of such a spike.
+    #: COMM subtask is hit by a bursty-traffic spike from other tenants.
     comm_interference_probability: float = 0.0
-    comm_interference_max: float = 3.0
-    #: Iterations of progress lost when a machine failure forces a
-    #: restart from the last checkpoint ("checkpointing (per epoch) and
-    #: restart", §VI).
-    checkpoint_interval_iterations: int = 1
 
 
 @dataclass(frozen=True)
@@ -248,46 +203,12 @@ class ShardConfig:
     #: load by more than this fraction; the rebalancer drains hot cells
     #: into the coldest ones through the §IV-B4 plan-splice path.
     rebalance_threshold: float = 0.25
-    #: Most jobs one rebalance pass may migrate between cells.
-    max_rebalance_moves: int = 64
 
     def __post_init__(self):
         _check_rules(self, (
             ("n_cells", self.n_cells >= 1, ">= 1"),
             ("rebalance_every", self.rebalance_every >= 0, ">= 0"),
             ("rebalance_threshold", self.rebalance_threshold >= 0, ">= 0"),
-            ("max_rebalance_moves", self.max_rebalance_moves >= 0, ">= 0"),
-        ))
-
-
-@dataclass(frozen=True)
-class PolicyConfig:
-    """Constants of the competitor policy zoo (:mod:`repro.policies`).
-
-    These parameterize the *non-Harmony* schedulers of the tournament;
-    Harmony's own constants stay in :class:`SchedulerConfig`.
-    """
-
-    #: DoP scale of the queueing family's dedicated allocations
-    #: (fcfs/easy/conservative); mirrors the isolated baseline so the
-    #: backfill disciplines are compared apples-to-apples.
-    queue_dop_scale: float = 0.50
-    #: Co-location cap of the packing/interleaving policies.
-    max_group_jobs: int = 4
-    #: Synergy: minimum weighted-utilization gain (Eq. 3 score) before
-    #: a candidate is packed into the group.
-    pack_gain_threshold: float = 0.02
-    #: CASSINI: minimum phase compatibility (``t_itr_max / T_g_itr``,
-    #: 1.0 = perfectly job-bound interleave) to accept a partner.
-    interleave_compat_threshold: float = 0.85
-
-    def __post_init__(self):
-        _check_rules(self, (
-            ("queue_dop_scale", self.queue_dop_scale > 0, "> 0"),
-            ("max_group_jobs", self.max_group_jobs >= 1, ">= 1"),
-            ("pack_gain_threshold", self.pack_gain_threshold >= 0, ">= 0"),
-            ("interleave_compat_threshold",
-             0.0 <= self.interleave_compat_threshold <= 1.0, "in [0, 1]"),
         ))
 
 
@@ -300,14 +221,9 @@ class SimConfig:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
-    #: Competitor-policy constants (:mod:`repro.policies`).
-    policy: PolicyConfig = field(default_factory=PolicyConfig)
     #: Cluster-of-cells sharding (:mod:`repro.shard`); inert at the
     #: default ``n_cells = 1``.
     shard: ShardConfig = field(default_factory=ShardConfig)
-    #: Width of utilization-timeline bins, in seconds (the paper measures
-    #: with a 1-minute interval, §V-B).
-    utilization_bin_seconds: float = 60.0
     #: Structured tracing / metrics registry (:mod:`repro.trace`);
     #: disabled by default so the hot simulation paths pay nothing.
     trace: TraceConfig = field(default_factory=TraceConfig)

@@ -30,7 +30,7 @@ from typing import Protocol
 from repro.cluster.memory import MemoryLedger
 from repro.config import GB, SimConfig
 from repro.core.job import Job
-from repro.core.memory_manager import GroupMemoryManager
+from repro.core.memory_manager import TARGET_PRESSURE, GroupMemoryManager
 from repro.errors import OutOfMemoryError, SimulationError
 from repro.sim import (
     Event,
@@ -66,6 +66,10 @@ class ExecutionMode(enum.Enum):
 #: effective throughput with k tasks is 1 / (1 + phi * (k - 1)).
 NAIVE_CPU_INTERFERENCE = 0.08
 NAIVE_NET_INTERFERENCE = 0.05
+
+#: Worst-case slowdown of a multi-tenant bursty-traffic spike on a COMM
+#: subtask (``ExecutionConfig.comm_interference_probability``).
+COMM_INTERFERENCE_MAX = 3.0
 
 #: Display order of a group's trace lanes: CPU first, then NET, DISK.
 _LANE_SORT = {"cpu": 0, "net": 1, "disk": 2}
@@ -179,8 +183,7 @@ class GroupRuntime:
                     "group": group_id, "machines": list(machine_ids),
                     "mode": mode.value})
 
-        self.ledger = MemoryLedger(cost_model.spec,
-                                   config.memory.gc_model)
+        self.ledger = MemoryLedger(cost_model.spec)
         self.memory = GroupMemoryManager(
             self.ledger, cost_model, config.memory,
             n_machines=self.n_machines,
@@ -235,8 +238,8 @@ class GroupRuntime:
     def can_admit(self, job: Job) -> bool:
         """Memory-feasibility probe without side effects.
 
-        Admission aims at the configured target pressure, not the OOM
-        line: co-locating a job that would push the group deep into GC
+        Admission aims at ``TARGET_PRESSURE``, not the OOM line:
+        co-locating a job that would push the group deep into GC
         territory defeats the purpose (§IV-C balances exactly this).
         """
         spill = self.memory.spill_enabled
@@ -247,8 +250,7 @@ class GroupRuntime:
         # Identical budget basis to the master's memory floors: a plan
         # sized exactly at its floor must pass this gate, or placement
         # livelocks (plan -> reject -> re-plan forever).
-        budget = (self.ledger.spec.usable_memory_bytes
-                  * self.config.memory.target_pressure)
+        budget = self.ledger.spec.usable_memory_bytes * TARGET_PRESSURE
         minimal_new = self.cost_model.resident_bytes(
             job.spec, self.n_machines, alpha=alpha)
         if spill and fixed is None and minimal_new > budget:
@@ -581,8 +583,7 @@ class GroupRuntime:
         rng = self.streams.stream(f"interference:{self.group_id}")
         if rng.random() >= probability:
             return 1.0
-        return float(rng.uniform(
-            1.5, self.config.execution.comm_interference_max))
+        return float(rng.uniform(1.5, COMM_INTERFERENCE_MAX))
 
     def _drop_job(self, job: Job) -> None:
         self.memory.evict(job)

@@ -31,6 +31,7 @@ from repro.cluster.cluster import Cluster
 from repro.config import SimConfig
 from repro.core.group_runtime import ExecutionMode, GroupRuntime
 from repro.core.job import Job, JobState
+from repro.core.memory_manager import TARGET_PRESSURE
 from repro.core.perfmodel import GroupEstimate, PerfModel
 from repro.core.profiler import JobMetrics, Profiler
 from repro.core.regroup import (
@@ -60,6 +61,13 @@ _BOOTSTRAP_MACHINES = 4
 #: Escalation limit: how many groups beyond the repaired one may join a
 #: completion-triggered regrouping before we stop growing the scope.
 _MAX_ESCALATION_GROUPS = 3
+#: Iterations a new job runs in the profiling state before its metrics
+#: are trusted.
+_PROFILING_ITERATIONS = 3
+#: Iterations of progress lost when a machine failure forces a restart
+#: from the last checkpoint ("checkpointing (per epoch) and restart",
+#: §VI).
+CHECKPOINT_INTERVAL_ITERATIONS = 1
 
 
 @dataclass
@@ -106,7 +114,7 @@ class MasterBase:
         self.streams = streams
         self.recorder = recorder
         #: Eq. 1-3 model behind the master's predictions.
-        self.perf_model = PerfModel(cpu_weight=config.scheduler.cpu_weight)
+        self.perf_model = PerfModel()
         self.jobs: dict[str, Job] = {}
         self.groups: dict[str, GroupRuntime] = {}
         #: Cycle records of groups that have been torn down.
@@ -220,8 +228,7 @@ class MasterBase:
         return floor
 
     def _scan_floor(self, specs: Sequence[JobSpec]) -> int:
-        budget = (self.cost_model.spec.usable_memory_bytes
-                  * self.config.memory.target_pressure)
+        budget = self.cost_model.spec.usable_memory_bytes * TARGET_PRESSURE
         floor = self._first_fit(specs, budget, spilled=False)
         if floor > self.cluster.size and self._floor_spills_model:
             # §IV-C fallback: the model data itself can be spilled when
@@ -280,7 +287,7 @@ class HarmonyMaster(MasterBase):
         super().__init__(sim, cluster, cost_model, config, streams,
                          recorder, floor_alpha=alpha,
                          floor_spills_model=memory.spill_enabled)
-        self.profiler = Profiler(ema_alpha=config.scheduler.ema_alpha)
+        self.profiler = Profiler()
         if perf_model is not None:
             self.perf_model = perf_model
         # The scheduling algorithm is pluggable so the §V-F Oracle can
@@ -369,7 +376,7 @@ class HarmonyMaster(MasterBase):
         if job.state is JobState.PROFILING:
             count = self._profiling_iterations.get(job.job_id, 0) + 1
             self._profiling_iterations[job.job_id] = count
-            if count >= self.config.scheduler.profiling_iterations:
+            if count >= _PROFILING_ITERATIONS:
                 job.transition(JobState.PROFILED)
                 self._on_job_profiled(job)
 
@@ -405,16 +412,15 @@ class HarmonyMaster(MasterBase):
     def _pump(self) -> None:
         """Advance every queue that may have become serviceable.
 
-        Each stage may start a rebuild (a plan application); the stages
-        after it must not hand out jobs or machines that the in-flight
-        rebuild already claims, hence the re-checks.
+        Nothing here starts a rebuild (a plan application): groups
+        started for free machines run their first step only after this
+        call returns, so one check up front keeps every stage off the
+        jobs and machines an in-flight rebuild claims.
         """
         if self._rebuild is not None:
             return
         self._cleanup_idle_groups()
         self._admit_paused_to_free_machines()
-        if self._rebuild is not None:
-            return
         self._assign_profiling()
 
     def _cleanup_idle_groups(self) -> None:
@@ -516,7 +522,7 @@ class HarmonyMaster(MasterBase):
         if self._rebuild is not None:
             self._rebuild.draining.discard(group_id)
 
-        lost = self.config.execution.checkpoint_interval_iterations
+        lost = CHECKPOINT_INTERVAL_ITERATIONS
         lost_total = 0
         rerun_seconds = 0.0
         for job in victims:
@@ -782,8 +788,7 @@ class HarmonyMaster(MasterBase):
         if not evaluated:
             return
         chosen_index = prefer_fewer_jobs(
-            [(n, score) for n, score, _, _ in evaluated],
-            preference=self.config.scheduler.fewer_jobs_preference)
+            [(n, score) for n, score, _, _ in evaluated])
         assert chosen_index is not None
         _, score, plan, scope_ids = evaluated[chosen_index]
         current = self._score_estimates(self._live_estimates())

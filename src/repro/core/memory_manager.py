@@ -19,6 +19,18 @@ from repro.config import MemoryConfig
 from repro.core.job import Job
 from repro.workloads.costmodel import CostModel
 
+#: Target memory-pressure ratio used to pick the initial alpha.  The
+#: master's machine floors and a group's admission check budget against
+#: the same ratio.
+TARGET_PRESSURE = 0.75
+#: Hill-climbing step applied to a job's disk-block ratio alpha.
+ALPHA_STEP = 0.05
+#: Iterations between two alpha adjustments of the same job.
+ADJUST_EVERY = 2
+#: Dead-band: overheads within this fraction of each other are
+#: considered balanced and alpha is left alone.
+TOLERANCE = 0.02
+
 
 @dataclass
 class _JobMemoryState:
@@ -96,8 +108,7 @@ class GroupMemoryManager:
         """
         spilled = [j for j in self._jobs.values() if j.model_spilled]
         plain = [j for j in self._jobs.values() if not j.model_spilled]
-        budget = (self.ledger.spec.usable_memory_bytes
-                  * self.config.target_pressure)
+        budget = self.ledger.spec.usable_memory_bytes * TARGET_PRESSURE
         m = self.n_machines
         total_min = sum(self.cost_model.resident_bytes(
             j.spec, m, alpha=1.0, model_spilled=j.model_spilled)
@@ -165,7 +176,7 @@ class GroupMemoryManager:
         state.stall_seconds += max(0.0, stall_seconds)
         state.busy_seconds += max(0.0, busy_seconds)
         state.iterations_since_adjust += 1
-        if state.iterations_since_adjust >= self.config.adjust_every:
+        if state.iterations_since_adjust >= ADJUST_EVERY:
             self._adjust_alpha(job, state)
 
     def _adjust_alpha(self, job: Job, state: _JobMemoryState) -> None:
@@ -179,12 +190,9 @@ class GroupMemoryManager:
         busy = max(1e-9, state.busy_seconds)
         gc_fraction = state.gc_overhead_seconds / busy
         stall_fraction = state.stall_seconds / busy
-        step = self.config.alpha_step
-        tolerance = self.config.tolerance
-
-        if gc_fraction > stall_fraction + tolerance:
+        if gc_fraction > stall_fraction + TOLERANCE:
             if job.alpha < 1.0:
-                job.alpha = min(1.0, job.alpha + step)
+                job.alpha = min(1.0, job.alpha + ALPHA_STEP)
                 self._apply_components(job)
             elif not job.model_spilled:
                 # Input spill exhausted but GC persists: activate the
@@ -193,12 +201,12 @@ class GroupMemoryManager:
                 # spill is not enough", §IV-C).
                 job.model_spilled = True
                 self._apply_components(job)
-        elif stall_fraction > gc_fraction + tolerance and job.alpha > 0.0:
-            candidate = max(0.0, job.alpha - step)
+        elif stall_fraction > gc_fraction + TOLERANCE and job.alpha > 0.0:
+            candidate = max(0.0, job.alpha - ALPHA_STEP)
             previous = job.alpha
             job.alpha = candidate
             self._apply_components(job)
-            if self.ledger.pressure > self.config.target_pressure:
+            if self.ledger.pressure > TARGET_PRESSURE:
                 job.alpha = previous  # would re-create the pressure
                 self._apply_components(job)
         state.iterations_since_adjust = 0

@@ -32,6 +32,11 @@ from repro.errors import SchedulingError
 #: scheduler — a uniform scale factor cancels out of every comparison.
 ErrorInjector = Callable[[str, str], float]
 
+#: CPU utilization is weighted more than network utilization when
+#: comparing candidate schedules: "CPU resources directly contribute to
+#: the job progress" (§IV-B2).
+CPU_WEIGHT = 0.75
+
 
 @dataclass(frozen=True)
 class UtilizationVector:
@@ -39,17 +44,6 @@ class UtilizationVector:
 
     cpu: float
     net: float
-
-    def weighted_score(self, cpu_weight: float) -> float:
-        """Scalar objective: CPU counts more than network because "CPU
-        resources directly contribute to the job progress" (§IV-B2).
-
-        ``cpu_weight`` is deliberately *not* defaulted here: the one
-        authoritative default lives in ``SchedulerConfig.cpu_weight``,
-        and every scoring path goes through :meth:`PerfModel.score` so
-        the two can never silently diverge.
-        """
-        return cpu_weight * self.cpu + (1.0 - cpu_weight) * self.net
 
     def __iter__(self):
         yield self.cpu
@@ -97,9 +91,7 @@ class GroupEstimate:
 class PerfModel:
     """Predicts group/cluster performance from profiled metrics."""
 
-    def __init__(self, cpu_weight: float = 0.75,
-                 error_injector: ErrorInjector | None = None):
-        self.cpu_weight = cpu_weight
+    def __init__(self, error_injector: ErrorInjector | None = None):
         self._injector = error_injector
 
     # -- per-group predictions ----------------------------------------------
@@ -155,5 +147,7 @@ class PerfModel:
         return UtilizationVector(cpu, net)
 
     def score(self, utilization: UtilizationVector) -> float:
-        """Scalar objective used to compare candidate schedules."""
-        return utilization.weighted_score(self.cpu_weight)
+        """Scalar objective used to compare candidate schedules: the
+        :data:`CPU_WEIGHT`-weighted sum of CPU and network utilization."""
+        return CPU_WEIGHT * utilization.cpu \
+            + (1.0 - CPU_WEIGHT) * utilization.net

@@ -203,8 +203,7 @@ class RuntimeBase:
         self.cost_model = cost_model if cost_model is not None \
             else CostModel(config.machine)
         self.streams = RandomStreams(config.seed)
-        self.recorder = ClusterUsageRecorder(
-            n_machines, bin_seconds=config.utilization_bin_seconds)
+        self.recorder = ClusterUsageRecorder(n_machines)
         self.workload = list(workload)
         self.name = name
         #: Recovery accounting when a fault plan was injected (else None).
@@ -279,9 +278,7 @@ class HarmonyRuntime(RuntimeBase):
                  scheduler_factory=None,
                  scheduler_name: str = "harmony",
                  failure_times: Sequence[float] | None = None,
-                 fault_plan=None,
-                 heartbeat_interval: float = 30.0,
-                 heartbeat_timeout: float = 90.0):
+                 fault_plan=None):
         super().__init__(n_machines, workload, config, cost_model,
                          name=scheduler_name)
         self.fault_log = FaultLog() if fault_plan is not None else None
@@ -297,10 +294,8 @@ class HarmonyRuntime(RuntimeBase):
         if fault_plan is not None:
             from repro.faults.injector import FaultInjector
             from repro.faults.monitor import HealthMonitor
-            self.monitor = HealthMonitor(
-                self.sim, self.cluster, self.master,
-                interval=heartbeat_interval, timeout=heartbeat_timeout,
-                log=self.fault_log)
+            self.monitor = HealthMonitor(self.sim, self.cluster, self.master,
+                                         log=self.fault_log)
             self.injector = FaultInjector(self.sim, self.cluster,
                                           self.master, self.monitor,
                                           fault_plan, log=self.fault_log)

@@ -41,6 +41,12 @@ from repro.errors import SchedulingError
 #: (:mod:`repro.policies.planner`).
 ORDERING_DOP = 16
 
+#: Consecutive non-improving prefix sizes tolerated before Algorithm
+#: 1's L10-13 loop stops growing the job set.  The paper breaks on the
+#: first non-improvement; a small patience makes the greedy loop robust
+#: to bumps introduced by the discrete n_G* re-choice.
+SCHEDULE_PATIENCE = 6
+
 #: Sentinel distinguishing "not cached" from a cached infeasible prefix
 #: (``None`` is a legitimate, cacheable planning outcome).
 _CACHE_MISS = object()
@@ -252,7 +258,7 @@ class HarmonyScheduler:
                  memory_floor: MemoryFloorFn | None = None):
         self.config = config if config is not None else SchedulerConfig()
         self.perf_model = perf_model if perf_model is not None \
-            else PerfModel(cpu_weight=self.config.cpu_weight)
+            else PerfModel()
         self.memory_floor = memory_floor
         #: Shape of the most recent :meth:`schedule` call (None before
         #: the first call); read by the master's trace instrumentation.
@@ -324,7 +330,7 @@ class HarmonyScheduler:
                     # improving (with a small patience for discrete
                     # n_G* bumps).
                     no_improvement += 1
-                    if no_improvement > self.config.schedule_patience:
+                    if no_improvement > SCHEDULE_PATIENCE:
                         break
             # Built while the estimate memo still holds the winner's
             # groups; its score is the candidate's, bit for bit.

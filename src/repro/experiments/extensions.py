@@ -73,8 +73,7 @@ def run(scale: float = 0.5, seed: int = 2021, n_failures: int = 4,
 
     noisy_config = replace(
         config, execution=replace(config.execution,
-                                  comm_interference_probability=0.10,
-                                  comm_interference_max=3.0))
+                                  comm_interference_probability=0.10))
     with_interference = HarmonyRuntime(n_machines, workload,
                                        config=noisy_config).run()
 

@@ -78,8 +78,7 @@ def run(scale: float = 1.0, seed: int = 2021,
     for level in error_levels:
         injector = make_error_injector(level, seed=seed) \
             if level > 0 else None
-        perf_model = PerfModel(cpu_weight=config.scheduler.cpu_weight,
-                               error_injector=injector)
+        perf_model = PerfModel(error_injector=injector)
         result = HarmonyRuntime(n_machines, workload, config=config,
                                 perf_model=perf_model).run()
         if baseline is None:

@@ -69,10 +69,6 @@ def build_runtime(name: str, n_machines: int,
     return factory(n_machines, workload, config)
 
 
-def _perf_model(config: SimConfig) -> PerfModel:
-    return PerfModel(cpu_weight=config.scheduler.cpu_weight)
-
-
 # -- the paper's three systems ------------------------------------------------
 
 @register("harmony", "the paper's full system (profile + regroup + spill)")
@@ -96,16 +92,14 @@ def _isolated(n_machines, workload, config):
 def _fcfs(n_machines, workload, config):
     return BaselineRuntime(
         n_machines, workload, mode=ExecutionMode.ISOLATED, name="fcfs",
-        config=config, dop_scale=config.policy.queue_dop_scale,
-        policy=fcfs())
+        config=config, dop_scale=IsolatedRuntime.DOP_SCALE, policy=fcfs())
 
 
 @register("easy", "EASY backfill: one reservation for the queue head")
 def _easy(n_machines, workload, config):
     return BaselineRuntime(
         n_machines, workload, mode=ExecutionMode.ISOLATED, name="easy",
-        config=config, dop_scale=config.policy.queue_dop_scale,
-        policy=easy())
+        config=config, dop_scale=IsolatedRuntime.DOP_SCALE, policy=easy())
 
 
 @register("conservative",
@@ -114,7 +108,7 @@ def _conservative(n_machines, workload, config):
     return BaselineRuntime(
         n_machines, workload, mode=ExecutionMode.ISOLATED,
         name="conservative", config=config,
-        dop_scale=config.policy.queue_dop_scale, policy=conservative())
+        dop_scale=IsolatedRuntime.DOP_SCALE, policy=conservative())
 
 
 # -- co-locating competitors on the coordinated executor ----------------------
@@ -123,29 +117,21 @@ def _conservative(n_machines, workload, config):
 def _synergy(n_machines, workload, config):
     return BaselineRuntime(
         n_machines, workload, mode=ExecutionMode.HARMONY,
-        name="synergy", config=config,
-        policy=synergy(_perf_model(config),
-                       max_group_jobs=config.policy.max_group_jobs,
-                       gain_threshold=config.policy.pack_gain_threshold))
+        name="synergy", config=config, policy=synergy(PerfModel()))
 
 
 @register("cassini", "phase-offset COMM interleaving by compatibility")
 def _cassini(n_machines, workload, config):
     return BaselineRuntime(
         n_machines, workload, mode=ExecutionMode.HARMONY,
-        name="cassini", config=config,
-        policy=cassini(
-            _perf_model(config),
-            max_group_jobs=config.policy.max_group_jobs,
-            compat_threshold=config.policy.interleave_compat_threshold))
+        name="cassini", config=config, policy=cassini(PerfModel()))
 
 
 @register("harmony-static",
           "Algorithm 1 grouping once at admission, no adaptation")
 def _harmony_static(n_machines, workload, config):
     def scheduler_factory(memory_floor):
-        return HarmonyScheduler(perf_model=_perf_model(config),
-                                config=config.scheduler,
+        return HarmonyScheduler(config=config.scheduler,
                                 memory_floor=memory_floor)
     return BaselineRuntime(
         n_machines, workload, mode=ExecutionMode.HARMONY,

@@ -32,6 +32,7 @@ from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
+from repro.core.perfmodel import CPU_WEIGHT
 from repro.core.profiler import JobMetrics
 from repro.core.scheduler import ORDERING_DOP
 from repro.trace.tracer import NULL_TRACER, NullTracer, Tracer
@@ -42,15 +43,16 @@ if TYPE_CHECKING:
 _job_id = attrgetter("job_id")
 
 
-def job_weight(job: JobMetrics, cpu_weight: float) -> float:
+def job_weight(job: JobMetrics) -> float:
     """Scalar load proxy of one job.
 
-    Mirrors the scheduler's scoring split: CPU work dominates with the
-    configured ``cpu_weight``, and the network term is scaled by the
-    ordering DoP so both sides are in comparable per-machine seconds.
+    Mirrors the scheduler's scoring split: CPU work dominates with
+    :data:`~repro.core.perfmodel.CPU_WEIGHT`, and the network term is
+    scaled by the ordering DoP so both sides are in comparable
+    per-machine seconds.
     """
-    return cpu_weight * job.cpu_work \
-        + (1.0 - cpu_weight) * job.t_net * ORDERING_DOP
+    return CPU_WEIGHT * job.cpu_work \
+        + (1.0 - CPU_WEIGHT) * job.t_net * ORDERING_DOP
 
 
 def _take(jobs: Sequence[JobMetrics],
@@ -71,13 +73,11 @@ class GlobalPlacer:
     """
 
     def __init__(self, cell_machines: Sequence[int],
-                 cpu_weight: float = 0.75,
                  tracer: "Tracer | NullTracer | None" = None):
         self.cell_machines = tuple(cell_machines)
         if not self.cell_machines or min(self.cell_machines) < 1:
             raise ValueError(
                 f"every cell needs >= 1 machine, got {cell_machines}")
-        self.cpu_weight = cpu_weight
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: job_id -> cell index; insertion-ordered, never hash-iterated.
         self._assignment: dict[str, int] = {}
@@ -127,7 +127,7 @@ class GlobalPlacer:
                 self._assignment[ids[index]] = cell
                 cells[index] = cell
                 members[cell].append(index)
-                load += job_weight(jobs[index], self.cpu_weight) \
+                load += job_weight(jobs[index]) \
                     / self.cell_machines[cell]
                 heapq.heappush(heap, (load, cell))
             # New jobs landed after the stickies inside each cell; restore
@@ -208,6 +208,6 @@ class GlobalPlacer:
             return cached[1]
         load = 0.0
         for job in members:
-            load += job_weight(job, self.cpu_weight)
+            load += job_weight(job)
         self._loads[cell] = (members, load)
         return load

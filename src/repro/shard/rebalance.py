@@ -36,7 +36,6 @@ class ShardMove:
 
 def plan_moves(cell_jobs: Sequence[Sequence[JobMetrics]],
                cell_machines: Sequence[int],
-               cpu_weight: float,
                threshold: float,
                max_moves: int) -> list[ShardMove]:
     """Plan migrations until no cell is hot (or the move budget is spent).
@@ -52,7 +51,7 @@ def plan_moves(cell_jobs: Sequence[Sequence[JobMetrics]],
     if n_cells < 2 or max_moves <= 0:
         return []
     pending = [list(members) for members in cell_jobs]
-    weights = [[job_weight(job, cpu_weight) for job in members]
+    weights = [[job_weight(job) for job in members]
                for members in pending]
     loads = [sum(cell_weights) / machines
              for cell_weights, machines

@@ -50,6 +50,9 @@ from repro.shard.placer import GlobalPlacer
 from repro.shard.rebalance import ShardMove, plan_moves
 from repro.trace.tracer import NULL_TRACER
 
+#: Most jobs one rebalance pass may migrate between cells.
+MAX_REBALANCE_MOVES = 64
+
 
 class _ShardPlanCache:
     """``invalidate_job`` facade over every cell's private plan cache.
@@ -86,7 +89,7 @@ class ShardedScheduler:
                  tracer=None):
         self.config = config if config is not None else SchedulerConfig()
         self.perf_model = perf_model if perf_model is not None \
-            else PerfModel(cpu_weight=self.config.cpu_weight)
+            else PerfModel()
         self.memory_floor = memory_floor
         self.shard = shard if shard is not None else ShardConfig()
         tracer = tracer if tracer is not None else NULL_TRACER
@@ -120,8 +123,7 @@ class ShardedScheduler:
                  config=self.config, memory_floor=self.memory_floor)
             for index, n_machines in enumerate(machines)]
         self._placer = GlobalPlacer(
-            machines, cpu_weight=self.config.cpu_weight,
-            tracer=self._trace if self._trace is not None
+            machines, tracer=self._trace if self._trace is not None
             else NULL_TRACER)
         self._total_machines = total_machines
 
@@ -225,9 +227,8 @@ class ShardedScheduler:
         """Apply the cross-cell drain pass to this call's routing."""
         moves = plan_moves(
             routed, [cell.n_machines for cell in self._cells],
-            cpu_weight=self.config.cpu_weight,
             threshold=self.shard.rebalance_threshold,
-            max_moves=self.shard.max_rebalance_moves)
+            max_moves=MAX_REBALANCE_MOVES)
         if not moves:
             return routed
         rerouted = self._placer.migrate(jobs, routed, moves)

@@ -36,9 +36,6 @@ class TraceConfig:
     #: are counted in :attr:`Tracer.dropped_events` instead of stored,
     #: so an unexpectedly long run cannot exhaust memory.
     max_events: int = 2_000_000
-    #: Record a time-series sample on every counter/gauge update (the
-    #: Chrome-trace "C" lanes).  Final values are always kept.
-    counter_samples: bool = True
 
 
 @dataclass(frozen=True)
@@ -186,8 +183,7 @@ class Tracer:
         self._clock = clock
         self.spans: list[Span] = []
         self.instants: list[InstantEvent] = []
-        self.registry = MetricsRegistry(
-            clock, keep_samples=self.config.counter_samples)
+        self.registry = MetricsRegistry(clock)
         self.dropped_events = 0
         self._open_spans = 0
         #: process name -> pid; (pid, thread name) -> tid.

@@ -144,21 +144,6 @@ class CostModel:
                 + self.model_resident_bytes(job, m, model_spilled)
                 + self.workspace_bytes(job, m, alpha))
 
-    def memory_floor(self, job: JobSpec, alpha: float = 0.0,
-                     target_pressure: float = 0.90,
-                     max_machines: int = 10_000) -> int:
-        """Smallest DoP at which the job fits in memory alone.
-
-        Used by the isolated baseline (which cannot spill, alpha = 0)
-        and by the scheduler's feasibility checks.
-        """
-        budget = self.spec.usable_memory_bytes * target_pressure
-        for m in range(1, max_machines + 1):
-            if self.resident_bytes(job, m, alpha) <= budget:
-                return m
-        raise WorkloadError(
-            f"job {job.job_id} does not fit on {max_machines} machines")
-
     # -- disk traffic ------------------------------------------------------
 
     def reload_bytes_per_iteration(self, job: JobSpec, m: int,

@@ -32,6 +32,7 @@ from collections.abc import Sequence
 from repro.core.allocation import MemoryFloorFn
 from repro.core.profiler import JobMetrics
 from repro.core.scheduler import (
+    SCHEDULE_PATIENCE,
     HarmonyScheduler,
     SchedulePlan,
     ScheduleStats,
@@ -244,7 +245,7 @@ class ReferenceScheduler(HarmonyScheduler):
                 # L12-13: stop growing once utilization stops improving
                 # (with a small patience for discrete n_G* bumps).
                 no_improvement += 1
-                if no_improvement > self.config.schedule_patience:
+                if no_improvement > SCHEDULE_PATIENCE:
                     break
         self.last_stats = ScheduleStats(
             n_jobs_offered=len(ordered),

@@ -45,7 +45,7 @@ class ReferencePlacer(GlobalPlacer):
             loads = [0.0] * self.n_cells
             for cell, members in enumerate(by_cell):
                 for job in members:
-                    loads[cell] += job_weight(job, self.cpu_weight)
+                    loads[cell] += job_weight(job)
             heap = [(load / machines, cell)
                     for cell, (load, machines)
                     in enumerate(zip(loads, self.cell_machines,
@@ -55,7 +55,7 @@ class ReferencePlacer(GlobalPlacer):
                 load, cell = heapq.heappop(heap)
                 self._assignment[job.job_id] = cell
                 by_cell[cell].append(job)
-                load += job_weight(job, self.cpu_weight) \
+                load += job_weight(job) \
                     / self.cell_machines[cell]
                 heapq.heappush(heap, (load, cell))
             self.tracer.instant(

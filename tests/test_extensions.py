@@ -106,8 +106,7 @@ class TestAllReduce:
 class TestInterference:
     def _noisy_config(self, probability):
         return SimConfig(execution=ExecutionConfig(
-            comm_interference_probability=probability,
-            comm_interference_max=3.0))
+            comm_interference_probability=probability))
 
     def test_interference_slows_the_run(self):
         quiet = HarmonyRuntime(24, small_workload()).run()

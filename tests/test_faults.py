@@ -10,6 +10,7 @@ from repro.check import InvariantChecker
 from repro.cluster.cluster import Cluster
 from repro.config import MachineSpec
 from repro.core.job import JobState
+from repro.core.master import CHECKPOINT_INTERVAL_ITERATIONS
 from repro.core.runtime import HarmonyRuntime
 from repro.core.subtask import SubTaskKind
 from repro.core.synchronizer import SubTaskSynchronizer
@@ -260,8 +261,7 @@ class TestCrashRecoveryEndToEnd:
         # The displaced jobs rolled back at most one checkpoint
         # interval each and every one of them recovered.
         assert record.job_ids
-        interval = \
-            runtime.config.execution.checkpoint_interval_iterations
+        interval = CHECKPOINT_INTERVAL_ITERATIONS
         assert 0 <= record.lost_iterations \
             <= interval * len(record.job_ids)
         assert not log.pending_recoveries
@@ -293,8 +293,7 @@ class TestCrashRecoveryEndToEnd:
                   for j in group.jobs()}
         displaced = master.inject_machine_failure(victim)
         assert set(displaced) == set(before)
-        interval = \
-            runtime.config.execution.checkpoint_interval_iterations
+        interval = CHECKPOINT_INTERVAL_ITERATIONS
         for job_id in displaced:
             job = master.jobs[job_id]
             rollback = job.remaining_iterations - before[job_id]
@@ -323,8 +322,7 @@ class TestCrashRecoveryEndToEnd:
                   for j in group.jobs()}
         displaced = master.inject_machine_failure(group.machine_ids[0])
         assert migrating.job_id in displaced
-        interval = \
-            runtime.config.execution.checkpoint_interval_iterations
+        interval = CHECKPOINT_INTERVAL_ITERATIONS
         for job_id in displaced:
             job = master.jobs[job_id]
             rollback = job.remaining_iterations - before[job_id]

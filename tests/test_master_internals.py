@@ -7,6 +7,7 @@ from repro.cluster.cluster import Cluster
 from repro.config import ExecutionConfig, MemoryConfig, SimConfig
 from repro.core.job import JobState
 from repro.core.master import HarmonyMaster
+from repro.core.memory_manager import TARGET_PRESSURE
 from repro.errors import SchedulingError
 from repro.metrics.utilization import ClusterUsageRecorder
 from repro.sim import RandomStreams, Simulator
@@ -107,8 +108,7 @@ def linear_scan_floor(master, specs):
     """The floor scan the per-job rows replaced: every resident byte
     count re-derived from the cost model at every machine count."""
     cost_model = master.cost_model
-    budget = (cost_model.spec.usable_memory_bytes
-              * master.config.memory.target_pressure)
+    budget = cost_model.spec.usable_memory_bytes * TARGET_PRESSURE
     for m in range(1, master.cluster.size + 1):
         need = sum(cost_model.resident_bytes(
             spec, m, alpha=master._floor_alpha) for spec in specs)

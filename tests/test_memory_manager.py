@@ -5,7 +5,11 @@ import pytest
 from repro.cluster.memory import MemoryLedger
 from repro.config import MemoryConfig
 from repro.core.job import Job
-from repro.core.memory_manager import GroupMemoryManager
+from repro.core.memory_manager import (
+    ADJUST_EVERY,
+    TARGET_PRESSURE,
+    GroupMemoryManager,
+)
 from repro.workloads.apps import DATASETS, JobSpec, LDA, MLR
 from repro.workloads.costmodel import CostModel
 
@@ -31,7 +35,7 @@ class TestAdmission:
         job = _job("lda", app=LDA, dataset_index=1)
         assert manager.admit(job)
         assert job.alpha == 0.0
-        assert ledger.pressure < manager.config.target_pressure + 1e-9
+        assert ledger.pressure < TARGET_PRESSURE + 1e-9
 
     def test_big_jobs_get_spilled_to_target_pressure(self):
         manager, ledger = _manager(n_machines=4)
@@ -39,7 +43,7 @@ class TestAdmission:
         second = _job("mlr2", dataset_index=1)
         assert manager.admit(first)
         assert manager.admit(second)
-        assert ledger.pressure <= manager.config.target_pressure + 1e-6
+        assert ledger.pressure <= TARGET_PRESSURE + 1e-6
         assert first.alpha > 0.0
 
     def test_rebalance_shares_one_ratio(self):
@@ -91,7 +95,7 @@ class TestHillClimbing:
     def test_gc_pressure_raises_alpha(self):
         manager, _, job = self._admitted()
         before = job.alpha
-        for _ in range(manager.config.adjust_every):
+        for _ in range(ADJUST_EVERY):
             manager.record_iteration(job, gc_overhead_seconds=10.0,
                                      stall_seconds=0.0,
                                      busy_seconds=100.0)
@@ -101,7 +105,7 @@ class TestHillClimbing:
         manager, ledger, job = self._admitted()
         job.alpha = 0.9
         manager._apply_components(job)
-        for _ in range(manager.config.adjust_every):
+        for _ in range(ADJUST_EVERY):
             manager.record_iteration(job, gc_overhead_seconds=0.0,
                                      stall_seconds=10.0,
                                      busy_seconds=100.0)
@@ -111,17 +115,17 @@ class TestHillClimbing:
         """The climber refuses steps that would recreate GC pressure."""
         manager, ledger, job = self._admitted()
         start = job.alpha
-        for _ in range(manager.config.adjust_every):
+        for _ in range(ADJUST_EVERY):
             manager.record_iteration(job, gc_overhead_seconds=0.0,
                                      stall_seconds=10.0,
                                      busy_seconds=100.0)
-        assert ledger.pressure <= manager.config.target_pressure + 1e-6
+        assert ledger.pressure <= TARGET_PRESSURE + 1e-6
         assert job.alpha <= start  # moved down or stayed
 
     def test_balanced_overheads_leave_alpha_alone(self):
         manager, _, job = self._admitted()
         before = job.alpha
-        for _ in range(4 * manager.config.adjust_every):
+        for _ in range(4 * ADJUST_EVERY):
             manager.record_iteration(job, gc_overhead_seconds=1.0,
                                      stall_seconds=1.0,
                                      busy_seconds=100.0)
@@ -133,7 +137,7 @@ class TestHillClimbing:
         job.alpha = 1.0
         manager._apply_components(job)
         assert not job.model_spilled
-        for _ in range(2 * manager.config.adjust_every):
+        for _ in range(2 * ADJUST_EVERY):
             manager.record_iteration(job, gc_overhead_seconds=50.0,
                                      stall_seconds=0.0,
                                      busy_seconds=100.0)
@@ -142,7 +146,7 @@ class TestHillClimbing:
     def test_fixed_alpha_disables_adaptation(self):
         config = MemoryConfig(fixed_alpha=0.5)
         manager, _, job = self._admitted(config=config)
-        for _ in range(4 * manager.config.adjust_every):
+        for _ in range(4 * ADJUST_EVERY):
             manager.record_iteration(job, gc_overhead_seconds=50.0,
                                      stall_seconds=0.0,
                                      busy_seconds=100.0)

@@ -107,12 +107,12 @@ class TestScore:
     def test_cpu_weight_dominates(self):
         cpu_heavy = UtilizationVector(cpu=1.0, net=0.0)
         net_heavy = UtilizationVector(cpu=0.0, net=1.0)
-        model = PerfModel(cpu_weight=0.75)
+        model = PerfModel()
         assert model.score(cpu_heavy) > model.score(net_heavy)
 
     def test_score_is_weighted_sum(self):
         vector = UtilizationVector(cpu=0.8, net=0.4)
-        assert PerfModel(cpu_weight=0.75).score(vector) == pytest.approx(
+        assert PerfModel().score(vector) == pytest.approx(
             0.75 * 0.8 + 0.25 * 0.4)
 
     def test_vector_iterates_cpu_then_net(self):

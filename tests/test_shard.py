@@ -278,7 +278,7 @@ class TestRouteDifferential:
             self.apply(kind, a, b, pool, placers, state)
             routed, expected = self.route_both(pool, placers, state)
             if kind == "migrate":
-                moves = plan_moves(routed, machines, 0.75, 0.0, 1 + b % 8)
+                moves = plan_moves(routed, machines, 0.0, 1 + b % 8)
                 self.assert_same(
                     placers[0].migrate(pool, routed, moves),
                     reference_migrate(placers[1], expected, pool, moves),
@@ -296,11 +296,11 @@ class TestPlanMoves:
 
     def test_balanced_cells_produce_no_moves(self):
         cells = self.cellify([[4.0, 4.0], [4.0, 4.0]])
-        assert plan_moves(cells, [10, 10], 0.75, 0.25, 64) == []
+        assert plan_moves(cells, [10, 10], 0.25, 64) == []
 
     def test_hot_cell_drains_into_coldest(self):
         cells = self.cellify([[8.0] * 6, [1.0]])
-        moves = plan_moves(cells, [10, 10], 0.75, 0.25, 64)
+        moves = plan_moves(cells, [10, 10], 0.25, 64)
         assert moves
         assert all(move.source == 0 and move.target == 1
                    for move in moves)
@@ -311,24 +311,24 @@ class TestPlanMoves:
     def test_moves_reduce_spread(self):
         cells = self.cellify([[8.0] * 6, [1.0], [1.0]])
         machines = [10, 10, 10]
-        before = [sum(job_weight(job, 0.75) for job in members) / m
+        before = [sum(job_weight(job) for job in members) / m
                   for members, m in zip(cells, machines, strict=True)]
-        moves = plan_moves(cells, machines, 0.75, 0.25, 64)
+        moves = plan_moves(cells, machines, 0.25, 64)
         loads = list(before)
         for move in moves:
-            weight = job_weight(move.job, 0.75)
+            weight = job_weight(move.job)
             loads[move.source] -= weight / machines[move.source]
             loads[move.target] += weight / machines[move.target]
         assert max(loads) - min(loads) < max(before) - min(before)
 
     def test_move_budget_is_respected(self):
         cells = self.cellify([[8.0] * 20, [0.1]])
-        moves = plan_moves(cells, [10, 10], 0.75, 0.0, 3)
+        moves = plan_moves(cells, [10, 10], 0.0, 3)
         assert len(moves) == 3
 
     def test_single_cell_never_moves(self):
         cells = self.cellify([[8.0] * 6])
-        assert plan_moves(cells, [10], 0.75, 0.25, 64) == []
+        assert plan_moves(cells, [10], 0.25, 64) == []
 
 
 class TestShardedRebalance:
@@ -521,7 +521,7 @@ def jobs(prefix, n, scale):
                        t_net=0.05 + (i % 7) / 9.0, m_observed=16)
             for i in range(n)]
 
-placer = GlobalPlacer((40, 30, 30, 25), cpu_weight=0.75)
+placer = GlobalPlacer((40, 30, 30, 25))
 pool = jobs("job-", 200, 0.5)
 placer.route(pool)
 survivors = [job for i, job in enumerate(pool) if i % 3]

@@ -80,11 +80,6 @@ class TestCostModel:
                                                model_spilled=True) < \
             cost_model.model_resident_bytes(spec, 8)
 
-    def test_memory_floor_monotone_in_alpha(self, cost_model):
-        spec = JobSpec("a", MLR, DATASETS["MLR"][1])
-        assert cost_model.memory_floor(spec, alpha=1.0) <= \
-            cost_model.memory_floor(spec, alpha=0.0)
-
     def test_reload_bytes_proportional(self, cost_model):
         spec = JobSpec("a", MLR, DATASETS["MLR"][0])
         half = cost_model.reload_bytes_per_iteration(spec, 8, 0.5)
