@@ -23,7 +23,7 @@ def test_sim_engine_fast_path(once, benchmark):
     # event-loop machinery, never from changed arithmetic.
     assert comparison.outcomes_equal
 
-    # The fast path's headline claim (measured ~4.5-5x on the
+    # The fast path's headline claim (measured ~3.5x median on the
     # deterministic config; the floor leaves headroom for CI jitter).
     assert comparison.speedup >= 3.0
 
@@ -46,7 +46,7 @@ def test_sim_engine_multi_job(once, benchmark):
 
     assert comparison.outcomes_equal
 
-    # Measured ~2x (the shared generator/process machinery the solo
+    # Measured ~1.9x (the shared generator/process machinery the solo
     # lane also skips is still paid per wake here); the floor leaves
     # the same proportional headroom for CI jitter as the solo gate.
     assert comparison.speedup >= 1.5

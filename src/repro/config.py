@@ -180,6 +180,16 @@ class ExecutionConfig:
     #: COMM subtask is hit by a bursty-traffic spike from other tenants.
     comm_interference_probability: float = 0.0
 
+    def __post_init__(self):
+        _check_rules(self, (
+            ("secondary_comm_rate", 0.0 <= self.secondary_comm_rate <= 1.0,
+             "in [0, 1]"),
+            ("duration_jitter_cv", self.duration_jitter_cv >= 0, ">= 0"),
+            ("barrier_overhead", self.barrier_overhead >= 0, ">= 0"),
+            ("comm_interference_probability",
+             0.0 <= self.comm_interference_probability <= 1.0, "in [0, 1]"),
+        ))
+
 
 @dataclass(frozen=True)
 class ShardConfig:

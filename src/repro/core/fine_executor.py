@@ -133,17 +133,17 @@ def run_fine_grained_group(specs: Sequence[JobSpec], n_machines: int,
             # PULL: every worker fetches the model through its NIC.
             t_pull = profile.t_pull * streams.jitter(
                 f"pull:{job_id}:{machine}", jitter_cv)
-            yield nets[machine].submit(t_pull, tag=job_id)
+            yield nets[machine].submit(t_pull)
             yield barrier.arrive((job_id, iteration, "pull"))
             # COMP: each machine processes its input partition.
             t_comp = profile.t_comp * streams.jitter(
                 f"comp:{job_id}:{machine}", jitter_cv)
-            yield cpus[machine].submit(t_comp, tag=job_id)
+            yield cpus[machine].submit(t_comp)
             # PUSH: gradients scatter back; the synchronous-clock
             # barrier completes the iteration (Fig. 7 steps 1-2).
             t_push = profile.t_push * streams.jitter(
                 f"push:{job_id}:{machine}", jitter_cv)
-            yield nets[machine].submit(t_push, tag=job_id)
+            yield nets[machine].submit(t_push)
             yield barrier.arrive((job_id, iteration, "push"))
             if machine == 0:
                 span = sim.now - starts.pop((job_id, iteration))

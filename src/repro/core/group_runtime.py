@@ -410,10 +410,9 @@ class GroupRuntime:
         memory_side_bytes = spec.input_gb * (1.0 - job.alpha) / m * 1024**3
         load_seconds += self.cost_model.disk.read_seconds(memory_side_bytes)
         if load_seconds > 0:
-            record_load = (self.disk.serve_solo(load_seconds, job_id)
+            record_load = (self.disk.serve_solo(load_seconds)
                            if batched else
-                           (yield self.disk.submit(load_seconds,
-                                                   tag=job_id)))
+                           (yield self.disk.submit(load_seconds)))
             if trace is not None:
                 self._trace_service("disk", job_id,
                                     "RESTORE+LOAD" if restore else "LOAD",
@@ -432,9 +431,8 @@ class GroupRuntime:
                       * jitter(jitter_name, jitter_cv)
                       * self._comm_interference()
                       * self._fault_net_factor)
-            record_pull = (self.net.serve_solo(t_pull, job_id)
-                           if batched else
-                           (yield self.net.submit(t_pull, tag=job_id)))
+            record_pull = (self.net.serve_solo(t_pull) if batched else
+                           (yield self.net.submit(t_pull)))
             if trace is not None and t_pull > 0:
                 self._trace_service("net", job_id, "PULL", record_pull,
                                     "comm")
@@ -469,11 +467,9 @@ class GroupRuntime:
             t_comp_base = (profile.t_comp * barrier
                            * jitter(jitter_name, jitter_cv)
                            * self._fault_cpu_factor)
-            record_comp = (self.cpu.serve_solo(t_comp_base * gc_factor,
-                                               job_id)
-                           if batched else
-                           (yield self.cpu.submit(t_comp_base * gc_factor,
-                                                  tag=job_id)))
+            t_comp = t_comp_base * gc_factor
+            record_comp = (self.cpu.serve_solo(t_comp) if batched else
+                           (yield self.cpu.submit(t_comp)))
             if trace is not None:
                 self._trace_service("cpu", job_id, "COMP", record_comp,
                                     "comp")
@@ -486,9 +482,8 @@ class GroupRuntime:
                       * jitter(jitter_name, jitter_cv)
                       * self._comm_interference()
                       * self._fault_net_factor)
-            record_push = (self.net.serve_solo(t_push, job_id)
-                           if batched else
-                           (yield self.net.submit(t_push, tag=job_id)))
+            record_push = (self.net.serve_solo(t_push) if batched else
+                           (yield self.net.submit(t_push)))
             if trace is not None:
                 self._trace_service("net", job_id, "PUSH", record_push,
                                     "comm")
@@ -552,7 +547,7 @@ class GroupRuntime:
             # guaranteed here), checkpoint the model parameters to disk.
             checkpoint = self.cost_model.disk.checkpoint_seconds(
                 self.cost_model.checkpoint_bytes(spec, m))
-            record_ckpt = yield self.disk.submit(checkpoint, tag=job_id)
+            record_ckpt = yield self.disk.submit(checkpoint)
             if trace is not None:
                 self._trace_service("disk", job_id, "CHECKPOINT",
                                     record_ckpt, "checkpoint")
@@ -572,7 +567,7 @@ class GroupRuntime:
             self._trace.counter(f"{prefix}.reload_bytes").add(
                 self.cost_model.reload_bytes_per_iteration(
                     job.spec, self.n_machines, job.alpha))
-        return self.disk.submit(seconds, tag=job.job_id)
+        return self.disk.submit(seconds)
 
     def _comm_interference(self) -> float:
         """Occasional bursty-traffic slowdown on a COMM subtask (§VI

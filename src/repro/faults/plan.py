@@ -10,6 +10,7 @@ timeline (and therefore an identical simulated run).
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -47,15 +48,19 @@ class FaultEvent:
     severity: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise SimulationError(f"fault at negative time {self.time}")
-        if self.duration < 0:
+        # Stated positively so that NaN fails too.
+        if not 0.0 <= self.time < math.inf:
             raise SimulationError(
-                f"fault duration must be >= 0, got {self.duration}")
-        if self.kind is not FaultKind.MACHINE_CRASH and self.severity <= 1.0:
+                f"fault time must be finite and >= 0, got {self.time}")
+        if not 0.0 <= self.duration < math.inf:
             raise SimulationError(
-                f"{self.kind.value} severity must exceed 1.0 "
-                f"(got {self.severity})")
+                f"fault duration must be finite and >= 0, "
+                f"got {self.duration}")
+        if (self.kind is not FaultKind.MACHINE_CRASH
+                and not 1.0 < self.severity < math.inf):
+            raise SimulationError(
+                f"{self.kind.value} severity must be finite and exceed "
+                f"1.0 (got {self.severity})")
 
 
 @dataclass(frozen=True)

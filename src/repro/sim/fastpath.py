@@ -17,7 +17,9 @@ its resource instead of a heap entry — and one cancellable *driver*
 entry stands in for the group's earliest park.  When it fires,
 consecutive parked wakes are served at their true times (forward-only
 warps, so every hook observes true state) until an external heap
-entry must interleave.
+entry must interleave.  Each wake is served by the reference engine's
+own wake step, :meth:`RateResource.serve_parked`: the lane skips the
+heap round-trips, never the arithmetic.
 
 A single-job group whose hooks have no per-iteration callback
 (``hooks.on_iteration is None``) may instead take the **solo lane**:
@@ -26,8 +28,9 @@ warped clock in one process step, :meth:`RateResource.serve_solo`
 jumping straight to each closed-form completion, and parks at the
 closed-form end time, where its terminal hooks fire at real time.
 
-Because the identical float operations run in the identical order,
-both lanes are bitwise equal to the reference engine by construction;
+The drive lane runs the reference wake step itself, and the solo lane
+replays its float operations in the identical order, so both lanes are
+bitwise equal to the reference engine by construction;
 the differential suite (``tests/test_sim_fastpath.py``) and the
 ``repro.check`` invariants pin it there.  Engagement is counted once,
 on the simulator (``sim.fastpath_stats``).
@@ -53,11 +56,12 @@ class GroupBatchEngine:
       one real *driver* entry on the heap at the group's earliest
       parked wake, queued at that wake's own tiebreak sequence number.
       When it fires, :meth:`_drive` serves consecutive parked wakes
-      (warping the clock **forward only**) until the next external
-      heap entry precedes the next parked wake.  Completion callbacks
-      run at true simulated times with true state, so any hook —
-      ``HarmonyMaster``'s profiler transitions, pauses and regroups
-      included — sees exactly what the reference engine shows it.
+      with the reference wake step (warping the clock **forward
+      only**) until the next external heap entry precedes the next
+      parked wake.  Completion callbacks run at true simulated times
+      with true state, so any hook — ``HarmonyMaster``'s profiler
+      transitions, pauses and regroups included — sees exactly what
+      the reference engine shows it.
     * **Solo lane** (see :meth:`open`): the whole job runs under a
       warped clock inside one process step (``open`` / ``serve_solo``
       / ``close``), parked at the closed-form end time.
@@ -123,32 +127,36 @@ class GroupBatchEngine:
             return
         self._sync_driver()
 
-    def _earliest_park(self) -> tuple[float, int] | None:
+    def _earliest_park(
+            self) -> "tuple[tuple[float, int], RateResource] | None":
+        """``((when, seq), resource)`` of the earliest parked wake, or
+        None when no resource is parked."""
         best = None
         for resource in self._resources:
             when = resource._pending_wake_at
             if when is not None:
                 key = (when, resource._pending_wake_seq)
-                if best is None or key < best:
-                    best = key
+                if best is None or key < best[0]:
+                    best = (key, resource)
         return best
 
     def _sync_driver(self) -> None:
         """Keep exactly one live driver entry at the earliest parked
         wake, queued at that wake's own sequence number."""
-        best = self._earliest_park()
+        park = self._earliest_park()
+        key = None if park is None else park[0]
         handle = self._driver_handle
-        if (best == self._driver_key and handle is not None
+        if (key == self._driver_key and handle is not None
                 and not handle.cancelled):
             return
         self.sim.cancel(handle)
         self._driver_handle = None
         self._driver_key = None
-        if best is None:
+        if key is None:
             return
         self._driver_handle = self.sim.call_at(
-            best[0], self._drive, cancellable=True, sequence=best[1])
-        self._driver_key = best
+            key[0], self._drive, cancellable=True, sequence=key[1])
+        self._driver_key = key
 
     def _drive(self) -> None:
         """Serve consecutive parked wakes at their true fire times.
@@ -164,7 +172,6 @@ class GroupBatchEngine:
         self._driver_key = None
         sim = self.sim
         queue = sim._queue
-        resources = self._resources
         # run_until only changes inside Simulator.run(), and the
         # simulator is not reentrant — constant for the whole drive.
         until = sim.run_until
@@ -178,36 +185,22 @@ class GroupBatchEngine:
         self._in_drive = True
         try:
             while True:
-                best_when = None
-                best_seq = 0
-                best_resource = None
-                for resource in resources:
-                    when = resource._pending_wake_at
-                    if when is None:
-                        continue
-                    seq = resource._pending_wake_seq
-                    if (best_when is None or when < best_when
-                            or (when == best_when and seq < best_seq)):
-                        best_when = when
-                        best_seq = seq
-                        best_resource = resource
-                if best_when is None:
+                park = self._earliest_park()
+                if park is None:
                     break
-                if until is not None and best_when > until:
+                key, resource = park
+                if until is not None and key[0] > until:
                     break
                 if len(queue) != head_len:
                     head = sim.peek_entry()
                     head_len = len(queue)
-                if head is not None and (
-                        head[0] < best_when
-                        or (head[0] == best_when
-                            and head[1] < best_seq)):
+                if head is not None and head < key:
                     # A cancelled-in-place head (len unchanged) breaks
                     # conservatively: the loop round-trips once through
                     # step(), which discards it, and the driver refires.
                     break
-                sim._now = best_when  # warp(), inlined for the hot loop
-                best_resource.serve_parked()
+                sim._now = key[0]  # warp(), inlined for the hot loop
+                resource.serve_parked()
                 served += 1
         finally:
             self._in_drive = False

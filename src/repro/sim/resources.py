@@ -22,6 +22,7 @@ Three policies cover every resource in the paper:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -103,10 +104,8 @@ class _Task:
     work_remaining: float
     work_total: float
     event: Event
-    tag: str | None
     submitted_at: float
     started_at: float | None = None
-    served: float = 0.0
 
 
 @dataclass
@@ -199,10 +198,11 @@ class RateResource:
         # Head-of-line service rate for a queue of one, memoized for
         # serve_solo (policies are pure functions of the queue length).
         self._solo_rate: float | None = None
-        # Per-queue-length (rates, level, active indices) memo for
-        # serve_parked.  Policies are pure functions of the queue
-        # length, so the cached tuples are float-identical to what
-        # current_rates() would rebuild at every wake.
+        # Per-queue-length (rates, level, active indices) memo for the
+        # parked branches of _advance and _reschedule.  Policies are
+        # pure functions of the queue length, so the cached tuples are
+        # float-identical to what current_rates() would rebuild at
+        # every wake.
         self._rates_cache: dict[
             int, tuple[tuple[float, ...], float, tuple[int, ...]]] = {}
         self._record_segments = record_segments
@@ -216,8 +216,6 @@ class RateResource:
         self._segment_seal = 0
         #: Aggregate ``∫ level dt`` — busy seconds, capped at capacity.
         self.busy_seconds = 0.0
-        #: Service seconds attributed per tag (e.g. per job id).
-        self.served_by_tag: dict[str, float] = {}
         #: Work-conservation ledger (see :class:`ResourceAudit`).
         self.work_submitted = 0.0
         self.work_served = 0.0
@@ -229,21 +227,22 @@ class RateResource:
     def queue_length(self) -> int:
         return len(self._tasks)
 
-    def submit(self, work: float, tag: str | None = None) -> Event:
+    def submit(self, work: float) -> Event:
         """Enqueue ``work`` seconds of service; returns a completion event.
 
         The event value is a :class:`ServiceRecord`.
         """
-        if work < 0:
-            raise ResourceError(f"negative work {work} on {self.name!r}")
+        if not 0.0 <= work < math.inf:
+            raise ResourceError(
+                f"work {work} on {self.name!r} must be finite and >= 0")
         sim = self.sim
         # _advance at an unchanged clock only rewrites _last_update with
         # the same value; skipping the call entirely is exact.
         if sim._now != self._last_update:
             self._advance()
         event = Event(sim, self._task_name)
-        task = _Task(work_remaining=max(work, 0.0), work_total=work,
-                     event=event, tag=tag, submitted_at=sim._now)
+        task = _Task(work_remaining=work, work_total=work, event=event,
+                     submitted_at=sim._now)
         self.work_submitted += task.work_remaining
         self._tasks.append(task)
         # Zero-work tasks are popped as already-finished by the
@@ -347,19 +346,13 @@ class RateResource:
                 self.busy_seconds += level * dt
                 if self._record_segments:
                     self._append_segment(last_update, now, level)
-            served_by_tag = self.served_by_tag
             for index in active:
                 task = tasks[index]
                 if task.started_at is None:
                     task.started_at = last_update
                 delivered = min(task.work_remaining, rates[index] * dt)
                 task.work_remaining -= delivered
-                task.served += delivered
                 self.work_served += delivered
-                tag = task.tag
-                if tag is not None:
-                    served_by_tag[tag] = (
-                        served_by_tag.get(tag, 0.0) + delivered)
             self._last_update = now
             return
         rates = self.current_rates()
@@ -375,11 +368,7 @@ class RateResource:
                 task.started_at = self._last_update
             delivered = min(task.work_remaining, rate * dt)
             task.work_remaining -= delivered
-            task.served += delivered
             self.work_served += delivered
-            if task.tag is not None:
-                self.served_by_tag[task.tag] = (
-                    self.served_by_tag.get(task.tag, 0.0) + delivered)
         self._last_update = now
 
     def _append_segment(self, start: float, end: float, level: float) -> None:
@@ -415,9 +404,8 @@ class RateResource:
         self._pop_finished()
         owner = self._wake_owner
         if not self._tasks:
-            if owner is not None and not (owner._in_drive
-                                          or owner.active):
-                owner._sync_driver()  # park_changed(), inlined
+            if owner is not None:
+                owner.park_changed(self)
             return
         if owner is not None:
             # Coordinated mode: the horizon scan over the memoized
@@ -455,8 +443,7 @@ class RateResource:
                 return
             self._pending_wake_at = when
             self._pending_wake_seq = next(self.sim._sequence)
-            if not (owner._in_drive or owner.active):
-                owner._sync_driver()  # park_changed(), inlined
+            owner.park_changed(self)
             return
         self._wake_handle = self.sim.call_at(
             when, lambda: self._on_wake(generation), cancellable=True)
@@ -479,20 +466,19 @@ class RateResource:
     def drain(self) -> None:
         """Serve the queue to completion by warping the clock.
 
-        Replays exactly the wake-cycle float operations of the
-        event-driven path — advance, pop, next horizon — in the same
-        order, without queue round-trips.  Only a solo batch of the
-        owner, which holds the simulator clock, may call this.
+        Runs the reference wake step (:meth:`serve_parked`) at each
+        parked wake in turn, without queue round-trips.  Only a solo
+        batch of the owner, which holds the simulator clock, may call
+        this.
         """
         while self._tasks:
             when = self._pending_wake_at
             if when is None:
                 return  # starved queue: nothing will ever complete
             self.sim.warp(when)
-            self._advance()
-            self._reschedule()
+            self.serve_parked()
 
-    def serve_solo(self, work: float, tag: str) -> ServiceRecord:
+    def serve_solo(self, work: float) -> ServiceRecord:
         """Fused submit + drain for an empty parked resource.
 
         The fast path's hot loop: one subtask on an otherwise idle
@@ -503,15 +489,17 @@ class RateResource:
         — the ledger updates, segment merges, and the completion record
         are bitwise equal (the differential suite pins the
         equivalence).  Falls back to the generic pair whenever any
-        precondition is off.
+        precondition is off; ``submit`` then rejects non-finite or
+        negative work.
         """
         head_rate = self._solo_rate
         if head_rate is None:
             rates = self._policy(1)
             head_rate = self._solo_rate = rates[0] if rates else 0.0
-        if (self._wake_owner is None or self._tasks or work <= _EPSILON
-                or head_rate <= _EPSILON):
-            event = self.submit(work, tag=tag)
+        if (self._wake_owner is None or self._tasks
+                or not _EPSILON < work < math.inf
+                or not head_rate > _EPSILON):
+            event = self.submit(work)
             self.drain()
             if not event.triggered:
                 raise ResourceError(
@@ -527,7 +515,6 @@ class RateResource:
         generation = self._wake_generation + 1
         remaining = work
         started: float | None = None
-        served_by_tag = self.served_by_tag
         record_segments = self._record_segments
         # drain(): each cycle jumps to the closed-form completion
         # horizon and replays the reference wake's arithmetic.
@@ -539,29 +526,12 @@ class RateResource:
                 if level > _EPSILON:
                     self.busy_seconds += level * dt
                     if record_segments:
-                        # _append_segment inlined (dt > 0 already rules
-                        # out the zero-duration guard): merge onto an
-                        # unsealed contiguous same-level segment, else
-                        # start a new one.
-                        segments = self.segments
-                        if len(segments) > self._segment_seal:
-                            prev = segments[-1]
-                            if (abs(prev.end - last) <= _EPSILON
-                                    and abs(prev.level - level) <= 1e-6):
-                                prev.end = when
-                            else:
-                                segments.append(
-                                    BusySegment(last, when, level))
-                        else:
-                            segments.append(
-                                BusySegment(last, when, level))
+                        self._append_segment(last, when, level)
                 if started is None:
                     started = last
                 delivered = min(remaining, head_rate * dt)
                 remaining -= delivered
                 self.work_served += delivered
-                served_by_tag[tag] = (
-                    served_by_tag.get(tag, 0.0) + delivered)
             else:
                 # Nothing served (remaining > _EPSILON here): the next
                 # cycle would land on the same instant forever.
@@ -608,114 +578,18 @@ class RateResource:
         self._wake_owner = owner
 
     def serve_parked(self) -> None:
-        """Serve one parked wake — the coordinated drive's hot step.
+        """Serve the wake due at the current clock: ``_advance`` +
+        ``_reschedule``.
 
-        The caller has warped the clock to the parked fire time.
-        Semantically identical to the reference engine's ``_on_wake``
-        (``_advance`` + ``_reschedule``), but fused: the per-position
-        rates, capacity level, and active-index set are memoized per
-        queue length (the "per-segment fixed point" — rates depend
-        only on the queue length, which is constant between structural
-        changes), and no cancellation/queue traffic is paid.  Float
-        operations are replayed in the reference order, so the result
-        is bitwise equal.
+        The one wake step: the reference engine's ``_on_wake``,
+        :meth:`drain`, and the drive lane (whose caller has warped the
+        clock to the parked fire time) all run it.  While parked, both
+        halves replay their arithmetic from the per-queue-length memo
+        (:meth:`_rates_for`), so the result is bitwise equal to the
+        reference path.
         """
-        sim = self.sim
-        now = sim._now
-        # _advance(), inlined (the memoized coordinated branch): this
-        # is the single hottest call site in a drive, one per wake.
-        dt = now - self._last_update
-        if dt <= _EPSILON:
-            self._last_update = now
-        else:
-            tasks = self._tasks
-            cached = self._rates_cache.get(len(tasks))
-            if cached is None:
-                cached = self._rates_for(len(tasks))
-            rates, level, active = cached
-            last_update = self._last_update
-            if level > _EPSILON:
-                self.busy_seconds += level * dt
-                if self._record_segments:
-                    # _append_segment inlined (dt > 0 already rules out
-                    # the zero-duration guard).
-                    segments = self.segments
-                    if len(segments) > self._segment_seal:
-                        prev = segments[-1]
-                        if (abs(prev.end - last_update) <= _EPSILON
-                                and abs(prev.level - level) <= 1e-6):
-                            prev.end = now
-                        else:
-                            segments.append(
-                                BusySegment(last_update, now, level))
-                    else:
-                        segments.append(
-                            BusySegment(last_update, now, level))
-            served_by_tag = self.served_by_tag
-            for index in active:
-                task = tasks[index]
-                if task.started_at is None:
-                    task.started_at = last_update
-                delivered = min(task.work_remaining, rates[index] * dt)
-                task.work_remaining -= delivered
-                task.served += delivered
-                self.work_served += delivered
-                tag = task.tag
-                if tag is not None:
-                    served_by_tag[tag] = (
-                        served_by_tag.get(tag, 0.0) + delivered)
-            self._last_update = now
-        # _reschedule(), fused.  No wake handle to cancel in this mode.
-        self._pending_wake_at = None
-        self._pending_wake_seq = None
-        self._wake_generation += 1
-        generation = self._wake_generation
-        # _pop_finished(), single-completion case inlined: a wake fires
-        # at the minimum completion horizon, so almost every serve pops
-        # exactly one task.  Completion callbacks may resume processes
-        # that submit() back into this queue.
-        tasks = self._tasks
-        first = -1
-        for index, task in enumerate(tasks):
-            if task.work_remaining <= _EPSILON:
-                first = index
-                break
-        if first >= 0:
-            for index in range(first + 1, len(tasks)):
-                if tasks[index].work_remaining <= _EPSILON:
-                    self._pop_finished()  # simultaneous completions
-                    break
-            else:
-                self._complete(tasks.pop(first))
-        # No owner notification on any exit: serve_parked only runs
-        # inside the owner's _drive loop (which rescans every park on
-        # each step and reconciles the driver once, on exit), so
-        # park_changed would be suppressed anyway.  The owner cannot
-        # detach mid-drive: teardown runs only as a Simulator.run call
-        # starts.
-        tasks = self._tasks
-        if not tasks:
-            return
-        cached = self._rates_cache.get(len(tasks))
-        if cached is None:
-            cached = self._rates_for(len(tasks))
-        rates, _level, active = cached
-        horizon = None
-        for index in active:
-            eta = tasks[index].work_remaining / rates[index]
-            if horizon is None or eta < horizon:
-                horizon = eta
-        if horizon is None:
-            return
-        if self._wake_generation != generation:
-            return  # superseded by a nested reschedule in _pop_finished
-        when = now + max(horizon, 0.0)
-        if when - now <= _EPSILON:
-            raise self._stalled(now)
-        self._pending_wake_at = when
-        # Drawn here, where the reference _reschedule's call_at draws
-        # it, so a same-instant race resolves in the reference order.
-        self._pending_wake_seq = next(sim._sequence)
+        self._advance()
+        self._reschedule()
 
     def _rates_for(
             self, n: int
@@ -723,8 +597,8 @@ class RateResource:
         """Memoize (padded rates, capacity level, active indices) for a
         queue of length ``n``.  ``level`` reproduces ``min(1.0,
         sum(rates))`` over the padded list and ``active`` the indices
-        ``_advance``/``_next_horizon`` would not skip, so the fused
-        path replays identical arithmetic."""
+        ``_advance``/``_next_horizon`` would not skip, so the parked
+        branches replay identical arithmetic."""
         base = self._policy(n)
         nb = len(base)
         rates = tuple(base[i] if i < nb else 0.0 for i in range(n))
@@ -756,8 +630,7 @@ class RateResource:
     def _on_wake(self, generation: int) -> None:
         if generation != self._wake_generation:
             return  # superseded by a later submit/cancel/completion
-        self._advance()
-        self._reschedule()
+        self.serve_parked()
 
     def _pop_finished(self) -> None:
         # Scan-before-allocate: most rescheduling passes pop nothing

@@ -11,6 +11,7 @@ DoP 16) — see ``repro/workloads/costmodel.py`` for the physics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import WorkloadError
@@ -110,12 +111,14 @@ class JobSpec:
         if self.iterations <= 0:
             raise WorkloadError(
                 f"job {self.job_id}: iterations must be positive")
-        if self.compute_scale <= 0 or self.model_scale <= 0:
+        # Stated positively so that NaN fails too.
+        if not (0.0 < self.compute_scale < math.inf
+                and 0.0 < self.model_scale < math.inf):
             raise WorkloadError(
-                f"job {self.job_id}: scales must be positive")
-        if self.submit_time < 0:
+                f"job {self.job_id}: scales must be finite and positive")
+        if not 0.0 <= self.submit_time < math.inf:
             raise WorkloadError(
-                f"job {self.job_id}: negative submit time")
+                f"job {self.job_id}: submit time must be finite and >= 0")
 
     # -- derived physical quantities ------------------------------------
 

@@ -11,6 +11,7 @@ from repro.config import (
     ADMISSION_ORDERS,
     DEFAULT_SIM_CONFIG,
     GB,
+    ExecutionConfig,
     MB,
     MachineSpec,
     MemoryConfig,
@@ -231,6 +232,35 @@ class TestMemoryConfig:
     ])
     def test_edge_values_stay_valid(self, field, value):
         assert getattr(MemoryConfig(**{field: value}), field) == value
+
+
+class TestExecutionConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("secondary_comm_rate", -0.1),
+        ("secondary_comm_rate", 1.5),
+        ("secondary_comm_rate", float("nan")),
+        ("duration_jitter_cv", -0.01),
+        ("duration_jitter_cv", float("nan")),
+        ("barrier_overhead", -0.01),
+        ("barrier_overhead", float("nan")),
+        ("comm_interference_probability", -0.1),
+        ("comm_interference_probability", 2.0),
+        ("comm_interference_probability", float("nan")),
+    ])
+    def test_bad_value_fails_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExecutionConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("secondary_comm_rate", 0.0),  # no secondary COMM slot
+        ("secondary_comm_rate", 1.0),
+        ("duration_jitter_cv", 0.0),   # noise-free subtasks
+        ("barrier_overhead", 0.0),
+        ("comm_interference_probability", 0.0),
+        ("comm_interference_probability", 1.0),
+    ])
+    def test_edge_values_stay_valid(self, field, value):
+        assert getattr(ExecutionConfig(**{field: value}), field) == value
 
 
 class TestErrorHierarchy:

@@ -79,6 +79,16 @@ class TestFaultPlan:
         with pytest.raises(SimulationError):
             FaultPlan.generate(seed=1, n_machines=4, horizon_seconds=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["time", "duration", "severity"])
+    def test_rejects_non_finite_inputs(self, field, value):
+        fields = {"time": 0.0, "duration": 10.0, "severity": 2.0,
+                  field: value}
+        with pytest.raises(SimulationError,
+                           match=f"{field} must be finite"):
+            FaultEvent(kind=FaultKind.MACHINE_SLOWDOWN, machine_id=0,
+                       **fields)
+
 
 # --------------------------------------------- synchronizer fault paths
 

@@ -550,8 +550,8 @@ class TestEngineConfig:
 class _DrivingOwner:
     """A coordinated owner mid-drive: parks need no driver sync."""
 
-    _in_drive = True
-    active = True
+    def park_changed(self, resource):
+        pass
 
 
 class TestStalledResource:
@@ -571,7 +571,7 @@ class TestStalledResource:
     def test_reference_engine_raises(self, sim):
         resource = self._resource(sim)
         sim.call_at(self.CLOCK,
-                    lambda: resource.submit(self.LEFT, tag="j"))
+                    lambda: resource.submit(self.LEFT))
         with pytest.raises(SimulationError, match="'cpu' stalled at"):
             sim.run()
 
@@ -580,12 +580,12 @@ class TestStalledResource:
         resource.set_wake_owner(_DrivingOwner())
         sim.warp(self.CLOCK)
         with pytest.raises(SimulationError, match="'cpu' stalled at"):
-            resource.serve_solo(self.LEFT, tag="j")
+            resource.serve_solo(self.LEFT)
 
     def test_drive_lane_raises(self, sim):
         resource = self._resource(sim)
         resource.set_wake_owner(_DrivingOwner())
-        resource.submit(1.0, tag="j")
+        resource.submit(1.0)
         # The parked task reaches the large clock with LEFT work left.
         resource._tasks[0].work_remaining = self.LEFT
         sim.warp(self.CLOCK)
@@ -723,10 +723,10 @@ class TestZeroDurationSegments:
         """Serve 10s of work, then purge at exactly t=10 with a fresh
         task queued: no zero-duration segment, ledger balanced."""
         resource = self._resource(sim)
-        resource.submit(10.0, tag="a")
+        resource.submit(10.0)
         sim.run()
         assert sim.now == 10.0
-        resource.submit(3.0, tag="b")
+        resource.submit(3.0)
         resource.purge()  # the fault, exactly on the boundary
         resource.close_segments()
         assert all(s.end > s.start for s in resource.segments)
@@ -738,7 +738,7 @@ class TestZeroDurationSegments:
 
     def test_close_segments_on_boundary_is_idempotent(self, sim):
         resource = self._resource(sim)
-        resource.submit(4.0, tag="a")
+        resource.submit(4.0)
         sim.run()
         resource.close_segments()
         before = segments_of(resource)

@@ -15,6 +15,13 @@ def drain(sim):
     sim.run()
 
 
+class _IdleOwner:
+    """A fast-path owner that ignores park notifications."""
+
+    def park_changed(self, resource):
+        pass
+
+
 class TestSerial:
     def test_single_task_runs_at_full_rate(self, sim):
         cpu = RateResource(sim, serial(), "cpu")
@@ -48,6 +55,20 @@ class TestSerial:
         cpu = RateResource(sim, serial(), "cpu")
         with pytest.raises(ResourceError):
             cpu.submit(-1.0)
+
+    @pytest.mark.parametrize("work", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("lane", ["plain", "parked", "serve_solo"])
+    def test_non_finite_work_raises(self, sim, lane, work):
+        """Every lane rejects NaN and infinite work up front, with the
+        same error, instead of stalling or hanging on it later."""
+        cpu = RateResource(sim, serial(), "cpu")
+        if lane != "plain":
+            cpu.set_wake_owner(_IdleOwner())
+        serve = cpu.serve_solo if lane == "serve_solo" else cpu.submit
+        with pytest.raises(ResourceError, match="finite"):
+            serve(work)
+        assert cpu.queue_length == 0
+        assert cpu.work_submitted == 0.0
 
     def test_busy_seconds_equal_total_work(self, sim):
         cpu = RateResource(sim, serial(), "cpu")
@@ -143,15 +164,6 @@ class TestProcessorSharing:
 
 
 class TestAccounting:
-    def test_served_by_tag_accumulates_work(self, sim):
-        cpu = RateResource(sim, serial(), "cpu")
-        cpu.submit(3.0, tag="A")
-        cpu.submit(4.0, tag="A")
-        cpu.submit(5.0, tag="B")
-        drain(sim)
-        assert cpu.served_by_tag["A"] == pytest.approx(7.0)
-        assert cpu.served_by_tag["B"] == pytest.approx(5.0)
-
     def test_cancel_removes_waiting_task(self, sim):
         cpu = RateResource(sim, serial(), "cpu")
         cpu.submit(5.0)

@@ -44,6 +44,15 @@ class TestJobSpec:
         with pytest.raises(WorkloadError):
             JobSpec("a", MLR, DATASETS["MLR"][0], submit_time=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["compute_scale", "model_scale", "submit_time"])
+    def test_rejects_non_finite_inputs(self, field, value):
+        """NaN and infinity must not slip past the range checks into a
+        simulation, where the two engines would diverge on them."""
+        with pytest.raises(WorkloadError, match="finite"):
+            JobSpec("a", MLR, DATASETS["MLR"][0], **{field: value})
+
     def test_table_one_inventory(self):
         assert set(APPS) == {"NMF", "LDA", "MLR", "Lasso"}
         assert DATASETS["NMF"][0].input_gb == 45.6
