@@ -1,9 +1,9 @@
 """Seeded scenario generation and checked execution.
 
 A :class:`ScenarioGenerator` derives a full experiment — job mix,
-arrival pattern, cluster size, scheduler knobs, alpha settings, and an
-optional fault plan — from a single integer seed, through the same
-named random streams the simulator uses.  The seed is therefore a
+arrival pattern, cluster size, scheduler knobs, alpha settings, cell
+count and an optional fault plan — from a single integer seed, through
+the same named random streams the simulator uses.  The seed is therefore a
 complete reproduction recipe: any failure found by the fuzzer (CI, the
 hypothesis suite, or ``python -m repro check``) is replayed with one
 line::
@@ -55,7 +55,7 @@ class Scenario:
                 f"order={scheduler.admission_order}, "
                 f"alpha={self.config.memory.fixed_alpha}, "
                 f"jitter={self.config.execution.duration_jitter_cv}, "
-                f"{fault}")
+                f"cells={self.config.shard.n_cells}, {fault}")
 
     @property
     def replay_command(self) -> str:
@@ -140,9 +140,12 @@ class ScenarioGenerator:
                 drop_rate_per_hour=float(rng.uniform(0.0, 2.0)),
                 crash_downtime_seconds=float(rng.uniform(300.0, 900.0)))
 
+        # Drawn from its own stream so that every other field of a seed
+        # stays what it was before the cell count was drawn.
+        n_cells = int(self._streams.stream("shard").choice([1, 2, 4]))
         config = SimConfig(seed=self.seed, scheduler=scheduler,
-                           execution=execution,
-                           memory=memory).with_tracing()
+                           execution=execution, memory=memory) \
+            .with_sharding(n_cells).with_tracing()
         return Scenario(seed=self.seed, n_machines=n_machines,
                         specs=specs, config=config,
                         fault_plan=fault_plan)

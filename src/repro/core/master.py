@@ -61,6 +61,10 @@ _BOOTSTRAP_MACHINES = 4
 #: Escalation limit: how many groups beyond the repaired one may join a
 #: completion-triggered regrouping before we stop growing the scope.
 _MAX_ESCALATION_GROUPS = 3
+#: Relative rounding guard on the escalation gate's best-case bound:
+#: the bound and a candidate's score sum the same products in different
+#: orders, so they may differ in the last bits.
+_BOUND_ROUNDING = 1e-9
 #: Iterations a new job runs in the profiling state before its metrics
 #: are trusted.
 _PROFILING_ITERATIONS = 3
@@ -290,6 +294,15 @@ class HarmonyMaster(MasterBase):
         self.profiler = Profiler()
         if perf_model is not None:
             self.perf_model = perf_model
+        if config.shard.n_cells > cluster.size:
+            raise ValueError(
+                f"n_cells must be <= the cluster's {cluster.size} "
+                f"machines, got {config.shard.n_cells}")
+        # Every schedule() call of the cluster-of-cells front end leaves
+        # history behind (placer stickiness, the rebalance cadence), so
+        # even a discarded probe changes later plans: there the
+        # escalation gate must not skip Algorithm 1 calls.
+        self._bound_escalations = config.shard.n_cells == 1
         # The scheduling algorithm is pluggable so the §V-F Oracle can
         # drive the very same master (Fig. 14's comparison).  With
         # ShardConfig.n_cells > 1 the default becomes the
@@ -333,6 +346,9 @@ class HarmonyMaster(MasterBase):
         #: bundle spliced in) vs. escalated to full Algorithm 1.
         self.fast_path_replacements = 0
         self.full_path_regroups = 0
+        #: Escalations skipped because even a perfect plan could not
+        #: clear the regroup threshold (``_best_case_score``).
+        self.escalations_pruned = 0
         #: Memo of per-group estimates; cleared whenever the profiler
         #: publishes or a group's membership changes, so the repeated
         #: ``_live_estimates`` sweeps inside one decision cascade reuse
@@ -767,14 +783,23 @@ class HarmonyMaster(MasterBase):
         Scopes grow from the repaired group outward through the groups
         with the fewest jobs; each candidate plan is scored over the
         whole cluster and the smallest-scope plan wins unless a larger
-        one beats it by more than the 5% preference.
+        one beats it by more than the 5% preference.  When even the
+        largest scope's best case cannot clear the regroup threshold,
+        no candidate can, and Algorithm 1 is not run at all.
         """
         others = sorted((g for g in self.groups.values()
                          if g is not anchor), key=lambda g: g.n_jobs)
+        scopes = [[anchor, *others[:k]] for k in
+                  range(min(len(others), _MAX_ESCALATION_GROUPS) + 1)]
+        current = self._score_estimates(self._live_estimates())
+        threshold = self.config.scheduler.regroup_benefit_threshold
+        bound = (self._best_case_score(scopes[-1])
+                 if self._bound_escalations else None)
+        pruned = bound is not None and \
+            bound * (1.0 + _BOUND_ROUNDING) <= current * (1.0 + threshold)
         evaluated: list[tuple[int, float, SchedulePlan,
                               set[str]]] = []
-        for k in range(min(len(others), _MAX_ESCALATION_GROUPS) + 1):
-            scope = [anchor, *others[:k]]
+        for scope in () if pruned else scopes:
             scoped = self._plan_scope(scope)
             if scoped is None:
                 continue
@@ -785,17 +810,47 @@ class HarmonyMaster(MasterBase):
                 + [group.estimate for group in plan.groups])
             evaluated.append((len(pool), score, plan, scope_ids))
 
-        if not evaluated:
-            return
-        chosen_index = prefer_fewer_jobs(
-            [(n, score) for n, score, _, _ in evaluated])
-        assert chosen_index is not None
-        _, score, plan, scope_ids = evaluated[chosen_index]
-        current = self._score_estimates(self._live_estimates())
-        threshold = self.config.scheduler.regroup_benefit_threshold
-        if score <= current * (1.0 + threshold):
-            return  # expected benefit below 5% of U: skip regrouping
-        self._apply_plan(plan, scope_group_ids=scope_ids)
+        applied = False
+        if evaluated:
+            chosen_index = prefer_fewer_jobs(
+                [(n, score) for n, score, _, _ in evaluated])
+            assert chosen_index is not None
+            _, score, plan, scope_ids = evaluated[chosen_index]
+            # Expected benefit below 5% of U: skip regrouping.
+            applied = score > current * (1.0 + threshold)
+        if pruned:
+            self.escalations_pruned += 1
+        if self._trace is not None:
+            self._instant(
+                "escalate", group=anchor.group_id,
+                current=round(current, 4),
+                bound=None if bound is None else round(bound, 4),
+                threshold=threshold, pruned=pruned,
+                scopes_evaluated=len(evaluated), applied=applied)
+        if applied:
+            self._apply_plan(plan, scope_group_ids=scope_ids)
+
+    def _best_case_score(self, scope: Sequence[GroupRuntime]) -> float:
+        """Upper bound on the cluster score of any plan for ``scope``.
+
+        Each group's Eq. 3 components are at most 1 (Eq. 1 takes the
+        max of the sums), so its score is at most 1; Algorithm 1 grants
+        at most the scope's budget; and Eq. 4 is linear in m_g·U(g).
+        So the groups outside the scope keep their score, and at best
+        every budgeted machine scores 1.  Adding group g to the scope
+        raises the bound by m_g·(1 − score_g) ≥ 0: the largest scope
+        bounds every smaller one.
+        """
+        scope_ids = {g.group_id for g in scope}
+        rest = sum(estimate.m * self.perf_model.score(estimate.utilization)
+                   for estimate in self._live_estimates(
+                       exclude_groups=scope_ids))
+        return (rest + self._scope_budget(scope)) / self.cluster.size
+
+    def _scope_budget(self, groups: Sequence[GroupRuntime]) -> int:
+        """Machines Algorithm 1 may hand out over ``groups``: theirs
+        plus the free ones."""
+        return sum(g.n_machines for g in groups) + self.cluster.n_free
 
     def _plan_scope(self, groups: Sequence[GroupRuntime]) -> \
             tuple[SchedulePlan, list[JobMetrics], int] | None:
@@ -808,7 +863,7 @@ class HarmonyMaster(MasterBase):
         Returns ``(plan, pool, budget)``, or None when there is nothing
         to plan or no plan fits.
         """
-        budget = sum(g.n_machines for g in groups) + self.cluster.n_free
+        budget = self._scope_budget(groups)
         pool = self._metrics_of(j for g in groups for j in g.jobs()
                                 if j.state is not JobState.PROFILING)
         pool += self._metrics_of(self.jobs_in_state(JobState.PAUSED))

@@ -26,7 +26,9 @@ independent Algorithm 1 per cell:
 
 With ``n_cells = 1`` (or a machine pool smaller than the cell count)
 every call delegates to a single plain ``HarmonyScheduler``, which the
-differential suite pins bitwise-equal to the unsharded scheduler.
+differential suite pins bitwise-equal to the unsharded scheduler.  A
+call in which no cell places any job falls back to that delegate over
+the whole pool, so a job too large for every cell is not starved.
 """
 
 from __future__ import annotations
@@ -138,9 +140,7 @@ class ShardedScheduler:
         if not jobs:
             return None
         if self.shard.n_cells == 1 or total_machines < self.shard.n_cells:
-            plan = self._solo.schedule(jobs, total_machines)
-            self.last_stats = self._solo.last_stats
-            return plan
+            return self._schedule_solo(jobs, total_machines)
         if self._total_machines != total_machines:
             self._rebuild_cells(total_machines)
         self._calls += 1
@@ -150,6 +150,11 @@ class ShardedScheduler:
             routed = self._rebalance(routed, jobs)
         plans, stats, n_skipped = self._schedule_cells(routed)
         merged = self._merge(plans, total_machines)
+        if merged is None:
+            # No cell placed anything, e.g. every pooled job's memory
+            # floor exceeds its cell: plan at pool scope, so such a job
+            # still starts once the cluster has room for it.
+            return self._schedule_solo(jobs, total_machines)
         self.last_stats = ScheduleStats(
             n_jobs_offered=len(jobs),
             n_prefixes_evaluated=sum(
@@ -165,6 +170,12 @@ class ShardedScheduler:
             fast_path=(n_skipped > 0
                        or any(s.fast_path for s in stats)))
         return merged
+
+    def _schedule_solo(self, jobs: Sequence[JobMetrics],
+                       total_machines: int) -> SchedulePlan | None:
+        plan = self._solo.schedule(jobs, total_machines)
+        self.last_stats = self._solo.last_stats
+        return plan
 
     def _schedule_cells(self, routed: Sequence[tuple[JobMetrics, ...]]) \
             -> tuple[list[SchedulePlan | None], list[ScheduleStats], int]:

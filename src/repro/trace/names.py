@@ -25,7 +25,7 @@ from collections.abc import Iterable
 INSTANT_NAMES = frozenset({
     # scheduler decisions (core/master.py)
     "machine-crash", "regroup-check", "placement", "plan-patch",
-    "apply-plan", "epoch-close",
+    "escalate", "apply-plan", "epoch-close",
     # group lifecycle (core/group_runtime.py)
     "group-start",
     # fault subsystem (repro.faults); the injected-kind instants carry

@@ -331,6 +331,24 @@ class TestScenarioGenerator:
         assert any(s.config.memory.fixed_alpha is None
                    for s in scenarios)
         assert any(s.specs[-1].submit_time > 0 for s in scenarios)
+        assert {s.config.shard.n_cells for s in scenarios} == {1, 2, 4}
+
+    def test_cell_count_draw_leaves_other_fields_alone(self):
+        """The cell count comes from its own stream: advancing that
+        stream first changes nothing else a seed draws."""
+        for seed in range(10):
+            scenario = ScenarioGenerator(seed).generate()
+            shifted = ScenarioGenerator(seed)
+            shifted._streams.stream("shard").random(7)
+            other = shifted.generate()
+            assert other.specs == scenario.specs
+            assert other.n_machines == scenario.n_machines
+            assert replace(other.config, shard=scenario.config.shard) \
+                == scenario.config
+            assert (other.fault_plan is None) == \
+                (scenario.fault_plan is None)
+            assert f"cells={scenario.config.shard.n_cells}," \
+                in scenario.describe()
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -357,6 +375,16 @@ class TestFuzzedScenarios:
         checked = run_checked(ScenarioGenerator(seed).generate())
         assert checked.ok, checked.report()
         assert checked.finished_jobs > 0
+
+    def test_sharded_scenario_with_a_job_too_large_for_any_cell(self):
+        """Seed 18978 draws 4 cells on 22 machines and an MLR job whose
+        memory floor (9 machines) exceeds every cell; it must still
+        finish."""
+        scenario = ScenarioGenerator(18978).generate()
+        assert scenario.config.shard.n_cells == 4
+        checked = run_checked(scenario)
+        assert checked.ok, checked.report()
+        assert checked.finished_jobs == len(scenario.specs)
 
     def test_scenarios_run_on_the_fast_engine(self, monkeypatch):
         """The ``max_sim_seconds`` ceiling keeps the fast engine, so

@@ -1,0 +1,190 @@
+"""The §IV-B4 escalation gate (``HarmonyMaster._escalate``).
+
+An escalation regroups over up to four growing scopes and applies the
+preferred candidate only when it beats the current cluster score by
+more than the regroup threshold.  ``_best_case_score`` bounds every
+candidate's score from above, so an escalation whose bound cannot
+clear the threshold is skipped before Algorithm 1 runs.  These tests
+pin that the bound is sound, that skipping never changes a run, and
+that the sharded front end (whose schedule() calls leave history
+behind) never skips.
+"""
+
+import math
+
+import pytest
+
+from repro.cluster.cluster import Cluster
+from repro.config import MemoryConfig, SimConfig
+from repro.core.master import HarmonyMaster
+from repro.core.perfmodel import PerfModel
+from repro.core.runtime import HarmonyRuntime
+from repro.experiments.common import scaled_workload
+from repro.experiments.fig13_model_accuracy import make_error_injector
+from repro.faults.plan import FaultPlan
+from repro.metrics.utilization import ClusterUsageRecorder
+from repro.sim import RandomStreams, Simulator
+from repro.workloads.costmodel import CostModel
+
+
+def run_fig10(scale, seed, config=None, **kwargs):
+    jobs, machines = scaled_workload(scale, seed)
+    config = config if config is not None else SimConfig(seed=seed)
+    runtime = HarmonyRuntime(machines, jobs, config=config, **kwargs)
+    result = runtime.run()
+    digest = tuple(sorted(
+        (o.job_id, o.state.name, o.finish_time, o.migrations)
+        for o in result.outcomes.values()))
+    return runtime, result, digest
+
+
+def bound_off(monkeypatch):
+    """No escalation can be skipped: every scope is planned."""
+    monkeypatch.setattr(HarmonyMaster, "_best_case_score",
+                        lambda self, scope: math.inf)
+
+
+def _fault_plan(seed):
+    return FaultPlan.generate(seed=seed, n_machines=50,
+                              horizon_seconds=40000.0,
+                              crash_rate_per_hour=0.2,
+                              slowdown_rate_per_hour=0.2,
+                              crash_downtime_seconds=600.0)
+
+
+#: Each case builds the keyword arguments of one fig10 run at scale 0.5.
+VARIANTS = {
+    "plain": lambda seed: {},
+    "fault_plan": lambda seed: {"fault_plan": _fault_plan(seed)},
+    "failure_times": lambda seed: {"failure_times": [5000.0, 15000.0]},
+    "fixed_alpha": lambda seed: {"config": SimConfig(
+        seed=seed, memory=MemoryConfig(fixed_alpha=0.5))},
+    "error_injector": lambda seed: {"perf_model": PerfModel(
+        error_injector=make_error_injector(0.3, seed=seed))},
+}
+
+
+class TestBestCaseBound:
+    @pytest.mark.parametrize("seed", [2021, 2022])
+    def test_bound_covers_every_evaluated_scope(self, monkeypatch, seed):
+        """With skipping off, every scope an escalation plans scores at
+        most its own best case and at most the largest scope's."""
+        real_bound = HarmonyMaster._best_case_score
+        real_plan = HarmonyMaster._plan_scope
+        real_escalate = HarmonyMaster._escalate
+        active: list[tuple] = []
+        escalations: list[list] = []
+
+        def escalate(self, anchor):
+            active.append((anchor, []))
+            try:
+                real_escalate(self, anchor)
+            finally:
+                escalations.append(active.pop()[1])
+
+        def plan_scope(self, groups):
+            scoped = real_plan(self, groups)
+            # Only the scopes [anchor, *others[:k]], not the admission
+            # planning that applying the chosen plan may trigger.
+            if active and groups and groups[0] is active[-1][0]:
+                score = None
+                if scoped is not None:
+                    scope_ids = {g.group_id for g in groups}
+                    score = self._score_estimates(
+                        self._live_estimates(exclude_groups=scope_ids)
+                        + [g.estimate for g in scoped[0].groups])
+                active[-1][1].append((score, real_bound(self, groups)))
+            return scoped
+
+        monkeypatch.setattr(HarmonyMaster, "_escalate", escalate)
+        monkeypatch.setattr(HarmonyMaster, "_plan_scope", plan_scope)
+        bound_off(monkeypatch)
+        run_fig10(0.5, seed)
+
+        scored = [score for probes in escalations
+                  for score, _ in probes if score is not None]
+        assert len(scored) > 20
+        for probes in escalations:
+            largest = probes[-1][1]
+            bounds = [bound for _, bound in probes]
+            assert bounds == sorted(bounds)  # growing scope, growing bound
+            for score, bound in probes:
+                if score is not None:
+                    assert score <= bound * (1.0 + 1e-9)
+                    assert score <= largest * (1.0 + 1e-9)
+
+
+class TestSkippingChangesNothing:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_bound_on_equals_bound_off(self, monkeypatch, variant):
+        seed = 2023  # every variant skips at least once on this seed
+        runtime, _, pruned_digest = run_fig10(0.5, seed,
+                                              **VARIANTS[variant](seed))
+        assert runtime.master.escalations_pruned > 0
+        bound_off(monkeypatch)
+        unpruned, _, digest = run_fig10(0.5, seed,
+                                        **VARIANTS[variant](seed))
+        assert unpruned.master.escalations_pruned == 0
+        assert digest == pruned_digest
+
+    def test_escalate_instants_match_the_counters(self):
+        """One ``escalate`` instant per escalation, pruned ones flagged;
+        tracing changes no outcome."""
+        seed = 2021
+        plain, _, digest = run_fig10(0.5, seed)
+        traced, result, traced_digest = run_fig10(
+            0.5, seed, config=SimConfig(seed=seed).with_tracing())
+        assert traced_digest == digest
+        instants = [i for i in result.trace.instants
+                    if i.name == "escalate"]
+        assert len(instants) == traced.master.full_path_regroups > 0
+        pruned = [i for i in instants if i.args["pruned"]]
+        assert len(pruned) == traced.master.escalations_pruned \
+            == plain.master.escalations_pruned > 0
+        for instant in pruned:
+            assert instant.args["scopes_evaluated"] == 0
+            assert not instant.args["applied"]
+            assert instant.args["bound"] <= instant.args["current"] \
+                * (1.0 + instant.args["threshold"]) + 1e-4
+        assert any(i.args["applied"] for i in instants)
+
+
+class TestShardedExclusion:
+    @pytest.mark.parametrize("n_cells,seed", [(2, 32021), (4, 2021),
+                                              (4, 2022)])
+    def test_sharded_runs_never_skip(self, monkeypatch, n_cells, seed):
+        """Every sharded schedule() call moves placer stickiness and the
+        rebalance cadence, so skipping one would change later plans
+        (these three runs diverge when it does)."""
+        config = SimConfig(seed=seed).with_sharding(n_cells)
+        runtime, _, sharded_digest = run_fig10(1.0, seed, config=config)
+        assert runtime.master.full_path_regroups > 0
+        assert runtime.master.escalations_pruned == 0
+        bound_off(monkeypatch)
+        _, _, digest = run_fig10(1.0, seed, config=config)
+        assert digest == sharded_digest
+
+
+class TestCellCountValidation:
+    def _build(self, n_machines, n_cells):
+        config = SimConfig().with_sharding(n_cells)
+        return HarmonyMaster(Simulator(), Cluster(n_machines, config.machine),
+                             CostModel(config.machine), config,
+                             RandomStreams(config.seed),
+                             ClusterUsageRecorder(n_machines))
+
+    @pytest.mark.parametrize("n_cells", [21, 64, 500])
+    def test_more_cells_than_machines_rejected(self, n_cells):
+        with pytest.raises(ValueError, match="n_cells"):
+            self._build(20, n_cells)
+
+    @pytest.mark.parametrize("n_cells", [1, 2, 20])
+    def test_cells_up_to_the_machine_count_construct(self, n_cells):
+        master = self._build(20, n_cells)
+        assert master._bound_escalations is (n_cells == 1)
+
+    def test_runtime_rejects_before_running(self):
+        jobs, machines = scaled_workload(0.2, 5)
+        with pytest.raises(ValueError, match="n_cells"):
+            HarmonyRuntime(machines, jobs,
+                           config=SimConfig(seed=5).with_sharding(64))

@@ -425,6 +425,21 @@ class TestShardedScheduler:
                 assert key is not None
                 assert cell.last_key is key and cell.last_plan is plan
 
+    def test_job_too_large_for_every_cell_is_planned_at_pool_scope(self):
+        """A job whose memory floor exceeds every cell is placed once
+        no cell places anything (22 machines in cells of 6, 6, 5, 5)."""
+        big = make_jobs([(40.0, 0.5)], "big")
+        scheduler = ShardedScheduler(
+            shard=ShardConfig(n_cells=4),
+            memory_floor=lambda job_ids: 9 if "big0" in job_ids else 1)
+        plan = scheduler.schedule(big, 22)
+        assert [cell.n_machines for cell in scheduler._cells] \
+            == [6, 6, 5, 5]
+        assert plan is not None
+        assert plan.scheduled_job_ids == {"big0"}
+        assert plan.machines_used >= 9
+        assert scheduler.last_stats is scheduler._solo.last_stats
+
     def test_empty_pool_and_bad_machine_count(self):
         scheduler = ShardedScheduler(shard=ShardConfig(n_cells=4))
         assert scheduler.schedule([], 40) is None
