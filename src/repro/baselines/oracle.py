@@ -21,7 +21,13 @@ from repro.config import SchedulerConfig
 from repro.core.allocation import MemoryFloorFn, allocate_machines
 from repro.core.perfmodel import PerfModel
 from repro.core.profiler import JobMetrics
-from repro.core.scheduler import Candidate, HarmonyScheduler, ORDERING_DOP, SchedulePlan
+from repro.core.scheduler import (
+    ORDERING_DOP,
+    Candidate,
+    HarmonyScheduler,
+    SchedulePlan,
+    ScheduleStats,
+)
 from repro.errors import SchedulingError
 
 #: Refuse exhaustive search beyond this pool size (Bell(11) > 600K).
@@ -74,6 +80,7 @@ class OracleScheduler:
         self.max_jobs = max_jobs
         #: Partitions evaluated by the last schedule() call.
         self.last_search_size = 0
+        self.last_stats: ScheduleStats | None = None
         # Plan assembly/scoring is shared with the greedy scheduler.
         self._builder = HarmonyScheduler(perf_model=self.perf_model,
                                          config=self.config,
@@ -115,6 +122,8 @@ class OracleScheduler:
                                                  total_machines)
                 if best is None or score > best[0]:
                     best = (score, partition, allocation)
-        if best is None:
-            return None
-        return self._builder.build_plan(best[1], best[2], total_machines)
+        plan = self._builder.build_plan(best[1], best[2], total_machines) \
+            if best is not None else None
+        # Every prefix of the ordered pool is searched.
+        self.last_stats = ScheduleStats.of(plan, len(jobs), len(ordered))
+        return plan

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -38,6 +39,7 @@ from repro.core.regroup import (
     find_similar_bundle,
     find_similar_job,
     prefer_fewer_jobs,
+    settled,
 )
 from repro.core.scheduler import HarmonyScheduler, SchedulePlan
 from repro.errors import SchedulingError
@@ -65,6 +67,10 @@ _MAX_ESCALATION_GROUPS = 3
 #: the bound and a candidate's score sum the same products in different
 #: orders, so they may differ in the last bits.
 _BOUND_ROUNDING = 1e-9
+#: No plan scores above this over the budget it was planned for: each
+#: Eq. 3 ratio is at most 1 (correctly rounded division is monotone),
+#: Σ m_g·u_g ≤ Σ m_g ≤ budget, and 0.75 + 0.25 = 1.0 (DESIGN.md §5b).
+_SCORE_CEILING = 1.0
 #: Iterations a new job runs in the profiling state before its metrics
 #: are trusted.
 _PROFILING_ITERATIONS = 3
@@ -72,6 +78,31 @@ _PROFILING_ITERATIONS = 3
 #: from the last checkpoint ("checkpointing (per epoch) and restart",
 #: §VI).
 CHECKPOINT_INTERVAL_ITERATIONS = 1
+
+
+@dataclass(frozen=True)
+class GateCounts:
+    """How the Harmony master's regroup decisions ended.
+
+    An escalation (§IV-B4) is either skipped by the best-case bound or
+    planned, and a planned one may settle before its largest scope; a
+    periodic check (§IV-B2) is either planned or skipped because no
+    plan's score can clear the threshold.
+    """
+
+    escalations: int
+    escalations_pruned: int
+    escalations_settled: int
+    checks_planned: int
+    checks_pruned: int
+
+    def describe(self) -> str:
+        planned = self.escalations - self.escalations_pruned
+        return (f"regroup gates: {planned} escalations planned "
+                f"({self.escalations_settled} settled early), "
+                f"{self.escalations_pruned} skipped by bound; "
+                f"{self.checks_planned} periodic checks planned, "
+                f"{self.checks_pruned} skipped")
 
 
 @dataclass
@@ -168,6 +199,11 @@ class MasterBase:
     def _job_left(self, group: GroupRuntime) -> None:
         """React to a job leaving ``group`` for good."""
         raise NotImplementedError
+
+    def gate_counts(self) -> GateCounts | None:
+        """The regroup gates' tallies; None for a master without
+        regroup gates."""
+        return None
 
     def _start_group(self, n_machines: int) -> GroupRuntime:
         group_id = f"{self.group_prefix}{next(self._group_ids)}"
@@ -300,9 +336,9 @@ class HarmonyMaster(MasterBase):
                 f"machines, got {config.shard.n_cells}")
         # Every schedule() call of the cluster-of-cells front end leaves
         # history behind (placer stickiness, the rebalance cadence), so
-        # even a discarded probe changes later plans: there the
-        # escalation gate must not skip Algorithm 1 calls.
-        self._bound_escalations = config.shard.n_cells == 1
+        # even a discarded probe changes later plans: there the regroup
+        # gates must not skip Algorithm 1 calls.
+        self._may_skip_planning = config.shard.n_cells == 1
         # The scheduling algorithm is pluggable so the §V-F Oracle can
         # drive the very same master (Fig. 14's comparison).  With
         # ShardConfig.n_cells > 1 the default becomes the
@@ -347,8 +383,16 @@ class HarmonyMaster(MasterBase):
         self.fast_path_replacements = 0
         self.full_path_regroups = 0
         #: Escalations skipped because even a perfect plan could not
-        #: clear the regroup threshold (``_best_case_score``).
+        #: clear the regroup threshold (``_best_case_score``), and
+        #: planned ones stopped before their largest scope because no
+        #: larger scope could displace the choice (``settled``).
         self.escalations_pruned = 0
+        self.escalations_settled = 0
+        #: Periodic checks that planned, and those skipped because the
+        #: current score already puts the threshold out of any plan's
+        #: reach (``_SCORE_CEILING``).
+        self.checks_planned = 0
+        self.checks_pruned = 0
         #: Memo of per-group estimates; cleared whenever the profiler
         #: publishes or a group's membership changes, so the repeated
         #: ``_live_estimates`` sweeps inside one decision cascade reuse
@@ -372,6 +416,13 @@ class HarmonyMaster(MasterBase):
         self._waiting.append(spec.job_id)
         self._pump()
         return job
+
+    def gate_counts(self) -> GateCounts:
+        return GateCounts(escalations=self.full_path_regroups,
+                          escalations_pruned=self.escalations_pruned,
+                          escalations_settled=self.escalations_settled,
+                          checks_planned=self.checks_planned,
+                          checks_pruned=self.checks_pruned)
 
     def _instant(self, name: str, **args) -> None:
         """Emit a scheduler-decision instant on the master lane."""
@@ -603,32 +654,41 @@ class HarmonyMaster(MasterBase):
                             for j in g.jobs())}
         stable = [g for gid, g in self.groups.items()
                   if gid not in profiling]
-        scoped = self._plan_scope(stable)
-        if scoped is None:
-            return
-        plan, _, budget = scoped
+        budget = self._scope_budget(stable)
         current = self._score_estimates(
             self._live_estimates(exclude_groups=profiling),
             total_machines=budget)
         threshold = self.config.scheduler.regroup_benefit_threshold
+        if (self._may_skip_planning
+                and current * (1.0 + threshold) >= _SCORE_CEILING):
+            # No plan over ``budget`` can score above the ceiling.
+            self.checks_pruned += 1
+            self._instant(
+                "regroup-check", current_score=round(current, 4),
+                planned_score=None, threshold=threshold, triggered=False,
+                pruned=True,
+                patched_completions=self.fast_path_replacements,
+                escalated_completions=self.full_path_regroups)
+            return
+        scoped = self._plan_scope(stable)
+        if scoped is None:
+            return
+        self.checks_planned += 1
+        plan = scoped[0]
         triggered = plan.score > current * (1.0 + threshold)
         if self._trace is not None:
-            stats = getattr(self.scheduler, "last_stats", None)
+            stats = self.scheduler.last_stats
             self._instant(
                 "regroup-check", current_score=round(current, 4),
                 planned_score=round(plan.score, 4), threshold=threshold,
-                triggered=triggered, plan_groups=len(plan.groups),
+                triggered=triggered, pruned=False,
+                plan_groups=len(plan.groups),
                 plan_jobs=len(plan.scheduled_job_ids),
-                prefixes_evaluated=(stats.n_prefixes_evaluated
-                                    if stats is not None else None),
-                cache_hits=(stats.cache_hits
-                            if stats is not None else None),
-                cache_misses=(stats.cache_misses
-                              if stats is not None else None),
-                warm_start_reuses=(stats.warm_start_reuses
-                                   if stats is not None else None),
-                fast_path=(stats.fast_path
-                           if stats is not None else None),
+                prefixes_evaluated=stats.n_prefixes_evaluated,
+                cache_hits=stats.cache_hits,
+                cache_misses=stats.cache_misses,
+                warm_start_reuses=stats.warm_start_reuses,
+                fast_path=stats.fast_path,
                 patched_completions=self.fast_path_replacements,
                 escalated_completions=self.full_path_regroups)
         if triggered:
@@ -785,7 +845,9 @@ class HarmonyMaster(MasterBase):
         whole cluster and the smallest-scope plan wins unless a larger
         one beats it by more than the 5% preference.  When even the
         largest scope's best case cannot clear the regroup threshold,
-        no candidate can, and Algorithm 1 is not run at all.
+        no candidate can, and Algorithm 1 is not run at all; and the
+        growing stops once no larger scope could displace the plan
+        chosen so far (:func:`~repro.core.regroup.settled`).
         """
         others = sorted((g for g in self.groups.values()
                          if g is not anchor), key=lambda g: g.n_jobs)
@@ -794,39 +856,49 @@ class HarmonyMaster(MasterBase):
         current = self._score_estimates(self._live_estimates())
         threshold = self.config.scheduler.regroup_benefit_threshold
         bound = (self._best_case_score(scopes[-1])
-                 if self._bound_escalations else None)
-        pruned = bound is not None and \
-            bound * (1.0 + _BOUND_ROUNDING) <= current * (1.0 + threshold)
-        evaluated: list[tuple[int, float, SchedulePlan,
-                              set[str]]] = []
+                 if self._may_skip_planning else None)
+        # Every candidate of every scope scores at most ``top``.
+        top = math.inf if bound is None \
+            else bound * (1.0 + _BOUND_ROUNDING)
+        pruned = top <= current * (1.0 + threshold)
+        stopped = False
+        # (pool size, cluster score) per planned scope, and its plan.
+        candidates: list[tuple[int, float]] = []
+        plans: list[tuple[SchedulePlan, set[str]]] = []
         for scope in () if pruned else scopes:
+            # Pools are nested, so this scope's pool is the smallest of
+            # every scope still to plan.
+            if candidates and bound is not None and settled(
+                    candidates, top, len(self._scope_pool(scope))):
+                stopped = True
+                break
             scoped = self._plan_scope(scope)
             if scoped is None:
                 continue
             plan, pool, _ = scoped
             scope_ids = {g.group_id for g in scope}
-            score = self._score_estimates(
+            candidates.append((len(pool), self._score_estimates(
                 self._live_estimates(exclude_groups=scope_ids)
-                + [group.estimate for group in plan.groups])
-            evaluated.append((len(pool), score, plan, scope_ids))
+                + [group.estimate for group in plan.groups])))
+            plans.append((plan, scope_ids))
 
         applied = False
-        if evaluated:
-            chosen_index = prefer_fewer_jobs(
-                [(n, score) for n, score, _, _ in evaluated])
+        if candidates:
+            chosen_index = prefer_fewer_jobs(candidates)
             assert chosen_index is not None
-            _, score, plan, scope_ids = evaluated[chosen_index]
+            score = candidates[chosen_index][1]
+            plan, scope_ids = plans[chosen_index]
             # Expected benefit below 5% of U: skip regrouping.
             applied = score > current * (1.0 + threshold)
-        if pruned:
-            self.escalations_pruned += 1
+        self.escalations_pruned += pruned
+        self.escalations_settled += stopped
         if self._trace is not None:
             self._instant(
                 "escalate", group=anchor.group_id,
                 current=round(current, 4),
                 bound=None if bound is None else round(bound, 4),
-                threshold=threshold, pruned=pruned,
-                scopes_evaluated=len(evaluated), applied=applied)
+                threshold=threshold, pruned=pruned, settled=stopped,
+                scopes_evaluated=len(candidates), applied=applied)
         if applied:
             self._apply_plan(plan, scope_group_ids=scope_ids)
 
@@ -856,21 +928,27 @@ class HarmonyMaster(MasterBase):
             tuple[SchedulePlan, list[JobMetrics], int] | None:
         """Algorithm 1 over ``groups`` and the idle capacity.
 
-        The pool is the scope's jobs that have metrics and are not still
-        profiling, plus every paused job; the budget is the scope's
-        machines plus the free ones.  The periodic check, the §IV-B4
+        The pool is :meth:`_scope_pool`, the budget
+        :meth:`_scope_budget`.  The periodic check, the §IV-B4
         escalation and free-machine admission all plan through here.
         Returns ``(plan, pool, budget)``, or None when there is nothing
         to plan or no plan fits.
         """
         budget = self._scope_budget(groups)
-        pool = self._metrics_of(j for g in groups for j in g.jobs()
-                                if j.state is not JobState.PROFILING)
-        pool += self._metrics_of(self.jobs_in_state(JobState.PAUSED))
+        pool = self._scope_pool(groups)
         if budget < 1 or not pool:
             return None
         plan = self.scheduler.schedule(pool, budget)
         return None if plan is None else (plan, pool, budget)
+
+    def _scope_pool(self, groups: Sequence[GroupRuntime]) -> \
+            list[JobMetrics]:
+        """The jobs Algorithm 1 plans over ``groups``: theirs that have
+        metrics and are not still profiling, plus every paused job."""
+        pool = self._metrics_of(j for g in groups for j in g.jobs()
+                                if j.state is not JobState.PROFILING)
+        pool += self._metrics_of(self.jobs_in_state(JobState.PAUSED))
+        return pool
 
     # --------------------------------------------------- waiting-pool drain
 

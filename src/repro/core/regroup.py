@@ -19,6 +19,11 @@ if TYPE_CHECKING:
     from repro.core.perfmodel import PerfModel
     from repro.core.scheduler import SchedulePlan
 
+#: §IV-B4's preference for the grouping decision with fewer jobs: a
+#: decision over more jobs wins only when it improves the predicted
+#: score by more than this fraction.
+FEWER_JOBS_PREFERENCE = 0.05
+
 
 def _relative_difference(a: float, b: float) -> float:
     denominator = max(abs(a), abs(b), 1e-12)
@@ -139,8 +144,7 @@ def splice_plan(plan: "SchedulePlan", perf_model: "PerfModel",
                         total_machines=plan.total_machines)
 
 
-def prefer_fewer_jobs(plans: Sequence[tuple[int, float]],
-                      preference: float = 0.05) -> int | None:
+def prefer_fewer_jobs(plans: Sequence[tuple[int, float]]) -> int | None:
     """Pick among (scope_size, predicted_score) candidates.
 
     "It compares their predicted performance and selects the grouping
@@ -157,6 +161,26 @@ def prefer_fewer_jobs(plans: Sequence[tuple[int, float]],
         if size <= chosen_size:
             if score >= chosen_score:
                 chosen = index
-        elif score > chosen_score * (1.0 + preference):
+        elif score > chosen_score * (1.0 + FEWER_JOBS_PREFERENCE):
             chosen = index
     return chosen
+
+
+def settled(plans: Sequence[tuple[int, float]], top: float,
+            next_size: int) -> bool:
+    """Whether no further candidate can change ``prefer_fewer_jobs(plans)``.
+
+    Every further candidate is assumed to score at most ``top`` and to
+    be at least ``next_size`` jobs large.  Let the choice so far be
+    (n_c, s_c).  A candidate of size ≤ n_c replaces it only with a
+    score ≥ s_c, a larger one only with a score > s_c·(1 + preference),
+    the very product :func:`prefer_fewer_jobs` compares against.  So
+    the choice is final once ``top`` is at most that product and either
+    no candidate can be as small as n_c or ``top`` is below s_c.
+    """
+    chosen = prefer_fewer_jobs(plans)
+    if chosen is None:
+        return False
+    size, score = plans[chosen]
+    return (top <= score * (1.0 + FEWER_JOBS_PREFERENCE)
+            and (next_size > size or top < score))

@@ -21,7 +21,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.job import JobState
-from repro.core.master import HarmonyMaster, MasterBase
+from repro.core.master import GateCounts, HarmonyMaster, MasterBase
 from repro.core.perfmodel import PerfModel
 from repro.errors import SimulationError
 from repro.metrics.faults import FaultLog
@@ -75,6 +75,9 @@ class RunResult:
     #: The simulator's fast-path engagement counters at the end of the
     #: run (all zero under ``engine="reference"``).
     fastpath: FastpathStats = field(default_factory=FastpathStats)
+    #: How the master's regroup gates decided (None for masters
+    #: without them).
+    gates: GateCounts | None = None
 
     # -- headline numbers -------------------------------------------------
 
@@ -165,6 +168,8 @@ class RunResult:
             f"{fp.wakes_served} wakes in {fp.drive_windows} drive "
             f"windows, {fp.engines_deactivated} engines deactivated",
         ]
+        if self.gates is not None:
+            lines.append(self.gates.describe())
         if self.fault_log is not None and self.fault_log.records:
             s = self.fault_log.summary()
             lines.append(
@@ -263,7 +268,8 @@ class RuntimeBase:
             wall_seconds=time.perf_counter() - wall_start,
             fault_log=self.fault_log,
             trace=self.sim.tracer if self.sim.tracer.enabled else None,
-            fastpath=replace(self.sim.fastpath_stats))
+            fastpath=replace(self.sim.fastpath_stats),
+            gates=self.master.gate_counts())
 
 
 class HarmonyRuntime(RuntimeBase):

@@ -81,6 +81,19 @@ class ScheduleStats:
     #: contributed to this call.
     fast_path: bool = False
 
+    @classmethod
+    def of(cls, plan: SchedulePlan | None, n_jobs_offered: int,
+           n_prefixes_evaluated: int, **counters) -> ScheduleStats:
+        """The stats of a call that returned ``plan``."""
+        return cls(
+            n_jobs_offered=n_jobs_offered,
+            n_prefixes_evaluated=n_prefixes_evaluated,
+            best_n_groups=len(plan.groups) if plan is not None else 0,
+            best_n_jobs=(len(plan.scheduled_job_ids)
+                         if plan is not None else 0),
+            best_score=plan.score if plan is not None else 0.0,
+            **counters)
+
 
 @dataclass(frozen=True)
 class GroupPlan:
@@ -339,13 +352,8 @@ class HarmonyScheduler:
         finally:
             warm_reuses = self._warm_reuses
             self._warm_orders = None
-        self.last_stats = ScheduleStats(
-            n_jobs_offered=len(ordered),
-            n_prefixes_evaluated=n_prefixes,
-            best_n_groups=len(plan.groups) if plan is not None else 0,
-            best_n_jobs=(len(plan.scheduled_job_ids)
-                         if plan is not None else 0),
-            best_score=plan.score if plan is not None else 0.0,
+        self.last_stats = ScheduleStats.of(
+            plan, len(ordered), n_prefixes,
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             warm_start_reuses=warm_reuses,

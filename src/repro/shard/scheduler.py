@@ -155,15 +155,9 @@ class ShardedScheduler:
             # floor exceeds its cell: plan at pool scope, so such a job
             # still starts once the cluster has room for it.
             return self._schedule_solo(jobs, total_machines)
-        self.last_stats = ScheduleStats(
-            n_jobs_offered=len(jobs),
-            n_prefixes_evaluated=sum(
-                s.n_prefixes_evaluated for s in stats),
-            best_n_groups=len(merged.groups) if merged is not None else 0,
-            best_n_jobs=(sum(len(group.job_ids)
-                             for group in merged.groups)
-                         if merged is not None else 0),
-            best_score=merged.score if merged is not None else 0.0,
+        self.last_stats = ScheduleStats.of(
+            merged, len(jobs),
+            sum(s.n_prefixes_evaluated for s in stats),
             cache_hits=sum(s.cache_hits for s in stats),
             cache_misses=sum(s.cache_misses for s in stats),
             warm_start_reuses=sum(s.warm_start_reuses for s in stats),

@@ -1,7 +1,6 @@
 """Tests for the CLI entry point, configuration, and error types."""
 
 import dataclasses
-import inspect
 
 import pytest
 
@@ -19,7 +18,7 @@ from repro.config import (
     ShardConfig,
     SimConfig,
 )
-from repro.core.regroup import prefer_fewer_jobs
+from repro.core.regroup import FEWER_JOBS_PREFERENCE
 
 
 class TestCli:
@@ -119,9 +118,7 @@ class TestSimConfig:
         scheduler = DEFAULT_SIM_CONFIG.scheduler
         assert scheduler.regroup_benefit_threshold == 0.05
         assert scheduler.similarity_threshold == 0.05
-        preference = inspect.signature(prefer_fewer_jobs) \
-            .parameters["preference"].default
-        assert preference == 0.05
+        assert FEWER_JOBS_PREFERENCE == 0.05
 
     def test_settable_surface_is_pinned(self):
         """Every leaf value reachable from ``SimConfig()``.  A new knob

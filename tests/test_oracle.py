@@ -73,6 +73,17 @@ class TestOracleScheduler:
         oracle.schedule(self._pool(4), 16)
         assert oracle.last_search_size > bell(4)  # prefixes add up
 
+    def test_stats_describe_the_last_call(self):
+        """The same ``last_stats`` seam as the greedy scheduler, which
+        the master's traced periodic check reads."""
+        oracle = OracleScheduler()
+        plan = oracle.schedule(self._pool(4), 16)
+        stats = oracle.last_stats
+        assert (stats.n_jobs_offered, stats.n_prefixes_evaluated) == (4, 4)
+        assert stats.best_n_groups == len(plan.groups)
+        assert stats.best_n_jobs == len(plan.scheduled_job_ids)
+        assert stats.best_score == plan.score
+
     def test_too_many_jobs_rejected(self):
         oracle = OracleScheduler(max_jobs=4)
         with pytest.raises(SchedulingError):

@@ -1,12 +1,17 @@
 """Tests for the §IV-B4 regrouping helpers."""
 
+import itertools
+
+from hypothesis import given, settings, strategies as st
 
 from repro.core.profiler import JobMetrics
 from repro.core.regroup import (
+    FEWER_JOBS_PREFERENCE,
     find_similar_bundle,
     find_similar_job,
     is_similar_job,
     prefer_fewer_jobs,
+    settled,
 )
 
 
@@ -110,6 +115,66 @@ class TestPreferFewerJobs:
         plans = [(2, 0.70), (4, 0.72), (8, 0.90), (12, 0.91)]
         # 8 beats 2 by >5%; 12 is not >5% over 8.
         assert prefer_fewer_jobs(plans) == 2
+
+
+@st.composite
+def escalation_candidates(draw):
+    """(pool size, score) per scope in planning order, and a ``top``
+    no score exceeds.  Pools are nested, so sizes never shrink; a zero
+    step is a scope whose added group holds only profiling jobs.
+    Scores mix free floats with near-ties of the 5% preference."""
+    steps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    sizes = list(itertools.accumulate(steps,
+                                      initial=draw(st.integers(1, 5))))
+    base = draw(st.floats(0.0, 1.0))
+    ties = [base, base * (1.0 + FEWER_JOBS_PREFERENCE),
+            base * (1.0 + FEWER_JOBS_PREFERENCE / 2)]
+    scores = draw(st.lists(st.one_of(st.floats(0.0, 1.0),
+                                     st.sampled_from(ties)),
+                           min_size=len(sizes), max_size=len(sizes)))
+    highest = max(scores)
+    tops = [highest] + [s * (1.0 + FEWER_JOBS_PREFERENCE)
+                        for s in scores
+                        if s * (1.0 + FEWER_JOBS_PREFERENCE) >= highest]
+    top = draw(st.one_of(st.sampled_from(tops),
+                         st.floats(highest, highest + 0.2)))
+    return list(zip(sizes, scores, strict=True)), top
+
+
+class TestSettled:
+    @settings(max_examples=500, deadline=None)
+    @given(case=escalation_candidates())
+    def test_a_settled_choice_is_final(self, case):
+        """Once settled after a prefix, no later candidate (no larger
+        score than ``top``, no smaller pool than the next) moves the
+        choice."""
+        plans, top = case
+        final = prefer_fewer_jobs(plans)
+        for index in range(1, len(plans)):
+            if settled(plans[:index], top, plans[index][0]):
+                assert prefer_fewer_jobs(plans[:index]) == final
+
+    def test_nothing_planned_is_not_settled(self):
+        assert not settled([], 0.0, 1)
+
+    def test_larger_pools_cannot_beat_the_preference(self):
+        assert settled([(3, 0.90)], 0.92, next_size=5)
+        assert settled([(3, 0.90)], 0.90 * (1.0 + FEWER_JOBS_PREFERENCE),
+                       next_size=4)
+        assert not settled([(3, 0.90)], 0.95, next_size=5)
+
+    def test_an_equal_pool_can_still_tie(self):
+        """The next group may hold only profiling jobs: an equal pool
+        replaces the choice on a score that merely ties it."""
+        assert not settled([(3, 0.90)], 0.92, next_size=3)
+        assert not settled([(3, 0.90)], 0.90, next_size=3)
+        assert settled([(3, 0.90)], 0.89, next_size=3)
+
+    def test_reads_the_choice_not_the_last_plan(self):
+        # (4, 0.72) is within 5% of (2, 0.70), so (2, 0.70) is chosen.
+        plans = [(2, 0.70), (4, 0.72)]
+        assert settled(plans, 0.73, next_size=6)
+        assert not settled(plans, 0.74, next_size=6)
 
 
 class TestRegroupFaultInterleaving:
