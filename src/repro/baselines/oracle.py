@@ -25,6 +25,7 @@ from repro.core.scheduler import (
     ORDERING_DOP,
     Candidate,
     HarmonyScheduler,
+    PoolSnapshot,
     SchedulePlan,
     ScheduleStats,
 )
@@ -106,23 +107,25 @@ class OracleScheduler:
         self.last_search_size = 0
         best: Candidate | None = None
         ordered = sorted(jobs, key=lambda j: j.t_iteration_at(ORDERING_DOP))
+        # Partitions are index groups into one snapshot of the ordered
+        # pool, scored by the greedy scheduler's own prefix scorer.
+        pool = PoolSnapshot(ordered, self.perf_model, self.memory_floor)
         for n_jobs in range(1, len(ordered) + 1):
-            candidate = ordered[:n_jobs]
             for partition in set_partitions(
-                    candidate,
+                    range(n_jobs),
                     max_group_size=self.config.max_jobs_per_group):
                 if len(partition) > total_machines:
                     continue
                 self.last_search_size += 1
-                allocation = allocate_machines(partition, total_machines,
-                                               self.memory_floor)
+                allocation = allocate_machines(partition, pool,
+                                               total_machines)
                 if allocation is None:
                     continue
-                score = self._builder.plan_score(partition, allocation,
-                                                 total_machines)
+                score = pool.score(partition, allocation, total_machines)
                 if best is None or score > best[0]:
                     best = (score, partition, allocation)
-        plan = self._builder.build_plan(best[1], best[2], total_machines) \
+        plan = self._builder.build_plan(pool.groups_of(best[1]), best[2],
+                                        total_machines) \
             if best is not None else None
         # Every prefix of the ordered pool is searched.
         self.last_stats = ScheduleStats.of(plan, len(jobs), len(ordered))

@@ -10,7 +10,9 @@ CPU-bound cases (Eq. 1)."
 Memory feasibility is honoured: a group's floor is the smallest machine
 count at which its jobs fit even with maximal input spill (the paper's
 model-spill fallback covers the rest, but a group that cannot hold its
-models has no valid placement).
+models has no valid placement).  Groups arrive as index lists into the
+scheduler's per-call :class:`~repro.core.scheduler.PoolSnapshot`, which
+serves the per-job floats and memoizes each group's floor for the call.
 
 The allocator is the hottest loop of the planning stack (one grant per
 machine, hundreds of machines per ``_plan_for``), so the production
@@ -31,11 +33,14 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.profiler import JobMetrics
 from repro.errors import SchedulingError
+
+if TYPE_CHECKING:
+    from repro.core.scheduler import PoolSnapshot
 
 #: Returns the minimum machine count for a set of co-located jobs.
 MemoryFloorFn = Callable[[Sequence[str]], int]
@@ -45,11 +50,11 @@ MemoryFloorFn = Callable[[Sequence[str]], int]
 _MAX_CANDIDATES = 4_000_000
 
 
-def allocate_machines(groups: Sequence[Sequence[JobMetrics]],
-                      total_machines: int,
-                      memory_floor: MemoryFloorFn | None = None) -> \
-        list[int] | None:
-    """Machine counts per group, or None when memory-infeasible.
+def allocate_machines(groups: Sequence[Sequence[int]],
+                      pool: PoolSnapshot,
+                      total_machines: int) -> list[int] | None:
+    """Machine counts per group of ``pool`` indices, or None when
+    memory-infeasible.
 
     Always hands a machine to the group whose CPU-side bottleneck
     exceeds its network-side bottleneck by the most (the most
@@ -66,16 +71,17 @@ def allocate_machines(groups: Sequence[Sequence[JobMetrics]],
     for group in groups:
         if not group:
             raise SchedulingError("cannot allocate to an empty group")
-        job_ids = [job.job_id for job in group]
-        floors.append(memory_floor(job_ids) if memory_floor else 1)
+        floors.append(pool.floor(group))
     if sum(floors) > total_machines:
         return None  # not placeable even at the memory floors
 
     spare = total_machines - sum(floors)
     # Group sums stay Python-sequential on purpose: they feed the same
     # pressure arithmetic as the reference loop, term for term.
-    cpu_work = [sum(job.cpu_work for job in group) for group in groups]
-    t_net = [sum(job.t_net for job in group) for group in groups]
+    work_of = pool.cpu_work.__getitem__
+    net_of = pool.t_net.__getitem__
+    cpu_work = [sum(map(work_of, group)) for group in groups]
+    t_net = [sum(map(net_of, group)) for group in groups]
     if spare == 0:
         return list(floors)
 

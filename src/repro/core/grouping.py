@@ -8,25 +8,26 @@ one with jobs from the sorted list in a greedy manner to balance
 resource use.  Lastly, the algorithm fine-tunes the result by swapping
 jobs between the groups."
 
-This is the incremental implementation on the scheduler's hot path:
-group imbalances are carried as running sums updated in O(1) per
-placement and per swap, the sort runs as one C-speed ``argsort`` over
-a :class:`~repro.core.profiler.MetricsView`, and the swap loop takes
-the most-imbalanced group by a single ``argmax`` instead of sorting
-all group imbalances each pass.  The original recompute-everything
-implementation is kept verbatim as a test oracle
-(``tests/sched_oracle.py``); the differential suite pins the two to
-identical partitions.
+This is the incremental implementation on the scheduler's hot path.
+It runs on plain Python floats and index lists: the scheduler hands it
+one flat per-job list of COMP times at the balancing DoP and one of
+network times, and gets index groups back.  Group imbalances are
+carried as running sums updated in O(1) per placement and per swap, the
+sort is one stable ``sorted`` (warm-started across Algorithm 1's
+prefixes), and the swap loop takes the most-imbalanced group by a
+single ``max`` instead of sorting all group imbalances each pass.  The
+original recompute-everything implementation is kept verbatim as a test
+oracle (``tests/sched_oracle.py``); the differential suite pins the two
+to identical partitions.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections.abc import Sequence
+from operator import add
 
-import numpy as np
-
-from repro.core.profiler import JobMetrics, MetricsView
+from repro.core.profiler import JobMetrics
 from repro.errors import SchedulingError
 
 #: While filling a group, the next job is chosen among this many heads
@@ -41,80 +42,63 @@ def _imbalance(group: Sequence[JobMetrics], m: int) -> float:
             - sum(job.t_net for job in group))
 
 
-def grouping_order(view: MetricsView, m_ref: int) -> np.ndarray:
-    """Indices of ``view`` sorted by solo iteration time, longest first.
+def grouping_order(keys: Sequence[float],
+                   warm: Sequence[int] = ()) -> list[int]:
+    """Indices of ``keys`` (solo iteration times) sorted longest first.
 
-    Stable on ties, so it is exactly ``sorted(jobs, key=t_iteration,
-    reverse=True)`` — large jobs are kept together rather than spread
-    across groups.
+    Stable on ties, so it is exactly ``np.argsort(-keys,
+    kind="stable")`` and ``sorted(jobs, key=t_iteration, reverse=True)``
+    — large jobs are kept together rather than spread across groups.
+
+    ``warm`` is an earlier result for ``keys[:len(warm)]``: Algorithm
+    1's prefixes are nested, so the longer prefix's order is the
+    shorter one's with the new tail merged in.  Timsort finds the old
+    order as one sorted run and merges the tail into it; the tail's
+    indices are the largest, so equal keys still keep index order.
     """
-    keys = view.cpu_work / m_ref + view.t_net
-    return np.argsort(-keys, kind="stable")
+    return sorted([*warm, *range(len(warm), len(keys))],
+                  key=keys.__getitem__, reverse=True)
 
 
-def extend_grouping_order(view: MetricsView, m_ref: int,
-                          order: np.ndarray, prev_n: int) -> np.ndarray:
-    """Merge jobs ``prev_n..len(view)`` into an existing sorted order.
+def assign_jobs(t_cpu: Sequence[float], t_net: Sequence[float],
+                n_groups: int, max_swap_passes: int = 50,
+                order: Sequence[int] | None = None) -> list[list[int]]:
+    """Partition jobs into ``n_groups`` balanced groups of indices.
 
-    Exact warm start for Algorithm 1's prefix loop: when two successive
-    prefixes balance at the same ``m_ref``, the longer prefix's sort
-    order is the shorter one's with the new jobs spliced in — an
-    O(n + Δ·logΔ) stable merge instead of an O(n·log n) re-sort.  New
-    jobs carry larger original indices, so inserting them *after* equal
-    keys reproduces the stable full sort bit for bit.
-    """
-    keys = view.cpu_work / m_ref + view.t_net
-    new_indices = np.arange(prev_n, len(view))
-    new_order = new_indices[np.argsort(-keys[prev_n:], kind="stable")]
-    positions = np.searchsorted(-keys[order], -keys[new_order],
-                                side="right")
-    return np.insert(order, positions, new_order)
-
-
-def assign_jobs(jobs: "Sequence[JobMetrics] | MetricsView",
-                n_groups: int, m_ref: int,
-                max_swap_passes: int = 50,
-                order: np.ndarray | None = None) -> \
-        list[list[JobMetrics]]:
-    """Partition ``jobs`` into ``n_groups`` balanced groups.
-
-    ``m_ref`` is the DoP assumed while balancing (Algorithm 1 assumes
-    all groups get an equal number of machines, so ``m_ref ≈ M / n_G``).
+    Job ``i`` has COMP time ``t_cpu[i]`` at the DoP assumed while
+    balancing (Algorithm 1 assumes all groups get an equal number of
+    machines, ``m_ref ≈ M / n_G``) and network time ``t_net[i]``.
     ``order`` optionally injects a precomputed :func:`grouping_order`
-    (the scheduler's warm-started prefix loop reuses it).
+    of ``t_cpu[i] + t_net[i]`` (the scheduler's warm-started prefix
+    loop reuses it).
     """
-    view = jobs if isinstance(jobs, MetricsView) else MetricsView(jobs)
+    n_jobs = len(t_cpu)
+    if len(t_net) != n_jobs:
+        raise SchedulingError(
+            f"{n_jobs} COMP times for {len(t_net)} network times")
     if n_groups < 1:
         raise SchedulingError(f"need >= 1 group, got {n_groups}")
-    if n_groups > len(view):
+    if n_groups > n_jobs:
         raise SchedulingError(
-            f"{n_groups} groups for only {len(view)} jobs")
-    if m_ref < 1:
-        raise SchedulingError(f"m_ref must be >= 1, got {m_ref}")
+            f"{n_groups} groups for only {n_jobs} jobs")
 
     if order is None:
-        order = grouping_order(view, m_ref)
-    # Python-float mirrors of the per-job arrays: the greedy fill and
-    # the swap search are scalar-sequential by nature, and list indexing
-    # is several times cheaper than NumPy scalar access.
-    t_cpu = (view.cpu_work / m_ref).tolist()
-    t_net = view.t_net.tolist()
-
+        order = grouping_order(list(map(add, t_cpu, t_net)))
     groups, imbalances = _fill_groups(order, t_cpu, t_net, n_groups)
     _fine_tune_swaps(groups, imbalances, t_cpu, t_net, max_swap_passes)
-    return [[view.jobs[index] for index in group] for group in groups]
+    return groups
 
 
-def _fill_groups(order: np.ndarray, t_cpu: list, t_net: list,
-                 n_groups: int) -> tuple[list[list[int]], list[float]]:
+def _fill_groups(order: Sequence[int], t_cpu: Sequence[float],
+                 t_net: Sequence[float], n_groups: int) -> \
+        tuple[list[list[int]], list[float]]:
     """Greedy balanced fill; returns index groups + their imbalances.
 
     Each group's imbalance is accumulated as it is filled (term order =
     append order, exactly the from-scratch sum), so a placement costs
     O(window) instead of O(|group|).
     """
-    order_list = [int(index) for index in order]
-    n = len(order_list)
+    n = len(order)
     base, extra = divmod(n, n_groups)
 
     # The candidate window always holds the first min(4, remaining)
@@ -132,7 +116,7 @@ def _fill_groups(order: np.ndarray, t_cpu: list, t_net: list,
         net_sum = 0.0
         for _ in range(quota):
             while len(window) < _FILL_WINDOW and position < n:
-                window.append(order_list[position])
+                window.append(order[position])
                 position += 1
             current = cpu_sum - net_sum
             best_slot = 0
@@ -152,7 +136,8 @@ def _fill_groups(order: np.ndarray, t_cpu: list, t_net: list,
 
 
 def _fine_tune_swaps(groups: list[list[int]], imbalances: list[float],
-                     t_cpu: list, t_net: list, max_passes: int) -> None:
+                     t_cpu: Sequence[float], t_net: Sequence[float],
+                     max_passes: int) -> None:
     """Pairwise swap refinement (§IV-B3).
 
     "It first picks the most imbalanced group, and finds the group that
@@ -162,10 +147,12 @@ def _fine_tune_swaps(groups: list[list[int]], imbalances: list[float],
     The fine-tuning repeats until there are no possible swap cases."
 
     Imbalances are carried across passes; only the two groups touched
-    by a swap are re-summed (a pass costs O(|g1| + |g2|) instead of the
-    previous full O(Σ|g|) rescan), and the most-imbalanced group is a
-    single ``argmax`` (the previous implementation sorted all group
-    imbalances each pass only to read the first element).
+    by a swap are re-summed (a pass costs O(|g1| + |g2|) instead of a
+    full O(Σ|g|) rescan), and the most-imbalanced group is a single
+    ``max`` (the reference sorts all group imbalances each pass only to
+    read the first element).  ``max`` and ``min`` return the first
+    extremum, so ties go to the lowest group index, as the reference's
+    stable sort and ``min`` do.
 
     The touched groups are *re-summed in membership order* rather than
     updated with ``±delta``: the swap objective Σ|I| has exact plateaus
@@ -177,29 +164,28 @@ def _fine_tune_swaps(groups: list[list[int]], imbalances: list[float],
     """
     if len(groups) < 2:
         return
-    imbalance = np.array(imbalances, dtype=np.float64)
-    magnitude = np.abs(imbalance)
+    magnitude = [abs(value) for value in imbalances]
+    indexes = range(len(groups))
     for _ in range(max_passes):
-        g1 = int(np.argmax(magnitude))
+        g1 = max(indexes, key=magnitude.__getitem__)
         # Most complementary: the group whose imbalance is most opposite.
-        keyed = imbalance * (1.0 if imbalance[g1] > 0 else -1.0)
-        keyed[g1] = np.inf
-        g2 = int(np.argmin(keyed))
+        others = [index for index in indexes if index != g1]
+        pick = min if imbalances[g1] > 0 else max
+        g2 = pick(others, key=imbalances.__getitem__)
         if not _best_swap(groups[g1], groups[g2],
-                          float(imbalance[g1]), float(imbalance[g2]),
-                          t_cpu, t_net):
+                          imbalances[g1], imbalances[g2], t_cpu, t_net):
             return
         for index in (g1, g2):
             group = groups[index]
             value = (sum(t_cpu[job] for job in group)
                      - sum(t_net[job] for job in group))
-            imbalance[index] = value
+            imbalances[index] = value
             magnitude[index] = abs(value)
 
 
 def _best_swap(group_a: list[int], group_b: list[int],
                imbalance_a: float, imbalance_b: float,
-               t_cpu: list, t_net: list) -> bool:
+               t_cpu: Sequence[float], t_net: Sequence[float]) -> bool:
     """Apply the single swap that most reduces combined imbalance.
 
     Returns True if an improving swap was found and applied.

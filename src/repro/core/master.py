@@ -706,11 +706,16 @@ class HarmonyMaster(MasterBase):
         current_group = self.groups.get(job.group_id or "")
         assert current_group is not None
 
+        # One sweep per decision: every option below filters this list,
+        # so each group is estimated once, not once per candidate group.
+        live = [(group_id, self._group_estimate(group, job.job_id))
+                for group_id, group in self.groups.items()]
+
         def joining(group: GroupRuntime) -> float:
             mates = self._metrics_of(group.jobs(), skip=job.job_id)
             return self._score_estimates(
-                self._live_estimates(exclude_job=job.job_id,
-                                     exclude_groups=(group.group_id,))
+                [estimate for group_id, estimate in live
+                 if group_id != group.group_id and estimate is not None]
                 + [self.perf_model.estimate_group(mates + [metrics],
                                                   group.n_machines)])
 
@@ -719,7 +724,7 @@ class HarmonyMaster(MasterBase):
         for group_id, group in self.groups.items():
             if group is not current_group and group.can_admit(job):
                 options.append((joining(group), "move", group_id))
-        rest = self._live_estimates(exclude_job=job.job_id)
+        rest = [estimate for _, estimate in live if estimate is not None]
         new_m = self._balanced_machines(metrics)
         if new_m is not None:
             options.append((self._score_estimates(
@@ -1152,12 +1157,11 @@ class HarmonyMaster(MasterBase):
             GroupEstimate | None:
         """One group's Eq. 1-3 estimate, memoized between invalidations.
 
-        The placement-option sweep of ``_on_job_profiled`` calls
-        ``_live_estimates`` once per candidate group, re-estimating
-        every *other* group each time — O(G²) estimate evaluations per
-        decision.  Entries stay valid until the profiler publishes or a
-        membership changes (both clear the cache), so one cascade pays
-        each group once.
+        A decision cascade (placement sweeps, periodic checks,
+        escalation scopes) re-estimates the same groups many times.
+        Entries stay valid until the profiler publishes or a membership
+        changes (both clear the cache), so one cascade pays each group
+        once.
         """
         key = (group.group_id, exclude_job)
         if key in self._estimate_cache:

@@ -120,6 +120,14 @@ class PerfModel:
             t_net_sum=sum(t_nets),
             t_itr_max=max(tc + tn for tc, tn in zip(t_cpus, t_nets, strict=True)))
 
+    def job_factors(self, kind: str, job_ids: Sequence[str]) -> list[float]:
+        """The error injector's factor on ``kind`` ("t_cpu" or "t_net")
+        per job: the multiplier :meth:`estimate_group` applies, and 1.0
+        without an injector (``x * 1.0 == x`` bit for bit)."""
+        if self._injector is None:
+            return [1.0] * len(job_ids)
+        return [self._injector(kind, job_id) for job_id in job_ids]
+
     # -- cluster-level aggregation --------------------------------------------
 
     def cluster_utilization(self, groups: Sequence[GroupEstimate],

@@ -14,10 +14,8 @@ average remains meaningful across regroupings.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import SchedulingError
 
@@ -53,67 +51,6 @@ class JobMetrics:
         if self.t_net <= 0:
             return float("inf")
         return self.t_cpu_at(m) / self.t_net
-
-
-class MetricsView:
-    """Struct-of-arrays view over an ordered list of job metrics.
-
-    Algorithm 1 evaluates hundreds of overlapping job sets per
-    ``schedule()`` call; re-reading ``cpu_work``/``t_net`` through
-    per-object attribute access in every sub-step (the L6 group-count
-    cost, the grouping fill, the swap fine-tuning, group estimates)
-    dominates its runtime.  A view extracts the two arrays once and
-    hands every consumer C-speed slices instead.  ``prefix()`` returns
-    a sub-view sharing the parent's memory, so the L4 prefix loop pays
-    the extraction exactly once per call.
-
-    The view also quacks like a sequence of :class:`JobMetrics`, so
-    non-vectorized consumers (the reference path, ``allocate_machines``)
-    accept one transparently.
-    """
-
-    __slots__ = ("jobs", "cpu_work", "t_net")
-
-    def __init__(self, jobs: Sequence[JobMetrics],
-                 cpu_work: "np.ndarray | None" = None,
-                 t_net: "np.ndarray | None" = None):
-        self.jobs = tuple(jobs)
-        if cpu_work is None:
-            cpu_work = np.fromiter(
-                (job.cpu_work for job in self.jobs), dtype=np.float64,
-                count=len(self.jobs))
-        if t_net is None:
-            t_net = np.fromiter(
-                (job.t_net for job in self.jobs), dtype=np.float64,
-                count=len(self.jobs))
-        self.cpu_work = cpu_work
-        self.t_net = t_net
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    def __iter__(self) -> Iterator[JobMetrics]:
-        return iter(self.jobs)
-
-    def __getitem__(self, index: int) -> JobMetrics:
-        return self.jobs[index]
-
-    def prefix(self, k: int) -> "MetricsView":
-        """The first ``k`` jobs, sharing this view's arrays."""
-        if k >= len(self.jobs):
-            return self
-        return MetricsView(self.jobs[:k], self.cpu_work[:k],
-                           self.t_net[:k])
-
-    def t_cpu_at(self, m: int) -> np.ndarray:
-        """Eq. 2, vectorized: predicted COMP time per job at DoP ``m``."""
-        if m < 1:
-            raise SchedulingError(f"DoP must be >= 1, got {m}")
-        return self.cpu_work / m
-
-    def t_iteration_at(self, m: int) -> np.ndarray:
-        """Predicted solo iteration time per job at DoP ``m``."""
-        return self.t_cpu_at(m) + self.t_net
 
 
 #: Callback invoked as ``listener(job_id)`` whenever a job's moving

@@ -8,16 +8,22 @@ under the equal-DoP assumption (``m_g = M / n_G``, so ``T_cpu ∝ n_G``),
 resulting grouping while the predicted cluster utilization improves
 (L10-13).
 
-This is the *incremental* implementation: one struct-of-arrays
-:class:`~repro.core.profiler.MetricsView` is extracted per ``schedule()``
-call and shared by every sub-step, prefix sort orders are warm-started
-from earlier prefixes, and scored prefix candidates are memoized in a
+This is the *incremental* implementation: one flat
+:class:`PoolSnapshot` (per-job ``cpu_work``, ``t_net`` and job-id lists
+in admission order) is taken per ``schedule()`` call and every sub-step
+of every prefix reads it — the grouping order, greedy fill, swap
+fine-tuning, machine allocation and prefix scoring all run on Python
+floats and index lists.  Prefix sort orders are warm-started from
+earlier prefixes, group floors and score terms are memoized for the
+call, and scored prefix candidates are memoized across calls in a
 :class:`PlanCache` keyed by (job-set fingerprint, machine count) —
 invalidated through the profiler's listener hook whenever a job's
 moving averages change.  Each prefix is only scored; the winning one is
-the only :class:`SchedulePlan` a call assembles.  The pre-optimization
-path is kept verbatim as a test oracle (``tests/sched_oracle.py``), and
-``tests/test_sched_fastpath.py`` pins the two to identical plans.
+the only prefix whose groups become :class:`JobMetrics` lists,
+:class:`GroupEstimate` objects and a :class:`SchedulePlan`.  The
+pre-optimization path is kept verbatim as a test oracle
+(``tests/sched_oracle.py``), and ``tests/test_sched_fastpath.py`` pins
+the two to identical plans.
 """
 
 from __future__ import annotations
@@ -25,14 +31,15 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
 from repro.config import SchedulerConfig
 from repro.core.allocation import MemoryFloorFn, allocate_machines
-from repro.core.grouping import assign_jobs, extend_grouping_order, grouping_order
+from repro.core.grouping import assign_jobs, grouping_order
 from repro.core.perfmodel import GroupEstimate, PerfModel, UtilizationVector
-from repro.core.profiler import JobMetrics, MetricsView
+from repro.core.profiler import JobMetrics
 from repro.errors import SchedulingError
 
 #: DoP at which jobs are ordered before the prefix loop (the paper's
@@ -55,9 +62,10 @@ _CACHE_MISS = object()
 PLAN_CACHE_ENTRIES = 256
 
 #: What one prefix of Algorithm 1's loop yields: the plan score, the
-#: groups and their machine counts.  Only the winning prefix of a
-#: ``schedule()`` call is assembled into a :class:`SchedulePlan`.
-Candidate = tuple[float, Sequence[Sequence[JobMetrics]], Sequence[int]]
+#: groups (as indices into the call's admission order) and their
+#: machine counts.  Only the winning prefix of a ``schedule()`` call is
+#: assembled into a :class:`SchedulePlan`.
+Candidate = tuple[float, Sequence[Sequence[int]], Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,7 @@ class SchedulePlan:
 
 
 def argmin_convex(cost, low: int, high: int) -> int:
-    """Smallest integer minimizer of a convex cost on ``[low, high]``.
+    """An integer minimizer of a convex cost on ``[low, high]``.
 
     Ternary search with *non-strict* window shrinking: on a tie
     (``cost(mid1) == cost(mid2)``) the minimum lies anywhere inside
@@ -150,7 +158,10 @@ def argmin_convex(cost, low: int, high: int) -> int:
     drop the true minimizer when the cost is piecewise-linear with flat
     segments (e.g. Σ|W_j·n_g/M − T_net_j|, whose bottom is often a
     plateau).  Once the window is small the remaining points are scanned
-    linearly; ties resolve to the smallest argument.
+    linearly, and ties resolve to the smallest argument *of that final
+    window*.  On a plateau the result is therefore a minimizer, not
+    necessarily the smallest one: ``max(0, |x − 50| − 20)`` on
+    ``[0, 100]`` is minimal on 30..70 and returns 49.
     """
     if low > high:
         raise SchedulingError(f"empty search window [{low}, {high}]")
@@ -263,6 +274,107 @@ class PlanCache:
                     del self._by_job[job.job_id]
 
 
+class PoolSnapshot:
+    """One ``schedule()`` call's job pool as flat per-job lists.
+
+    Algorithm 1 runs its L4-L13 body on every prefix of the pool, and on
+    fig10 a mean prefix holds about ten jobs in three groups — inputs so
+    small that per-call constant costs (NumPy calls on 3-to-80-element
+    arrays, a dataclass per scored group) dominate.  The snapshot reads
+    each job's attributes once, in admission order, and every sub-step
+    works on its Python floats and on index lists into it: the grouping
+    order, greedy fill, swap fine-tuning, machine allocation and prefix
+    scoring.  Only the L6 cost keeps NumPy arrays, for its bitwise
+    reduction order.
+
+    Memos live here too, and die with the snapshot when ``schedule()``
+    returns: each group's memory floor, each (group, machine count)'s
+    score terms, and per balancing DoP the sort order of the longest
+    prefix sorted so far (prefixes are nested, so each order
+    warm-starts the next).
+    """
+
+    __slots__ = ("jobs", "job_ids", "cpu_work", "t_net", "cpu_array",
+                 "net_array", "orders", "warm_reuses", "_perf_model",
+                 "_memory_floor", "_cpu_factor", "_net_factor", "_floors",
+                 "_terms")
+
+    def __init__(self, jobs: Sequence[JobMetrics], perf_model: PerfModel,
+                 memory_floor: MemoryFloorFn | None = None):
+        self.jobs = tuple(jobs)
+        self.job_ids = [job.job_id for job in self.jobs]
+        self.cpu_work = [job.cpu_work for job in self.jobs]
+        self.t_net = [job.t_net for job in self.jobs]
+        #: The L6 cost's operands: NumPy keeps its reduction order.
+        self.cpu_array = np.array(self.cpu_work, dtype=np.float64)
+        self.net_array = np.array(self.t_net, dtype=np.float64)
+        #: m_ref -> (COMP times at m_ref, sort keys, sorted order) of the
+        #: longest prefix sorted at that DoP.
+        self.orders: dict[int, tuple[list, list, list]] = {}
+        #: Prefix sort orders extended from an earlier prefix.
+        self.warm_reuses = 0
+        self._perf_model = perf_model
+        self._memory_floor = memory_floor
+        self._cpu_factor = perf_model.job_factors("t_cpu", self.job_ids)
+        self._net_factor = perf_model.job_factors("t_net", self.job_ids)
+        self._floors: dict[tuple, int] = {}
+        self._terms: dict[tuple, tuple[float, float]] = {}
+
+    def groups_of(self, groups: Sequence[Sequence[int]]) -> \
+            list[list[JobMetrics]]:
+        """Index groups as lists of the snapshot's jobs."""
+        jobs = self.jobs
+        return [[jobs[index] for index in group] for group in groups]
+
+    def floor(self, group: Sequence[int]) -> int:
+        """The group's memory floor (1 without a floor function)."""
+        if self._memory_floor is None:
+            return 1
+        key = tuple(group)
+        floor = self._floors.get(key)
+        if floor is None:
+            job_ids = self.job_ids
+            floor = self._floors[key] = self._memory_floor(
+                [job_ids[index] for index in group])
+        return floor
+
+    def score(self, groups: Sequence[Sequence[int]],
+              allocation: Sequence[int], total_machines: int) -> float:
+        """The score :meth:`HarmonyScheduler.build_plan` gives these
+        groups, bit for bit, from memoized per-group float terms.
+
+        ``PerfModel.cluster_utilization`` sums ``m_g · U_cpu(g)`` and
+        ``m_g · U_net(g)`` over the groups in order and divides by the
+        machine count; these are the same products summed by the same
+        builtin ``sum`` over the same sequence.
+        """
+        terms = [self._group_terms(group, m)
+                 for group, m in zip(groups, allocation, strict=True)]
+        cpu = sum([term[0] for term in terms]) / total_machines
+        net = sum([term[1] for term in terms]) / total_machines
+        return self._perf_model.score(UtilizationVector(cpu, net))
+
+    def _group_terms(self, group: Sequence[int],
+                     m: int) -> tuple[float, float]:
+        """``(m · U_cpu, m · U_net)`` of one group on ``m`` machines:
+        :meth:`PerfModel.estimate_group`'s Eq. 1-3 arithmetic, with the
+        error injector's factors read from per-job lists."""
+        key = (m, *group)
+        terms = self._terms.get(key)
+        if terms is None:
+            cpu_work, cpu_factor = self.cpu_work, self._cpu_factor
+            t_net, net_factor = self.t_net, self._net_factor
+            t_cpus = [cpu_work[index] / m * cpu_factor[index]
+                      for index in group]
+            t_nets = [t_net[index] * net_factor[index] for index in group]
+            cpu_sum = sum(t_cpus)
+            net_sum = sum(t_nets)
+            t_g = max(cpu_sum, net_sum, max(map(add, t_cpus, t_nets)))
+            terms = self._terms[key] = (0.0, 0.0) if t_g <= 0 else \
+                (m * (cpu_sum / t_g), m * (net_sum / t_g))
+        return terms
+
+
 class HarmonyScheduler:
     """Implements Algorithm 1 plus the n_G* search of L6."""
 
@@ -278,20 +390,6 @@ class HarmonyScheduler:
         self.last_stats: ScheduleStats | None = None
         #: Prefix-candidate memo, shared across calls.
         self.plan_cache = PlanCache()
-        #: Per-call warm-start state: m_ref -> (sorted order, #jobs it
-        #: covers).  Orders index into the current call's admission
-        #: order, so the dict only lives for the span of one
-        #: ``schedule()`` call; None outside one.
-        self._warm_orders: "dict[int, tuple] | None" = None
-        self._warm_reuses = 0
-        #: Per-call group-estimate memo: warm-started prefixes share
-        #: most group compositions (~90% repeat rate on churn streams),
-        #: and :meth:`~repro.core.perfmodel.PerfModel.estimate_group`
-        #: is pure, so a repeated group returns the identical estimate
-        #: object.  Keyed by member identity — only valid while the
-        #: current call's job snapshots are pinned, so
-        #: :meth:`_estimates` consults it only inside ``schedule()``.
-        self._estimate_memo: dict = {}
 
     # -- Algorithm 1 ---------------------------------------------------------
 
@@ -307,57 +405,51 @@ class HarmonyScheduler:
                 f"total_machines must be >= 1, got {total_machines}")
         if not jobs:
             return None
-        ordered = self._admission_order(jobs)
-        view = MetricsView(ordered)
+        pool = PoolSnapshot(self._admission_order(jobs), self.perf_model,
+                            self.memory_floor)
         cache = self.plan_cache
-        fingerprints = _prefix_fingerprints(ordered)
+        fingerprints = _prefix_fingerprints(pool.jobs)
         best: Candidate | None = None
         no_improvement = 0
         n_prefixes = 0
         cache_hits = 0
         cache_misses = 0
-        self._warm_orders = {}
-        self._warm_reuses = 0
-        self._estimate_memo.clear()
-        try:
-            for n_jobs in _prefix_sizes(len(ordered)):
-                prefix = view.prefix(n_jobs)
-                n_prefixes += 1
-                key = (fingerprints[n_jobs - 1], n_jobs, total_machines)
-                candidate = cache.get(key, prefix.jobs)
-                if candidate is _CACHE_MISS:
-                    cache_misses += 1
-                    candidate = self._plan_for(prefix, total_machines)
-                    cache.put(key, prefix.jobs, candidate)
-                else:
-                    cache_hits += 1
-                if candidate is None:
-                    if best is not None:
-                        break  # adding jobs stopped being feasible
-                    continue
-                if best is None or candidate[0] > best[0]:
-                    best = candidate
-                    no_improvement = 0
-                else:
-                    # L12-13: stop growing once utilization stops
-                    # improving (with a small patience for discrete
-                    # n_G* bumps).
-                    no_improvement += 1
-                    if no_improvement > SCHEDULE_PATIENCE:
-                        break
-            # Built while the estimate memo still holds the winner's
-            # groups; its score is the candidate's, bit for bit.
-            plan = self.build_plan(best[1], best[2], total_machines) \
-                if best is not None else None
-        finally:
-            warm_reuses = self._warm_reuses
-            self._warm_orders = None
+        for n_jobs in _prefix_sizes(len(pool.jobs)):
+            prefix = pool.jobs[:n_jobs]
+            n_prefixes += 1
+            key = (fingerprints[n_jobs - 1], n_jobs, total_machines)
+            # A hit's index groups came from an earlier call whose
+            # prefix compared equal, job for job, to this one.
+            candidate = cache.get(key, prefix)
+            if candidate is _CACHE_MISS:
+                cache_misses += 1
+                candidate = self._plan_for(pool, n_jobs, total_machines)
+                cache.put(key, prefix, candidate)
+            else:
+                cache_hits += 1
+            if candidate is None:
+                if best is not None:
+                    break  # adding jobs stopped being feasible
+                continue
+            if best is None or candidate[0] > best[0]:
+                best = candidate
+                no_improvement = 0
+            else:
+                # L12-13: stop growing once utilization stops
+                # improving (with a small patience for discrete
+                # n_G* bumps).
+                no_improvement += 1
+                if no_improvement > SCHEDULE_PATIENCE:
+                    break
+        # The winner's plan score is its candidate score, bit for bit.
+        plan = self.build_plan(pool.groups_of(best[1]), best[2],
+                               total_machines) if best is not None else None
         self.last_stats = ScheduleStats.of(
-            plan, len(ordered), n_prefixes,
+            plan, len(pool.jobs), n_prefixes,
             cache_hits=cache_hits,
             cache_misses=cache_misses,
-            warm_start_reuses=warm_reuses,
-            fast_path=cache_hits > 0 or warm_reuses > 0)
+            warm_start_reuses=pool.warm_reuses,
+            fast_path=cache_hits > 0 or pool.warm_reuses > 0)
         return plan
 
     def _admission_order(self, jobs: Sequence[JobMetrics]) -> \
@@ -367,11 +459,8 @@ class HarmonyScheduler:
         The paper does not pin J_to_sched's order; see
         ``SchedulerConfig.admission_order`` for the choices.
         """
-        view = jobs if isinstance(jobs, MetricsView) else MetricsView(jobs)
-        keys = view.t_iteration_at(ORDERING_DOP)
-        # Stable C-speed argsort == sorted(key=t_iteration) bit for bit.
-        ascending = [view.jobs[index]
-                     for index in np.argsort(keys, kind="stable")]
+        ascending = sorted(
+            jobs, key=lambda job: job.t_iteration_at(ORDERING_DOP))
         order = self.config.admission_order
         if order == "sjf":
             return ascending
@@ -399,44 +488,45 @@ class HarmonyScheduler:
         rest = ascending[:len(ascending) - n_critical]
         return list(reversed(critical)) + rest
 
-    def _plan_for(self, jobs: "Sequence[JobMetrics] | MetricsView",
+    def _plan_for(self, pool: PoolSnapshot, n_jobs: int,
                   total_machines: int) -> Candidate | None:
-        """One iteration of the L4-L13 loop body for a fixed job set:
-        its scored groups and allocation, or None when infeasible."""
-        view = jobs if isinstance(jobs, MetricsView) else MetricsView(jobs)
-        n_groups = self._pick_group_count(view, total_machines)
+        """One iteration of the L4-L13 loop body for the pool's first
+        ``n_jobs`` jobs: their scored index groups and allocation, or
+        None when infeasible."""
+        n_groups = self._pick_group_count(pool, n_jobs, total_machines)
         m_ref = max(1, total_machines // n_groups)
-        order = self._grouping_order_for(view, m_ref)
-        groups = assign_jobs(view, n_groups, m_ref=m_ref,
+        t_cpu, order = self._grouping_order_for(pool, n_jobs, m_ref)
+        groups = assign_jobs(t_cpu, pool.t_net[:n_jobs], n_groups,
                              max_swap_passes=self.config.max_swap_passes,
                              order=order)
-        allocation = allocate_machines(groups, total_machines,
-                                       self.memory_floor)
+        allocation = allocate_machines(groups, pool, total_machines)
         if allocation is None:
             return None
-        return (self.plan_score(groups, allocation, total_machines),
+        return (pool.score(groups, allocation, total_machines),
                 groups, allocation)
 
-    def _grouping_order_for(self, view: MetricsView,
-                            m_ref: int) -> np.ndarray:
-        """Sorted grouping order for ``view``, warm-started when an
-        earlier prefix of the same ``schedule()`` call already sorted a
-        shorter prefix at the same ``m_ref`` (prefixes are nested, so
-        the old order is a valid partial order of the new one)."""
-        warm = self._warm_orders
-        held = warm.get(m_ref)
-        if held is not None and held[1] <= len(view):
-            prev_order, prev_n = held
-            if prev_n == len(view):
-                order = prev_order
-            else:
-                order = extend_grouping_order(view, m_ref, prev_order,
-                                              prev_n)
-            self._warm_reuses += 1
+    def _grouping_order_for(self, pool: PoolSnapshot, n_jobs: int,
+                            m_ref: int) -> tuple[list, list]:
+        """COMP times at ``m_ref`` and the grouping order of the first
+        ``n_jobs`` jobs, warm-started when an earlier (so shorter)
+        prefix of the call was already sorted at the same ``m_ref``."""
+        held = pool.orders.get(m_ref)
+        if held is None:
+            t_cpu = [work / m_ref for work in pool.cpu_work[:n_jobs]]
+            keys = list(map(add, t_cpu, pool.t_net))
+            order = grouping_order(keys)
         else:
-            order = grouping_order(view, m_ref)
-        warm[m_ref] = (order, len(view))
-        return order
+            pool.warm_reuses += 1
+            t_cpu, keys, order = held
+            sorted_n = len(order)
+            if sorted_n < n_jobs:
+                tail = [work / m_ref
+                        for work in pool.cpu_work[sorted_n:n_jobs]]
+                t_cpu.extend(tail)
+                keys.extend(map(add, tail, pool.t_net[sorted_n:n_jobs]))
+                order = grouping_order(keys, order)
+        pool.orders[m_ref] = (t_cpu, keys, order)
+        return t_cpu, order
 
     def build_plan(self, groups: Sequence[Sequence[JobMetrics]],
                    allocation: Sequence[int],
@@ -446,10 +536,12 @@ class HarmonyScheduler:
         Intentionally *not* vectorized: plan scores decide ties between
         prefixes (exact ties are real — saturated utilization is exactly
         1.0), so the fast path and the reference path must share this
-        exact floating-point arithmetic.  :meth:`plan_score` performs
-        the same arithmetic without assembling the plan.
+        exact floating-point arithmetic.  :meth:`PoolSnapshot.score`
+        performs the same arithmetic without assembling the plan.
         """
-        estimates = self._estimates(groups, allocation)
+        estimate_group = self.perf_model.estimate_group
+        estimates = [estimate_group(group, m)
+                     for group, m in zip(groups, allocation, strict=True)]
         utilization = self.perf_model.cluster_utilization(
             estimates, total_machines=total_machines)
         plans = tuple(GroupPlan(job_ids=e.job_ids, n_machines=m, estimate=e)
@@ -458,55 +550,24 @@ class HarmonyScheduler:
                             score=self.perf_model.score(utilization),
                             total_machines=total_machines)
 
-    def plan_score(self, groups: Sequence[Sequence[JobMetrics]],
-                   allocation: Sequence[int], total_machines: int) -> float:
-        """The score :meth:`build_plan` would give these groups, bit for
-        bit, without building the plan."""
-        perf_model = self.perf_model
-        return perf_model.score(perf_model.cluster_utilization(
-            self._estimates(groups, allocation),
-            total_machines=total_machines))
-
-    def _estimates(self, groups: Sequence[Sequence[JobMetrics]],
-                   allocation: Sequence[int]) -> list[GroupEstimate]:
-        """Eq. 1-3 per group.  Repeated group compositions within one
-        ``schedule()`` call are served from the estimate memo — the same
-        pure function on the same pinned snapshots, so the memo cannot
-        change a single bit of the result."""
-        estimate_group = self.perf_model.estimate_group
-        if self._warm_orders is None:  # outside schedule(): not pinned
-            return [estimate_group(group, m)
-                    for group, m in zip(groups, allocation, strict=True)]
-        memo = self._estimate_memo
-        estimates = []
-        for group, m in zip(groups, allocation, strict=True):
-            key = (m, *map(id, group))
-            cached = memo.get(key)
-            if cached is None:
-                cached = estimate_group(group, m)
-                memo[key] = cached
-            estimates.append(cached)
-        return estimates
-
     # -- L6: the group-count search ---------------------------------------------
 
-    def _pick_group_count(self,
-                          jobs: "Sequence[JobMetrics] | MetricsView",
+    def _pick_group_count(self, pool: PoolSnapshot, n_jobs: int,
                           total_machines: int) -> int:
-        """n_G* = argmin_nG Σ_j |T_cpu_j(n_G) − T_net_j|  (L6).
+        """n_G* = argmin_nG Σ_j |T_cpu_j(n_G) − T_net_j|  (L6) over the
+        pool's first ``n_jobs`` jobs.
 
         Under the equal-DoP assumption ``m_g = M / n_G``, so
         ``T_cpu_j(n_G) = W_j · n_G / M``.
         """
-        view = jobs if isinstance(jobs, MetricsView) else MetricsView(jobs)
         min_groups = max(
-            1, -(-len(view) // self.config.max_jobs_per_group))
-        max_groups = min(len(view), total_machines)
+            1, -(-n_jobs // self.config.max_jobs_per_group))
+        max_groups = min(n_jobs, total_machines)
         if min_groups > max_groups:
             min_groups = max_groups
 
-        cpu_work = view.cpu_work
-        t_net = view.t_net
+        cpu_work = pool.cpu_array[:n_jobs]
+        t_net = pool.net_array[:n_jobs]
         # The search's final scan revisits its last probes; each n_G is
         # reduced once.
         costs: dict[int, float] = {}

@@ -2,15 +2,17 @@
 
 The scheduler's production path (:mod:`repro.core.grouping`,
 :mod:`repro.core.allocation`, :mod:`repro.core.scheduler`) is
-incremental: it shares a struct-of-arrays
-:class:`~repro.core.profiler.MetricsView` across Algorithm 1's
-sub-steps, maintains group imbalances as O(1) running sums, reuses the
-sorted job order across prefixes, and memoizes prefix candidates and
-group estimates.  Every one of those shortcuts is an *optimization*,
+incremental: it shares one flat
+:class:`~repro.core.scheduler.PoolSnapshot` across Algorithm 1's
+sub-steps and works on index groups into it, maintains group imbalances
+as O(1) running sums, reuses the sorted job order across prefixes, and
+memoizes prefix candidates, group floors and group score terms.  Every one of those shortcuts is an *optimization*,
 not a semantic change — this module keeps the original
 recompute-everything implementations, verbatim, as the ground truth the
 differential tests in ``tests/test_sched_fastpath.py`` compare against.
-Nothing at runtime imports it.
+Nothing at runtime imports it.  :func:`assign_metrics` and
+:func:`allocate_metrics` call the production index-group functions on
+:class:`JobMetrics` groups, for tests written in terms of jobs.
 
 Admission order and plan assembly (:class:`~repro.core.perfmodel.PerfModel`
 scoring) are inherited from the production scheduler on purpose: the
@@ -28,18 +30,47 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections.abc import Sequence
+from itertools import accumulate
 
-from repro.core.allocation import MemoryFloorFn
+from repro.core.allocation import MemoryFloorFn, allocate_machines
+from repro.core.grouping import assign_jobs
+from repro.core.perfmodel import PerfModel
 from repro.core.profiler import JobMetrics
 from repro.core.scheduler import (
     SCHEDULE_PATIENCE,
     HarmonyScheduler,
+    PoolSnapshot,
     SchedulePlan,
     ScheduleStats,
     _prefix_sizes,
     argmin_convex,
 )
 from repro.errors import SchedulingError
+
+
+def assign_metrics(jobs: Sequence[JobMetrics], n_groups: int, m_ref: int,
+                   max_swap_passes: int = 50) -> list[list[JobMetrics]]:
+    """Production :func:`assign_jobs` on ``jobs`` balanced at DoP
+    ``m_ref``, its index groups mapped back to the jobs."""
+    groups = assign_jobs([job.t_cpu_at(m_ref) for job in jobs],
+                         [job.t_net for job in jobs], n_groups,
+                         max_swap_passes=max_swap_passes)
+    return [[jobs[index] for index in group] for group in groups]
+
+
+def allocate_metrics(groups: Sequence[Sequence[JobMetrics]],
+                     total_machines: int,
+                     memory_floor: MemoryFloorFn | None = None) -> \
+        list[int] | None:
+    """Production :func:`allocate_machines` on ``groups`` of jobs,
+    through one snapshot of all their jobs, group after group."""
+    jobs = [job for group in groups for job in group]
+    starts = accumulate(map(len, groups), initial=0)
+    index_groups = [list(range(start, start + len(group)))
+                    for start, group in zip(starts, groups)]
+    return allocate_machines(
+        index_groups, PoolSnapshot(jobs, PerfModel(), memory_floor),
+        total_machines)
 
 #: Head-window width of the greedy fill (must match the production
 #: path's ``grouping._FILL_WINDOW``).
@@ -215,8 +246,8 @@ class ReferenceScheduler(HarmonyScheduler):
     from scratch through the module-level reference functions and built
     into a full plan, nothing is memoized within or across calls, and
     the L6 cost is evaluated with the original Python summation.  Only
-    the admission order and plan assembly (:meth:`build_plan`, outside
-    ``schedule()``'s estimate memo) come from :class:`HarmonyScheduler`.
+    the admission order and plan assembly (:meth:`build_plan`) come
+    from :class:`HarmonyScheduler`.
     """
 
     def schedule(self, jobs: Sequence[JobMetrics],

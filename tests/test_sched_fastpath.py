@@ -5,23 +5,31 @@ for the plan cache, warm starts, the closed-form allocator, and the
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.check.scenarios import ScenarioGenerator
 from repro.cluster.cluster import Cluster
 from repro.config import SchedulerConfig, SimConfig
-from repro.core.allocation import allocate_machines
-from repro.core.grouping import assign_jobs
+from repro.core.grouping import grouping_order
 from repro.core.master import HarmonyMaster
+from repro.core.perfmodel import PerfModel
 from repro.core.profiler import JobMetrics, Profiler
 from repro.core.regroup import splice_plan
-from repro.core.scheduler import HarmonyScheduler, PlanCache, _CACHE_MISS
+from repro.core.scheduler import (
+    HarmonyScheduler,
+    PlanCache,
+    PoolSnapshot,
+    _CACHE_MISS,
+)
 from repro.experiments import sched_churn
+from repro.experiments.fig13_model_accuracy import make_error_injector
 from repro.metrics.utilization import ClusterUsageRecorder
 from repro.sim import RandomStreams, Simulator
 from repro.workloads.costmodel import CostModel
 from tests.sched_oracle import (
     ReferenceScheduler,
+    allocate_metrics,
+    assign_metrics,
     reference_allocate_machines,
     reference_assign_jobs,
 )
@@ -62,6 +70,46 @@ class TestSchedulerDifferential:
         if fast_plan is not None:
             assert partitions(fast_plan) == partitions(ref_plan)
             assert fast_plan.score == ref_plan.score
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=job_values, machines=st.integers(1, 400),
+           level=st.sampled_from([0.1, 0.3, 0.9]),
+           injector_seed=st.integers(0, 20), order=st.sampled_from(ORDERS))
+    def test_plans_bitwise_equal_under_error_injector(
+            self, values, machines, level, injector_seed, order):
+        """Injected prediction errors reach the flat scorer as per-job
+        factor lists; the reference applies them per estimate."""
+        jobs = make_jobs(values)
+        config = SchedulerConfig(admission_order=order)
+        perf_model = PerfModel(error_injector=make_error_injector(
+            level, seed=injector_seed))
+        fast = HarmonyScheduler(perf_model=perf_model,
+                                config=config).schedule(jobs, machines)
+        ref = ReferenceScheduler(perf_model=perf_model,
+                                 config=config).schedule(jobs, machines)
+        assert fast == ref
+        if fast is not None:
+            assert fast.score == ref.score
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=job_values, machines=st.integers(1, 120),
+           weights=st.lists(st.integers(0, 4), min_size=40, max_size=40))
+    def test_plans_bitwise_equal_under_group_dependent_floor(
+            self, values, machines, weights):
+        """Floors that depend on which jobs share a group (not only on
+        how many) reach the allocator through the per-call floor memo."""
+        jobs = make_jobs(values)
+
+        def floor(job_ids):
+            load = sum(weights[int(job_id[1:])] for job_id in job_ids)
+            return 1 + len(job_ids) // 3 + load % 4
+
+        fast = HarmonyScheduler(memory_floor=floor).schedule(jobs, machines)
+        ref = ReferenceScheduler(memory_floor=floor).schedule(jobs,
+                                                              machines)
+        assert fast == ref
+        if fast is not None:
+            assert fast.score == ref.score
 
     @settings(max_examples=30, deadline=None)
     @given(values=job_values, machines=st.integers(2, 300))
@@ -163,10 +211,71 @@ class TestSchedulerDifferential:
     def test_grouping_matches_reference(self, values, n_groups, m_ref):
         jobs = make_jobs(values)
         n_groups = min(n_groups, len(jobs))
-        fast = assign_jobs(jobs, n_groups, m_ref=m_ref)
+        fast = assign_metrics(jobs, n_groups, m_ref=m_ref)
         ref = reference_assign_jobs(jobs, n_groups, m_ref=m_ref)
         assert [[j.job_id for j in g] for g in fast] \
             == [[j.job_id for j in g] for g in ref]
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=st.lists(st.tuples(st.sampled_from([1.0, 2.0, 4.0, 8.0]),
+                                     st.sampled_from([0.5, 1.0, 2.0, 4.0])),
+                           min_size=2, max_size=30),
+           n_groups=st.integers(2, 6), m_ref=st.sampled_from([1, 2, 4]))
+    # Groups 1 and 2 tie on |imbalance| after the fill.
+    @example(values=[(1.0, 4.0), (8.0, 0.5), (1.0, 2.0), (8.0, 0.5)],
+             n_groups=3, m_ref=1)
+    def test_grouping_matches_reference_on_tied_pools(self, values,
+                                                      n_groups, m_ref):
+        """Repeated jobs make exactly tied group imbalances, so the swap
+        loop's picks must break ties toward the lowest group index, as
+        the reference's stable sort and ``min`` do."""
+        jobs = make_jobs(values)
+        n_groups = min(n_groups, len(jobs))
+        fast = assign_metrics(jobs, n_groups, m_ref=m_ref)
+        ref = reference_assign_jobs(jobs, n_groups, m_ref=m_ref)
+        assert [[j.job_id for j in g] for g in fast] \
+            == [[j.job_id for j in g] for g in ref]
+
+
+class TestFlatKernels:
+    """Bitwise pins for the flat prefix body's own kernels."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=job_values, machines=st.integers(1, 300),
+           level=st.sampled_from([None, 0.1, 0.5]),
+           injector_seed=st.integers(0, 20))
+    def test_prefix_score_equals_build_plan_score(self, values, machines,
+                                                  level, injector_seed):
+        perf_model = PerfModel() if level is None else PerfModel(
+            error_injector=make_error_injector(level, seed=injector_seed))
+        scheduler = HarmonyScheduler(perf_model=perf_model)
+        jobs = make_jobs(values)
+        pool = PoolSnapshot(scheduler._admission_order(jobs), perf_model)
+        for n_jobs in range(1, len(jobs) + 1):
+            candidate = scheduler._plan_for(pool, n_jobs, machines)
+            if candidate is None:
+                continue
+            score, groups, allocation = candidate
+            plan = scheduler.build_plan(pool.groups_of(groups), allocation,
+                                        machines)
+            assert score == plan.score
+
+    @settings(max_examples=80, deadline=None)
+    @given(keys=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 7.25]),
+                                   st.floats(0.0, 100.0)),
+                         max_size=60),
+           splits=st.lists(st.integers(0, 60), max_size=4))
+    def test_grouping_order_equals_stable_argsort(self, keys, splits):
+        """Cold, and warm-started through a chain of shorter prefixes,
+        the order is NumPy's stable argsort of the negated keys — ties
+        (drawn often here) included."""
+        expected = np.argsort(-np.array(keys, dtype=np.float64),
+                              kind="stable").tolist()
+        assert grouping_order(keys) == expected
+        order: list[int] = []
+        for split in sorted(min(split, len(keys)) for split in splits):
+            order = grouping_order(keys[:split], order)
+        assert grouping_order(keys, order) == expected
 
 
 class TestAllocatorDifferential:
@@ -187,7 +296,7 @@ class TestAllocatorDifferential:
                 for j in range(size)])
         floor = (lambda ids: 1 + len(ids)) if with_floor else None
         machines = sum(len(g) + 1 for g in groups) + headroom
-        assert allocate_machines(groups, machines, memory_floor=floor) \
+        assert allocate_metrics(groups, machines, memory_floor=floor) \
             == reference_allocate_machines(groups, machines,
                                            memory_floor=floor)
 
@@ -199,7 +308,7 @@ class TestAllocatorDifferential:
                          m_observed=16)
         groups = [[job]] * 5
         for machines in range(5, 40):
-            assert allocate_machines(groups, machines) \
+            assert allocate_metrics(groups, machines) \
                 == reference_allocate_machines(groups, machines)
 
 

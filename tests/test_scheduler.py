@@ -85,6 +85,16 @@ class TestArgminConvex:
             exhaustive = min(cost(n) for n in range(low, high + 1))
             assert cost(best) == pytest.approx(exhaustive)
 
+    def test_plateau_returns_a_minimizer_not_the_smallest(self):
+        """A tie shrinks the window to [mid1, mid2], so the final scan
+        starts inside the plateau: the answer minimizes the cost but is
+        not the smallest minimizer.  Changing this would move n_G*."""
+        cost = lambda n: max(0, abs(n - 50) - 20)  # noqa: E731
+        best = argmin_convex(cost, 0, 100)
+        assert cost(best) == 0
+        assert best != min(n for n in range(101) if cost(n) == 0)
+        assert best == 49
+
     def test_tiny_windows(self):
         assert argmin_convex(lambda n: n, 5, 5) == 5
         assert argmin_convex(lambda n: -n, 3, 4) == 4
