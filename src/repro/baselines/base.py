@@ -65,17 +65,9 @@ class BaselineMaster(MasterBase):
                  mode: ExecutionMode, policy: SchedulingPolicy,
                  shuffle_seed: int | None = None,
                  dop_scale: float = 1.0):
-        # Uncoordinated modes do not spill (alpha = 0); when a spill
-        # ratio is forced through the config (the ablation's
-        # static-spill stages), the memory floor honours it.
-        alpha = 0.0
-        if mode.spill_enabled and config.memory.spill_enabled:
-            fixed = config.memory.fixed_alpha
-            alpha = 1.0 if fixed is None else fixed
+        self.mode = mode  # read by MasterBase's memory floors
         super().__init__(sim, cluster, cost_model, config, streams,
-                         recorder, floor_alpha=alpha,
-                         floor_spills_model=False)
-        self.mode = mode
+                         recorder)
         #: The admission brain.
         self.policy = policy
         self.dop_scale = dop_scale

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.check.oracle import deterministic_config, exact_metrics
+from repro.core.memory_manager import FootprintTable
 from repro.core.perfmodel import PerfModel
 from repro.core.profiler import JobMetrics
 from repro.core.scheduler import HarmonyScheduler
@@ -94,6 +95,7 @@ def perfmodel_cases(n_cases: int = 20, seed: int = 2021,
         "perfmodel")
     config = deterministic_config(seed)
     cost_model = CostModel(config.machine)
+    footprints = FootprintTable(cost_model, config.memory, mode_spills=False)
     pool = WorkloadGenerator(seed).base_workload(hyper_params_per_pair=1)
     budget = cost_model.spec.usable_memory_bytes * 0.70
 
@@ -105,7 +107,7 @@ def perfmodel_cases(n_cases: int = 20, seed: int = 2021,
                                               replace=False)]
         # Keep the group below the GC onset with spill disabled, so
         # memory pressure cannot inflate COMP beyond the model.
-        resident = sum(cost_model.resident_bytes(spec, m, alpha=0.0)
+        resident = sum(footprints.resident(spec, m, footprints.alpha)
                        for spec in chosen)
         if resident > budget:
             continue

@@ -30,7 +30,7 @@ from typing import Protocol
 from repro.cluster.memory import MemoryLedger
 from repro.config import GB, SimConfig
 from repro.core.job import Job
-from repro.core.memory_manager import TARGET_PRESSURE, GroupMemoryManager
+from repro.core.memory_manager import FootprintTable, GroupMemoryManager
 from repro.errors import OutOfMemoryError, SimulationError
 from repro.sim import (
     Event,
@@ -142,7 +142,8 @@ class GroupRuntime:
     def __init__(self, sim: Simulator, group_id: str,
                  machine_ids: tuple[int, ...], mode: ExecutionMode,
                  cost_model: CostModel, config: SimConfig,
-                 streams: RandomStreams, hooks: GroupHooks):
+                 streams: RandomStreams, hooks: GroupHooks,
+                 footprints: FootprintTable | None = None):
         if not machine_ids:
             raise SimulationError(f"group {group_id} has no machines")
         self.sim = sim
@@ -184,11 +185,13 @@ class GroupRuntime:
                     "mode": mode.value})
 
         self.ledger = MemoryLedger(cost_model.spec)
-        self.memory = GroupMemoryManager(
-            self.ledger, cost_model, config.memory,
-            n_machines=self.n_machines,
-            spill_enabled=(mode.spill_enabled
-                           and config.memory.spill_enabled))
+        #: The memory-feasibility rule, shared with the master that
+        #: started this group (or this group's own).
+        self.footprints = footprints if footprints is not None \
+            else FootprintTable(cost_model, config.memory,
+                                mode.spill_enabled)
+        self.memory = GroupMemoryManager(self.ledger, self.footprints,
+                                         n_machines=self.n_machines)
         self.started_at = sim.now
         self.stopped_at: float | None = None
         self.crashed = False
@@ -241,36 +244,11 @@ class GroupRuntime:
         Admission aims at ``TARGET_PRESSURE``, not the OOM line:
         co-locating a job that would push the group deep into GC
         territory defeats the purpose (§IV-C balances exactly this).
+        The master's memory floors read the same footprint table and
+        spill basis.
         """
-        spill = self.memory.spill_enabled
-        fixed = self.config.memory.fixed_alpha
-        alpha = 1.0 if spill else 0.0
-        if spill and fixed is not None:
-            alpha = fixed
-        # Identical budget basis to the master's memory floors: a plan
-        # sized exactly at its floor must pass this gate, or placement
-        # livelocks (plan -> reject -> re-plan forever).
-        budget = self.ledger.spec.usable_memory_bytes * TARGET_PRESSURE
-        minimal_new = self.cost_model.resident_bytes(
-            job.spec, self.n_machines, alpha=alpha)
-        if spill and fixed is None and minimal_new > budget:
-            # Only a job that cannot fit at all otherwise (e.g. an
-            # all-reduce full-model replica) is assessed with the
-            # §IV-C model-spill fallback — admit() will actually apply
-            # it in that case.
-            minimal_new = min(minimal_new, self.cost_model.resident_bytes(
-                job.spec, self.n_machines, alpha=1.0,
-                model_spilled=True))
-        # Feasibility on the minimal basis: existing jobs can always be
-        # re-spilled (their alphas raised) to make room for a newcomer.
-        minimal_existing = sum(
-            self.cost_model.resident_bytes(
-                j.spec, self.n_machines,
-                alpha=alpha if not j.model_spilled else 1.0,
-                model_spilled=j.model_spilled)
-            for j in self._jobs.values()) if spill \
-            else self.ledger.resident_bytes
-        return minimal_existing + minimal_new <= budget
+        return self.footprints.admits(self._jobs.values(), job,
+                                      self.n_machines)
 
     def add_job(self, job: Job, restore: bool = False,
                 start_delay: float = 0.0) -> bool:
@@ -556,7 +534,7 @@ class GroupRuntime:
             self.hooks.on_job_paused(job, self)
 
     def _submit_reload(self, job: Job) -> Event | None:
-        if not self.memory.spill_enabled:
+        if not self.footprints.spill:
             return None
         seconds = self.memory.reload_seconds(job)
         if seconds <= 0:

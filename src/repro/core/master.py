@@ -32,7 +32,7 @@ from repro.cluster.cluster import Cluster
 from repro.config import SimConfig
 from repro.core.group_runtime import ExecutionMode, GroupRuntime
 from repro.core.job import Job, JobState
-from repro.core.memory_manager import TARGET_PRESSURE
+from repro.core.memory_manager import FootprintTable
 from repro.core.perfmodel import GroupEstimate, PerfModel
 from repro.core.profiler import JobMetrics, Profiler
 from repro.core.regroup import (
@@ -131,8 +131,9 @@ class MasterBase:
     :class:`~repro.policies.base.PolicyDecision` that :meth:`_apply`
     carries out, and place each started group's jobs in
     :meth:`_admit`.  They set ``mode`` (the groups' execution
-    discipline) and ``group_prefix``: group ids key the groups' RNG
-    stream names, so each master keeps its prefix.
+    discipline, which the memory floors read at construction) and
+    ``group_prefix``: group ids key the groups' RNG stream names, so
+    each master keeps its prefix.
     """
 
     group_prefix: str
@@ -140,8 +141,7 @@ class MasterBase:
 
     def __init__(self, sim: Simulator, cluster: Cluster,
                  cost_model: CostModel, config: SimConfig,
-                 streams: RandomStreams, recorder: ClusterUsageRecorder,
-                 floor_alpha: float, floor_spills_model: bool):
+                 streams: RandomStreams, recorder: ClusterUsageRecorder):
         self.sim = sim
         self.cluster = cluster
         self.cost_model = cost_model
@@ -166,15 +166,13 @@ class MasterBase:
         #: raw data behind Fig. 12's DoP / jobs-per-group CDFs.
         self.group_shape_log: list[tuple[float, int, int]] = []
         self._group_ids = itertools.count()
-        #: Input spill ratio the memory floor assumes, and whether it
-        #: may fall back to spilling the model itself (§IV-C).
-        self._floor_alpha = floor_alpha
-        self._floor_spills_model = floor_spills_model
+        #: The memory-feasibility rule behind the floors below, shared
+        #: with every group this master starts (their admission gates).
+        self.footprints = FootprintTable(cost_model, config.memory,
+                                         self.mode.spill_enabled)
         # Feasibility floors are pure in the (immutable) job specs —
-        # memoized for the life of the master, per job set and, below
-        # them, per (job, model spilled) row of resident bytes.
+        # memoized for the life of the master, per job set.
         self._floor_cache: dict[tuple[str, ...], int] = {}
-        self._floor_rows: dict[tuple[str, bool], list[float]] = {}
 
     def _add_job(self, spec: JobSpec) -> Job:
         if spec.job_id in self.jobs:
@@ -210,7 +208,7 @@ class MasterBase:
         machine_ids = self.cluster.allocate(n_machines, group_id)
         group = GroupRuntime(self.sim, group_id, machine_ids, self.mode,
                              self.cost_model, self.config, self.streams,
-                             hooks=self)
+                             hooks=self, footprints=self.footprints)
         self.groups[group_id] = group
         self.recorder.group_started(group_id, n_machines, self.sim.now,
                                     group.cpu, group.net)
@@ -263,46 +261,10 @@ class MasterBase:
         key = tuple(job_ids)
         floor = self._floor_cache.get(key)
         if floor is None:
-            floor = self._floor_cache[key] = self._scan_floor(
-                [self.jobs[job_id].spec for job_id in key])
+            floor = self._floor_cache[key] = self.footprints.floor(
+                [self.jobs[job_id].spec for job_id in key],
+                self.cluster.size)
         return floor
-
-    def _scan_floor(self, specs: Sequence[JobSpec]) -> int:
-        budget = self.cost_model.spec.usable_memory_bytes * TARGET_PRESSURE
-        floor = self._first_fit(specs, budget, spilled=False)
-        if floor > self.cluster.size and self._floor_spills_model:
-            # §IV-C fallback: the model data itself can be spilled when
-            # input spill is not enough (essential under all-reduce,
-            # where every machine holds a full model replica).
-            floor = self._first_fit(specs, budget, spilled=True)
-        return floor
-
-    def _first_fit(self, specs: Sequence[JobSpec], budget: float,
-                   spilled: bool) -> int:
-        """Smallest m whose summed per-machine resident bytes fit the
-        budget (cluster size + 1 if none does).
-
-        Every group the scheduler proposes re-asks about the same jobs
-        at small m, so each job keeps one row of resident bytes per
-        machine count, grown only as far as a scan has reached.  The
-        scan sums the very floats ``resident_bytes`` returns, in spec
-        order, so the floors are exactly the direct computation's.
-        """
-        footprint = ({"alpha": 1.0, "model_spilled": True} if spilled
-                     else {"alpha": self._floor_alpha})
-        rows = [self._floor_rows.setdefault((spec.job_id, spilled), [])
-                for spec in specs]
-        known = min(map(len, rows), default=0)
-        for m in range(1, self.cluster.size + 1):
-            if m > known:
-                for spec, row in zip(specs, rows, strict=True):
-                    if len(row) < m:
-                        row.append(self.cost_model.resident_bytes(
-                            spec, m, **footprint))
-                known = min(map(len, rows), default=0)
-            if sum(row[m - 1] for row in rows) <= budget:
-                return m
-        return self.cluster.size + 1
 
 
 class HarmonyMaster(MasterBase):
@@ -318,15 +280,8 @@ class HarmonyMaster(MasterBase):
                  perf_model: PerfModel | None = None,
                  scheduler_factory=None,
                  fault_log: FaultLog | None = None):
-        # The scheduler's feasibility view assumes maximal input spill
-        # unless the config forces a ratio.
-        memory = config.memory
-        alpha = 1.0 if memory.spill_enabled else 0.0
-        if memory.fixed_alpha is not None:
-            alpha = memory.fixed_alpha
         super().__init__(sim, cluster, cost_model, config, streams,
-                         recorder, floor_alpha=alpha,
-                         floor_spills_model=memory.spill_enabled)
+                         recorder)
         self.profiler = Profiler()
         if perf_model is not None:
             self.perf_model = perf_model

@@ -12,11 +12,13 @@ enough", §IV-C).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.cluster.memory import MemoryLedger
 from repro.config import MemoryConfig
 from repro.core.job import Job
+from repro.workloads.apps import JobSpec
 from repro.workloads.costmodel import CostModel
 
 #: Target memory-pressure ratio used to pick the initial alpha.  The
@@ -32,6 +34,74 @@ ADJUST_EVERY = 2
 TOLERANCE = 0.02
 
 
+class FootprintTable:
+    """The one memory-feasibility rule (§IV-C): do these jobs fit on m
+    machines at the target pressure?
+
+    A master shares one table with every group it starts, so its
+    floors, the groups' admission gates and their spill rebalance read
+    the same basis and the same ``CostModel.resident_bytes`` floats,
+    each computed once per (job, m, alpha, model spilled).
+    """
+
+    def __init__(self, cost_model: CostModel, config: MemoryConfig,
+                 mode_spills: bool):
+        self.cost_model = cost_model
+        self.budget = cost_model.spec.usable_memory_bytes * TARGET_PRESSURE
+        #: Inputs spill: the execution mode manages memory and the
+        #: config leaves spill on.
+        self.spill = mode_spills and config.spill_enabled
+        fixed = config.fixed_alpha if self.spill else None
+        #: Ratios adapt (rebalance, hill climbing) and a model may spill
+        #: when alpha = 1 is not enough; a fixed ratio (§V-G) pins both.
+        self.adaptive = self.spill and fixed is None
+        #: The input-spill ratio feasibility assumes.
+        self.alpha = (1.0 if fixed is None else fixed) if self.spill \
+            else 0.0
+        self._entries: dict[tuple[str, int, float, bool], float] = {}
+
+    def resident(self, spec: JobSpec, m: int, alpha: float,
+                 spilled: bool = False) -> float:
+        key = (spec.job_id, m, alpha, spilled)
+        value = self._entries.get(key)
+        if value is None:
+            value = self._entries[key] = self.cost_model.resident_bytes(
+                spec, m, alpha, spilled)
+        return value
+
+    def floor(self, specs: Sequence[JobSpec], max_machines: int) -> int:
+        """Smallest m at which ``specs`` fit at the basis alpha, else
+        (adaptive only) with every model spilled; ``max_machines + 1``
+        if none does."""
+        bases = [(self.alpha, False)]
+        if self.adaptive:
+            bases.append((1.0, True))
+        for alpha, spilled in bases:
+            for m in range(1, max_machines + 1):
+                if sum(self.resident(spec, m, alpha, spilled)
+                       for spec in specs) <= self.budget:
+                    return m
+        return max_machines + 1
+
+    def admits(self, members: Iterable[Job], job: Job, m: int) -> bool:
+        """Whether ``job`` joins ``members`` on m machines.
+
+        Members count at their minimal footprint (they can always be
+        re-spilled); the newcomer counts with its model spilled only if
+        it does not fit alone otherwise, as
+        :meth:`GroupMemoryManager.admit` then spills it.
+        """
+        new = self.resident(job.spec, m, self.alpha)
+        if self.adaptive and new > self.budget:
+            new = min(new, self.resident(job.spec, m, 1.0, True))
+        existing = sum(
+            self.resident(member.spec, m,
+                          1.0 if member.model_spilled else self.alpha,
+                          member.model_spilled)
+            for member in members)
+        return existing + new <= self.budget
+
+
 @dataclass
 class _JobMemoryState:
     """Hill-climbing bookkeeping for one admitted job."""
@@ -45,14 +115,12 @@ class _JobMemoryState:
 class GroupMemoryManager:
     """Block-ratio management for the jobs of one group."""
 
-    def __init__(self, ledger: MemoryLedger, cost_model: CostModel,
-                 config: MemoryConfig, n_machines: int,
-                 spill_enabled: bool = True):
+    def __init__(self, ledger: MemoryLedger, footprints: FootprintTable,
+                 n_machines: int):
         self.ledger = ledger
-        self.cost_model = cost_model
-        self.config = config
+        self.footprints = footprints
+        self.cost_model = footprints.cost_model
         self.n_machines = n_machines
-        self.spill_enabled = spill_enabled
         self._states: dict[str, _JobMemoryState] = {}
         self._jobs: dict[str, Job] = {}
 
@@ -66,36 +134,25 @@ class GroupMemoryManager:
         False when the job cannot fit even with maximal input and model
         spill — the caller must not co-locate it here.
         """
-        if not self.spill_enabled:
-            job.alpha = 0.0
-            job.model_spilled = False
-            self._apply_components(job)
-            self._states[job.job_id] = _JobMemoryState()
-            self._jobs[job.job_id] = job
-            return True
-
-        if self.config.fixed_alpha is not None:
-            # §V-G baseline: "a baseline that uses the same fixed alpha
-            # for all jobs" — no rebalancing, no hill climbing.
-            job.alpha = self.config.fixed_alpha
-            job.model_spilled = False
-            self._apply_components(job)
-            self._states[job.job_id] = _JobMemoryState()
-            self._jobs[job.job_id] = job
-            return True
-
         job.model_spilled = False
         self._jobs[job.job_id] = job
-        self._rebalance()
-        if self.ledger.is_oom():
-            # Even alpha = 1 was not enough: try the model-spill fallback.
-            job.alpha = 1.0
-            job.model_spilled = True
+        if not self.footprints.adaptive:
+            # No spill, or the §V-G baseline's "same fixed alpha for
+            # all jobs": no rebalancing, no hill climbing.
+            job.alpha = self.footprints.alpha
             self._apply_components(job)
+        else:
+            self._rebalance()
             if self.ledger.is_oom():
-                self.evict(job)
-                self._rebalance()
-                return False
+                # Even alpha = 1 was not enough: try the model-spill
+                # fallback.
+                job.alpha = 1.0
+                job.model_spilled = True
+                self._apply_components(job)
+                if self.ledger.is_oom():
+                    self.evict(job)
+                    self._rebalance()
+                    return False
         self._states[job.job_id] = _JobMemoryState()
         return True
 
@@ -108,14 +165,13 @@ class GroupMemoryManager:
         """
         spilled = [j for j in self._jobs.values() if j.model_spilled]
         plain = [j for j in self._jobs.values() if not j.model_spilled]
-        budget = self.ledger.spec.usable_memory_bytes * TARGET_PRESSURE
+        budget = self.footprints.budget
         m = self.n_machines
-        total_min = sum(self.cost_model.resident_bytes(
-            j.spec, m, alpha=1.0, model_spilled=j.model_spilled)
-            for j in self._jobs.values())
-        total_max = sum(self.cost_model.resident_bytes(
-            j.spec, m, alpha=0.0, model_spilled=j.model_spilled)
-            for j in self._jobs.values())
+        resident = self.footprints.resident
+        total_min = sum(resident(j.spec, m, 1.0, j.model_spilled)
+                        for j in self._jobs.values())
+        total_max = sum(resident(j.spec, m, 0.0, j.model_spilled)
+                        for j in self._jobs.values())
         if total_max <= budget:
             alpha = 0.0
         elif total_min >= budget or total_max <= total_min:
@@ -131,7 +187,7 @@ class GroupMemoryManager:
         self.ledger.remove_job(job.job_id)
         self._states.pop(job.job_id, None)
         self._jobs.pop(job.job_id, None)
-        if self.spill_enabled and self._jobs:
+        if self.footprints.spill and self._jobs:
             self._rebalance()
 
     def _apply_components(self, job: Job) -> None:
@@ -170,7 +226,7 @@ class GroupMemoryManager:
         state = self._states.get(job.job_id)
         if state is None:
             return  # job was admitted without spill management
-        if self.config.fixed_alpha is not None or not self.spill_enabled:
+        if not self.footprints.adaptive:
             return  # ratio adaptation disabled
         state.gc_overhead_seconds += max(0.0, gc_overhead_seconds)
         state.stall_seconds += max(0.0, stall_seconds)

@@ -105,22 +105,31 @@ class TestMemoryFloor:
 
 
 def linear_scan_floor(master, specs):
-    """The floor scan the per-job rows replaced: every resident byte
-    count re-derived from the cost model at every machine count."""
+    """The floor straight from the cost model: every resident byte
+    count re-derived at every machine count, on the master's basis."""
     cost_model = master.cost_model
+    footprints = master.footprints
     budget = cost_model.spec.usable_memory_bytes * TARGET_PRESSURE
     for m in range(1, master.cluster.size + 1):
         need = sum(cost_model.resident_bytes(
-            spec, m, alpha=master._floor_alpha) for spec in specs)
+            spec, m, alpha=footprints.alpha) for spec in specs)
         if need <= budget:
             return m
-    if master._floor_spills_model:
+    if footprints.adaptive:
         for m in range(1, master.cluster.size + 1):
             need = sum(cost_model.resident_bytes(
                 spec, m, alpha=1.0, model_spilled=True) for spec in specs)
             if need <= budget:
                 return m
     return master.cluster.size + 1
+
+
+def assert_entries_exact(footprints, specs):
+    """Every entry the table has served is the cost model's float."""
+    by_id = {spec.job_id: spec for spec in specs}
+    for (job_id, m, alpha, spilled), value in footprints._entries.items():
+        assert value == footprints.cost_model.resident_bytes(
+            by_id[job_id], m, alpha, spilled)
 
 
 #: (app, dataset index, model scale); a 40x model never fits a small
@@ -138,9 +147,10 @@ def floor_specs(draws):
 
 
 class TestFloorRows:
-    """``_scan_floor`` reads per-job rows of resident bytes; it must
-    return the direct cost-model scan's floor for every group, in every
-    member order, whatever the rows already hold."""
+    """The master's floors read the footprint table; they must equal the
+    direct cost-model scan's floor for every group, in every member
+    order, whatever the table already holds, and every entry the table
+    serves must be ``CostModel.resident_bytes`` bit for bit."""
 
     @settings(max_examples=120, deadline=None)
     @given(draws=job_draws, n_machines=st.integers(1, 48),
@@ -161,26 +171,29 @@ class TestFloorRows:
             min_size=1, max_size=12))
         for group in groups:
             for order in (group, group[::-1]):
-                assert master._scan_floor(order) \
+                assert master.footprints.floor(order, n_machines) \
                     == linear_scan_floor(master, order)
+        assert_entries_exact(master.footprints, specs)
 
     @pytest.mark.parametrize("architecture", ["ps", "allreduce"])
     @pytest.mark.parametrize("spill", [True, False])
     def test_group_that_never_fits(self, architecture, spill):
         config = SimConfig(memory=MemoryConfig(spill_enabled=spill))
         _, master = build_master(2, config, architecture)
+        footprints = master.footprints
         specs = floor_specs([("MLR", 1, 40.0), ("Lasso", 1, 40.0)])
         assert linear_scan_floor(master, specs) == 3
-        assert master._scan_floor(specs) == 3
-        assert master._scan_floor(specs[:1]) \
+        assert footprints.floor(specs, 2) == 3
+        assert footprints.floor(specs[:1], 2) \
             == linear_scan_floor(master, specs[:1])
-        assert (("j0", True) in master._floor_rows) is spill
+        assert (("j0", 1, 1.0, True) in footprints._entries) is spill
 
     def test_rows_grow_only_as_far_as_the_scan(self):
         _, master = build_master(24)
-        floor = master._scan_floor(floor_specs([("LDA", 1, 1.0)]))
-        assert list(master._floor_rows) == [("j0", False)]
-        assert len(master._floor_rows["j0", False]) == floor
+        footprints = master.footprints
+        floor = footprints.floor(floor_specs([("LDA", 1, 1.0)]), 24)
+        assert list(footprints._entries) \
+            == [("j0", m, 1.0, False) for m in range(1, floor + 1)]
 
 
 class TestEndToEndInvariants:

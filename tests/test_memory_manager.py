@@ -8,6 +8,7 @@ from repro.core.job import Job
 from repro.core.memory_manager import (
     ADJUST_EVERY,
     TARGET_PRESSURE,
+    FootprintTable,
     GroupMemoryManager,
 )
 from repro.workloads.apps import DATASETS, JobSpec, LDA, MLR
@@ -17,16 +18,41 @@ from repro.workloads.costmodel import CostModel
 def _manager(n_machines=8, spill=True, config=None, machine_spec=None):
     cost_model = CostModel(machine_spec)
     ledger = MemoryLedger(cost_model.spec)
-    manager = GroupMemoryManager(
-        ledger, cost_model,
-        config if config is not None else MemoryConfig(),
-        n_machines=n_machines, spill_enabled=spill)
+    footprints = FootprintTable(
+        cost_model, config if config is not None else MemoryConfig(),
+        mode_spills=spill)
+    manager = GroupMemoryManager(ledger, footprints, n_machines=n_machines)
     return manager, ledger
 
 
 def _job(job_id="j", dataset_index=0, app=MLR, iterations=5):
     return Job(JobSpec(job_id, app, DATASETS[app.name][dataset_index],
                        iterations=iterations))
+
+
+class TestSpillBasis:
+    """One derivation of the feasibility basis for every mode/config:
+    the input-spill ratio alpha, and whether ratios adapt (which also
+    gates the model-spill fallback)."""
+
+    @pytest.mark.parametrize(
+        "mode_spills, spill, fixed_alpha, alpha, adaptive", [
+            (True, True, None, 1.0, True),
+            (True, True, 0.35, 0.35, False),
+            (True, True, 0.0, 0.0, False),
+            (True, False, None, 0.0, False),
+            (True, False, 0.35, 0.0, False),
+            (False, True, None, 0.0, False),
+            (False, True, 0.35, 0.0, False),
+        ])
+    def test_basis(self, mode_spills, spill, fixed_alpha, alpha,
+                   adaptive):
+        table = FootprintTable(
+            CostModel(), MemoryConfig(spill_enabled=spill,
+                                      fixed_alpha=fixed_alpha),
+            mode_spills)
+        assert table.spill is (mode_spills and spill)
+        assert (table.alpha, table.adaptive) == (alpha, adaptive)
 
 
 class TestAdmission:
@@ -66,6 +92,20 @@ class TestAdmission:
         job = _job()
         assert manager.admit(job)
         assert job.alpha == 0.4
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="evict() rebalances a fixed-ratio group "
+                              "with the shared closed-form alpha")
+    def test_eviction_keeps_the_fixed_alpha(self):
+        """The §V-G baseline uses "the same fixed alpha for all jobs",
+        also after a co-located job leaves."""
+        config = MemoryConfig(fixed_alpha=0.5)
+        manager, _ = _manager(n_machines=4, config=config)
+        first = _job("a", dataset_index=1)
+        second = _job("b", dataset_index=1)
+        assert manager.admit(first) and manager.admit(second)
+        manager.evict(second)
+        assert first.alpha == 0.5
 
     def test_evict_frees_memory_and_relaxes_others(self):
         manager, ledger = _manager(n_machines=4)

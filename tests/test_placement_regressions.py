@@ -8,9 +8,18 @@ long end-to-end runs, captured here as fast, direct scenarios.
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cluster.cluster import Cluster
 from repro.config import DEFAULT_SIM_CONFIG
+from repro.core.group_runtime import ExecutionMode, GroupRuntime
+from repro.core.job import Job
+from repro.core.master import HarmonyMaster
 from repro.core.runtime import HarmonyRuntime
+from repro.experiments.common import scaled_workload
+from repro.metrics.utilization import ClusterUsageRecorder
+from repro.sim import RandomStreams, Simulator
+from repro.workloads.costmodel import CostModel
 from repro.workloads.generator import WorkloadGenerator
 
 
@@ -53,19 +62,48 @@ class TestFixedAlphaPlacement:
         assert max(pressures) < 1.0
 
 
+#: The paper-scale base workload (80 jobs) at seed 7.
+POOL = {spec.job_id: spec for spec in scaled_workload(1.0, 7)[0]}
+
+
+def rejected_at_floor(job_ids, architecture, spill, fixed_alpha,
+                      n_machines=20):
+    """Start a group sized at the jobs' memory floor and admit them one
+    by one through the gate; returns (floor, ids the group refused)."""
+    config = replace(DEFAULT_SIM_CONFIG, memory=replace(
+        DEFAULT_SIM_CONFIG.memory, spill_enabled=spill,
+        fixed_alpha=fixed_alpha))
+    master = HarmonyMaster(
+        Simulator(), Cluster(n_machines, config.machine),
+        CostModel(config.machine, comm_architecture=architecture),
+        config, RandomStreams(1), ClusterUsageRecorder(n_machines))
+    for job_id in job_ids:
+        master.jobs[job_id] = Job(POOL[job_id])
+    floor = master._memory_floor(job_ids)
+    if floor > n_machines:
+        return floor, []
+    group = master._start_group(floor)
+    return floor, [job_id for job_id in job_ids
+                   if not (group.can_admit(master.jobs[job_id])
+                           and group.add_job(master.jobs[job_id]))]
+
+
+#: Every (architecture, spill, fixed alpha) but all-reduce's default,
+#: whose floor assumes every model spilled while admission spills only
+#: a model that does not fit alone (pinned below).
+gate_configs = st.tuples(
+    st.sampled_from(("ps", "allreduce")), st.booleans(),
+    st.sampled_from((None, 0.0, 0.35, 1.0))).filter(
+        lambda config: config != ("allreduce", True, None))
+
+
 class TestPlanFloorGateAlignment:
     """A plan sized exactly at its memory floor must pass the admission
-    gate, or placement livelocks (plan -> reject -> re-plan forever)."""
+    gate, or placement livelocks (plan -> reject -> re-plan forever).
+    The floors and the gate read one footprint table: a group sized at
+    its jobs' floor admits every one of them."""
 
     def test_floor_sized_groups_are_admittable(self):
-        from repro.cluster.cluster import Cluster
-        from repro.core.group_runtime import ExecutionMode, GroupRuntime
-        from repro.core.job import Job
-        from repro.core.master import HarmonyMaster
-        from repro.metrics.utilization import ClusterUsageRecorder
-        from repro.sim import RandomStreams, Simulator
-        from repro.workloads.costmodel import CostModel
-
         config = DEFAULT_SIM_CONFIG
         sim = Simulator()
         cluster = Cluster(100, config.machine)
@@ -85,6 +123,26 @@ class TestPlanFloorGateAlignment:
                                  RandomStreams(1), master)
             assert group.can_admit(master.jobs[spec.job_id]), \
                 f"{spec.job_id} rejected at its own floor ({floor})"
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=gate_configs, job_ids=st.lists(
+        st.sampled_from(sorted(POOL)), min_size=1, max_size=4,
+        unique=True))
+    def test_floor_sized_group_admits_its_jobs(self, config, job_ids):
+        floor, rejected = rejected_at_floor(job_ids, *config)
+        assert not rejected, (floor, rejected)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="all-reduce floors assume every model "
+                              "spilled; admission spills only a model "
+                              "that does not fit alone")
+    def test_allreduce_default_floor_admits_its_jobs(self):
+        job_ids = ["LDA-NYTimes-h9", "MLR-Synthetic155-h0",
+                   "LDA-PubMed-h6"]
+        floor, rejected = rejected_at_floor(job_ids, "allreduce", True,
+                                            None)
+        assert floor == 1
+        assert not rejected, (floor, rejected)
 
 
 class TestShrunkSlotSafety:
