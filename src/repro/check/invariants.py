@@ -59,10 +59,9 @@ class Violation:
 class InvariantChecker:
     """Asserts run-level invariants over a completed simulation.
 
-    Safe on truncated runs (``max_sim_seconds`` / ``max_events``):
-    safety invariants hold at every instant, and the completion-only
-    checks (exact iteration counts) are restricted to jobs that
-    actually finished.
+    Safe on runs truncated by ``max_sim_seconds``: safety invariants
+    hold at every instant, and the completion-only checks (exact
+    iteration counts) are restricted to jobs that actually finished.
     """
 
     def __init__(self, rel_tol: float = 1e-6, abs_tol: float = 1e-3,

@@ -208,12 +208,10 @@ class GroupRuntime:
         self._fault_cpu_factor = 1.0
         self._fault_net_factor = 1.0
         # Batched fast path (repro.sim.fastpath).
-        engine = None
+        self._engine = None
         if config.engine == "fast":
-            engine = GroupBatchEngine(self)
-            if not engine.attach():
-                engine = None  # a max_events run turned it off
-        self._engine = engine
+            self._engine = GroupBatchEngine(self)
+            self._engine.attach()
 
     # -- inspection ------------------------------------------------------------
 

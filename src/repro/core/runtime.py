@@ -12,6 +12,7 @@ statistics, and the performance model's prediction errors.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -165,8 +166,7 @@ class RunResult:
             f"avg CPU util: {self.average_utilization('cpu'):.1%}",
             f"avg net util: {self.average_utilization('net'):.1%}",
             f"fast path: {fp.solo_batches} solo batches, "
-            f"{fp.wakes_served} wakes in {fp.drive_windows} drive "
-            f"windows, {fp.engines_deactivated} engines deactivated",
+            f"{fp.wakes_served} wakes in {fp.drive_windows} drive windows",
         ]
         if self.gates is not None:
             lines.append(self.gates.describe())
@@ -218,17 +218,17 @@ class RuntimeBase:
         """Schedule processes beyond the submissions (none by default);
         runs right after the submissions are queued."""
 
-    def run(self, max_sim_seconds: float | None = None,
-            max_events: int | None = None) -> RunResult:
-        """Submit the workload and simulate until every job terminates."""
+    def run(self, max_sim_seconds: float | None = None) -> RunResult:
+        """Submit the workload and simulate until every job terminates,
+        or until the clock reaches ``max_sim_seconds``."""
         # harmony: allow[DET001] wall_seconds measures real runtime of run() itself
         wall_start = time.perf_counter()
-        truncated = max_sim_seconds is not None or max_events is not None
+        truncated = max_sim_seconds is not None
         for spec in self.workload:
             self.sim.call_at(spec.submit_time,
                              lambda s=spec: self.master.submit(s))
         self._install()
-        self.sim.run(until=max_sim_seconds, max_events=max_events)
+        self.sim.run(until=max_sim_seconds)
 
         stuck = [job for job in self.master.jobs.values()
                  if not job.is_done]
@@ -294,6 +294,10 @@ class HarmonyRuntime(RuntimeBase):
                                     scheduler_factory=scheduler_factory,
                                     fault_log=self.fault_log)
         self.failure_times = sorted(failure_times or [])
+        for when in self.failure_times:
+            if not (math.isfinite(when) and when >= 0.0):
+                raise ValueError(
+                    f"failure time {when!r} must be finite and >= 0")
         self.fault_plan = fault_plan
         self.monitor = None
         self.injector = None
@@ -368,10 +372,10 @@ class HarmonyRuntime(RuntimeBase):
             self.monitor.start()
         self.sim.spawn(self._pacer(), name="periodic-reschedule")
 
-    def run(self, max_sim_seconds: float | None = None,
-            max_events: int | None = None) -> RunResult:
-        """Submit the workload and simulate until every job terminates."""
+    def run(self, max_sim_seconds: float | None = None) -> RunResult:
+        """Submit the workload and simulate until every job terminates,
+        or until the clock reaches ``max_sim_seconds``."""
         # Defined on this class, not only inherited, so that tools that
         # patch ``HarmonyRuntime.run`` in the class dict (the host-clock
         # span recorder in benchmarks/perf/spans.py) keep finding it.
-        return super().run(max_sim_seconds, max_events)
+        return super().run(max_sim_seconds)

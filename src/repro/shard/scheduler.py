@@ -115,6 +115,9 @@ class ShardedScheduler:
         self.plan_cache = _ShardPlanCache(self)
         #: Rebalance accounting, for experiments and tests.
         self.jobs_rebalanced = 0
+        #: Calls in which no cell placed a job and the pool-scope
+        #: scheduler planned instead.
+        self.pool_fallbacks = 0
 
     # -- cell pool ---------------------------------------------------------
 
@@ -154,6 +157,9 @@ class ShardedScheduler:
             # No cell placed anything, e.g. every pooled job's memory
             # floor exceeds its cell: plan at pool scope, so such a job
             # still starts once the cluster has room for it.
+            self.pool_fallbacks += 1
+            if self._trace is not None:
+                self._trace.counter("shard.pool_fallbacks").add(1)
             return self._schedule_solo(jobs, total_machines)
         self.last_stats = ScheduleStats.of(
             merged, len(jobs),

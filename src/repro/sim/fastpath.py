@@ -34,6 +34,10 @@ bitwise equal to the reference engine by construction;
 the differential suite (``tests/test_sim_fastpath.py``) and the
 ``repro.check`` invariants pin it there.  Engagement is counted once,
 on the simulator (``sim.fastpath_stats``).
+
+There is no fallback lane: a group's engine attaches when the group is
+built and stays attached for the group's whole life.  The per-event
+path runs only under ``engine="reference"``, the differential oracle.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ class GroupBatchEngine:
     """
 
     __slots__ = ("group", "sim", "active", "_t_open",
-                 "_resources", "_attached", "_driver_handle",
+                 "_resources", "_driver_handle",
                  "_driver_key", "_in_drive")
 
     def __init__(self, group: "GroupRuntime"):
@@ -77,7 +81,6 @@ class GroupBatchEngine:
         self.active = False
         self._t_open = 0.0
         self._resources = (group.cpu, group.net, group.disk)
-        self._attached = False
         #: The single real heap entry backing the earliest parked wake.
         self._driver_handle = None
         #: ``(when, seq)`` the driver entry is queued at.
@@ -86,38 +89,12 @@ class GroupBatchEngine:
 
     # -- drive lane ----------------------------------------------------
 
-    def attach(self) -> bool:
-        """Park the group's resources under this engine and register
-        for fast-path teardown.  Returns False (leaving the resources
-        untouched, and counting the engine as deactivated) when a
-        ``max_events`` run has already turned the fast path off."""
-        sim = self.sim
-        if not sim.fastpath_enabled:
-            sim.fastpath_stats.engines_deactivated += 1
-            return False
+    def attach(self) -> None:
+        """Park the group's resources under this engine for the group's
+        whole life."""
         for resource in self._resources:
             resource.set_wake_owner(self)
-        sim.register_batch_engine(self)
-        sim.fastpath_stats.groups_attached += 1
-        self._attached = True
-        return True
-
-    def deactivate(self) -> None:
-        """Leave the batched lanes (fast-path teardown).
-
-        Parked wakes are re-queued as real events at their exact
-        ``(when, seq)`` keys and the driver entry is cancelled, so the
-        run continues bit-for-bit on the reference path.
-        """
-        if not self._attached:
-            return
-        self._attached = False
-        self.sim.cancel(self._driver_handle)
-        self._driver_handle = None
-        self._driver_key = None
-        for resource in self._resources:
-            resource.rearm()
-        self.sim.fastpath_stats.engines_deactivated += 1
+        self.sim.fastpath_stats.groups_attached += 1
 
     def park_changed(self, resource: "RateResource") -> None:
         """Owner notification: a resource's parked wake was (re)set or
@@ -215,16 +192,16 @@ class GroupBatchEngine:
     def open(self) -> bool:
         """Open a solo batch if the group is isolated enough to warp.
 
-        Eligible when the engine is attached, the hooks have no
-        per-iteration callback (one would observe the warped clock),
-        exactly one job runs in the group (multi-job groups contend
-        through shared policies), no foreign work is queued on the
-        group's resources, and the current ``run()`` call has no
-        ``until`` horizon (a solo batch would warp past it).
+        Eligible when the hooks have no per-iteration callback (one
+        would observe the warped clock), exactly one job runs in the
+        group (multi-job groups contend through shared policies), no
+        foreign work is queued on the group's resources, and the
+        current ``run()`` call has no ``until`` horizon (a solo batch
+        would warp past it).
         """
         group = self.group
         sim = self.sim
-        if self.active or not self._attached:
+        if self.active:
             return False
         if group.hooks.on_iteration is not None or group.n_jobs != 1:
             return False

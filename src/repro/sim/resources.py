@@ -548,26 +548,8 @@ class RateResource:
             started_at=started if started is not None else when,
             finished_at=when, work=work)
 
-    def rearm(self) -> None:
-        """Leave parked mode, re-queueing the parked wake (if any).
-
-        Called when the owning engine deactivates: the wake returns to
-        the event queue at the exact parked time and at the exact
-        tiebreak sequence number it drew when it parked, so
-        same-instant races resolve in the reference order.
-        """
-        self._wake_owner = None
-        when, self._pending_wake_at = self._pending_wake_at, None
-        seq, self._pending_wake_seq = self._pending_wake_seq, None
-        if when is None or not self._tasks:
-            return
-        generation = self._wake_generation
-        self._wake_handle = self.sim.call_at(
-            when, lambda: self._on_wake(generation), cancellable=True,
-            sequence=seq)
-
     def set_wake_owner(self, owner) -> None:
-        """Park the resource under ``owner`` until :meth:`rearm`.
+        """Park the resource under ``owner`` for the rest of its life.
 
         Every wake the reference engine would queue is parked as
         ``(when, seq)`` and the owner is notified so it can maintain

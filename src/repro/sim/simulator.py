@@ -72,9 +72,9 @@ class FastpathStats:
     wakes_served: int = 0
     #: Group engines that attached in coordinated (parked) mode.
     groups_attached: int = 0
-    #: Group engines a ``run(max_events=)`` budget kept off the batched
-    #: lanes: torn down as the run started, or refused at attach
-    #: afterwards.
+    #: Group engines that left the batched lanes mid-run.  Always 0:
+    #: every group under ``engine="fast"`` attaches for its whole
+    #: life.  Kept for the perf ledger, which reads it.
     engines_deactivated: int = 0
 
     @property
@@ -94,11 +94,6 @@ class Simulator:
         self._sequence = itertools.count()
         self._insertions = itertools.count()
         self._running = False
-        self._fastpath_enabled = True
-        #: Group engines currently parked on this simulator
-        #: (:class:`repro.sim.fastpath.GroupBatchEngine`), for
-        #: :meth:`_disable_fastpath`.
-        self._batch_engines: list[Any] = []
         #: Engagement counters for the batched fast path; all zero
         #: under ``engine="reference"``.
         self.fastpath_stats = FastpathStats()
@@ -118,30 +113,6 @@ class Simulator:
         """Current simulation time, in seconds."""
         return self._now
 
-    @property
-    def fastpath_enabled(self) -> bool:
-        """Whether group engines may still attach to the batched lanes.
-
-        Turned off, for good, by the first ``run(max_events=)`` call.
-        """
-        return self._fastpath_enabled
-
-    def _disable_fastpath(self) -> None:
-        """Tear the fast path down (a ``max_events`` budget counts
-        reference callbacks, which a drive window batches).  Every
-        attached engine deactivates: parked wake times are re-queued
-        as real events (preserving their tiebreak sequence numbers) and
-        driver entries are cancelled, so the run continues bit-for-bit
-        on the reference path."""
-        self._fastpath_enabled = False
-        engines, self._batch_engines = self._batch_engines, []
-        for engine in engines:
-            engine.deactivate()
-
-    def register_batch_engine(self, engine: Any) -> None:
-        """Track an attached engine for :meth:`_disable_fastpath`."""
-        self._batch_engines.append(engine)
-
     # -- scheduling primitives ----------------------------------------
 
     def call_at(self, when: float, callback: Callable[[], None],
@@ -156,7 +127,8 @@ class Simulator:
         fresh one — the fast path uses it so a parked wake keeps the
         exact same-time ordering it would have had as a live entry.
         """
-        if when < self._now - 1e-9:
+        # Stated positively so that NaN fails it too.
+        if not when >= self._now - 1e-9:
             raise SimulationError(
                 f"cannot schedule at {when} before now={self._now}")
         when = max(when, self._now)
@@ -253,34 +225,30 @@ class Simulator:
             return True
         return False
 
-    def run(self, until: float | None = None,
-            max_events: int | None = None) -> float:
-        """Run until the queue drains, ``until`` is reached, or
-        ``max_events`` callbacks have executed.
+    def run(self, until: float | None = None) -> float:
+        """Run until the queue drains or ``until`` is reached.
 
-        Returns the simulation time when the run stopped.
+        ``until`` may not lie before the clock (nor be NaN).  Returns
+        the simulation time when the run stopped.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
-        if max_events is not None and self._fastpath_enabled:
-            self._disable_fastpath()
+        if not (until is None or until >= self._now):
+            raise SimulationError(
+                f"run(until={until}) lies before now={self._now}")
         self._running = True
         self.run_until = until
         try:
-            executed = 0
             while True:
                 when = self.peek()
                 if when is None:
-                    if until is not None and until > self._now:
+                    if until is not None:
                         self._now = until
-                    break
-                if max_events is not None and executed >= max_events:
                     break
                 if until is not None and when > until:
                     self._now = until
                     break
                 self.step()
-                executed += 1
         finally:
             self._running = False
             self.run_until = None

@@ -47,7 +47,7 @@ COUNTER_NAMES = frozenset({
     "*.reloads", "*.reload_bytes",
     "job.*.checkpoints", "job.*.barrier_wait_seconds",
     # sharded scheduling (repro.shard)
-    "shard.cells_rescheduled", "shard.jobs_moved",
+    "shard.cells_rescheduled", "shard.jobs_moved", "shard.pool_fallbacks",
 })
 
 #: Gauge names.  ``<group>.{cpu,net,disk}.level`` are each resource's

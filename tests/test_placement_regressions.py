@@ -29,6 +29,19 @@ def fixed_alpha_config(alpha):
                                   fixed_alpha=alpha))
 
 
+#: Hang guard for the end-to-end runs below: every one of them ends by
+#: about 63,000 simulated seconds.
+MAX_SIM_SECONDS = 500_000.0
+
+
+def run_guarded(runtime):
+    """Run under the simulated-time hang guard and check the run stayed
+    on the configured engine's lanes."""
+    result = runtime.run(max_sim_seconds=MAX_SIM_SECONDS)
+    assert result.fastpath.engaged == (runtime.config.engine == "fast")
+    return result
+
+
 class TestFixedAlphaPlacement:
     """The §V-G fixed-ratio mode once over-committed groups (admission
     had no fit check and nothing rebalanced), inflating GC until drains
@@ -37,9 +50,8 @@ class TestFixedAlphaPlacement:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_fixed_alpha_runs_terminate(self, alpha):
         jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
-        result = HarmonyRuntime(24, jobs,
-                                config=fixed_alpha_config(alpha)).run(
-            max_events=2_000_000)
+        result = run_guarded(HarmonyRuntime(
+            24, jobs, config=fixed_alpha_config(alpha)))
         assert len(result.finished) == len(jobs)
 
     def test_no_group_sits_above_oom(self):
@@ -57,7 +69,7 @@ class TestFixedAlphaPlacement:
             pressures.append(group.ledger.pressure)
             original(group)
         master._note_membership_change = spy
-        runtime.run(max_events=2_000_000)
+        run_guarded(runtime)
         assert pressures
         assert max(pressures) < 1.0
 
@@ -152,7 +164,7 @@ class TestShrunkSlotSafety:
 
     def test_heavy_workload_with_small_cluster_terminates(self):
         jobs = WorkloadGenerator(7).base_workload(hyper_params_per_pair=2)
-        result = HarmonyRuntime(20, jobs).run(max_events=4_000_000)
+        result = run_guarded(HarmonyRuntime(20, jobs))
         done = len(result.finished) + len(result.failed)
         assert done == len(jobs)
         assert not result.failed
@@ -163,7 +175,7 @@ class TestPauseResumeStability:
         jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
         failure_times = [float(t) for t in range(1200, 20_000, 2400)]
         runtime = HarmonyRuntime(24, jobs, failure_times=failure_times)
-        result = runtime.run(max_events=4_000_000)
+        result = run_guarded(runtime)
         assert len(result.finished) == len(jobs)
         assert runtime.master._rebuild is None
         assert runtime.master._pending_moves == {}

@@ -439,6 +439,7 @@ class TestShardedScheduler:
         assert plan.scheduled_job_ids == {"big0"}
         assert plan.machines_used >= 9
         assert scheduler.last_stats is scheduler._solo.last_stats
+        assert scheduler.pool_fallbacks == 1
 
     def test_empty_pool_and_bad_machine_count(self):
         scheduler = ShardedScheduler(shard=ShardConfig(n_cells=4))

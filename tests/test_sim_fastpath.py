@@ -322,9 +322,8 @@ class TestMasterDifferential:
 
 
 class TestTruncation:
-    """A ``max_events`` budget cannot use the batched lanes; tearing
-    them down mid-run must requeue parked wakes bit-for-bit.  An
-    ``until`` horizon keeps them."""
+    """An ``until`` horizon stops the drive lane at exactly the
+    reference state, and the run resumes on the same lane."""
 
     def _fresh(self, engine):
         sim = Simulator()
@@ -350,25 +349,10 @@ class TestTruncation:
         sim.run()
         return self._finish(sim, group, hooks)
 
-    def test_max_events_run_tears_down_and_stays_equal(self):
-        """``max_events`` budgets reference callbacks; the fast path is
-        deactivated up front and the run continues bit-for-bit."""
-        sim, group, hooks = self._fresh("fast")
-        sim.run(max_events=40)
-        assert sim.fastpath_enabled is False
-        assert sim.fastpath_stats.engines_deactivated == 1
-        for resource in (group.cpu, group.net, group.disk):
-            assert resource._pending_wake_at is None
-        assert group._engine._driver_handle is None
-        sim.run()  # finish on the reference path
-        assert_bitwise_equal(self._finish(sim, group, hooks),
-                             self._reference_run())
-
-    def test_mid_run_disable_requeues_parked_wakes(self):
-        """A ``max_events`` run starting mid-run (between events, with
-        wakes parked under the drive lane) requeues them at their
-        exact ``(when, seq)`` keys: the rest of the run is bitwise
-        reference."""
+    def test_run_resumed_after_horizon_stays_equal(self):
+        """A run stopped at an ``until`` horizon, with wakes still
+        parked under the drive lane, resumes on the same lane and ends
+        bitwise equal to one uninterrupted reference run."""
         ref = self._reference_run()
         t_mid = ref[0].now / 3.0
         sim, group, hooks = self._fresh("fast")
@@ -377,13 +361,8 @@ class TestTruncation:
         # Mid-run the group still has parked work under the engine.
         assert any(r._pending_wake_at is not None
                    for r in (group.cpu, group.net, group.disk))
-        sim.run(max_events=0)
-        assert sim.now == t_mid
-        assert sim.fastpath_stats.engines_deactivated == 1
-        for resource in (group.cpu, group.net, group.disk):
-            assert resource._pending_wake_at is None
-        assert group._engine._driver_handle is None
         sim.run()
+        assert sim.fastpath_stats.engines_deactivated == 0
         assert_bitwise_equal(self._finish(sim, group, hooks), ref)
 
     def test_until_truncated_drive_stops_on_horizon(self):

@@ -61,12 +61,26 @@ class TestRunControl:
         sim.run(until=100.0)
         assert sim.now == 100.0
 
-    def test_max_events_bounds_execution(self, sim):
-        count = []
-        for index in range(5):
-            sim.call_at(float(index), lambda: count.append(1))
-        sim.run(max_events=3)
-        assert len(count) == 3
+    def test_run_until_before_now_raises_and_keeps_clock(self, sim):
+        sim.call_at(10.0, lambda: None)
+        sim.call_at(20.0, lambda: None)
+        sim.run(until=15.0)
+        with pytest.raises(SimulationError, match="before now"):
+            sim.run(until=5.0)
+        assert sim.now == 15.0
+        assert sim.run() == 20.0
+
+    @pytest.mark.parametrize("until", [-1.0, float("nan")])
+    def test_run_until_must_not_precede_the_clock(self, sim, until):
+        sim.call_at(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run(until=until)
+        assert sim.now == 0.0
+
+    def test_scheduling_at_nan_raises(self, sim):
+        with pytest.raises(SimulationError):
+            sim.call_at(float("nan"), lambda: None)
+        assert sim.peek() is None
 
     def test_step_returns_false_when_empty(self, sim):
         assert sim.step() is False
