@@ -638,7 +638,7 @@ class HarmonyMaster(MasterBase):
                 planned_score=round(plan.score, 4), threshold=threshold,
                 triggered=triggered, pruned=False,
                 plan_groups=len(plan.groups),
-                plan_jobs=len(plan.scheduled_job_ids),
+                plan_jobs=plan.n_jobs,
                 prefixes_evaluated=stats.n_prefixes_evaluated,
                 cache_hits=stats.cache_hits,
                 cache_misses=stats.cache_misses,
@@ -938,7 +938,7 @@ class HarmonyMaster(MasterBase):
         if self._trace is not None:
             self._trace.counter("scheduler.regroups").add(1)
             self._instant("apply-plan", n_groups=len(plan.groups),
-                          n_jobs=len(plan.scheduled_job_ids),
+                          n_jobs=plan.n_jobs,
                           machines=plan.machines_used,
                           score=round(plan.score, 4))
         self._last_apply_time = self.sim.now

@@ -20,7 +20,7 @@ levels").
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.profiler import JobMetrics
@@ -48,6 +48,12 @@ class UtilizationVector:
     def __iter__(self):
         yield self.cpu
         yield self.net
+
+
+#: Eq. 4's per-group terms of a plan, each in group order: machine
+#: counts, ``m·U_cpu`` and ``m·U_net`` (:meth:`PerfModel.utilization_terms`).
+UtilizationTerms = tuple[tuple[int, ...], tuple[float, ...],
+                         tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -141,7 +147,27 @@ class PerfModel:
         """
         if not groups:
             return UtilizationVector(0.0, 0.0)
-        weight_sum = sum(g.m for g in groups)
+        return self.utilization_from_terms(
+            *self.utilization_terms(groups), total_machines=total_machines)
+
+    @staticmethod
+    def utilization_terms(groups: Sequence[GroupEstimate]) -> \
+            UtilizationTerms:
+        """Eq. 4's per-group terms, in group order: ``m``, ``m·U_cpu``
+        and ``m·U_net``."""
+        return (tuple(g.m for g in groups),
+                tuple(g.m * g.utilization.cpu for g in groups),
+                tuple(g.m * g.utilization.net for g in groups))
+
+    @staticmethod
+    def utilization_from_terms(machines: Iterable[int],
+                               cpu: Iterable[float], net: Iterable[float],
+                               total_machines: int | None = None) -> \
+            UtilizationVector:
+        """Eq. 4 from :meth:`utilization_terms` (possibly of several
+        plans, concatenated): the ``m·U`` sums over the machine count,
+        which is ``total_machines`` when given and ``Σ m`` otherwise."""
+        weight_sum = sum(machines)
         denominator = total_machines if total_machines is not None \
             else weight_sum
         if denominator <= 0:
@@ -150,9 +176,8 @@ class PerfModel:
             raise SchedulingError(
                 f"groups use {weight_sum} machines, more than "
                 f"{denominator} available")
-        cpu = sum(g.m * g.utilization.cpu for g in groups) / denominator
-        net = sum(g.m * g.utilization.net for g in groups) / denominator
-        return UtilizationVector(cpu, net)
+        return UtilizationVector(sum(cpu) / denominator,
+                                 sum(net) / denominator)
 
     def score(self, utilization: UtilizationVector) -> float:
         """Scalar objective used to compare candidate schedules: the

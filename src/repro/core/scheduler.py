@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import add
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -97,10 +97,12 @@ class ScheduleStats:
             n_jobs_offered=n_jobs_offered,
             n_prefixes_evaluated=n_prefixes_evaluated,
             best_n_groups=len(plan.groups) if plan is not None else 0,
-            best_n_jobs=(len(plan.scheduled_job_ids)
-                         if plan is not None else 0),
+            best_n_jobs=plan.n_jobs if plan is not None else 0,
             best_score=plan.score if plan is not None else 0.0,
             **counters)
+
+
+_job_ids = attrgetter("job_ids")
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,11 @@ class SchedulePlan:
     utilization: UtilizationVector
     score: float
     total_machines: int
+
+    @property
+    def n_jobs(self) -> int:
+        """Jobs placed: the sum of group sizes."""
+        return sum(map(len, map(_job_ids, self.groups)))
 
     @property
     def scheduled_job_ids(self) -> frozenset[str]:

@@ -78,7 +78,7 @@ def run(sizes: tuple[tuple[int, int], ...] = ((80, 100), (1000, 2000),
         elapsed = time.perf_counter() - started
         harmony_rows.append(ScaleRow(
             n_jobs=n_jobs, n_machines=n_machines, seconds=elapsed,
-            jobs_scheduled=len(plan.scheduled_job_ids) if plan else 0))
+            jobs_scheduled=plan.n_jobs if plan else 0))
 
     oracle_rows = []
     for n_jobs in oracle_sizes:
@@ -205,8 +205,7 @@ def run_sharded(
             rows.append(ShardRow(
                 n_cells=n_cells, n_jobs=n_jobs, n_machines=n_machines,
                 cold_seconds=cold, churn_seconds=churn,
-                jobs_scheduled=(len(plan.scheduled_job_ids)
-                                if plan else 0),
+                jobs_scheduled=plan.n_jobs if plan else 0,
                 score=plan.score if plan else 0.0))
     return ShardScalabilityResult(rows=rows, churn_steps=churn_steps)
 

@@ -2,11 +2,11 @@
 
 The ROADMAP's scale jump past the paper's 1,000-machine §V-F sweep:
 partition the machine pool into cells, run one independent Algorithm 1
-per cell, route jobs by per-cell load (one id lookup over the pool,
-Python work only for changed cells), and rebalance hot cells through
-the §IV-B4 migration path.  ``SimConfig.with_sharding``
-turns it on; ``python -m repro scale`` runs the cells × cluster-size
-sweep.
+per cell, route jobs by per-cell load (an identity diff against the
+last routed pool, lookups only for the positions that changed), and
+rebalance hot cells through the §IV-B4 migration path.
+``SimConfig.with_sharding`` turns it on; ``python -m repro scale``
+runs the cells × cluster-size sweep.
 """
 
 from repro.shard.cells import Cell, partition_machines

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from repro.cluster.cluster import split_machine_counts
 from repro.core.allocation import MemoryFloorFn
-from repro.core.perfmodel import PerfModel
+from repro.core.perfmodel import PerfModel, UtilizationTerms
 from repro.core.profiler import JobMetrics
 from repro.core.scheduler import HarmonyScheduler, SchedulePlan
 from repro.errors import ClusterError, SchedulingError
+
+_NO_TERMS: UtilizationTerms = ((), (), ())
 
 
 def partition_machines(total_machines: int,
@@ -42,14 +44,21 @@ class Cell:
     outcome so an unchanged cell (same job tuple, same machine count)
     is skipped entirely on the next sharded call — the device that
     makes one arrival cost one cell re-plan instead of #cells.  The
-    tuple comparison uses element identity fast paths (the master and
-    the sweep reuse :class:`JobMetrics` objects until the profiler
-    republishes them), and a republished job is a *new* object with new
-    values, so a stale hit is impossible.
+    tuple comparison is an identity check first (the placer hands an
+    unchanged cell the very tuple it routed last time) and otherwise
+    uses element identity fast paths (the master and the sweep reuse
+    :class:`JobMetrics` objects until the profiler republishes them);
+    a republished job is a *new* object with new values, so a stale hit
+    is impossible.
+
+    ``last_terms`` keeps the memoized plan's Eq. 4 terms
+    (:meth:`~repro.core.perfmodel.PerfModel.utilization_terms`), so the
+    sharded merge sums them across cells instead of re-reading every
+    group estimate.
     """
 
     __slots__ = ("index", "n_machines", "scheduler", "last_key",
-                 "last_plan")
+                 "last_plan", "last_terms")
 
     def __init__(self, index: int, n_machines: int,
                  perf_model: PerfModel,
@@ -62,18 +71,23 @@ class Cell:
         #: ``(jobs tuple, n_machines)`` of the last schedule, or None.
         self.last_key: tuple | None = None
         self.last_plan: SchedulePlan | None = None
+        self.last_terms: UtilizationTerms = _NO_TERMS
 
     def unchanged(self, jobs: tuple[JobMetrics, ...]) -> bool:
         """Whether the memoized plan still answers for ``jobs``."""
-        return self.last_key is not None \
-            and self.last_key[1] == self.n_machines \
-            and self.last_key[0] == jobs
+        key = self.last_key
+        return key is not None and key[1] == self.n_machines \
+            and (key[0] is jobs or key[0] == jobs)
 
     def remember(self, jobs: tuple[JobMetrics, ...],
                  plan: SchedulePlan | None) -> None:
         self.last_key = (jobs, self.n_machines)
         self.last_plan = plan
+        self.last_terms = _NO_TERMS if plan is None else \
+            PerfModel.utilization_terms(
+                [group.estimate for group in plan.groups])
 
     def forget(self) -> None:
         self.last_key = None
         self.last_plan = None
+        self.last_terms = _NO_TERMS

@@ -9,14 +9,19 @@ across calls until it departs or the rebalancer moves it — so a
 single arrival perturbs exactly one cell and every other cell's
 memoized plan survives (:mod:`repro.shard.cells`).
 
-Per call, the only work proportional to the pool runs in C: one id
-lookup per job and one :func:`operator.itemgetter` per cell to build
-the cell tuples from per-cell pool-index lists.  Python-level work is
-spent only on cells whose members changed: a cell's raw load is cached
-against the member tuple it was summed over, and only cells that
-received new jobs are re-sorted.  The index lists themselves are
-reused whenever the pool's cell column equals (or extends) the
-previous call's.
+A call costs what changed since the previous one.  The placer keeps
+one memo of the last routed pool: a copy of it, its cell column, the
+per-cell pool-index lists and the per-cell job tuples.  One C-level
+identity pass over the new pool finds the *stale* positions (a
+different object than last time, or past the old end); only those are
+looked up, only cells whose membership changed are re-indexed, and
+only cells holding a stale position get a new tuple — every other
+cell returns the previous call's tuple object, which its memoized plan
+recognizes by identity.  A cell's raw load is cached against the
+member tuple it was summed over, and only cells that received new
+jobs are re-sorted.  A pool whose positions mostly moved (a shuffle, a
+departure at the head) pays the identity pass and the per-position
+diff on top of re-reading every job.
 
 Everything is deterministic: jobs are considered in pool order, heap
 ties break on the cell index, and no container is iterated in hash
@@ -28,8 +33,8 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
-from itertools import chain
-from operator import attrgetter, itemgetter
+from itertools import compress
+from operator import attrgetter, is_not, itemgetter
 from typing import TYPE_CHECKING
 
 from repro.core.perfmodel import CPU_WEIGHT
@@ -81,11 +86,17 @@ class GlobalPlacer:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: job_id -> cell index; insertion-ordered, never hash-iterated.
         self._assignment: dict[str, int] = {}
-        #: ``(cell of every pool position, per-cell ascending pool
-        #: indices)`` of the last routed pool; None until a route
-        #: completes.  The index lists are a pure function of the cell
-        #: column, so an equal column reuses them.
-        self._memo: tuple[list[int], list[list[int]]] | None = None
+        #: The memo of the last routed pool: a copy of it, the cell of
+        #: every position, per-cell ascending pool indices and per-cell
+        #: job tuples.
+        self._pool: list[JobMetrics] = []
+        self._column: list[int | None] = []
+        self._members: list[list[int]] = [[] for _ in self.cell_machines]
+        self._routed: list[tuple[JobMetrics, ...]] = \
+            [()] * self.n_cells
+        #: Cells that held a job reassigned since the memo was taken;
+        #: the next diff re-reads all their positions.
+        self._stale_cells: set[int] = set()
         #: Per cell, ``(member tuple, raw load)`` of its last load sum.
         self._loads: list[tuple[tuple[JobMetrics, ...], float] | None] = \
             [None] * self.n_cells
@@ -99,10 +110,14 @@ class GlobalPlacer:
         return self._assignment.get(job_id)
 
     def reassign(self, job_id: str, cell_index: int) -> None:
-        """Pin a job to a cell."""
+        """Pin a job to a cell; a move marks its old cell stale for
+        the next diff."""
         if not 0 <= cell_index < self.n_cells:
             raise ValueError(
                 f"cell {cell_index} out of range 0..{self.n_cells - 1}")
+        home = self._assignment.get(job_id)
+        if home is not None and home != cell_index:
+            self._stale_cells.add(home)
         self._assignment[job_id] = cell_index
 
     def route(self, jobs: Sequence[JobMetrics]) -> \
@@ -114,97 +129,123 @@ class GlobalPlacer:
         heap of ``(load, cell_index)`` entries — ties break on the
         cell index, never on object identity or hash order.
         """
-        ids = list(map(_job_id, jobs))
-        cells = list(map(self._assignment.get, ids))
-        members, new_jobs = self._partition(cells)
-        routed = [_take(jobs, indices) for indices in members]
-        if new_jobs:
+        return self._place(jobs)
+
+    def migrate(self, jobs: Sequence[JobMetrics],
+                moves: Sequence[ShardMove]) -> list[tuple[JobMetrics, ...]]:
+        """Apply the rebalancer's moves to the pool ``route`` last saw.
+
+        Every moved job is reassigned, which marks its old cell stale,
+        so the re-diff re-reads just the touched cells and a receiver
+        takes each migrant at the pool position an unsharded admission
+        would see it in.
+        """
+        for move in moves:
+            self.reassign(move.job.job_id, move.target)
+        return self._place(jobs)
+
+    def raw_loads(self) -> list[float]:
+        """Unnormalized load of every cell's last routed members, each
+        a left fold from 0.0 in pool order."""
+        return [self._raw_load(cell, members)
+                for cell, members in enumerate(self._routed)]
+
+    def _place(self, jobs: Sequence[JobMetrics]) -> \
+            list[tuple[JobMetrics, ...]]:
+        """The body of :meth:`route`, shared with :meth:`migrate` so a
+        migration does not count as a routing call."""
+        pending = self._diff(jobs)
+        routed = self._routed
+        if pending:
+            column, members = self._column, self._members
             heap = [(self._raw_load(cell, routed[cell]) / machines, cell)
                     for cell, machines in enumerate(self.cell_machines)]
             heapq.heapify(heap)
-            for index in new_jobs:
+            for index in pending:
+                job = jobs[index]
                 load, cell = heapq.heappop(heap)
-                self._assignment[ids[index]] = cell
-                cells[index] = cell
+                self._assignment[job.job_id] = cell
+                column[index] = cell
                 members[cell].append(index)
-                load += job_weight(jobs[index]) \
-                    / self.cell_machines[cell]
+                load += job_weight(job) / self.cell_machines[cell]
                 heapq.heappush(heap, (load, cell))
             # New jobs landed after the stickies inside each cell; restore
             # pool order so per-cell admission matches an unsharded pool.
-            for cell in sorted({cells[index] for index in new_jobs}):
+            for cell in sorted({column[index] for index in pending}):
                 members[cell].sort()
                 routed[cell] = _take(jobs, members[cell])
             self.tracer.instant(
                 "placer.route", cat="shard",
-                args={"new_jobs": len(new_jobs),
+                args={"new_jobs": len(pending),
                       "pool": len(jobs)})
         if len(self._assignment) > 2 * len(jobs) + 64:
-            live = set(ids)
+            live = set(map(_job_id, jobs))
             self._assignment = {
                 job_id: cell
                 for job_id, cell in self._assignment.items()
                 if job_id in live}
-        self._memo = (cells, members)
-        return routed
+        return list(routed)
 
-    def migrate(self, jobs: Sequence[JobMetrics],
-                routed: Sequence[tuple[JobMetrics, ...]],
-                moves: Sequence[ShardMove]) -> list[tuple[JobMetrics, ...]]:
-        """Apply the rebalancer's moves to ``routed = route(jobs)``.
+    def _diff(self, jobs: Sequence[JobMetrics]) -> list[int]:
+        """Bring the memo up to ``jobs``; return the positions whose
+        jobs are still to route, ascending.
 
-        Every moved job is reassigned, and each cell a move touched is
-        re-read from its pool indices, so a receiver takes each migrant
-        at the pool position an unsharded admission would see it in.
+        A position is stale when it holds a different object than the
+        memo's pool, lies past the memo's end, or sits in a cell marked
+        by :meth:`reassign`.  Stale positions are the only ones looked
+        up; a cell is re-indexed only when a position joined or left
+        it, and re-tupled only when it held a stale position.  On the
+        first call every position is past the memo's (empty) end.
         """
-        for move in moves:
-            self.reassign(move.job.job_id, move.target)
-        cells, members = self._memo
-        touched = sorted({move.source for move in moves}
-                         | {move.target for move in moves})
-        indices = sorted(chain.from_iterable(
-            members[cell] for cell in touched))
-        for cell in touched:
-            members[cell] = []
-        for index in indices:
-            cell = self._assignment[jobs[index].job_id]
-            cells[index] = cell
-            members[cell].append(index)
-        rerouted = list(routed)
-        for cell in touched:
-            rerouted[cell] = _take(jobs, members[cell])
-        return rerouted
-
-    def _partition(self, cells: list[int | None]) \
-            -> tuple[list[list[int]], list[int]]:
-        """Per-cell ascending pool indices of the routed positions, and
-        the positions still to route.
-
-        Positions covered by the previous call's cell column are taken
-        from its index lists when the column matches; only the rest are
-        walked.
-        """
-        memo, self._memo = self._memo, None
-        start = 0
-        if memo is not None and cells[:len(memo[0])] == memo[0]:
-            start, members = len(memo[0]), memo[1]
-        else:
-            members = [[] for _ in range(self.n_cells)]
-        appends = [indices.append for indices in members]
-        new_jobs = []
-        for index in range(start, len(cells)):
-            cell = cells[index]
+        previous, column, members = self._pool, self._column, self._members
+        size, before = len(jobs), len(previous)
+        marked_cells, self._stale_cells = self._stale_cells, set()
+        self._pool = list(jobs)
+        stale = list(compress(range(size), map(is_not, previous, jobs)))
+        if marked_cells:
+            marked = [index for cell in sorted(marked_cells)
+                      for index in members[cell] if index < size]
+            stale = sorted(set(stale).union(marked))
+        stale.extend(range(before, size))
+        # Dropped tail positions leave their cells.
+        changed = set(column[size:])
+        del column[size:]
+        column.extend([None] * (size - before))
+        held = set()
+        arrivals: dict[int, list[int]] = {}
+        pending = []
+        homes = map(self._assignment.get,
+                    map(_job_id, map(jobs.__getitem__, stale)))
+        for index, cell in zip(stale, homes):
+            old = column[index]
+            if old is not None:
+                held.add(old)
             if cell is None:
-                new_jobs.append(index)
+                pending.append(index)
+            elif cell == old:
+                continue
             else:
-                appends[cell](index)
-        return members, new_jobs
+                arrivals.setdefault(cell, []).append(index)
+            column[index] = cell
+            if old is not None:
+                changed.add(old)
+        changed.update(arrivals)
+        for cell in sorted(changed):
+            kept = [index for index in members[cell]
+                    if index < size and column[index] == cell]
+            kept += arrivals.get(cell, ())
+            kept.sort()
+            members[cell] = kept
+        for cell in sorted(changed | held):
+            self._routed[cell] = _take(jobs, members[cell])
+        return pending
 
     def _raw_load(self, cell: int, members: tuple[JobMetrics, ...]) -> float:
         """Unnormalized load of ``members``, summed in pool order from
         0.0 and reused while the cell's member tuple compares equal."""
         cached = self._loads[cell]
-        if cached is not None and cached[0] == members:
+        if cached is not None and (cached[0] is members
+                                   or cached[0] == members):
             return cached[1]
         load = 0.0
         for job in members:

@@ -12,8 +12,9 @@ and re-scores) so the donor never re-runs Algorithm 1, while the
 receiving cell re-plans on the next schedule call because its job
 tuple changed.
 
-Everything here is pure planning over ``(load, cell_index)`` scalars —
-O(#cells log #cells + moves), never O(#machines).
+Everything here is pure planning over ``(load, cell_index)`` scalars
+that start from the placer's cached per-cell loads: only the jobs a
+move pops are weighed, and nothing is O(#machines).
 """
 
 from __future__ import annotations
@@ -35,27 +36,29 @@ class ShardMove:
 
 
 def plan_moves(cell_jobs: Sequence[Sequence[JobMetrics]],
+               cell_loads: Sequence[float],
                cell_machines: Sequence[int],
                threshold: float,
                max_moves: int) -> list[ShardMove]:
     """Plan migrations until no cell is hot (or the move budget is spent).
 
-    A cell is *hot* when its normalized load exceeds
-    ``(1 + threshold) * mean``.  Each step moves the hottest cell's
-    most recent job (last in pool order — the cheapest to uproot, as
-    the stickiest jobs keep their warm groups) to the coldest cell.
-    Loads are updated incrementally, so the loop is deterministic in
-    cell order and job order alone.
+    ``cell_loads`` are the cells' raw loads, each the pool-order sum
+    of :func:`~repro.shard.placer.job_weight` over ``cell_jobs`` (the
+    placer caches them, see
+    :meth:`~repro.shard.placer.GlobalPlacer.raw_loads`), so only the
+    jobs a move pops are weighed here.  A cell is *hot* when its
+    normalized load exceeds ``(1 + threshold) * mean``.  Each step
+    moves the hottest cell's most recent job (last in pool order — the
+    cheapest to uproot, as the stickiest jobs keep their warm groups)
+    to the coldest cell.  Loads are updated incrementally, so the loop
+    is deterministic in cell order and job order alone.
     """
     n_cells = len(cell_machines)
     if n_cells < 2 or max_moves <= 0:
         return []
     pending = [list(members) for members in cell_jobs]
-    weights = [[job_weight(job) for job in members]
-               for members in pending]
-    loads = [sum(cell_weights) / machines
-             for cell_weights, machines
-             in zip(weights, cell_machines, strict=True)]
+    loads = [load / machines for load, machines
+             in zip(cell_loads, cell_machines, strict=True)]
     total = sum(load * machines for load, machines
                 in zip(loads, cell_machines, strict=True))
     mean = total / sum(cell_machines)
@@ -71,17 +74,14 @@ def plan_moves(cell_jobs: Sequence[Sequence[JobMetrics]],
         if target == source:
             break
         job = pending[source].pop()
-        weight = weights[source].pop()
+        weight = job_weight(job)
         shed = weight / cell_machines[source]
         gained = weight / cell_machines[target]
         # Refuse moves that would just swap which cell is hot.
         if loads[target] + gained > loads[source] - shed:
-            pending[source].append(job)
-            weights[source].append(weight)
             break
         loads[source] -= shed
         loads[target] += gained
         pending[target].append(job)
-        weights[target].append(weight)
         moves.append(ShardMove(job=job, source=source, target=target))
     return moves

@@ -9,16 +9,18 @@ machine pool into :class:`~repro.shard.cells.Cell` shards and runs one
 independent Algorithm 1 per cell:
 
 * The :class:`~repro.shard.placer.GlobalPlacer` sticks each job to a
-  cell, so one arrival dirties exactly one cell; its per-call cost is
-  one C-level id lookup over the pool plus Python work for the changed
-  cells only.  Every clean cell answers from its memoized plan without
-  touching Algorithm 1 at all.  That is where the speedup lives: an
-  unsharded scheduler re-plans the *whole* pool per arrival, a sharded
-  one re-plans ``1/n_cells`` of it (see
+  cell, so one arrival dirties exactly one cell.  It diffs each pool
+  against the last one by identity (one C-level pass), looks up only
+  the positions that changed and hands every untouched cell the very
+  tuple it routed last time.  Every clean cell answers from its
+  memoized plan without touching Algorithm 1 at all.  That is where
+  the speedup lives: an unsharded scheduler re-plans the *whole* pool
+  per arrival, a sharded one re-plans ``1/n_cells`` of it (see
   ``benchmarks/bench_scalability.py``).
 * Dirty cells are planned one after another, in cell order, and their
-  plans merged in that order.  Cells are pure-Python Algorithm 1 under
-  the GIL, so a thread pool never beat the serial loop.
+  plans merged in that order; the merge sums the Eq. 4 terms each cell
+  kept when it memoized its plan.  Cells are pure-Python Algorithm 1
+  under the GIL, so a thread pool never beat the serial loop.
 * Every ``ShardConfig.rebalance_every`` calls the
   :mod:`~repro.shard.rebalance` pass drains hot cells; donors keep
   their plans through the §IV-B4 splice
@@ -34,6 +36,7 @@ the whole pool, so a job too large for every cell is not starved.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 from repro.config import ShardConfig
 from repro.core.allocation import MemoryFloorFn
@@ -151,8 +154,8 @@ class ShardedScheduler:
         if (self.shard.rebalance_every > 0
                 and self._calls % self.shard.rebalance_every == 0):
             routed = self._rebalance(routed, jobs)
-        plans, stats, n_skipped = self._schedule_cells(routed)
-        merged = self._merge(plans, total_machines)
+        occupied, stats, n_skipped = self._schedule_cells(routed)
+        merged = self._merge(occupied, total_machines)
         if merged is None:
             # No cell placed anything, e.g. every pooled job's memory
             # floor exceeds its cell: plan at pool scope, so such a job
@@ -178,22 +181,23 @@ class ShardedScheduler:
         return plan
 
     def _schedule_cells(self, routed: Sequence[tuple[JobMetrics, ...]]) \
-            -> tuple[list[SchedulePlan | None], list[ScheduleStats], int]:
-        """Run Algorithm 1 in every dirty cell; skip clean ones."""
-        occupied = sum(1 for members in routed if members)
-        dirty = [cell for cell, members
-                 in zip(self._cells, routed, strict=True)
-                 if members and not cell.unchanged(members)]
+            -> tuple[list[Cell], list[ScheduleStats], int]:
+        """Run Algorithm 1 in every dirty cell; skip clean ones.
+
+        Returns the cells holding jobs, the stats of the dirty ones and
+        how many clean ones were skipped.
+        """
+        occupied = [cell for cell, members
+                    in zip(self._cells, routed, strict=True) if members]
+        dirty = [cell for cell in occupied
+                 if not cell.unchanged(routed[cell.index])]
         if self._trace is not None:
             self._trace.counter("shard.cells_rescheduled").add(len(dirty))
         for cell in dirty:
             self._schedule_cell(cell, routed[cell.index])
-        plans = [cell.last_plan if members else None
-                 for cell, members
-                 in zip(self._cells, routed, strict=True)]
         stats = [cell.scheduler.last_stats for cell in dirty
                  if cell.scheduler.last_stats is not None]
-        return plans, stats, occupied - len(dirty)
+        return occupied, stats, len(occupied) - len(dirty)
 
     def _schedule_cell(self, cell: Cell,
                        members: tuple[JobMetrics, ...]) -> None:
@@ -207,24 +211,30 @@ class ShardedScheduler:
         plan = cell.scheduler.schedule(members, cell.n_machines)
         self._trace.end(span, args={
             "jobs": len(members),
-            "placed": (len(plan.scheduled_job_ids)
-                       if plan is not None else 0)})
+            "placed": plan.n_jobs if plan is not None else 0})
         cell.remember(members, plan)
 
-    def _merge(self, plans: Sequence[SchedulePlan | None],
+    def _merge(self, cells: Sequence[Cell],
                total_machines: int) -> SchedulePlan | None:
-        """Concatenate per-cell groups and re-score at pool scope.
+        """Concatenate the cells' memoized groups and re-score at pool
+        scope.
 
-        Pure arithmetic over the cells' group estimates, in fixed cell
+        Eq. 4 over the concatenated groups, from the terms each cell
+        kept with its plan (:attr:`Cell.last_terms`): the same products
+        summed in the same order as
+        :meth:`~repro.core.perfmodel.PerfModel.cluster_utilization`, so
+        the score is bitwise the same.  Pure arithmetic in fixed cell
         order — the merge itself can never perturb a plan, so equal
         per-cell plans imply an equal merged plan.
         """
-        groups = tuple(group for plan in plans if plan is not None
-                       for group in plan.groups)
+        groups = tuple(chain.from_iterable(
+            cell.last_plan.groups for cell in cells
+            if cell.last_plan is not None))
         if not groups:
             return None
-        utilization = self.perf_model.cluster_utilization(
-            [group.estimate for group in groups],
+        utilization = self.perf_model.utilization_from_terms(
+            *(chain.from_iterable(terms)
+              for terms in zip(*(cell.last_terms for cell in cells))),
             total_machines=total_machines)
         return SchedulePlan(groups=groups, utilization=utilization,
                             score=self.perf_model.score(utilization),
@@ -237,12 +247,13 @@ class ShardedScheduler:
             -> list[tuple[JobMetrics, ...]]:
         """Apply the cross-cell drain pass to this call's routing."""
         moves = plan_moves(
-            routed, [cell.n_machines for cell in self._cells],
+            routed, self._placer.raw_loads(),
+            [cell.n_machines for cell in self._cells],
             threshold=self.shard.rebalance_threshold,
             max_moves=MAX_REBALANCE_MOVES)
         if not moves:
             return routed
-        rerouted = self._placer.migrate(jobs, routed, moves)
+        rerouted = self._placer.migrate(jobs, moves)
         for source in sorted({move.source for move in moves}):
             self._patch_donor(
                 self._cells[source], routed[source], rerouted[source],

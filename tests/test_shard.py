@@ -21,7 +21,8 @@ from repro.cluster.cluster import Cluster, split_machine_counts
 from repro.config import SchedulerConfig, ShardConfig, SimConfig
 from repro.core.master import HarmonyMaster
 from repro.core.profiler import JobMetrics, Profiler
-from repro.core.scheduler import HarmonyScheduler
+from repro.core.regroup import splice_plan
+from repro.core.scheduler import HarmonyScheduler, SchedulePlan
 from repro.errors import ClusterError, SchedulingError
 from repro.experiments.scalability import (
     ScalabilityResult,
@@ -29,6 +30,7 @@ from repro.experiments.scalability import (
 )
 from repro.metrics.utilization import ClusterUsageRecorder
 from repro.shard import (
+    Cell,
     GlobalPlacer,
     ShardedScheduler,
     job_weight,
@@ -36,10 +38,23 @@ from repro.shard import (
     plan_moves,
 )
 from repro.sim import RandomStreams, Simulator
+from repro.trace.tracer import Tracer
 from repro.workloads.costmodel import CostModel
 from tests.shard_oracle import ReferencePlacer, reference_migrate
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def fold_loads(cells):
+    """Per-cell raw loads: ``job_weight`` folded left from 0.0 in
+    pool order, the sum ``plan_moves`` expects."""
+    loads = []
+    for members in cells:
+        load = 0.0
+        for job in members:
+            load += job_weight(job)
+        loads.append(load)
+    return loads
 
 
 def make_jobs(values, prefix="j"):
@@ -205,8 +220,13 @@ placer_steps = st.lists(
 
 
 class TestRouteDifferential:
-    """The indexed, cached ``GlobalPlacer`` against the original
-    whole-pool router (``tests/shard_oracle.py``), call by call."""
+    """The identity-diffing ``GlobalPlacer`` against the original
+    whole-pool router (``tests/shard_oracle.py``), call by call.
+
+    Each call also pins the reuse: a cell holding no stale position
+    (one whose object changed, appeared or was dropped since the last
+    call, or one in a cell a ``reassign`` marked) comes back as the
+    previous call's tuple object."""
 
     def fresh(self, state, count, b):
         jobs = []
@@ -238,6 +258,9 @@ class TestRouteDifferential:
             # then arrives already pinned.
             job_id = pool[a % len(pool)].job_id if pool and b % 5 \
                 else f"n{state['next'] + 1}"
+            home = placers[1].cell_of(job_id)
+            if home is not None and home != b % placers[1].n_cells:
+                state["marked"].add(home)
             for placer in placers:
                 placer.reassign(job_id, b % placer.n_cells)
         elif kind == "reorder":
@@ -255,7 +278,31 @@ class TestRouteDifferential:
         routed = placer.route(pool)
         expected = oracle.route(pool)
         self.assert_same(routed, expected, placers, state)
+        self.assert_reused(routed, pool, oracle, state)
         return routed, expected
+
+    def assert_reused(self, routed, pool, oracle, state):
+        """Cells with no stale position return the previous tuple
+        object; then ``routed`` becomes the previous call."""
+        column = [oracle.cell_of(job.job_id) for job in pool]
+        previous = state.get("previous")
+        if previous is not None:
+            before, before_column, before_routed = previous
+            marked = state["marked"]
+            touched = set(marked)
+            for index in range(max(len(before), len(pool))):
+                if index >= len(pool):
+                    touched.add(before_column[index])
+                elif index >= len(before):
+                    touched.add(column[index])
+                elif before[index] is not pool[index] \
+                        or before_column[index] in marked:
+                    touched.update((before_column[index], column[index]))
+            for cell, members in enumerate(routed):
+                if cell not in touched:
+                    assert members is before_routed[cell], cell
+        state["marked"] = set()
+        state["previous"] = (list(pool), column, routed)
 
     def assert_same(self, routed, expected, placers, state):
         placer, oracle = placers
@@ -272,17 +319,23 @@ class TestRouteDifferential:
            initial=st.integers(0, 60))
     def test_route_matches_reference(self, steps, machines, initial):
         placers = (GlobalPlacer(machines), ReferencePlacer(machines))
-        state = {"next": 0}
+        state = {"next": 0, "marked": set()}
         pool = self.fresh(state, initial, 0)
         for kind, a, b in steps:
             self.apply(kind, a, b, pool, placers, state)
             routed, expected = self.route_both(pool, placers, state)
             if kind == "migrate":
-                moves = plan_moves(routed, machines, 0.0, 1 + b % 8)
+                loads = placers[0].raw_loads()
+                # harmony: allow[DET006] the cached loads must be the fold, bit for bit
+                assert loads == fold_loads(routed)
+                moves = plan_moves(routed, loads, machines, 0.0, 1 + b % 8)
+                state["marked"] = {move.source for move in moves}
+                migrated = placers[0].migrate(pool, moves)
                 self.assert_same(
-                    placers[0].migrate(pool, routed, moves),
+                    migrated,
                     reference_migrate(placers[1], expected, pool, moves),
                     placers, state)
+                self.assert_reused(migrated, pool, placers[1], state)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +349,11 @@ class TestPlanMoves:
 
     def test_balanced_cells_produce_no_moves(self):
         cells = self.cellify([[4.0, 4.0], [4.0, 4.0]])
-        assert plan_moves(cells, [10, 10], 0.25, 64) == []
+        assert plan_moves(cells, fold_loads(cells), [10, 10], 0.25, 64) == []
 
     def test_hot_cell_drains_into_coldest(self):
         cells = self.cellify([[8.0] * 6, [1.0]])
-        moves = plan_moves(cells, [10, 10], 0.25, 64)
+        moves = plan_moves(cells, fold_loads(cells), [10, 10], 0.25, 64)
         assert moves
         assert all(move.source == 0 and move.target == 1
                    for move in moves)
@@ -313,7 +366,7 @@ class TestPlanMoves:
         machines = [10, 10, 10]
         before = [sum(job_weight(job) for job in members) / m
                   for members, m in zip(cells, machines, strict=True)]
-        moves = plan_moves(cells, machines, 0.25, 64)
+        moves = plan_moves(cells, fold_loads(cells), machines, 0.25, 64)
         loads = list(before)
         for move in moves:
             weight = job_weight(move.job)
@@ -323,12 +376,12 @@ class TestPlanMoves:
 
     def test_move_budget_is_respected(self):
         cells = self.cellify([[8.0] * 20, [0.1]])
-        moves = plan_moves(cells, [10, 10], 0.0, 3)
+        moves = plan_moves(cells, fold_loads(cells), [10, 10], 0.0, 3)
         assert len(moves) == 3
 
     def test_single_cell_never_moves(self):
         cells = self.cellify([[8.0] * 6])
-        assert plan_moves(cells, [10], 0.25, 64) == []
+        assert plan_moves(cells, fold_loads(cells), [10], 0.25, 64) == []
 
 
 class TestShardedRebalance:
@@ -456,6 +509,91 @@ class TestShardedScheduler:
         scheduler.schedule(jobs, 31)
         assert [cell.n_machines for cell in scheduler._cells] \
             == [11, 10, 10]
+
+
+class TestCallCost:
+    """What a sharded call may not do, and what its shortcuts must
+    reproduce exactly."""
+
+    def call_sequence(self, scheduler, check):
+        """Arrivals, republishes, a departure skew whose rebalance
+        splices the donor's plan, and a profiler publish that forgets
+        a cell; ``check(plan, pool)`` runs after every call."""
+        jobs = make_jobs([(float(i % 7 + 1), 0.1 + (i % 3) / 10)
+                          for i in range(24)])
+        pool = list(jobs)
+        check(scheduler.schedule(pool, 40), pool)
+        for step in range(3):
+            pool.append(make_jobs([(2.0 + step, 0.3)], f"new{step}-")[0])
+            check(scheduler.schedule(pool, 40), pool)
+            pool[step * 5] = replace(pool[step * 5],
+                                     cpu_work=pool[step * 5].cpu_work * 1.5,
+                                     samples=2)
+            check(scheduler.schedule(pool, 40), pool)
+        placer = scheduler._placer
+        pool = [job for job in pool if placer.cell_of(job.job_id) < 2]
+        check(scheduler.schedule(pool, 40), pool)
+        profiler = Profiler()
+        profiler.add_listener(scheduler.plan_cache.invalidate_job)
+        profiler.record_iteration(pool[0].job_id, 0.4, 1.0, 4)
+        check(scheduler.schedule(pool, 40), pool)
+
+    def test_stats_never_collect_job_ids(self, monkeypatch):
+        """Counting placed jobs sums group sizes: a call sequence never
+        builds ``scheduled_job_ids``, traced or not."""
+        def refuse(plan):
+            raise AssertionError("scheduled_job_ids built")
+
+        monkeypatch.setattr(SchedulePlan, "scheduled_job_ids",
+                            property(refuse))
+
+        def check(plan, pool):
+            placed = sum(len(group.job_ids) for group in plan.groups)
+            assert plan.n_jobs == placed
+            assert scheduler.last_stats.best_n_jobs == placed
+
+        for tracer in (None, Tracer(lambda: 0.0)):
+            scheduler = ShardedScheduler(
+                shard=ShardConfig(n_cells=4, rebalance_every=1,
+                                  rebalance_threshold=0.1),
+                tracer=tracer)
+            self.call_sequence(scheduler, check)
+            assert scheduler.jobs_rebalanced > 0
+
+    def test_merge_matches_cluster_utilization(self, monkeypatch):
+        """``_merge`` sums the cells' kept Eq. 4 terms; the result is
+        ``cluster_utilization`` over the concatenated estimates, bit for
+        bit, through arrivals, republishes, a donor splice and a
+        forgotten cell."""
+        scheduler = ShardedScheduler(shard=ShardConfig(
+            n_cells=4, rebalance_every=1, rebalance_threshold=0.1))
+        spliced, remembered = [], []
+
+        def splice_spy(*args, **kwargs):
+            spliced.append(splice_plan(*args, **kwargs))
+            return spliced[-1]
+
+        def remember_spy(cell, jobs, plan):
+            remembered.append(plan)
+            remember(cell, jobs, plan)
+
+        remember = Cell.remember
+        monkeypatch.setattr("repro.shard.scheduler.splice_plan", splice_spy)
+        monkeypatch.setattr(Cell, "remember", remember_spy)
+
+        def check(plan, pool):
+            expected = scheduler.perf_model.cluster_utilization(
+                [group.estimate for group in plan.groups],
+                total_machines=40)
+            # harmony: allow[DET006] the merge must be bitwise Eq. 4
+            assert plan.utilization == expected
+            # harmony: allow[DET006] the merge must be bitwise Eq. 4
+            assert plan.score == scheduler.perf_model.score(expected)
+
+        self.call_sequence(scheduler, check)
+        # A donor kept its spliced plan, so its terms were re-derived.
+        assert any(plan is splice for plan in remembered
+                   for splice in spliced)
 
 
 class TestMasterIntegration:
