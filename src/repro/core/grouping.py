@@ -85,7 +85,12 @@ def assign_jobs(t_cpu: Sequence[float], t_net: Sequence[float],
     if order is None:
         order = grouping_order(list(map(add, t_cpu, t_net)))
     groups, imbalances = _fill_groups(order, t_cpu, t_net, n_groups)
-    _fine_tune_swaps(groups, imbalances, t_cpu, t_net, max_swap_passes)
+    if n_groups < n_jobs:
+        # With one job per group no swap can improve: the fill leaves
+        # each imbalance exactly that job's own delta, so a swap scores
+        # |δ_b| + |δ_a|, the current cost itself (DESIGN.md §5).
+        _fine_tune_swaps(groups, imbalances, t_cpu, t_net,
+                         max_swap_passes)
     return groups
 
 

@@ -298,7 +298,7 @@ class HarmonyMaster(MasterBase):
         # drive the very same master (Fig. 14's comparison).  With
         # ShardConfig.n_cells > 1 the default becomes the
         # cluster-of-cells front end (repro.shard) — same schedule()
-        # contract, same plan_cache/last_stats seams below.  Imported
+        # contract, same last_stats seam below.  Imported
         # lazily: repro.shard depends on core.scheduler, so a module-
         # level import here would couple every master import to it.
         if scheduler_factory is None:
@@ -356,12 +356,10 @@ class HarmonyMaster(MasterBase):
         self.estimate_cache_hits = 0
         self.estimate_cache_misses = 0
         # §IV-B1: a moving-average publish is exactly when memoized
-        # estimates and plans stop matching what Algorithm 1 would
-        # recompute — wire the profiler's listener hook to both caches.
+        # estimates stop matching what Eq. 1-3 would recompute.  The
+        # scheduler's plan cache needs no hook: it checks each entry's
+        # metrics on read.
         self.profiler.add_listener(self._on_metrics_published)
-        plan_cache = getattr(self.scheduler, "plan_cache", None)
-        if plan_cache is not None:
-            self.profiler.add_listener(plan_cache.invalidate_job)
 
     # ------------------------------------------------------------------ API
 
@@ -642,6 +640,7 @@ class HarmonyMaster(MasterBase):
                 prefixes_evaluated=stats.n_prefixes_evaluated,
                 cache_hits=stats.cache_hits,
                 cache_misses=stats.cache_misses,
+                groups_certified=stats.groups_certified,
                 warm_start_reuses=stats.warm_start_reuses,
                 fast_path=stats.fast_path,
                 patched_completions=self.fast_path_replacements,

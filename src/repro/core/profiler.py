@@ -62,9 +62,12 @@ class Profiler:
     """Moving-average store of per-job metrics.
 
     The profiler is the single source of truth the scheduler's caches
-    key on: every publish bumps :attr:`version` and notifies the
-    registered listeners, so memoized estimates and plans are
-    invalidated exactly when §IV-B1's moving averages move.
+    key on: every publish replaces the job's :class:`JobMetrics`, bumps
+    :attr:`version` and notifies the registered listeners.  The master's
+    group-estimate memo listens and clears itself exactly when §IV-B1's
+    moving averages move.  Plan caches need no listener: they store the
+    metrics each entry was computed from and compare them on read, so
+    a replaced :class:`JobMetrics` can never be served a stale plan.
     """
 
     def __init__(self, ema_alpha: float = 0.3):

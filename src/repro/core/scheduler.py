@@ -16,14 +16,16 @@ fine-tuning, machine allocation and prefix scoring all run on Python
 floats and index lists.  Prefix sort orders are warm-started from
 earlier prefixes, group floors and score terms are memoized for the
 call, and scored prefix candidates are memoized across calls in a
-:class:`PlanCache` keyed by (job-set fingerprint, machine count) —
-invalidated through the profiler's listener hook whenever a job's
-moving averages change.  Each prefix is only scored; the winning one is
-the only prefix whose groups become :class:`JobMetrics` lists,
-:class:`GroupEstimate` objects and a :class:`SchedulePlan`.  The
-pre-optimization path is kept verbatim as a test oracle
-(``tests/sched_oracle.py``), and ``tests/test_sched_fastpath.py`` pins
-the two to identical plans.
+:class:`PlanCache` keyed by (job-set fingerprint, machine count), whose
+entries are checked against the prefix's metrics on every read.  Work
+whose answer is already fixed is skipped: the L6 search when a
+certificate proves ``n_G*`` is an end of its window, and the swap pass
+when every job has a group of its own (DESIGN.md §5).  Each prefix is
+only scored; the winning one is the only prefix whose groups become
+:class:`JobMetrics` lists, :class:`GroupEstimate` objects and a
+:class:`SchedulePlan`.  The pre-optimization path is kept verbatim as a
+test oracle (``tests/sched_oracle.py``), and
+``tests/test_sched_fastpath.py`` pins the two to identical plans.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add, attrgetter
 
 import numpy as np
@@ -61,6 +64,11 @@ _CACHE_MISS = object()
 #: Capacity of each scheduler's :class:`PlanCache`.
 PLAN_CACHE_ENTRIES = 256
 
+#: Scale of the L6 certificate's error bound: ``2⁻⁵²`` is twice the
+#: unit roundoff, and the 1% slack absorbs the rounding of the bound's
+#: own operands (see :meth:`HarmonyScheduler._pick_group_count`).
+_CERTIFICATE_ULP = 1.01 * 2.0 ** -52
+
 #: What one prefix of Algorithm 1's loop yields: the plan score, the
 #: groups (as indices into the call's admission order) and their
 #: machine counts.  Only the winning prefix of a ``schedule()`` call is
@@ -85,6 +93,9 @@ class ScheduleStats:
     #: Prefix sort orders extended from an earlier prefix instead of
     #: re-sorted from scratch.
     warm_start_reuses: int = 0
+    #: Planned prefixes whose n_G* came from the L6 end certificate
+    #: instead of the search.
+    groups_certified: int = 0
     #: True when any incremental shortcut (cache hit or warm start)
     #: contributed to this call.
     fast_path: bool = False
@@ -208,15 +219,15 @@ class PlanCache:
     The master calls ``schedule()`` with heavily overlapping job pools —
     every arrival, completion, and periodic regroup check re-plans a
     pool that mostly repeats earlier prefixes.  Entries carry the exact
-    metrics tuple they were computed from; a lookup only hits when the
-    stored tuple compares equal, so fingerprint collisions degrade to
-    misses instead of wrong plans.  ``invalidate_job`` is wired to the
-    profiler's listener hook: a job's entries die the moment its moving
-    averages change (§IV-B1), which is exactly when a memoized plan
-    stops being the plan Algorithm 1 would recompute.
+    metrics tuple they were computed from, and a lookup only hits when
+    the stored tuple compares equal to the prefix offered.  That check
+    on read is the whole correctness argument: a fingerprint collision
+    and a job whose moving averages moved (§IV-B1) both degrade to a
+    miss, never to a wrong plan.  So nothing is invalidated on publish;
+    entries of republished jobs simply age out of the LRU order.
     """
 
-    __slots__ = ("max_entries", "hits", "misses", "_entries", "_by_job")
+    __slots__ = ("max_entries", "hits", "misses", "_entries")
 
     def __init__(self, max_entries: int = PLAN_CACHE_ENTRIES):
         if max_entries < 1:
@@ -227,9 +238,6 @@ class PlanCache:
         self.misses = 0
         #: key -> (metrics tuple, candidate-or-None)
         self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
-        #: job_id -> keys of entries containing that job (invalidation
-        #: is O(affected entries), not a full scan per profiler update).
-        self._by_job: dict[str, set] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -246,39 +254,24 @@ class PlanCache:
 
     def put(self, key: tuple, jobs: tuple,
             candidate: "Candidate | None") -> None:
-        if key in self._entries:
-            self._drop(key)
-        while len(self._entries) >= self.max_entries:
-            self._drop(next(iter(self._entries)))
-        self._entries[key] = (jobs, candidate)
-        for job in jobs:
-            self._by_job.setdefault(job.job_id, set()).add(key)
+        entries = self._entries
+        entries.pop(key, None)
+        while len(entries) >= self.max_entries:
+            entries.popitem(last=False)
+        entries[key] = (jobs, candidate)
 
     def invalidate_job(self, job_id: str) -> None:
-        """Drop every entry whose job set contains ``job_id``."""
-        for key in self._by_job.pop(job_id, ()):
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self._unindex(key, entry[0], skip=job_id)
+        """A no-op profiler listener.
+
+        :meth:`get` already refuses an entry whose jobs moved, so a
+        publish needs no bookkeeping; kept so that code subscribing
+        this method to a :class:`~repro.core.profiler.Profiler` keeps
+        working.
+        """
+        del job_id
 
     def clear(self) -> None:
         self._entries.clear()
-        self._by_job.clear()
-
-    def _drop(self, key: tuple) -> None:
-        jobs, _ = self._entries.pop(key)
-        self._unindex(key, jobs)
-
-    def _unindex(self, key: tuple, jobs: tuple,
-                 skip: "str | None" = None) -> None:
-        for job in jobs:
-            if job.job_id == skip:
-                continue
-            bucket = self._by_job.get(job.job_id)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._by_job[job.job_id]
 
 
 class PoolSnapshot:
@@ -292,7 +285,11 @@ class PoolSnapshot:
     works on its Python floats and on index lists into it: the grouping
     order, greedy fill, swap fine-tuning, machine allocation and prefix
     scoring.  Only the L6 cost keeps NumPy arrays, for its bitwise
-    reduction order.
+    reduction order.  Running sums of ``|W_j|`` and ``|T_net_j|`` per
+    prefix feed the L6 certificate's error bound and its choice of
+    window end; they are left folds (``accumulate``), never the builtin
+    ``sum()``, whose float rounding differs across interpreters, and
+    they never decide a plan on their own.
 
     Memos live here too, and die with the snapshot when ``schedule()``
     returns: each group's memory floor, each (group, machine count)'s
@@ -302,7 +299,8 @@ class PoolSnapshot:
     """
 
     __slots__ = ("jobs", "job_ids", "cpu_work", "t_net", "cpu_array",
-                 "net_array", "orders", "warm_reuses", "_perf_model",
+                 "net_array", "work_sums", "net_sums", "orders",
+                 "warm_reuses", "certified", "_perf_model",
                  "_memory_floor", "_cpu_factor", "_net_factor", "_floors",
                  "_terms")
 
@@ -315,11 +313,17 @@ class PoolSnapshot:
         #: The L6 cost's operands: NumPy keeps its reduction order.
         self.cpu_array = np.array(self.cpu_work, dtype=np.float64)
         self.net_array = np.array(self.t_net, dtype=np.float64)
+        #: ``work_sums[k-1]`` = Σ|W_j| and ``net_sums[k-1]`` = Σ|T_net_j|
+        #: over the first ``k`` jobs.
+        self.work_sums = list(accumulate(map(abs, self.cpu_work)))
+        self.net_sums = list(accumulate(map(abs, self.t_net)))
         #: m_ref -> (COMP times at m_ref, sort keys, sorted order) of the
         #: longest prefix sorted at that DoP.
         self.orders: dict[int, tuple[list, list, list]] = {}
         #: Prefix sort orders extended from an earlier prefix.
         self.warm_reuses = 0
+        #: Prefixes whose n_G* the L6 end certificate settled.
+        self.certified = 0
         self._perf_model = perf_model
         self._memory_floor = memory_floor
         self._cpu_factor = perf_model.job_factors("t_cpu", self.job_ids)
@@ -456,6 +460,7 @@ class HarmonyScheduler:
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             warm_start_reuses=pool.warm_reuses,
+            groups_certified=pool.certified,
             fast_path=cache_hits > 0 or pool.warm_reuses > 0)
         return plan
 
@@ -566,6 +571,18 @@ class HarmonyScheduler:
 
         Under the equal-DoP assumption ``m_g = M / n_G``, so
         ``T_cpu_j(n_G) = W_j · n_G / M``.
+
+        Before the search, a certificate may settle an end of the
+        window ``[n_min, n_max]`` with two cost evaluations (DESIGN.md
+        §5).  The exact cost is convex, and every float ``cost(g)``
+        with ``g ≤ n_max`` is within ``B/2`` of it, where ``B =
+        1.01·2⁻⁵²·(n+2)·(Σ|W_j|·n_max/M + Σ|T_net_j|)`` whatever order
+        NumPy sums in.  So ``cost(n_max−1) − cost(n_max) > 2B`` proves
+        the float costs strictly decrease across the window, and the
+        search would return ``n_max``; symmetrically for ``n_min``.
+        Which end to test comes from ``M·ΣT/ΣW``, the W-weighted mean
+        of the terms' kinks: a wrong guess costs two evaluations, never
+        a different answer.
         """
         min_groups = max(
             1, -(-n_jobs // self.config.max_jobs_per_group))
@@ -585,6 +602,23 @@ class HarmonyScheduler:
                 value = costs[n_g] = float(
                     np.abs(cpu_work * (n_g / total_machines) - t_net).sum())
             return value
+
+        if min_groups < max_groups:
+            work = pool.work_sums[n_jobs - 1]
+            net = pool.net_sums[n_jobs - 1]
+            # 2B: the end step must beat twice the error bound B.
+            margin = 2.0 * _CERTIFICATE_ULP * (n_jobs + 2) * (
+                work * max_groups / total_machines + net)
+            # M·ΣT against n_G·ΣW: the mean kink's side, with no 0/0.
+            kinks = total_machines * net
+            if kinks >= max_groups * work:
+                if cost(max_groups - 1) - cost(max_groups) > margin:
+                    pool.certified += 1
+                    return max_groups
+            elif kinks <= min_groups * work:
+                if cost(min_groups + 1) - cost(min_groups) > margin:
+                    pool.certified += 1
+                    return min_groups
 
         # cost(n_g) = Σ|W_j · n_g / M − T_net_j| is convex in n_g, so a
         # ternary search finds the minimum in O(log M) evaluations —

@@ -159,9 +159,10 @@ def run_sharded(
     profile republish (an EMA update replacing one running job's
     :class:`~repro.core.profiler.JobMetrics`) — the steady-state shape
     of a live master, whose profiler republishes running jobs
-    constantly.  A republish of a scheduled job invalidates the
-    unsharded scheduler's plan cache from that job's admission position
-    onward, forcing most of Algorithm 1's prefix loop to re-run;
+    constantly.  A republish of a scheduled job changes the unsharded
+    scheduler's prefix fingerprints from that job's admission position
+    onward, so its plan cache misses there and most of Algorithm 1's
+    prefix loop re-runs;
     sharded, it dirties exactly one cell while every other cell answers
     from its memoized plan.  That per-decision asymmetry is the point
     of the exhibit (and what ``benchmarks/bench_scalability.py`` pins a

@@ -48,6 +48,8 @@ class ChurnRunResult:
     cache_hits: int = 0
     cache_misses: int = 0
     warm_start_reuses: int = 0
+    #: Planned prefixes whose n_G* the L6 end certificate settled.
+    groups_certified: int = 0
 
 
 def _base_profiles(n_jobs: int, seed: int) -> list[tuple[str, float, float]]:
@@ -121,7 +123,6 @@ def replay(scheduler, profiles: list[tuple[str, float, float]],
     profiler = Profiler()
     for job_id, t_cpu, t_net in profiles:
         profiler.record_iteration(job_id, t_cpu, t_net, _PROFILE_DOP)
-    profiler.add_listener(scheduler.plan_cache.invalidate_job)
 
     pool_ids = [job_id for job_id, _, _ in profiles[:n_initial]]
     result = ChurnRunResult(label=label)
@@ -134,6 +135,7 @@ def replay(scheduler, profiles: list[tuple[str, float, float]],
         result.cache_hits += stats.cache_hits
         result.cache_misses += stats.cache_misses
         result.warm_start_reuses += stats.warm_start_reuses
+        result.groups_certified += stats.groups_certified
         result.scores.append((kind, plan.score if plan else 0.0))
         return plan
 
@@ -212,9 +214,10 @@ def report(result: ChurnRunResult) -> str:
     """Render the replay's decision counts."""
     return format_table(
         ["schedule() calls", "patched", "cache hits", "cache misses",
-         "warm starts"],
+         "warm starts", "certified n_G*"],
         [(result.n_schedule_calls, result.n_patched, result.cache_hits,
-          result.cache_misses, result.warm_start_reuses)],
+          result.cache_misses, result.warm_start_reuses,
+          result.groups_certified)],
         title=f"Scheduler churn stream ({len(result.scores)} decisions)")
 
 

@@ -49,7 +49,8 @@ class Cell:
     uses element identity fast paths (the master and the sweep reuse
     :class:`JobMetrics` objects until the profiler republishes them);
     a republished job is a *new* object with new values, so a stale hit
-    is impossible.
+    is impossible and a publish needs no :meth:`forget`.  ``forget`` is
+    only for a memo the rebalancer could not splice.
 
     ``last_terms`` keeps the memoized plan's Eq. 4 terms
     (:meth:`~repro.core.perfmodel.PerfModel.utilization_terms`), so the

@@ -3,10 +3,10 @@
 :class:`ShardedScheduler` is a drop-in for
 :class:`~repro.core.scheduler.HarmonyScheduler` — same constructor
 seam (``perf_model=``/``config=``/``memory_floor=``), same
-``schedule(jobs, total_machines)`` contract, same ``last_stats`` /
-``plan_cache`` attributes the master introspects — that partitions the
-machine pool into :class:`~repro.shard.cells.Cell` shards and runs one
-independent Algorithm 1 per cell:
+``schedule(jobs, total_machines)`` contract, same ``last_stats``
+attribute the master introspects — that partitions the machine pool
+into :class:`~repro.shard.cells.Cell` shards and runs one independent
+Algorithm 1 per cell:
 
 * The :class:`~repro.shard.placer.GlobalPlacer` sticks each job to a
   cell, so one arrival dirties exactly one cell.  It diffs each pool
@@ -17,6 +17,11 @@ independent Algorithm 1 per cell:
   the speedup lives: an unsharded scheduler re-plans the *whole* pool
   per arrival, a sharded one re-plans ``1/n_cells`` of it (see
   ``benchmarks/bench_scalability.py``).
+* Nothing listens to profiler publishes.  A republished job is a new
+  :class:`~repro.core.profiler.JobMetrics` with new values, so its
+  cell's tuple stops comparing equal to the memo
+  (:meth:`Cell.unchanged`) and every plan cache under it refuses the
+  stale entries on read.
 * Dirty cells are planned one after another, in cell order, and their
   plans merged in that order; the merge sums the Eq. 4 terms each cell
   kept when it memoized its plan.  Cells are pure-Python Algorithm 1
@@ -59,31 +64,6 @@ from repro.trace.tracer import NULL_TRACER
 MAX_REBALANCE_MOVES = 64
 
 
-class _ShardPlanCache:
-    """``invalidate_job`` facade over every cell's private plan cache.
-
-    The master wires ``profiler.add_listener(plan_cache.invalidate_job)``
-    against whatever ``scheduler.plan_cache`` exposes; this forwards
-    each publish to the solo delegate and all cells, and drops the
-    memoized last plan of the job's home cell, found through the
-    placer's assignment rather than a scan of the pool (its job tuple
-    is about to stop matching anyway, but the underlying prefix caches
-    key on fingerprints and must be told explicitly).
-    """
-
-    def __init__(self, owner: "ShardedScheduler"):
-        self._owner = owner
-
-    def invalidate_job(self, job_id: str) -> None:
-        self._owner._solo.plan_cache.invalidate_job(job_id)
-        for cell in self._owner._cells:
-            cell.scheduler.plan_cache.invalidate_job(job_id)
-        placer = self._owner._placer
-        home = placer.cell_of(job_id) if placer is not None else None
-        if home is not None:
-            self._owner._cells[home].forget()
-
-
 class ShardedScheduler:
     """Cluster-of-cells front end over per-cell Harmony schedulers."""
 
@@ -115,7 +95,6 @@ class ShardedScheduler:
         #: Shape of the most recent call, mirroring the unsharded
         #: scheduler's attribute (aggregated across cells).
         self.last_stats: ScheduleStats | None = None
-        self.plan_cache = _ShardPlanCache(self)
         #: Rebalance accounting, for experiments and tests.
         self.jobs_rebalanced = 0
         #: Calls in which no cell placed a job and the pool-scope
@@ -170,6 +149,7 @@ class ShardedScheduler:
             cache_hits=sum(s.cache_hits for s in stats),
             cache_misses=sum(s.cache_misses for s in stats),
             warm_start_reuses=sum(s.warm_start_reuses for s in stats),
+            groups_certified=sum(s.groups_certified for s in stats),
             fast_path=(n_skipped > 0
                        or any(s.fast_path for s in stats)))
         return merged

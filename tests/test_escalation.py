@@ -239,7 +239,9 @@ class TestSkippingChangesNothing:
 
     def test_regroup_check_instants_match_the_counters(self):
         """One ``regroup-check`` instant per planned or skipped check;
-        a skipped one carries no planned score."""
+        a skipped one carries no planned score, and a planned one counts
+        the prefixes whose n_G* the L6 certificate settled, which only
+        planned (not cached) prefixes can be."""
         seed = 2021
         plain, _, _ = run_fig10(0.5, seed)
         traced, result, _ = run_fig10(
@@ -260,6 +262,10 @@ class TestSkippingChangesNothing:
             if not instant.args["pruned"]:
                 assert instant.args["planned_score"] <= 1.0
                 assert instant.args["prefixes_evaluated"] >= 1
+                assert 0 <= instant.args["groups_certified"] \
+                    <= instant.args["cache_misses"]
+        assert sum(i.args["groups_certified"] for i in checks
+                   if not i.args["pruned"]) > 0
 
     def test_summary_reports_the_gates(self):
         runtime, result, _ = run_fig10(0.5, 2021)

@@ -3,14 +3,17 @@ reference implementation (``tests/sched_oracle.py``), plus regressions
 for the plan cache, warm starts, the closed-form allocator, and the
 §IV-B4 plan patch."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.check.scenarios import ScenarioGenerator
 from repro.cluster.cluster import Cluster
-from repro.config import SchedulerConfig, SimConfig
-from repro.core.grouping import grouping_order
+from repro.config import SchedulerConfig, ShardConfig, SimConfig
+from repro.core import scheduler as scheduler_module
+from repro.core.grouping import _best_swap, _fill_groups, grouping_order
 from repro.core.master import HarmonyMaster
 from repro.core.perfmodel import PerfModel
 from repro.core.profiler import JobMetrics, Profiler
@@ -20,10 +23,12 @@ from repro.core.scheduler import (
     PlanCache,
     PoolSnapshot,
     _CACHE_MISS,
+    argmin_convex,
 )
 from repro.experiments import sched_churn
 from repro.experiments.fig13_model_accuracy import make_error_injector
 from repro.metrics.utilization import ClusterUsageRecorder
+from repro.shard.scheduler import ShardedScheduler
 from repro.sim import RandomStreams, Simulator
 from repro.workloads.costmodel import CostModel
 from tests.sched_oracle import (
@@ -342,16 +347,51 @@ class TestPlanCache:
         assert warm_plan == cold_plan
         assert scheduler.last_stats.cache_misses > 0
 
+    def test_republished_job_is_never_served_a_stale_plan(
+            self, monkeypatch):
+        """Nothing is invalidated on publish: the check on read alone
+        keeps a republished job's stale entries from being served,
+        through a scheduler and through a sharded cell.  Fingerprints
+        are cut down to the prefix length, so every stale entry sits
+        under the very key its republished prefix looks up."""
+        monkeypatch.setattr(scheduler_module, "_prefix_fingerprints",
+                            lambda ordered: list(range(len(ordered))))
+        pool = self.pool()
+        republished = list(pool)
+        moved = republished[3] = replace(pool[3], cpu_work=90.0 * 16,
+                                         t_net=0.01, samples=2)
+
+        scheduler = HarmonyScheduler()
+        scheduler.schedule(pool, 60)
+        assert len(scheduler.plan_cache) > 0
+        warm = scheduler.schedule(republished, 60)
+        assert warm == HarmonyScheduler().schedule(republished, 60)
+        assert scheduler.last_stats.cache_misses > 0
+
+        sharded = ShardedScheduler(shard=ShardConfig(n_cells=4))
+        sharded.schedule(pool, 60)
+        sharded.schedule(republished, 60)
+        home = sharded._cells[sharded._placer.cell_of(moved.job_id)]
+        assert any(job is moved for job in home.last_key[0])
+        for cell in sharded._cells:
+            if cell.last_key is not None:
+                assert cell.last_plan == HarmonyScheduler().schedule(
+                    cell.last_key[0], cell.n_machines)
+
     def test_invalidate_job_drops_only_plans_containing_it(self):
+        """Once ``a`` is republished no entry holding it is served,
+        while an entry holding only ``b`` still hits.  The drop is the
+        check on read: ``invalidate_job`` itself keeps no index."""
         cache = PlanCache(max_entries=8)
         a = JobMetrics(job_id="a", cpu_work=1.0, t_net=1.0, m_observed=4)
         b = JobMetrics(job_id="b", cpu_work=2.0, t_net=1.0, m_observed=4)
         cache.put(("k1", 1, 10), (a,), None)
         cache.put(("k2", 2, 10), (a, b), None)
         cache.put(("k3", 1, 10), (b,), None)
+        republished = replace(a, cpu_work=3.0, samples=2)
         cache.invalidate_job("a")
-        assert cache.get(("k1", 1, 10), (a,)) is _CACHE_MISS
-        assert cache.get(("k2", 2, 10), (a, b)) is _CACHE_MISS
+        assert cache.get(("k1", 1, 10), (republished,)) is _CACHE_MISS
+        assert cache.get(("k2", 2, 10), (republished, b)) is _CACHE_MISS
         assert cache.get(("k3", 1, 10), (b,)) is None  # survived
 
     def test_metrics_mismatch_is_a_miss_not_a_wrong_plan(self):
@@ -478,14 +518,140 @@ class TestMasterPatchPath:
         assert refreshed.t_cpu_sum > first.t_cpu_sum
 
     def test_profiler_publish_invalidates_scheduler_plan_cache(self):
+        """After a publish through the master's profiler, the master's
+        scheduler serves no plan cached for the job's old metrics."""
         from repro.workloads.apps import DATASETS, JobSpec, LDA
-
         master = self.build_master()
         master.submit(JobSpec("j0", LDA, DATASETS["LDA"][0],
                               iterations=3))
         cache = master.scheduler.plan_cache
-        job = JobMetrics(job_id="j0", cpu_work=1.0, t_net=1.0,
-                         m_observed=4)
-        cache.put(("k", 1, 24), (job,), None)
         self.feed(master, "j0", 2.0, 1.0)
-        assert cache.get(("k", 1, 24), (job,)) is _CACHE_MISS
+        stale = master.profiler.get("j0")
+        cache.put(("k", 1, 24), (stale,), None)
+        self.feed(master, "j0", 4.0, 1.0)
+        fresh = master.profiler.get("j0")
+        assert fresh != stale
+        assert cache.get(("k", 1, 24), (fresh,)) is _CACHE_MISS
+
+
+class TestGroupCountCertificate:
+    """The L6 end certificate: ``_pick_group_count`` must return what
+    the plateau-safe search returns over the full cost, and must keep
+    firing."""
+
+    @staticmethod
+    def full_search(jobs, machines, max_per_group):
+        work = np.array([job.cpu_work for job in jobs], dtype=np.float64)
+        net = np.array([job.t_net for job in jobs], dtype=np.float64)
+        low = max(1, -(-len(jobs) // max_per_group))
+        high = min(len(jobs), machines)
+        low = min(low, high)
+        return low, high, argmin_convex(
+            lambda n_g: float(np.abs(work * (n_g / machines) - net).sum()),
+            low, high)
+
+    @staticmethod
+    def draw(rng):
+        """One pool from one of six shapes, at a magnitude in
+        [1e-6, 1e6]: (work, net, machines)."""
+        n = int(rng.integers(1, 13))
+        machines = int(rng.choice([1, 2, 3, 5, 16, 64, 100, 1000]))
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        shape = int(rng.integers(6))
+        if shape == 0:  # unstructured
+            work = rng.uniform(0.0, 1.0, n) * scale
+            net = rng.uniform(0.0, 1.0, n) * scale * rng.uniform(0.0, 2.0)
+        elif shape in (1, 2):
+            # Kinks exactly on integer n_G: T_j = W_j·g_j/M is exact for
+            # small-integer W_j and power-of-two M and scales.  Shape 2
+            # gives every job the same W and repeats kinks, so the cost
+            # has flat bottoms.
+            machines = int(rng.choice([16, 32, 64, 128]))
+            unit = 2.0 ** int(np.round(np.log2(scale)))
+            work = (rng.integers(1, 50, n) if shape == 1
+                    else np.full(n, int(rng.integers(1, 50)))) * unit
+            kinks = rng.integers(1, machines + 1, n) if shape == 1 \
+                else rng.choice(rng.integers(1, machines + 1, 2), n)
+            net = work * kinks / machines
+        elif shape == 3:  # one shared W/T ratio
+            work = rng.uniform(0.0, 1.0, n) * scale
+            net = work * rng.choice([0.0, 0.01, 0.5, 1.0, 40.0])
+        elif shape == 4:  # zero-work jobs, sometimes all of them
+            work = rng.uniform(0.0, 1.0, n) * scale
+            work[rng.random(n) < rng.choice([0.5, 1.0])] = 0.0
+            net = rng.uniform(0.0, 1.0, n) * scale
+        else:  # far past one end or the other
+            work = rng.uniform(0.5, 1.0, n) * scale
+            net = work * rng.choice([1e-4, 1e4]) * rng.uniform(0.5, 1.5, n)
+        return work.tolist(), net.tolist(), machines
+
+    def test_certificate_matches_full_search(self):
+        rng = np.random.default_rng(29)
+        ends: set[str] = set()
+        widths: set[int] = set()
+        zero_work = 0
+        for _ in range(1500):
+            work, net, machines = self.draw(rng)
+            per_group = int(rng.choice([1, 2, 5]))
+            jobs = make_jobs(zip(work, net))
+            scheduler = HarmonyScheduler(
+                config=SchedulerConfig(max_jobs_per_group=per_group))
+            pool = PoolSnapshot(jobs, scheduler.perf_model)
+            for n_jobs in range(1, len(jobs) + 1):
+                low, high, expected = self.full_search(
+                    jobs[:n_jobs], machines, per_group)
+                before = pool.certified
+                assert scheduler._pick_group_count(
+                    pool, n_jobs, machines) == expected
+                widths.add(high - low)
+                zero_work += 0.0 in work[:n_jobs]
+                if pool.certified > before:
+                    ends.add("max" if expected == high else "min")
+        assert ends == {"max", "min"}
+        assert {0, 1, 2} <= widths
+        assert zero_work > 0
+
+    def test_churn_stream_certified_count_is_pinned(self):
+        """A committed count on a fixed stream: a change that silently
+        disables the certificate (or widens it) fails here."""
+        profiles = sched_churn._base_profiles(60, 2021)
+        events = sched_churn.generate_stream(profiles, 30, 60, seed=2022)
+        result = sched_churn.replay(
+            HarmonyScheduler(), profiles, events, 30, 200, "fast",
+            use_patch=True,
+            regroup_threshold=SchedulerConfig().regroup_benefit_threshold)
+        assert (result.groups_certified, result.cache_misses) \
+            == CERTIFIED_ON_CHURN_STREAM
+
+
+#: (prefixes certified, prefixes planned) on the 60-job churn stream
+#: above.
+CERTIFIED_ON_CHURN_STREAM = (108, 563)
+
+
+class TestOneJobGroups:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(
+        st.tuples(st.one_of(st.floats(-1e300, 1e300), st.just(0.0),
+                            st.just(-0.0), st.just(2.5)),
+                  st.one_of(st.floats(-1e300, 1e300), st.just(0.0),
+                            st.just(2.5))),
+        min_size=2, max_size=12), data=st.data())
+    def test_no_swap_between_one_job_groups(self, values, data):
+        """The greedy fill leaves a one-job group's imbalance equal to
+        its job's delta, so a swap of two such groups scores the current
+        cost exactly and never passes the strict improvement test —
+        ties, negative deltas and overflowing differences included."""
+        t_cpu = [cpu for cpu, _ in values]
+        t_net = [net for _, net in values]
+        order = data.draw(st.permutations(range(len(values))))
+        groups, imbalances = _fill_groups(order, t_cpu, t_net, len(values))
+        assert all(len(group) == 1 for group in groups)
+        before = [list(group) for group in groups]
+        for a in range(len(groups)):
+            for b in range(len(groups)):
+                if a != b:
+                    assert not _best_swap(groups[a], groups[b],
+                                          imbalances[a], imbalances[b],
+                                          t_cpu, t_net)
+        assert groups == before

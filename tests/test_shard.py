@@ -441,6 +441,31 @@ class TestShardedScheduler:
                    if a is not b]
         assert changed == [scheduler._placer.cell_of("new0")]
 
+    def test_plan_cache_facade_invalidates_owning_cell(self):
+        """A republished job makes its home cell re-plan and leaves
+        every other cell's memo objects untouched."""
+        jobs = make_jobs([(float(i + 1), 0.2) for i in range(16)])
+        scheduler = ShardedScheduler(shard=ShardConfig(n_cells=4))
+        scheduler.schedule(jobs, 40)
+        target = jobs[5].job_id
+        owner = scheduler._placer.cell_of(target)
+        memos = [(cell.last_key, cell.last_plan)
+                 for cell in scheduler._cells]
+        republished = list(jobs)
+        moved = republished[5] = replace(jobs[5], cpu_work=0.4 * 4,
+                                         samples=2)
+        scheduler.schedule(republished, 40)
+        assert scheduler._placer.cell_of(target) == owner
+        for cell, (key, plan) in zip(scheduler._cells, memos, strict=True):
+            assert key is not None
+            if cell.index == owner:
+                assert cell.last_key is not key
+                assert any(job is moved for job in cell.last_key[0])
+                assert cell.last_plan == HarmonyScheduler().schedule(
+                    cell.last_key[0], cell.n_machines)
+            else:
+                assert cell.last_key is key and cell.last_plan is plan
+
     def test_merged_plan_is_consistent(self):
         jobs = make_jobs([(float(i % 7 + 1), 0.1 + (i % 3) / 10)
                           for i in range(30)])
@@ -457,26 +482,6 @@ class TestShardedScheduler:
             total_machines=33)
         # harmony: allow[DET006] bitwise-identical re-scoring is the property under test
         assert plan.score == scheduler.perf_model.score(recomputed)
-
-    def test_plan_cache_facade_invalidates_owning_cell(self):
-        """A profiler publish drops the memo of the published job's home
-        cell and leaves every other cell's memo object untouched."""
-        jobs = make_jobs([(float(i + 1), 0.2) for i in range(16)])
-        scheduler = ShardedScheduler(shard=ShardConfig(n_cells=4))
-        scheduler.schedule(jobs, 40)
-        profiler = Profiler()
-        profiler.add_listener(scheduler.plan_cache.invalidate_job)
-        target = jobs[5].job_id
-        owner = scheduler._placer.cell_of(target)
-        memos = [(cell.last_key, cell.last_plan)
-                 for cell in scheduler._cells]
-        profiler.record_iteration(target, 0.4, 1.0, 4)
-        for cell, (key, plan) in zip(scheduler._cells, memos, strict=True):
-            if cell.index == owner:
-                assert cell.last_key is None and cell.last_plan is None
-            else:
-                assert key is not None
-                assert cell.last_key is key and cell.last_plan is plan
 
     def test_job_too_large_for_every_cell_is_planned_at_pool_scope(self):
         """A job whose memory floor exceeds every cell is placed once
@@ -517,8 +522,8 @@ class TestCallCost:
 
     def call_sequence(self, scheduler, check):
         """Arrivals, republishes, a departure skew whose rebalance
-        splices the donor's plan, and a profiler publish that forgets
-        a cell; ``check(plan, pool)`` runs after every call."""
+        splices the donor's plan, and a profiler publish of a placed
+        job; ``check(plan, pool)`` runs after every call."""
         jobs = make_jobs([(float(i % 7 + 1), 0.1 + (i % 3) / 10)
                           for i in range(24)])
         pool = list(jobs)
@@ -534,8 +539,7 @@ class TestCallCost:
         pool = [job for job in pool if placer.cell_of(job.job_id) < 2]
         check(scheduler.schedule(pool, 40), pool)
         profiler = Profiler()
-        profiler.add_listener(scheduler.plan_cache.invalidate_job)
-        profiler.record_iteration(pool[0].job_id, 0.4, 1.0, 4)
+        pool[0] = profiler.record_iteration(pool[0].job_id, 0.4, 1.0, 4)
         check(scheduler.schedule(pool, 40), pool)
 
     def test_stats_never_collect_job_ids(self, monkeypatch):
