@@ -47,9 +47,10 @@ from pathlib import Path
 STEPS = (
     ("n_G* search", "repro.core.scheduler",
      "HarmonyScheduler._pick_group_count"),
-    ("grouping order", "repro.core.scheduler",
-     "HarmonyScheduler._grouping_order_for"),
     ("assign_jobs", "repro.core.scheduler", "assign_jobs"),
+    ("  grouping order", "repro.core.grouping", "grouping_order"),
+    # Trees whose scheduler sorted each prefix before assign_jobs.
+    ("  grouping order", "repro.core.scheduler", "grouping_order"),
     ("  greedy fill", "repro.core.grouping", "_fill_groups"),
     ("  swap fine-tuning", "repro.core.grouping", "_fine_tune_swaps"),
     ("allocate_machines", "repro.core.scheduler", "allocate_machines"),

@@ -103,6 +103,7 @@ class OracleScheduler:
         if total_machines < 1:
             raise SchedulingError("need at least one machine")
         if not jobs:
+            self.last_stats = ScheduleStats.of(None, 0, 0)
             return None
         self.last_search_size = 0
         best: Candidate | None = None

@@ -202,8 +202,8 @@ class ShardConfig:
     """
 
     #: Number of scheduling cells the machine pool is partitioned into.
-    #: Each cell owns an independent Harmony master/scheduler instance
-    #: (with its own plan cache); a thin global placer routes jobs to
+    #: Each cell owns an independent Harmony scheduler instance (with
+    #: its own plan cache); a thin global placer routes jobs to
     #: cells by per-cell load instead of O(#machines) scans.
     n_cells: int = 1
     #: Schedule calls between two cross-cell rebalance checks; 0

@@ -13,12 +13,11 @@ It runs on plain Python floats and index lists: the scheduler hands it
 one flat per-job list of COMP times at the balancing DoP and one of
 network times, and gets index groups back.  Group imbalances are
 carried as running sums updated in O(1) per placement and per swap, the
-sort is one stable ``sorted`` (warm-started across Algorithm 1's
-prefixes), and the swap loop takes the most-imbalanced group by a
-single ``max`` instead of sorting all group imbalances each pass.  The
-original recompute-everything implementation is kept verbatim as a test
-oracle (``tests/sched_oracle.py``); the differential suite pins the two
-to identical partitions.
+sort is one stable ``sorted``, and the swap loop takes the
+most-imbalanced group by a single ``max`` instead of sorting all group
+imbalances each pass.  The original recompute-everything implementation
+is kept verbatim as a test oracle (``tests/sched_oracle.py``); the
+differential suite pins the two to identical partitions.
 """
 
 from __future__ import annotations
@@ -42,35 +41,24 @@ def _imbalance(group: Sequence[JobMetrics], m: int) -> float:
             - sum(job.t_net for job in group))
 
 
-def grouping_order(keys: Sequence[float],
-                   warm: Sequence[int] = ()) -> list[int]:
+def grouping_order(keys: Sequence[float]) -> list[int]:
     """Indices of ``keys`` (solo iteration times) sorted longest first.
 
     Stable on ties, so it is exactly ``np.argsort(-keys,
     kind="stable")`` and ``sorted(jobs, key=t_iteration, reverse=True)``
     — large jobs are kept together rather than spread across groups.
-
-    ``warm`` is an earlier result for ``keys[:len(warm)]``: Algorithm
-    1's prefixes are nested, so the longer prefix's order is the
-    shorter one's with the new tail merged in.  Timsort finds the old
-    order as one sorted run and merges the tail into it; the tail's
-    indices are the largest, so equal keys still keep index order.
     """
-    return sorted([*warm, *range(len(warm), len(keys))],
-                  key=keys.__getitem__, reverse=True)
+    return sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
 
 
 def assign_jobs(t_cpu: Sequence[float], t_net: Sequence[float],
-                n_groups: int, max_swap_passes: int = 50,
-                order: Sequence[int] | None = None) -> list[list[int]]:
+                n_groups: int,
+                max_swap_passes: int = 50) -> list[list[int]]:
     """Partition jobs into ``n_groups`` balanced groups of indices.
 
     Job ``i`` has COMP time ``t_cpu[i]`` at the DoP assumed while
     balancing (Algorithm 1 assumes all groups get an equal number of
     machines, ``m_ref ≈ M / n_G``) and network time ``t_net[i]``.
-    ``order`` optionally injects a precomputed :func:`grouping_order`
-    of ``t_cpu[i] + t_net[i]`` (the scheduler's warm-started prefix
-    loop reuses it).
     """
     n_jobs = len(t_cpu)
     if len(t_net) != n_jobs:
@@ -82,8 +70,7 @@ def assign_jobs(t_cpu: Sequence[float], t_net: Sequence[float],
         raise SchedulingError(
             f"{n_groups} groups for only {n_jobs} jobs")
 
-    if order is None:
-        order = grouping_order(list(map(add, t_cpu, t_net)))
+    order = grouping_order(list(map(add, t_cpu, t_net)))
     groups, imbalances = _fill_groups(order, t_cpu, t_net, n_groups)
     if n_groups < n_jobs:
         # With one job per group no swap can improve: the fill leaves

@@ -641,7 +641,6 @@ class HarmonyMaster(MasterBase):
                 cache_hits=stats.cache_hits,
                 cache_misses=stats.cache_misses,
                 groups_certified=stats.groups_certified,
-                warm_start_reuses=stats.warm_start_reuses,
                 fast_path=stats.fast_path,
                 patched_completions=self.fast_path_replacements,
                 escalated_completions=self.full_path_regroups)

@@ -13,9 +13,8 @@ This is the *incremental* implementation: one flat
 in admission order) is taken per ``schedule()`` call and every sub-step
 of every prefix reads it — the grouping order, greedy fill, swap
 fine-tuning, machine allocation and prefix scoring all run on Python
-floats and index lists.  Prefix sort orders are warm-started from
-earlier prefixes, group floors and score terms are memoized for the
-call, and scored prefix candidates are memoized across calls in a
+floats and index lists.  Score terms are memoized for the call, and
+scored prefix candidates are memoized across calls in a
 :class:`PlanCache` keyed by (job-set fingerprint, machine count), whose
 entries are checked against the prefix's metrics on every read.  Work
 whose answer is already fixed is skipped: the L6 search when a
@@ -40,7 +39,7 @@ import numpy as np
 
 from repro.config import SchedulerConfig
 from repro.core.allocation import MemoryFloorFn, allocate_machines
-from repro.core.grouping import assign_jobs, grouping_order
+from repro.core.grouping import assign_jobs
 from repro.core.perfmodel import GroupEstimate, PerfModel, UtilizationVector
 from repro.core.profiler import JobMetrics
 from repro.errors import SchedulingError
@@ -90,14 +89,13 @@ class ScheduleStats:
     cache_hits: int = 0
     #: Prefix plans computed from scratch during this call.
     cache_misses: int = 0
-    #: Prefix sort orders extended from an earlier prefix instead of
-    #: re-sorted from scratch.
+    #: Always 0: every prefix sorts its own order.  Kept because the
+    #: perf ledger (``benchmarks/perf/spans.py``) reads it.
     warm_start_reuses: int = 0
     #: Planned prefixes whose n_G* came from the L6 end certificate
     #: instead of the search.
     groups_certified: int = 0
-    #: True when any incremental shortcut (cache hit or warm start)
-    #: contributed to this call.
+    #: True when a plan-cache hit contributed to this call.
     fast_path: bool = False
 
     @classmethod
@@ -291,18 +289,14 @@ class PoolSnapshot:
     ``sum()``, whose float rounding differs across interpreters, and
     they never decide a plan on their own.
 
-    Memos live here too, and die with the snapshot when ``schedule()``
-    returns: each group's memory floor, each (group, machine count)'s
-    score terms, and per balancing DoP the sort order of the longest
-    prefix sorted so far (prefixes are nested, so each order
-    warm-starts the next).
+    Each (group, machine count)'s score terms are memoized here too,
+    and die with the snapshot when ``schedule()`` returns.
     """
 
     __slots__ = ("jobs", "job_ids", "cpu_work", "t_net", "cpu_array",
-                 "net_array", "work_sums", "net_sums", "orders",
-                 "warm_reuses", "certified", "_perf_model",
-                 "_memory_floor", "_cpu_factor", "_net_factor", "_floors",
-                 "_terms")
+                 "net_array", "work_sums", "net_sums", "certified",
+                 "_perf_model", "_memory_floor", "_cpu_factor",
+                 "_net_factor", "_terms")
 
     def __init__(self, jobs: Sequence[JobMetrics], perf_model: PerfModel,
                  memory_floor: MemoryFloorFn | None = None):
@@ -317,18 +311,12 @@ class PoolSnapshot:
         #: over the first ``k`` jobs.
         self.work_sums = list(accumulate(map(abs, self.cpu_work)))
         self.net_sums = list(accumulate(map(abs, self.t_net)))
-        #: m_ref -> (COMP times at m_ref, sort keys, sorted order) of the
-        #: longest prefix sorted at that DoP.
-        self.orders: dict[int, tuple[list, list, list]] = {}
-        #: Prefix sort orders extended from an earlier prefix.
-        self.warm_reuses = 0
         #: Prefixes whose n_G* the L6 end certificate settled.
         self.certified = 0
         self._perf_model = perf_model
         self._memory_floor = memory_floor
         self._cpu_factor = perf_model.job_factors("t_cpu", self.job_ids)
         self._net_factor = perf_model.job_factors("t_net", self.job_ids)
-        self._floors: dict[tuple, int] = {}
         self._terms: dict[tuple, tuple[float, float]] = {}
 
     def groups_of(self, groups: Sequence[Sequence[int]]) -> \
@@ -341,13 +329,8 @@ class PoolSnapshot:
         """The group's memory floor (1 without a floor function)."""
         if self._memory_floor is None:
             return 1
-        key = tuple(group)
-        floor = self._floors.get(key)
-        if floor is None:
-            job_ids = self.job_ids
-            floor = self._floors[key] = self._memory_floor(
-                [job_ids[index] for index in group])
-        return floor
+        job_ids = self.job_ids
+        return self._memory_floor([job_ids[index] for index in group])
 
     def score(self, groups: Sequence[Sequence[int]],
               allocation: Sequence[int], total_machines: int) -> float:
@@ -415,6 +398,7 @@ class HarmonyScheduler:
             raise SchedulingError(
                 f"total_machines must be >= 1, got {total_machines}")
         if not jobs:
+            self.last_stats = ScheduleStats.of(None, 0, 0)
             return None
         pool = PoolSnapshot(self._admission_order(jobs), self.perf_model,
                             self.memory_floor)
@@ -459,9 +443,8 @@ class HarmonyScheduler:
             plan, len(pool.jobs), n_prefixes,
             cache_hits=cache_hits,
             cache_misses=cache_misses,
-            warm_start_reuses=pool.warm_reuses,
             groups_certified=pool.certified,
-            fast_path=cache_hits > 0 or pool.warm_reuses > 0)
+            fast_path=cache_hits > 0)
         return plan
 
     def _admission_order(self, jobs: Sequence[JobMetrics]) -> \
@@ -507,38 +490,14 @@ class HarmonyScheduler:
         None when infeasible."""
         n_groups = self._pick_group_count(pool, n_jobs, total_machines)
         m_ref = max(1, total_machines // n_groups)
-        t_cpu, order = self._grouping_order_for(pool, n_jobs, m_ref)
+        t_cpu = [work / m_ref for work in pool.cpu_work[:n_jobs]]
         groups = assign_jobs(t_cpu, pool.t_net[:n_jobs], n_groups,
-                             max_swap_passes=self.config.max_swap_passes,
-                             order=order)
+                             max_swap_passes=self.config.max_swap_passes)
         allocation = allocate_machines(groups, pool, total_machines)
         if allocation is None:
             return None
         return (pool.score(groups, allocation, total_machines),
                 groups, allocation)
-
-    def _grouping_order_for(self, pool: PoolSnapshot, n_jobs: int,
-                            m_ref: int) -> tuple[list, list]:
-        """COMP times at ``m_ref`` and the grouping order of the first
-        ``n_jobs`` jobs, warm-started when an earlier (so shorter)
-        prefix of the call was already sorted at the same ``m_ref``."""
-        held = pool.orders.get(m_ref)
-        if held is None:
-            t_cpu = [work / m_ref for work in pool.cpu_work[:n_jobs]]
-            keys = list(map(add, t_cpu, pool.t_net))
-            order = grouping_order(keys)
-        else:
-            pool.warm_reuses += 1
-            t_cpu, keys, order = held
-            sorted_n = len(order)
-            if sorted_n < n_jobs:
-                tail = [work / m_ref
-                        for work in pool.cpu_work[sorted_n:n_jobs]]
-                t_cpu.extend(tail)
-                keys.extend(map(add, tail, pool.t_net[sorted_n:n_jobs]))
-                order = grouping_order(keys, order)
-        pool.orders[m_ref] = (t_cpu, keys, order)
-        return t_cpu, order
 
     def build_plan(self, groups: Sequence[Sequence[JobMetrics]],
                    allocation: Sequence[int],

@@ -6,9 +6,9 @@ the decisions across a stream of arrivals, completions, metric updates,
 and periodic regroup checks — exactly the call pattern
 :class:`~repro.core.master.HarmonyMaster` generates.  This module
 replays one seeded stream through the incremental
-:class:`~repro.core.scheduler.HarmonyScheduler` (plan cache, warm
-starts, §IV-B4 plan patching on completions) and records every
-decision's plan score plus how often each shortcut engaged.
+:class:`~repro.core.scheduler.HarmonyScheduler` (plan cache, §IV-B4
+plan patching on completions) and records every decision's plan
+score plus how often each shortcut engaged.
 
 The stream is generated up front as pure data, so any two replays see
 the identical pool history and their score streams are
@@ -47,7 +47,6 @@ class ChurnRunResult:
     scores: list = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
-    warm_start_reuses: int = 0
     #: Planned prefixes whose n_G* the L6 end certificate settled.
     groups_certified: int = 0
 
@@ -134,7 +133,6 @@ def replay(scheduler, profiles: list[tuple[str, float, float]],
         stats = scheduler.last_stats
         result.cache_hits += stats.cache_hits
         result.cache_misses += stats.cache_misses
-        result.warm_start_reuses += stats.warm_start_reuses
         result.groups_certified += stats.groups_certified
         result.scores.append((kind, plan.score if plan else 0.0))
         return plan
@@ -214,10 +212,9 @@ def report(result: ChurnRunResult) -> str:
     """Render the replay's decision counts."""
     return format_table(
         ["schedule() calls", "patched", "cache hits", "cache misses",
-         "warm starts", "certified n_G*"],
+         "certified n_G*"],
         [(result.n_schedule_calls, result.n_patched, result.cache_hits,
-          result.cache_misses, result.warm_start_reuses,
-          result.groups_certified)],
+          result.cache_misses, result.groups_certified)],
         title=f"Scheduler churn stream ({len(result.scores)} decisions)")
 
 

@@ -123,6 +123,7 @@ class ShardedScheduler:
             raise SchedulingError(
                 f"total_machines must be >= 1, got {total_machines}")
         if not jobs:
+            self.last_stats = ScheduleStats.of(None, 0, 0)
             return None
         if self.shard.n_cells == 1 or total_machines < self.shard.n_cells:
             return self._schedule_solo(jobs, total_machines)
@@ -148,7 +149,6 @@ class ShardedScheduler:
             sum(s.n_prefixes_evaluated for s in stats),
             cache_hits=sum(s.cache_hits for s in stats),
             cache_misses=sum(s.cache_misses for s in stats),
-            warm_start_reuses=sum(s.warm_start_reuses for s in stats),
             groups_certified=sum(s.groups_certified for s in stats),
             fast_path=(n_skipped > 0
                        or any(s.fast_path for s in stats)))
@@ -260,8 +260,7 @@ class ShardedScheduler:
         re-plans on this call — correct, just slower.
         """
         plan = cell.last_plan
-        if plan is None or cell.last_key is None \
-                or cell.last_key[0] != before:
+        if plan is None or cell.last_jobs != before:
             cell.forget()
             return
         metrics_by_id = {job.job_id: job for job in before}

@@ -148,16 +148,9 @@ class GroupBatchEngine:
         self._driver_handle = None
         self._driver_key = None
         sim = self.sim
-        queue = sim._queue
         # run_until only changes inside Simulator.run(), and the
         # simulator is not reentrant — constant for the whole drive.
         until = sim.run_until
-        # External-head cache: the heap only changes under a drive when
-        # a completion callback pushes a new entry (or peek pops a
-        # cancelled one), and both move ``len(queue)`` — steady-state
-        # wakes never touch the heap, so the head survives many steps.
-        head = None
-        head_len = -1
         served = 0
         self._in_drive = True
         try:
@@ -168,13 +161,8 @@ class GroupBatchEngine:
                 key, resource = park
                 if until is not None and key[0] > until:
                     break
-                if len(queue) != head_len:
-                    head = sim.peek_entry()
-                    head_len = len(queue)
+                head = sim.peek_entry()
                 if head is not None and head < key:
-                    # A cancelled-in-place head (len unchanged) breaks
-                    # conservatively: the loop round-trips once through
-                    # step(), which discards it, and the driver refires.
                     break
                 sim._now = key[0]  # warp(), inlined for the hot loop
                 resource.serve_parked()

@@ -1,6 +1,6 @@
 """Differential tests pinning the incremental scheduler to the frozen
 reference implementation (``tests/sched_oracle.py``), plus regressions
-for the plan cache, warm starts, the closed-form allocator, and the
+for the plan cache, the closed-form allocator, and the
 §IV-B4 plan patch."""
 
 from dataclasses import replace
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.baselines.oracle import OracleScheduler
 from repro.check.scenarios import ScenarioGenerator
 from repro.cluster.cluster import Cluster
 from repro.config import SchedulerConfig, ShardConfig, SimConfig
@@ -22,6 +23,7 @@ from repro.core.scheduler import (
     HarmonyScheduler,
     PlanCache,
     PoolSnapshot,
+    ScheduleStats,
     _CACHE_MISS,
     argmin_convex,
 )
@@ -195,7 +197,6 @@ class TestSchedulerDifferential:
             use_patch=False, regroup_threshold=threshold)
 
         assert fast.cache_hits > 0
-        assert fast.warm_start_reuses > 0
         assert fast.n_patched > 0
         assert len(fast.scores) == len(reference.scores)
         for (kind, score), (_, ref_score) in zip(fast.scores,
@@ -268,19 +269,13 @@ class TestFlatKernels:
     @settings(max_examples=80, deadline=None)
     @given(keys=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 7.25]),
                                    st.floats(0.0, 100.0)),
-                         max_size=60),
-           splits=st.lists(st.integers(0, 60), max_size=4))
-    def test_grouping_order_equals_stable_argsort(self, keys, splits):
-        """Cold, and warm-started through a chain of shorter prefixes,
-        the order is NumPy's stable argsort of the negated keys — ties
-        (drawn often here) included."""
+                         max_size=60))
+    def test_grouping_order_equals_stable_argsort(self, keys):
+        """The order is NumPy's stable argsort of the negated keys —
+        ties (drawn often here) included."""
         expected = np.argsort(-np.array(keys, dtype=np.float64),
                               kind="stable").tolist()
         assert grouping_order(keys) == expected
-        order: list[int] = []
-        for split in sorted(min(split, len(keys)) for split in splits):
-            order = grouping_order(keys[:split], order)
-        assert grouping_order(keys, order) == expected
 
 
 class TestAllocatorDifferential:
@@ -372,11 +367,11 @@ class TestPlanCache:
         sharded.schedule(pool, 60)
         sharded.schedule(republished, 60)
         home = sharded._cells[sharded._placer.cell_of(moved.job_id)]
-        assert any(job is moved for job in home.last_key[0])
+        assert any(job is moved for job in home.last_jobs)
         for cell in sharded._cells:
-            if cell.last_key is not None:
+            if cell.last_jobs is not None:
                 assert cell.last_plan == HarmonyScheduler().schedule(
-                    cell.last_key[0], cell.n_machines)
+                    cell.last_jobs, cell.n_machines)
 
     def test_invalidate_job_drops_only_plans_containing_it(self):
         """Once ``a`` is republished no entry holding it is served,
@@ -413,15 +408,25 @@ class TestPlanCache:
         assert cache.get(("k0", 1, 10), (jobs[0],)) is _CACHE_MISS
         assert cache.get(("k2", 1, 10), (jobs[2],)) is None
 
-    def test_warm_starts_engage_without_cache(self):
-        """A cold scheduler's first call has nothing cached, yet nested
-        prefixes still warm-start their sort orders."""
-        scheduler = HarmonyScheduler()
-        scheduler.schedule(self.pool(), 60)
-        stats = scheduler.last_stats
-        assert stats.cache_hits == 0
-        assert stats.warm_start_reuses > 0
-        assert stats.fast_path
+
+class TestLastStats:
+    """``last_stats`` describes the most recent ``schedule()`` call, the
+    empty-pool call included: the perf ledger and the trace layer read
+    it after every call, so a stale value would count a call twice."""
+
+    @pytest.mark.parametrize("make", [
+        HarmonyScheduler,
+        lambda: ShardedScheduler(shard=ShardConfig(n_cells=2)),
+        OracleScheduler,
+    ], ids=["harmony", "sharded", "oracle"])
+    def test_empty_call_resets_last_stats(self, make):
+        scheduler = make()
+        pool = make_jobs([(float(4 * i + 3), 0.5 + i / 10)
+                          for i in range(6)])
+        assert scheduler.schedule(pool, 24) is not None
+        assert scheduler.last_stats.n_jobs_offered == len(pool)
+        assert scheduler.schedule([], 24) is None
+        assert scheduler.last_stats == ScheduleStats.of(None, 0, 0)
 
 
 class TestSplicePlan:

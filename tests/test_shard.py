@@ -449,22 +449,22 @@ class TestShardedScheduler:
         scheduler.schedule(jobs, 40)
         target = jobs[5].job_id
         owner = scheduler._placer.cell_of(target)
-        memos = [(cell.last_key, cell.last_plan)
+        memos = [(cell.last_jobs, cell.last_plan)
                  for cell in scheduler._cells]
         republished = list(jobs)
         moved = republished[5] = replace(jobs[5], cpu_work=0.4 * 4,
                                          samples=2)
         scheduler.schedule(republished, 40)
         assert scheduler._placer.cell_of(target) == owner
-        for cell, (key, plan) in zip(scheduler._cells, memos, strict=True):
-            assert key is not None
+        for cell, (last, plan) in zip(scheduler._cells, memos, strict=True):
+            assert last is not None
             if cell.index == owner:
-                assert cell.last_key is not key
-                assert any(job is moved for job in cell.last_key[0])
+                assert cell.last_jobs is not last
+                assert any(job is moved for job in cell.last_jobs)
                 assert cell.last_plan == HarmonyScheduler().schedule(
-                    cell.last_key[0], cell.n_machines)
+                    cell.last_jobs, cell.n_machines)
             else:
-                assert cell.last_key is key and cell.last_plan is plan
+                assert cell.last_jobs is last and cell.last_plan is plan
 
     def test_merged_plan_is_consistent(self):
         jobs = make_jobs([(float(i % 7 + 1), 0.1 + (i % 3) / 10)
