@@ -26,6 +26,8 @@ class MemoryLedger:
         self.spec = spec
         self.gc_model = GCModel()
         self._components: dict[tuple[str, str], float] = {}
+        # gc_inflation() memo; the two writers of _components clear it.
+        self._gc_factor: float | None = None
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -36,6 +38,7 @@ class MemoryLedger:
         if bytes_per_machine < 0:
             raise ValueError(
                 f"negative resident size for {job_id}/{component}")
+        self._gc_factor = None
         if bytes_per_machine == 0:
             self._components.pop((job_id, component), None)
         else:
@@ -43,6 +46,7 @@ class MemoryLedger:
 
     def remove_job(self, job_id: str) -> None:
         """Drop every component belonging to ``job_id``."""
+        self._gc_factor = None
         for key in [k for k in self._components if k[0] == job_id]:
             del self._components[key]
 
@@ -63,8 +67,16 @@ class MemoryLedger:
         return self.resident_bytes / self.spec.usable_memory_bytes
 
     def gc_inflation(self) -> float:
-        """Multiplicative COMP-subtask slowdown at the current pressure."""
-        return self.gc_model.inflation(self.pressure)
+        """Multiplicative COMP-subtask slowdown at the current pressure.
+
+        Read once per COMP subtask, so the value is kept until a
+        component changes.
+        """
+        factor = self._gc_factor
+        if factor is None:
+            factor = self._gc_factor = self.gc_model.inflation(
+                self.pressure)
+        return factor
 
     def is_oom(self) -> bool:
         return self.gc_model.is_oom(self.pressure)

@@ -71,7 +71,7 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, delivering ``value``."""
-        self._trigger(ok=True, value=value)
+        self._trigger(True, value)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -81,7 +81,7 @@ class Event:
         """
         if not isinstance(exc, BaseException):
             raise TypeError("fail() requires an exception instance")
-        self._trigger(ok=False, value=exc)
+        self._trigger(False, exc)
         return self
 
     def _trigger(self, ok: bool, value: Any) -> None:
@@ -91,9 +91,13 @@ class Event:
         self._triggered = True
         self._ok = ok
         self._value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+        callbacks = self._callbacks
+        if callbacks:
+            # Nothing is appended once triggered (add_callback runs the
+            # callback at once), so an empty list can stay in place.
+            self._callbacks = []
+            for callback in callbacks:
+                callback(self)
 
     # -- waiting ------------------------------------------------------
 

@@ -17,9 +17,14 @@ its resource instead of a heap entry — and one cancellable *driver*
 entry stands in for the group's earliest park.  When it fires,
 consecutive parked wakes are served at their true times (forward-only
 warps, so every hook observes true state) until an external heap
-entry must interleave.  Each wake is served by the reference engine's
-own wake step, :meth:`RateResource.serve_parked`: the lane skips the
-heap round-trips, never the arithmetic.
+entry must interleave.  Each wake is served by
+:meth:`RateResource.serve_parked`: ``_advance``, then ``_repark``, the
+parked resource's own reschedule step.  ``_repark`` replays the
+reference ``_reschedule``'s arithmetic in the same order, pops the
+finished task and hands its record to the waiting process, and holds
+the next completion as a ``(when, seq)`` park instead of queuing a
+wake, so it has no wake handle to retract and no mode to dispatch on.
+The lane skips the heap round-trips, never the arithmetic.
 
 A single-job group whose hooks have no per-iteration callback
 (``hooks.on_iteration is None``) may instead take the **solo lane**:
@@ -28,12 +33,13 @@ warped clock in one process step, :meth:`RateResource.serve_solo`
 jumping straight to each closed-form completion, and parks at the
 closed-form end time, where its terminal hooks fire at real time.
 
-The drive lane runs the reference wake step itself, and the solo lane
-replays its float operations in the identical order, so both lanes are
-bitwise equal to the reference engine by construction;
-the differential suite (``tests/test_sim_fastpath.py``) and the
-``repro.check`` invariants pin it there.  Engagement is counted once,
-on the simulator (``sim.fastpath_stats``).
+Both lanes replay the reference wake step's float operations in the
+identical order, so both are bitwise equal to the reference engine by
+construction; the differential suites (``tests/test_sim_fastpath.py``,
+and ``tests/test_sim_resources.py`` for ``_repark`` against
+``_reschedule`` on one resource) and the ``repro.check`` invariants pin
+it there.  Engagement is counted once, on the simulator
+(``sim.fastpath_stats``).
 
 There is no fallback lane: a group's engine attaches when the group is
 built and stays attached for the group's whole life.  The per-event
@@ -60,7 +66,7 @@ class GroupBatchEngine:
       one real *driver* entry on the heap at the group's earliest
       parked wake, queued at that wake's own tiebreak sequence number.
       When it fires, :meth:`_drive` serves consecutive parked wakes
-      with the reference wake step (warping the clock **forward
+      with the parked wake step (warping the clock **forward
       only**) until the next external heap entry precedes the next
       parked wake.  Completion callbacks run at true simulated times
       with true state, so any hook — ``HarmonyMaster``'s profiler
@@ -104,24 +110,27 @@ class GroupBatchEngine:
             return
         self._sync_driver()
 
-    def _earliest_park(
-            self) -> "tuple[tuple[float, int], RateResource] | None":
-        """``((when, seq), resource)`` of the earliest parked wake, or
-        None when no resource is parked."""
+    def _earliest_park(self) -> "RateResource | None":
+        """The resource holding the earliest parked wake in ``(when,
+        seq)`` order, or None when no resource is parked."""
         best = None
+        best_when = 0.0
         for resource in self._resources:
             when = resource._pending_wake_at
-            if when is not None:
-                key = (when, resource._pending_wake_seq)
-                if best is None or key < best[0]:
-                    best = (key, resource)
+            if when is not None and (
+                    best is None or when < best_when
+                    or (when == best_when and resource._pending_wake_seq
+                        < best._pending_wake_seq)):
+                best = resource
+                best_when = when
         return best
 
     def _sync_driver(self) -> None:
         """Keep exactly one live driver entry at the earliest parked
         wake, queued at that wake's own sequence number."""
         park = self._earliest_park()
-        key = None if park is None else park[0]
+        key = (None if park is None
+               else (park._pending_wake_at, park._pending_wake_seq))
         handle = self._driver_handle
         if (key == self._driver_key and handle is not None
                 and not handle.cancelled):
@@ -151,20 +160,25 @@ class GroupBatchEngine:
         # run_until only changes inside Simulator.run(), and the
         # simulator is not reentrant — constant for the whole drive.
         until = sim.run_until
+        queue = sim._queue
         served = 0
         self._in_drive = True
         try:
             while True:
-                park = self._earliest_park()
-                if park is None:
+                resource = self._earliest_park()
+                if resource is None:
                     break
-                key, resource = park
-                if until is not None and key[0] > until:
+                when = resource._pending_wake_at
+                if until is not None and when > until:
                     break
-                head = sim.peek_entry()
-                if head is not None and head < key:
-                    break
-                sim._now = key[0]  # warp(), inlined for the hot loop
+                if queue:
+                    head = sim.peek_entry()
+                    if head is not None and (
+                            head[0] < when or (
+                                head[0] == when
+                                and head[1] < resource._pending_wake_seq)):
+                        break
+                sim._now = when  # warp(), inlined for the hot loop
                 resource.serve_parked()
                 served += 1
         finally:

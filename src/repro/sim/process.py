@@ -67,10 +67,12 @@ class Process(Event):
         if not self._alive or event is not self._waiting_on:
             return  # stale callback (we were killed or redirected)
         self._waiting_on = None
-        if event.ok:
-            self._step(event.value, None)
+        # A callback runs only once its event has triggered, so the
+        # slots can be read without the public properties' checks.
+        if event._ok:
+            self._step(event._value, None)
         else:
-            self._step(None, event.value)
+            self._step(None, event._value)
 
     def _step(self, value, exc) -> None:
         while True:
@@ -96,19 +98,20 @@ class Process(Event):
                     f"process {self.name!r} yielded "
                     f"{type(target).__name__}, expected an Event"))
                 return
-            if target.triggered:
+            if target._triggered:
                 # Already-triggered target: resume in place instead of
                 # recursing through add_callback -> _on_wait_complete
                 # -> _step.  A long synchronous chain of ready events
                 # (zero-work subtasks, or a fast-path batch serving a
                 # whole job inline) would otherwise overflow the stack.
-                if target.ok:
-                    value, exc = target.value, None
+                if target._ok:
+                    value, exc = target._value, None
                 else:
-                    value, exc = None, target.value
+                    value, exc = None, target._value
                 continue
             self._waiting_on = target
-            target.add_callback(self._on_wait_complete)
+            # add_callback without its triggered check, made just above.
+            target._callbacks.append(self._on_wait_complete)
             return
 
     def _finish(self, ok: bool, value) -> None:

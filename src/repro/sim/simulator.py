@@ -60,7 +60,9 @@ class FastpathStats:
     ``engine="reference"``.
     """
 
-    #: Fused solo-lane batches (one per single-job iteration window).
+    #: Fused solo-lane batches: one per solo run of a job, its load
+    #: and every iteration up to its finish or pause, served in one
+    #: process step.
     solo_batches: int = 0
     #: Simulated seconds covered by solo-lane batches.
     solo_batched_seconds: float = 0.0

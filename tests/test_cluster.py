@@ -136,6 +136,31 @@ class TestMemoryLedger:
                              machine_spec.usable_memory_bytes * 2)
         assert ledger.headroom_bytes() == 0.0
 
+    def test_gc_factor_is_fresh_after_every_write(self, machine_spec):
+        """gc_inflation() keeps its value between reads; every write to
+        the components must drop it, so a read after a write equals the
+        model's inflation at the new pressure."""
+        ledger = MemoryLedger(machine_spec)
+        usable = machine_spec.usable_memory_bytes
+
+        def fresh():
+            return GCModel().inflation(ledger.pressure)
+
+        ledger.set_component("a", "input", usable * 0.5)
+        assert ledger.gc_inflation() == fresh() == 1.0
+        # Past the GC onset: the factor rises above 1.
+        ledger.set_component("b", "input", usable * 0.4)
+        assert ledger.gc_inflation() == fresh() > 1.0
+        ledger.set_component("b", "input", usable * 0.45)
+        assert ledger.gc_inflation() == fresh()
+        # A zero-byte write removes the component.
+        ledger.set_component("a", "input", 0)
+        assert ledger.gc_inflation() == fresh() == 1.0
+        ledger.set_component("a", "model", usable * 0.5)
+        assert ledger.gc_inflation() == fresh() > 1.0
+        ledger.remove_job("b")
+        assert ledger.gc_inflation() == fresh() == 1.0
+
 
 class TestGCModel:
     def test_no_inflation_below_onset(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ResourceError
 from repro.sim import (
     RateResource,
+    Simulator,
     primary_secondary,
     processor_sharing,
     serial,
@@ -285,3 +286,89 @@ class TestSegmentSealing:
         assert cpu.segments[1].start == pytest.approx(2.0)
         assert cpu.segments[1].end == pytest.approx(5.0)
         assert cpu.busy_seconds == pytest.approx(5.0)
+
+
+class _RecordingOwner:
+    """A fast-path owner that logs every park it is told about."""
+
+    def __init__(self):
+        self.parks = []
+
+    def park_changed(self, resource):
+        self.parks.append((resource._pending_wake_at,
+                           resource._pending_wake_seq))
+
+
+class TestReparkDifferential:
+    """A parked resource's reschedule step (``_repark``, served by
+    ``drain()``) against the queued one (``_reschedule``, served by
+    ``sim.run()``): one script, bit-for-bit equal records and ledgers.
+
+    The script takes each of ``_repark``'s paths once: two equal tasks
+    finishing at the same instant (the multi-completion pop), a
+    zero-work submit, a completion callback that submits again to the
+    same resource (the nested park supersedes the frame that completed
+    the task), and a cancel of a waiting task.
+    """
+
+    @staticmethod
+    def _script(resource, nested_parks):
+        events = {}
+
+        def resubmit(_event):
+            events["d"] = resource.submit(1.5)
+            nested_parks.append((resource._pending_wake_at,
+                                 resource._pending_wake_seq))
+
+        # Two tasks share the resource; later ones wait.  The second
+        # of the two completions resubmits.
+        events["a"] = resource.submit(2.0)
+        events["b"] = resource.submit(2.0)
+        events["b"].add_callback(resubmit)
+        events["c"] = resource.submit(3.0)
+        events["e"] = resource.submit(1.0)
+        events["z"] = resource.submit(0.0)
+        assert resource.cancel(events["c"])
+        return events
+
+    def _run(self, parked):
+        sim = Simulator()
+        resource = RateResource(
+            sim, processor_sharing(interference=0.1, max_concurrent=2),
+            "disk")
+        owner = _RecordingOwner()
+        if parked:
+            resource.set_wake_owner(owner)
+        nested = []
+        events = self._script(resource, nested)
+        if parked:
+            resource.drain()
+        else:
+            sim.run()
+        resource.close_segments()
+        records = {name: (event.value.submitted_at, event.value.started_at,
+                          event.value.finished_at, event.value.work)
+                   if event.triggered else None
+                   for name, event in events.items()}
+        ledger = (resource.busy_seconds, resource.work_served,
+                  resource.work_discarded, resource.work_submitted,
+                  [(s.start, s.end, s.level) for s in resource.segments])
+        return records, ledger, sim.now, owner.parks, nested
+
+    def test_parked_equals_queued_bit_for_bit(self):
+        parked, ledger, now, parks, nested = self._run(parked=True)
+        queued, queued_ledger, queued_now, _, _ = self._run(parked=False)
+        assert parked == queued
+        assert ledger == queued_ledger
+        assert now == queued_now
+        # Each path was taken.
+        assert parked["a"][2] == parked["b"][2]  # one instant, two pops
+        assert parked["z"][0] == parked["z"][2] == 0.0  # zero work
+        assert parked["c"] is None and ledger[2] == 3.0  # cancelled
+        assert parked["d"][0] == parked["a"][2]  # resubmitted
+        # The nested park is the live one: the frame that delivered
+        # b's completion neither re-parks nor notifies after it.
+        [park] = nested
+        after = parks[parks.index(park) + 1:]
+        assert park[0] is not None
+        assert all(when != park[0] for when, _ in after)
