@@ -180,11 +180,10 @@ LAYERS: dict[tuple[str, str], str] = {
     ("repro.shard.placer", "job_weight"): SHARD,
     ("repro.shard.placer", "_take"): SHARD,
     ("repro.shard.cells", "Cell"): SHARD,
-    # Utilization recording, results and the (untraced) tracer.
+    # Utilization recording and results.
     ("repro.metrics.utilization", "ClusterUsageRecorder"): METRICS,
     ("repro.metrics.utilization", "busy_fraction"): METRICS,
     ("repro.metrics.utilization", "GroupUsage"): METRICS,
-    ("repro.trace.tracer", "NullTracer"): METRICS,
     # Building a runtime and running its loop.
     ("repro.core.runtime", "RuntimeBase"): RUNTIME,
     ("repro.core.runtime", "HarmonyRuntime"): RUNTIME,

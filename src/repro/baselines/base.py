@@ -116,12 +116,6 @@ class BaselineMaster(MasterBase):
             self._machines_cache[key] = machines
         return machines
 
-    def _memory_dominated(self, job_ids: Sequence[str],
-                          wanted: int) -> bool:
-        """Whether a batch's allocation is driven by its memory floor
-        rather than by compute/communication balance."""
-        return wanted > max(1.0, self._balanced(job_ids)) * 1.5
-
     def _balanced(self, job_ids: Sequence[str]) -> float:
         """Aggregate balance point, scaled by ``dop_scale``: enough
         machines that the batch's total COMP matches its total COMM."""
@@ -180,7 +174,6 @@ class BaselineMaster(MasterBase):
             queue=tuple(self._queue),
             batch_demand=self.machines_for,
             memory_floor=self._memory_floor,
-            memory_dominated=self._memory_dominated,
             metrics_at=self._metrics_at,
             solo_seconds=self._solo_seconds,
             running=self._running_views)

@@ -48,22 +48,25 @@ class NaiveRuntime(BaselineRuntime):
                          cost_model=cost_model)
 
 
+#: Co-location degree of each sampled naive case, cycled.
+NAIVE_GROUP_SIZES = (2, 2, 3)
+
+
 def run_naive_cases(n_machines: int, workload: Sequence[JobSpec],
                     config: SimConfig = DEFAULT_SIM_CONFIG,
-                    n_cases: int = 5,
-                    group_sizes: Sequence[int] = (2, 2, 3)) -> \
-        list[RunResult]:
+                    n_cases: int = 5) -> list[RunResult]:
     """Sample several naive groupings, as §V-A "run[s] all possible
     cases, and report[s] the best and the worst case".
 
     Exhaustively enumerating every grouping of 80 jobs is intractable;
-    sampled shuffles across several co-location degrees reproduce the
-    best/avg/worst spread of Fig. 10.
+    sampled shuffles across the co-location degrees of
+    :data:`NAIVE_GROUP_SIZES` reproduce the best/avg/worst spread of
+    Fig. 10.
     """
     results = []
     rng = np.random.default_rng(config.seed)
     for case in range(n_cases):
-        group_size = int(group_sizes[case % len(group_sizes)])
+        group_size = NAIVE_GROUP_SIZES[case % len(NAIVE_GROUP_SIZES)]
         seed = int(rng.integers(0, 2**31 - 1))
         runtime = NaiveRuntime(n_machines, workload, config=config,
                                group_size=group_size, shuffle_seed=seed)

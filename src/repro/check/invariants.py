@@ -84,7 +84,7 @@ class InvariantChecker:
         self._check_cluster(runtime.cluster, master, out)
         self._check_cycles(master, now, out)
         tracer = runtime.sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             self.check_trace(tracer, now, out)
         return out
 

@@ -1,4 +1,4 @@
-"""Closed-form oracles shared by the checker and the fast path.
+"""Closed-form Eq. 1 oracles for the checker and the tests.
 
 Extracted from :mod:`repro.check.differential` so the same Eq. 1
 arithmetic backs both roles:
@@ -6,11 +6,10 @@ arithmetic backs both roles:
 * the *checker* role — :func:`exact_metrics` + ``PerfModel`` predict a
   group's iteration time from the cost model alone, and the differential
   suite compares the prediction against the simulated engine; and
-* the *fast-path* role — :mod:`repro.sim.fastpath` batch-advances
-  groups in closed form, and these helpers provide the vectorized
-  closed-form timelines (:func:`step_boundaries`,
-  :func:`predict_iteration_seconds`) used for struct-of-arrays batch
-  accounting and cross-engine comparison.
+* the *test-oracle* role — the closed-form timelines
+  (:func:`step_boundaries`, :func:`predict_iteration_seconds`) are what
+  the fast-path tests compare the simulated engines against.  The
+  simulator itself never imports this module.
 
 Everything here is pure: no simulator, no clock, no RNG.
 """

@@ -63,6 +63,10 @@ class SimBarrier:
         return event
 
 
+#: Leading iterations of each job left out of its steady-state mean.
+WARMUP_ITERATIONS = 1
+
+
 @dataclass
 class FineGrainedResult:
     """Measurements from one fine-grained group run."""
@@ -74,20 +78,20 @@ class FineGrainedResult:
     cpu_busy_fraction: float = 0.0
     net_busy_fraction: float = 0.0
 
-    def mean_cycle_seconds(self, skip_warmup: int = 1) -> float:
+    def mean_cycle_seconds(self) -> float:
         """Steady-state mean iteration time across jobs."""
         samples = []
         for durations in self.cycles.values():
-            samples.extend(durations[skip_warmup:])
+            samples.extend(durations[WARMUP_ITERATIONS:])
         if not samples:
             raise SimulationError("no steady-state cycles measured")
         return sum(samples) / len(samples)
 
-    def pacing_cycle_seconds(self, skip_warmup: int = 1) -> float:
+    def pacing_cycle_seconds(self) -> float:
         """The slowest job's mean cycle (Eq. 1's ``max`` semantics)."""
         means = []
         for durations in self.cycles.values():
-            steady = durations[skip_warmup:]
+            steady = durations[WARMUP_ITERATIONS:]
             if steady:
                 means.append(sum(steady) / len(steady))
         if not means:

@@ -157,7 +157,7 @@ class GroupRuntime:
 
         # Observability (repro.trace): None when tracing is off, so the
         # per-subtask hot path is gated by one attribute check.
-        self._trace = sim.tracer if sim.tracer.enabled else None
+        self._trace = sim.tracer
         self._lanes: dict[tuple[str, str], object] = {}
         lo, hi = min(machine_ids), max(machine_ids)
         self._trace_process = (
@@ -177,7 +177,7 @@ class GroupRuntime:
         # Its segments feed only the traced level gauge.
         self.disk = RateResource(sim, processor_sharing(),
                                  f"{group_id}:disk",
-                                 record_segments=sim.tracer.enabled)
+                                 record_segments=sim.tracer is not None)
         if self._trace is not None:
             self._trace.instant(
                 "group-start", cat="lifecycle", args={

@@ -105,11 +105,14 @@ class _LossBoard:
             return self._decisions[epoch]
 
 
+#: Reduced-rate COMM slots beside the primary one (§IV-A, Fig. 7).
+SECONDARY_COMM_SLOTS = 1
+
+
 class LocalHarmonyRuntime:
     """Runs co-located real jobs with coordinated subtasks."""
 
     def __init__(self, jobs: list[LocalJob], coordinate: bool = True,
-                 secondary_comm_slots: int = 1,
                  barrier_timeout: float = 60.0,
                  tracer=None,
                  clock: "Callable[[], float]" = time.perf_counter):
@@ -122,7 +125,7 @@ class LocalHarmonyRuntime:
         self.coordinate = coordinate
         # §IV-A: one COMP at a time; one primary + N secondary COMMs.
         self._cpu_token = threading.Semaphore(1)
-        self._net_token = threading.Semaphore(1 + secondary_comm_slots)
+        self._net_token = threading.Semaphore(1 + SECONDARY_COMM_SLOTS)
         # Barrier waits are traced against the tracer's own clock
         # (wall clock here — this runtime runs on real threads).
         self._synchronizer = SubTaskSynchronizer(timeout=barrier_timeout,

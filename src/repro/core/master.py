@@ -315,9 +315,9 @@ class HarmonyMaster(MasterBase):
         # Observability (repro.trace): scheduler decisions land on a
         # dedicated "master" lane as instant events; None when tracing
         # is off so decision paths pay one attribute check.
-        self._trace = sim.tracer if sim.tracer.enabled else None
+        self._trace = sim.tracer
         self._trace_track = (
-            sim.tracer.track("master", "scheduler", process_sort=0)
+            self._trace.track("master", "scheduler", process_sort=0)
             if self._trace is not None else None)
 
         self._waiting: list[str] = []

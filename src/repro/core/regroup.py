@@ -24,6 +24,9 @@ if TYPE_CHECKING:
 #: score by more than this fraction.
 FEWER_JOBS_PREFERENCE = 0.05
 
+#: Most jobs one §IV-B4 bundle may hold in place of a finished job.
+MAX_BUNDLE = 4
+
 
 def _relative_difference(a: float, b: float) -> float:
     denominator = max(abs(a), abs(b), 1e-12)
@@ -69,15 +72,14 @@ def find_similar_job(candidates: Sequence[JobMetrics],
 
 def find_similar_bundle(candidates: Sequence[JobMetrics],
                         target: JobMetrics, m: int,
-                        threshold: float = 0.05,
-                        max_bundle: int = 4) -> list[JobMetrics] | None:
+                        threshold: float = 0.05) -> list[JobMetrics] | None:
     """The §IV-B4 bundle search: a set of jobs "whose the sum of
     iteration times and the ratio of respective sum of computation and
     communication times are similar to the finished job".
 
-    Greedy largest-first packing under the CPU/network budgets, then an
-    aggregate tolerance check.  Returns None when no acceptable bundle
-    exists.
+    Greedy largest-first packing of up to :data:`MAX_BUNDLE` jobs under
+    the CPU/network budgets, then an aggregate tolerance check.  Returns
+    None when no acceptable bundle exists.
     """
     target_cpu = target.t_cpu_at(m)
     target_net = target.t_net
@@ -89,7 +91,7 @@ def find_similar_bundle(candidates: Sequence[JobMetrics],
     for candidate in sorted(candidates,
                             key=lambda j: j.t_iteration_at(m),
                             reverse=True):
-        if len(bundle) >= max_bundle:
+        if len(bundle) >= MAX_BUNDLE:
             break
         if (total_cpu + candidate.t_cpu_at(m) <= budget_cpu
                 and total_net + candidate.t_net <= budget_net):

@@ -29,7 +29,7 @@ from repro.metrics.faults import FaultLog
 from repro.metrics.timeline import Timeline
 from repro.metrics.utilization import ClusterUsageRecorder
 from repro.sim import FastpathStats, RandomStreams, Simulator
-from repro.trace.tracer import Tracer, build_tracer
+from repro.trace.tracer import Tracer
 from repro.workloads.apps import JobSpec
 from repro.workloads.costmodel import CostModel
 
@@ -201,9 +201,8 @@ class RuntimeBase:
         self.sim = Simulator()
         if config.trace.enabled:
             # The tracer timestamps off the simulation clock; installed
-            # before the master/groups so they see an enabled tracer.
-            self.sim.tracer = build_tracer(lambda: self.sim.now,
-                                           config.trace)
+            # before the master/groups so they see it.
+            self.sim.tracer = Tracer(lambda: self.sim.now, config.trace)
         self.cluster = Cluster(n_machines, config.machine)
         self.cost_model = cost_model if cost_model is not None \
             else CostModel(config.machine)
@@ -267,7 +266,7 @@ class RuntimeBase:
             # harmony: allow[DET001] wall_seconds measures real runtime of run() itself
             wall_seconds=time.perf_counter() - wall_start,
             fault_log=self.fault_log,
-            trace=self.sim.tracer if self.sim.tracer.enabled else None,
+            trace=self.sim.tracer,
             fastpath=replace(self.sim.fastpath_stats),
             gates=self.master.gate_counts())
 

@@ -33,8 +33,7 @@ class SubTaskSynchronizer:
         # The local runtime runs on real threads, so barrier waits are
         # traced against the wall clock (the tracer itself is clock-
         # agnostic; see repro.trace).
-        self._trace = tracer if tracer is not None and tracer.enabled \
-            else None
+        self._trace = tracer
         self._condition = threading.Condition()
         self._arrived: dict[tuple[str, int, SubTaskKind], int] = {}
         self._expected: dict[str, int] = {}

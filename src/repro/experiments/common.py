@@ -10,7 +10,7 @@ from repro.core.group_runtime import ExecutionMode, GroupRuntime
 from repro.core.job import Job, JobState
 from repro.errors import OutOfMemoryError
 from repro.sim import RandomStreams, Simulator
-from repro.trace.tracer import Tracer, build_tracer
+from repro.trace.tracer import Tracer
 from repro.workloads.apps import JobSpec
 from repro.workloads.costmodel import CostModel
 from repro.workloads.generator import WorkloadGenerator
@@ -103,7 +103,7 @@ def run_single_group(specs: Sequence[JobSpec], n_machines: int,
     """
     sim = Simulator()
     if config.trace.enabled:
-        sim.tracer = build_tracer(lambda: sim.now, config.trace)
+        sim.tracer = Tracer(lambda: sim.now, config.trace)
     cost_model = CostModel(config.machine)
     hooks = _CollectingHooks()
     group = GroupRuntime(sim, "exp", tuple(range(n_machines)), mode,
@@ -143,4 +143,4 @@ def run_single_group(specs: Sequence[JobSpec], n_machines: int,
         duration_seconds=duration,
         per_job_cycle_seconds=per_job,
         oom=oom,
-        trace=sim.tracer if sim.tracer.enabled else None)
+        trace=sim.tracer)

@@ -39,11 +39,15 @@ def run(scale: float = 1.0, seed: int = 2021,
     return Fig11Result(isolated=isolated, harmony=harmony)
 
 
-def _sparkline(values: np.ndarray, width: int = 60) -> str:
+#: Characters in one rendered timeline.
+_SPARKLINE_WIDTH = 60
+
+
+def _sparkline(values: np.ndarray) -> str:
     """Coarse ASCII rendering of a 0..1 series."""
     if len(values) == 0:
         return ""
-    chunks = np.array_split(values, min(width, len(values)))
+    chunks = np.array_split(values, min(_SPARKLINE_WIDTH, len(values)))
     blocks = " .:-=+*#%@"
     return "".join(
         blocks[min(len(blocks) - 1,

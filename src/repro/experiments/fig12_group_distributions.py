@@ -18,6 +18,7 @@ from repro.experiments.common import scaled_workload
 from repro.metrics.reporting import format_table
 from repro.metrics.stats import cdf_points
 from repro.workloads.generator import (
+    SUBSET_FRACTION,
     comm_intensive_subset,
     comp_intensive_subset,
 )
@@ -68,12 +69,11 @@ def _stats(label: str, workload, n_machines: int,
 
 
 def run(scale: float = 1.0, seed: int = 2021,
-        config: SimConfig = DEFAULT_SIM_CONFIG,
-        subset_fraction: float = 0.75) -> Fig12Result:
+        config: SimConfig = DEFAULT_SIM_CONFIG) -> Fig12Result:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
     workload, n_machines = scaled_workload(scale, seed)
-    subset_size = max(1, int(len(workload) * subset_fraction))
+    subset_size = max(1, int(len(workload) * SUBSET_FRACTION))
     comp_subset = comp_intensive_subset(workload, subset_size)
     comm_subset = comm_intensive_subset(workload, subset_size)
     return Fig12Result(

@@ -19,6 +19,7 @@ from repro.core.runtime import HarmonyRuntime
 from repro.experiments.common import scaled_workload
 from repro.metrics.reporting import format_table
 from repro.workloads.generator import (
+    SUBSET_FRACTION,
     comm_intensive_subset,
     comp_intensive_subset,
 )
@@ -60,12 +61,11 @@ def _measure(label: str, workload, n_machines: int,
 
 
 def run(scale: float = 1.0, seed: int = 2021,
-        config: SimConfig = DEFAULT_SIM_CONFIG,
-        subset_fraction: float = 0.75) -> SensitivityRatioResult:
+        config: SimConfig = DEFAULT_SIM_CONFIG) -> SensitivityRatioResult:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
     workload, n_machines = scaled_workload(scale, seed)
-    subset_size = max(1, int(len(workload) * subset_fraction))
+    subset_size = max(1, int(len(workload) * SUBSET_FRACTION))
     rows = [
         _measure("base", workload, n_machines, config),
         _measure("comp-intensive",

@@ -25,6 +25,10 @@ from repro.trace.export import write_chrome_trace
 #: trace more readable.
 _MAX_JOBS = 8
 
+#: Where the trace and the counters CSV are written (CI uploads the
+#: trace from here).
+OUT_DIR = "results/trace"
+
 
 @dataclass
 class TraceDemoResult:
@@ -73,8 +77,7 @@ def _overlap_seconds(tracer) -> float:
     return total
 
 
-def run(scale: float = 0.1, seed: int = 2021,
-        out_dir: "str | Path" = "results/trace") -> TraceDemoResult:
+def run(scale: float = 0.1, seed: int = 2021) -> TraceDemoResult:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
     config = SimConfig().with_seed(seed).with_tracing()
@@ -85,7 +88,7 @@ def run(scale: float = 0.1, seed: int = 2021,
     tracer = result.trace
     assert tracer is not None  # with_tracing() guarantees a live tracer
 
-    base = Path(out_dir)
+    base = Path(OUT_DIR)
     trace_path = write_chrome_trace(base / "harmony_trace.json", tracer)
     counters_path = export_counters(base / "harmony_counters.csv", tracer)
 

@@ -46,7 +46,7 @@ class FaultInjector:
         #: Crash repairs scheduled but not yet applied — the runtime's
         #: stall watchdog waits for these before declaring a deadlock.
         self.pending_repairs = 0
-        self._trace = sim.tracer if sim.tracer.enabled else None
+        self._trace = sim.tracer
 
     def install(self) -> None:
         """Schedule every planned event; call once, before running."""

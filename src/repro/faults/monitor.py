@@ -87,7 +87,7 @@ class HealthMonitor:
                 self._reported.add(machine_id)
                 self.detections += 1
                 tracer = self.sim.tracer
-                if tracer.enabled:
+                if tracer is not None:
                     tracer.counter("faults.detected").add(1)
                     tracer.instant(
                         "fault-detected", cat="fault",

@@ -17,6 +17,14 @@ from dataclasses import dataclass
 from repro.errors import SimulationError
 from repro.sim.rand import RandomStreams
 
+#: How long a generated slowdown lasts, and its COMP stretch factor.
+SLOWDOWN_SECONDS = 900.0
+SLOWDOWN_SEVERITY = 3.0
+
+#: How long a generated network drop lasts, and its COMM stretch factor.
+DROP_SECONDS = 120.0
+DROP_SEVERITY = 2.0
+
 
 class FaultKind(enum.Enum):
     """The fault classes the injector knows how to apply."""
@@ -109,24 +117,30 @@ class FaultPlan:
                  crash_rate_per_hour: float = 0.0,
                  slowdown_rate_per_hour: float = 0.0,
                  drop_rate_per_hour: float = 0.0,
-                 crash_downtime_seconds: float = 1800.0,
-                 slowdown_seconds: float = 900.0,
-                 slowdown_severity: float = 3.0,
-                 drop_seconds: float = 120.0,
-                 drop_severity: float = 2.0) -> "FaultPlan":
+                 crash_downtime_seconds: float = 1800.0) -> "FaultPlan":
         """A seeded Poisson fault schedule over ``[0, horizon_seconds)``.
 
         Each fault class arrives as an independent Poisson process
         (exponential inter-arrival at the given cluster-wide rate) and
-        strikes a uniformly random machine.  All draws go through
-        dedicated :class:`~repro.sim.rand.RandomStreams` streams, so the
-        plan is a pure function of its arguments.
+        strikes a uniformly random machine.  Slowdowns and drops last
+        and bite as :data:`SLOWDOWN_SECONDS`/:data:`SLOWDOWN_SEVERITY`
+        and :data:`DROP_SECONDS`/:data:`DROP_SEVERITY` say.  All draws
+        go through dedicated :class:`~repro.sim.rand.RandomStreams`
+        streams, so the plan is a pure function of its arguments.
         """
         if n_machines < 1:
             raise SimulationError(f"need >= 1 machine, got {n_machines}")
-        if horizon_seconds <= 0:
+        if not 0 < horizon_seconds < math.inf:
             raise SimulationError(
-                f"horizon must be positive, got {horizon_seconds}")
+                f"horizon_seconds must satisfy 0 < horizon < inf, "
+                f"got {horizon_seconds}")
+        for name, rate in (("crash_rate_per_hour", crash_rate_per_hour),
+                           ("slowdown_rate_per_hour",
+                            slowdown_rate_per_hour),
+                           ("drop_rate_per_hour", drop_rate_per_hour)):
+            if not 0 <= rate < math.inf:
+                raise SimulationError(
+                    f"{name} must satisfy 0 <= rate < inf, got {rate}")
         streams = RandomStreams(seed).spawn("fault-plan")
         events: list[FaultEvent] = []
 
@@ -156,11 +170,11 @@ class FaultPlan:
             events.append(FaultEvent(
                 time=t, kind=FaultKind.MACHINE_SLOWDOWN,
                 machine_id=target("slowdown"),
-                duration=slowdown_seconds, severity=slowdown_severity))
+                duration=SLOWDOWN_SECONDS, severity=SLOWDOWN_SEVERITY))
         for t in arrivals("drop", drop_rate_per_hour):
             events.append(FaultEvent(
                 time=t, kind=FaultKind.NETWORK_DROP,
                 machine_id=target("drop"),
-                duration=drop_seconds, severity=drop_severity))
+                duration=DROP_SECONDS, severity=DROP_SEVERITY))
         events.sort(key=lambda e: (e.time, e.kind.value, e.machine_id))
         return FaultPlan(events=tuple(events), seed=seed)

@@ -85,7 +85,7 @@ def export_run_result(directory: "str | Path", result) -> list[Path]:
         written.append(export_fault_log(
             base / f"{result.scheduler_name}_faults.csv", fault_log))
     trace = getattr(result, "trace", None)
-    if trace is not None and trace.enabled:
+    if trace is not None:
         written.append(export_counters(
             base / f"{result.scheduler_name}_counters.csv", trace))
     return written

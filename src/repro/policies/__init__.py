@@ -34,7 +34,6 @@ from repro.policies.queueing import (
     easy,
     easy_backfill,
     fcfs,
-    hybrid_backfill,
     packed_fifo,
 )
 # The registry imports the runtimes, and the runtimes' shared base
@@ -70,6 +69,5 @@ __all__ = [
     "easy",
     "easy_backfill",
     "fcfs",
-    "hybrid_backfill",
     "packed_fifo",
 ]

@@ -98,9 +98,6 @@ class PolicyObservation:
     batch_demand: Callable[[tuple[str, ...]], int]
     #: Smallest DoP at which the batch fits in memory.
     memory_floor: Callable[[tuple[str, ...]], int]
-    #: Whether a batch's demand is driven by its memory floor rather
-    #: than by compute/communication balance.
-    memory_dominated: Callable[[tuple[str, ...], int], bool]
     #: Exact (cost-model) metrics of one job as observed at DoP ``m``.
     metrics_at: Callable[[str, int], JobMetrics]
     #: Closed-form solo runtime of the job's remaining iterations at

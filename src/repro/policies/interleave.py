@@ -6,7 +6,7 @@ partners' COMP gaps, found by sliding per-job phase offsets against a
 ring-buffer model of link demand.  Harmony's execution engine already
 serializes one primary COMM plus a reduced-rate secondary (Fig. 7);
 this policy generalizes those two slots to a *planned* stagger across
-up to ``max_group_jobs`` partners.
+up to :data:`MAX_GROUP_JOBS` partners.
 
 Partner selection uses a phase-compatibility score straight out of
 Eq. 1::
@@ -16,7 +16,7 @@ Eq. 1::
 ``compat == 1`` means the group is job-bound — every job's COMM hides
 entirely inside the others' COMP, a perfect interleave; lower values
 mean the CPU or the network serializes and someone waits.  Groups only
-form while compatibility stays above a threshold.
+form while compatibility stays at or above :data:`COMPAT_THRESHOLD`.
 
 The phase offsets delay job *k*'s first PULL by the summed COMM demand
 of the jobs before it, so the group's COMM bursts enter the pipeline
@@ -40,6 +40,12 @@ from repro.policies.base import (
 #: earliest queued candidate so the scan is hash-order independent.
 _TIE_EPSILON = 1e-12
 
+#: Most jobs one interleaved group may hold.
+MAX_GROUP_JOBS = 4
+
+#: Lowest Eq. 1 compatibility at which a partner may join a group.
+COMPAT_THRESHOLD = 0.85
+
 
 def _compatibility(perf_model: PerfModel, obs: PolicyObservation,
                    batch: tuple[str, ...], m: int) -> float:
@@ -62,8 +68,7 @@ def _phase_offsets(obs: PolicyObservation, batch: tuple[str, ...],
     return tuple(offsets)
 
 
-def _cassini_pass(perf_model: PerfModel, max_group_jobs: int,
-                  compat_threshold: float,
+def _cassini_pass(perf_model: PerfModel,
                   obs: PolicyObservation) -> PolicyDecision:
     starts: list[GroupStart] = []
     free = obs.n_free
@@ -78,7 +83,7 @@ def _cassini_pass(perf_model: PerfModel, max_group_jobs: int,
             break  # FIFO: the head waits for machines
         queue.pop(0)
         batch = (head,)
-        while len(batch) < max_group_jobs and queue:
+        while len(batch) < MAX_GROUP_JOBS and queue:
             best: tuple[float, int, int] | None = None
             for index, candidate in enumerate(queue):
                 trial = batch + (candidate,)
@@ -87,7 +92,7 @@ def _cassini_pass(perf_model: PerfModel, max_group_jobs: int,
                     continue
                 compat = _compatibility(perf_model, obs, trial,
                                         trial_demand)
-                if compat < compat_threshold:
+                if compat < COMPAT_THRESHOLD:
                     continue
                 if best is None or compat > best[0] + _TIE_EPSILON:
                     best = (compat, index, trial_demand)
@@ -102,8 +107,6 @@ def _cassini_pass(perf_model: PerfModel, max_group_jobs: int,
     return PolicyDecision(tuple(starts))
 
 
-def cassini(perf_model: PerfModel, max_group_jobs: int = 4,
-            compat_threshold: float = 0.85) -> FunctionPolicy:
+def cassini(perf_model: PerfModel) -> FunctionPolicy:
     """Phase-offset COMM interleaving over Eq. 1 compatibility."""
-    return FunctionPolicy("cassini", partial(
-        _cassini_pass, perf_model, max_group_jobs, compat_threshold))
+    return FunctionPolicy("cassini", partial(_cassini_pass, perf_model))

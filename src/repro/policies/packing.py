@@ -5,16 +5,17 @@ to each resource instead of GPU-proportional shares.  Translated to
 Harmony's world: co-locate queued jobs into one group whenever the
 co-location raises the group's weighted CPU/network utilization
 (Eq. 3 scored via :class:`~repro.core.perfmodel.PerfModel`, CPU
-weighted above network exactly as §IV-B2 does) by more than a
-configured gain.  Memory awareness comes in through the batch-demand
-oracle: a co-located batch's machine demand is floored by the smallest
-DoP at which the members' working sets fit, so memory-heavy pairings
-price themselves out of the packing score.
+weighted above network exactly as §IV-B2 does) by more than
+:data:`GAIN_THRESHOLD`.  Memory awareness comes in through the
+batch-demand oracle: a co-located batch's machine demand is floored by
+the smallest DoP at which the members' working sets fit, so
+memory-heavy pairings price themselves out of the packing score.
 
 The packer walks the queue head-first (FIFO fairness: the head is
 never skipped) and greedily accretes later jobs while the marginal
-score gain clears ``gain_threshold``.  All tie-breaks follow queue
-order — no hash-order iteration anywhere.
+score gain clears :data:`GAIN_THRESHOLD`, up to :data:`MAX_GROUP_JOBS`
+jobs a group.  All tie-breaks follow queue order — no hash-order
+iteration anywhere.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ from repro.policies.base import (
     PolicyObservation,
 )
 
+#: Most jobs one packed group may hold.
+MAX_GROUP_JOBS = 4
+
+#: Smallest Eq. 3 score rise for which a candidate joins a group.
+GAIN_THRESHOLD = 0.02
+
 
 def _pack_score(perf_model: PerfModel, obs: PolicyObservation,
                 batch: tuple[str, ...], m: int) -> float:
@@ -38,8 +45,7 @@ def _pack_score(perf_model: PerfModel, obs: PolicyObservation,
     return perf_model.score(estimate.utilization)
 
 
-def _synergy_pass(perf_model: PerfModel, max_group_jobs: int,
-                  gain_threshold: float,
+def _synergy_pass(perf_model: PerfModel,
                   obs: PolicyObservation) -> PolicyDecision:
     starts: list[GroupStart] = []
     free = obs.n_free
@@ -59,9 +65,9 @@ def _synergy_pass(perf_model: PerfModel, max_group_jobs: int,
         score = _pack_score(perf_model, obs, batch, demand)
         # Greedy accretion in queue order: each candidate joins when
         # the packed group's weighted utilization (memory floors
-        # included via batch_demand) improves by > gain_threshold.
+        # included via batch_demand) improves by > GAIN_THRESHOLD.
         index = 0
-        while len(batch) < max_group_jobs and index < len(queue):
+        while len(batch) < MAX_GROUP_JOBS and index < len(queue):
             candidate = queue[index]
             trial = batch + (candidate,)
             trial_demand = obs.batch_demand(trial)
@@ -70,7 +76,7 @@ def _synergy_pass(perf_model: PerfModel, max_group_jobs: int,
                 continue
             trial_score = _pack_score(perf_model, obs, trial,
                                       trial_demand)
-            if trial_score > score + gain_threshold:
+            if trial_score > score + GAIN_THRESHOLD:
                 batch = trial
                 demand = trial_demand
                 score = trial_score
@@ -82,8 +88,6 @@ def _synergy_pass(perf_model: PerfModel, max_group_jobs: int,
     return PolicyDecision(tuple(starts))
 
 
-def synergy(perf_model: PerfModel, max_group_jobs: int = 4,
-            gain_threshold: float = 0.02) -> FunctionPolicy:
+def synergy(perf_model: PerfModel) -> FunctionPolicy:
     """Resource-sensitive packing scored on the Eq. 3 utilization."""
-    return FunctionPolicy("synergy", partial(
-        _synergy_pass, perf_model, max_group_jobs, gain_threshold))
+    return FunctionPolicy("synergy", partial(_synergy_pass, perf_model))

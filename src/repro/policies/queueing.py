@@ -5,18 +5,21 @@ Two families, both built with the ``functools.partial`` factory idiom
 ``easy_backfill = partial(_backfill_sched, 1)`` and
 ``conservative_backfill = partial(_backfill_sched, None)``):
 
-* :func:`packed_fifo` — the transcription of the historical
-  ``BaselineMaster._pump`` admission scan (FIFO + demand-skip
-  backfill, batches of up to ``group_size`` jobs).  The naive and
-  isolated baselines are exactly this policy at their legacy
-  parameters; the differential tests pin the transcription
-  bitwise-equal to the pre-refactor masters.
+* :func:`_packed_fifo_pass` — the transcription of the historical
+  ``BaselineMaster._pump`` admission scan: FIFO in batches of up to
+  ``group_size`` jobs.  :func:`packed_fifo` binds it with demand-skip
+  backfill on; the naive and isolated baselines are exactly that
+  policy at their legacy group sizes, and the differential tests pin
+  the transcription bitwise-equal to the pre-refactor masters.
+  :func:`fcfs` binds it at size 1 with backfill off, so a blocked head
+  blocks the queue.
 * :func:`_reservation_backfill` — classic supercomputing backfill
   with *reservations*: a blocked job reserves a start time computed
   from the running groups' predicted releases, and later jobs may only
   jump the queue when doing so provably does not delay any
-  reservation.  ``max_reservations=1`` is EASY backfill,
-  ``None`` is conservative backfill (every blocked job reserves).
+  reservation.  :func:`easy` binds ``max_reservations=1`` (EASY
+  backfill), :func:`conservative` binds ``None`` (every blocked job
+  reserves).
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ _DELAY_TOL = 1e-9
 
 
 def _packed_fifo_pass(group_size: int, backfill: bool,
-                      colocate_only_if_fits: bool,
                       obs: PolicyObservation) -> PolicyDecision:
     """One admission pass of the historical ``BaselineMaster._pump``.
 
@@ -65,9 +67,6 @@ def _packed_fifo_pass(group_size: int, backfill: bool,
             wanted = obs.batch_demand(batch)
             if wanted > obs.cluster_size:
                 continue
-            if (colocate_only_if_fits and size > 1
-                    and obs.memory_dominated(batch, wanted)):
-                continue  # co-location would be memory-driven
             if wanted <= free:
                 del queue[index:index + size]
                 starts.append(GroupStart(batch, wanted))
@@ -82,27 +81,22 @@ def _packed_fifo_pass(group_size: int, backfill: bool,
     return PolicyDecision(tuple(starts))
 
 
-def packed_fifo(group_size: int = 1, backfill: bool = True,
-                colocate_only_if_fits: bool = False,
-                name: str | None = None) -> FunctionPolicy:
-    """The legacy baseline admission policy at explicit parameters."""
+def packed_fifo(group_size: int = 1) -> FunctionPolicy:
+    """The legacy baseline admission policy (with backfill) in batches
+    of up to ``group_size`` jobs."""
     if group_size < 1:
         raise SchedulingError(f"group_size must be >= 1, got {group_size}")
-    if name is None:
-        name = (f"packed-fifo(size={group_size}"
-                f"{'' if backfill else ', no-backfill'})")
-    return FunctionPolicy(name, partial(
-        _packed_fifo_pass, group_size, backfill, colocate_only_if_fits))
+    return FunctionPolicy(f"packed-fifo(size={group_size})",
+                          partial(_packed_fifo_pass, group_size, True))
 
 
 def fcfs() -> FunctionPolicy:
     """Strict first-come-first-served: single-job groups, a blocked
     head blocks everyone behind it."""
-    return FunctionPolicy("fcfs", partial(_packed_fifo_pass, 1, False,
-                                          False))
+    return FunctionPolicy("fcfs", partial(_packed_fifo_pass, 1, False))
 
 
-# -- reservation backfill (EASY / conservative / hybrid) --------------------
+# -- reservation backfill (EASY / conservative) -----------------------------
 
 
 def _reservation_start_times(now: float, free: int,
@@ -183,14 +177,6 @@ easy_backfill = partial(_reservation_backfill, 1)
 
 #: Conservative backfill: every blocked job holds a reservation.
 conservative_backfill = partial(_reservation_backfill, None)
-
-
-def hybrid_backfill(max_reservations: int) -> FunctionPolicy:
-    """Backfill with a configurable reservation depth (EASY at 1,
-    conservative at infinity)."""
-    return FunctionPolicy(f"backfill-{max_reservations}",
-                          partial(_reservation_backfill,
-                                  max_reservations))
 
 
 def easy() -> FunctionPolicy:

@@ -21,13 +21,12 @@ class PSServer:
     """One model shard plus the synchronization barrier state."""
 
     def __init__(self, shard_id: int, n_workers: int,
-                 store: KVStore | None = None,
                  barrier_timeout: float = 60.0):
         if n_workers < 1:
             raise PSError(f"need >= 1 worker, got {n_workers}")
         self.shard_id = shard_id
         self.n_workers = n_workers
-        self.store = store if store is not None else KVStore()
+        self.store = KVStore()
         self._condition = threading.Condition()
         self._pushed_at: dict[int, int] = {w: -1 for w in range(n_workers)}
         self._completed_clock = -1

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 from repro.core.perfmodel import CPU_WEIGHT
 from repro.core.profiler import JobMetrics
 from repro.core.scheduler import ORDERING_DOP
-from repro.trace.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.trace.tracer import Tracer
 
 if TYPE_CHECKING:
     from repro.shard.rebalance import ShardMove
@@ -78,12 +78,12 @@ class GlobalPlacer:
     """
 
     def __init__(self, cell_machines: Sequence[int],
-                 tracer: "Tracer | NullTracer | None" = None):
+                 tracer: Tracer | None = None):
         self.cell_machines = tuple(cell_machines)
         if not self.cell_machines or min(self.cell_machines) < 1:
             raise ValueError(
                 f"every cell needs >= 1 machine, got {cell_machines}")
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         #: job_id -> cell index; insertion-ordered, never hash-iterated.
         self._assignment: dict[str, int] = {}
         #: The memo of the last routed pool: a copy of it, the cell of
@@ -174,10 +174,11 @@ class GlobalPlacer:
             for cell in sorted({column[index] for index in pending}):
                 members[cell].sort()
                 routed[cell] = _take(jobs, members[cell])
-            self.tracer.instant(
-                "placer.route", cat="shard",
-                args={"new_jobs": len(pending),
-                      "pool": len(jobs)})
+            if self.tracer is not None:
+                self.tracer.instant(
+                    "placer.route", cat="shard",
+                    args={"new_jobs": len(pending),
+                          "pool": len(jobs)})
         if len(self._assignment) > 2 * len(jobs) + 64:
             live = set(map(_job_id, jobs))
             self._assignment = {

@@ -58,7 +58,7 @@ from repro.errors import SchedulingError
 from repro.shard.cells import Cell, partition_machines
 from repro.shard.placer import GlobalPlacer
 from repro.shard.rebalance import ShardMove, plan_moves
-from repro.trace.tracer import NULL_TRACER
+from repro.trace.tracer import Tracer
 
 #: Most jobs one rebalance pass may migrate between cells.
 MAX_REBALANCE_MOVES = 64
@@ -71,17 +71,16 @@ class ShardedScheduler:
                  config: SchedulerConfig | None = None,
                  memory_floor: MemoryFloorFn | None = None,
                  shard: ShardConfig | None = None,
-                 tracer=None):
+                 tracer: Tracer | None = None):
         self.config = config if config is not None else SchedulerConfig()
         self.perf_model = perf_model if perf_model is not None \
             else PerfModel()
         self.memory_floor = memory_floor
         self.shard = shard if shard is not None else ShardConfig()
-        tracer = tracer if tracer is not None else NULL_TRACER
-        self._trace = tracer if tracer.enabled else None
+        self._trace = tracer
         self._trace_track = (
             tracer.track("shard", "cells", process_sort=1)
-            if self._trace is not None else None)
+            if tracer is not None else None)
         #: Delegate for the inert configurations (``n_cells == 1`` or a
         #: pool too small to split) — pinned bitwise-equal to an
         #: unsharded ``HarmonyScheduler`` because it *is* one.
@@ -109,9 +108,7 @@ class ShardedScheduler:
             Cell(index, n_machines, perf_model=self.perf_model,
                  config=self.config, memory_floor=self.memory_floor)
             for index, n_machines in enumerate(machines)]
-        self._placer = GlobalPlacer(
-            machines, tracer=self._trace if self._trace is not None
-            else NULL_TRACER)
+        self._placer = GlobalPlacer(machines, tracer=self._trace)
         self._total_machines = total_machines
 
     # -- the schedule contract --------------------------------------------

@@ -47,19 +47,18 @@ class Process(Event):
         """True while the generator has not finished or been killed."""
         return self._alive
 
-    def kill(self, exc: BaseException | None = None) -> None:
-        """Interrupt the process by raising ``exc`` at its yield point.
+    def kill(self) -> None:
+        """Interrupt the process by raising
+        :class:`~repro.errors.ProcessKilled` at its yield point.
 
-        By default a :class:`~repro.errors.ProcessKilled` is raised.  If
-        the generator does not catch it, the process event *succeeds*
+        If the generator does not catch it, the process event *succeeds*
         with value ``None`` (a kill is a normal way to end a process, not
         a simulation failure).
         """
         if not self._alive:
             return
-        exc = exc if exc is not None else ProcessKilled(self.name)
         self._waiting_on = None  # detach from whatever we were awaiting
-        self._step(None, exc)
+        self._step(None, ProcessKilled(self.name))
 
     # -- stepping ------------------------------------------------------
 

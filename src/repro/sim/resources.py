@@ -69,6 +69,10 @@ def processor_sharing(interference: float = 0.0,
     """
     if interference < 0:
         raise ResourceError(f"interference {interference} must be >= 0")
+    if not (max_concurrent is None or max_concurrent >= 1):
+        # Zero slots would serve no task ever: every task would wait.
+        raise ResourceError(
+            f"max_concurrent must be None or >= 1, got {max_concurrent}")
 
     def policy(n_active: int) -> Sequence[float]:
         k = n_active if max_concurrent is None else min(n_active,

@@ -26,7 +26,7 @@ from typing import Any
 from repro.errors import SimulationError
 from repro.sim.events import Event
 from repro.sim.process import Process
-from repro.trace.tracer import NULL_TRACER
+from repro.trace.tracer import Tracer
 
 
 class ScheduledCall:
@@ -88,7 +88,7 @@ class FastpathStats:
 class Simulator:
     """A discrete-event simulator with a float-seconds clock."""
 
-    def __init__(self, start_time: float = 0.0, tracer=None):
+    def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._queue: list[
             tuple[float, int, int, Callable[[], None],
@@ -106,9 +106,9 @@ class Simulator:
         #: the reference engine.
         self.run_until: float | None = None
         #: The observability bus every kernel client reads its tracer
-        #: from (:mod:`repro.trace`).  Defaults to the no-op tracer;
+        #: from (:mod:`repro.trace`): ``None`` when tracing is off;
         #: runtimes install a live one when tracing is enabled.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer: Tracer | None = None
 
     @property
     def now(self) -> float:

@@ -8,9 +8,9 @@ monotone clock — the simulated clock for cluster runs, the wall clock
 for the thread-based local runtime — plus a named counter/gauge
 :class:`MetricsRegistry`.
 
-Tracing is disabled by default (:class:`TraceConfig`); when off, every
-instrumentation site either skips entirely or hits the no-op
-:data:`NULL_TRACER`, so the hot simulation paths pay nothing.
+Tracing is disabled by default (:class:`TraceConfig`); when off,
+components hold ``None`` instead of a tracer and every instrumentation
+site skips entirely, so the hot simulation paths pay nothing.
 
 Exporters render a recorded trace as Chrome-trace/Perfetto JSON
 (machine sets as "processes", per-job CPU/NET/DISK lanes as "threads")
@@ -27,29 +27,23 @@ from repro.trace.tracer import (
     Gauge,
     InstantEvent,
     MetricsRegistry,
-    NULL_TRACER,
-    NullTracer,
     Span,
     SpanHandle,
     TraceConfig,
     Tracer,
     Track,
-    build_tracer,
 )
 
 __all__ = [
-    "NULL_TRACER",
     "Counter",
     "Gauge",
     "InstantEvent",
     "MetricsRegistry",
-    "NullTracer",
     "Span",
     "SpanHandle",
     "TraceConfig",
     "Tracer",
     "Track",
-    "build_tracer",
     "chrome_trace_events",
     "counter_rows",
     "write_chrome_trace",

@@ -77,7 +77,7 @@ def chrome_trace_events(tracer) -> list[dict[str, Any]]:
                      "args": {"name": _METRICS_PROCESS}})
         for metric in list(tracer.registry.counters.values()) + \
                 list(tracer.registry.gauges.values()):
-            for when, value in metric.samples or ():
+            for when, value in metric.samples:
                 payload.append({"ph": "C", "name": metric.name,
                                 "ts": when * _US, "pid": counter_pid,
                                 "tid": 0,

@@ -2,9 +2,9 @@
 
 Design constraints, in order:
 
-1. **Zero cost when off.**  Instrumented components either hold ``None``
-   instead of a tracer, or call the no-op :data:`NULL_TRACER`; neither
-   path allocates.  The config gate is a single attribute check.
+1. **Zero cost when off.**  Instrumented components hold ``None``
+   instead of a tracer, so the gate is a single ``is not None`` check
+   and nothing allocates.
 2. **Clock-agnostic.**  The tracer timestamps events through a clock
    *callable*: the cluster simulator passes its virtual ``now``, the
    thread-based local runtime passes ``time.perf_counter``.  The trace
@@ -90,19 +90,16 @@ class Counter:
 
     __slots__ = ("name", "value", "samples", "_clock")
 
-    def __init__(self, name: str, clock: Clock,
-                 keep_samples: bool = True):
+    def __init__(self, name: str, clock: Clock):
         self.name = name
         self.value = 0.0
-        #: ``(time, value)`` after each update; None when sampling off.
-        self.samples: list[tuple[float, float]] | None = \
-            [] if keep_samples else None
+        #: ``(time, value)`` after each update.
+        self.samples: list[tuple[float, float]] = []
         self._clock = clock
 
     def add(self, delta: float = 1.0) -> None:
         self.value += delta
-        if self.samples is not None:
-            self.samples.append((self._clock(), self.value))
+        self.samples.append((self._clock(), self.value))
 
 
 class Gauge:
@@ -110,12 +107,10 @@ class Gauge:
 
     __slots__ = ("name", "value", "samples", "_clock")
 
-    def __init__(self, name: str, clock: Clock,
-                 keep_samples: bool = True):
+    def __init__(self, name: str, clock: Clock):
         self.name = name
         self.value = 0.0
-        self.samples: list[tuple[float, float]] | None = \
-            [] if keep_samples else None
+        self.samples: list[tuple[float, float]] = []
         self._clock = clock
 
     def set(self, value: float) -> None:
@@ -125,8 +120,7 @@ class Gauge:
         """:meth:`set`, stamped ``when`` instead of the clock's now (for
         series derived after the fact)."""
         self.value = float(value)
-        if self.samples is not None:
-            self.samples.append((when, self.value))
+        self.samples.append((when, self.value))
 
 
 class MetricsRegistry:
@@ -137,23 +131,22 @@ class MetricsRegistry:
     migrations and regroupings.
     """
 
-    def __init__(self, clock: Clock, keep_samples: bool = True):
+    def __init__(self, clock: Clock):
         self._clock = clock
-        self._keep_samples = keep_samples
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
 
     def counter(self, name: str) -> Counter:
         counter = self.counters.get(name)
         if counter is None:
-            counter = Counter(name, self._clock, self._keep_samples)
+            counter = Counter(name, self._clock)
             self.counters[name] = counter
         return counter
 
     def gauge(self, name: str) -> Gauge:
         gauge = self.gauges.get(name)
         if gauge is None:
-            gauge = Gauge(name, self._clock, self._keep_samples)
+            gauge = Gauge(name, self._clock)
             self.gauges[name] = gauge
         return gauge
 
@@ -173,8 +166,6 @@ class MetricsRegistry:
 
 class Tracer:
     """Records spans, instants, and metrics against one clock."""
-
-    enabled = True
 
     def __init__(self, clock: Clock,
                  config: TraceConfig | None = None):
@@ -304,92 +295,3 @@ class Tracer:
 
     def gauge(self, name: str) -> Gauge:
         return self.registry.gauge(name)
-
-
-class _NullMetric:
-    """Accepts counter/gauge updates and drops them."""
-
-    __slots__ = ()
-    name = ""
-    value = 0.0
-    samples = None
-
-    def add(self, delta: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-
-_NULL_METRIC = _NullMetric()
-_NULL_TRACK = Track(0, 0)
-_NULL_HANDLE = SpanHandle(track=_NULL_TRACK, name="", cat="", start=0.0,
-                          closed=True)
-
-
-class NullTracer:
-    """The do-nothing tracer installed when tracing is disabled.
-
-    Implements the full :class:`Tracer` surface so instrumentation can
-    call through unconditionally on cold paths; hot paths should still
-    check :attr:`enabled` once and skip building event arguments.
-    """
-
-    enabled = False
-    config = TraceConfig(enabled=False)
-    spans: tuple = ()
-    instants: tuple = ()
-    dropped_events = 0
-    open_spans = 0
-    n_events = 0
-    process_names: dict = {}
-    thread_names: dict = {}
-    process_sort: dict = {}
-    thread_sort: dict = {}
-
-    def __init__(self):
-        self.registry = MetricsRegistry(lambda: 0.0, keep_samples=False)
-
-    @property
-    def now(self) -> float:
-        return 0.0
-
-    def track(self, process: str, thread: str,
-              process_sort: int | None = None,
-              thread_sort: int | None = None) -> Track:
-        return _NULL_TRACK
-
-    def begin(self, track: Track, name: str, cat: str = "",
-              args: dict[str, Any] | None = None) -> SpanHandle:
-        return _NULL_HANDLE
-
-    def end(self, handle: SpanHandle,
-            args: dict[str, Any] | None = None) -> None:
-        return None
-
-    def complete(self, track: Track, name: str, start: float,
-                 end: float | None = None, cat: str = "",
-                 args: dict[str, Any] | None = None) -> None:
-        return None
-
-    def instant(self, name: str, cat: str = "",
-                track: Track | None = None,
-                args: dict[str, Any] | None = None) -> None:
-        return None
-
-    def counter(self, name: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str) -> _NullMetric:
-        return _NULL_METRIC
-
-
-#: Shared no-op tracer; safe to use from any component.
-NULL_TRACER = NullTracer()
-
-
-def build_tracer(clock: Clock, config: TraceConfig) -> "Tracer | NullTracer":
-    """The tracer a runtime should install for ``config``."""
-    if not config.enabled:
-        return NULL_TRACER
-    return Tracer(clock, config)

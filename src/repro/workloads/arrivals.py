@@ -24,7 +24,6 @@ def batch_arrivals(n_jobs: int) -> list[float]:
 
 
 def poisson_arrivals(n_jobs: int, mean_interarrival_seconds: float,
-                     rng: np.random.Generator | None = None,
                      seed: int = 0) -> list[float]:
     """Arrival times of a Poisson process.
 
@@ -38,8 +37,8 @@ def poisson_arrivals(n_jobs: int, mean_interarrival_seconds: float,
         raise WorkloadError("negative mean inter-arrival time")
     if mean_interarrival_seconds == 0:
         return batch_arrivals(n_jobs)
-    generator = rng if rng is not None else np.random.default_rng(seed)
-    gaps = generator.exponential(mean_interarrival_seconds, size=n_jobs)
+    gaps = np.random.default_rng(seed).exponential(
+        mean_interarrival_seconds, size=n_jobs)
     times = np.cumsum(gaps)
     times[0] = 0.0  # the first job opens the experiment
     return [float(t) for t in times]

@@ -57,17 +57,14 @@ class CostModel:
     """
 
     def __init__(self, spec: MachineSpec | None = None,
-                 network: NetworkModel | None = None,
-                 disk: DiskModel | None = None,
                  comm_architecture: str = "ps"):
         if comm_architecture not in ("ps", "allreduce"):
             raise WorkloadError(
                 f"unknown communication architecture "
                 f"{comm_architecture!r}")
         self.spec = spec if spec is not None else MachineSpec()
-        self.network = network if network is not None \
-            else NetworkModel(self.spec)
-        self.disk = disk if disk is not None else DiskModel(self.spec)
+        self.network = NetworkModel(self.spec)
+        self.disk = DiskModel(self.spec)
         self.comm_architecture = comm_architecture
         from repro.cluster.allreduce import AllReduceModel
         self._allreduce = AllReduceModel(self.spec)

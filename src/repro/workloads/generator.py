@@ -79,6 +79,11 @@ def _sorted_by_comp_ratio(jobs: Sequence[JobSpec],
     return sorted(jobs, key=lambda j: model.profile(j, dop).comp_ratio)
 
 
+#: Share of a workload in each of its computation- and
+#: communication-intensive subsets (the paper's 60 of 80 jobs, §V-D).
+SUBSET_FRACTION = 0.75
+
+
 def comp_intensive_subset(jobs: Sequence[JobSpec], n: int = 60,
                           cost_model: CostModel | None = None) -> \
         list[JobSpec]:

@@ -58,10 +58,11 @@ class ReferencePlacer(GlobalPlacer):
                 load += job_weight(job) \
                     / self.cell_machines[cell]
                 heapq.heappush(heap, (load, cell))
-            self.tracer.instant(
-                "placer.route", cat="shard",
-                args={"new_jobs": len(new_jobs),
-                      "pool": len(jobs)})
+            if self.tracer is not None:
+                self.tracer.instant(
+                    "placer.route", cat="shard",
+                    args={"new_jobs": len(new_jobs),
+                          "pool": len(jobs)})
         if len(self._assignment) > 2 * len(jobs) + 64:
             live = {job.job_id for job in jobs}
             self._assignment = {

@@ -1,4 +1,4 @@
-"""Tests for experiment plumbing and baseline gating details."""
+"""Tests for experiment plumbing and baseline demand details."""
 
 
 from repro.baselines.base import BaselineRuntime
@@ -49,7 +49,7 @@ class TestScaledWorkload:
 
 
 class TestColocationGating:
-    def _runtime(self, gated):
+    def _runtime(self):
         from dataclasses import replace
         from repro.config import DEFAULT_SIM_CONFIG
         config = replace(DEFAULT_SIM_CONFIG,
@@ -57,30 +57,12 @@ class TestColocationGating:
                                         spill_enabled=False))
         jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
         return BaselineRuntime(
-            32, jobs, mode=ExecutionMode.HARMONY, name="gated",
-            policy=packed_fifo(group_size=3, colocate_only_if_fits=gated),
-            dop_scale=0.5, config=config)
-
-    def test_gated_runtime_completes(self):
-        result = self._runtime(True).run()
-        assert len(result.finished) == 8
-
-    def test_memory_dominated_detection(self):
-        runtime = self._runtime(True)
-        master = runtime.master
-        big = [master._add_job(JobSpec(f"m{i}", MLR, DATASETS["MLR"][1],
-                                       iterations=2)).job_id
-               for i in range(3)]
-        wanted = master.machines_for(big)
-        # Three large jobs without spill are memory-dominated.
-        assert master._memory_dominated(big, wanted)
-        small = [master._add_job(JobSpec("s", LDA, DATASETS["LDA"][1],
-                                         iterations=2)).job_id]
-        assert not master._memory_dominated(
-            small, master.machines_for(small))
+            32, jobs, mode=ExecutionMode.HARMONY, name="packed",
+            policy=packed_fifo(group_size=3), dop_scale=0.5,
+            config=config)
 
     def test_dop_scale_validation_through_machines_for(self):
-        runtime = self._runtime(False)
+        runtime = self._runtime()
         spec = JobSpec("x", LDA, DATASETS["LDA"][0], iterations=2)
         runtime.master._add_job(spec)
         wanted = runtime.master.machines_for([spec.job_id])

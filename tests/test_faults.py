@@ -89,6 +89,21 @@ class TestFaultPlan:
             FaultEvent(kind=FaultKind.MACHINE_SLOWDOWN, machine_id=0,
                        **fields)
 
+    @pytest.mark.parametrize("argument, value", [
+        ("crash_rate_per_hour", float("nan")),
+        ("horizon_seconds", float("inf")),
+        ("horizon_seconds", float("nan")),
+        ("slowdown_rate_per_hour", -1.0),
+    ])
+    def test_generate_rejects_unbounded_inputs(self, argument, value):
+        # A NaN rate or an unbounded horizon never ends the arrival
+        # loop; a negative rate would silently mean "no faults".
+        kwargs = dict(seed=1, n_machines=4, horizon_seconds=3600.0,
+                      crash_rate_per_hour=1.0)
+        kwargs[argument] = value
+        with pytest.raises(SimulationError, match=argument):
+            FaultPlan.generate(**kwargs)
+
 
 # --------------------------------------------- synchronizer fault paths
 

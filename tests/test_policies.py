@@ -22,7 +22,9 @@ from repro.baselines.isolated import IsolatedRuntime
 from repro.baselines.naive import NaiveRuntime
 from repro.config import SimConfig
 from repro.core.group_runtime import ExecutionMode
+from repro.core.runtime import HarmonyRuntime
 from repro.errors import SchedulingError, SimulationError
+from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.policies.base import (
     FunctionPolicy,
     GroupStart,
@@ -58,7 +60,6 @@ def make_obs(queue=(), free=8, cluster=16, demands=None, solo=None,
         now=now, cluster_size=cluster, n_free=free, queue=tuple(queue),
         batch_demand=batch_demand,
         memory_floor=lambda job_ids: 1,
-        memory_dominated=lambda job_ids, wanted: False,
         metrics_at=lambda job_id, m: None,
         solo_seconds=lambda job_id, m: solo.get(job_id, 100.0),
         running=lambda: tuple(running))
@@ -316,14 +317,40 @@ class TestSharedRunLoop:
         return WorkloadGenerator(5).base_workload(
             hyper_params_per_pair=1)
 
-    @pytest.mark.parametrize("name", [name for name, _ in available()])
+    #: Harmony on an axis whose instrumentation sits behind the tracing
+    #: off-switch outside the registry policies, with an instant only
+    #: that axis emits (proof the traced run crossed the guarded site).
+    AXES = {"harmony+faults": "fault-detected",
+            "harmony+sharding": "placer.route"}
+
+    @staticmethod
+    def _runtime(name, jobs, config):
+        if name == "harmony+sharding":
+            return HarmonyRuntime(20, jobs, config=config.with_sharding(2))
+        if name == "harmony+faults":
+            plan = FaultPlan.build([
+                FaultEvent(2000.0, FaultKind.MACHINE_CRASH, 3,
+                           duration=900.0),
+                FaultEvent(4000.0, FaultKind.MACHINE_SLOWDOWN, 5,
+                           duration=900.0, severity=3.0),
+                FaultEvent(6000.0, FaultKind.NETWORK_DROP, 7,
+                           duration=300.0, severity=2.0)])
+            return HarmonyRuntime(20, jobs, config=config, fault_plan=plan)
+        return build_runtime(name, 20, jobs, config=config)
+
+    @pytest.mark.parametrize(
+        "name", [name for name, _ in available()] + sorted(AXES))
     def test_traced_run_matches_untraced(self, name, jobs):
         config = SimConfig(seed=11)
-        plain = build_runtime(name, 20, jobs, config=config).run()
-        traced = build_runtime(name, 20, jobs,
-                               config=config.with_tracing()).run()
+        plain_runtime = self._runtime(name, jobs, config)
+        plain = plain_runtime.run()
+        traced = self._runtime(name, jobs, config.with_tracing()).run()
+        assert plain_runtime.sim.tracer is None
         assert plain.trace is None
         assert traced.trace is not None and traced.trace.spans
+        if name in self.AXES:
+            assert self.AXES[name] in {
+                event.name for event in traced.trace.instants}
         # harmony: allow[DET006] bitwise equality is the property under test
         assert traced.jcts == plain.jcts
         # harmony: allow[DET006] bitwise equality is the property under test
@@ -332,6 +359,8 @@ class TestSharedRunLoop:
             # harmony: allow[DET006] bitwise equality is the property under test
             assert traced.average_utilization(which) == \
                 plain.average_utilization(which)
+        assert traced.gates == plain.gates
+        assert traced.fastpath == plain.fastpath
 
     def test_naive_result_sums_its_cycles(self, jobs):
         result = NaiveRuntime(20, jobs).run()

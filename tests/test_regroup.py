@@ -89,7 +89,7 @@ class TestBundles:
     def test_max_bundle_limits_size(self):
         target = metrics("t", 400.0, 40.0)
         shards = [metrics(f"s{i}", 100.0, 10.0) for i in range(6)]
-        bundle = find_similar_bundle(shards, target, m=4, max_bundle=4)
+        bundle = find_similar_bundle(shards, target, m=4)
         assert bundle is not None
         assert len(bundle) <= 4
 

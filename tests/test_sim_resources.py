@@ -137,6 +137,12 @@ class TestProcessorSharing:
         with pytest.raises(ResourceError):
             processor_sharing(interference=-0.1)
 
+    @pytest.mark.parametrize("max_concurrent", [0, -1])
+    def test_slotless_policy_rejected(self, max_concurrent):
+        # Zero slots would leave every task on the resource waiting.
+        with pytest.raises(ResourceError, match="max_concurrent"):
+            processor_sharing(max_concurrent=max_concurrent)
+
     def test_max_concurrent_queues_excess(self, sim):
         disk = RateResource(sim, processor_sharing(max_concurrent=1),
                             "disk")

@@ -17,10 +17,8 @@ from repro.experiments.common import run_single_group, scaled_workload
 from repro.sim import RateResource, Simulator
 from repro.sim.resources import BusySegment, level_samples
 from repro.trace import (
-    NULL_TRACER,
     TraceConfig,
     Tracer,
-    build_tracer,
     chrome_trace_events,
     counter_rows,
     write_chrome_trace,
@@ -90,37 +88,21 @@ class TestTracer:
         tracer.counter("job.a.bytes").add(100)
         assert tracer.registry.total(".steps") == pytest.approx(7)
 
-    def test_build_tracer_disabled_is_null(self):
-        assert build_tracer(lambda: 0.0, TraceConfig()) is NULL_TRACER
-        live = build_tracer(lambda: 0.0, TraceConfig(enabled=True))
-        assert live.enabled
-
-    def test_null_tracer_is_inert(self):
-        handle = NULL_TRACER.begin(NULL_TRACER.track("p", "t"), "w")
-        NULL_TRACER.end(handle)
-        NULL_TRACER.instant("x")
-        NULL_TRACER.counter("c").add(5)
-        NULL_TRACER.gauge("g").set(5)
-        assert NULL_TRACER.n_events == 0
-        assert NULL_TRACER.registry.snapshot() == {}
-
 
 class TestDisabledTracingCostsNothing:
     def test_simulator_defaults_to_null_tracer(self):
-        assert Simulator().tracer is NULL_TRACER
+        assert Simulator().tracer is None
 
     def test_single_group_run_records_no_events(self):
         jobs = WorkloadGenerator(7).base_workload(
             hyper_params_per_pair=1)[:2]
         result = run_single_group(jobs, 8, max_iterations=3)
         assert result.trace is None
-        assert NULL_TRACER.n_events == 0
-        assert not NULL_TRACER.registry.counters
 
     def test_cluster_run_has_no_trace(self):
         specs, machines = scaled_workload(scale=0.1, seed=5)
         runtime = HarmonyRuntime(machines, specs[:3])
-        assert runtime.sim.tracer is NULL_TRACER
+        assert runtime.sim.tracer is None
         result = runtime.run()
         assert result.trace is None
 
