@@ -155,9 +155,9 @@ LAYERS: dict[tuple[str, str], str] = {
     ("repro.core.grouping", "assign_jobs"): ASSIGN,
     ("repro.core.grouping", "grouping_order"): ASSIGN,
     ("repro.core.grouping", "_fill_groups"): ASSIGN,
+    ("repro.core.grouping", "_fill_one_job_groups"): ASSIGN,
     ("repro.core.grouping", "_fine_tune_swaps"): SWAPS,
     ("repro.core.grouping", "_best_swap"): SWAPS,
-    ("repro.core.grouping", "_imbalance"): SWAPS,
     ("repro.core.allocation", "allocate_machines"): ALLOCATE,
     ("repro.core.allocation", "_allocate_by_heap"): ALLOCATE,
     ("repro.core.scheduler", "PlanCache"): PLAN_CACHE,

@@ -1,16 +1,22 @@
-"""Replay Algorithm 1's ``schedule()`` calls from a fig10 run, to time
-the scheduler alone, parent tree against change tree.
+"""Replay Algorithm 1's ``schedule()`` calls from a fig10 run or the
+churn stream, to time the scheduler alone, parent tree against change
+tree.
 
-    python3 benchmarks/replay_schedule.py capture --src SRC --out CAPTURE
+    python3 benchmarks/replay_schedule.py capture --src SRC --out CAPTURE \\
+        [--workload fig10|churn]
     python3 benchmarks/replay_schedule.py run --capture CAPTURE \\
         --parent-src A --change-src B [--pairs 10] [--steps]
 
-``capture`` runs fig10 (80 jobs on 100 machines, seed 2021 by default;
-``--instances N`` adds the benchmark's further instance seeds) with the
-tree under ``--src`` and records, in call order, every ``schedule()``
-call's job pool, machine budget, the memory floor of every group it
-asked about, and the plan it returned, plus every plan-cache
-invalidation between calls.
+``capture`` runs a workload with the tree under ``--src`` and records,
+in call order, every ``schedule()`` call's job pool, machine budget,
+the memory floor of every group it asked about, and the plan it
+returned, plus every plan-cache invalidation between calls.  ``fig10``
+(the default) runs 80 jobs on 100 machines, seed 2021 by default;
+``--instances N`` adds the benchmark's further instance seeds.
+``churn`` replays the ``churn`` benchmark workload's two streams (its
+fixed stream seeds, jobs drawn from ``--seed`` and ``--seed`` + 10000)
+through :func:`repro.experiments.sched_churn.replay`, one scheduler per
+stream; ``--instances`` and ``--scale`` do not apply to it.
 
 ``run`` starts one persistent worker per tree.  Each worker replays the
 whole capture on a fresh ``HarmonyScheduler`` (default
@@ -52,6 +58,7 @@ STEPS = (
     # Trees whose scheduler sorted each prefix before assign_jobs.
     ("  grouping order", "repro.core.scheduler", "grouping_order"),
     ("  greedy fill", "repro.core.grouping", "_fill_groups"),
+    ("    one-job fill", "repro.core.grouping", "_fill_one_job_groups"),
     ("  swap fine-tuning", "repro.core.grouping", "_fine_tune_swaps"),
     ("allocate_machines", "repro.core.scheduler", "allocate_machines"),
     ("prefix scoring", "repro.core.scheduler", "HarmonyScheduler.plan_score"),
@@ -61,6 +68,8 @@ STEPS = (
 
 #: Wrapped replays per tree behind the ``--steps`` table.
 STEP_REPLAYS = 3
+
+HERE = Path(__file__).resolve().parent
 
 
 def _digest(plan) -> list | None:
@@ -119,10 +128,14 @@ def capture(args) -> int:
     HarmonyScheduler.schedule = schedule
     PlanCache.invalidate_job = invalidate_job
     try:
-        for index in range(args.instances):
-            seed = args.seed + 10_000 * index
-            jobs, machines = common.scaled_workload(args.scale, seed)
-            HarmonyRuntime(machines, jobs, config=SimConfig(seed=seed)).run()
+        if args.workload == "churn":
+            _run_churn(args.seed)
+        else:
+            for index in range(args.instances):
+                seed = args.seed + 10_000 * index
+                jobs, machines = common.scaled_workload(args.scale, seed)
+                HarmonyRuntime(machines, jobs,
+                               config=SimConfig(seed=seed)).run()
     finally:
         HarmonyScheduler.schedule = original_schedule
         PlanCache.invalidate_job = original_invalidate
@@ -131,6 +144,24 @@ def capture(args) -> int:
     print(f"captured {calls} schedule() calls and "
           f"{len(events) - calls} invalidations to {args.out}")
     return 0
+
+
+def _run_churn(seed: int) -> None:
+    """The ``churn`` benchmark workload's streams, each through
+    ``sched_churn.replay`` on a scheduler of its own."""
+    # Behind --src, which must keep serving the repro package.
+    sys.path.insert(1, str(HERE / "perf"))
+    import workloads
+    from repro.core.scheduler import HarmonyScheduler
+    from repro.experiments import sched_churn
+
+    churn = workloads.WORKLOADS["churn"]
+    config = workloads.SCHEDULER_CONFIG
+    for profiles, events in churn.setup(seed):
+        sched_churn.replay(
+            HarmonyScheduler(config=config), profiles, events,
+            churn.n_initial, churn.machines, "capture", use_patch=True,
+            regroup_threshold=config.regroup_benefit_threshold)
 
 
 # -- worker (runs inside one tree) ----------------------------------------
@@ -356,10 +387,12 @@ def _print_steps(sides: dict, planned: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
-    capture_parser = commands.add_parser("capture",
-                                         help="record fig10's calls")
+    capture_parser = commands.add_parser(
+        "capture", help="record a workload's calls")
     capture_parser.add_argument("--src", type=Path, required=True)
     capture_parser.add_argument("--out", type=Path, required=True)
+    capture_parser.add_argument("--workload", choices=("fig10", "churn"),
+                                default="fig10")
     capture_parser.add_argument("--seed", type=int, default=2021)
     capture_parser.add_argument("--instances", type=int, default=1)
     capture_parser.add_argument("--scale", type=float, default=1.0)

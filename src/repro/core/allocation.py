@@ -67,23 +67,32 @@ def allocate_machines(groups: Sequence[Sequence[int]],
     if not groups:
         return []
 
-    floors = []
-    for group in groups:
-        if not group:
-            raise SchedulingError("cannot allocate to an empty group")
-        floors.append(pool.floor(group))
-    if sum(floors) > total_machines:
-        return None  # not placeable even at the memory floors
-
+    if not all(groups):
+        raise SchedulingError("cannot allocate to an empty group")
+    floors = pool.floors(groups)
     spare = total_machines - sum(floors)
-    # Group sums stay Python-sequential on purpose: they feed the same
-    # pressure arithmetic as the reference loop, term for term.
-    work_of = pool.cpu_work.__getitem__
-    net_of = pool.t_net.__getitem__
-    cpu_work = [sum(map(work_of, group)) for group in groups]
-    t_net = [sum(map(net_of, group)) for group in groups]
+    if spare < 0:
+        return None  # not placeable even at the memory floors
     if spare == 0:
-        return list(floors)
+        return floors
+
+    # Group sums stay Python-sequential on purpose: they feed the same
+    # pressure arithmetic as the reference loop, term for term.  A
+    # one-job group's sum is ``0 + W``, read without ``map``.
+    job_work = pool.cpu_work
+    job_net = pool.t_net
+    work_of = job_work.__getitem__
+    net_of = job_net.__getitem__
+    cpu_work = []
+    t_net = []
+    for group in groups:
+        if len(group) == 1:
+            index = group[0]
+            cpu_work.append(0 + job_work[index])
+            t_net.append(0 + job_net[index])
+        else:
+            cpu_work.append(sum(map(work_of, group)))
+            t_net.append(sum(map(net_of, group)))
 
     # Last machine count whose grant still has positive priority:
     # largest a with work/a > net, decided by exactly the loop's stop

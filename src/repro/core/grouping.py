@@ -24,21 +24,15 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Sequence
+from heapq import heapify, heappop, heapreplace
 from operator import add
 
-from repro.core.profiler import JobMetrics
 from repro.errors import SchedulingError
 
 #: While filling a group, the next job is chosen among this many heads
 #: of the sorted list: close enough in iteration time to avoid
 #: job-bound groups, free enough to balance CPU vs network use.
 _FILL_WINDOW = 4
-
-
-def _imbalance(group: Sequence[JobMetrics], m: int) -> float:
-    """Signed resource imbalance: positive = CPU-heavy (at DoP ``m``)."""
-    return (sum(job.t_cpu_at(m) for job in group)
-            - sum(job.t_net for job in group))
 
 
 def grouping_order(keys: Sequence[float]) -> list[int]:
@@ -88,10 +82,13 @@ def _fill_groups(order: Sequence[int], t_cpu: Sequence[float],
 
     Each group's imbalance is accumulated as it is filled (term order =
     append order, exactly the from-scratch sum), so a placement costs
-    O(window) instead of O(|group|).
+    O(window) instead of O(|group|).  When every group from index
+    ``extra`` on takes one job (``base == 1``), those groups are filled
+    by :func:`_fill_one_job_groups` instead of the window scan.
     """
     n = len(order)
     base, extra = divmod(n, n_groups)
+    one_job_from = extra if base == 1 else -1
 
     # The candidate window always holds the first min(4, remaining)
     # entries of the virtual sorted remaining list, in list order —
@@ -102,6 +99,10 @@ def _fill_groups(order: Sequence[int], t_cpu: Sequence[float],
     groups: list[list[int]] = []
     imbalances: list[float] = []
     for group_index in range(n_groups):
+        if group_index == one_job_from and _fill_one_job_groups(
+                [*window, *order[position:]], t_cpu, t_net, groups,
+                imbalances):
+            break
         quota = base + (1 if group_index < extra else 0)
         group: list[int] = []
         cpu_sum = 0.0
@@ -125,6 +126,37 @@ def _fill_groups(order: Sequence[int], t_cpu: Sequence[float],
         groups.append(group)
         imbalances.append(cpu_sum - net_sum)
     return groups, imbalances
+
+
+def _fill_one_job_groups(rest: list[int], t_cpu: Sequence[float],
+                         t_net: Sequence[float], groups: list[list[int]],
+                         imbalances: list[float]) -> bool:
+    """Give each job of ``rest`` (the unplaced jobs, in sorted-list
+    order) a group of its own, exactly as the window scan would.
+
+    A one-job group starts at imbalance ``0.0``, so each pick costs the
+    job's own ``|0.0 + t_cpu − t_net|``, whatever was picked before.
+    The scan takes the cheapest of the first :data:`_FILL_WINDOW`
+    unplaced jobs, the earliest on a tie (its ``<`` is strict), which is
+    the head of a heap of that many ``(cost, position)`` keys; each pick
+    then lets the next job of the list in.  Returns False, placing
+    nothing, when a cost is NaN: the scan's choice then depends on
+    where the NaN sits in the window, which no key order replays.
+    """
+    costs = [abs(0.0 + t_cpu[index] - t_net[index]) for index in rest]
+    total = sum(costs)  # NaN exactly when a cost is NaN
+    if total != total:
+        return False
+    entries = list(zip(costs, range(len(rest)), rest))
+    heap = entries[:_FILL_WINDOW]
+    heapify(heap)
+    picks = [heapreplace(heap, entry) for entry in entries[_FILL_WINDOW:]]
+    picks += [heappop(heap) for _ in range(len(heap))]
+    for _cost, _position, index in picks:
+        groups.append([index])
+        # The scan's own sums: (0.0 + c) − (0.0 + n), zero signs and all.
+        imbalances.append((0.0 + t_cpu[index]) - (0.0 + t_net[index]))
+    return True
 
 
 def _fine_tune_swaps(groups: list[list[int]], imbalances: list[float],

@@ -325,12 +325,14 @@ class PoolSnapshot:
         jobs = self.jobs
         return [[jobs[index] for index in group] for group in groups]
 
-    def floor(self, group: Sequence[int]) -> int:
-        """The group's memory floor (1 without a floor function)."""
-        if self._memory_floor is None:
-            return 1
+    def floors(self, groups: Sequence[Sequence[int]]) -> list[int]:
+        """Each group's memory floor (1 without a floor function)."""
+        memory_floor = self._memory_floor
+        if memory_floor is None:
+            return [1] * len(groups)
         job_ids = self.job_ids
-        return self._memory_floor([job_ids[index] for index in group])
+        return [memory_floor([job_ids[index] for index in group])
+                for group in groups]
 
     def score(self, groups: Sequence[Sequence[int]],
               allocation: Sequence[int], total_machines: int) -> float:
@@ -341,9 +343,32 @@ class PoolSnapshot:
         ``m_g · U_net(g)`` over the groups in order and divides by the
         machine count; these are the same products summed by the same
         builtin ``sum`` over the same sequence.
+
+        A one-job group's terms are computed here, under the key
+        :meth:`_group_terms` gives it, with its arithmetic on one
+        element: the builtin ``sum`` of ``[c]`` is ``0 + c`` and the
+        ``max`` over one job's ``c + t`` is ``c + t`` (DESIGN.md §5).
         """
-        terms = [self._group_terms(group, m)
-                 for group, m in zip(groups, allocation, strict=True)]
+        memo = self._terms
+        cpu_work, cpu_factor = self.cpu_work, self._cpu_factor
+        t_net, net_factor = self.t_net, self._net_factor
+        terms = []
+        for group, m in zip(groups, allocation, strict=True):
+            if len(group) != 1:
+                terms.append(self._group_terms(group, m))
+                continue
+            index = group[0]
+            key = (m, index)
+            term = memo.get(key)
+            if term is None:
+                c = cpu_work[index] / m * cpu_factor[index]
+                t = t_net[index] * net_factor[index]
+                cpu_sum = 0 + c
+                net_sum = 0 + t
+                t_g = max(cpu_sum, net_sum, c + t)
+                term = memo[key] = (0.0, 0.0) if t_g <= 0 else \
+                    (m * (cpu_sum / t_g), m * (net_sum / t_g))
+            terms.append(term)
         cpu = sum([term[0] for term in terms]) / total_machines
         net = sum([term[1] for term in terms]) / total_machines
         return self._perf_model.score(UtilizationVector(cpu, net))

@@ -4,10 +4,13 @@ on jobs through the adapters in ``tests/sched_oracle.py``."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.grouping import _imbalance
 from repro.core.profiler import JobMetrics
 from repro.errors import SchedulingError
-from tests.sched_oracle import allocate_metrics, assign_metrics
+from tests.sched_oracle import (
+    allocate_metrics,
+    assign_metrics,
+    reference_imbalance,
+)
 
 
 def metrics(job_id, cpu_work, t_net):
@@ -58,8 +61,8 @@ class TestAssignJobs:
         ordered = sorted(pool, key=lambda j: j.t_iteration_at(4),
                          reverse=True)
         naive = [ordered[0:4], ordered[4:8], ordered[8:12]]
-        smart_cost = sum(abs(_imbalance(g, 4)) for g in groups)
-        naive_cost = sum(abs(_imbalance(g, 4)) for g in naive)
+        smart_cost = sum(abs(reference_imbalance(g, 4)) for g in groups)
+        naive_cost = sum(abs(reference_imbalance(g, 4)) for g in naive)
         assert smart_cost <= naive_cost
 
     def test_similar_iteration_times_kept_together(self):

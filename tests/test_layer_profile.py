@@ -1,6 +1,7 @@
 """Smoke test of ``benchmarks/layer_profile.py``: every table entry
 resolves, foreign code is charged to its ``repro`` caller, and one
-profiled ``solo`` pass maps all but 2% of its self time."""
+profiled ``solo`` pass and one ``churn`` pass (Algorithm 1 alone) map
+all but 2% of their self time."""
 
 import importlib.util
 import re
@@ -78,3 +79,16 @@ def test_solo_pass_is_mapped():
     # plus each instance's open and close.
     assert calls["solo lane"] == 4 * (3 * 8_000 + 1 + 2)
     assert "unmapped" in calls
+
+
+def test_churn_pass_is_mapped():
+    """Every Algorithm 1 helper has a row: a function added to the
+    scheduler without one leaves its self time unmapped."""
+    completed = subprocess.run(
+        [sys.executable, str(TOOL), "--workload", "churn"],
+        capture_output=True, text=True, check=False, timeout=300,
+        cwd=ROOT)
+    assert completed.returncode == 0, completed.stderr
+    for layer in ("alg1: assignJobs", "alg1: allocation",
+                  "alg1: scoring and plans"):
+        assert layer in completed.stdout

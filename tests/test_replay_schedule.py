@@ -1,5 +1,6 @@
 """Smoke test of ``benchmarks/replay_schedule.py``: capture one small
-fig10 instance, replay it for one pair, and fail on a changed plan."""
+fig10 instance and the churn streams, replay them for one pair, and
+fail on a changed plan."""
 
 import json
 import subprocess
@@ -47,3 +48,19 @@ def test_a_plan_that_differs_from_the_capture_fails(capture, tmp_path):
                        "--change-src", SRC, "--pairs", 1)
     assert completed.returncode == 1
     assert "differ from the capture" in completed.stderr
+
+
+def test_churn_capture_replays_every_plan(tmp_path):
+    path = tmp_path / "churn.json"
+    completed = replay("capture", "--src", SRC, "--out", path,
+                       "--workload", "churn")
+    assert completed.returncode == 0, completed.stderr
+    streams = {event["stream"] for event
+               in json.loads(path.read_text())["events"]}
+    assert streams == {0, 1}
+    completed = replay("run", "--capture", path, "--parent-src", SRC,
+                       "--change-src", SRC, "--pairs", 1, "--steps")
+    assert completed.returncode == 0, completed.stderr
+    one_job = next(line for line in completed.stdout.splitlines()
+                   if "one-job fill" in line)
+    assert "-" not in one_job.split()[-2:]

@@ -3,6 +3,7 @@ reference implementation (``tests/sched_oracle.py``), plus regressions
 for the plan cache, the closed-form allocator, and the
 §IV-B4 plan patch."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.baselines.oracle import OracleScheduler
 from repro.check.scenarios import ScenarioGenerator
 from repro.cluster.cluster import Cluster
 from repro.config import SchedulerConfig, ShardConfig, SimConfig
+from repro.core import allocation as allocation_module
 from repro.core import scheduler as scheduler_module
 from repro.core.grouping import _best_swap, _fill_groups, grouping_order
 from repro.core.master import HarmonyMaster
@@ -52,6 +54,41 @@ def make_jobs(values):
 
 def partitions(plan):
     return tuple(group.job_ids for group in plan.groups)
+
+
+def scan_fill(order, t_cpu, t_net, n_groups):
+    """``grouping._fill_groups`` before one-job groups had their own
+    step: every pick scans the first four unplaced jobs."""
+    n = len(order)
+    base, extra = divmod(n, n_groups)
+    window: list[int] = []
+    position = 0
+    groups: list[list[int]] = []
+    imbalances: list[float] = []
+    for group_index in range(n_groups):
+        quota = base + (1 if group_index < extra else 0)
+        group: list[int] = []
+        cpu_sum = 0.0
+        net_sum = 0.0
+        for _ in range(quota):
+            while len(window) < 4 and position < n:
+                window.append(order[position])
+                position += 1
+            current = cpu_sum - net_sum
+            best_slot = 0
+            best_cost = None
+            for slot, index in enumerate(window):
+                cost = abs(current + t_cpu[index] - t_net[index])
+                if best_cost is None or cost < best_cost:
+                    best_cost = cost
+                    best_slot = slot
+            chosen = window.pop(best_slot)
+            group.append(chosen)
+            cpu_sum += t_cpu[chosen]
+            net_sum += t_net[chosen]
+        groups.append(group)
+        imbalances.append(cpu_sum - net_sum)
+    return groups, imbalances
 
 
 job_values = st.lists(
@@ -242,6 +279,26 @@ class TestSchedulerDifferential:
         assert [[j.job_id for j in g] for g in fast] \
             == [[j.job_id for j in g] for g in ref]
 
+    @settings(max_examples=120, deadline=None)
+    @given(values=st.lists(st.tuples(st.sampled_from([1.0, 2.0, 4.0, 8.0]),
+                                     st.sampled_from([0.5, 1.0, 2.0, 4.0])),
+                           min_size=2, max_size=30),
+           fewer=st.integers(0, 15), m_ref=st.sampled_from([1, 2, 4]))
+    # Both jobs cost 0; the second sorts first and must be picked first.
+    @example(values=[(1.0, 1.0), (4.0, 4.0)], fewer=0, m_ref=1)
+    def test_grouping_matches_reference_with_one_job_groups(
+            self, values, fewer, m_ref):
+        """``n_groups`` in ``(n/2, n]``: two-job groups first, then
+        one-job groups, whose fill is a heap.  Repeated values make
+        ``|t_cpu − t_net|`` tie between window slots, which the scan
+        breaks toward the earliest slot, not the lowest job index."""
+        jobs = make_jobs(values)
+        n_groups = len(jobs) - min(fewer, (len(jobs) - 1) // 2)
+        fast = assign_metrics(jobs, n_groups, m_ref=m_ref)
+        ref = reference_assign_jobs(jobs, n_groups, m_ref=m_ref)
+        assert [[j.job_id for j in g] for g in fast] \
+            == [[j.job_id for j in g] for g in ref]
+
 
 class TestFlatKernels:
     """Bitwise pins for the flat prefix body's own kernels."""
@@ -310,6 +367,57 @@ class TestAllocatorDifferential:
         for machines in range(5, 40):
             assert allocate_metrics(groups, machines) \
                 == reference_allocate_machines(groups, machines)
+
+    @staticmethod
+    def heap_only(patch, calls: list):
+        """Send every demand-limited allocation to the heap fallback
+        (engaged in production only above ``_MAX_CANDIDATES`` grants),
+        counting its calls."""
+        original = allocation_module._allocate_by_heap
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        patch.setattr(allocation_module, "_MAX_CANDIDATES", 0)
+        patch.setattr(allocation_module, "_allocate_by_heap", counted)
+
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=20),
+           data=st.data(), headroom=st.integers(0, 300),
+           with_floor=st.booleans())
+    def test_heap_fallback_matches_reference(self, sizes, data, headroom,
+                                             with_floor):
+        groups = [[JobMetrics(job_id=f"g{g}j{j}",
+                              cpu_work=data.draw(st.floats(0.0, 50.0)),
+                              t_net=data.draw(st.floats(0.0, 5.0)),
+                              m_observed=16)
+                   for j in range(size)]
+                  for g, size in enumerate(sizes)]
+        floor = (lambda ids: 1 + len(ids)) if with_floor else None
+        machines = sum(len(g) + 1 for g in groups) + headroom
+        with pytest.MonkeyPatch.context() as patch:
+            self.heap_only(patch, [])
+            fast = allocate_metrics(groups, machines, memory_floor=floor)
+        assert fast == reference_allocate_machines(groups, machines,
+                                                   memory_floor=floor)
+
+    def test_heap_fallback_breaks_ties_by_group_index(self):
+        """Exact priority ties at every grant, with and without floors,
+        through the heap fallback."""
+        job = JobMetrics(job_id="t", cpu_work=30.0, t_net=1.0,
+                         m_observed=16)
+        groups = [[job]] * 5
+        calls: list = []
+        with pytest.MonkeyPatch.context() as patch:
+            self.heap_only(patch, calls)
+            for floor in (None, lambda ids: 1 + len(ids)):
+                for machines in range(10, 60):
+                    assert allocate_metrics(groups, machines,
+                                            memory_floor=floor) \
+                        == reference_allocate_machines(
+                            groups, machines, memory_floor=floor)
+        assert calls
 
 
 class TestPlanCache:
@@ -660,3 +768,30 @@ class TestOneJobGroups:
                                           imbalances[a], imbalances[b],
                                           t_cpu, t_net)
         assert groups == before
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(
+        st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5]),
+                            st.floats(-1e300, 1e300),
+                            st.just(math.inf), st.just(math.nan)),
+                  st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5]),
+                            st.floats(-1e300, 1e300),
+                            st.just(math.inf))),
+        min_size=1, max_size=24), data=st.data())
+    def test_fill_equals_window_scan(self, values, data):
+        """The heap that fills one-job groups picks what the scan picks
+        and leaves bit-identical imbalances, zero signs included; a NaN
+        cost sends the fill back to the scan."""
+        t_cpu = [cpu for cpu, _ in values]
+        t_net = [net for _, net in values]
+        order = data.draw(st.permutations(range(len(values))))
+        n = len(values)
+        n_groups = data.draw(st.one_of(st.integers(n // 2 + 1, n),
+                                       st.integers(1, n)))
+        groups, imbalances = _fill_groups(order, t_cpu, t_net, n_groups)
+        want_groups, want_imbalances = scan_fill(order, t_cpu, t_net,
+                                                 n_groups)
+        assert groups == want_groups
+        assert [value.hex() for value in imbalances] \
+            == [value.hex() for value in want_imbalances]
+
