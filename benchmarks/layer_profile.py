@@ -107,8 +107,6 @@ LAYERS: dict[tuple[str, str], str] = {
     ("repro.sim.resources", "processor_sharing"): SERVICE,
     # Completion hand-off to the waiting generators.
     ("repro.sim.events", "Event"): EVENTS,
-    ("repro.sim.events", "AllOf"): EVENTS,
-    ("repro.sim.events", "AnyOf"): EVENTS,
     ("repro.sim.process", "Process"): EVENTS,
     # The PULL -> COMP -> PUSH generators and what they read per step.
     ("repro.core.group_runtime", "GroupRuntime"): GENERATORS,

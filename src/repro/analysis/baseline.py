@@ -33,6 +33,8 @@ from repro.analysis.findings import Finding
 #: days unless edited — long enough to schedule the fix, short enough
 #: that the baseline cannot silently fossilize.
 DEFAULT_EXPIRY_DAYS = 180
+#: The reason a generated entry carries until someone writes one.
+DEFAULT_REASON = "TODO: justify or fix"
 
 #: Environment override for "today" so baseline-expiry behaviour is
 #: testable (and reproducible) without a real clock.
@@ -122,14 +124,12 @@ class Baseline:
     # -- authoring -------------------------------------------------------
 
     @classmethod
-    def from_findings(cls, findings: list[Finding],
-                      reason: str = "TODO: justify or fix",
-                      expiry_days: int = DEFAULT_EXPIRY_DAYS) -> "Baseline":
+    def from_findings(cls, findings: list[Finding]) -> "Baseline":
         expires = (_today()
-                   + datetime.timedelta(days=expiry_days)).isoformat()
+                   + datetime.timedelta(days=DEFAULT_EXPIRY_DAYS)).isoformat()
         entries = [BaselineEntry(rule=f.rule_id, path=f.path,
                                  snippet_hash=snippet_hash(f.snippet),
-                                 reason=reason, expires=expires)
+                                 reason=DEFAULT_REASON, expires=expires)
                    for f in findings]
         # One entry per (rule, path, snippet) even when a line repeats.
         unique = {entry.key(): entry for entry in entries}

@@ -96,11 +96,10 @@ class Sanitizer:
 
     # -- held sets & lock order -------------------------------------------
 
-    def held_by(self, thread_id: int | None = None) -> list:
-        ident = thread_id if thread_id is not None \
-            else threading.get_ident()
+    def held_by(self) -> list:
+        """The locks the calling thread holds, in acquisition order."""
         with self._state:
-            return list(self._held.get(ident, ()))
+            return list(self._held.get(threading.get_ident(), ()))
 
     def _before_acquire(self, lock) -> None:
         """Record order edges *before* blocking: if this acquisition

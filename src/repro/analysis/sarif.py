@@ -16,6 +16,8 @@ from repro.analysis.findings import AnalysisReport, FAMILIES, Finding
 from repro.analysis.visitors import REGISTRY
 
 _SARIF_VERSION = "2.1.0"
+#: The ``tool.driver.version`` the document reports.
+TOOL_VERSION = "0"
 _SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
                  "sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
 
@@ -56,8 +58,7 @@ def _result(finding: Finding) -> dict:
     return result
 
 
-def render_sarif(report: AnalysisReport,
-                 tool_version: str = "0") -> str:
+def render_sarif(report: AnalysisReport) -> str:
     """The report as a SARIF 2.1.0 JSON document (one run)."""
     referenced = sorted({f.rule_id for f in report.findings}
                         & set(REGISTRY))
@@ -71,7 +72,7 @@ def render_sarif(report: AnalysisReport,
                     "name": "harmonylint",
                     "informationUri":
                         "https://example.invalid/harmonylint",
-                    "version": tool_version,
+                    "version": TOOL_VERSION,
                     "rules": rules,
                 },
             },

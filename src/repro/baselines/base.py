@@ -235,9 +235,8 @@ class BaselineRuntime(RuntimeBase):
                  policy: SchedulingPolicy,
                  config: SimConfig = DEFAULT_SIM_CONFIG,
                  shuffle_seed: int | None = None,
-                 dop_scale: float = 1.0,
-                 cost_model: CostModel | None = None):
-        super().__init__(n_machines, workload, config, cost_model, name)
+                 dop_scale: float = 1.0):
+        super().__init__(n_machines, workload, config, None, name)
         self.master = BaselineMaster(self.sim, self.cluster,
                                      self.cost_model, config, self.streams,
                                      self.recorder, mode=mode,

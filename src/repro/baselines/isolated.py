@@ -20,7 +20,6 @@ from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.group_runtime import ExecutionMode
 from repro.policies.queueing import packed_fifo
 from repro.workloads.apps import JobSpec
-from repro.workloads.costmodel import CostModel
 
 
 class IsolatedRuntime(BaselineRuntime):
@@ -34,12 +33,10 @@ class IsolatedRuntime(BaselineRuntime):
 
     def __init__(self, n_machines: int, workload: Sequence[JobSpec],
                  config: SimConfig = DEFAULT_SIM_CONFIG,
-                 dop_scale: float = DOP_SCALE,
-                 cost_model: CostModel | None = None):
+                 dop_scale: float = DOP_SCALE):
         super().__init__(n_machines, workload,
                          mode=ExecutionMode.ISOLATED,
                          name="isolated",
                          policy=packed_fifo(group_size=1),
                          config=config,
-                         dop_scale=dop_scale,
-                         cost_model=cost_model)
+                         dop_scale=dop_scale)

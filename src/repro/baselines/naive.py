@@ -26,7 +26,6 @@ from repro.core.group_runtime import ExecutionMode
 from repro.core.runtime import RunResult
 from repro.policies.queueing import packed_fifo
 from repro.workloads.apps import JobSpec
-from repro.workloads.costmodel import CostModel
 
 
 class NaiveRuntime(BaselineRuntime):
@@ -36,16 +35,14 @@ class NaiveRuntime(BaselineRuntime):
                  config: SimConfig = DEFAULT_SIM_CONFIG,
                  group_size: int = 2,
                  shuffle_seed: int | None = 0,
-                 dop_scale: float = 0.4,
-                 cost_model: CostModel | None = None):
+                 dop_scale: float = 0.4):
         super().__init__(n_machines, workload,
                          mode=ExecutionMode.NAIVE,
                          name="naive",
                          policy=packed_fifo(group_size=group_size),
                          config=config,
                          shuffle_seed=shuffle_seed,
-                         dop_scale=dop_scale,
-                         cost_model=cost_model)
+                         dop_scale=dop_scale)
 
 
 #: Co-location degree of each sampled naive case, cycled.
@@ -53,7 +50,6 @@ NAIVE_GROUP_SIZES = (2, 2, 3)
 
 
 def run_naive_cases(n_machines: int, workload: Sequence[JobSpec],
-                    config: SimConfig = DEFAULT_SIM_CONFIG,
                     n_cases: int = 5) -> list[RunResult]:
     """Sample several naive groupings, as §V-A "run[s] all possible
     cases, and report[s] the best and the worst case".
@@ -64,20 +60,11 @@ def run_naive_cases(n_machines: int, workload: Sequence[JobSpec],
     Fig. 10.
     """
     results = []
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(DEFAULT_SIM_CONFIG.seed)
     for case in range(n_cases):
         group_size = NAIVE_GROUP_SIZES[case % len(NAIVE_GROUP_SIZES)]
         seed = int(rng.integers(0, 2**31 - 1))
-        runtime = NaiveRuntime(n_machines, workload, config=config,
-                               group_size=group_size, shuffle_seed=seed)
+        runtime = NaiveRuntime(n_machines, workload, group_size=group_size,
+                               shuffle_seed=seed)
         results.append(runtime.run())
     return results
-
-
-def best_and_worst(results: Sequence[RunResult],
-                   baseline_jct: float) -> tuple[RunResult, RunResult]:
-    """The best/worst cases by JCT speedup (the Fig. 10 error bar)."""
-    if not results:
-        raise ValueError("no naive cases to compare")
-    ordered = sorted(results, key=lambda r: baseline_jct / r.mean_jct)
-    return ordered[-1], ordered[0]

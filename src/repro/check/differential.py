@@ -86,8 +86,12 @@ class OracleCase:
                    / self.oracle_score)
 
 
-def perfmodel_cases(n_cases: int = 20, seed: int = 2021,
-                    iterations: int = 8) -> list[PerfModelCase]:
+#: Iterations each differential case runs.
+PERFMODEL_ITERATIONS = 8
+
+
+def perfmodel_cases(n_cases: int = 20,
+                    seed: int = 2021) -> list[PerfModelCase]:
     """Seeded simulator-vs-Eq.1 instances (``n_cases`` of them)."""
     from repro.experiments.common import run_single_group
 
@@ -111,7 +115,8 @@ def perfmodel_cases(n_cases: int = 20, seed: int = 2021,
                        for spec in chosen)
         if resident > budget:
             continue
-        specs = [replace(spec, iterations=iterations, submit_time=0.0)
+        specs = [replace(spec, iterations=PERFMODEL_ITERATIONS,
+                         submit_time=0.0)
                  for spec in chosen]
         metrics = [exact_metrics(cost_model, spec, m) for spec in specs]
         predicted = PerfModel().estimate_group(

@@ -8,7 +8,7 @@ detected immediately rather than corrupting an experiment silently.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from repro.cluster.machine import Machine
 from repro.config import MachineSpec
@@ -76,11 +76,6 @@ class Cluster:
             raise ClusterError(f"unknown machine id {machine_id}")
         return machine_id in self._failed
 
-    def cell_sizes(self, n_cells: int) -> tuple[int, ...]:
-        """This pool's machine counts when split into ``n_cells``
-        scheduling cells (:func:`split_machine_counts`)."""
-        return split_machine_counts(self.size, n_cells)
-
     def owned_by(self, owner: str) -> tuple[int, ...]:
         """Machine ids currently held by ``owner``."""
         return tuple(sorted(mid for mid, who in self._owner_of.items()
@@ -91,13 +86,6 @@ class Cluster:
         if not 0 <= machine_id < self.size:
             raise ClusterError(f"unknown machine id {machine_id}")
         return self._owner_of.get(machine_id)
-
-    def owners(self) -> dict[str, int]:
-        """Mapping of owner -> machine count."""
-        counts: dict[str, int] = {}
-        for who in self._owner_of.values():
-            counts[who] = counts.get(who, 0) + 1
-        return counts
 
     # -- allocation ----------------------------------------------------
 
@@ -161,19 +149,6 @@ class Cluster:
         self._failed.discard(machine_id)
         if machine_id not in self._owner_of:
             self._free.append(machine_id)
-
-    def reassign(self, machine_ids: Sequence[int], old_owner: str,
-                 new_owner: str) -> None:
-        """Move machines between owners without a release/allocate cycle
-        (used during regrouping so counts never transiently exceed the
-        cluster size)."""
-        for mid in machine_ids:
-            actual = self._owner_of.get(mid)
-            if actual != old_owner:
-                raise ClusterError(
-                    f"machine {mid} is owned by {actual!r}, not {old_owner!r}")
-        for mid in machine_ids:
-            self._owner_of[mid] = new_owner
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Cluster {self.n_allocated}/{self.size} allocated>"

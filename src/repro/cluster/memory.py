@@ -50,10 +50,6 @@ class MemoryLedger:
         for key in [k for k in self._components if k[0] == job_id]:
             del self._components[key]
 
-    def job_resident_bytes(self, job_id: str) -> float:
-        return sum(v for (jid, _), v in self._components.items()
-                   if jid == job_id)
-
     # -- derived quantities ----------------------------------------------
 
     @property
@@ -92,10 +88,6 @@ class MemoryLedger:
                 job_ids=job_ids,
                 resident_gb=self.resident_bytes / GB,
                 capacity_gb=self.spec.usable_memory_gb)
-
-    def headroom_bytes(self) -> float:
-        """Bytes per machine still available before OOM."""
-        return max(0.0, self.spec.usable_memory_bytes - self.resident_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<MemoryLedger {self.resident_bytes / GB:.2f}"

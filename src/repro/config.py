@@ -261,8 +261,8 @@ class SimConfig:
     def with_sharding(self, n_cells: int, **kwargs) -> "SimConfig":
         return replace(self, shard=ShardConfig(n_cells=n_cells, **kwargs))
 
-    def with_tracing(self, enabled: bool = True, **kwargs) -> "SimConfig":
-        return replace(self, trace=TraceConfig(enabled=enabled, **kwargs))
+    def with_tracing(self, **kwargs) -> "SimConfig":
+        return replace(self, trace=TraceConfig(enabled=True, **kwargs))
 
 
 DEFAULT_SIM_CONFIG = SimConfig()

@@ -10,7 +10,7 @@ from repro.core.perfmodel import GroupEstimate, PerfModel, UtilizationVector
 from repro.core.profiler import JobMetrics, Profiler
 from repro.core.runtime import HarmonyRuntime, JobOutcome, RunResult
 from repro.core.scheduler import GroupPlan, HarmonyScheduler, SchedulePlan
-from repro.core.subtask import SubTask, SubTaskKind
+from repro.core.subtask import SubTaskKind
 
 __all__ = [
     "GroupEstimate",
@@ -25,7 +25,6 @@ __all__ = [
     "PerfModel",
     "Profiler",
     "SchedulePlan",
-    "SubTask",
     "SubTaskKind",
     "UtilizationVector",
 ]

@@ -78,15 +78,6 @@ class FineGrainedResult:
     cpu_busy_fraction: float = 0.0
     net_busy_fraction: float = 0.0
 
-    def mean_cycle_seconds(self) -> float:
-        """Steady-state mean iteration time across jobs."""
-        samples = []
-        for durations in self.cycles.values():
-            samples.extend(durations[WARMUP_ITERATIONS:])
-        if not samples:
-            raise SimulationError("no steady-state cycles measured")
-        return sum(samples) / len(samples)
-
     def pacing_cycle_seconds(self) -> float:
         """The slowest job's mean cycle (Eq. 1's ``max`` semantics)."""
         means = []

@@ -92,13 +92,6 @@ class Job:
     def is_done(self) -> bool:
         return self.state in (JobState.FINISHED, JobState.FAILED)
 
-    @property
-    def is_schedulable(self) -> bool:
-        """Whether Algorithm 1 may consider this job (L2: profiled,
-        paused, or running jobs)."""
-        return self.state in (JobState.PROFILED, JobState.PAUSED,
-                              JobState.RUNNING)
-
     def complete_iteration(self) -> bool:
         """Record one finished iteration; True if the job converged."""
         if self.remaining_iterations <= 0:
@@ -106,12 +99,6 @@ class Job:
                 f"job {self.job_id} iterated past convergence")
         self.remaining_iterations -= 1
         return self.remaining_iterations == 0
-
-    def completion_time(self) -> float:
-        """Job completion time (JCT): submission to termination (§V-C)."""
-        if self.finish_time is None:
-            raise JobStateError(f"job {self.job_id} has not finished")
-        return self.finish_time - self.submit_time
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Job {self.job_id} {self.state.value} "

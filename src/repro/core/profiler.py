@@ -16,6 +16,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
+from math import inf
 
 from repro.errors import SchedulingError
 
@@ -54,7 +55,7 @@ class JobMetrics:
 
 
 #: Callback invoked as ``listener(job_id)`` whenever a job's moving
-#: averages change (or the job is forgotten).
+#: averages change.
 MetricsListener = Callable[[str], None]
 
 
@@ -62,8 +63,8 @@ class Profiler:
     """Moving-average store of per-job metrics.
 
     The profiler is the single source of truth the scheduler's caches
-    key on: every publish replaces the job's :class:`JobMetrics`, bumps
-    :attr:`version` and notifies the registered listeners.  The master's
+    key on: every publish replaces the job's :class:`JobMetrics` and
+    notifies the registered listeners.  The master's
     group-estimate memo listens and clears itself exactly when §IV-B1's
     moving averages move.  Plan caches need no listener: they store the
     metrics each entry was computed from and compare them on read, so
@@ -76,12 +77,10 @@ class Profiler:
         self.ema_alpha = ema_alpha
         # The local runtime's worker threads call record_iteration
         # concurrently (one per worker per epoch); the read-modify-write
-        # EMA fold and the version bump must be atomic or folds are
-        # lost.  RLock because _publish runs under the same lock.
+        # EMA fold must be atomic or folds are lost.  RLock because
+        # _publish runs under the same lock.
         self._lock = threading.RLock()
         self._metrics: dict[str, JobMetrics] = {}
-        #: Bumped on every record/forget; caches stamp entries with it.
-        self.version = 0
         self._listeners: list[MetricsListener] = []
 
     def add_listener(self, listener: MetricsListener) -> None:
@@ -91,9 +90,8 @@ class Profiler:
 
     def _publish(self, job_id: str) -> None:
         # Called with the lock held: listeners are fast cache
-        # invalidations and must observe the bumped version atomically
-        # with the metrics change they are being notified about.
-        self.version += 1
+        # invalidations and must observe the metrics change they are
+        # being notified about atomically.
         for listener in self._listeners:
             listener(job_id)
 
@@ -106,9 +104,11 @@ class Profiler:
         ``t_cpu``/``t_net`` are the measured COMP / total-COMM subtask
         durations of the iteration; ``m`` is the group's machine count.
         """
-        if t_cpu < 0 or t_net < 0:
+        # Stated positively so NaN fails too.
+        if not (0.0 <= t_cpu < inf and 0.0 <= t_net < inf):
             raise SchedulingError(
-                f"negative measured duration for {job_id}")
+                f"measured durations for {job_id} must be finite and "
+                f">= 0, got t_cpu={t_cpu}, t_net={t_net}")
         if m < 1:
             raise SchedulingError(f"DoP must be >= 1, got {m}")
         work = t_cpu * m
@@ -153,16 +153,6 @@ class Profiler:
         if metrics is None:
             raise SchedulingError(f"job {job_id} has not been profiled")
         return metrics
-
-    def forget(self, job_id: str) -> None:
-        """Drop a finished job's metrics."""
-        with self._lock:
-            if self._metrics.pop(job_id, None) is not None:
-                self._publish(job_id)
-
-    def known_jobs(self) -> list[str]:
-        with self._lock:
-            return sorted(self._metrics)
 
     def __len__(self) -> int:
         with self._lock:

@@ -13,62 +13,14 @@ the simulated runtime in :mod:`repro.core.group_runtime`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
-
-class ResourceKind(enum.Enum):
-    """The dominant resource type of a subtask."""
-
-    CPU = "cpu"
-    NETWORK = "network"
 
 
 class SubTaskKind(enum.Enum):
-    """PULL / COMP / PUSH — the three steps of one iteration (Fig. 1)."""
+    """PULL / COMP / PUSH — the three steps of one iteration (Fig. 1).
+
+    COMM subtasks (PULL/PUSH) use the network; COMP uses the CPU.
+    """
 
     PULL = "pull"
     COMP = "comp"
     PUSH = "push"
-
-    @property
-    def resource(self) -> ResourceKind:
-        """COMM subtasks (PULL/PUSH) use the network; COMP uses CPU."""
-        if self is SubTaskKind.COMP:
-            return ResourceKind.CPU
-        return ResourceKind.NETWORK
-
-    @property
-    def is_comm(self) -> bool:
-        return self is not SubTaskKind.COMP
-
-
-#: Subtask order within one iteration (Fig. 1's PULL-COMP-PUSH).
-ITERATION_SEQUENCE: tuple[SubTaskKind, ...] = (
-    SubTaskKind.PULL, SubTaskKind.COMP, SubTaskKind.PUSH)
-
-
-@dataclass(frozen=True)
-class SubTask:
-    """One schedulable subtask instance of a job iteration."""
-
-    job_id: str
-    kind: SubTaskKind
-    iteration: int
-    #: Service demand in seconds on its dominant resource (at rate 1.0).
-    duration: float
-    #: Worker index for distributed execution (None = group-level model).
-    worker: int | None = None
-
-    @property
-    def resource(self) -> ResourceKind:
-        return self.kind.resource
-
-    @property
-    def tag(self) -> str:
-        """Resource-accounting tag (per-job attribution)."""
-        return self.job_id
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        where = "" if self.worker is None else f"@w{self.worker}"
-        return (f"<SubTask {self.job_id}#{self.iteration} "
-                f"{self.kind.value}{where} {self.duration:.2f}s>")

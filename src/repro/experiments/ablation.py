@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 from repro.baselines.base import BaselineRuntime
 from repro.baselines.isolated import IsolatedRuntime
-from repro.config import DEFAULT_SIM_CONFIG, SimConfig
+from repro.config import DEFAULT_SIM_CONFIG
 from repro.core.group_runtime import ExecutionMode
 from repro.core.runtime import HarmonyRuntime, RunResult
 from repro.experiments.common import scaled_workload
@@ -34,6 +34,11 @@ from repro.policies.queueing import packed_fifo
 #: Static spill ratio for stages 1-2 (between Fig. 4's no-spill OOM and
 #: full spill; the §V-G sweep shows mid-range ratios are workable).
 _STATIC_ALPHA = 0.5
+
+_STATIC_SPILL = replace(DEFAULT_SIM_CONFIG, memory=replace(
+    DEFAULT_SIM_CONFIG.memory, fixed_alpha=_STATIC_ALPHA))
+_NO_SPILL = replace(DEFAULT_SIM_CONFIG, memory=replace(
+    DEFAULT_SIM_CONFIG.memory, spill_enabled=False))
 
 
 @dataclass
@@ -61,38 +66,25 @@ class AblationResult:
                 ("+ dynamic reloading (full)", self.full)]
 
 
-def _static_spill(config: SimConfig) -> SimConfig:
-    return replace(config, memory=replace(config.memory,
-                                          fixed_alpha=_STATIC_ALPHA))
-
-
-def _no_spill(config: SimConfig) -> SimConfig:
-    return replace(config, memory=replace(config.memory,
-                                          spill_enabled=False))
-
-
-def run(scale: float = 1.0, seed: int = 2021,
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> AblationResult:
+def run(scale: float = 1.0, seed: int = 2021) -> AblationResult:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
     workload, n_machines = scaled_workload(scale, seed)
 
-    isolated = IsolatedRuntime(n_machines, workload,
-                               config=config).run()
+    isolated = IsolatedRuntime(n_machines, workload).run()
     # Sanity stage: grouping *without any* spill degenerates toward the
     # isolated baseline (memory blocks co-location entirely).
-    no_spill = HarmonyRuntime(n_machines, workload,
-                              config=_no_spill(config)).run()
+    no_spill = HarmonyRuntime(n_machines, workload, config=_NO_SPILL).run()
     # Stage 1: coordinated subtasks, queue-order grouping, static spill.
     subtasks_only = BaselineRuntime(
         n_machines, workload, mode=ExecutionMode.HARMONY,
         name="subtasks-only", policy=packed_fifo(group_size=3),
-        config=_static_spill(config), dop_scale=0.5).run()
+        config=_STATIC_SPILL, dop_scale=0.5).run()
     # Stage 2: the full scheduler, spill ratio still static.
     with_grouping = HarmonyRuntime(n_machines, workload,
-                                   config=_static_spill(config)).run()
+                                   config=_STATIC_SPILL).run()
     # Stage 3: complete Harmony (dynamic per-job reloading).
-    full = HarmonyRuntime(n_machines, workload, config=config).run()
+    full = HarmonyRuntime(n_machines, workload).run()
     return AblationResult(isolated=isolated, no_spill_harmony=no_spill,
                           subtasks_only=subtasks_only,
                           with_grouping=with_grouping, full=full)

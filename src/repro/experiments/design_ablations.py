@@ -47,31 +47,30 @@ def _measure(label: str, workload, n_machines: int,
                        cpu_utilization=result.average_utilization("cpu"))
 
 
-def run(scale: float = 0.5, seed: int = 2021,
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> DesignAblationsResult:
+def run(scale: float = 0.5, seed: int = 2021) -> DesignAblationsResult:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
     workload, n_machines = scaled_workload(scale, seed)
-    rows = [_measure("default", workload, n_machines, config)]
+    rows = [_measure("default", workload, n_machines, DEFAULT_SIM_CONFIG)]
 
     for order in ("sjf", "ljf", "interleave"):
-        variant = replace(config, scheduler=replace(
-            config.scheduler, admission_order=order))
+        variant = replace(DEFAULT_SIM_CONFIG, scheduler=replace(
+            DEFAULT_SIM_CONFIG.scheduler, admission_order=order))
         rows.append(_measure(f"admission={order}", workload, n_machines,
                              variant))
 
-    no_secondary = replace(config, execution=replace(
-        config.execution, secondary_comm_rate=0.0))
+    no_secondary = replace(DEFAULT_SIM_CONFIG, execution=replace(
+        DEFAULT_SIM_CONFIG.execution, secondary_comm_rate=0.0))
     rows.append(_measure("no secondary COMM", workload, n_machines,
                          no_secondary))
 
-    no_periodic = replace(config, scheduler=replace(
-        config.scheduler, reschedule_check_seconds=1e12))
+    no_periodic = replace(DEFAULT_SIM_CONFIG, scheduler=replace(
+        DEFAULT_SIM_CONFIG.scheduler, reschedule_check_seconds=1e12))
     rows.append(_measure("no periodic check", workload, n_machines,
                          no_periodic))
 
-    no_swaps = replace(config, scheduler=replace(
-        config.scheduler, max_swap_passes=0))
+    no_swaps = replace(DEFAULT_SIM_CONFIG, scheduler=replace(
+        DEFAULT_SIM_CONFIG.scheduler, max_swap_passes=0))
     rows.append(_measure("no swap fine-tuning", workload, n_machines,
                          no_swaps))
     return DesignAblationsResult(rows=rows)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.config import DEFAULT_SIM_CONFIG, SimConfig
+from repro.config import DEFAULT_SIM_CONFIG
 from repro.core.runtime import HarmonyRuntime, RunResult
 from repro.experiments.common import scaled_workload
 from repro.metrics.reporting import format_table
@@ -50,30 +50,29 @@ class ExtensionsResult:
         return self.allreduce.makespan / self.baseline.makespan
 
 
-def run(scale: float = 0.5, seed: int = 2021, n_failures: int = 4,
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> ExtensionsResult:
+def run(scale: float = 0.5, seed: int = 2021,
+        n_failures: int = 4) -> ExtensionsResult:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
     workload, n_machines = scaled_workload(scale, seed)
 
-    baseline = HarmonyRuntime(n_machines, workload, config=config).run()
+    baseline = HarmonyRuntime(n_machines, workload).run()
 
     # Failures spread over the first two thirds of the baseline run.
     failure_times = list(np.linspace(0.2, 0.66, n_failures)
                          * baseline.makespan)
-    failing = HarmonyRuntime(n_machines, workload, config=config,
+    failing = HarmonyRuntime(n_machines, workload,
                              failure_times=failure_times)
     with_failures = failing.run()
 
     allreduce = HarmonyRuntime(
-        n_machines, workload, config=config,
-        cost_model=CostModel(config.machine,
+        n_machines, workload,
+        cost_model=CostModel(DEFAULT_SIM_CONFIG.machine,
                              comm_architecture="allreduce"),
         scheduler_name="harmony-allreduce").run()
 
-    noisy_config = replace(
-        config, execution=replace(config.execution,
-                                  comm_interference_probability=0.10))
+    noisy_config = replace(DEFAULT_SIM_CONFIG, execution=replace(
+        DEFAULT_SIM_CONFIG.execution, comm_interference_probability=0.10))
     with_interference = HarmonyRuntime(n_machines, workload,
                                        config=noisy_config).run()
 

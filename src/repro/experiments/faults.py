@@ -25,12 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.runtime import HarmonyRuntime, RunResult
 from repro.experiments.common import scaled_workload
 from repro.faults.plan import FaultPlan
 from repro.metrics.faults import FaultSummary
 from repro.metrics.reporting import format_table
+
+#: Cluster-wide fault rates, per hour of the fault-free makespan.
+CRASH_RATE_PER_HOUR = 0.5
+SLOWDOWN_RATE_PER_HOUR = 1.0
+DROP_RATE_PER_HOUR = 2.0
 
 
 @dataclass
@@ -49,12 +53,7 @@ class FaultsResult:
         return self.faulty.mean_jct / self.baseline.mean_jct
 
 
-def run(scale: float = 0.5, seed: int = 2021,
-        crash_rate_per_hour: float = 0.5,
-        slowdown_rate_per_hour: float = 1.0,
-        drop_rate_per_hour: float = 2.0,
-        crash_downtime_seconds: float = 1800.0,
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> FaultsResult:
+def run(scale: float = 0.5, seed: int = 2021) -> FaultsResult:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces.
 
@@ -63,17 +62,15 @@ def run(scale: float = 0.5, seed: int = 2021,
     """
     workload, n_machines = scaled_workload(scale, seed)
 
-    baseline = HarmonyRuntime(n_machines, workload, config=config).run()
+    baseline = HarmonyRuntime(n_machines, workload).run()
 
     plan = FaultPlan.generate(
         seed=seed, n_machines=n_machines,
         horizon_seconds=baseline.makespan,
-        crash_rate_per_hour=crash_rate_per_hour,
-        slowdown_rate_per_hour=slowdown_rate_per_hour,
-        drop_rate_per_hour=drop_rate_per_hour,
-        crash_downtime_seconds=crash_downtime_seconds)
-    faulty = HarmonyRuntime(n_machines, workload, config=config,
-                            fault_plan=plan,
+        crash_rate_per_hour=CRASH_RATE_PER_HOUR,
+        slowdown_rate_per_hour=SLOWDOWN_RATE_PER_HOUR,
+        drop_rate_per_hour=DROP_RATE_PER_HOUR)
+    faulty = HarmonyRuntime(n_machines, workload, fault_plan=plan,
                             scheduler_name="harmony-faults").run()
 
     return FaultsResult(baseline=baseline, faulty=faulty, plan=plan,

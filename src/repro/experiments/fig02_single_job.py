@@ -40,14 +40,14 @@ class Fig02Result:
     rows: list[tuple[str, float, float]]  # (config, cpu%, net%)
 
 
-def run(n_machines: int = _MACHINES) -> Fig02Result:
+def run() -> Fig02Result:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
     rows = []
     for label, spec in _CONFIGS:
         # A single job in ISOLATED mode: the classic sequential
         # PULL-COMP-PUSH loop of Fig. 1.
-        measured = run_single_group([spec], n_machines,
+        measured = run_single_group([spec], _MACHINES,
                                     mode=ExecutionMode.ISOLATED)
         rows.append((label, 100.0 * measured.cpu_utilization,
                      100.0 * measured.net_utilization))

@@ -39,13 +39,13 @@ class Fig03Result:
     rows: list[Fig03Row]
 
 
-def run(dops: tuple[int, ...] = _DOPS) -> Fig03Result:
+def run() -> Fig03Result:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
     spec = JobSpec("MLR-dop-sweep", MLR, _DATASET, iterations=8)
     cost_model = CostModel()
     rows = []
-    for m in dops:
+    for m in _DOPS:
         measured = run_single_group([spec], m,
                                     mode=ExecutionMode.ISOLATED)
         profile = cost_model.profile(spec, m)

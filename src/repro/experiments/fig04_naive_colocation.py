@@ -52,8 +52,8 @@ class Fig04Result:
 
 
 def _measure(specs: Sequence[JobSpec], mode: ExecutionMode,
-             label: str, n_machines: int) -> Fig04Row:
-    result = run_single_group(list(specs), n_machines, mode=mode)
+             label: str) -> Fig04Row:
+    result = run_single_group(list(specs), _MACHINES, mode=mode)
     if result.failed:
         return Fig04Row(label=label, cpu_utilization=None,
                         net_utilization=None, oom=True)
@@ -63,21 +63,19 @@ def _measure(specs: Sequence[JobSpec], mode: ExecutionMode,
                     oom=False)
 
 
-def run(n_machines: int = _MACHINES) -> Fig04Result:
+def run() -> Fig04Result:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
     specs = _specs()
     rows = []
     for name in ("NMF", "Lasso", "MLR"):
-        rows.append(_measure([specs[name]], ExecutionMode.ISOLATED,
-                             name, n_machines))
+        rows.append(_measure([specs[name]], ExecutionMode.ISOLATED, name))
     rows.append(_measure([specs["NMF"], specs["Lasso"]],
-                         ExecutionMode.NAIVE, "NMF+Lasso", n_machines))
+                         ExecutionMode.NAIVE, "NMF+Lasso"))
     rows.append(_measure([specs["NMF"], specs["MLR"]],
-                         ExecutionMode.NAIVE, "NMF+MLR", n_machines))
+                         ExecutionMode.NAIVE, "NMF+MLR"))
     rows.append(_measure([specs["NMF"], specs["MLR"], specs["Lasso"]],
-                         ExecutionMode.NAIVE, "NMF+MLR+Lasso",
-                         n_machines))
+                         ExecutionMode.NAIVE, "NMF+MLR+Lasso"))
     return Fig04Result(rows=rows)
 
 

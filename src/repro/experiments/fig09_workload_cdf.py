@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.metrics.reporting import format_table
-from repro.metrics.stats import cdf_points
 from repro.workloads.apps import DATASETS, JobSpec
 from repro.workloads.costmodel import CostModel
 from repro.workloads.generator import CHARACTERIZATION_DOP, make_base_workload
@@ -24,18 +23,11 @@ class Fig09Result:
     comp_ratios: np.ndarray
     jobs: list[JobSpec]
 
-    def iteration_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        return cdf_points(self.iteration_minutes)
 
-    def comp_ratio_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        return cdf_points(self.comp_ratios)
-
-
-def run(seed: int = 2021, hyper_params_per_pair: int = 10) -> Fig09Result:
+def run(seed: int = 2021) -> Fig09Result:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
-    jobs = make_base_workload(seed=seed,
-                              hyper_params_per_pair=hyper_params_per_pair)
+    jobs = make_base_workload(seed=seed)
     cost_model = CostModel()
     profiles = [cost_model.profile(job, CHARACTERIZATION_DOP)
                 for job in jobs]

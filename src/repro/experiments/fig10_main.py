@@ -8,16 +8,13 @@ worst cases below 1x; Harmony 2.11x JCT / 1.60x makespan.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.baselines.isolated import IsolatedRuntime
 from repro.baselines.naive import run_naive_cases
-from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.runtime import HarmonyRuntime, RunResult
 from repro.experiments.common import scaled_workload
 from repro.metrics.reporting import format_table
-from repro.workloads.apps import JobSpec
 
 
 @dataclass
@@ -57,21 +54,15 @@ class Fig10Result:
                 / self.isolated.average_utilization("cpu"))
 
 
-def run(scale: float = 1.0, seed: int = 2021, n_naive_cases: int = 3,
-        config: SimConfig = DEFAULT_SIM_CONFIG,
-        workload: Sequence[JobSpec] | None = None,
-        n_machines: int | None = None) -> Fig10Result:
+def run(scale: float = 1.0, seed: int = 2021,
+        n_naive_cases: int = 3) -> Fig10Result:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
-    if workload is None:
-        workload, default_machines = scaled_workload(scale, seed)
-        n_machines = n_machines or default_machines
-    elif n_machines is None:
-        raise ValueError("explicit workload needs explicit n_machines")
-    isolated = IsolatedRuntime(n_machines, workload, config=config).run()
-    naive_cases = run_naive_cases(n_machines, workload, config=config,
+    workload, n_machines = scaled_workload(scale, seed)
+    isolated = IsolatedRuntime(n_machines, workload).run()
+    naive_cases = run_naive_cases(n_machines, workload,
                                   n_cases=n_naive_cases)
-    harmony = HarmonyRuntime(n_machines, workload, config=config).run()
+    harmony = HarmonyRuntime(n_machines, workload).run()
     return Fig10Result(isolated=isolated, naive_cases=naive_cases,
                        harmony=harmony)
 

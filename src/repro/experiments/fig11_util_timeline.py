@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.isolated import IsolatedRuntime
-from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.runtime import HarmonyRuntime, RunResult
 from repro.experiments.common import scaled_workload
 from repro.metrics.timeline import Timeline
@@ -29,13 +28,12 @@ class Fig11Result:
         return run_result.utilization_timeline(which_resource)
 
 
-def run(scale: float = 1.0, seed: int = 2021,
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> Fig11Result:
+def run(scale: float = 1.0, seed: int = 2021) -> Fig11Result:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
     workload, n_machines = scaled_workload(scale, seed)
-    isolated = IsolatedRuntime(n_machines, workload, config=config).run()
-    harmony = HarmonyRuntime(n_machines, workload, config=config).run()
+    isolated = IsolatedRuntime(n_machines, workload).run()
+    harmony = HarmonyRuntime(n_machines, workload).run()
     return Fig11Result(isolated=isolated, harmony=harmony)
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.runtime import HarmonyRuntime, RunResult
 from repro.experiments.common import scaled_workload
 from repro.metrics.reporting import format_table
@@ -43,9 +42,6 @@ class GroupShapeStats:
     def dop_cdf(self):
         return cdf_points(self.dops)
 
-    def jobs_cdf(self):
-        return cdf_points(self.jobs_per_group)
-
 
 @dataclass
 class Fig12Result:
@@ -57,9 +53,8 @@ class Fig12Result:
         return [self.base, self.comp_intensive, self.comm_intensive]
 
 
-def _stats(label: str, workload, n_machines: int,
-           config: SimConfig) -> GroupShapeStats:
-    result = HarmonyRuntime(n_machines, workload, config=config).run()
+def _stats(label: str, workload, n_machines: int) -> GroupShapeStats:
+    result = HarmonyRuntime(n_machines, workload).run()
     # Weight each epoch by nothing (decision-count distribution, as the
     # paper extracts "from grouping decisions of the scheduler").
     dops = np.array([m for _, m, _ in result.group_shape_log])
@@ -68,8 +63,7 @@ def _stats(label: str, workload, n_machines: int,
                            result=result)
 
 
-def run(scale: float = 1.0, seed: int = 2021,
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> Fig12Result:
+def run(scale: float = 1.0, seed: int = 2021) -> Fig12Result:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
     workload, n_machines = scaled_workload(scale, seed)
@@ -77,11 +71,9 @@ def run(scale: float = 1.0, seed: int = 2021,
     comp_subset = comp_intensive_subset(workload, subset_size)
     comm_subset = comm_intensive_subset(workload, subset_size)
     return Fig12Result(
-        base=_stats("base", workload, n_machines, config),
-        comp_intensive=_stats("comp-intensive", comp_subset, n_machines,
-                              config),
-        comm_intensive=_stats("comm-intensive", comm_subset, n_machines,
-                              config))
+        base=_stats("base", workload, n_machines),
+        comp_intensive=_stats("comp-intensive", comp_subset, n_machines),
+        comm_intensive=_stats("comm-intensive", comm_subset, n_machines))
 
 
 def report(result: Fig12Result) -> str:

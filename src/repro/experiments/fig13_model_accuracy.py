@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.perfmodel import PerfModel
 from repro.core.runtime import HarmonyRuntime, RunResult
 from repro.experiments.common import scaled_workload
@@ -68,8 +67,8 @@ class Fig13Result:
 
 
 def run(scale: float = 1.0, seed: int = 2021,
-        error_levels: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20),
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> Fig13Result:
+        error_levels: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20)
+        ) -> Fig13Result:
     workload, n_machines = scaled_workload(scale, seed)
 
     baseline: RunResult | None = None
@@ -79,7 +78,7 @@ def run(scale: float = 1.0, seed: int = 2021,
         injector = make_error_injector(level, seed=seed) \
             if level > 0 else None
         perf_model = PerfModel(error_injector=injector)
-        result = HarmonyRuntime(n_machines, workload, config=config,
+        result = HarmonyRuntime(n_machines, workload,
                                 perf_model=perf_model).run()
         if baseline is None:
             baseline = result
@@ -95,8 +94,7 @@ def run(scale: float = 1.0, seed: int = 2021,
 
     if reference is None:  # error_levels did not include 0.0
         workload, n_machines = scaled_workload(scale, seed)
-        reference = HarmonyRuntime(n_machines, workload,
-                                   config=config).run()
+        reference = HarmonyRuntime(n_machines, workload).run()
     errors = reference.prediction_errors()
     return Fig13Result(
         sensitivity=rows,

@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 
 from repro.baselines.oracle import OracleScheduler
-from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.runtime import HarmonyRuntime, RunResult
 from repro.core.scheduler import HarmonyScheduler
 from repro.metrics.reporting import format_table
@@ -46,8 +45,8 @@ class Fig14Result:
             / max(oracle_util, 1e-9)
 
 
-def run(n_jobs: int = 8, n_machines: int = 24, seed: int = 2021,
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> Fig14Result:
+def run(n_jobs: int = 8, n_machines: int = 24,
+        seed: int = 2021) -> Fig14Result:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
     workload = WorkloadGenerator(seed).base_workload(
@@ -55,7 +54,7 @@ def run(n_jobs: int = 8, n_machines: int = 24, seed: int = 2021,
 
     # harmony: allow[DET001] the measured quantity is real scheduler wall time
     started = time.perf_counter()
-    harmony = HarmonyRuntime(n_machines, workload, config=config,
+    harmony = HarmonyRuntime(n_machines, workload,
                              scheduler_factory=HarmonyScheduler,
                              scheduler_name="harmony").run()
     # harmony: allow[DET001] the measured quantity is real scheduler wall time
@@ -63,7 +62,7 @@ def run(n_jobs: int = 8, n_machines: int = 24, seed: int = 2021,
 
     # harmony: allow[DET001] the measured quantity is real scheduler wall time
     started = time.perf_counter()
-    oracle = HarmonyRuntime(n_machines, workload, config=config,
+    oracle = HarmonyRuntime(n_machines, workload,
                             scheduler_factory=OracleScheduler,
                             scheduler_name="oracle").run()
     # harmony: allow[DET001] the measured quantity is real scheduler wall time

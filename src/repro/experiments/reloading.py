@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.config import DEFAULT_SIM_CONFIG, SimConfig
+from repro.config import DEFAULT_SIM_CONFIG
 from repro.experiments.common import SingleGroupResult, run_single_group
 from repro.metrics.reporting import format_table
 from repro.workloads.generator import WorkloadGenerator
@@ -67,21 +67,19 @@ def _workload(seed: int):
             for job in jobs]
 
 
-def _group_run(alpha, n_machines: int, seed: int,
-               config: SimConfig):
-    memory = replace(config.memory, fixed_alpha=alpha)
-    group_config = replace(config, memory=memory)
-    specs = _workload(seed)
-    return run_single_group(specs, n_machines, config=group_config,
+def _group_run(alpha, seed: int):
+    config = replace(DEFAULT_SIM_CONFIG, memory=replace(
+        DEFAULT_SIM_CONFIG.memory, fixed_alpha=alpha))
+    return run_single_group(_workload(seed), _MACHINES, config=config,
                             max_iterations=_ITERATIONS)
 
 
-def run(n_machines: int = _MACHINES, seed: int = 2021,
-        alphas: tuple[float, ...] = (0.1, 0.2, 0.3, 0.5, 0.7, 0.9),
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> ReloadingResult:
+def run(seed: int = 2021,
+        alphas: tuple[float, ...] = (0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
+        ) -> ReloadingResult:
     fixed_rows = []
     for alpha in alphas:
-        result = _group_run(alpha, n_machines, seed, config)
+        result = _group_run(alpha, seed)
         fixed_rows.append((alpha, result.mean_iteration_seconds))
 
     # Adaptive: fixed_alpha None = per-job hill climbing.  Run the
@@ -92,12 +90,12 @@ def run(n_machines: int = _MACHINES, seed: int = 2021,
     from repro.workloads.costmodel import CostModel
     from repro.experiments.common import _CollectingHooks
 
+    config = DEFAULT_SIM_CONFIG
     simulator = Simulator()
-    cost_model = CostModel(config.machine)
     hooks = _CollectingHooks()
-    group = GroupRuntime(simulator, "vg", tuple(range(n_machines)),
-                         ExecutionMode.HARMONY, cost_model, config,
-                         RandomStreams(config.seed), hooks)
+    group = GroupRuntime(simulator, "vg", tuple(range(_MACHINES)),
+                         ExecutionMode.HARMONY, CostModel(config.machine),
+                         config, RandomStreams(config.seed), hooks)
     for spec in _workload(seed):
         spec = replace(spec, iterations=min(spec.iterations, _ITERATIONS))
         job = Job(spec)
@@ -107,7 +105,7 @@ def run(n_machines: int = _MACHINES, seed: int = 2021,
     durations = [c.duration for c in group.cycles]
     adaptive_seconds = float(np.mean(durations)) if durations else 0.0
     adaptive = SingleGroupResult(
-        job_ids=tuple(), n_machines=n_machines,
+        job_ids=tuple(), n_machines=_MACHINES,
         cpu_utilization=0.0, net_utilization=0.0,
         mean_iteration_seconds=adaptive_seconds,
         duration_seconds=simulator.now)

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, replace
 
 from repro.baselines.oracle import OracleScheduler
-from repro.config import DEFAULT_SIM_CONFIG, ShardConfig, SimConfig
+from repro.config import ShardConfig
 from repro.core.profiler import Profiler
 from repro.core.scheduler import HarmonyScheduler
 from repro.metrics.reporting import format_table
@@ -65,12 +65,11 @@ def _metrics_for(n_jobs: int, seed: int) -> list:
 def run(sizes: tuple[tuple[int, int], ...] = ((80, 100), (1000, 2000),
                                               (8000, 10_000)),
         oracle_sizes: tuple[int, ...] = (4, 6, 8),
-        seed: int = 2021,
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> ScalabilityResult:
+        seed: int = 2021) -> ScalabilityResult:
     harmony_rows = []
     for n_jobs, n_machines in sizes:
         metrics = _metrics_for(n_jobs, seed)
-        scheduler = HarmonyScheduler(config=config.scheduler)
+        scheduler = HarmonyScheduler()
         # harmony: allow[DET001] scalability exhibit measures real scheduling wall time
         started = time.perf_counter()
         plan = scheduler.schedule(metrics, n_machines)
@@ -83,7 +82,7 @@ def run(sizes: tuple[tuple[int, int], ...] = ((80, 100), (1000, 2000),
     oracle_rows = []
     for n_jobs in oracle_sizes:
         metrics = _metrics_for(n_jobs, seed)
-        oracle = OracleScheduler(config=config.scheduler)
+        oracle = OracleScheduler()
         # harmony: allow[DET001] scalability exhibit measures real scheduling wall time
         started = time.perf_counter()
         oracle.schedule(metrics, 32)
@@ -150,8 +149,7 @@ def run_sharded(
                                               (8000, 10_000)),
         cells: tuple[int, ...] = (1, 8),
         churn_steps: int = 16,
-        seed: int = 2021,
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> ShardScalabilityResult:
+        seed: int = 2021) -> ShardScalabilityResult:
     """The cells × cluster-size sweep in the online-churn setting.
 
     For each size and cell count: one cold full schedule of ``n_jobs``,
@@ -177,9 +175,7 @@ def run_sharded(
         metrics = _metrics_for(n_jobs + churn_steps, seed)
         pool0, newcomers = metrics[:n_jobs], metrics[n_jobs:]
         for n_cells in cells:
-            scheduler = ShardedScheduler(
-                config=config.scheduler,
-                shard=ShardConfig(n_cells=n_cells))
+            scheduler = ShardedScheduler(shard=ShardConfig(n_cells=n_cells))
             pool = list(pool0)
             # harmony: allow[DET001] scalability exhibit measures real scheduling wall time
             started = time.perf_counter()

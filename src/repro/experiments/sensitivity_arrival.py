@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.isolated import IsolatedRuntime
-from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.runtime import HarmonyRuntime
 from repro.experiments.common import scaled_workload
 from repro.metrics.reporting import format_table
@@ -33,10 +32,9 @@ class SensitivityArrivalResult:
     rows: list[ArrivalRow]
 
 
-def _measure(label: str, workload, n_machines: int,
-             config: SimConfig) -> ArrivalRow:
-    isolated = IsolatedRuntime(n_machines, workload, config=config).run()
-    harmony = HarmonyRuntime(n_machines, workload, config=config).run()
+def _measure(label: str, workload, n_machines: int) -> ArrivalRow:
+    isolated = IsolatedRuntime(n_machines, workload).run()
+    harmony = HarmonyRuntime(n_machines, workload).run()
     return ArrivalRow(label=label,
                       jct_speedup=isolated.mean_jct / harmony.mean_jct,
                       makespan_speedup=(isolated.makespan
@@ -45,9 +43,7 @@ def _measure(label: str, workload, n_machines: int,
 
 def run(scale: float = 1.0, seed: int = 2021,
         mean_arrival_minutes: tuple[float, ...] = (0.0, 4.0, 8.0),
-        n_trace_windows: int = 2,
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> \
-        SensitivityArrivalResult:
+        n_trace_windows: int = 2) -> SensitivityArrivalResult:
     base_workload, n_machines = scaled_workload(scale, seed)
     rows = []
     for mean_minutes in mean_arrival_minutes:
@@ -55,7 +51,7 @@ def run(scale: float = 1.0, seed: int = 2021,
                                  mean_minutes * 60.0, seed=seed)
         workload = with_arrival_times(base_workload, times)
         rows.append(_measure(f"poisson {mean_minutes:.0f} min",
-                             workload, n_machines, config))
+                             workload, n_machines))
     trace_rows = []
     for window in range(n_trace_windows):
         times = google_trace_arrivals(len(base_workload),
@@ -63,7 +59,7 @@ def run(scale: float = 1.0, seed: int = 2021,
                                       window_index=window, seed=seed)
         workload = with_arrival_times(base_workload, times)
         trace_rows.append(_measure(f"trace window {window}",
-                                   workload, n_machines, config))
+                                   workload, n_machines))
     if trace_rows:
         rows.append(ArrivalRow(
             label="google traces (avg)",

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.isolated import IsolatedRuntime
-from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.runtime import HarmonyRuntime
 from repro.experiments.common import scaled_workload
 from repro.metrics.reporting import format_table
@@ -46,10 +45,9 @@ class SensitivityRatioResult:
         raise KeyError(label)
 
 
-def _measure(label: str, workload, n_machines: int,
-             config: SimConfig) -> RatioRow:
-    isolated = IsolatedRuntime(n_machines, workload, config=config).run()
-    harmony = HarmonyRuntime(n_machines, workload, config=config).run()
+def _measure(label: str, workload, n_machines: int) -> RatioRow:
+    isolated = IsolatedRuntime(n_machines, workload).run()
+    harmony = HarmonyRuntime(n_machines, workload).run()
     dops = [m for _, m, _ in harmony.group_shape_log]
     return RatioRow(
         label=label,
@@ -60,20 +58,19 @@ def _measure(label: str, workload, n_machines: int,
         median_dop=float(np.median(dops)) if dops else 0.0)
 
 
-def run(scale: float = 1.0, seed: int = 2021,
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> SensitivityRatioResult:
+def run(scale: float = 1.0, seed: int = 2021) -> SensitivityRatioResult:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
     workload, n_machines = scaled_workload(scale, seed)
     subset_size = max(1, int(len(workload) * SUBSET_FRACTION))
     rows = [
-        _measure("base", workload, n_machines, config),
+        _measure("base", workload, n_machines),
         _measure("comp-intensive",
                  comp_intensive_subset(workload, subset_size),
-                 n_machines, config),
+                 n_machines),
         _measure("comm-intensive",
                  comm_intensive_subset(workload, subset_size),
-                 n_machines, config),
+                 n_machines),
     ]
     return SensitivityRatioResult(rows=rows)
 

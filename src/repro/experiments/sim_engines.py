@@ -37,6 +37,9 @@ from repro.workloads.generator import WorkloadGenerator
 #: Long enough that per-iteration cost dominates setup; short enough
 #: for the smoke-bench budget (~0.3s fast / ~1.5s reference per round).
 DEFAULT_ITERATIONS = 30_000
+SOLO_MACHINES = 4
+#: Best-of rounds per engine.
+SOLO_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class EngineRun:
     """One engine's measurement."""
 
     engine: str
-    #: Best-of-``rounds`` real seconds for the whole run.
+    #: Best-of-rounds real seconds for the whole run.
     wall_seconds: float
     result: SingleGroupResult
 
@@ -75,21 +78,20 @@ class EngineComparison:
                 and a.per_job_cycle_seconds == b.per_job_cycle_seconds)
 
 
-def run(iterations: int = DEFAULT_ITERATIONS, m: int = 4,
-        seed: int = 7, rounds: int = 2) -> EngineComparison:
+def run(seed: int = 7) -> EngineComparison:
     """Measure both engines on one long isolated single-job group."""
     pool = WorkloadGenerator(seed).base_workload(hyper_params_per_pair=1)
-    spec = replace(pool[0], iterations=iterations, submit_time=0.0)
+    spec = replace(pool[0], iterations=DEFAULT_ITERATIONS, submit_time=0.0)
     config = deterministic_config(seed)
     runs: dict[str, EngineRun] = {}
     for engine in ("fast", "reference"):
         cfg = config.with_engine(engine)
         best = float("inf")
         result = None
-        for _ in range(max(1, rounds)):
+        for _ in range(SOLO_ROUNDS):
             # harmony: allow[DET001] wall_seconds measures real runtime, never simulation state
             t0 = time.perf_counter()
-            result = run_single_group([spec], m,
+            result = run_single_group([spec], SOLO_MACHINES,
                                       mode=ExecutionMode.ISOLATED,
                                       config=cfg)
             # harmony: allow[DET001] wall_seconds measures real runtime, never simulation state
@@ -98,7 +100,8 @@ def run(iterations: int = DEFAULT_ITERATIONS, m: int = 4,
                                  result=result)
     return EngineComparison(fast=runs["fast"],
                             reference=runs["reference"],
-                            n_iterations=iterations, n_machines=m)
+                            n_iterations=DEFAULT_ITERATIONS,
+                            n_machines=SOLO_MACHINES)
 
 
 #: Drive-lane scenario: enough co-located jobs that every wake goes
@@ -107,11 +110,11 @@ def run(iterations: int = DEFAULT_ITERATIONS, m: int = 4,
 MULTI_JOBS = 5
 MULTI_ITERATIONS = 2_400
 MULTI_MACHINES = 24
+MULTI_SEED = 7
+MULTI_ROUNDS = 3
 
 
-def run_multi(iterations: int = MULTI_ITERATIONS,
-              n_jobs: int = MULTI_JOBS, m: int = MULTI_MACHINES,
-              seed: int = 7, rounds: int = 3) -> EngineComparison:
+def run_multi() -> EngineComparison:
     """Measure both engines on one contended multi-job HARMONY group.
 
     Unlike :func:`run` this times CPU seconds (``time.process_time``)
@@ -119,20 +122,21 @@ def run_multi(iterations: int = MULTI_ITERATIONS,
     (~2.1x) is smaller than the solo lane's, and wall-clock noise on a
     shared machine can exceed it.
     """
-    pool = WorkloadGenerator(seed).base_workload(hyper_params_per_pair=1)
+    pool = WorkloadGenerator(MULTI_SEED).base_workload(
+        hyper_params_per_pair=1)
     specs = [replace(pool[i % len(pool)], job_id=f"j{i}",
-                     iterations=iterations, submit_time=0.0)
-             for i in range(n_jobs)]
-    config = deterministic_config(seed)
+                     iterations=MULTI_ITERATIONS, submit_time=0.0)
+             for i in range(MULTI_JOBS)]
+    config = deterministic_config(MULTI_SEED)
     best: dict[str, float] = {"fast": float("inf"),
                               "reference": float("inf")}
     results: dict[str, SingleGroupResult] = {}
-    for _ in range(max(1, rounds)):
+    for _ in range(MULTI_ROUNDS):
         for engine in ("fast", "reference"):
             cfg = config.with_engine(engine)
             # harmony: allow[DET001] wall_seconds measures real runtime, never simulation state
             t0 = time.process_time()
-            result = run_single_group(specs, m,
+            result = run_single_group(specs, MULTI_MACHINES,
                                       mode=ExecutionMode.HARMONY,
                                       config=cfg)
             # harmony: allow[DET001] wall_seconds measures real runtime, never simulation state
@@ -142,7 +146,8 @@ def run_multi(iterations: int = MULTI_ITERATIONS,
         fast=EngineRun("fast", best["fast"], results["fast"]),
         reference=EngineRun("reference", best["reference"],
                             results["reference"]),
-        n_iterations=iterations, n_machines=m, n_jobs=n_jobs)
+        n_iterations=MULTI_ITERATIONS, n_machines=MULTI_MACHINES,
+        n_jobs=MULTI_JOBS)
 
 
 def report(comparison: EngineComparison) -> str:

@@ -103,10 +103,6 @@ class FaultLog:
 
     # -- queries -------------------------------------------------------
 
-    @property
-    def pending_recoveries(self) -> tuple[str, ...]:
-        return tuple(sorted(self._open))
-
     def summary(self) -> FaultSummary:
         crashes = [r for r in self.records if r.kind == "machine_crash"]
         detections = [r.detection_seconds for r in crashes
@@ -128,25 +124,3 @@ class FaultLog:
                                    if recoveries else 0.0),
             max_recovery_seconds=max(recoveries, default=0.0),
             unrecovered_jobs=len(self._open))
-
-    def rows(self) -> list[tuple]:
-        """Flat per-event rows for CSV export (one row per fault)."""
-        rows = []
-        for record in self.records:
-            recoveries = record.recovery_seconds.values()
-            rows.append((
-                f"{record.time:.1f}", record.kind, record.machine_id,
-                record.group_id or "", len(record.job_ids),
-                f"{record.duration:.1f}", f"{record.severity:.2f}",
-                "" if record.detection_seconds is None
-                else f"{record.detection_seconds:.1f}",
-                record.lost_iterations,
-                f"{record.rerun_work_seconds:.1f}",
-                f"{max(recoveries):.1f}" if recoveries else ""))
-        return rows
-
-    #: Column headers matching :meth:`rows`.
-    CSV_HEADERS = ("time_s", "kind", "machine_id", "group_id",
-                   "n_jobs_affected", "duration_s", "severity",
-                   "detection_s", "lost_iterations", "rerun_work_s",
-                   "max_recovery_s")

@@ -33,13 +33,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
     return "\n".join(lines)
 
 
-def format_comparison(name: str, paper_value: float, measured: float,
-                      unit: str = "x") -> str:
-    """One paper-vs-measured line for EXPERIMENTS.md-style reporting."""
-    return (f"{name}: paper={paper_value:.2f}{unit} "
-            f"measured={measured:.2f}{unit}")
-
-
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.2f}"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +51,6 @@ class Timeline:
     values: np.ndarray
     label: str = ""
 
-    @property
-    def times_minutes(self) -> np.ndarray:
-        """Bin start times in minutes (the paper's Fig. 11 x-axis)."""
-        return np.arange(len(self.values)) * self.bin_seconds / 60.0
-
-    def average(self) -> float:
-        return float(np.mean(self.values)) if len(self.values) else 0.0
-
     def average_until(self, t_seconds: float) -> float:
         """Average over bins that start before ``t_seconds`` (e.g. the
         makespan, so the post-completion tail does not dilute)."""
@@ -66,14 +58,3 @@ class Timeline:
         head = self.values[:n]
         return float(np.mean(head)) if len(head) else 0.0
 
-
-def downsample(values: Sequence[float], factor: int) -> np.ndarray:
-    """Average consecutive groups of ``factor`` values (plot helper)."""
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    array = np.asarray(values, dtype=float)
-    if factor == 1 or array.size == 0:
-        return array
-    pad = (-array.size) % factor
-    padded = np.concatenate([array, np.full(pad, np.nan)])
-    return np.nanmean(padded.reshape(-1, factor), axis=1)

@@ -73,10 +73,6 @@ class PolicyDecision:
 
     starts: tuple[GroupStart, ...] = ()
 
-    @property
-    def machines_requested(self) -> int:
-        return sum(start.n_machines for start in self.starts)
-
 
 @dataclass(frozen=True)
 class PolicyObservation:

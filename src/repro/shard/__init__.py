@@ -9,7 +9,7 @@ rebalance hot cells through the §IV-B4 migration path.
 runs the cells × cluster-size sweep.
 """
 
-from repro.shard.cells import Cell, partition_machines
+from repro.shard.cells import Cell
 from repro.shard.placer import GlobalPlacer, job_weight
 from repro.shard.rebalance import ShardMove, plan_moves
 from repro.shard.scheduler import ShardedScheduler
@@ -20,6 +20,5 @@ __all__ = [
     "ShardMove",
     "ShardedScheduler",
     "job_weight",
-    "partition_machines",
     "plan_moves",
 ]

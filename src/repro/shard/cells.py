@@ -10,30 +10,12 @@ per-arrival re-planning local to one cell (:mod:`repro.shard.scheduler`).
 
 from __future__ import annotations
 
-from repro.cluster.cluster import split_machine_counts
 from repro.core.allocation import MemoryFloorFn
 from repro.core.perfmodel import PerfModel, UtilizationTerms
 from repro.core.profiler import JobMetrics
 from repro.core.scheduler import HarmonyScheduler, SchedulePlan
-from repro.errors import ClusterError, SchedulingError
 
 _NO_TERMS: UtilizationTerms = ((), (), ())
-
-
-def partition_machines(total_machines: int,
-                       n_cells: int) -> tuple[int, ...]:
-    """Near-equal machine counts per cell, deterministically.
-
-    Delegates to the cluster layer's canonical split
-    (:func:`repro.cluster.cluster.split_machine_counts`), translated to
-    the scheduler layer's error type.  Requires ``total_machines >=
-    n_cells`` (every cell needs at least one machine; the sharded
-    scheduler falls back to its solo path for smaller budgets).
-    """
-    try:
-        return split_machine_counts(total_machines, n_cells)
-    except ClusterError as error:
-        raise SchedulingError(str(error)) from error
 
 
 class Cell:

@@ -43,6 +43,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import chain
 
+from repro.cluster.cluster import split_machine_counts
 from repro.config import ShardConfig
 from repro.core.allocation import MemoryFloorFn
 from repro.core.perfmodel import PerfModel
@@ -55,7 +56,7 @@ from repro.core.scheduler import (
     ScheduleStats,
 )
 from repro.errors import SchedulingError
-from repro.shard.cells import Cell, partition_machines
+from repro.shard.cells import Cell
 from repro.shard.placer import GlobalPlacer
 from repro.shard.rebalance import ShardMove, plan_moves
 from repro.trace.tracer import Tracer
@@ -103,7 +104,7 @@ class ShardedScheduler:
     # -- cell pool ---------------------------------------------------------
 
     def _rebuild_cells(self, total_machines: int) -> None:
-        machines = partition_machines(total_machines, self.shard.n_cells)
+        machines = split_machine_counts(total_machines, self.shard.n_cells)
         self._cells = [
             Cell(index, n_machines, perf_model=self.perf_model,
                  config=self.config, memory_floor=self.memory_floor)

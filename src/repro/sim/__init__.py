@@ -6,7 +6,7 @@ Harmony runtime (:mod:`repro.core.runtime`) and the baseline runtimes
 are built on top of this kernel.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event
+from repro.sim.events import Event
 from repro.sim.process import Process
 from repro.sim.rand import RandomStreams
 from repro.sim.resources import (
@@ -19,8 +19,6 @@ from repro.sim.resources import (
 from repro.sim.simulator import FastpathStats, ScheduledCall, Simulator
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
     "FastpathStats",
     "Process",

@@ -2,14 +2,12 @@
 
 An :class:`Event` is a one-shot waitable: processes yield it to block
 until someone calls :meth:`Event.succeed` or :meth:`Event.fail`.
-:class:`AllOf` and :class:`AnyOf` compose events; ``AllOf`` is the
-building block of the SubTask Synchronizer's cross-worker barriers.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from typing import Any, TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -119,62 +117,3 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self._triggered else "pending"
         return f"<Event {self.name!r} {state} @t={self.sim.now:.3f}>"
-
-
-class AllOf(Event):
-    """Triggers when every child event has triggered successfully.
-
-    Fails as soon as any child fails.  The value is the list of child
-    values in the order the children were given.
-    """
-
-    __slots__ = ("_children", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event],
-                 name: str = "all_of"):
-        super().__init__(sim, name)
-        self._children = list(events)
-        self._remaining = len(self._children)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for child in self._children:
-            child.add_callback(self._on_child)
-
-    def _on_child(self, child: Event) -> None:
-        if self._triggered:
-            return
-        if not child.ok:
-            self.fail(child.value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([c.value for c in self._children])
-
-
-class AnyOf(Event):
-    """Triggers when the first child event triggers.
-
-    The value is a ``(index, value)`` pair identifying which child fired.
-    """
-
-    __slots__ = ("_children",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event],
-                 name: str = "any_of"):
-        super().__init__(sim, name)
-        self._children = list(events)
-        if not self._children:
-            raise SimulationError("AnyOf requires at least one event")
-        for index, child in enumerate(self._children):
-            child.add_callback(self._make_child_callback(index))
-
-    def _make_child_callback(self, index: int) -> Callback:
-        def on_child(child: Event) -> None:
-            if self._triggered:
-                return
-            if child.ok:
-                self.succeed((index, child.value))
-            else:
-                self.fail(child.value)
-        return on_child

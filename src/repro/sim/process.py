@@ -5,7 +5,7 @@ objects.  Yielding an event suspends the process until the event
 triggers; the event's value is sent back into the generator (or its
 exception raised at the yield point).  A :class:`Process` is itself an
 event that triggers when the generator returns, so processes can wait
-on each other and be composed with ``AllOf``/``AnyOf``.
+on each other.
 """
 
 from __future__ import annotations

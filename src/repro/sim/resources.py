@@ -93,15 +93,6 @@ class ServiceRecord:
     finished_at: float
     work: float
 
-    @property
-    def wait_time(self) -> float:
-        """Time spent queued before receiving any service."""
-        return self.started_at - self.submitted_at
-
-    @property
-    def total_time(self) -> float:
-        return self.finished_at - self.submitted_at
-
 
 @dataclass(slots=True)
 class _Task:

@@ -145,13 +145,11 @@ class Simulator:
                         handle))
         return handle
 
-    def call_in(self, delay: float, callback: Callable[[], None],
-                cancellable: bool = False) -> ScheduledCall | None:
+    def call_in(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback()`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self._now + delay, callback,
-                            cancellable=cancellable)
+        self.call_at(self._now + delay, callback)
 
     def cancel(self, handle: ScheduledCall | None) -> None:
         """Retract a queued callback scheduled with ``cancellable=True``.

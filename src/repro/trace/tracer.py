@@ -256,12 +256,11 @@ class Tracer:
                                  handle.start, self._clock(), merged)
 
     def complete(self, track: Track, name: str, start: float,
-                 end: float | None = None, cat: str = "",
-                 args: dict[str, Any] | None = None) -> Span | None:
+                 end: float | None = None, cat: str = "") -> Span | None:
         """Record a span whose boundaries are already known."""
         return self._record_span(track, name, cat, start,
                                  self._clock() if end is None else end,
-                                 args)
+                                 None)
 
     def _record_span(self, track: Track, name: str, cat: str,
                      start: float, end: float,

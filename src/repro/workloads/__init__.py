@@ -25,7 +25,7 @@ from repro.workloads.generator import (
     comp_intensive_subset,
     make_base_workload,
 )
-from repro.workloads.traces import google_trace_arrivals, google_trace_windows
+from repro.workloads.traces import google_trace_arrivals
 
 __all__ = [
     "APPS",
@@ -44,7 +44,6 @@ __all__ = [
     "comm_intensive_subset",
     "comp_intensive_subset",
     "google_trace_arrivals",
-    "google_trace_windows",
     "make_base_workload",
     "poisson_arrivals",
     "with_arrival_times",

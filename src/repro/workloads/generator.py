@@ -72,11 +72,10 @@ def make_base_workload(seed: int = 2021,
     return WorkloadGenerator(seed).base_workload(hyper_params_per_pair)
 
 
-def _sorted_by_comp_ratio(jobs: Sequence[JobSpec],
-                          cost_model: CostModel | None = None,
-                          dop: int = CHARACTERIZATION_DOP) -> list[JobSpec]:
-    model = cost_model if cost_model is not None else CostModel()
-    return sorted(jobs, key=lambda j: model.profile(j, dop).comp_ratio)
+def _sorted_by_comp_ratio(jobs: Sequence[JobSpec]) -> list[JobSpec]:
+    model = CostModel()
+    return sorted(jobs, key=lambda j: model.profile(
+        j, CHARACTERIZATION_DOP).comp_ratio)
 
 
 #: Share of a workload in each of its computation- and
@@ -84,21 +83,19 @@ def _sorted_by_comp_ratio(jobs: Sequence[JobSpec],
 SUBSET_FRACTION = 0.75
 
 
-def comp_intensive_subset(jobs: Sequence[JobSpec], n: int = 60,
-                          cost_model: CostModel | None = None) -> \
-        list[JobSpec]:
+def comp_intensive_subset(jobs: Sequence[JobSpec],
+                          n: int = 60) -> list[JobSpec]:
     """The ``n`` most computation-heavy jobs (paper: top 60 of 80)."""
     if n > len(jobs):
         raise WorkloadError(f"asked for {n} of {len(jobs)} jobs")
-    ordered = _sorted_by_comp_ratio(jobs, cost_model)
+    ordered = _sorted_by_comp_ratio(jobs)
     return ordered[len(jobs) - n:]
 
 
-def comm_intensive_subset(jobs: Sequence[JobSpec], n: int = 60,
-                          cost_model: CostModel | None = None) -> \
-        list[JobSpec]:
+def comm_intensive_subset(jobs: Sequence[JobSpec],
+                          n: int = 60) -> list[JobSpec]:
     """The ``n`` most communication-heavy jobs (paper: bottom 60 of 80)."""
     if n > len(jobs):
         raise WorkloadError(f"asked for {n} of {len(jobs)} jobs")
-    ordered = _sorted_by_comp_ratio(jobs, cost_model)
+    ordered = _sorted_by_comp_ratio(jobs)
     return ordered[:n]

@@ -60,21 +60,3 @@ def google_trace_arrivals(n_jobs: int,
     times = times - times[0]  # the first job opens the experiment
     return [float(t) for t in times]
 
-
-def google_trace_windows(n_jobs: int, n_windows: int = 10,
-                         mean_interarrival_seconds: float = 120.0,
-                         seed: int = 2021) -> list[list[float]]:
-    """The paper's "10 job arrival processes from different windows"."""
-    if n_windows < 1:
-        raise WorkloadError("need at least one window")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11CE]))
-    windows = []
-    for index in range(n_windows):
-        burstiness = float(rng.uniform(0.3, 0.8))
-        windows.append(google_trace_arrivals(
-            n_jobs,
-            mean_interarrival_seconds=mean_interarrival_seconds,
-            burstiness=burstiness,
-            window_index=index,
-            seed=seed))
-    return windows

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import IsolatedRuntime, NaiveRuntime
-from repro.baselines.naive import best_and_worst, run_naive_cases
+from repro.baselines.naive import run_naive_cases
 from repro.policies.queueing import packed_fifo
 from repro.workloads.apps import DATASETS, JobSpec, MLR
 from repro.workloads.generator import WorkloadGenerator
@@ -83,15 +83,6 @@ class TestNaive:
         assert len(cases) == 3
         for case in cases:
             assert case.scheduler_name == "naive"
-
-    def test_best_and_worst_ordering(self, workload, isolated_result):
-        cases = run_naive_cases(24, workload, n_cases=3)
-        best, worst = best_and_worst(cases, isolated_result.mean_jct)
-        assert best.mean_jct <= worst.mean_jct
-
-    def test_best_and_worst_empty_raises(self):
-        with pytest.raises(ValueError):
-            best_and_worst([], 1.0)
 
     def test_group_size_respected(self, workload):
         runtime = NaiveRuntime(24, workload, group_size=3)

@@ -1,6 +1,9 @@
 """Tests for the CLI entry point, configuration, and error types."""
 
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +161,16 @@ class TestSimConfig:
             "trace.max_events",
             "engine",
         ]
+
+    def test_keyword_surface_is_pinned(self):
+        """Defaulted parameters of public callables in ``src/repro``, as
+        ``benchmarks/knob_audit.py`` counts them.  A new knob moves this
+        count: update it and ROADMAP's knob count on purpose."""
+        tool = Path(__file__).resolve().parents[1] / "benchmarks" \
+            / "knob_audit.py"
+        count = subprocess.run([sys.executable, str(tool), "--count"],
+                               capture_output=True, text=True, check=True)
+        assert int(count.stdout) == 268
 
 
 class TestSchedulerConfig:

@@ -60,25 +60,6 @@ class TestCluster:
         assert cluster.owned_by("g0") == ids
         assert cluster.owned_by("other") == ()
 
-    def test_reassign_moves_ownership(self):
-        cluster = Cluster(4)
-        ids = cluster.allocate(2, "old")
-        cluster.reassign(ids, "old", "new")
-        assert cluster.owned_by("new") == ids
-        assert cluster.owned_by("old") == ()
-        cluster.release(ids, "new")
-
-    def test_reassign_checks_current_owner(self):
-        cluster = Cluster(4)
-        ids = cluster.allocate(2, "a")
-        with pytest.raises(ClusterError):
-            cluster.reassign(ids, "b", "c")
-
-    def test_owners_summary(self):
-        cluster = Cluster(6)
-        cluster.allocate(2, "a")
-        cluster.allocate(1, "b")
-        assert cluster.owners() == {"a": 2, "b": 1}
 
 
 class TestMemoryLedger:
@@ -93,7 +74,6 @@ class TestMemoryLedger:
         ledger.set_component("job", "input", 4 * GB)
         ledger.set_component("job", "model", 2 * GB)
         assert ledger.resident_bytes == pytest.approx(6 * GB)
-        assert ledger.job_resident_bytes("job") == pytest.approx(6 * GB)
 
     def test_component_overwrite_replaces(self, machine_spec):
         ledger = MemoryLedger(machine_spec)
@@ -129,12 +109,6 @@ class TestMemoryLedger:
             ledger.check_oom()
         assert info.value.job_ids == ("j1", "j2")
         assert info.value.resident_gb > info.value.capacity_gb
-
-    def test_headroom_never_negative(self, machine_spec):
-        ledger = MemoryLedger(machine_spec)
-        ledger.set_component("j", "input",
-                             machine_spec.usable_memory_bytes * 2)
-        assert ledger.headroom_bytes() == 0.0
 
     def test_gc_factor_is_fresh_after_every_write(self, machine_spec):
         """gc_inflation() keeps its value between reads; every write to

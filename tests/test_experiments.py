@@ -22,6 +22,7 @@ from repro.experiments import (
     sensitivity_arrival,
     sensitivity_ratio,
 )
+from repro.metrics.stats import cdf_points
 
 SCALE = 0.25  # 16 jobs / 25 machines
 
@@ -101,7 +102,7 @@ class TestFig09:
         assert result.iteration_minutes.max() < 25
         assert result.comp_ratios.min() < 0.35
         assert result.comp_ratios.max() > 0.8
-        values, fractions = result.iteration_cdf()
+        values, fractions = cdf_points(result.iteration_minutes)
         assert fractions[-1] == 1.0
         assert "Table I" in fig09_workload_cdf.report(result)
 

@@ -2,16 +2,9 @@
 
 import csv
 
-import numpy as np
 import pytest
 
-from repro.metrics.export import (
-    export_cdf,
-    export_run_result,
-    export_timeline,
-    write_csv,
-)
-from repro.metrics.timeline import Timeline
+from repro.metrics.export import write_csv
 
 
 def read_back(path):
@@ -34,52 +27,3 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a"], [(1, 2)])
 
-
-class TestExports:
-    def test_timeline_export(self, tmp_path):
-        timeline = Timeline(bin_seconds=60.0,
-                            values=np.array([0.5, 1.0]))
-        target = export_timeline(tmp_path / "tl.csv", timeline)
-        rows = read_back(target)
-        assert rows[0] == ["minute", "utilization"]
-        assert rows[1] == ["0.0", "0.5000"]
-        assert rows[2] == ["1.0", "1.0000"]
-
-    def test_cdf_export(self, tmp_path):
-        target = export_cdf(tmp_path / "cdf.csv", [3.0, 1.0, 2.0])
-        rows = read_back(target)
-        assert rows[0] == ["value", "cumulative_fraction"]
-        assert [r[0] for r in rows[1:]] == ["1", "2", "3"]
-        assert rows[-1][1] == "1.000000"
-
-    def test_run_result_export(self, tmp_path):
-        from repro.core import HarmonyRuntime
-        from repro.workloads import WorkloadGenerator
-        jobs = WorkloadGenerator(3).base_workload(
-            hyper_params_per_pair=1)
-        result = HarmonyRuntime(24, jobs).run()
-        written = export_run_result(tmp_path, result)
-        assert len(written) == 3
-        job_rows = read_back(tmp_path / "harmony_jobs.csv")
-        assert len(job_rows) == 1 + len(jobs)
-        assert job_rows[0][0] == "job_id"
-        timeline_rows = read_back(
-            tmp_path / "harmony_cpu_timeline.csv")
-        assert len(timeline_rows) > 10
-
-    def test_run_result_export_includes_fault_log(self, tmp_path):
-        from repro.core import HarmonyRuntime
-        from repro.faults import FaultEvent, FaultKind, FaultPlan
-        from repro.workloads import WorkloadGenerator
-        jobs = WorkloadGenerator(3).base_workload(
-            hyper_params_per_pair=1)
-        plan = FaultPlan.build([FaultEvent(
-            3600.0, FaultKind.MACHINE_CRASH, 5, duration=1800.0)],
-            seed=1)
-        result = HarmonyRuntime(24, jobs, fault_plan=plan).run()
-        written = export_run_result(tmp_path, result)
-        assert len(written) == 4
-        fault_rows = read_back(tmp_path / "harmony_faults.csv")
-        assert fault_rows[0][0] == "time_s"
-        assert len(fault_rows) == 2
-        assert fault_rows[1][1] == "machine_crash"

@@ -100,7 +100,7 @@ class TestFineGrainedGroup:
     def test_no_cycles_raises_on_stats(self):
         result = FineGrainedResult(duration_seconds=0.0)
         with pytest.raises(SimulationError):
-            result.mean_cycle_seconds()
+            result.pacing_cycle_seconds()
 
     def test_straggler_jitter_stretches_cycles(self):
         """With per-machine jitter, the barrier waits for the slowest
@@ -111,8 +111,8 @@ class TestFineGrainedGroup:
             self._specs(1), 16, quiet_config(), iterations=8)
         straggly = run_fine_grained_group(
             self._specs(1), 16, noisy, iterations=8)
-        assert straggly.mean_cycle_seconds() > \
-            deterministic.mean_cycle_seconds()
+        assert straggly.pacing_cycle_seconds() > \
+            deterministic.pacing_cycle_seconds()
 
 
 class TestGranularityDriver:

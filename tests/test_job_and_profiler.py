@@ -4,12 +4,6 @@ import pytest
 
 from repro.core.job import Job, JobState
 from repro.core.profiler import JobMetrics, Profiler
-from repro.core.subtask import (
-    ITERATION_SEQUENCE,
-    ResourceKind,
-    SubTask,
-    SubTaskKind,
-)
 from repro.errors import JobStateError, SchedulingError
 from repro.workloads.apps import DATASETS, JobSpec, LDA
 
@@ -59,45 +53,6 @@ class TestJobStates:
         with pytest.raises(JobStateError):
             job.complete_iteration()
 
-    def test_is_schedulable_matches_algorithm_inputs(self):
-        job = _job()
-        assert not job.is_schedulable  # WAITING
-        job.transition(JobState.PROFILING)
-        assert not job.is_schedulable
-        job.transition(JobState.PROFILED)
-        assert job.is_schedulable
-        job.transition(JobState.RUNNING)
-        assert job.is_schedulable
-        job.transition(JobState.PAUSED)
-        assert job.is_schedulable
-
-    def test_completion_time_requires_finish(self):
-        job = _job()
-        with pytest.raises(JobStateError):
-            job.completion_time()
-        job.finish_time = 100.0
-        assert job.completion_time() == 100.0 - job.submit_time
-
-
-class TestSubTasks:
-    def test_iteration_sequence_is_pull_comp_push(self):
-        assert ITERATION_SEQUENCE == (SubTaskKind.PULL, SubTaskKind.COMP,
-                                      SubTaskKind.PUSH)
-
-    def test_comm_subtasks_use_network(self):
-        assert SubTaskKind.PULL.resource is ResourceKind.NETWORK
-        assert SubTaskKind.PUSH.resource is ResourceKind.NETWORK
-        assert SubTaskKind.PULL.is_comm and SubTaskKind.PUSH.is_comm
-
-    def test_comp_subtask_uses_cpu(self):
-        assert SubTaskKind.COMP.resource is ResourceKind.CPU
-        assert not SubTaskKind.COMP.is_comm
-
-    def test_subtask_tag_is_job_id(self):
-        task = SubTask("jobX", SubTaskKind.COMP, iteration=0,
-                       duration=1.0)
-        assert task.tag == "jobX"
-        assert task.resource is ResourceKind.CPU
 
 
 class TestJobMetrics:
@@ -185,19 +140,16 @@ class TestProfiler:
         with pytest.raises(SchedulingError):
             Profiler().record_iteration("j", -1.0, 1.0, m=1)
 
+    @pytest.mark.parametrize("t_cpu, t_net", [
+        (float("nan"), 1.0), (1.0, float("nan")),
+        (float("inf"), 1.0), (1.0, float("inf"))])
+    def test_non_finite_measurement_raises(self, t_cpu, t_net):
+        profiler = Profiler()
+        with pytest.raises(SchedulingError):
+            profiler.record_iteration("a", t_cpu, t_net, m=4)
+        assert not profiler.has("a")
+
     def test_invalid_ema_raises(self):
         with pytest.raises(SchedulingError):
             Profiler(ema_alpha=0.0)
 
-    def test_forget_removes(self):
-        profiler = Profiler()
-        profiler.record_iteration("j", 1.0, 1.0, m=1)
-        profiler.forget("j")
-        assert not profiler.has("j")
-        assert len(profiler) == 0
-
-    def test_known_jobs_sorted(self):
-        profiler = Profiler()
-        profiler.record_iteration("b", 1.0, 1.0, m=1)
-        profiler.record_iteration("a", 1.0, 1.0, m=1)
-        assert profiler.known_jobs() == ["a", "b"]

@@ -10,7 +10,7 @@ import pytest
 from repro.config import SimConfig
 from repro.core.runtime import HarmonyRuntime
 from repro.errors import SchedulingError, SimulationError
-from repro.workloads.apps import DATASETS, JobSpec, LDA
+from repro.workloads.apps import DATASETS, DatasetSpec, JobSpec, LDA
 from repro.workloads.arrivals import poisson_arrivals, with_arrival_times
 from repro.workloads.generator import WorkloadGenerator
 
@@ -182,3 +182,19 @@ class TestBudgetedRun:
         runtime = HarmonyRuntime(8, [spec])
         result = runtime.run(max_sim_seconds=100.0)
         assert len(result.finished) == 0
+
+    def test_job_above_every_floor_raises_promptly(self):
+        """The deadlock watchdog: once the placeable job finishes and
+        nothing can start, the pacer stops at its next check and run()
+        names the stuck job instead of spinning forever."""
+        fits = JobSpec("fits", LDA, DATASETS["LDA"][1], iterations=3)
+        huge = JobSpec("huge", LDA, DatasetSpec("huge", input_gb=1e4,
+                                                model_gb=1e3),
+                       iterations=3)
+        runtime = HarmonyRuntime(4, [fits, huge])
+        with pytest.raises(SimulationError,
+                           match=r"1 unfinished jobs.*'huge': 'waiting'"):
+            runtime.run()
+        interval = runtime.config.scheduler.reschedule_check_seconds
+        assert runtime.master.jobs["fits"].is_done
+        assert runtime.sim.now <= interval

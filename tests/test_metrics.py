@@ -14,8 +14,6 @@ from repro.metrics import (
     percentile,
     speedup,
 )
-from repro.metrics.reporting import format_comparison
-from repro.metrics.timeline import downsample
 from repro.sim import RateResource, Simulator, serial
 from repro.sim.resources import BusySegment
 
@@ -119,21 +117,7 @@ class TestTimeline:
         timeline = Timeline(bin_seconds=60.0,
                             values=np.array([1.0, 1.0, 0.0, 0.0]))
         assert timeline.average_until(120.0) == pytest.approx(1.0)
-        assert timeline.average() == pytest.approx(0.5)
-
-    def test_times_minutes(self):
-        timeline = Timeline(bin_seconds=120.0, values=np.zeros(3))
-        assert list(timeline.times_minutes) == [0.0, 2.0, 4.0]
-
-    def test_downsample_averages(self):
-        assert list(downsample([1.0, 3.0, 5.0, 7.0], 2)) == [2.0, 6.0]
-
-    def test_downsample_factor_one_identity(self):
-        assert list(downsample([1.0, 2.0], 1)) == [1.0, 2.0]
-
-    def test_downsample_bad_factor(self):
-        with pytest.raises(ValueError):
-            downsample([1.0], 0)
+        assert timeline.average_until(240.0) == pytest.approx(0.5)
 
 
 class TestRecorder:
@@ -215,7 +199,3 @@ class TestReporting:
     def test_row_width_mismatch_raises(self):
         with pytest.raises(ValueError):
             format_table(["a"], [("x", "y")])
-
-    def test_format_comparison(self):
-        line = format_comparison("JCT", 2.11, 1.20)
-        assert "paper=2.11x" in line and "measured=1.20x" in line

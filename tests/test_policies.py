@@ -71,7 +71,6 @@ class TestDecisionEdgeCases:
     def test_empty_queue_yields_no_starts(self, policy):
         decision = policy.decide(make_obs(queue=(), free=8))
         assert decision.starts == ()
-        assert decision.machines_requested == 0
 
     def test_backfill_with_empty_queue_and_running_groups(self):
         # Reservation bookkeeping must not blow up when there is

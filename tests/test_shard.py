@@ -34,7 +34,6 @@ from repro.shard import (
     GlobalPlacer,
     ShardedScheduler,
     job_weight,
-    partition_machines,
     plan_moves,
 )
 from repro.sim import RandomStreams, Simulator
@@ -77,10 +76,10 @@ class TestPartition:
     @given(total=st.integers(1, 5000), n_cells=st.integers(1, 64))
     def test_split_conserves_and_balances(self, total, n_cells):
         if total < n_cells:
-            with pytest.raises(SchedulingError):
-                partition_machines(total, n_cells)
+            with pytest.raises(ClusterError):
+                split_machine_counts(total, n_cells)
             return
-        sizes = partition_machines(total, n_cells)
+        sizes = split_machine_counts(total, n_cells)
         assert len(sizes) == n_cells
         assert sum(sizes) == total
         assert max(sizes) - min(sizes) <= 1
@@ -88,16 +87,12 @@ class TestPartition:
         # Larger cells come first, deterministically.
         assert list(sizes) == sorted(sizes, reverse=True)
 
-    def test_cluster_cell_sizes_matches_canonical_split(self):
-        cluster = Cluster(23)
-        assert cluster.cell_sizes(4) == split_machine_counts(23, 4)
-        assert cluster.cell_sizes(4) == (6, 6, 6, 5)
+    def test_remainder_goes_to_the_first_cells(self):
+        assert split_machine_counts(23, 4) == (6, 6, 6, 5)
 
     def test_zero_cells_rejected(self):
         with pytest.raises(ClusterError):
             split_machine_counts(10, 0)
-        with pytest.raises(SchedulingError):
-            partition_machines(10, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf
 
 
 class TestEvent:
@@ -61,69 +60,3 @@ class TestEvent:
         sim.run()
         assert sim.now == 5.0
         assert event.value == "done"
-
-
-class TestAllOf:
-    def test_waits_for_every_child(self, sim):
-        children = [sim.event() for _ in range(3)]
-        barrier = AllOf(sim, children)
-        children[0].succeed(0)
-        children[1].succeed(1)
-        assert not barrier.triggered
-        children[2].succeed(2)
-        assert barrier.ok
-        assert barrier.value == [0, 1, 2]
-
-    def test_empty_succeeds_immediately(self, sim):
-        assert AllOf(sim, []).ok
-
-    def test_preserves_child_order_not_completion_order(self, sim):
-        first, second = sim.event(), sim.event()
-        barrier = AllOf(sim, [first, second])
-        second.succeed("b")
-        first.succeed("a")
-        assert barrier.value == ["a", "b"]
-
-    def test_fails_fast_on_child_failure(self, sim):
-        children = [sim.event() for _ in range(2)]
-        barrier = AllOf(sim, children)
-        error = RuntimeError("nope")
-        children[0].fail(error)
-        assert barrier.triggered
-        assert not barrier.ok
-        assert barrier.value is error
-
-    def test_already_triggered_children(self, sim):
-        child = sim.event()
-        child.succeed(9)
-        barrier = AllOf(sim, [child])
-        assert barrier.ok
-        assert barrier.value == [9]
-
-
-class TestAnyOf:
-    def test_first_completion_wins(self, sim):
-        children = [sim.event() for _ in range(3)]
-        race = AnyOf(sim, children)
-        children[1].succeed("middle")
-        assert race.ok
-        assert race.value == (1, "middle")
-
-    def test_later_completions_ignored(self, sim):
-        children = [sim.event() for _ in range(2)]
-        race = AnyOf(sim, children)
-        children[0].succeed("first")
-        children[1].succeed("second")
-        assert race.value == (0, "first")
-
-    def test_empty_raises(self, sim):
-        with pytest.raises(SimulationError):
-            AnyOf(sim, [])
-
-    def test_failure_propagates(self, sim):
-        children = [sim.event() for _ in range(2)]
-        race = AnyOf(sim, children)
-        error = RuntimeError("bad")
-        children[0].fail(error)
-        assert not race.ok
-        assert race.value is error

@@ -44,13 +44,14 @@ class TestSerial:
         cpu.submit(3.0)
         second = cpu.submit(2.0)
         drain(sim)
-        assert second.value.wait_time == pytest.approx(3.0)
+        record = second.value
+        assert record.started_at - record.submitted_at == pytest.approx(3.0)
 
     def test_zero_work_completes_instantly(self, sim):
         cpu = RateResource(sim, serial(), "cpu")
         done = cpu.submit(0.0)
         assert done.ok
-        assert done.value.total_time == 0.0
+        assert done.value.finished_at == done.value.submitted_at
 
     def test_negative_work_raises(self, sim):
         cpu = RateResource(sim, serial(), "cpu")

@@ -22,7 +22,6 @@ from repro.workloads import (
     poisson_arrivals,
     with_arrival_times,
 )
-from repro.workloads.traces import google_trace_windows
 
 
 class TestJobSpec:
@@ -216,10 +215,6 @@ class TestTraces:
         gaps = np.diff(times)
         cv2 = np.var(gaps) / np.mean(gaps) ** 2
         assert cv2 > 1.2
-
-    def test_window_count(self):
-        windows = google_trace_windows(30, n_windows=4)
-        assert len(windows) == 4
 
     def test_invalid_burstiness_rejected(self):
         with pytest.raises(WorkloadError):
