@@ -1,12 +1,12 @@
-"""Dynamic race sanitizer: the CONC family's runtime counterpart.
+"""Dynamic lock sanitizer: the CONC family's runtime counterpart.
 
 The static CONC rules see what the AST shows them; this module watches
 what the threads actually do.  :func:`install` monkeypatches
 ``threading.Lock`` / ``threading.RLock`` with instrumented wrappers
 (``threading.Condition``, ``Semaphore``, ``Event`` etc. resolve those
 factories at call time, so they are covered automatically), giving
-every existing shard/PS/local-runtime test a second life as a race
-detector under ``pytest --sanitize``:
+every existing shard/PS/local-runtime test a second life as a lock
+checker under ``pytest --sanitize``:
 
 - **Ownership tracking** — releasing a lock a thread does not hold is
   reported instead of silently corrupting the mutex.
@@ -14,11 +14,9 @@ detector under ``pytest --sanitize``:
   creation site (lockdep style); acquiring class B while holding class
   A adds the edge A→B, and any cycle in the graph is a potential
   deadlock even if this run didn't interleave into it.
-- **Unsynchronized-mutation detection** — objects registered with
-  :meth:`Sanitizer.watch` run an Eraser-style lockset algorithm on
-  attribute writes: once two threads have written a field, the
-  intersection of lock sets held across all its writes must stay
-  non-empty.
+
+Unguarded reads and writes of shared fields are the static CONC
+rules' job (``repro lint``); the sanitizer sees locks only.
 
 The sanitizer's own bookkeeping uses raw ``_thread.allocate_lock()``
 so instrumenting ``threading`` cannot recurse into itself.
@@ -54,7 +52,7 @@ def _call_site() -> str:
 
 
 class Sanitizer:
-    """Collects lock/race evidence for one instrumented run."""
+    """Collects lock evidence for one instrumented run."""
 
     def __init__(self, name: str = "sanitizer"):
         self.name = name
@@ -64,10 +62,6 @@ class Sanitizer:
         self._held: dict[int, list] = {}
         #: lock-class site -> {successor site: witness description}.
         self._order: dict[str, dict[str, str]] = {}
-        #: (id(obj), attr) -> [owner_thread, shared, candidate_locksets]
-        self._cells: dict[tuple, list] = {}
-        #: original class -> instrumented subclass (memo for watch()).
-        self._watched_classes: dict[type, type] = {}
 
     # -- factories ---------------------------------------------------------
 
@@ -95,11 +89,6 @@ class Sanitizer:
                 self.violations.append(message)
 
     # -- held sets & lock order -------------------------------------------
-
-    def held_by(self) -> list:
-        """The locks the calling thread holds, in acquisition order."""
-        with self._state:
-            return list(self._held.get(threading.get_ident(), ()))
 
     def _before_acquire(self, lock) -> None:
         """Record order edges *before* blocking: if this acquisition
@@ -158,58 +147,6 @@ class Sanitizer:
             for successor in self._order.get(node, ()):
                 stack.append((successor, path + [successor]))
         return None
-
-    # -- Eraser-style mutation watching -----------------------------------
-
-    def watch(self, obj):
-        """Instrument ``obj`` so attribute writes run the lockset
-        algorithm.  Returns ``obj`` (its class is swapped for an
-        instrumented subclass; dict/list *content* mutations are not
-        seen — watch the owning attribute rebinding or lock reporting).
-        """
-        cls = type(obj)
-        if getattr(cls, "_sanitizer_watched_", False):
-            return obj
-        subclass = self._watched_classes.get(cls)
-        if subclass is None:
-            sanitizer = self
-
-            def __setattr__(instance, name, value,
-                            _base=cls) -> None:
-                sanitizer._on_write(instance, name)
-                _base.__setattr__(instance, name, value)
-
-            subclass = type(f"_Watched_{cls.__name__}", (cls,), {
-                "__setattr__": __setattr__,
-                "_sanitizer_watched_": True,
-            })
-            self._watched_classes[cls] = subclass
-        obj.__class__ = subclass
-        return obj
-
-    def _on_write(self, obj, attr: str) -> None:
-        ident = threading.get_ident()
-        key = (id(obj), attr)
-        with self._state:
-            held = frozenset(id(lock) for lock in
-                             self._held.get(ident, ()))
-            cell = self._cells.get(key)
-            if cell is None:
-                # virgin -> exclusive(first thread); the construction
-                # write establishes the candidate lockset.
-                self._cells[key] = [ident, False, held]
-                return
-            owner, shared, lockset = cell
-            if ident != owner:
-                shared = True
-            lockset = lockset & held
-            self._cells[key] = [owner, shared, lockset]
-            racy = shared and not lockset
-            label = f"{type(obj).__name__}.{attr}"
-        if racy:
-            self._violate(
-                f"unsynchronized concurrent mutation of {label}: "
-                f"written by multiple threads with no common lock held")
 
 
 class SanitizedLock:

@@ -154,8 +154,6 @@ class BaselineMaster(MasterBase):
         for group_id in sorted(self.groups):
             group = self.groups[group_id]
             jobs = group.jobs()
-            if not jobs:
-                continue
             views.append(RunningGroupView(
                 group_id=group_id,
                 job_ids=tuple(job.job_id for job in jobs),
@@ -200,9 +198,11 @@ class BaselineMaster(MasterBase):
         for job, delay in zip(batch, offsets, strict=True):
             job.state = JobState.RUNNING  # queue policies do not profile
             if not group.add_job(job, start_delay=delay):
-                # No spill support: the job physically does not fit.
+                # The job does not fit even fully spilled.
                 job.state = JobState.FAILED
                 job.finish_time = self.sim.now
+        if group.is_idle:
+            self._stop_group(group)  # no job fitted: free its machines
 
     def _stop_group(self, group: GroupRuntime,
                     crashed: bool = False) -> list[Job]:
@@ -216,8 +216,12 @@ class BaselineMaster(MasterBase):
         self._job_left(group)
 
     def on_job_paused(self, job: Job, group: GroupRuntime) -> None:
-        raise SimulationError(
-            "baseline runtimes never pause jobs")  # pragma: no cover
+        raise SimulationError("baseline runtimes never pause jobs")
+
+    def on_job_failed(self, job: Job, group: GroupRuntime,
+                      error: Exception) -> None:
+        self._end_job(job, JobState.FAILED)
+        self._job_left(group)
 
     def _job_left(self, group: GroupRuntime) -> None:
         if group.is_idle and group.group_id in self.groups:

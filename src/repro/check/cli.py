@@ -52,6 +52,9 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="instances per differential suite "
                              "(default 20)")
     args = parser.parse_args(argv)
+    if args.cases < 1:
+        # Zero cases would be a differential check that cannot fail.
+        parser.error(f"--cases must be >= 1, got {args.cases}")
 
     seeds = list(args.seed) if args.seed else list(DEFAULT_SEEDS)
     if args.rotating is not None:

@@ -19,13 +19,5 @@ class Machine:
     machine_id: int
     spec: MachineSpec = field(default_factory=MachineSpec)
 
-    @property
-    def cores(self) -> int:
-        return self.spec.cores
-
-    @property
-    def memory_gb(self) -> float:
-        return self.spec.memory_gb
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Machine {self.machine_id}>"

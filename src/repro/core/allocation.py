@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.errors import SchedulingError
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.scheduler import PoolSnapshot
 
 #: Returns the minimum machine count for a set of co-located jobs.
@@ -96,8 +96,10 @@ def allocate_machines(groups: Sequence[Sequence[int]],
 
     # Last machine count whose grant still has positive priority:
     # largest a with work/a > net, decided by exactly the loop's stop
-    # comparison.  The float estimate work/net lands within a couple of
-    # the true boundary; direct-comparison nudges make it exact.
+    # comparison.  The float estimate work/net never lands below the
+    # true boundary: work/(b + 1) > net in floats means the exact
+    # quotient exceeds the integer b + 1, so fl(work/net) >= b + 1.  It
+    # can land above it (ties, rounding up), which the nudge corrects.
     demand = []
     total_demand = 0
     for index in range(len(floors)):
@@ -112,8 +114,6 @@ def allocate_machines(groups: Sequence[Sequence[int]],
                 bound = lowest - 1
         else:
             bound = cap
-        while bound < cap and work / (bound + 1) > net:
-            bound += 1
         while bound >= lowest and work / bound <= net:
             bound -= 1
         wanted = bound - lowest + 1
@@ -164,24 +164,20 @@ def _allocate_by_heap(allocation: list[int], spare: int,
                       t_net: list[float]) -> list[int]:
     """Grant-by-grant max-heap loop (the reference process), with
     consecutive grants to the same group batched via exact tuple
-    comparisons against the heap top."""
+    comparisons against the heap top.
+
+    Runs only when the groups' positive-priority grants outnumber
+    ``spare`` (``allocate_machines``' demand count), so ``spare`` runs
+    out before a popped pressure reaches zero: no saturation exit."""
     heap = [(t_net[i] - cpu_work[i] / allocation[i], i)
             for i in range(len(allocation))]
     heapq.heapify(heap)
-    saturated = False
-    while spare > 0 and heap:
-        negative_pressure, index = heapq.heappop(heap)
+    while spare > 0:
+        _, index = heapq.heappop(heap)
         work = cpu_work[index]
         net = t_net[index]
         granted = allocation[index]
-        current = -negative_pressure
         while True:
-            if current <= 0:
-                # Every other group's pressure is at most this one's:
-                # extra machines would not shorten any group iteration
-                # (Eq. 1); leave the remainder free for future arrivals.
-                saturated = True
-                break
             granted += 1
             spare -= 1
             current = work / granted - net
@@ -190,8 +186,6 @@ def _allocate_by_heap(allocation: list[int], spare: int,
             if heap and not ((-current, index) < heap[0]):
                 break  # another group pops first now
         allocation[index] = granted
-        if saturated:
-            break
         if spare > 0:
             heapq.heappush(heap, (-current, index))
 

@@ -90,8 +90,9 @@ class GroupHooks(Protocol):
 
     def on_job_paused(self, job: Job, group: "GroupRuntime") -> None: ...
 
-    def on_job_failed(self, job: Job, group: "GroupRuntime",
-                      error: Exception) -> None: ...
+    def on_job_failed(  # pragma: no cover - protocol stub
+            self, job: Job, group: "GroupRuntime",
+            error: Exception) -> None: ...
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ differential suite pins the two to identical partitions.
 
 from __future__ import annotations
 
-import bisect
 from collections.abc import Sequence
 from heapq import heapify, heappop, heapreplace
 from operator import add
@@ -220,35 +219,13 @@ def _best_swap(group_a: list[int], group_b: list[int],
     deltas_a = [t_cpu[index] - t_net[index] for index in group_a]
     deltas_b = [t_cpu[index] - t_net[index] for index in group_b]
 
-    if len(group_a) * len(group_b) <= 4096:
-        pairs = ((ia, ib) for ia in range(len(group_a))
-                 for ib in range(len(group_b)))
-    else:
-        # Large groups (§V-F scale): for each job of A, only probe the
-        # jobs of B whose delta is closest to the ideal swap partner
-        # (the combined cost is piecewise-linear in delta_b, minimized
-        # near delta_a - (I_a - I_b)/2).
-        order_b = sorted(range(len(group_b)), key=deltas_b.__getitem__)
-        sorted_deltas = [deltas_b[i] for i in order_b]
-
-        def candidate_pairs():
-            for ia in range(len(group_a)):
-                target = deltas_a[ia] - (imbalance_a - imbalance_b) / 2.0
-                position = bisect.bisect_left(sorted_deltas, target)
-                for offset in (-1, 0, 1):
-                    probe = position + offset
-                    if 0 <= probe < len(order_b):
-                        yield ia, order_b[probe]
-        pairs = candidate_pairs()
-
-    for ia, ib in pairs:
-        delta_a = deltas_a[ia]
-        delta_b = deltas_b[ib]
-        new_cost = (abs(imbalance_a - delta_a + delta_b)
-                    + abs(imbalance_b - delta_b + delta_a))
-        if new_cost < best_cost:
-            best_cost = new_cost
-            best = (ia, ib)
+    for ia, delta_a in enumerate(deltas_a):
+        for ib, delta_b in enumerate(deltas_b):
+            new_cost = (abs(imbalance_a - delta_a + delta_b)
+                        + abs(imbalance_b - delta_b + delta_a))
+            if new_cost < best_cost:
+                best_cost = new_cost
+                best = (ia, ib)
     if best is None:
         return False
     ia, ib = best

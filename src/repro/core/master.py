@@ -42,7 +42,7 @@ from repro.core.regroup import (
     settled,
 )
 from repro.core.scheduler import HarmonyScheduler, SchedulePlan
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, SimulationError
 from repro.metrics.faults import FaultLog, FaultRecord
 from repro.metrics.utilization import (
     ClusterUsageRecorder,
@@ -189,15 +189,6 @@ class MasterBase:
         job.transition(state)
         job.finish_time = self.sim.now
 
-    def on_job_failed(self, job: Job, group: GroupRuntime,
-                      error: Exception) -> None:
-        self._end_job(job, JobState.FAILED)
-        self._job_left(group)
-
-    def _job_left(self, group: GroupRuntime) -> None:
-        """React to a job leaving ``group`` for good."""
-        raise NotImplementedError
-
     def gate_counts(self) -> GateCounts | None:
         """The regroup gates' tallies; None for a master without
         regroup gates."""
@@ -251,7 +242,8 @@ class MasterBase:
             applied = True
         return applied
 
-    def _admit(self, group: GroupRuntime, start: GroupStart) -> None:
+    def _admit(self, group: GroupRuntime,
+               start: GroupStart) -> None:  # pragma: no cover - abstract
         """Place ``start``'s jobs into ``group``, just started for it."""
         raise NotImplementedError
 
@@ -422,10 +414,10 @@ class HarmonyMaster(MasterBase):
         self._check_rebuild()
         self._pump()
 
-    def _job_left(self, group: GroupRuntime) -> None:
-        self._note_membership_change(group)
-        self._check_rebuild()
-        self._pump()
+    def on_job_failed(self, job: Job, group: GroupRuntime,
+                      error: Exception) -> None:
+        raise SimulationError(
+            "Harmony groups never co-locate naively, so no job fails")
 
     # ----------------------------------------------------------- the pump
 
@@ -477,10 +469,10 @@ class HarmonyMaster(MasterBase):
             previous_state = job.state
             job.transition(JobState.PROFILING)
             self._profiling_iterations[job.job_id] = 0
-            if not target.add_job(job, restore=False):
-                # Memory probe passed but admission failed; undo.
-                job.state = previous_state
-                continue
+            # The target admits the job (can_admit, or a fresh group at
+            # its floor), and admission then never fails.
+            admitted = target.add_job(job, restore=False)
+            assert admitted
             self._note_recovered(job)
             self._note_membership_change(target)
             if previous_state is JobState.WAITING:
@@ -728,8 +720,8 @@ class HarmonyMaster(MasterBase):
         escalates to the full scheduling algorithm.
         """
         threshold = self.config.scheduler.similarity_threshold
-        if not self.profiler.has(finished.job_id):
-            return
+        # Profiled: on_iteration records the last iteration before the
+        # group reports the finish.
         target = self.profiler.get(finished.job_id)
         m = group.n_machines
         candidates = self._metrics_of(self.jobs_in_state(JobState.PAUSED))
@@ -1010,10 +1002,9 @@ class HarmonyMaster(MasterBase):
         if rebuild is None:
             return
         for group_id in list(rebuild.draining):
-            group = self.groups.get(group_id)
-            if group is None:
-                rebuild.draining.discard(group_id)
-            elif group.is_idle:
+            # Live: a crash discards its own group from the drain.
+            group = self.groups[group_id]
+            if group.is_idle:
                 self._stop_group(group)
                 rebuild.draining.discard(group_id)
         # Eagerly materialize any slot whose machines are already free:
@@ -1077,8 +1068,8 @@ class HarmonyMaster(MasterBase):
             # picked up by a later pump).
             return False
         restore = job.migrations > 0
-        if not group.add_job(job, restore=restore):
-            return False
+        admitted = group.add_job(job, restore=restore)
+        assert admitted  # can_admit held, so admission cannot fail
         self._pending_moves.pop(job.job_id, None)
         if job.state is not JobState.RUNNING:
             job.transition(JobState.RUNNING)

@@ -223,11 +223,9 @@ class GroupMemoryManager:
                          stall_seconds: float,
                          busy_seconds: float) -> None:
         """Feed one iteration's overheads into the hill climber."""
-        state = self._states.get(job.job_id)
-        if state is None:
-            return  # job was admitted without spill management
         if not self.footprints.adaptive:
             return  # ratio adaptation disabled
+        state = self._states[job.job_id]  # admitted, not yet evicted
         state.gc_overhead_seconds += max(0.0, gc_overhead_seconds)
         state.stall_seconds += max(0.0, stall_seconds)
         state.busy_seconds += max(0.0, busy_seconds)

@@ -153,7 +153,3 @@ class Profiler:
         if metrics is None:
             raise SchedulingError(f"job {job_id} has not been profiled")
         return metrics
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._metrics)

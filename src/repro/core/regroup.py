@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.profiler import JobMetrics
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.perfmodel import PerfModel
     from repro.core.scheduler import SchedulePlan
 

@@ -268,9 +268,6 @@ class PlanCache:
         """
         del job_id
 
-    def clear(self) -> None:
-        self._entries.clear()
-
 
 class PoolSnapshot:
     """One ``schedule()`` call's job pool as flat per-job lists.

@@ -118,10 +118,10 @@ class SubTaskSynchronizer:
             if iteration <= self._completed.get(watermark, -1):
                 raise SimulationError(
                     f"{key}: more arrivals than workers ({expected})")
+            # An open barrier holds fewer than ``expected`` arrivals: the
+            # one that completes it retires the key, and re-registering
+            # the job clears its keys.
             count = self._arrived.get(key, 0) + 1
-            if count > expected:
-                raise SimulationError(
-                    f"{key}: more arrivals than workers ({expected})")
             if count == expected:
                 # Barrier complete: retire the key so state stays
                 # bounded, record the high-water mark, wake the peers.

@@ -36,20 +36,6 @@ from repro.policies.queueing import (
     fcfs,
     packed_fifo,
 )
-# The registry imports the runtimes, and the runtimes' shared base
-# imports repro.policies.base — so the registry exports resolve lazily
-# (PEP 562) to keep `import repro.policies.base` from cycling through
-# a partially initialized baselines package.
-_REGISTRY_EXPORTS = ("available", "build_runtime", "register")
-
-
-def __getattr__(name: str):
-    if name in _REGISTRY_EXPORTS:
-        from repro.policies import registry
-        return getattr(registry, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "FunctionPolicy",
@@ -59,9 +45,6 @@ __all__ = [
     "RunningGroupView",
     "SchedulingPolicy",
     "HarmonyPlanPolicy",
-    "available",
-    "build_runtime",
-    "register",
     "cassini",
     "synergy",
     "conservative",

@@ -58,6 +58,14 @@ def main(argv: list[str] | None = None) -> int:
                              "unsharded/sharded total-seconds ratio "
                              "reaches this floor")
     args = parser.parse_args(argv)
+    # Counts that would make the sweep vacuous or crash it mid-run.
+    if args.churn < 0:
+        parser.error(f"--churn must be >= 0, got {args.churn}")
+    if min(args.cells) < 1:
+        parser.error(f"--cells must all be >= 1, got {args.cells}")
+    if any(jobs < 0 or machines < 1 for jobs, machines in args.sizes):
+        parser.error("--sizes needs >= 0 jobs and >= 1 machine per size, "
+                     f"got {args.sizes}")
 
     result = scalability.run_sharded(
         sizes=args.sizes, cells=args.cells, churn_steps=args.churn,

@@ -42,7 +42,7 @@ from repro.core.profiler import JobMetrics
 from repro.core.scheduler import ORDERING_DOP
 from repro.trace.tracer import Tracer
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.shard.rebalance import ShardMove
 
 _job_id = attrgetter("job_id")

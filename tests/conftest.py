@@ -21,9 +21,8 @@ def pytest_addoption(parser):
         "--sanitize", action="store_true", default=False,
         help="instrument threading.Lock/RLock (and everything built on "
              "them: Condition, Semaphore, Event, ...) with the "
-             "repro.analysis.sanitizer race detector; any lock-order "
-             "inversion, foreign release, or watched-object race fails "
-             "the test")
+             "repro.analysis.sanitizer lock checker; any lock-order "
+             "inversion or foreign release fails the test")
 
 
 @pytest.fixture(autouse=True)

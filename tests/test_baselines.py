@@ -3,9 +3,14 @@
 import pytest
 
 from repro.baselines import IsolatedRuntime, NaiveRuntime
+from repro.baselines.base import BaselineRuntime
 from repro.baselines.naive import run_naive_cases
-from repro.policies.queueing import packed_fifo
-from repro.workloads.apps import DATASETS, JobSpec, MLR
+from repro.core.group_runtime import ExecutionMode
+from repro.core.job import JobState
+from repro.errors import SimulationError
+from repro.policies.base import FunctionPolicy, GroupStart, PolicyDecision
+from repro.policies.queueing import fcfs, packed_fifo
+from repro.workloads.apps import DATASETS, JobSpec, LDA, MLR
 from repro.workloads.generator import WorkloadGenerator
 
 
@@ -105,3 +110,63 @@ class TestComparativeShape:
         harmony = HarmonyRuntime(24, workload).run()
         assert harmony.average_utilization("cpu") > \
             isolated_result.average_utilization("cpu")
+
+
+def _cramming(width):
+    """A policy that starts the whole queue on ``width`` machines,
+    whatever its memory floor says."""
+    def decide(obs):
+        if not obs.queue:
+            return PolicyDecision(())
+        return PolicyDecision((GroupStart(tuple(obs.queue), width),))
+    return FunctionPolicy("cram", decide)
+
+
+class TestJobsThatDoNotFit:
+    """A queue policy may start a group below its jobs' memory floor;
+    the master fails those jobs and frees their machines."""
+
+    def test_naive_colocation_oom_fails_every_job(self):
+        jobs = [JobSpec(f"big{i}", MLR, DATASETS["MLR"][1], iterations=5)
+                for i in range(2)]
+        runtime = BaselineRuntime(8, jobs, mode=ExecutionMode.NAIVE,
+                                  name="cram", policy=_cramming(1))
+        result = runtime.run()
+        assert [o.state for o in result.outcomes.values()] \
+            == [JobState.FAILED, JobState.FAILED]
+        assert not runtime.master.groups
+        assert runtime.cluster.n_free == 8
+        with pytest.raises(SimulationError, match="no finished jobs"):
+            result.mean_jct
+        with pytest.raises(SimulationError, match="no finished jobs"):
+            result.makespan
+
+    def test_a_job_that_fits_nowhere_frees_its_group(self):
+        # Even fully spilled, a 40x MLR model does not fit two machines:
+        # admission refuses it, and its machines go back to the pool
+        # for the LDA job, which needs all eight.
+        huge = JobSpec("huge", MLR, DATASETS["MLR"][0], iterations=5,
+                       model_scale=40.0)
+        small = JobSpec("small", LDA, DATASETS["LDA"][1], iterations=5)
+
+        def decide(obs):
+            if "huge" in obs.queue:
+                return PolicyDecision((GroupStart(("huge",), 2),))
+            return fcfs().decide(obs)
+
+        runtime = BaselineRuntime(8, [huge, small],
+                                  mode=ExecutionMode.HARMONY, name="x",
+                                  policy=FunctionPolicy("x", decide))
+        result = runtime.run()
+        assert result.outcomes["huge"].state is JobState.FAILED
+        assert result.outcomes["huge"].finish_time == 0.0
+        assert result.outcomes["small"].state is JobState.FINISHED
+        assert runtime.cluster.n_free == 8
+
+    def test_a_baseline_master_never_pauses_a_job(self):
+        runtime = IsolatedRuntime(24, [JobSpec(
+            "a", LDA, DATASETS["LDA"][1], iterations=3)])
+        runtime.run()
+        job = runtime.master.jobs["a"]
+        with pytest.raises(SimulationError, match="never pause"):
+            runtime.master.on_job_paused(job, None)

@@ -485,6 +485,16 @@ class TestCheckCli:
         assert len(seen) == 50  # distinct runs explore distinct seeds
         assert seen.isdisjoint(DEFAULT_SEEDS)
 
+    @pytest.mark.parametrize("cases", ["0", "-1"])
+    def test_a_differential_without_cases_is_a_usage_error(self, capsys,
+                                                           cases):
+        with pytest.raises(SystemExit) as excinfo:
+            check_main(["--seed", "1", "--differential",
+                        f"--cases={cases}"])
+        assert excinfo.value.code == 2
+        assert f"--cases must be >= 1, got {cases}" \
+            in capsys.readouterr().err
+
     def test_passing_seed_exits_zero(self, capsys):
         assert check_main(["--seed", "2021"]) == 0
         out = capsys.readouterr().out

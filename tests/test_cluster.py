@@ -62,6 +62,38 @@ class TestCluster:
 
 
 
+    @pytest.mark.parametrize("machine_id", [-1, 3])
+    @pytest.mark.parametrize("query", ["is_failed", "owner_of",
+                                       "mark_failed", "restore_machine"])
+    def test_unknown_machine_id_raises(self, query, machine_id):
+        cluster = Cluster(3)
+        with pytest.raises(ClusterError, match="unknown machine id"):
+            getattr(cluster, query)(machine_id)
+
+    def test_repeat_fail_and_repeat_restore_are_no_ops(self):
+        cluster = Cluster(3)
+        cluster.mark_failed(1)
+        cluster.mark_failed(1)
+        assert cluster.n_failed == 1
+        assert cluster.n_free == 2
+        cluster.restore_machine(1)
+        cluster.restore_machine(1)
+        assert cluster.n_failed == 0
+        assert cluster.n_free == 3
+        assert not cluster.is_failed(1)
+
+    def test_a_failed_owned_machine_returns_only_after_restore(self):
+        cluster = Cluster(2)
+        (held, _) = cluster.allocate(2, "g0")
+        cluster.mark_failed(held)
+        assert cluster.owner_of(held) == "g0"
+        cluster.release_all("g0")
+        assert cluster.n_free == 1
+        cluster.restore_machine(held)
+        assert cluster.n_free == 2
+        assert cluster.owner_of(held) is None
+
+
 class TestMemoryLedger:
     def test_empty_ledger_has_no_pressure(self, machine_spec):
         ledger = MemoryLedger(machine_spec)

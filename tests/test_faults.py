@@ -17,6 +17,7 @@ from repro.core.synchronizer import SubTaskSynchronizer
 from repro.errors import SimulationError
 from repro.faults import FaultEvent, FaultKind, FaultPlan, HealthMonitor
 from repro.sim import Simulator
+from repro.workloads.apps import DATASETS, JobSpec, LDA
 from repro.workloads.generator import WorkloadGenerator
 
 
@@ -194,6 +195,26 @@ class TestSynchronizerFaultPaths:
         assert not synchronizer._arrived  # nothing retained
         assert synchronizer.pending("j") == 0
 
+    def test_reregister_drops_a_timed_out_arrival(self):
+        # A worker that timed out at a barrier leaves its arrival on
+        # file; a fresh registration starts the job's barriers clean.
+        synchronizer = SubTaskSynchronizer(timeout=0.01)
+        synchronizer.register_job("j", 2)
+        with pytest.raises(SimulationError, match="barrier timeout"):
+            synchronizer.arrive("j", 0, SubTaskKind.PULL)
+        assert synchronizer.pending("j") == 1
+        synchronizer.register_job("j", 2)
+        assert synchronizer.pending("j") == 0
+
+    def test_reregister_forgets_completed_barriers(self):
+        # A resumed job replays the iteration it was checkpointed in;
+        # without the reset its barrier would count as an over-arrival.
+        synchronizer = SubTaskSynchronizer()
+        synchronizer.register_job("j", 1)
+        assert synchronizer.arrive("j", 3, SubTaskKind.PULL)
+        synchronizer.register_job("j", 1)
+        assert synchronizer.arrive("j", 3, SubTaskKind.PULL)
+
     def test_over_arrival_still_detected_after_completion(self):
         synchronizer = SubTaskSynchronizer()
         synchronizer.register_job("j", 1)
@@ -294,6 +315,43 @@ class TestCrashRecoveryEndToEnd:
         assert summary.n_crashes == 1
         assert summary.unrecovered_jobs == 0
         assert summary.max_recovery_seconds >= record.detection_seconds
+
+    def test_a_whole_cluster_outage_waits_for_the_repairs(self):
+        # Every machine is down for two hours: nothing runs and nothing
+        # can start, but the watchdog must not give up while repairs
+        # are scheduled.
+        job = JobSpec("tiny", LDA, DATASETS["LDA"][1], iterations=30)
+        downtime = 7200.0
+        plan = FaultPlan.build([
+            FaultEvent(200.0, FaultKind.MACHINE_CRASH, machine,
+                       duration=downtime) for machine in range(4)], seed=1)
+        result = HarmonyRuntime(4, [job], fault_plan=plan).run()
+        assert result.outcomes["tiny"].state is JobState.FINISHED
+        assert result.outcomes["tiny"].finish_time > 200.0 + downtime
+        assert "faults: 4 crashes / 0 slowdowns / 0 drops" \
+            in result.summary()
+
+    def test_a_crash_in_a_draining_group_leaves_the_rebuild(self):
+        jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
+        runtime = HarmonyRuntime(24, jobs)
+        master = runtime.master
+        master.sim.spawn(runtime._pacer(), name="pacer")
+        for spec in runtime.workload:
+            master.sim.call_at(spec.submit_time,
+                               lambda s=spec: master.submit(s))
+        until = 0.0
+        while master._rebuild is None or not master._rebuild.draining:
+            until += 10.0
+            master.sim.run(until=until)
+        draining = sorted(master._rebuild.draining)
+        victim = runtime.cluster.owned_by(draining[0])[0]
+        master.inject_machine_failure(victim)
+        assert draining[0] not in master.groups
+        assert master._rebuild is None \
+            or draining[0] not in master._rebuild.draining
+        master.sim.run()
+        assert all(job.state is JobState.FINISHED
+                   for job in master.jobs.values())
 
     def test_same_seed_replays_identically(self):
         _, first = self._run()

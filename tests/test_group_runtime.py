@@ -247,6 +247,14 @@ class TestMemoryBehaviour:
 
 
 class TestModes:
+    @pytest.mark.parametrize("factor", [0.0, -1.0])
+    def test_fault_windows_need_a_positive_factor(self, factor):
+        _, group, _ = build_group()
+        with pytest.raises(SimulationError, match="slowdown factor"):
+            group.apply_cpu_slowdown(factor)
+        with pytest.raises(SimulationError, match="penalty factor"):
+            group.apply_net_penalty(factor)
+
     def test_naive_mode_shares_cpu(self):
         """Uncoordinated COMPs overlap: utilization level reflects
         concurrent service."""

@@ -4,6 +4,7 @@ on jobs through the adapters in ``tests/sched_oracle.py``."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.grouping import assign_jobs
 from repro.core.profiler import JobMetrics
 from repro.errors import SchedulingError
 from tests.sched_oracle import (
@@ -30,6 +31,10 @@ def balanced_pool(n):
 
 
 class TestAssignJobs:
+    def test_mismatched_time_lists_are_rejected(self):
+        with pytest.raises(SchedulingError, match="3 COMP times for 2"):
+            assign_jobs([1.0, 2.0, 3.0], [1.0, 2.0], 1)
+
     def test_partitions_every_job_once(self):
         pool = balanced_pool(10)
         groups = assign_metrics(pool, n_groups=3, m_ref=4)

@@ -77,6 +77,11 @@ class TestJobMetrics:
                              m_observed=4)
         assert metrics.comp_comm_ratio_at(10) == pytest.approx(1.0)
 
+    def test_comp_comm_ratio_without_network_is_infinite(self):
+        metrics = JobMetrics("j", cpu_work=100.0, t_net=0.0,
+                             m_observed=4)
+        assert metrics.comp_comm_ratio_at(10) == float("inf")
+
 
 class TestProfiler:
     def test_first_record_is_exact(self):
@@ -86,6 +91,13 @@ class TestProfiler:
         assert metrics.cpu_work == pytest.approx(80.0)
         assert metrics.t_net == pytest.approx(4.0)
         assert metrics.samples == 1
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_a_dop_below_one_is_rejected(self, m):
+        profiler = Profiler()
+        with pytest.raises(SchedulingError, match="DoP must be >= 1"):
+            profiler.record_iteration("j", t_cpu=10.0, t_net=4.0, m=m)
+        assert not profiler.has("j")
 
     def test_ema_converges_to_new_level(self):
         profiler = Profiler(ema_alpha=0.5)

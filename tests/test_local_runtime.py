@@ -1,14 +1,17 @@
 """Tests for the threaded local runtime (real PS + real models)."""
 
+import threading
+
 import pytest
 
 from repro.core.local_runtime import LocalHarmonyRuntime, LocalJob
 from repro.core.subtask import SubTaskKind
 from repro.core.synchronizer import SubTaskSynchronizer
-from repro.errors import SimulationError, WorkloadError
-from repro.ml import LassoModel, MLRModel
+from repro.errors import SchedulingError, SimulationError, WorkloadError
+from repro.ml import LassoModel, LDAModel, MLRModel
 from repro.ml.datasets import (
     make_classification,
+    make_documents,
     make_regression,
     partition_rows,
 )
@@ -138,6 +141,81 @@ class TestLocalRuntime:
         assert params
         total_classes = sum(v.shape[1] for v in params.values())
         assert total_classes == 3
+
+
+class _HookedModel:
+    """An MLR model that calls ``hook(state)`` before each COMP
+    subtask."""
+
+    def __init__(self, hook):
+        self.inner = MLRModel(10, 3)
+        self.hook = hook
+
+    def init_params(self, rng):
+        return self.inner.init_params(rng)
+
+    def compute(self, params, partition, state):
+        self.hook(state)
+        return self.inner.compute(params, partition, state)
+
+
+def _fail(state):
+    raise RuntimeError("compute failed")
+
+
+class TestLocalRuntimeFailurePaths:
+    def test_lda_partitions_are_seeded_before_the_first_epoch(self):
+        docs = make_documents(12, vocab_size=30, n_topics=3,
+                              doc_length=10, seed=4)
+        job = LocalJob("lda", LDAModel(30, n_topics=3),
+                       [{"docs": docs[:6]}, {"docs": docs[6:]}],
+                       max_epochs=2)
+        result = LocalHarmonyRuntime([job], barrier_timeout=30).run()["lda"]
+        # Gibbs sweeps move tokens between topics; the seeded counts
+        # are the only source of tokens in the global model.
+        assert result.final_params["topic_total"].sum() \
+            == pytest.approx(12 * 10)
+
+    def test_a_worker_error_is_raised_after_every_thread_joins(self):
+        job = mlr_job(n_workers=1)
+        job.model = _HookedModel(_fail)
+        runtime = LocalHarmonyRuntime([job], barrier_timeout=30)
+        with pytest.raises(RuntimeError, match="compute failed"):
+            runtime.run()
+
+    def test_a_force_released_barrier_ends_the_job(self):
+        job = mlr_job(n_workers=1, epochs=5)
+        runtime = LocalHarmonyRuntime([job], barrier_timeout=30)
+
+        def release_on_first_epoch(state):
+            # Force-release the job's barriers, as a fault handler would.
+            if state.iteration == 0:
+                runtime._synchronizer.release_job("mlr")
+
+        job.model = _HookedModel(release_on_first_epoch)
+        result = runtime.run()["mlr"]
+        assert result.epochs == 1
+
+    def test_a_worker_that_never_reports_stalls_the_loss_board(self):
+        # Worker 1's clock runs backwards, so its profiled durations are
+        # negative and it dies after its PUSH, before reporting a loss.
+        # Worker 0 then waits on the loss board until the barrier
+        # timeout, and the run raises the first error.
+        ticks = {"mlr-w1": 0.0}
+
+        def clock():
+            name = threading.current_thread().name
+            if name in ticks:
+                ticks[name] -= 1.0
+                return ticks[name]
+            return 0.0
+
+        runtime = LocalHarmonyRuntime([mlr_job(n_workers=2)],
+                                      barrier_timeout=0.2, clock=clock)
+        with pytest.raises(SchedulingError, match="finite and >= 0"):
+            runtime.run()
+        # Worker 0's iteration was profiled before it stalled.
+        assert runtime.profiler.get("mlr").samples == 1
 
 
 class TestSynchronizer:

@@ -8,7 +8,7 @@ from repro.config import ExecutionConfig, MemoryConfig, SimConfig
 from repro.core.job import JobState
 from repro.core.master import HarmonyMaster
 from repro.core.memory_manager import TARGET_PRESSURE
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, SimulationError
 from repro.metrics.utilization import ClusterUsageRecorder
 from repro.sim import RandomStreams, Simulator
 from repro.workloads.apps import APPS, DATASETS, JobSpec, LDA, MLR
@@ -73,6 +73,17 @@ class TestSubmission:
         for name in ("a", "b", "c"):
             master.submit(lda_spec(name))
         assert len(master.groups) == 2
+
+
+class TestHooks:
+    def test_a_harmony_group_never_fails_a_job(self):
+        # Only naive co-location fails jobs on OOM, and no Harmony
+        # group co-locates naively.
+        sim, master = build_master()
+        job = master.submit(lda_spec("a"))
+        group = next(iter(master.groups.values()))
+        with pytest.raises(SimulationError, match="never co-locate"):
+            master.on_job_failed(job, group, RuntimeError("oom"))
 
 
 class TestMemoryFloor:

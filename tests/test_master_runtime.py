@@ -48,6 +48,13 @@ class TestEndToEnd:
             value = result.average_utilization(resource)
             assert 0.0 < value <= 1.0
 
+    def test_utilization_timeline_averages_to_the_headline(self, small_run):
+        _, result = small_run
+        for resource in ("cpu", "net"):
+            timeline = result.utilization_timeline(resource)
+            assert timeline.average_until(result.makespan) \
+                == result.average_utilization(resource)
+
     def test_concurrency_exceeds_one(self, small_run):
         _, result = small_run
         assert result.mean_concurrent_jobs() > 1.0
@@ -159,6 +166,15 @@ class TestBudgetedRun:
         runtime = HarmonyRuntime(24, jobs)
         runtime.run(max_sim_seconds=60.0)
         assert runtime.sim.now <= 60.0 + 1e-6
+
+    def test_a_truncated_run_reports_no_jct_for_running_jobs(self):
+        jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
+        result = HarmonyRuntime(24, jobs).run(max_sim_seconds=60.0)
+        unfinished = [o for o in result.outcomes.values()
+                      if o.finish_time is None]
+        assert unfinished
+        assert all(o.jct is None for o in unfinished)
+        assert len(result.jcts) == len(result.finished)
 
     def test_negative_budget_raises_and_keeps_clock(self):
         jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)

@@ -92,6 +92,18 @@ class TestOracleScheduler:
     def test_empty_pool(self):
         assert OracleScheduler().schedule([], 4) is None
 
+    def test_no_machines_rejected(self):
+        with pytest.raises(SchedulingError, match="at least one machine"):
+            OracleScheduler().schedule(self._pool(2), 0)
+
+    def test_partitions_above_the_memory_floors_are_skipped(self):
+        # Three machines per job: on five machines only one job fits,
+        # whichever way the two are partitioned.
+        oracle = OracleScheduler(memory_floor=lambda ids: 3 * len(ids))
+        plan = oracle.schedule(self._pool(2), 5)
+        assert len(plan.scheduled_job_ids) == 1
+        assert plan.machines_used <= 5
+
     def test_plan_within_budget(self):
         plan = OracleScheduler().schedule(self._pool(5), 12)
         assert plan.machines_used <= 12

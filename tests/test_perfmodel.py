@@ -77,6 +77,10 @@ class TestGroupEstimate:
 
 
 class TestClusterUtilization:
+    def test_no_machines_to_average_over_is_an_error(self):
+        with pytest.raises(SchedulingError, match="no machines"):
+            PerfModel.utilization_from_terms((), (), ())
+
     def test_weighted_average_by_machines(self):
         model = PerfModel()
         busy = model.estimate_group([metrics("a", 100.0, 100.0)], m=3)

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -22,9 +23,14 @@ from repro.baselines.isolated import IsolatedRuntime
 from repro.baselines.naive import NaiveRuntime
 from repro.config import SimConfig
 from repro.core.group_runtime import ExecutionMode
+from repro.core.perfmodel import PerfModel
+from repro.core.profiler import JobMetrics
 from repro.core.runtime import HarmonyRuntime
+from repro.core.scheduler import HarmonyScheduler
 from repro.errors import SchedulingError, SimulationError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.policies.interleave import cassini
+from repro.policies.packing import synergy
 from repro.policies.base import (
     FunctionPolicy,
     GroupStart,
@@ -40,8 +46,8 @@ from repro.policies.queueing import (
     fcfs,
     packed_fifo,
 )
-from repro.policies.planner import plan_decision
-from repro.policies.registry import available, build_runtime
+from repro.policies.planner import HarmonyPlanPolicy, plan_decision
+from repro.policies.registry import available, build_runtime, register
 from repro.workloads.generator import WorkloadGenerator
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -305,6 +311,92 @@ class TestPlanDecision:
         decision = plan_decision(plan, 8)
         assert decision.starts == (GroupStart(("a",), 5),
                                    GroupStart(("d",), 3))
+
+
+def metric_obs(metrics, queue, free=8, cluster=16, demands=None):
+    """A synthetic observation whose jobs carry profiled metrics."""
+    demands = demands or {}
+    obs = make_obs(queue=queue, free=free, cluster=cluster,
+                   demands=demands)
+    return replace(obs, metrics_at=lambda job_id, m: metrics[job_id],
+                   memory_floor=lambda job_ids: 1)
+
+
+def _metrics(job_id, cpu_work, t_net):
+    return JobMetrics(job_id=job_id, cpu_work=cpu_work, t_net=t_net,
+                      m_observed=1)
+
+
+class TestPackingAndInterleavingPasses:
+    """The queue walks of the Synergy-, CASSINI- and Algorithm 1-style
+    policies: heads no cluster state can place, partners that do not
+    fit the free machines, and partners that do not pay off."""
+
+    METRICS = {
+        "huge": _metrics("huge", 10.0, 1.0),
+        "a": _metrics("a", 10.0, 1.0),
+        "wide": _metrics("wide", 1.0, 10.0),
+        "twin": _metrics("twin", 10.0, 1.0),
+        "idle": _metrics("idle", 0.0, 0.0),
+        "idle2": _metrics("idle2", 0.0, 0.0),
+        "dud": _metrics("dud", 0.1, 0.1),
+    }
+
+    @pytest.mark.parametrize("make", [cassini, synergy])
+    def test_a_head_no_cluster_can_place_is_stepped_over(self, make):
+        obs = metric_obs(self.METRICS, ("huge", "a"),
+                         demands={"huge": 99, "a": 2})
+        decision = make(PerfModel()).decide(obs)
+        assert [s.job_ids for s in decision.starts] == [("a",)]
+
+    @pytest.mark.parametrize("make, partner", [(cassini, "twin"),
+                                               (synergy, "dud")])
+    def test_partners_that_do_not_fit_or_pay_off_stay_queued(
+            self, make, partner):
+        # "wide" would complement "a" but needs more than the free
+        # machines.  The partner fits but does not pay off: "twin" is
+        # as CPU-bound as "a" (below CASSINI's compatibility bar) and
+        # "dud" lowers the packed score (no Synergy gain).  "a" starts
+        # alone, and the FIFO head "wide" then waits for machines.
+        obs = metric_obs(self.METRICS, ("a", "wide", partner), free=8,
+                         demands={"a": 2, "wide": 7, partner: 2})
+        decision = make(PerfModel()).decide(obs)
+        assert [s.job_ids for s in decision.starts] == [("a",)]
+
+    def test_jobs_without_work_are_fully_compatible(self):
+        obs = metric_obs(self.METRICS, ("idle", "idle2"))
+        decision = cassini(PerfModel()).decide(obs)
+        assert [s.job_ids for s in decision.starts] == [("idle", "idle2")]
+
+    def test_plan_policy_skips_jobs_no_cluster_can_place(self):
+        def factory(memory_floor):
+            return HarmonyScheduler(memory_floor=memory_floor)
+
+        demands = {"huge": 99, "a": 2}
+        only_huge = metric_obs(self.METRICS, ("huge",), demands=demands)
+        assert HarmonyPlanPolicy(factory).decide(only_huge) \
+            == PolicyDecision(())
+        both = metric_obs(self.METRICS, ("huge", "a"), demands=demands)
+        decision = HarmonyPlanPolicy(factory).decide(both)
+        assert [s.job_ids for s in decision.starts] == [("a",)]
+
+    def test_a_reservation_no_release_can_meet_vetoes_nothing(self):
+        # "blocked" needs 10 of 16 machines, but only 4 are free and
+        # nothing running will release any: its reserved start is inf,
+        # and a backfill cannot delay inf.
+        obs = make_obs(queue=("blocked", "cand"), free=4, cluster=16,
+                       demands={"blocked": 10, "cand": 2})
+        decision = conservative().decide(obs)
+        assert [s.job_ids for s in decision.starts] == [("cand",)]
+
+    def test_packed_fifo_needs_a_positive_group_size(self):
+        with pytest.raises(SchedulingError, match="group_size"):
+            packed_fifo(group_size=0)
+
+    def test_a_policy_name_registers_once(self):
+        with pytest.raises(SchedulingError, match="duplicate policy"):
+            register("fcfs", "again")(lambda *args: None)
+        assert "fcfs" in dict(available())
 
 
 class TestSharedRunLoop:

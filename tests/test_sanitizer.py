@@ -1,7 +1,6 @@
 """Tests for the dynamic race sanitizer (repro.analysis.sanitizer):
-lock-order inversion detection, ownership tracking, the Eraser-style
-watched-object lockset algorithm, and install()/uninstall() patching
-of the real ``threading`` factories."""
+lock-order inversion detection, ownership tracking, and
+install()/uninstall() patching of the real ``threading`` factories."""
 
 import threading
 
@@ -101,59 +100,6 @@ class TestOwnership:
         with pytest.raises(SanitizerError, match="does not own it"):
             sanitizer.check()
         rlock.release()
-
-    def test_held_by_tracks_stack(self, sanitizer):
-        lock = sanitizer.lock("a.py:1")
-        assert sanitizer.held_by() == []
-        with lock:
-            assert sanitizer.held_by() == [lock]
-        assert sanitizer.held_by() == []
-
-
-class _Box:
-    def __init__(self):
-        self.value = 0
-
-
-class TestWatch:
-    def test_unguarded_concurrent_mutation_detected(self, sanitizer):
-        box = sanitizer.watch(_Box())
-        box.value = 1
-
-        def clobber():
-            box.value = 2
-
-        run_thread(clobber)
-        with pytest.raises(SanitizerError,
-                           match="unsynchronized concurrent mutation"):
-            sanitizer.check()
-
-    def test_guarded_mutation_clean(self, sanitizer):
-        lock = sanitizer.lock("a.py:1")
-        box = sanitizer.watch(_Box())
-        with lock:
-            box.value = 1
-
-        def bump():
-            with lock:
-                box.value = 2
-
-        run_thread(bump)
-        sanitizer.check()
-
-    def test_single_thread_unguarded_clean(self, sanitizer):
-        """One writer needs no lock: the cell never goes shared."""
-        box = sanitizer.watch(_Box())
-        for i in range(5):
-            box.value = i
-        sanitizer.check()
-
-    def test_watch_is_idempotent(self, sanitizer):
-        box = _Box()
-        assert sanitizer.watch(box) is box
-        watched_class = type(box)
-        assert sanitizer.watch(box) is box
-        assert type(box) is watched_class
 
 
 class TestInstall:

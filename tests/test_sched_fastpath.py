@@ -29,10 +29,12 @@ from repro.core.scheduler import (
     _CACHE_MISS,
     argmin_convex,
 )
+from repro.errors import SchedulingError
 from repro.experiments import sched_churn
 from repro.experiments.fig13_model_accuracy import make_error_injector
 from repro.metrics.utilization import ClusterUsageRecorder
 from repro.shard.scheduler import ShardedScheduler
+from repro.trace.tracer import Tracer
 from repro.sim import RandomStreams, Simulator
 from repro.workloads.costmodel import CostModel
 from tests.sched_oracle import (
@@ -516,6 +518,11 @@ class TestPlanCache:
         assert cache.get(("k0", 1, 10), (jobs[0],)) is _CACHE_MISS
         assert cache.get(("k2", 1, 10), (jobs[2],)) is None
 
+    @pytest.mark.parametrize("max_entries", [0, -1])
+    def test_a_cache_without_room_is_rejected(self, max_entries):
+        with pytest.raises(SchedulingError, match=">= 1 entry"):
+            PlanCache(max_entries=max_entries)
+
 
 class TestLastStats:
     """``last_stats`` describes the most recent ``schedule()`` call, the
@@ -573,8 +580,10 @@ class TestSplicePlan:
 
 
 class TestMasterPatchPath:
-    def build_master(self, n_machines=24):
+    def build_master(self, n_machines=24, traced=False):
         sim = Simulator()
+        if traced:
+            sim.tracer = Tracer(lambda: sim.now)
         config = SimConfig()
         cluster = Cluster(n_machines, config.machine)
         recorder = ClusterUsageRecorder(n_machines)
@@ -613,6 +622,62 @@ class TestMasterPatchPath:
                           m_observed=target.m_observed)
         assert not master._patch_accepts(group, target, [weak],
                                          kind="similar")
+
+    def test_a_traced_patch_records_its_verdict(self):
+        from repro.workloads.apps import DATASETS, JobSpec, LDA
+
+        master = self.build_master(traced=True)
+        for i in range(2):
+            master.submit(JobSpec(f"j{i}", LDA, DATASETS["LDA"][0],
+                                  iterations=3))
+        self.feed(master, "j0", 0.2, 1.0)
+        self.feed(master, "j1", 5.0, 1.0)
+        group = next(g for g in master.groups.values()
+                     if any(j.job_id == "j0" for j in g.jobs()))
+        target = master.profiler.get("j1")
+        twin = replace(target, job_id="twin")
+        assert master._patch_accepts(group, target, [twin],
+                                     kind="similar")
+        (instant,) = [event for event in master.sim.tracer.instants
+                      if event.name == "plan-patch"]
+        assert instant.args["finished"] == "j1"
+        assert instant.args["kind"] == "similar"
+        assert instant.args["replacements"] == ["twin"]
+        assert instant.args["accepted"] is True
+        assert instant.args["after"] >= instant.args["before"] * 0.95
+
+    def test_a_bundle_is_admitted_only_as_far_as_memory_allows(self):
+        """Each bundle job fits beside the survivor, but not both: the
+        first resumes into the group, the second is refused, and the
+        repair escalates to Algorithm 1 (which places it elsewhere)."""
+        from repro.core.job import JobState
+        from repro.workloads.apps import DATASETS, JobSpec, MLR
+
+        master = self.build_master()
+        specs = {name: JobSpec(name, MLR, DATASETS["MLR"][1],
+                               iterations=3)
+                 for name in ("survivor", "done", "p1", "p2")}
+        jobs = {name: master._add_job(spec) for name, spec in specs.items()}
+        group = master._start_group(3)
+        jobs["survivor"].state = JobState.RUNNING
+        assert group.add_job(jobs["survivor"])
+        self.feed(master, "survivor", 1.0, 1.0)
+        self.feed(master, "done", 4.0, 2.0)
+        for name in ("p1", "p2"):
+            jobs[name].state = JobState.PAUSED
+            self.feed(master, name, 2.0, 1.0)
+        jobs["done"].state = JobState.RUNNING  # left the group just now
+        assert group.can_admit(jobs["p1"]) and group.can_admit(jobs["p2"])
+
+        master.on_job_finished(jobs["done"], group)
+        assert jobs["p1"].group_id == group.group_id
+        assert jobs["p1"].state is JobState.RUNNING
+        assert jobs["p2"].group_id != group.group_id
+        assert master.fast_path_replacements == 0
+        assert master.full_path_regroups == 1
+        # A job that is done, or already placed, is never resumed.
+        assert master._resume_into(jobs["done"], group) is False
+        assert master._resume_into(jobs["p1"], group) is False
 
     def test_profiler_publish_clears_master_estimate_cache(self):
         from repro.workloads.apps import DATASETS, JobSpec, LDA

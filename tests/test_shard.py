@@ -94,6 +94,10 @@ class TestPartition:
         with pytest.raises(ClusterError):
             split_machine_counts(10, 0)
 
+    def test_more_cells_than_machines_rejected(self):
+        with pytest.raises(ClusterError, match="4 cells need >= 4"):
+            split_machine_counts(3, 4)
+
 
 # ---------------------------------------------------------------------------
 # the differential pins
@@ -182,6 +186,11 @@ class TestGlobalPlacer:
         newcomer = make_jobs([(1.0, 0.0)], "new")
         placer.route([heavy, bulky] + newcomer)
         assert placer.cell_of("new0") == 1
+
+    @pytest.mark.parametrize("machines", [(), (4, 0)])
+    def test_every_cell_needs_a_machine(self, machines):
+        with pytest.raises(ValueError, match=">= 1 machine"):
+            GlobalPlacer(machines)
 
     def test_route_preserves_pool_order_within_cells(self):
         jobs = make_jobs([(float(i % 5 + 1), 0.1) for i in range(30)])
@@ -396,6 +405,39 @@ class TestShardedRebalance:
         assert scheduler.jobs_rebalanced > 0
         cells_used = {placer.cell_of(job.job_id) for job in survivors}
         assert len(cells_used) > 1
+
+    def test_a_donor_whose_pool_changed_replans(self):
+        """The donor cell's memo is of an older pool (one of its jobs
+        was republished since): the splice patch is skipped and the
+        donor plans this call's jobs from scratch."""
+        jobs = make_jobs([(4.0, 0.2)] * 24)
+        scheduler = ShardedScheduler(shard=ShardConfig(
+            n_cells=4, rebalance_every=1, rebalance_threshold=0.1))
+        scheduler.schedule(jobs, 40)
+        placer = scheduler._placer
+        survivors = [job for job in jobs
+                     if placer.cell_of(job.job_id) == 0]
+        survivors[0] = replace(survivors[0], cpu_work=5.0)
+        plan = scheduler.schedule(survivors, 40)
+        assert scheduler.jobs_rebalanced > 0
+        assert sorted(job_id for group in plan.groups
+                      for job_id in group.job_ids) \
+            == sorted(job.job_id for job in survivors)
+        donor = scheduler._cells[0]
+        assert donor.last_jobs is not None
+        assert any(job is survivors[0] for job in donor.last_jobs)
+
+    def test_an_idle_cluster_plans_no_moves(self):
+        cell_jobs = [make_jobs([(1.0, 0.1)] * 3), []]
+        assert plan_moves(cell_jobs, [0.0, 0.0], [2, 2], 0.0, 4) == []
+
+    def test_equal_loads_never_move_a_job_onto_its_own_cell(self):
+        # Both cells carry load 0.2 per machine, but the float mean
+        # rounds to 0.19999999999999998, so cell 0 reads hot against a
+        # zero threshold while also being the coldest cell.
+        cell_jobs = [make_jobs([(1.0, 0.1)] * 2), make_jobs([(1.0, 0.1)],
+                                                           prefix="k")]
+        assert plan_moves(cell_jobs, [0.2, 1.0], [1, 5], 0.0, 4) == []
 
     def test_rebalance_zero_disables_the_pass(self):
         jobs = make_jobs([(4.0, 0.2)] * 16)
@@ -655,6 +697,23 @@ class TestScalabilityGuards:
         code = main(["--cells", "1,2", "--sizes", "30x40",
                      "--churn", "1", "--min-speedup", "1000"])
         assert code == 1
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--churn", "-3", "--churn must be >= 0, got -3"),
+        ("--cells", "0", "--cells must all be >= 1, got (0,)"),
+        ("--cells", "1,0", "--cells must all be >= 1, got (1, 0)"),
+        ("--sizes", "10x0", "--sizes needs >= 0 jobs and >= 1 machine"),
+        ("--sizes", "-1x10", "--sizes needs >= 0 jobs and >= 1 machine"),
+        ("--sizes", "10-20", "is not of the form <jobs>x<machines>"),
+    ])
+    def test_scale_cli_rejects_vacuous_counts(self, capsys, flag, value,
+                                              message):
+        from repro.shard.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

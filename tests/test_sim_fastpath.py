@@ -175,6 +175,64 @@ class TestGroupDifferential:
         assert len(group.cycles) == 5 + 6  # multi_specs staggers 5, 6
 
 
+def _bare_group(engine):
+    """An empty four-machine group on ``engine``."""
+    sim = Simulator()
+    cfg = DEFAULT_SIM_CONFIG.with_engine(engine)
+    group = GroupRuntime(sim, "g", tuple(range(4)),
+                         ExecutionMode.ISOLATED, CostModel(cfg.machine),
+                         cfg, RandomStreams(cfg.seed), _CollectingHooks())
+    return sim, group
+
+
+class TestSoloLaneGuards:
+    """The solo lane opens only for a group with nothing else on its
+    resources, and the drive lane breaks exact wake ties by sequence
+    number, as the reference heap does."""
+
+    @pytest.mark.parametrize("first", ["cpu", "net"])
+    def test_tied_parked_wakes_complete_in_submission_order(self, first):
+        orders = {}
+        for engine in ("fast", "reference"):
+            sim, group = _bare_group(engine)
+            order = orders.setdefault(engine, [])
+            second = "net" if first == "cpu" else "cpu"
+            for name in (first, second):
+                getattr(group, name).submit(2.0).add_callback(
+                    lambda event, name=name: order.append(
+                        (name, event.value.finished_at)))
+            sim.run()
+        assert orders["fast"] == orders["reference"] \
+            == [(first, 2.0), ("net" if first == "cpu" else "cpu", 2.0)]
+
+    def test_foreign_work_keeps_the_solo_lane_closed(self):
+        runs = {}
+        for engine in ("fast", "reference"):
+            sim, group = _bare_group(engine)
+            foreign = group.cpu.submit(3.0)
+            job = Job(replace(POOL[0], iterations=3, submit_time=0.0))
+            job.state = JobState.RUNNING
+            group.add_job(job)
+            sim.run()
+            runs[engine] = (sim.now, foreign.value.finished_at,
+                            cycles_view(group.cycles).tolist())
+            if engine == "fast":
+                assert sim.fastpath_stats.solo_batches == 0
+                assert sim.fastpath_stats.wakes_served > 0
+        assert runs["fast"] == runs["reference"]
+
+    def test_a_second_solo_batch_does_not_open(self):
+        sim, group = _bare_group("fast")
+        job = Job(replace(POOL[0], iterations=3, submit_time=0.0))
+        job.state = JobState.RUNNING
+        group.add_job(job)  # runs its whole solo batch, then parks
+        engine = group._engine
+        assert engine.open()
+        assert not engine.open()
+        engine.close()
+        assert not engine.active
+
+
 class TestMultiJobDifferential:
     """Fast engine vs reference engine on multi-job groups: the
     coordinated drive lane serves parked wakes at true times, so every

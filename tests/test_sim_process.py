@@ -37,6 +37,36 @@ class TestProcessBasics:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_a_waiting_parent_receives_the_non_event_error(self, sim):
+        def child():
+            yield sim.timeout(1.0)
+            yield 5
+
+        def parent():
+            try:
+                yield sim.spawn(child(), name="child")
+            except SimulationError as error:
+                return str(error)
+
+        process = sim.spawn(parent())
+        sim.run()
+        assert process.value == "process 'child' yielded int, " \
+            "expected an Event"
+
+    def test_an_already_failed_event_raises_at_the_yield(self, sim):
+        failed = sim.event("failed")
+        failed.fail(ValueError("boom"))
+
+        def proc():
+            try:
+                yield failed
+            except ValueError as error:
+                return f"caught {error}"
+
+        process = sim.spawn(proc())
+        sim.run()
+        assert process.value == "caught boom"
+
     def test_processes_interleave(self, sim):
         trace = []
 

@@ -81,6 +81,45 @@ class TestSerial:
         assert cpu.busy_seconds == pytest.approx(7.0)
 
 
+def _starving(n_active):
+    """A policy that serves nobody."""
+    return [0.0] * n_active
+
+
+class TestStarvedQueue:
+    """A policy that serves no task leaves the queue waiting forever:
+    no lane spins on it, and the solo lane says so."""
+
+    def test_queued_engine_schedules_no_wake(self, sim):
+        cpu = RateResource(sim, _starving, "cpu")
+        done = cpu.submit(1.0)
+        sim.run()
+        assert not done.triggered
+        assert cpu.queue_length == 1
+        assert sim.now == 0.0
+
+    def test_drain_returns_on_a_starved_parked_queue(self, sim):
+        cpu = RateResource(sim, _starving, "cpu")
+        cpu.set_wake_owner(_IdleOwner())
+        done = cpu.submit(1.0)
+        cpu.drain()
+        assert not done.triggered
+        assert sim.now == 0.0
+
+    def test_solo_lane_raises_on_a_starved_head(self, sim):
+        cpu = RateResource(sim, _starving, "cpu")
+        cpu.set_wake_owner(_IdleOwner())
+        with pytest.raises(ResourceError, match="fast path starved"):
+            cpu.serve_solo(1.0)
+
+    def test_solo_lane_falls_back_for_zero_work(self, sim):
+        cpu = RateResource(sim, serial(), "cpu")
+        cpu.set_wake_owner(_IdleOwner())
+        record = cpu.serve_solo(0.0)
+        assert record.finished_at == record.submitted_at == 0.0
+        assert cpu.queue_length == 0
+
+
 class TestPrimarySecondary:
     def test_secondary_runs_at_reduced_rate(self, sim):
         net = RateResource(sim, primary_secondary(0.5), "net")

@@ -7,6 +7,22 @@ from repro.sim import Simulator
 
 
 class TestClock:
+    def test_step_skips_a_cancelled_head(self, sim):
+        fired = []
+        handle = sim.call_at(1.0, lambda: fired.append("cancelled"),
+                             cancellable=True)
+        sim.call_at(2.0, lambda: fired.append("live"))
+        sim.cancel(handle)
+        assert sim.step() is True
+        assert fired == ["live"]
+        assert sim.now == 2.0
+
+    def test_step_refuses_an_entry_behind_a_warped_clock(self, sim):
+        sim.call_at(5.0, lambda: None)
+        sim.warp(10.0)
+        with pytest.raises(SimulationError, match="backwards in time"):
+            sim.step()
+
     def test_starts_at_zero(self):
         assert Simulator().now == 0.0
 
