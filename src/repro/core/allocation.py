@@ -26,7 +26,9 @@ directly — with the very same float divisions and comparisons the
 one-at-a-time loop would perform — produces bitwise-identical
 allocations (pinned against the original loop, kept as a test oracle
 in ``tests/sched_oracle.py``, by the differential suite) in a handful
-of vectorized passes.
+of vectorized passes.  Short candidate lists, where NumPy's fixed cost
+dominates, run the reference process itself on a heap instead
+(:data:`_HEAP_CANDIDATES`).
 """
 
 from __future__ import annotations
@@ -45,6 +47,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Returns the minimum machine count for a set of co-located jobs.
 MemoryFloorFn = Callable[[Sequence[str]], int]
 
+#: Up to this many candidate grants the heap beats the vectorized
+#: top-``spare`` selection (it makes ``spare`` grants, fewer than the
+#: candidates).  Mean ``allocate_machines`` time per demand-limited call
+#: by candidate count, best of five timings each (seed 2021, Python
+#: 3.11, shared 2-vCPU host):
+#:
+#:   workload  candidates   calls   NumPy       heap
+#:   fig10     1-16           763    55.5 us    10.5 us
+#:   fig10     17-32          865    57.8 us    17.1 us
+#:   fig10     33-64        1,060    62.3 us    33.2 us
+#:   fig10     65-128       1,426    69.9 us    66.1 us
+#:   fig10     129-256        459    78.8 us    80.7 us
+#:   churn     513-2048     2,203   166-172 us  1,078-1,087 us
+#:   sharded   1025 and up    821   310-499 us  1,671-1,790 us
+_HEAP_CANDIDATES = 128
 #: Above this many candidate grants the vectorized top-``spare``
 #: selection would allocate too much memory; fall back to the heap.
 _MAX_CANDIDATES = 4_000_000
@@ -102,6 +119,9 @@ def allocate_machines(groups: Sequence[Sequence[int]],
     # can land above it (ties, rounding up), which the nudge corrects.
     demand = []
     total_demand = 0
+    # Grants the top-``spare`` selection would weigh: each group's
+    # demand, capped at ``spare``.
+    n_candidates = 0
     for index in range(len(floors)):
         work = cpu_work[index]
         net = t_net[index]
@@ -120,6 +140,7 @@ def allocate_machines(groups: Sequence[Sequence[int]],
         if wanted > 0:
             demand.append(wanted)
             total_demand += wanted
+            n_candidates += wanted if wanted < spare else spare
         else:
             demand.append(0)
 
@@ -128,10 +149,9 @@ def allocate_machines(groups: Sequence[Sequence[int]],
         # loop breaks with machines left over — order never matters.
         return [floors[i] + demand[i] for i in range(len(floors))]
 
-    counts = np.minimum(np.array(demand, dtype=np.int64), spare)
-    n_candidates = int(counts.sum())
-    if n_candidates > _MAX_CANDIDATES:
+    if n_candidates <= _HEAP_CANDIDATES or n_candidates > _MAX_CANDIDATES:
         return _allocate_by_heap(list(floors), spare, cpu_work, t_net)
+    counts = np.minimum(np.array(demand, dtype=np.int64), spare)
     base = np.array(floors, dtype=np.int64)
     work = np.array(cpu_work, dtype=np.float64)
     net = np.array(t_net, dtype=np.float64)
@@ -166,9 +186,10 @@ def _allocate_by_heap(allocation: list[int], spare: int,
     consecutive grants to the same group batched via exact tuple
     comparisons against the heap top.
 
-    Runs only when the groups' positive-priority grants outnumber
-    ``spare`` (``allocate_machines``' demand count), so ``spare`` runs
-    out before a popped pressure reaches zero: no saturation exit."""
+    Serves short and huge candidate lists.  Runs only when the groups'
+    positive-priority grants outnumber ``spare`` (``allocate_machines``'
+    demand count), so ``spare`` runs out before a popped pressure
+    reaches zero: no saturation exit."""
     heap = [(t_net[i] - cpu_work[i] / allocation[i], i)
             for i in range(len(allocation))]
     heapq.heapify(heap)

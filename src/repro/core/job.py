@@ -66,17 +66,15 @@ class Job:
     finish_time: float | None = None
     #: Count of pause/migrate events the job went through.
     migrations: int = 0
+    #: The spec's id, copied once: the master and the scheduler read it
+    #: on every decision, and the spec is immutable.
+    job_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.remaining_iterations == 0:
             self.remaining_iterations = self.spec.iterations
         self.submit_time = self.spec.submit_time
-
-    # -- identity --------------------------------------------------------
-
-    @property
-    def job_id(self) -> str:
-        return self.spec.job_id
+        self.job_id = self.spec.job_id
 
     # -- state machine -----------------------------------------------------
 

@@ -340,11 +340,13 @@ class HarmonyMaster(MasterBase):
         #: reach (``_SCORE_CEILING``).
         self.checks_planned = 0
         self.checks_pruned = 0
-        #: Memo of per-group estimates; cleared whenever the profiler
-        #: publishes or a group's membership changes, so the repeated
-        #: ``_live_estimates`` sweeps inside one decision cascade reuse
-        #: the same Eq. 1-3 evaluations.
-        self._estimate_cache: dict[tuple, GroupEstimate | None] = {}
+        #: Memo of per-group estimates: group id -> ``exclude_job`` ->
+        #: estimate.  A group's entries go when one of its jobs
+        #: publishes, its membership changes or it stops, so the
+        #: repeated ``_live_estimates`` sweeps inside one decision
+        #: cascade reuse the same Eq. 1-3 evaluations.
+        self._estimate_cache: dict[
+            str, dict[str | None, GroupEstimate | None]] = {}
         self.estimate_cache_hits = 0
         self.estimate_cache_misses = 0
         # §IV-B1: a moving-average publish is exactly when memoized
@@ -444,6 +446,7 @@ class HarmonyMaster(MasterBase):
     def _stop_group(self, group: GroupRuntime,
                     crashed: bool = False) -> list[Job]:
         self._close_decision(group, self.sim.now)
+        self._estimate_cache.pop(group.group_id, None)
         return super()._stop_group(group, crashed)
 
     # -------------------------------------------------------- profiling path
@@ -1087,14 +1090,18 @@ class HarmonyMaster(MasterBase):
     def _metrics_of(self, jobs: Iterable[Job],
                     skip: str | None = None) -> list[JobMetrics]:
         """The profiled metrics of ``jobs`` (bar ``skip``), in order."""
-        profiler = self.profiler
-        return [profiler.get(job.job_id) for job in jobs
-                if job.job_id != skip and profiler.has(job.job_id)]
+        return self.profiler.profiled(job.job_id for job in jobs
+                                      if job.job_id != skip)
 
     def _on_metrics_published(self, job_id: str) -> None:
-        """Profiler listener: drop estimates that may mention the job."""
-        del job_id  # any group containing it is suspect; clear all
-        self._estimate_cache.clear()
+        """Profiler listener: drop the estimates that may mention the
+        job, which are its group's (a group that lost it dropped its
+        own on the membership change)."""
+        group_id = self.jobs[job_id].group_id
+        if group_id is None:
+            self._estimate_cache.clear()
+        else:
+            self._estimate_cache.pop(group_id, None)
 
     def _group_estimate(self, group: GroupRuntime,
                         exclude_job: str | None = None) -> \
@@ -1103,19 +1110,21 @@ class HarmonyMaster(MasterBase):
 
         A decision cascade (placement sweeps, periodic checks,
         escalation scopes) re-estimates the same groups many times.
-        Entries stay valid until the profiler publishes or a membership
-        changes (both clear the cache), so one cascade pays each group
-        once.
+        Entries stay valid until one of the group's jobs publishes or
+        its membership changes (both drop the group's entries), so one
+        cascade pays each group once.
         """
-        key = (group.group_id, exclude_job)
-        if key in self._estimate_cache:
+        entries = self._estimate_cache.get(group.group_id)
+        if entries is None:
+            entries = self._estimate_cache[group.group_id] = {}
+        elif exclude_job in entries:
             self.estimate_cache_hits += 1
-            return self._estimate_cache[key]
+            return entries[exclude_job]
         self.estimate_cache_misses += 1
         metrics = self._metrics_of(group.jobs(), skip=exclude_job)
         estimate = self.perf_model.estimate_group(
             metrics, group.n_machines) if metrics else None
-        self._estimate_cache[key] = estimate
+        entries[exclude_job] = estimate
         return estimate
 
     def _live_estimates(self, exclude_job: str | None = None,
@@ -1147,7 +1156,7 @@ class HarmonyMaster(MasterBase):
     def _note_membership_change(self, group: GroupRuntime) -> None:
         """Close the group's open prediction epoch and start a new one."""
         now = self.sim.now
-        self._estimate_cache.clear()
+        self._estimate_cache.pop(group.group_id, None)
         self._close_decision(group, now)
         metrics = self._metrics_of(group.jobs())
         if not metrics or len(metrics) != group.n_jobs:

@@ -59,6 +59,9 @@ class FootprintTable:
         self.alpha = (1.0 if fixed is None else fixed) if self.spill \
             else 0.0
         self._entries: dict[tuple[str, int, float, bool], float] = {}
+        #: (job, alpha, spilled, max_machines) -> the job's own floor on
+        #: that basis within max_machines (max_machines + 1 if none).
+        self._own_floors: dict[tuple[str, float, bool, int], int] = {}
 
     def resident(self, spec: JobSpec, m: int, alpha: float,
                  spilled: bool = False) -> float:
@@ -72,16 +75,49 @@ class FootprintTable:
     def floor(self, specs: Sequence[JobSpec], max_machines: int) -> int:
         """Smallest m at which ``specs`` fit at the basis alpha, else
         (adaptive only) with every model spilled; ``max_machines + 1``
-        if none does."""
+        if none does.
+
+        The scan on each basis starts at the largest member's own floor
+        there: below it that member's resident bytes alone exceed the
+        budget, and a left fold of non-negative floats is never below
+        any of its terms, so no smaller m can fit the group.  A member
+        that never fits alone within ``max_machines`` skips the basis.
+        """
         bases = [(self.alpha, False)]
         if self.adaptive:
             bases.append((1.0, True))
+        entries = self._entries
+        own_floors = self._own_floors
         for alpha, spilled in bases:
-            for m in range(1, max_machines + 1):
-                if sum(self.resident(spec, m, alpha, spilled)
-                       for spec in specs) <= self.budget:
+            start = 1
+            for spec in specs:
+                own = own_floors.get((spec.job_id, alpha, spilled,
+                                      max_machines))
+                if own is None:
+                    own = self._own_floor(spec, alpha, spilled,
+                                          max_machines)
+                if own > start:
+                    start = own
+            for m in range(start, max_machines + 1):
+                row = [entries.get((spec.job_id, m, alpha, spilled))
+                       for spec in specs]
+                if None in row:
+                    row = [self.resident(spec, m, alpha, spilled)
+                           for spec in specs]
+                if sum(row) <= self.budget:
                     return m
         return max_machines + 1
+
+    def _own_floor(self, spec: JobSpec, alpha: float, spilled: bool,
+                   max_machines: int) -> int:
+        """The job's floor alone on one basis, computed and memoized."""
+        floor = max_machines + 1
+        for m in range(1, max_machines + 1):
+            if self.resident(spec, m, alpha, spilled) <= self.budget:
+                floor = m
+                break
+        self._own_floors[spec.job_id, alpha, spilled, max_machines] = floor
+        return floor
 
     def admits(self, members: Iterable[Job], job: Job, m: int) -> bool:
         """Whether ``job`` joins ``members`` on m machines.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from operator import add
 
 from repro.core.profiler import JobMetrics
 from repro.errors import SchedulingError
@@ -71,15 +72,20 @@ class GroupEstimate:
     #: Eq. 3.
     utilization: UtilizationVector = field(init=False, repr=False,
                                            compare=False)
+    #: This group's Eq. 4 terms: ``(m, m·U_cpu, m·U_net)``.
+    terms: tuple[int, float, float] = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         t_g = max(self.t_cpu_sum, self.t_net_sum, self.t_itr_max)
         object.__setattr__(self, "t_group_iteration", t_g)
-        object.__setattr__(
-            self, "utilization",
-            UtilizationVector(0.0, 0.0) if t_g <= 0 else
+        utilization = UtilizationVector(0.0, 0.0) if t_g <= 0 else \
             UtilizationVector(cpu=self.t_cpu_sum / t_g,
-                              net=self.t_net_sum / t_g))
+                              net=self.t_net_sum / t_g)
+        object.__setattr__(self, "utilization", utilization)
+        m = self.m
+        object.__setattr__(self, "terms", (m, m * utilization.cpu,
+                                           m * utilization.net))
 
     @property
     def bound_case(self) -> str:
@@ -110,21 +116,22 @@ class PerfModel:
             raise SchedulingError(f"group DoP must be >= 1, got {m}")
         if not metrics:
             raise SchedulingError("cannot estimate an empty group")
+        # ``cpu_work / m`` is ``JobMetrics.t_cpu_at(m)`` (Eq. 2), whose
+        # DoP check the one above already made.
         if self._injector is None:
-            t_cpus = [job.t_cpu_at(m) for job in metrics]
+            t_cpus = [job.cpu_work / m for job in metrics]
             t_nets = [job.t_net for job in metrics]
         else:
-            t_cpus = [job.t_cpu_at(m)
-                      * self._injector("t_cpu", job.job_id)
+            t_cpus = [job.cpu_work / m * self._injector("t_cpu", job.job_id)
                       for job in metrics]
             t_nets = [job.t_net * self._injector("t_net", job.job_id)
                       for job in metrics]
         return GroupEstimate(
-            job_ids=tuple(job.job_id for job in metrics),
+            job_ids=tuple([job.job_id for job in metrics]),
             m=m,
             t_cpu_sum=sum(t_cpus),
             t_net_sum=sum(t_nets),
-            t_itr_max=max(tc + tn for tc, tn in zip(t_cpus, t_nets, strict=True)))
+            t_itr_max=max(map(add, t_cpus, t_nets)))
 
     def job_factors(self, kind: str, job_ids: Sequence[str]) -> list[float]:
         """The error injector's factor on ``kind`` ("t_cpu" or "t_net")
@@ -155,9 +162,9 @@ class PerfModel:
             UtilizationTerms:
         """Eq. 4's per-group terms, in group order: ``m``, ``m·U_cpu``
         and ``m·U_net``."""
-        return (tuple(g.m for g in groups),
-                tuple(g.m * g.utilization.cpu for g in groups),
-                tuple(g.m * g.utilization.net for g in groups))
+        if not groups:
+            return (), (), ()
+        return tuple(zip(*[g.terms for g in groups]))
 
     @staticmethod
     def utilization_from_terms(machines: Iterable[int],

@@ -14,7 +14,7 @@ average remains meaningful across regroupings.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import inf
 
@@ -64,11 +64,12 @@ class Profiler:
 
     The profiler is the single source of truth the scheduler's caches
     key on: every publish replaces the job's :class:`JobMetrics` and
-    notifies the registered listeners.  The master's
-    group-estimate memo listens and clears itself exactly when §IV-B1's
-    moving averages move.  Plan caches need no listener: they store the
-    metrics each entry was computed from and compare them on read, so
-    a replaced :class:`JobMetrics` can never be served a stale plan.
+    notifies the registered listeners.  The master's group-estimate
+    memo listens and drops the publishing job's group exactly when
+    §IV-B1's moving averages move.  Plan caches need no listener: they
+    store the metrics each entry was computed from and compare them on
+    read, so a replaced :class:`JobMetrics` can never be served a stale
+    plan.
     """
 
     def __init__(self, ema_alpha: float = 0.3):
@@ -153,3 +154,11 @@ class Profiler:
         if metrics is None:
             raise SchedulingError(f"job {job_id} has not been profiled")
         return metrics
+
+    def profiled(self, job_ids: Iterable[str]) -> list[JobMetrics]:
+        """The metrics of the profiled ids among ``job_ids``, in order,
+        read under one lock acquisition."""
+        with self._lock:
+            known = self._metrics
+            return [known[job_id] for job_id in job_ids
+                    if job_id in known]

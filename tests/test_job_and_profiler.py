@@ -18,6 +18,7 @@ class TestJobStates:
         job = _job(iterations=5)
         assert job.state is JobState.WAITING
         assert job.remaining_iterations == 5
+        assert job.job_id == job.spec.job_id == "j"
 
     def test_happy_path_transitions(self):
         job = _job()
@@ -147,6 +148,16 @@ class TestProfiler:
     def test_unknown_job_raises(self):
         with pytest.raises(SchedulingError):
             Profiler().get("ghost")
+
+    def test_profiled_reads_known_ids_in_order(self):
+        profiler = Profiler()
+        for job_id in ("b", "a", "c"):
+            profiler.record_iteration(job_id, 1.0, 1.0, m=2)
+        ids = ["c", "ghost", "a", "b", "a"]
+        assert profiler.profiled(iter(ids)) == [
+            profiler.get(job_id) for job_id in ids
+            if profiler.has(job_id)]
+        assert profiler.profiled([]) == []
 
     def test_negative_measurement_raises(self):
         with pytest.raises(SchedulingError):

@@ -115,24 +115,27 @@ class TestMemoryFloor:
         assert config_floor == master.cluster.size + 1
 
 
-def linear_scan_floor(master, specs):
+def linear_scan_floor(master, specs, max_machines=None):
     """The floor straight from the cost model: every resident byte
-    count re-derived at every machine count, on the master's basis."""
+    count re-derived at every machine count up to ``max_machines`` (the
+    cluster size by default), on the master's basis."""
     cost_model = master.cost_model
     footprints = master.footprints
     budget = cost_model.spec.usable_memory_bytes * TARGET_PRESSURE
-    for m in range(1, master.cluster.size + 1):
+    if max_machines is None:
+        max_machines = master.cluster.size
+    for m in range(1, max_machines + 1):
         need = sum(cost_model.resident_bytes(
             spec, m, alpha=footprints.alpha) for spec in specs)
         if need <= budget:
             return m
     if footprints.adaptive:
-        for m in range(1, master.cluster.size + 1):
+        for m in range(1, max_machines + 1):
             need = sum(cost_model.resident_bytes(
                 spec, m, alpha=1.0, model_spilled=True) for spec in specs)
             if need <= budget:
                 return m
-    return master.cluster.size + 1
+    return max_machines + 1
 
 
 def assert_entries_exact(footprints, specs):
@@ -157,34 +160,72 @@ def floor_specs(draws):
             for index, (app, dataset, scale) in enumerate(draws)]
 
 
+def draw_groups(data, specs):
+    """Up to 12 member lists of 1-5 of ``specs``, in drawn orders."""
+    return data.draw(st.lists(
+        st.permutations(specs).flatmap(
+            lambda order: st.integers(1, min(5, len(order))).map(
+                lambda size: order[:size])),
+        min_size=1, max_size=12))
+
+
+#: Under all-reduce every machine holds the whole model, so a 40x LDA
+#: or NMF model never fits at the basis alpha on any machine count;
+#: only the model-spill basis places it.
+spill_only_draws = st.lists(st.tuples(st.sampled_from(("LDA", "NMF")),
+                                      st.integers(0, 1), st.just(40.0)),
+                            min_size=1, max_size=3)
+
+
 class TestFloorRows:
     """The master's floors read the footprint table; they must equal the
     direct cost-model scan's floor for every group, in every member
-    order, whatever the table already holds, and every entry the table
-    serves must be ``CostModel.resident_bytes`` bit for bit."""
+    order, under every machine limit, whatever the table already holds,
+    and every entry the table serves must be ``CostModel.resident_bytes``
+    bit for bit."""
 
     @settings(max_examples=120, deadline=None)
     @given(draws=job_draws, n_machines=st.integers(1, 48),
+           other_limit=st.integers(1, 48),
            architecture=st.sampled_from(("ps", "allreduce")),
            spill=st.booleans(),
            fixed_alpha=st.sampled_from((None, 0.0, 0.35, 1.0)),
            data=st.data())
-    def test_rows_match_linear_scan(self, draws, n_machines, architecture,
-                                    spill, fixed_alpha, data):
+    def test_rows_match_linear_scan(self, draws, n_machines, other_limit,
+                                    architecture, spill, fixed_alpha,
+                                    data):
         config = SimConfig(memory=MemoryConfig(spill_enabled=spill,
                                                fixed_alpha=fixed_alpha))
         _, master = build_master(n_machines, config, architecture)
         specs = floor_specs(draws)
-        groups = data.draw(st.lists(
-            st.permutations(specs).flatmap(
-                lambda order: st.integers(1, min(5, len(order))).map(
-                    lambda size: order[:size])),
-            min_size=1, max_size=12))
+        for group in draw_groups(data, specs):
+            for order in (group, group[::-1]):
+                # The same members under two limits on one table.
+                for limit in (n_machines, other_limit):
+                    assert master.footprints.floor(order, limit) \
+                        == linear_scan_floor(master, order, limit)
+        assert_entries_exact(master.footprints, specs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spill_only=spill_only_draws, draws=job_draws,
+           n_machines=st.integers(1, 48), data=st.data())
+    def test_spill_only_members_match_linear_scan(self, spill_only, draws,
+                                                  n_machines, data):
+        _, master = build_master(n_machines, SimConfig(), "allreduce")
+        footprints = master.footprints
+        assert footprints.adaptive
+        specs = floor_specs(spill_only + draws)
+        budget = footprints.budget
+        for spec in specs[:len(spill_only)]:
+            assert all(master.cost_model.resident_bytes(
+                spec, m, alpha=footprints.alpha) > budget
+                for m in range(1, n_machines + 1))
+        groups = draw_groups(data, specs) + [specs[:len(spill_only)]]
         for group in groups:
             for order in (group, group[::-1]):
-                assert master.footprints.floor(order, n_machines) \
+                assert footprints.floor(order, n_machines) \
                     == linear_scan_floor(master, order)
-        assert_entries_exact(master.footprints, specs)
+        assert_entries_exact(footprints, specs)
 
     @pytest.mark.parametrize("architecture", ["ps", "allreduce"])
     @pytest.mark.parametrize("spill", [True, False])
@@ -200,11 +241,24 @@ class TestFloorRows:
         assert (("j0", 1, 1.0, True) in footprints._entries) is spill
 
     def test_rows_grow_only_as_far_as_the_scan(self):
+        """Each member's rows reach its own floor, and the group scan
+        adds every member's rows from the largest own floor up to the
+        group's floor, and no further."""
         _, master = build_master(24)
         footprints = master.footprints
-        floor = footprints.floor(floor_specs([("LDA", 1, 1.0)]), 24)
-        assert list(footprints._entries) \
-            == [("j0", m, 1.0, False) for m in range(1, floor + 1)]
+        specs = floor_specs([("MLR", 1, 3.0), ("MLR", 0, 3.0),
+                             ("LDA", 1, 1.0)])
+        own = [linear_scan_floor(master, [spec]) for spec in specs]
+        floor = footprints.floor(specs, 24)
+        assert floor == linear_scan_floor(master, specs)
+        start = max(own)
+        assert 1 < start < floor <= 24  # both parts of the scan show
+        rows = {(spec.job_id, m, 1.0, False)
+                for spec, own_floor in zip(specs, own)
+                for m in range(1, own_floor + 1)}
+        rows |= {(spec.job_id, m, 1.0, False)
+                 for spec in specs for m in range(start, floor + 1)}
+        assert set(footprints._entries) == rows
 
 
 class TestEndToEndInvariants:

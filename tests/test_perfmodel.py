@@ -100,6 +100,20 @@ class TestClusterUtilization:
     def test_empty_groups_are_zero(self):
         assert PerfModel().cluster_utilization([]).cpu == 0.0
 
+    def test_terms_are_each_groups_stored_products(self):
+        """Eq. 4's terms, in group order, are ``m``, ``m·U_cpu`` and
+        ``m·U_net`` bit for bit; no groups give three empty tuples."""
+        model = PerfModel()
+        groups = [model.estimate_group([metrics("a", 100.0, 7.0)], m=3),
+                  model.estimate_group([metrics("b", 1.0, 9.0),
+                                        metrics("c", 2.5, 0.3)], m=7),
+                  model.estimate_group([metrics("d", 0.0, 0.0)], m=2)]
+        assert PerfModel.utilization_terms(groups) == (
+            tuple(g.m for g in groups),
+            tuple(g.m * g.utilization.cpu for g in groups),
+            tuple(g.m * g.utilization.net for g in groups))
+        assert PerfModel.utilization_terms([]) == ((), (), ())
+
     def test_overcommitted_machines_raise(self):
         model = PerfModel()
         group = model.estimate_group([metrics("a", 1.0, 1.0)], m=8)

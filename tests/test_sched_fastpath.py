@@ -338,12 +338,39 @@ class TestFlatKernels:
 
 
 class TestAllocatorDifferential:
+    @staticmethod
+    def count_heap(patch, calls: list):
+        """Count the calls that reach the heap allocator."""
+        original = allocation_module._allocate_by_heap
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        patch.setattr(allocation_module, "_allocate_by_heap", counted)
+
+    @classmethod
+    def heap_only(cls, patch, calls: list):
+        """Send every demand-limited allocation to the heap (engaged in
+        production up to ``_HEAP_CANDIDATES`` and above
+        ``_MAX_CANDIDATES`` grants), counting its calls."""
+        patch.setattr(allocation_module, "_MAX_CANDIDATES", 0)
+        cls.count_heap(patch, calls)
+
+    @classmethod
+    def vectorized_only(cls, patch, calls: list):
+        """Send every demand-limited allocation to the NumPy top-``spare``
+        selection; ``calls`` counts any that still reach the heap."""
+        patch.setattr(allocation_module, "_HEAP_CANDIDATES", 0)
+        cls.count_heap(patch, calls)
+
     @settings(max_examples=80, deadline=None)
     @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=20),
            data=st.data(), headroom=st.integers(0, 300),
-           with_floor=st.booleans())
+           with_floor=st.booleans(), vectorized=st.booleans())
     def test_allocation_matches_reference(self, sizes, data, headroom,
-                                          with_floor):
+                                          with_floor, vectorized):
+        """The production route, or the NumPy selection on every size."""
         groups = []
         for g, size in enumerate(sizes):
             groups.append([
@@ -355,34 +382,65 @@ class TestAllocatorDifferential:
                 for j in range(size)])
         floor = (lambda ids: 1 + len(ids)) if with_floor else None
         machines = sum(len(g) + 1 for g in groups) + headroom
-        assert allocate_metrics(groups, machines, memory_floor=floor) \
-            == reference_allocate_machines(groups, machines,
-                                           memory_floor=floor)
+        calls: list = []
+        with pytest.MonkeyPatch.context() as patch:
+            if vectorized:
+                self.vectorized_only(patch, calls)
+            fast = allocate_metrics(groups, machines, memory_floor=floor)
+        assert fast == reference_allocate_machines(groups, machines,
+                                                   memory_floor=floor)
+        assert not calls
 
     def test_duplicate_pressure_ties_break_by_group_index(self):
         """Identical groups force exact priority ties at every grant;
         the closed form must hand leftovers to lower indexes first,
-        like the reference heap's tuple ordering."""
+        like the reference heap's tuple ordering, on the production
+        route and with every call on NumPy."""
         job = JobMetrics(job_id="t", cpu_work=30.0, t_net=1.0,
                          m_observed=16)
         groups = [[job]] * 5
-        for machines in range(5, 40):
-            assert allocate_metrics(groups, machines) \
-                == reference_allocate_machines(groups, machines)
+        calls: list = []
+        for vectorized in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                if vectorized:
+                    self.vectorized_only(patch, calls)
+                for machines in range(5, 40):
+                    assert allocate_metrics(groups, machines) \
+                        == reference_allocate_machines(groups, machines)
+        assert not calls
 
     @staticmethod
-    def heap_only(patch, calls: list):
-        """Send every demand-limited allocation to the heap fallback
-        (engaged in production only above ``_MAX_CANDIDATES`` grants),
-        counting its calls."""
-        original = allocation_module._allocate_by_heap
+    def demand_groups(demands):
+        """One single-job group per entry, floor 1, whose grants have
+        positive priority up to exactly ``demand`` machines:
+        ``(d + 0.5) / a > 1.0`` iff ``a <= d``."""
+        return [[JobMetrics(job_id=f"d{index}", cpu_work=demand + 0.5,
+                            t_net=1.0, m_observed=16)]
+                for index, demand in enumerate(demands)]
 
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
-
-        patch.setattr(allocation_module, "_MAX_CANDIDATES", 0)
-        patch.setattr(allocation_module, "_allocate_by_heap", counted)
+    @pytest.mark.parametrize("demands, spare, candidates", [
+        ((100, 28), 100, 128),
+        ((100, 29), 100, 129),
+        # Demand above ``spare`` counts as ``spare`` candidates.
+        ((500, 28), 100, 128),
+        ((500, 29), 100, 129),
+        ((20, 20, 20, 20, 20, 20, 8), 120, 128),
+        ((20, 20, 20, 20, 20, 20, 9), 120, 129),
+    ])
+    def test_route_boundary(self, demands, spare, candidates):
+        """The heap serves up to ``_HEAP_CANDIDATES`` candidate grants
+        and NumPy the next one; both equal the reference loop."""
+        assert allocation_module._HEAP_CANDIDATES == 128
+        assert sum(min(d, spare) for d in demands) == candidates
+        assert sum(demands) > spare  # demand-limited
+        groups = self.demand_groups(demands)
+        machines = len(groups) + spare
+        calls: list = []
+        with pytest.MonkeyPatch.context() as patch:
+            self.count_heap(patch, calls)
+            fast = allocate_metrics(groups, machines)
+        assert fast == reference_allocate_machines(groups, machines)
+        assert len(calls) == (candidates <= 128)
 
     @settings(max_examples=80, deadline=None)
     @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=20),
@@ -679,21 +737,88 @@ class TestMasterPatchPath:
         assert master._resume_into(jobs["done"], group) is False
         assert master._resume_into(jobs["p1"], group) is False
 
-    def test_profiler_publish_clears_master_estimate_cache(self):
+    def test_estimates_are_invalidated_by_group(self):
+        """A publish drops only its job's group's estimates, and a
+        stopped group's estimates go with it."""
         from repro.workloads.apps import DATASETS, JobSpec, LDA
 
         master = self.build_master()
-        master.submit(JobSpec("j0", LDA, DATASETS["LDA"][0],
-                              iterations=3))
-        self.feed(master, "j0", 2.0, 1.0)
-        group = next(iter(master.groups.values()))
-        first = master._group_estimate(group)
-        assert master._group_estimate(group) is first  # memoized
+        # Two profilees share a group; the third opens a second one.
+        for name in ("a0", "a1", "b0"):
+            master.submit(JobSpec(name, LDA, DATASETS["LDA"][0],
+                                  iterations=3))
+            self.feed(master, name, 2.0, 1.0)
+        group_a = master.groups[master.jobs["a0"].group_id]
+        group_b = master.groups[master.jobs["b0"].group_id]
+        assert group_a is not group_b
+        assert master.jobs["a1"].group_id == group_a.group_id
+        a_first = master._group_estimate(group_a)
+        a_without = master._group_estimate(group_a, exclude_job="a1")
+        b_first = master._group_estimate(group_b)
+        assert master._group_estimate(group_a) is a_first  # memoized
         assert master.estimate_cache_hits == 1
-        self.feed(master, "j0", 4.0, 1.0)  # publish clears the memo
-        refreshed = master._group_estimate(group)
-        assert refreshed is not first
-        assert refreshed.t_cpu_sum > first.t_cpu_sum
+
+        self.feed(master, "a0", 4.0, 1.0)  # a publish in group A
+        assert master._group_estimate(group_b) is b_first
+        assert master.estimate_cache_hits == 2
+        refreshed = master._group_estimate(group_a)
+        assert refreshed is not a_first
+        assert refreshed.t_cpu_sum > a_first.t_cpu_sum
+        assert master._group_estimate(group_a, exclude_job="a1") \
+            is not a_without
+
+        empty = master._start_group(1)
+        assert master._group_estimate(empty) is None
+        assert empty.group_id in master._estimate_cache
+        master._stop_group(empty)
+        assert empty.group_id not in master._estimate_cache
+        assert master._group_estimate(group_b) is b_first
+
+    @pytest.mark.parametrize("seed, crashes", [(1, False), (2, False),
+                                               (3, False), (3, True)])
+    def test_every_estimate_hit_equals_a_fresh_estimate(
+            self, monkeypatch, seed, crashes):
+        """Whatever a run does (placements, regroups, completions,
+        crashes), a cached estimate is the one Eq. 1-3 give over the
+        group's current metrics."""
+        from repro.core.runtime import HarmonyRuntime
+        from repro.experiments.common import scaled_workload
+        from repro.faults.plan import FaultPlan
+
+        real_estimate = HarmonyMaster._group_estimate
+        real_stop = HarmonyMaster._stop_group
+        hits = []
+        crashed_groups = []
+
+        def checked(self, group, exclude_job=None):
+            before = self.estimate_cache_hits
+            estimate = real_estimate(self, group, exclude_job)
+            if self.estimate_cache_hits > before:
+                metrics = self._metrics_of(group.jobs(), skip=exclude_job)
+                assert estimate == (self.perf_model.estimate_group(
+                    metrics, group.n_machines) if metrics else None)
+                hits.append(1)
+            return estimate
+
+        def stop(self, group, crashed=False):
+            if crashed:
+                crashed_groups.append(group.group_id)
+            return real_stop(self, group, crashed)
+
+        monkeypatch.setattr(HarmonyMaster, "_group_estimate", checked)
+        monkeypatch.setattr(HarmonyMaster, "_stop_group", stop)
+        jobs, machines = scaled_workload(0.5, seed)
+        plan = FaultPlan.generate(
+            seed=seed, n_machines=machines, horizon_seconds=40000.0,
+            crash_rate_per_hour=0.5,
+            crash_downtime_seconds=600.0) if crashes else None
+        runtime = HarmonyRuntime(machines, jobs,
+                                 config=SimConfig(seed=seed),
+                                 fault_plan=plan)
+        runtime.run()
+        assert runtime.master.all_done
+        assert hits
+        assert bool(crashed_groups) is crashes
 
     def test_profiler_publish_invalidates_scheduler_plan_cache(self):
         """After a publish through the master's profiler, the master's
