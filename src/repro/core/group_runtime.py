@@ -122,7 +122,7 @@ class GroupAudit:
     net_rate_cap: float
 
 
-@dataclass
+@dataclass(slots=True)
 class CycleRecord:
     """One completed job iteration inside a group."""
 

@@ -16,23 +16,25 @@ fine-tuning, machine allocation and prefix scoring all run on Python
 floats and index lists.  Score terms are memoized for the call, and
 scored prefix candidates are memoized across calls in a
 :class:`PlanCache` keyed by (job-set fingerprint, machine count), whose
-entries are checked against the prefix's metrics on every read.  Work
-whose answer is already fixed is skipped: the L6 search when a
-certificate proves ``n_G*`` is an end of its window, and the swap pass
-when every job has a group of its own (DESIGN.md §5).  Each prefix is
-only scored; the winning one is the only prefix whose groups become
-:class:`JobMetrics` lists, :class:`GroupEstimate` objects and a
-:class:`SchedulePlan`.  The pre-optimization path is kept verbatim as a
-test oracle (``tests/sched_oracle.py``), and
+entries share their call's metrics tuple, store each candidate packed
+into flat arrays, and are checked against the prefix's metrics on
+every read.  Work whose answer is already fixed is skipped: the L6
+search when a certificate proves ``n_G*`` is an end of its window, and
+the swap pass when every job has a group of its own (DESIGN.md §5).
+Each prefix is only scored; the winning one is the only prefix whose
+groups become :class:`JobMetrics` lists, :class:`GroupEstimate` objects
+and a :class:`SchedulePlan`.  The pre-optimization path is kept
+verbatim as a test oracle (``tests/sched_oracle.py``), and
 ``tests/test_sched_fastpath.py`` pins the two to identical plans.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, attrgetter
 
 import numpy as np
@@ -73,6 +75,10 @@ _CERTIFICATE_ULP = 1.01 * 2.0 ** -52
 #: machine counts.  Only the winning prefix of a ``schedule()`` call is
 #: assembled into a :class:`SchedulePlan`.
 Candidate = tuple[float, Sequence[Sequence[int]], Sequence[int]]
+
+#: A :data:`Candidate` as :class:`PlanCache` stores it
+#: (:meth:`PlanCache.pack`).
+PackedCandidate = tuple[float, array, array, array]
 
 
 @dataclass(frozen=True)
@@ -216,13 +222,22 @@ class PlanCache:
 
     The master calls ``schedule()`` with heavily overlapping job pools —
     every arrival, completion, and periodic regroup check re-plans a
-    pool that mostly repeats earlier prefixes.  Entries carry the exact
-    metrics tuple they were computed from, and a lookup only hits when
-    the stored tuple compares equal to the prefix offered.  That check
-    on read is the whole correctness argument: a fingerprint collision
-    and a job whose moving averages moved (§IV-B1) both degrade to a
-    miss, never to a wrong plan.  So nothing is invalidated on publish;
-    entries of republished jobs simply age out of the LRU order.
+    pool that mostly repeats earlier prefixes.  An entry is ``(jobs, n,
+    packed)``: the metrics tuple of the call that computed it (one
+    tuple shared by all of that call's entries, never a per-entry
+    slice), the prefix length, and the candidate as :meth:`pack` stores
+    it — a score and three flat ``array`` buffers instead of a list of
+    index lists.  On the 32K-job, 32-cell sharded sweep (32 caches) that
+    cuts the entries' retained memory from about 40 to 8 MiB, and the
+    cyclic collector tracks three arrays per entry instead of one list
+    per group.
+
+    A lookup only hits when the stored tuple's first ``n`` jobs compare
+    equal to the offered tuple's first ``n``.  That check on read is the
+    whole correctness argument: a fingerprint collision and a job whose
+    moving averages moved (§IV-B1) both degrade to a miss, never to a
+    wrong plan.  So nothing is invalidated on publish; entries of
+    republished jobs simply age out of the LRU order.
     """
 
     __slots__ = ("max_entries", "hits", "misses", "_entries")
@@ -234,29 +249,55 @@ class PlanCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        #: key -> (metrics tuple, candidate-or-None)
+        #: key -> (metrics tuple, n, packed candidate or None)
         self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: tuple, jobs: tuple):
-        """The cached candidate, or :data:`_CACHE_MISS` when absent."""
+    def get(self, key: tuple, jobs: tuple, n: int):
+        """The packed candidate cached for the first ``n`` of ``jobs``,
+        or :data:`_CACHE_MISS` when absent."""
         entry = self._entries.get(key)
-        if entry is not None and entry[0] == jobs:
+        # Slices of unequal length never compare equal.
+        if entry is not None and entry[0][:entry[1]] == jobs[:n]:
             self._entries.move_to_end(key)
             self.hits += 1
-            return entry[1]
+            return entry[2]
         self.misses += 1
         return _CACHE_MISS
 
-    def put(self, key: tuple, jobs: tuple,
-            candidate: "Candidate | None") -> None:
+    def put(self, key: tuple, jobs: tuple, n: int,
+            packed: "PackedCandidate | None") -> None:
+        """Cache ``packed`` for the first ``n`` of ``jobs``; ``jobs`` is
+        stored as is, never sliced."""
         entries = self._entries
         entries.pop(key, None)
         while len(entries) >= self.max_entries:
             entries.popitem(last=False)
-        entries[key] = (jobs, candidate)
+        entries[key] = (jobs, n, packed)
+
+    @staticmethod
+    def pack(candidate: Candidate) -> PackedCandidate:
+        """``(score, groups, allocation)`` as ``(score, flat indices,
+        group sizes, machine counts)``.  Indices and sizes are bounded
+        by the pool length (``"i"``); machine counts get ``"q"`` so no
+        budget overflows."""
+        score, groups, allocation = candidate
+        return (score, array("i", chain.from_iterable(groups)),
+                array("i", map(len, groups)), array("q", allocation))
+
+    @staticmethod
+    def unpack(packed: PackedCandidate) -> Candidate:
+        """The inverse of :meth:`pack`, as lists of ints."""
+        score, flat, sizes, machines = packed
+        indices = flat.tolist()
+        groups = []
+        start = 0
+        for size in sizes:
+            groups.append(indices[start:start + size])
+            start += size
+        return score, groups, machines.tolist()
 
     def invalidate_job(self, job_id: str) -> None:
         """A no-op profiler listener.
@@ -425,23 +466,25 @@ class HarmonyScheduler:
         pool = PoolSnapshot(self._admission_order(jobs), self.perf_model,
                             self.memory_floor)
         cache = self.plan_cache
-        fingerprints = _prefix_fingerprints(pool.jobs)
-        best: Candidate | None = None
+        ordered = pool.jobs
+        fingerprints = _prefix_fingerprints(ordered)
+        best: PackedCandidate | None = None
         no_improvement = 0
         n_prefixes = 0
         cache_hits = 0
         cache_misses = 0
-        for n_jobs in _prefix_sizes(len(pool.jobs)):
-            prefix = pool.jobs[:n_jobs]
+        for n_jobs in _prefix_sizes(len(ordered)):
             n_prefixes += 1
             key = (fingerprints[n_jobs - 1], n_jobs, total_machines)
             # A hit's index groups came from an earlier call whose
             # prefix compared equal, job for job, to this one.
-            candidate = cache.get(key, prefix)
+            candidate = cache.get(key, ordered, n_jobs)
             if candidate is _CACHE_MISS:
                 cache_misses += 1
                 candidate = self._plan_for(pool, n_jobs, total_machines)
-                cache.put(key, prefix, candidate)
+                if candidate is not None:
+                    candidate = cache.pack(candidate)
+                cache.put(key, ordered, n_jobs, candidate)
             else:
                 cache_hits += 1
             if candidate is None:
@@ -458,9 +501,13 @@ class HarmonyScheduler:
                 no_improvement += 1
                 if no_improvement > SCHEDULE_PATIENCE:
                     break
-        # The winner's plan score is its candidate score, bit for bit.
-        plan = self.build_plan(pool.groups_of(best[1]), best[2],
-                               total_machines) if best is not None else None
+        plan = None
+        if best is not None:
+            # The winner's plan score is its candidate score, bit for
+            # bit; only the winner is unpacked.
+            _, groups, allocation = cache.unpack(best)
+            plan = self.build_plan(pool.groups_of(groups), allocation,
+                                   total_machines)
         self.last_stats = ScheduleStats.of(
             plan, len(pool.jobs), n_prefixes,
             cache_hits=cache_hits,

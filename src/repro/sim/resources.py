@@ -103,7 +103,7 @@ class _Task:
     started_at: float | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class BusySegment:
     """A constant-utilization interval of the resource."""
 

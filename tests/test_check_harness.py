@@ -19,6 +19,7 @@ from repro.check import (
 from repro.check.cli import DEFAULT_SEEDS, _rotating_seed
 from repro.check.cli import main as check_main
 from repro.check.differential import (
+    DifferentialReport,
     ORACLE_CASE_GAP,
     ORACLE_MEAN_GAP,
     PERFMODEL_CASE_TOL,
@@ -465,6 +466,67 @@ class TestDifferential:
         worse = OracleCase(n_jobs=4, n_machines=8,
                            harmony_score=0.8, oracle_score=1.0)
         assert worse.gap == pytest.approx(0.2)
+
+    # Each limit's report line, one case just over it, and a report
+    # exactly at it.  Every gap and error below is exact in binary
+    # floating point (1/5, 1/20, 3/10 and 2/25 round to the limits'
+    # own literals), and the zero-error cases keep the other three
+    # numbers within their limits.
+    PERFECT_MODEL = tuple(PerfModelCase(job_ids=("j",), m=4, predicted=1.0,
+                                        measured=1.0) for _ in range(9))
+    PERFECT_ORACLE = tuple(OracleCase(n_jobs=4, n_machines=8,
+                                      harmony_score=1.0, oracle_score=1.0)
+                           for _ in range(9))
+    JUST_OVER = 1e-9
+
+    @staticmethod
+    def model_report(predicted, measured, perfect=()):
+        case = PerfModelCase(job_ids=("j",), m=4, predicted=predicted,
+                             measured=measured)
+        return DifferentialReport(perfmodel=(case,) + perfect, oracle=())
+
+    @staticmethod
+    def oracle_report(harmony, oracle, perfect=()):
+        case = OracleCase(n_jobs=4, n_machines=8, harmony_score=harmony,
+                          oracle_score=oracle)
+        return DifferentialReport(perfmodel=(), oracle=(case,) + perfect)
+
+    LIMITS = [
+        ("perfmodel_max_error", PERFMODEL_CASE_TOL,
+         "simulator vs Eq.1: worst case off by 20.0% (limit 20%)"),
+        ("perfmodel_mean_error", PERFMODEL_MEAN_TOL,
+         "simulator vs Eq.1: mean error 5.0% (limit 5%)"),
+        ("oracle_max_gap", ORACLE_CASE_GAP,
+         "Harmony vs oracle: worst gap 30.0% (limit 30%)"),
+        ("oracle_mean_gap", ORACLE_MEAN_GAP,
+         "Harmony vs oracle: mean gap 8.0% (limit 8%)"),
+    ]
+    LIMIT_IDS = ["eq1-case", "eq1-mean", "oracle-case", "oracle-mean"]
+
+    @pytest.mark.parametrize("report_over, limit", zip([
+        model_report(5.0, 6.0 + JUST_OVER, PERFECT_MODEL),
+        model_report(20.0, 21.0 + JUST_OVER),
+        oracle_report(7.0 - JUST_OVER, 10.0, PERFECT_ORACLE),
+        oracle_report(23.0 - JUST_OVER, 25.0),
+    ], LIMITS), ids=LIMIT_IDS)
+    def test_a_report_just_over_a_limit_fails_with_its_line(
+            self, report_over, limit):
+        value, bound, line = limit
+        assert getattr(report_over, value) > bound
+        assert report_over.failures() == [line]
+        assert not report_over.ok
+
+    @pytest.mark.parametrize("at_limit, limit", zip([
+        model_report(5.0, 6.0, PERFECT_MODEL),
+        model_report(20.0, 21.0),
+        oracle_report(7.0, 10.0, PERFECT_ORACLE),
+        oracle_report(23.0, 25.0),
+    ], LIMITS), ids=LIMIT_IDS)
+    def test_a_report_exactly_at_a_limit_passes(self, at_limit, limit):
+        value, bound, _ = limit
+        assert getattr(at_limit, value) == bound
+        assert at_limit.failures() == []
+        assert at_limit.ok
 
     def test_perfmodel_case_error_is_relative(self):
         case = PerfModelCase(job_ids=("j",), m=4, predicted=10.0,

@@ -4,6 +4,7 @@ for the plan cache, the closed-form allocator, and the
 §IV-B4 plan patch."""
 
 import math
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -548,14 +549,16 @@ class TestPlanCache:
         cache = PlanCache(max_entries=8)
         a = JobMetrics(job_id="a", cpu_work=1.0, t_net=1.0, m_observed=4)
         b = JobMetrics(job_id="b", cpu_work=2.0, t_net=1.0, m_observed=4)
-        cache.put(("k1", 1, 10), (a,), None)
-        cache.put(("k2", 2, 10), (a, b), None)
-        cache.put(("k3", 1, 10), (b,), None)
+        cache.put(("k1", 1, 10), (a,), 1, None)
+        cache.put(("k2", 2, 10), (a, b), 2, None)
+        cache.put(("k3", 1, 10), (b,), 1, None)
         republished = replace(a, cpu_work=3.0, samples=2)
         cache.invalidate_job("a")
-        assert cache.get(("k1", 1, 10), (republished,)) is _CACHE_MISS
-        assert cache.get(("k2", 2, 10), (republished, b)) is _CACHE_MISS
-        assert cache.get(("k3", 1, 10), (b,)) is None  # survived
+        assert cache.get(("k1", 1, 10), (republished,), 1) \
+            is _CACHE_MISS
+        assert cache.get(("k2", 2, 10), (republished, b), 2) \
+            is _CACHE_MISS
+        assert cache.get(("k3", 1, 10), (b,), 1) is None  # survived
 
     def test_metrics_mismatch_is_a_miss_not_a_wrong_plan(self):
         """A fingerprint collision (same key, different jobs) must fall
@@ -564,22 +567,162 @@ class TestPlanCache:
         a = JobMetrics(job_id="a", cpu_work=1.0, t_net=1.0, m_observed=4)
         a2 = JobMetrics(job_id="a", cpu_work=9.0, t_net=1.0,
                         m_observed=4)
-        cache.put(("k", 1, 10), (a,), None)
-        assert cache.get(("k", 1, 10), (a2,)) is _CACHE_MISS
+        cache.put(("k", 1, 10), (a,), 1, None)
+        assert cache.get(("k", 1, 10), (a2,), 1) is _CACHE_MISS
 
     def test_lru_eviction_bounds_entries(self):
         cache = PlanCache(max_entries=2)
         jobs = [JobMetrics(job_id=f"x{i}", cpu_work=1.0, t_net=1.0,
                            m_observed=4) for i in range(3)]
         for i, job in enumerate(jobs):
-            cache.put((f"k{i}", 1, 10), (job,), None)
-        assert cache.get(("k0", 1, 10), (jobs[0],)) is _CACHE_MISS
-        assert cache.get(("k2", 1, 10), (jobs[2],)) is None
+            cache.put((f"k{i}", 1, 10), (job,), 1, None)
+        assert cache.get(("k0", 1, 10), (jobs[0],), 1) is _CACHE_MISS
+        assert cache.get(("k2", 1, 10), (jobs[2],), 1) is None
 
     @pytest.mark.parametrize("max_entries", [0, -1])
     def test_a_cache_without_room_is_rejected(self, max_entries):
         with pytest.raises(SchedulingError, match=">= 1 entry"):
             PlanCache(max_entries=max_entries)
+
+    # -- entry format: the call's one metrics tuple, packed candidates --
+
+    KEY = ("k", 3, 10)
+
+    @staticmethod
+    def snapshot(n, prefix="s"):
+        return tuple(JobMetrics(job_id=f"{prefix}{i}", cpu_work=float(i + 1),
+                                t_net=0.5, m_observed=4) for i in range(n))
+
+    def stored_entry(self):
+        """A cache holding one packed candidate for the first 3 jobs of
+        a 5-job tuple."""
+        cache = PlanCache(max_entries=8)
+        stored = self.snapshot(5)
+        packed = PlanCache.pack((0.5, [[0, 2], [1]], [4, 6]))
+        cache.put(self.KEY, stored, 3, packed)
+        return cache, stored, packed
+
+    def test_entry_hits_a_longer_snapshot_with_an_equal_prefix(self):
+        """A later, longer tuple whose first ``n`` jobs compare equal is
+        served, also when those jobs are distinct but value-equal
+        objects."""
+        cache, stored, packed = self.stored_entry()
+        offered = tuple(replace(job) for job in stored[:3]) \
+            + self.snapshot(4, "t")
+        assert all(a is not b for a, b in zip(stored, offered[:3]))
+        assert cache.get(self.KEY, offered, 3) is packed
+        assert cache.get(self.KEY, stored, 3) is packed
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_entry_misses_when_a_prefix_job_differs(self, position):
+        cache, stored, packed = self.stored_entry()
+        offered = list(stored)
+        offered[position] = replace(stored[position], t_net=0.75)
+        assert cache.get(self.KEY, tuple(offered), 3) is _CACHE_MISS
+        # Fewer than n jobs offered, or a different n, never hits.
+        assert cache.get(self.KEY, stored[:2], 3) is _CACHE_MISS
+        assert cache.get(self.KEY, stored, 4) is _CACHE_MISS
+        assert cache.get(self.KEY, stored, 3) is packed
+
+    def test_jobs_beyond_the_prefix_do_not_matter(self):
+        cache, stored, packed = self.stored_entry()
+        offered = stored[:3] + tuple(replace(job, cpu_work=99.0)
+                                     for job in stored[3:])
+        assert cache.get(self.KEY, offered, 3) is packed
+        assert cache.get(self.KEY, stored[:3], 3) is packed
+
+    @pytest.mark.parametrize("groups, allocation", [
+        ([[0]], [7]),
+        ([[0, 3, 5], [1], [2, 4]], [10, 3, 2 ** 40]),
+        ([[4, 1], [0, 2, 3]], [1, 1]),
+        ([[2], [0], [1], [3]], [5, 5, 5, 5]),
+    ])
+    def test_pack_round_trips(self, groups, allocation):
+        packed = PlanCache.pack((0.25, groups, allocation))
+        _, flat, sizes, machines = packed
+        assert (flat.typecode, sizes.typecode, machines.typecode) == \
+            ("i", "i", "q")
+        assert PlanCache.unpack(packed) == (0.25, groups, allocation)
+
+    def test_a_calls_entries_share_one_tuple_and_hold_no_list(self):
+        scheduler = HarmonyScheduler()
+        pool = self.pool()
+        scheduler.schedule(pool[:12], 60)
+        before = dict(scheduler.plan_cache._entries)
+        scheduler.schedule(pool, 60)
+        new = [entry for key, entry in scheduler.plan_cache._entries.items()
+               if before.get(key) is not entry]
+        assert len(new) > 1
+        shared = new[0][0]
+        assert type(shared) is tuple
+        assert sorted(shared, key=lambda job: job.job_id) == \
+            sorted(pool, key=lambda job: job.job_id)
+        assert any(packed is not None for _, _, packed in new)
+        for jobs, n, packed in new:
+            assert jobs is shared
+            assert 1 <= n <= len(shared)
+            if packed is None:
+                continue
+            score, *buffers = packed
+            assert type(score) is float
+            assert [type(buffer) for buffer in buffers] == [array] * 3
+
+    @pytest.mark.parametrize("stream_seed", [2022, 12022])
+    def test_warm_plans_equal_cold_plans_on_the_churn_streams(
+            self, stream_seed, monkeypatch):
+        """On the churn workload's two stream seeds, a scheduler whose
+        cache carries over returns a cold scheduler's plan on every
+        call, and some calls' winners are packed candidates served by
+        the cache."""
+        served: list = []
+        unpacked: list = []
+        get, unpack = PlanCache.get, PlanCache.unpack
+
+        def spying_get(cache, key, jobs, n):
+            found = get(cache, key, jobs, n)
+            if found is not _CACHE_MISS:
+                served.append(found)
+            return found
+
+        def spying_unpack(packed):
+            unpacked.append(packed)
+            return unpack(packed)
+
+        monkeypatch.setattr(PlanCache, "get", spying_get)
+        monkeypatch.setattr(PlanCache, "unpack", staticmethod(spying_unpack))
+
+        class WarmAgainstCold:
+            def __init__(self):
+                self.warm = HarmonyScheduler()
+                self.calls = 0
+                self.winners_from_hits = 0
+
+            @property
+            def last_stats(self):
+                return self.warm.last_stats
+
+            def schedule(self, jobs, machines):
+                served.clear()
+                unpacked.clear()
+                plan = self.warm.schedule(jobs, machines)
+                self.calls += 1
+                if plan is not None and \
+                        any(unpacked[-1] is hit for hit in served):
+                    assert self.warm.last_stats.cache_hits > 0
+                    self.winners_from_hits += 1
+                assert plan == HarmonyScheduler().schedule(jobs, machines)
+                return plan
+
+        profiles = sched_churn._base_profiles(60, 2021)
+        events = sched_churn.generate_stream(profiles, 30, 60,
+                                             seed=stream_seed)
+        checked = WarmAgainstCold()
+        result = sched_churn.replay(
+            checked, profiles, events, 30, 200, "warm", use_patch=False,
+            regroup_threshold=SchedulerConfig().regroup_benefit_threshold)
+        assert checked.calls == result.n_schedule_calls > 1
+        assert checked.winners_from_hits > 0
+        assert result.cache_hits > 0
 
 
 class TestLastStats:
@@ -830,11 +973,11 @@ class TestMasterPatchPath:
         cache = master.scheduler.plan_cache
         self.feed(master, "j0", 2.0, 1.0)
         stale = master.profiler.get("j0")
-        cache.put(("k", 1, 24), (stale,), None)
+        cache.put(("k", 1, 24), (stale,), 1, None)
         self.feed(master, "j0", 4.0, 1.0)
         fresh = master.profiler.get("j0")
         assert fresh != stale
-        assert cache.get(("k", 1, 24), (fresh,)) is _CACHE_MISS
+        assert cache.get(("k", 1, 24), (fresh,), 1) is _CACHE_MISS
 
 
 class TestGroupCountCertificate:
