@@ -307,15 +307,53 @@ def attribute(stats: dict) -> tuple[dict, dict, float, dict]:
     return dict(self_s), dict(calls), grand, dict(unmapped)
 
 
-def profile_pass(workload, seed: int) -> pstats.Stats:
-    """Warm up as the benchmark does, then profile one pass: its calls
-    and the stream bookkeeping between them, not its preparation."""
-    inputs = workload.setup(seed)
+# -- loading a workload ----------------------------------------------------
+
+
+def load_workload(argv: list[str] | None, description: str):
+    """Parse ``--workload`` and ``--src``, load the benchmark's workloads
+    from this checkout and the program from ``--src``; ``(workload,
+    src)``, or ``None`` after printing why not."""
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    args = parser.parse_args(argv)
+    if not (args.src / "repro").is_dir():
+        print(f"error: no repro package under {args.src}", file=sys.stderr)
+        return None
+    # Like the benchmark, run the default engine whatever the
+    # environment asks for.
+    os.environ.pop("HARMONY_SIM_ENGINE", None)
+    sys.path.insert(0, str(args.src.resolve()))
+    sys.path.insert(0, str(HERE / "perf"))
+    import workloads
+
+    if args.workload not in workloads.WORKLOADS:
+        print(f"error: unknown workload {args.workload!r}; one of "
+              f"{sorted(workloads.WORKLOADS)}", file=sys.stderr)
+        return None
+    return workloads.WORKLOADS[args.workload], args.src
+
+
+def warm_up(workload, inputs) -> list[tuple]:
+    """The benchmark's untimed warm-up calls; their outcome digests."""
+    digests = []
     limit = workload.warmup_calls
     for index, call in enumerate(workload.calls(inputs)):
         if limit is not None and index >= limit:
             break
-        call()
+        digests.append(workload.inspect(call()).digest)
+    return digests
+
+
+# -- profiling a pass ------------------------------------------------------
+
+
+def profile_pass(workload, seed: int) -> pstats.Stats:
+    """Warm up as the benchmark does, then profile one pass: its calls
+    and the stream bookkeeping between them, not its preparation."""
+    inputs = workload.setup(seed)
+    warm_up(workload, inputs)
     profiler = cProfile.Profile()
     calls = iter(workload.calls(inputs))
     call = next(calls, None)
@@ -341,27 +379,13 @@ def render(self_s: dict, calls: dict, grand: float) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
-    args = parser.parse_args(argv)
-    if not (args.src / "repro").is_dir():
-        print(f"error: no repro package under {args.src}", file=sys.stderr)
+    loaded = load_workload(argv, __doc__.split("\n")[0])
+    if loaded is None:
         return 2
-    # Like the benchmark, profile the default engine whatever the
-    # environment asks for.
-    os.environ.pop("HARMONY_SIM_ENGINE", None)
-    sys.path.insert(0, str(args.src.resolve()))
-    sys.path.insert(0, str(HERE / "perf"))
-    import workloads
-
-    if args.workload not in workloads.WORKLOADS:
-        print(f"error: unknown workload {args.workload!r}; one of "
-              f"{sorted(workloads.WORKLOADS)}", file=sys.stderr)
-        return 2
-    stats = profile_pass(workloads.WORKLOADS[args.workload], SEED)
+    workload, _src = loaded
+    stats = profile_pass(workload, SEED)
     self_s, calls, grand, unmapped = attribute(stats.stats)
-    print(f"{args.workload}: seed {SEED}, one profiled pass")
+    print(f"{workload.name}: seed {SEED}, one profiled pass")
     print(render(self_s, calls, grand))
     status = 0
     lost = sum(unmapped.values())
