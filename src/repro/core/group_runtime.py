@@ -376,7 +376,7 @@ class GroupRuntime:
         # (serve_solo returns the record directly, no event, no yield);
         # otherwise the classic submit-and-yield path runs.
         engine = self._engine
-        batched = engine is not None and engine.open()
+        batched = engine is not None and engine.open(self)
 
         # Initial load: restore the model checkpoint if migrating, then
         # stream the memory-side input blocks from disk.
@@ -624,6 +624,7 @@ class GroupRuntime:
         self.record_levels()
         self.stopped_at = self.sim.now
         self.crashed = True
+        self._detach_engine()
         return victims
 
     # -- teardown -------------------------------------------------------------------
@@ -638,6 +639,14 @@ class GroupRuntime:
         self.net.close_segments()
         self.record_levels()
         self.stopped_at = self.sim.now
+        self._detach_engine()
+
+    def _detach_engine(self) -> None:
+        """End of life: the engine lets go of the resources, which keep
+        naming it as their wake owner, so the group is freed by
+        reference counting once the last reference to it goes."""
+        if self._engine is not None:
+            self._engine.detach()
 
     def record_levels(self) -> None:
         """Trace the ``<group>.{cpu,net,disk}.level`` gauges.

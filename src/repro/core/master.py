@@ -171,8 +171,24 @@ class MasterBase:
         self.footprints = FootprintTable(cost_model, config.memory,
                                          self.mode.spill_enabled)
         # Feasibility floors are pure in the (immutable) job specs —
-        # memoized for the life of the master, per job set.
-        self._floor_cache: dict[tuple[str, ...], int] = {}
+        # memoized for the life of the master, per job set.  A closure
+        # over what it reads, not a method: the master hands it to the
+        # schedulers and policies it owns.
+        footprints, jobs, limit = self.footprints, self.jobs, cluster.size
+        floors: dict[tuple[str, ...], int] = {}
+
+        def memory_floor(job_ids: Sequence[str]) -> int:
+            """Smallest machine count where the jobs co-locate within
+            the target memory pressure (cluster size + 1 if they never
+            do)."""
+            key = tuple(job_ids)
+            floor = floors.get(key)
+            if floor is None:
+                floor = floors[key] = footprints.floor(
+                    [jobs[job_id].spec for job_id in key], limit)
+            return floor
+
+        self._memory_floor = memory_floor
 
     def _add_job(self, spec: JobSpec) -> Job:
         if spec.job_id in self.jobs:
@@ -246,17 +262,6 @@ class MasterBase:
                start: GroupStart) -> None:  # pragma: no cover - abstract
         """Place ``start``'s jobs into ``group``, just started for it."""
         raise NotImplementedError
-
-    def _memory_floor(self, job_ids: Sequence[str]) -> int:
-        """Smallest machine count where the jobs co-locate within the
-        target memory pressure (cluster size + 1 if they never do)."""
-        key = tuple(job_ids)
-        floor = self._floor_cache.get(key)
-        if floor is None:
-            floor = self._floor_cache[key] = self.footprints.floor(
-                [self.jobs[job_id].spec for job_id in key],
-                self.cluster.size)
-        return floor
 
 
 class HarmonyMaster(MasterBase):
@@ -352,8 +357,21 @@ class HarmonyMaster(MasterBase):
         # §IV-B1: a moving-average publish is exactly when memoized
         # estimates stop matching what Eq. 1-3 would recompute.  The
         # scheduler's plan cache needs no hook: it checks each entry's
-        # metrics on read.
-        self.profiler.add_listener(self._on_metrics_published)
+        # metrics on read.  The listener closes over the two dicts it
+        # reads, not over the master, which owns the profiler.
+        jobs, estimate_cache = self.jobs, self._estimate_cache
+
+        def drop_published_estimates(job_id: str) -> None:
+            """Drop the estimates that may mention the job, which are
+            its group's (a group that lost it dropped its own on the
+            membership change)."""
+            group_id = jobs[job_id].group_id
+            if group_id is None:
+                estimate_cache.clear()
+            else:
+                estimate_cache.pop(group_id, None)
+
+        self.profiler.add_listener(drop_published_estimates)
 
     # ------------------------------------------------------------------ API
 
@@ -1092,16 +1110,6 @@ class HarmonyMaster(MasterBase):
         """The profiled metrics of ``jobs`` (bar ``skip``), in order."""
         return self.profiler.profiled(job.job_id for job in jobs
                                       if job.job_id != skip)
-
-    def _on_metrics_published(self, job_id: str) -> None:
-        """Profiler listener: drop the estimates that may mention the
-        job, which are its group's (a group that lost it dropped its
-        own on the membership change)."""
-        group_id = self.jobs[job_id].group_id
-        if group_id is None:
-            self._estimate_cache.clear()
-        else:
-            self._estimate_cache.pop(group_id, None)
 
     def _group_estimate(self, group: GroupRuntime,
                         exclude_job: str | None = None) -> \

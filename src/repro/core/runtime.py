@@ -202,7 +202,7 @@ class RuntimeBase:
         if config.trace.enabled:
             # The tracer timestamps off the simulation clock; installed
             # before the master/groups so they see it.
-            self.sim.tracer = Tracer(lambda: self.sim.now, config.trace)
+            self.sim.tracer = Tracer(self.sim.clock(), config.trace)
         self.cluster = Cluster(n_machines, config.machine)
         self.cost_model = cost_model if cost_model is not None \
             else CostModel(config.machine)

@@ -103,7 +103,7 @@ def run_single_group(specs: Sequence[JobSpec], n_machines: int,
     """
     sim = Simulator()
     if config.trace.enabled:
-        sim.tracer = Tracer(lambda: sim.now, config.trace)
+        sim.tracer = Tracer(sim.clock(), config.trace)
     cost_model = CostModel(config.machine)
     hooks = _CollectingHooks()
     group = GroupRuntime(sim, "exp", tuple(range(n_machines)), mode,

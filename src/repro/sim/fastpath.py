@@ -44,6 +44,9 @@ it there.  Engagement is counted once, on the simulator
 There is no fallback lane: a group's engine attaches when the group is
 built and stays attached for the group's whole life.  The per-event
 path runs only under ``engine="reference"``, the differential oracle.
+When the group stops or crashes its engine lets go of the resources
+(:meth:`GroupBatchEngine.detach`), so a finished group holds no
+reference cycle.
 """
 
 from __future__ import annotations
@@ -77,15 +80,17 @@ class GroupBatchEngine:
       / ``close``), parked at the closed-form end time.
     """
 
-    __slots__ = ("group", "sim", "active", "_t_open",
+    __slots__ = ("sim", "active", "_t_open", "_park_name",
                  "_resources", "_driver_handle",
                  "_driver_key", "_in_drive")
 
     def __init__(self, group: "GroupRuntime"):
-        self.group = group
+        # No reference back to the group: the group owns the engine
+        # (see detach() for the engine <-> resources pair).
         self.sim = group.sim
         self.active = False
         self._t_open = 0.0
+        self._park_name = f"{group.group_id}:batch-park"
         self._resources = (group.cpu, group.net, group.disk)
         #: The single real heap entry backing the earliest parked wake.
         self._driver_handle = None
@@ -101,6 +106,19 @@ class GroupBatchEngine:
         for resource in self._resources:
             resource.set_wake_owner(self)
         self.sim.fastpath_stats.groups_attached += 1
+
+    def detach(self) -> None:
+        """Release the resources: the group stopped or crashed.
+
+        Each resource names the engine as its wake owner for the rest
+        of its life (the per-wake path calls it directly), so the
+        engine's own tuple of them is the edge that must go for the
+        group to be freed by reference counting.  A stopped group has
+        no task queued and nothing parked, so there is nothing left to
+        drive; a drive in progress (a hook stopping the group from
+        inside a wake) finds no park and ends.
+        """
+        self._resources = ()
 
     def park_changed(self, resource: "RateResource") -> None:
         """Owner notification: a resource's parked wake was (re)set or
@@ -191,8 +209,9 @@ class GroupBatchEngine:
 
     # -- solo-lane eligibility -----------------------------------------
 
-    def open(self) -> bool:
-        """Open a solo batch if the group is isolated enough to warp.
+    def open(self, group: "GroupRuntime") -> bool:
+        """Open a solo batch if ``group`` (the engine's own) is isolated
+        enough to warp.
 
         Eligible when the hooks have no per-iteration callback (one
         would observe the warped clock), exactly one job runs in the
@@ -201,7 +220,6 @@ class GroupBatchEngine:
         current ``run()`` call has no ``until`` horizon (a solo batch
         would warp past it).
         """
-        group = self.group
         sim = self.sim
         if self.active:
             return False
@@ -254,4 +272,4 @@ class GroupBatchEngine:
         fp.solo_batches += 1
         fp.solo_batched_seconds += t_end - self._t_open
         self._sync_driver()
-        return sim.at(t_end, name=f"{self.group.group_id}:batch-park")
+        return sim.at(t_end, name=self._park_name)

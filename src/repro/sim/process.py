@@ -86,6 +86,10 @@ class Process(Event):
                 self._finish(ok=True, value=stop.value)
                 return
             except ProcessKilled:
+                # The kill's traceback holds this frame, and ``exc``
+                # here holds the kill: drop it, or every killed process
+                # leaves an exception <-> traceback <-> frame cycle.
+                del exc
                 self._finish(ok=True, value=None)
                 return
             except BaseException as error:  # noqa: BLE001 - via event

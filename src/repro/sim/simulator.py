@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import Any
@@ -114,6 +115,14 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time, in seconds."""
         return self._now
+
+    def clock(self) -> Callable[[], float]:
+        """A reader of :attr:`now` that does not keep the simulator
+        alive: the clock of the tracer installed as :attr:`tracer`
+        (a ``lambda: sim.now`` there would make the pair a reference
+        cycle).  Reading it after the simulator is gone raises."""
+        simulator = weakref.ref(self)
+        return lambda: simulator()._now
 
     # -- scheduling primitives ----------------------------------------
 

@@ -1,6 +1,6 @@
 """Smoke test of ``benchmarks/memory_profile.py``: one traced ``churn``
-pass prints every section and exits 0, and a failed workload check
-makes the report fail."""
+pass prints every section and exits 0, and a failed workload check or a
+call that leaves a reference cycle makes the report fail."""
 
 import importlib.util
 import re
@@ -53,6 +53,23 @@ class _Allocating:
         return []
 
 
+class _Node:
+    def __init__(self):
+        self.peer = self
+
+
+class _Cyclic(_Allocating):
+    """Each call drops a self-referencing :class:`_Node`."""
+
+    def calls(self, inputs):
+        def call():
+            _Node()
+            return 1
+
+        for _ in range(3):
+            yield call
+
+
 def test_a_pass_reports_retained_memory_and_collections():
     text, problems = _tool().report(_Allocating(fail=False), 0,
                                     ROOT / "src")
@@ -61,9 +78,24 @@ def test_a_pass_reports_retained_memory_and_collections():
     retained = float(re.search(r"retained ([\d.]+)", text).group(1))
     # Three lists of 10,000 ints are alive after the last call.
     assert retained > 0.2
+    assert re.search(r"untraced pass: [\d.]+ s; collections: gen0 \d+, "
+                     r"gen1 \d+, gen2 \d+; collector [\d.]+ s "
+                     r"\([\d.]+%\)", text)
     assert re.search(r"collections: gen0 \d+, gen1 \d+, gen2 \d+; "
                      r"collector [\d.]+ s", text)
+    assert "left for the collector by one call: 0 objects\n" in text
     assert "checks: ok, 0 of 3 failed" in text
+
+
+def test_a_call_that_leaves_a_cycle_fails_the_report():
+    text, problems = _tool().report(_Cyclic(fail=False), 0, ROOT / "src")
+    found = int(re.search(r"left for the collector by one call: (\d+) "
+                          r"objects \((.*)\)", text).group(1))
+    assert found >= 1
+    assert "_Node 1" in text
+    assert problems == [f"one call leaves {found} objects for the cyclic "
+                        "collector"]
+    assert "checks: FAILED, 0 of 3 failed" in text
 
 
 def test_a_failed_check_fails_the_report():
@@ -84,6 +116,7 @@ def test_churn_pass():
     # Algorithm 1's plan cache keeps entries alive across the pass.
     assert "repro/core/scheduler.py:" in out
     assert "ru_maxrss MiB:" in out
+    assert "left for the collector by one call: 0 objects\n" in out
     assert re.search(r"checks: ok, 0 of \d+ failed", out)
 
 

@@ -227,8 +227,8 @@ class TestSoloLaneGuards:
         job.state = JobState.RUNNING
         group.add_job(job)  # runs its whole solo batch, then parks
         engine = group._engine
-        assert engine.open()
-        assert not engine.open()
+        assert engine.open(group)
+        assert not engine.open(group)
         engine.close()
         assert not engine.active
 

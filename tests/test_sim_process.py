@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ProcessKilled, SimulationError
+from tests.test_reference_cycles import collector_finds
 
 
 class TestProcessBasics:
@@ -115,6 +116,21 @@ class TestKill:
         sim.run()
         assert cleaned == [True]
         assert process.ok
+
+    def test_a_killed_process_is_freed_by_reference_counting(self, sim):
+        """The kill's exception, its traceback and the frame that caught
+        it must not keep each other alive once the process is gone."""
+        def proc():
+            yield sim.timeout(100.0)
+
+        def case():
+            process = sim.spawn(proc())
+            sim.call_at(1.0, process.kill)
+            sim.run()
+            assert process.ok
+
+        found, cycles = collector_finds(case)
+        assert (found, cycles) == (0, [])
 
     def test_kill_dead_process_is_noop(self, sim):
         def proc():
