@@ -170,23 +170,16 @@ class MasterBase:
         #: with every group this master starts (their admission gates).
         self.footprints = FootprintTable(cost_model, config.memory,
                                          self.mode.spill_enabled)
-        # Feasibility floors are pure in the (immutable) job specs —
-        # memoized for the life of the master, per job set.  A closure
-        # over what it reads, not a method: the master hands it to the
-        # schedulers and policies it owns.
+        # A closure over what it reads, not a method: the master hands
+        # it to the schedulers and policies it owns.
         footprints, jobs, limit = self.footprints, self.jobs, cluster.size
-        floors: dict[tuple[str, ...], int] = {}
 
         def memory_floor(job_ids: Sequence[str]) -> int:
             """Smallest machine count where the jobs co-locate within
             the target memory pressure (cluster size + 1 if they never
             do)."""
-            key = tuple(job_ids)
-            floor = floors.get(key)
-            if floor is None:
-                floor = floors[key] = footprints.floor(
-                    [jobs[job_id].spec for job_id in key], limit)
-            return floor
+            return footprints.floor([jobs[job_id].spec
+                                     for job_id in job_ids], limit)
 
         self._memory_floor = memory_floor
 
@@ -265,7 +258,13 @@ class MasterBase:
 
 
 class HarmonyMaster(MasterBase):
-    """Scheduling brain bound to a simulator and a cluster."""
+    """Scheduling brain bound to a simulator and a cluster.
+
+    Each group estimate (Eq. 1-3 over the profiled metrics) and each
+    memory floor is worked out when a decision needs it, so the master
+    holds no memo that a publish, a membership change or a crash could
+    leave stale.
+    """
 
     group_prefix = "g"
     mode = ExecutionMode.HARMONY
@@ -345,33 +344,10 @@ class HarmonyMaster(MasterBase):
         #: reach (``_SCORE_CEILING``).
         self.checks_planned = 0
         self.checks_pruned = 0
-        #: Memo of per-group estimates: group id -> ``exclude_job`` ->
-        #: estimate.  A group's entries go when one of its jobs
-        #: publishes, its membership changes or it stops, so the
-        #: repeated ``_live_estimates`` sweeps inside one decision
-        #: cascade reuse the same Eq. 1-3 evaluations.
-        self._estimate_cache: dict[
-            str, dict[str | None, GroupEstimate | None]] = {}
+        #: Kept for the perf ledger, which reads both: hits stay 0 and
+        #: misses count the group estimates worked out.
         self.estimate_cache_hits = 0
         self.estimate_cache_misses = 0
-        # §IV-B1: a moving-average publish is exactly when memoized
-        # estimates stop matching what Eq. 1-3 would recompute.  The
-        # scheduler's plan cache needs no hook: it checks each entry's
-        # metrics on read.  The listener closes over the two dicts it
-        # reads, not over the master, which owns the profiler.
-        jobs, estimate_cache = self.jobs, self._estimate_cache
-
-        def drop_published_estimates(job_id: str) -> None:
-            """Drop the estimates that may mention the job, which are
-            its group's (a group that lost it dropped its own on the
-            membership change)."""
-            group_id = jobs[job_id].group_id
-            if group_id is None:
-                estimate_cache.clear()
-            else:
-                estimate_cache.pop(group_id, None)
-
-        self.profiler.add_listener(drop_published_estimates)
 
     # ------------------------------------------------------------------ API
 
@@ -464,7 +440,6 @@ class HarmonyMaster(MasterBase):
     def _stop_group(self, group: GroupRuntime,
                     crashed: bool = False) -> list[Job]:
         self._close_decision(group, self.sim.now)
-        self._estimate_cache.pop(group.group_id, None)
         return super()._stop_group(group, crashed)
 
     # -------------------------------------------------------- profiling path
@@ -551,7 +526,6 @@ class HarmonyMaster(MasterBase):
         group_id = group.group_id
         victims = self._stop_group(group, crashed=True)
         self.failures_injected += 1
-        self._estimate_cache.clear()
         if self._rebuild is not None:
             self._rebuild.draining.discard(group_id)
 
@@ -1114,35 +1088,20 @@ class HarmonyMaster(MasterBase):
     def _group_estimate(self, group: GroupRuntime,
                         exclude_job: str | None = None) -> \
             GroupEstimate | None:
-        """One group's Eq. 1-3 estimate, memoized between invalidations.
-
-        A decision cascade (placement sweeps, periodic checks,
-        escalation scopes) re-estimates the same groups many times.
-        Entries stay valid until one of the group's jobs publishes or
-        its membership changes (both drop the group's entries), so one
-        cascade pays each group once.
-        """
-        entries = self._estimate_cache.get(group.group_id)
-        if entries is None:
-            entries = self._estimate_cache[group.group_id] = {}
-        elif exclude_job in entries:
-            self.estimate_cache_hits += 1
-            return entries[exclude_job]
+        """One group's Eq. 1-3 estimate over its profiled metrics (bar
+        ``exclude_job``), or None when none of its jobs has any."""
         self.estimate_cache_misses += 1
         metrics = self._metrics_of(group.jobs(), skip=exclude_job)
-        estimate = self.perf_model.estimate_group(
+        return self.perf_model.estimate_group(
             metrics, group.n_machines) if metrics else None
-        entries[exclude_job] = estimate
-        return estimate
 
-    def _live_estimates(self, exclude_job: str | None = None,
-                        exclude_groups: Collection[str] = ()) -> \
+    def _live_estimates(self, exclude_groups: Collection[str] = ()) -> \
             list[GroupEstimate]:
         estimates = []
         for group_id, group in self.groups.items():
             if group_id in exclude_groups:
                 continue
-            estimate = self._group_estimate(group, exclude_job)
+            estimate = self._group_estimate(group)
             if estimate is not None:
                 estimates.append(estimate)
         return estimates
@@ -1164,7 +1123,6 @@ class HarmonyMaster(MasterBase):
     def _note_membership_change(self, group: GroupRuntime) -> None:
         """Close the group's open prediction epoch and start a new one."""
         now = self.sim.now
-        self._estimate_cache.pop(group.group_id, None)
         self._close_decision(group, now)
         metrics = self._metrics_of(group.jobs())
         if not metrics or len(metrics) != group.n_jobs:

@@ -41,7 +41,10 @@ class FootprintTable:
     A master shares one table with every group it starts, so its
     floors, the groups' admission gates and their spill rebalance read
     the same basis and the same ``CostModel.resident_bytes`` floats,
-    each computed once per (job, m, alpha, model spilled).
+    each computed once per (job, m, alpha, model spilled).  Those
+    resident rows are the table's only memo: a floor is a pure function
+    of the job specs and the machine limit, so each call scans the rows
+    again.
     """
 
     def __init__(self, cost_model: CostModel, config: MemoryConfig,
@@ -59,9 +62,6 @@ class FootprintTable:
         self.alpha = (1.0 if fixed is None else fixed) if self.spill \
             else 0.0
         self._entries: dict[tuple[str, int, float, bool], float] = {}
-        #: (job, alpha, spilled, max_machines) -> the job's own floor on
-        #: that basis within max_machines (max_machines + 1 if none).
-        self._own_floors: dict[tuple[str, float, bool, int], int] = {}
 
     def resident(self, spec: JobSpec, m: int, alpha: float,
                  spilled: bool = False) -> float:
@@ -75,49 +75,16 @@ class FootprintTable:
     def floor(self, specs: Sequence[JobSpec], max_machines: int) -> int:
         """Smallest m at which ``specs`` fit at the basis alpha, else
         (adaptive only) with every model spilled; ``max_machines + 1``
-        if none does.
-
-        The scan on each basis starts at the largest member's own floor
-        there: below it that member's resident bytes alone exceed the
-        budget, and a left fold of non-negative floats is never below
-        any of its terms, so no smaller m can fit the group.  A member
-        that never fits alone within ``max_machines`` skips the basis.
-        """
+        if none does."""
         bases = [(self.alpha, False)]
         if self.adaptive:
             bases.append((1.0, True))
-        entries = self._entries
-        own_floors = self._own_floors
         for alpha, spilled in bases:
-            start = 1
-            for spec in specs:
-                own = own_floors.get((spec.job_id, alpha, spilled,
-                                      max_machines))
-                if own is None:
-                    own = self._own_floor(spec, alpha, spilled,
-                                          max_machines)
-                if own > start:
-                    start = own
-            for m in range(start, max_machines + 1):
-                row = [entries.get((spec.job_id, m, alpha, spilled))
-                       for spec in specs]
-                if None in row:
-                    row = [self.resident(spec, m, alpha, spilled)
-                           for spec in specs]
-                if sum(row) <= self.budget:
+            for m in range(1, max_machines + 1):
+                if sum([self.resident(spec, m, alpha, spilled)
+                        for spec in specs]) <= self.budget:
                     return m
         return max_machines + 1
-
-    def _own_floor(self, spec: JobSpec, alpha: float, spilled: bool,
-                   max_machines: int) -> int:
-        """The job's floor alone on one basis, computed and memoized."""
-        floor = max_machines + 1
-        for m in range(1, max_machines + 1):
-            if self.resident(spec, m, alpha, spilled) <= self.budget:
-                floor = m
-                break
-        self._own_floors[spec.job_id, alpha, spilled, max_machines] = floor
-        return floor
 
     def admits(self, members: Iterable[Job], job: Job, m: int) -> bool:
         """Whether ``job`` joins ``members`` on m machines.

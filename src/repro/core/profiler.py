@@ -64,12 +64,11 @@ class Profiler:
 
     The profiler is the single source of truth the scheduler's caches
     key on: every publish replaces the job's :class:`JobMetrics` and
-    notifies the registered listeners.  The master's group-estimate
-    memo listens and drops the publishing job's group exactly when
-    §IV-B1's moving averages move.  Plan caches need no listener: they
-    store the metrics each entry was computed from and compare them on
-    read, so a replaced :class:`JobMetrics` can never be served a stale
-    plan.
+    notifies the registered listeners.  Nothing in the package listens:
+    the master works out group estimates from the current metrics when
+    it needs one, and plan caches store the metrics each entry was
+    computed from and compare them on read, so a replaced
+    :class:`JobMetrics` can never be served a stale plan or estimate.
     """
 
     def __init__(self, ema_alpha: float = 0.3):

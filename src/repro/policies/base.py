@@ -78,10 +78,11 @@ class PolicyDecision:
 class PolicyObservation:
     """Cluster/queue snapshot handed to ``decide()``.
 
-    The callables are bound master methods backed by per-run memo
-    caches, so a policy re-asking the same demand twice pays one linear
-    scan, not two (the masters' profiling showed memory floors dominate
-    baseline wall time).
+    The callables are bound master methods.  ``batch_demand`` and
+    ``metrics_at`` are memoized per run, so a policy re-asking the same
+    demand twice pays one scan, not two; ``memory_floor`` scans the
+    master's footprint table, whose resident rows are memoized, on
+    every call.
     """
 
     now: float

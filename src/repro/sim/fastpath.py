@@ -159,7 +159,7 @@ class GroupBatchEngine:
         if key is None:
             return
         self._driver_handle = self.sim.call_at(
-            key[0], self._drive, cancellable=True, sequence=key[1])
+            key[0], self._drive, sequence=key[1])
         self._driver_key = key
 
     def _drive(self) -> None:

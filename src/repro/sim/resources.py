@@ -228,10 +228,7 @@ class RateResource:
             raise ResourceError(
                 f"work {work} on {self.name!r} must be finite and >= 0")
         sim = self.sim
-        # _advance at an unchanged clock only rewrites _last_update with
-        # the same value; skipping the call entirely is exact.
-        if sim._now != self._last_update:
-            self._advance()
+        self._advance()
         event = Event(sim, self._task_name)
         self.work_submitted += work
         self._tasks.append(_Task(work, work, event, sim._now))
@@ -408,7 +405,7 @@ class RateResource:
         if when - self.sim._now <= _EPSILON:
             raise self._stalled(self.sim._now)
         self._wake_handle = self.sim.call_at(
-            when, lambda: self._on_wake(generation), cancellable=True)
+            when, lambda: self._on_wake(generation))
 
     def _repark(self) -> None:
         """:meth:`_reschedule` for a parked resource: hold the next

@@ -93,7 +93,7 @@ class Simulator:
         self._now = float(start_time)
         self._queue: list[
             tuple[float, int, int, Callable[[], None],
-                  ScheduledCall | None]] = []
+                  ScheduledCall]] = []
         self._sequence = itertools.count()
         self._insertions = itertools.count()
         self._running = False
@@ -127,16 +127,14 @@ class Simulator:
     # -- scheduling primitives ----------------------------------------
 
     def call_at(self, when: float, callback: Callable[[], None],
-                cancellable: bool = False,
-                sequence: int | None = None) -> ScheduledCall | None:
+                sequence: int | None = None) -> ScheduledCall:
         """Run ``callback()`` at absolute time ``when``.
 
-        With ``cancellable=True`` returns a :class:`ScheduledCall`
-        accepted by :meth:`cancel`; the default returns ``None`` and
-        pays nothing for the ability.  ``sequence`` re-queues an entry
-        at a previously drawn tiebreak position instead of drawing a
-        fresh one — the fast path uses it so a parked wake keeps the
-        exact same-time ordering it would have had as a live entry.
+        Returns a :class:`ScheduledCall` accepted by :meth:`cancel`.
+        ``sequence`` re-queues an entry at a previously drawn tiebreak
+        position instead of drawing a fresh one — the fast path uses it
+        so a parked wake keeps the exact same-time ordering it would
+        have had as a live entry.
         """
         # Stated positively so that NaN fails it too.
         if not when >= self._now - 1e-9:
@@ -144,7 +142,7 @@ class Simulator:
                 f"cannot schedule at {when} before now={self._now}")
         when = max(when, self._now)
         seq = next(self._sequence) if sequence is None else sequence
-        handle = ScheduledCall(when, seq) if cancellable else None
+        handle = ScheduledCall(when, seq)
         # The third field keeps heap entries totally ordered even when
         # two share (when, seq) — a re-queued parked wake can coexist
         # with the cancelled driver entry that carried its sequence
@@ -161,7 +159,7 @@ class Simulator:
         self.call_at(self._now + delay, callback)
 
     def cancel(self, handle: ScheduledCall | None) -> None:
-        """Retract a queued callback scheduled with ``cancellable=True``.
+        """Retract a queued callback scheduled by :meth:`call_at`.
 
         Idempotent; accepts ``None`` (and already-fired handles) so
         callers can cancel unconditionally.  The dead entry is skipped
@@ -225,7 +223,7 @@ class Simulator:
         """
         while self._queue:
             when, _seq, _ins, callback, handle = heapq.heappop(self._queue)
-            if handle is not None and handle.cancelled:
+            if handle.cancelled:
                 continue
             if when < self._now - 1e-9:
                 raise SimulationError("event queue went backwards in time")
@@ -282,8 +280,7 @@ class Simulator:
         queue = self._queue
         while queue:
             head = queue[0]
-            handle = head[4]
-            if handle is not None and handle.cancelled:
+            if head[4].cancelled:
                 heapq.heappop(queue)
                 continue
             return (head[0], head[1])

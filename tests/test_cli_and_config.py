@@ -170,7 +170,7 @@ class TestSimConfig:
             / "knob_audit.py"
         count = subprocess.run([sys.executable, str(tool), "--count"],
                                capture_output=True, text=True, check=True)
-        assert int(count.stdout) == 268
+        assert int(count.stdout) == 267
 
 
 class TestSchedulerConfig:

@@ -144,7 +144,7 @@ class TestSchedulerDifferential:
     def test_plans_bitwise_equal_under_group_dependent_floor(
             self, values, machines, weights):
         """Floors that depend on which jobs share a group (not only on
-        how many) reach the allocator through the per-call floor memo."""
+        how many) reach the allocator through ``PoolSnapshot.floors``."""
         jobs = make_jobs(values)
 
         def floor(job_ids):
@@ -879,89 +879,6 @@ class TestMasterPatchPath:
         # A job that is done, or already placed, is never resumed.
         assert master._resume_into(jobs["done"], group) is False
         assert master._resume_into(jobs["p1"], group) is False
-
-    def test_estimates_are_invalidated_by_group(self):
-        """A publish drops only its job's group's estimates, and a
-        stopped group's estimates go with it."""
-        from repro.workloads.apps import DATASETS, JobSpec, LDA
-
-        master = self.build_master()
-        # Two profilees share a group; the third opens a second one.
-        for name in ("a0", "a1", "b0"):
-            master.submit(JobSpec(name, LDA, DATASETS["LDA"][0],
-                                  iterations=3))
-            self.feed(master, name, 2.0, 1.0)
-        group_a = master.groups[master.jobs["a0"].group_id]
-        group_b = master.groups[master.jobs["b0"].group_id]
-        assert group_a is not group_b
-        assert master.jobs["a1"].group_id == group_a.group_id
-        a_first = master._group_estimate(group_a)
-        a_without = master._group_estimate(group_a, exclude_job="a1")
-        b_first = master._group_estimate(group_b)
-        assert master._group_estimate(group_a) is a_first  # memoized
-        assert master.estimate_cache_hits == 1
-
-        self.feed(master, "a0", 4.0, 1.0)  # a publish in group A
-        assert master._group_estimate(group_b) is b_first
-        assert master.estimate_cache_hits == 2
-        refreshed = master._group_estimate(group_a)
-        assert refreshed is not a_first
-        assert refreshed.t_cpu_sum > a_first.t_cpu_sum
-        assert master._group_estimate(group_a, exclude_job="a1") \
-            is not a_without
-
-        empty = master._start_group(1)
-        assert master._group_estimate(empty) is None
-        assert empty.group_id in master._estimate_cache
-        master._stop_group(empty)
-        assert empty.group_id not in master._estimate_cache
-        assert master._group_estimate(group_b) is b_first
-
-    @pytest.mark.parametrize("seed, crashes", [(1, False), (2, False),
-                                               (3, False), (3, True)])
-    def test_every_estimate_hit_equals_a_fresh_estimate(
-            self, monkeypatch, seed, crashes):
-        """Whatever a run does (placements, regroups, completions,
-        crashes), a cached estimate is the one Eq. 1-3 give over the
-        group's current metrics."""
-        from repro.core.runtime import HarmonyRuntime
-        from repro.experiments.common import scaled_workload
-        from repro.faults.plan import FaultPlan
-
-        real_estimate = HarmonyMaster._group_estimate
-        real_stop = HarmonyMaster._stop_group
-        hits = []
-        crashed_groups = []
-
-        def checked(self, group, exclude_job=None):
-            before = self.estimate_cache_hits
-            estimate = real_estimate(self, group, exclude_job)
-            if self.estimate_cache_hits > before:
-                metrics = self._metrics_of(group.jobs(), skip=exclude_job)
-                assert estimate == (self.perf_model.estimate_group(
-                    metrics, group.n_machines) if metrics else None)
-                hits.append(1)
-            return estimate
-
-        def stop(self, group, crashed=False):
-            if crashed:
-                crashed_groups.append(group.group_id)
-            return real_stop(self, group, crashed)
-
-        monkeypatch.setattr(HarmonyMaster, "_group_estimate", checked)
-        monkeypatch.setattr(HarmonyMaster, "_stop_group", stop)
-        jobs, machines = scaled_workload(0.5, seed)
-        plan = FaultPlan.generate(
-            seed=seed, n_machines=machines, horizon_seconds=40000.0,
-            crash_rate_per_hour=0.5,
-            crash_downtime_seconds=600.0) if crashes else None
-        runtime = HarmonyRuntime(machines, jobs,
-                                 config=SimConfig(seed=seed),
-                                 fault_plan=plan)
-        runtime.run()
-        assert runtime.master.all_done
-        assert hits
-        assert bool(crashed_groups) is crashes
 
     def test_profiler_publish_invalidates_scheduler_plan_cache(self):
         """After a publish through the master's profiler, the master's

@@ -9,8 +9,7 @@ from repro.sim import Simulator
 class TestClock:
     def test_step_skips_a_cancelled_head(self, sim):
         fired = []
-        handle = sim.call_at(1.0, lambda: fired.append("cancelled"),
-                             cancellable=True)
+        handle = sim.call_at(1.0, lambda: fired.append("cancelled"))
         sim.call_at(2.0, lambda: fired.append("live"))
         sim.cancel(handle)
         assert sim.step() is True
