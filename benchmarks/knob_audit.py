@@ -38,9 +38,11 @@ under any of these forms.  A name is referenced by any identifier,
 attribute or dotted string with that name, so a name shared with other
 code hides (e.g. a method called ``reassign`` on two classes); names
 that nothing references at all, tests included, are marked
-``(unused)``.  Re-exports in a package ``__init__`` and ``__all__``
-entries, and the profiling table of ``benchmarks/layer_profile.py``, do
-not count.
+``(unused)``.  A ``@register`` decorator (bare or called) is a use of
+the class or function it hands to a registry.  Re-exports in a package
+``__init__`` (imports, ``__all__`` and the name table its
+``__getattr__`` imports from), and the profiling table of
+``benchmarks/layer_profile.py``, do not count.
 """
 
 from __future__ import annotations
@@ -409,23 +411,30 @@ def _public_names(sources: list[Source]):
                                    f"{source.module}.{node.name}.{item.name}")
 
 
+def _is_register(decorator: ast.expr) -> bool:
+    """``@register`` or ``@register(...)``."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "register"
+
+
 def _references(source: Source) -> set[str]:
     """Identifiers and dotted-string components this file uses."""
     names: set[str] = set()
     is_package = source.path.name == "__init__.py"
-    strings = source.rel not in STRING_EXEMPT
+    strings = source.rel not in STRING_EXEMPT and not is_package
 
     def walk(node: ast.AST) -> None:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+                and any(_is_register(d) for d in node.decorator_list)):
+            names.add(node.name)
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom) and not is_package:
             names.update(a.name for a in node.names)
-        elif (isinstance(node, ast.Assign) and is_package
-              and any(isinstance(t, ast.Name) and t.id == "__all__"
-                      for t in node.targets)):
-            return
         elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str)
               and _DOTTED.fullmatch(node.value)):

@@ -17,44 +17,39 @@ See README.md for a tour and ``python -m repro --list`` for the
 experiment drivers.
 """
 
-from repro.baselines import IsolatedRuntime, NaiveRuntime, OracleScheduler
-from repro.config import MachineSpec, SchedulerConfig, SimConfig
-from repro.core import (
-    HarmonyRuntime,
-    HarmonyScheduler,
-    JobMetrics,
-    PerfModel,
-    Profiler,
-    RunResult,
-)
-from repro.core.local_runtime import LocalHarmonyRuntime, LocalJob
-from repro.workloads import (
-    CostModel,
-    JobSpec,
-    WorkloadGenerator,
-    make_base_workload,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CostModel",
-    "HarmonyRuntime",
-    "HarmonyScheduler",
-    "IsolatedRuntime",
-    "JobMetrics",
-    "JobSpec",
-    "LocalHarmonyRuntime",
-    "LocalJob",
-    "MachineSpec",
-    "NaiveRuntime",
-    "OracleScheduler",
-    "PerfModel",
-    "Profiler",
-    "RunResult",
-    "SchedulerConfig",
-    "SimConfig",
-    "WorkloadGenerator",
-    "make_base_workload",
-    "__version__",
-]
+#: Public name -> defining module, imported on first access (PEP 562),
+#: so ``import repro.<anything>`` loads only what that module needs.
+_EXPORTS = {
+    "CostModel": "repro.workloads",
+    "HarmonyRuntime": "repro.core",
+    "HarmonyScheduler": "repro.core",
+    "IsolatedRuntime": "repro.baselines",
+    "JobMetrics": "repro.core",
+    "JobSpec": "repro.workloads",
+    "LocalHarmonyRuntime": "repro.core.local_runtime",
+    "LocalJob": "repro.core.local_runtime",
+    "MachineSpec": "repro.config",
+    "NaiveRuntime": "repro.baselines",
+    "OracleScheduler": "repro.baselines",
+    "PerfModel": "repro.core",
+    "Profiler": "repro.core",
+    "RunResult": "repro.core",
+    "SchedulerConfig": "repro.config",
+    "SimConfig": "repro.config",
+    "WorkloadGenerator": "repro.workloads",
+    "make_base_workload": "repro.workloads",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

@@ -14,38 +14,38 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import sys
 import time
 
-from repro import experiments
-
-#: Driver name -> module; kept explicit so --list output is curated.
-DRIVERS = {
-    "fig02_single_job": experiments.fig02_single_job,
-    "fig03_dop_sweep": experiments.fig03_dop_sweep,
-    "fig04_naive_colocation": experiments.fig04_naive_colocation,
-    "fig09_workload_cdf": experiments.fig09_workload_cdf,
-    "fig10_main": experiments.fig10_main,
-    "fig11_util_timeline": experiments.fig11_util_timeline,
-    "fig12_group_distributions": experiments.fig12_group_distributions,
-    "fig13_model_accuracy": experiments.fig13_model_accuracy,
-    "fig14_oracle": experiments.fig14_oracle,
-    "ablation": experiments.ablation,
-    "sensitivity_ratio": experiments.sensitivity_ratio,
-    "sensitivity_arrival": experiments.sensitivity_arrival,
-    "scalability": experiments.scalability,
-    "reloading": experiments.reloading,
-    "local_validation": experiments.local_validation,
-    "granularity_validation": experiments.granularity_validation,
-    "extensions": experiments.extensions,
-    "design_ablations": experiments.design_ablations,
-    "trace_demo": experiments.trace_demo,
-}
+#: Driver name -> module path; kept explicit so --list output is curated.
+#: A driver's module is imported only when it runs (or is listed).
+DRIVERS = {name: f"repro.experiments.{name}" for name in (
+    "fig02_single_job",
+    "fig03_dop_sweep",
+    "fig04_naive_colocation",
+    "fig09_workload_cdf",
+    "fig10_main",
+    "fig11_util_timeline",
+    "fig12_group_distributions",
+    "fig13_model_accuracy",
+    "fig14_oracle",
+    "ablation",
+    "sensitivity_ratio",
+    "sensitivity_arrival",
+    "scalability",
+    "reloading",
+    "local_validation",
+    "granularity_validation",
+    "extensions",
+    "design_ablations",
+    "trace_demo",
+)}
 
 
 def _run_driver(name: str, scale: float | None, seed: int | None) -> None:
-    module = DRIVERS[name]
+    module = importlib.import_module(DRIVERS[name])
     kwargs = {}
     signature = inspect.signature(module.run)
     if scale is not None and "scale" in signature.parameters:
@@ -81,7 +81,6 @@ SUBCOMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in SUBCOMMANDS:
-        import importlib
         module_name, _ = SUBCOMMANDS[argv[0]]
         submain = importlib.import_module(module_name).main
         return submain(argv[1:])
@@ -108,7 +107,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list or args.driver is None:
         print("available experiments:")
-        for name, module in DRIVERS.items():
+        for name, path in DRIVERS.items():
+            module = importlib.import_module(path)
             summary = (module.__doc__ or "").strip().splitlines()[0]
             print(f"  {name:26s} {summary}")
         for name, (_, summary) in SUBCOMMANDS.items():

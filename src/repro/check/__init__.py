@@ -14,35 +14,33 @@ Three pieces:
   replay: ``python -m repro check --seed N``.
 """
 
-from repro.check.differential import (
-    DifferentialReport,
-    OracleCase,
-    PerfModelCase,
-    exact_metrics,
-    oracle_cases,
-    perfmodel_cases,
-    run_differential,
-)
-from repro.check.invariants import InvariantChecker, Violation
-from repro.check.scenarios import (
-    CheckedRun,
-    Scenario,
-    ScenarioGenerator,
-    run_checked,
-)
+import importlib
 
-__all__ = [
-    "CheckedRun",
-    "DifferentialReport",
-    "InvariantChecker",
-    "OracleCase",
-    "PerfModelCase",
-    "Scenario",
-    "ScenarioGenerator",
-    "Violation",
-    "exact_metrics",
-    "oracle_cases",
-    "perfmodel_cases",
-    "run_checked",
-    "run_differential",
-]
+#: Public name -> defining module, imported on first access (PEP 562),
+#: so ``import repro.check.invariants`` loads neither the differential
+#: harness nor the scenario generator.
+_EXPORTS = {
+    "CheckedRun": "repro.check.scenarios",
+    "DifferentialReport": "repro.check.differential",
+    "InvariantChecker": "repro.check.invariants",
+    "OracleCase": "repro.check.differential",
+    "PerfModelCase": "repro.check.differential",
+    "Scenario": "repro.check.scenarios",
+    "ScenarioGenerator": "repro.check.scenarios",
+    "Violation": "repro.check.invariants",
+    "exact_metrics": "repro.check.differential",
+    "oracle_cases": "repro.check.differential",
+    "perfmodel_cases": "repro.check.differential",
+    "run_checked": "repro.check.scenarios",
+    "run_differential": "repro.check.differential",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

@@ -4,54 +4,8 @@ Every driver exposes a ``run(...)`` function returning a structured
 result plus a ``report(result)`` renderer that prints the same
 rows/series the paper shows.  DESIGN.md maps each driver to its paper
 exhibit; EXPERIMENTS.md records paper-vs-measured numbers.
+
+Import a driver by name (``from repro.experiments import fig10_main``);
+this package imports none of them itself, so loading one driver does
+not load the other two dozen.
 """
-
-from repro.experiments import (
-    ablation,
-    common,
-    design_ablations,
-    extensions,
-    faults,
-    fig02_single_job,
-    fig03_dop_sweep,
-    fig04_naive_colocation,
-    fig09_workload_cdf,
-    fig10_main,
-    fig11_util_timeline,
-    fig12_group_distributions,
-    fig13_model_accuracy,
-    fig14_oracle,
-    granularity_validation,
-    local_validation,
-    reloading,
-    scalability,
-    sensitivity_arrival,
-    sensitivity_ratio,
-    tournament,
-    trace_demo,
-)
-
-__all__ = [
-    "ablation",
-    "common",
-    "design_ablations",
-    "extensions",
-    "faults",
-    "fig02_single_job",
-    "fig03_dop_sweep",
-    "fig04_naive_colocation",
-    "fig09_workload_cdf",
-    "fig10_main",
-    "fig11_util_timeline",
-    "fig12_group_distributions",
-    "fig13_model_accuracy",
-    "fig14_oracle",
-    "granularity_validation",
-    "local_validation",
-    "reloading",
-    "scalability",
-    "sensitivity_arrival",
-    "sensitivity_ratio",
-    "tournament",
-    "trace_demo",
-]

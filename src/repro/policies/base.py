@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.core.profiler import JobMetrics
 from repro.errors import SchedulingError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.profiler import JobMetrics
 
 
 @dataclass(frozen=True)

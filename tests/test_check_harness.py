@@ -1,5 +1,6 @@
 """Tests for the run-level correctness harness (repro.check)."""
 
+import copy
 from dataclasses import replace
 
 import pytest
@@ -299,6 +300,63 @@ class TestCheckedRuns:
         master.inject_machine_failure(victim)
         violations = InvariantChecker().check_runtime(runtime)
         assert "teardown" in _invariants(violations)
+
+
+class TestLedgerInvariants:
+    """Each cluster/membership ledger check, tripped by corrupting one
+    piece of a small run stopped with three live groups."""
+
+    @pytest.fixture(scope="class")
+    def runtime(self):
+        runtime = HarmonyRuntime(24, WorkloadGenerator(3).base_workload(
+            hyper_params_per_pair=1)[:5])
+        runtime.run(max_sim_seconds=600.0)
+        assert len(runtime.master.groups) == 3
+        assert InvariantChecker().check_runtime(runtime) == []
+        return runtime
+
+    @staticmethod
+    def only_violation(runtime):
+        violations = InvariantChecker().check_runtime(runtime)
+        assert len(violations) == 1, violations
+        return violations[0]
+
+    def test_free_pool_count_must_match_the_owner_map(self, runtime,
+                                                      monkeypatch):
+        cluster = runtime.cluster
+        monkeypatch.setattr(cluster, "_free", cluster._free[:-1])
+        found = self.only_violation(runtime)
+        assert (found.invariant, found.where) == ("ledger", "cluster")
+        assert "free pool reports 11 machines but 12" in found.message
+
+    def test_group_must_own_the_machines_it_runs_on(self, runtime,
+                                                    monkeypatch):
+        machine = runtime.master.groups["g0"].machine_ids[0]
+        monkeypatch.setitem(runtime.cluster._owner_of, machine, "ghost")
+        found = self.only_violation(runtime)
+        assert (found.invariant, found.where) == ("ledger", "group g0")
+        assert "the cluster says it owns" in found.message
+
+    def test_member_must_agree_on_its_group(self, runtime, monkeypatch):
+        job = runtime.master.groups["g0"].jobs()[0]
+        monkeypatch.setattr(job, "group_id", "g1")
+        found = self.only_violation(runtime)
+        assert (found.invariant, found.where) == \
+            ("membership", f"job {job.job_id}")
+        assert "member of group g0 but believes it is in 'g1'" \
+            in found.message
+
+    def test_job_must_not_be_a_member_of_two_groups(self, runtime,
+                                                    monkeypatch):
+        job = runtime.master.groups["g0"].jobs()[0]
+        twin = copy.copy(job)
+        twin.group_id = "g1"
+        monkeypatch.setitem(runtime.master.groups["g1"]._jobs, job.job_id,
+                            twin)
+        found = self.only_violation(runtime)
+        assert (found.invariant, found.where) == \
+            ("membership", f"job {job.job_id}")
+        assert "member of both g0 and g1" in found.message
 
 
 # ------------------------------------------------ scenario generator

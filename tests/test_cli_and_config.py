@@ -1,6 +1,8 @@
 """Tests for the CLI entry point, configuration, and error types."""
 
 import dataclasses
+import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -40,7 +42,8 @@ class TestCli:
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_every_driver_has_run_and_report(self):
-        for name, module in DRIVERS.items():
+        for name, path in DRIVERS.items():
+            module = importlib.import_module(path)
             assert callable(module.run), name
             assert callable(module.report), name
 
@@ -301,3 +304,71 @@ class TestPublicApi:
     def test_version_string(self):
         import repro
         assert repro.__version__.count(".") == 2
+
+
+class TestImportGraph:
+    SRC = Path(__file__).resolve().parents[1] / "src"
+    #: Modules the simulator, the checker and the driver helpers run on.
+    CORE = ("repro.core.runtime", "repro.check.invariants",
+            "repro.check.oracle", "repro.experiments.common")
+
+    def _fresh_interpreter(self, script, *args):
+        """``script``'s stdout in a fresh interpreter on this tree."""
+        return subprocess.run(
+            [sys.executable, "-c", script, *args], capture_output=True,
+            text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(self.SRC))).stdout
+
+    def test_package_entry_points_import_on_demand(self):
+        """A package ``__init__`` imports nothing its importer did not
+        ask for (DESIGN.md, "Package entry points import on demand");
+        its public names still resolve on first access."""
+        script = (
+            "import sys\n"
+            f"for name in {self.CORE!r}:\n"
+            "    __import__(name)\n"
+            "print(' '.join(sorted(m for m in sys.modules"
+            " if m.startswith('repro'))))\n"
+            "from repro.check import InvariantChecker\n"
+            "from repro import HarmonyRuntime\n"
+            "print(InvariantChecker.__module__, HarmonyRuntime.__module__)\n")
+        loaded, resolved = self._fresh_interpreter(script).splitlines()
+        loaded = loaded.split()
+        assert set(self.CORE) <= set(loaded)
+        for package in ("repro.ml", "repro.ps", "repro.analysis",
+                        "repro.core.local_runtime"):
+            assert not [m for m in loaded
+                        if m == package or m.startswith(package + ".")], \
+                package
+        assert "repro.check.differential" not in loaded
+        assert "repro.check.scenarios" not in loaded
+        assert [m for m in loaded if m.startswith("repro.experiments.")] \
+            == ["repro.experiments.common"]
+        assert resolved.split() == ["repro.check.invariants",
+                                    "repro.core.runtime"]
+
+    def test_every_package_imports_first(self):
+        """With no package ``__init__`` fixing the import order, each
+        package must import cleanly as the first ``repro`` module."""
+        packages = sorted(
+            ".".join(path.parent.relative_to(self.SRC).parts)
+            for path in (self.SRC / "repro").rglob("__init__.py"))
+        script = (
+            "import importlib, sys\n"
+            "for name in sys.argv[1:]:\n"
+            "    for loaded in [m for m in sys.modules"
+            " if m.split('.')[0] == 'repro']:\n"
+            "        del sys.modules[loaded]\n"
+            "    try:\n"
+            "        importlib.import_module(name)\n"
+            "    except ImportError as error:\n"
+            "        print(f'{name}: {error}')\n")
+        assert "repro.policies" in packages
+        assert self._fresh_interpreter(script, *packages) == ""
+
+    def test_unknown_public_name_is_an_attribute_error(self):
+        import repro
+        import repro.check
+        for package in (repro, repro.check):
+            with pytest.raises(AttributeError, match="no_such_name"):
+                package.no_such_name  # noqa: B018
