@@ -43,6 +43,24 @@ the class or function it hands to a registry.  Re-exports in a package
 ``__init__`` (imports, ``__all__`` and the name table its
 ``__getattr__`` imports from), and the profiling table of
 ``benchmarks/layer_profile.py``, do not count.
+
+Pinned in ``tests/test_cli_and_config.py``: the count, and both lists.
+The one parameter without a setter is ``LocalHarmonyRuntime(tracer=)``,
+README's way to trace the local runtime's barrier waits.  The nine
+public names only tests reference are kept on purpose:
+
+- accessors tests use to observe other code:
+  ``InvariantChecker.assert_clean`` (the raising form of
+  ``check_runtime``), ``FaultPlan.build`` (a plan from hand-written
+  fault events), ``GlobalPlacer.cell_of`` (the cell a job was routed to),
+  ``FastpathStats.engaged`` (whether a batched lane ran) and
+  ``Event.add_callback`` (a callback on one simulator event);
+- ``repro.check.oracle`` helpers the tests use as independent oracles:
+  ``step_boundaries``, ``predict_job_span``, ``job_subtasks`` and
+  ``predict_group_iteration_boundaries``.
+
+Any other name on either list fails tier 1: give it a caller, or delete
+it with its tests.
 """
 
 from __future__ import annotations

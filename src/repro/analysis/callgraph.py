@@ -786,17 +786,6 @@ class ClassModel:
             for access in model.accesses:
                 yield model, access, access.held | context
 
-    def guarded_writes(self, field_name: str) -> bool:
-        """Is ``self.<field>`` ever mutated under a class lock?"""
-        tokens = self.class_lock_tokens()
-        for _model, access, held in self.effective_accesses():
-            if access.write and not access.in_init and \
-                    not access.in_nested and \
-                    access.target == ("self", field_name) and \
-                    held & tokens:
-                return True
-        return False
-
     def all_writes_guarded(self, method_name: str,
                            project: "ProjectModel | None" = None,
                            _depth: int = 3) -> bool:

@@ -78,7 +78,8 @@ class _LossBoard:
 
     Every worker reports its local loss, waits for the epoch's mean,
     and receives the *same* stop decision — so all workers leave the
-    synchronous PS barrier together (no dangling pushes).
+    synchronous PS barrier together (no dangling pushes).  After
+    :meth:`release` (a worker failed) every report returns "stop".
     """
 
     def __init__(self, n_workers: int, tracker: ConvergenceTracker):
@@ -87,6 +88,13 @@ class _LossBoard:
         self._tracker = tracker
         self._losses: dict[int, list[float]] = {}
         self._decisions: dict[int, bool] = {}
+        self._released = False
+
+    def release(self) -> None:
+        """Stop the job: wake blocked reports, which return True."""
+        with self._condition:
+            self._released = True
+            self._condition.notify_all()
 
     def report(self, epoch: int, loss: float, timeout: float = 60.0) -> bool:
         """Report a worker's loss; returns True when the job must stop."""
@@ -98,11 +106,12 @@ class _LossBoard:
                 self._decisions[epoch] = stop
                 self._condition.notify_all()
             done = self._condition.wait_for(
-                lambda: epoch in self._decisions, timeout=timeout)
+                lambda: epoch in self._decisions or self._released,
+                timeout=timeout)
             if not done:
                 raise SimulationError(
                     f"loss aggregation stalled at epoch {epoch}")
-            return self._decisions[epoch]
+            return self._released or self._decisions[epoch]
 
 
 #: Reduced-rate COMM slots beside the primary one (§IV-A, Fig. 7).
@@ -191,7 +200,6 @@ class LocalHarmonyRuntime:
                         {k: deltas[k] for k in keys})
 
         started = self._clock()
-        stop_event = threading.Event()
 
         def worker(worker_id: int) -> None:
             try:
@@ -231,7 +239,10 @@ class LocalHarmonyRuntime:
             except BaseException as error:  # noqa: BLE001 - joined later
                 with lock:
                     errors.append(error)
-                stop_event.set()
+                # End the job: its peers stop at the loss board or the
+                # next barrier instead of waiting out the timeout.
+                board.release()
+                self._synchronizer.release_job(job.job_id)
 
         def finalize() -> None:
             duration = self._clock() - started

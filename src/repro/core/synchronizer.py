@@ -11,11 +11,12 @@ cluster simulator models the same barrier analytically (the
 ``barrier_overhead`` factor).
 
 Fault handling: a worker that dies mid-iteration would leave its peers
-blocked at the barrier until the timeout kills the whole run.  The
-master instead calls :meth:`SubTaskSynchronizer.release_job` (or
-:meth:`unregister_job`) when it detects the loss; blocked workers then
-return ``False`` from :meth:`arrive` so the job can checkpoint and
-regroup instead of crashing.
+blocked at the barrier until the timeout kills the whole run.  The local
+runtime's worker-error path
+(:meth:`repro.core.local_runtime.LocalHarmonyRuntime.run`) instead calls
+:meth:`SubTaskSynchronizer.release_job` as soon as a worker raises;
+blocked workers then return ``False`` from :meth:`arrive` and leave the
+job, and ``run`` raises the worker's error once every thread joined.
 """
 
 from __future__ import annotations
@@ -83,10 +84,10 @@ class SubTaskSynchronizer:
     def release_job(self, job_id: str) -> None:
         """Force-release a registered job's barriers (fault path).
 
-        Unlike :meth:`unregister_job`, the job stays registered: the
-        master typically pauses/checkpoints it next, and a later
-        :meth:`register_job` (on resume, possibly with a different
-        worker count) clears the released flag.  Blocked workers return
+        Unlike :meth:`unregister_job`, the job stays registered until
+        its workers have left, and a later :meth:`register_job` (on
+        resume, possibly with a different worker count) clears the
+        released flag.  Blocked workers return
         ``False`` from :meth:`arrive`, as do subsequent arrivals, so
         every worker observes the release exactly once per call site.
         """

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import DEFAULT_SIM_CONFIG, SimConfig
+from repro.config import DEFAULT_SIM_CONFIG
 from repro.core.profiler import JobMetrics, Profiler
 from repro.core.regroup import find_similar_job, splice_plan
 from repro.core.scheduler import HarmonyScheduler
@@ -34,6 +34,13 @@ from repro.workloads.generator import WorkloadGenerator
 #: Characterization DoP: jobs are profiled (and similarity is judged)
 #: at this machine count, like the scalability harness.
 _PROFILE_DOP = 16
+
+#: The replayed stream: jobs drawn, jobs in the initial pool, stream
+#: events, and the machine count each decision plans for.
+N_JOBS = 220
+N_INITIAL = 120
+N_EVENTS = 160
+MACHINES = 1000
 
 
 @dataclass
@@ -195,17 +202,16 @@ def _try_patch(scheduler, profiler, previous, finished: str, replacement,
     return None
 
 
-def run(n_jobs: int = 220, n_initial: int = 120, n_events: int = 160,
-        machines: int = 1000, seed: int = 2021,
-        config: SimConfig = DEFAULT_SIM_CONFIG) -> ChurnRunResult:
+def run(seed: int = 2021) -> ChurnRunResult:
     """Replay one seeded churn stream through the incremental scheduler."""
-    profiles = _base_profiles(n_jobs, seed)
+    scheduler_config = DEFAULT_SIM_CONFIG.scheduler
+    profiles = _base_profiles(N_JOBS, seed)
     events = generate_stream(
-        profiles, n_initial, n_events, seed=seed + 1,
-        similarity_threshold=config.scheduler.similarity_threshold)
-    return replay(HarmonyScheduler(config=config.scheduler), profiles,
-                  events, n_initial, machines, "fast", use_patch=True,
-                  regroup_threshold=config.scheduler.regroup_benefit_threshold)
+        profiles, N_INITIAL, N_EVENTS, seed=seed + 1,
+        similarity_threshold=scheduler_config.similarity_threshold)
+    return replay(HarmonyScheduler(config=scheduler_config), profiles,
+                  events, N_INITIAL, MACHINES, "fast", use_patch=True,
+                  regroup_threshold=scheduler_config.regroup_benefit_threshold)
 
 
 def report(result: ChurnRunResult) -> str:

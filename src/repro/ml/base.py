@@ -49,8 +49,3 @@ class PSTrainable(abc.ABC):
         training objective (lower is better for losses; LDA returns the
         negative log-likelihood so "lower is better" holds everywhere).
         """
-
-    def objective_name(self) -> str:
-        """Label of the tracked objective (paper: "e.g., log-likelihood
-        for LDA, and L2-loss for NMF/MLR/Lasso")."""
-        return "loss"

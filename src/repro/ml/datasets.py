@@ -12,13 +12,18 @@ import numpy as np
 
 from repro.errors import WorkloadError
 
+#: Standard deviation of the score noise in :func:`make_classification`.
+CLASSIFICATION_NOISE = 0.1
+#: Standard deviation of the target noise in :func:`make_regression`.
+REGRESSION_NOISE = 0.05
+
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
 def make_classification(n_samples: int, n_features: int, n_classes: int,
-                        seed: int = 0, noise: float = 0.1) -> \
+                        seed: int = 0) -> \
         tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Linearly separable-ish multiclass data (the MLR workload).
 
@@ -30,14 +35,14 @@ def make_classification(n_samples: int, n_features: int, n_classes: int,
     rng = _rng(seed)
     true_w = rng.normal(0.0, 1.0, size=(n_features, n_classes))
     features = rng.normal(0.0, 1.0, size=(n_samples, n_features))
-    scores = features @ true_w + noise * rng.normal(
+    scores = features @ true_w + CLASSIFICATION_NOISE * rng.normal(
         size=(n_samples, n_classes))
     labels = np.argmax(scores, axis=1)
     return features, labels, true_w
 
 
 def make_regression(n_samples: int, n_features: int, sparsity: float = 0.9,
-                    seed: int = 0, noise: float = 0.05) -> \
+                    seed: int = 0) -> \
         tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sparse linear regression data (the Lasso workload).
 
@@ -50,7 +55,8 @@ def make_regression(n_samples: int, n_features: int, sparsity: float = 0.9,
     mask = rng.random(n_features) < sparsity
     true_w[mask] = 0.0
     features = rng.normal(0.0, 1.0, size=(n_samples, n_features))
-    targets = features @ true_w + noise * rng.normal(size=n_samples)
+    targets = features @ true_w + REGRESSION_NOISE * rng.normal(
+        size=n_samples)
     return features, targets, true_w
 
 

@@ -79,9 +79,6 @@ class LassoModel(PSTrainable):
             deltas[key] = step[lo:hi]
         return deltas, loss
 
-    def objective_name(self) -> str:
-        return "l2-loss+l1"
-
     def sparsity(self, params: Mapping[str, np.ndarray],
                  tolerance: float = 1e-6) -> float:
         """Fraction of (near-)zero coefficients."""

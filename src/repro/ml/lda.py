@@ -18,20 +18,22 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.ml.base import PSTrainable, TrainState
 
+#: Symmetric Dirichlet prior on each document's topic mixture.
+ALPHA = 0.1
+#: Symmetric Dirichlet prior on each topic's word distribution.
+BETA = 0.01
+
 
 class LDAModel(PSTrainable):
     """Collapsed Gibbs LDA with symmetric Dirichlet priors."""
 
     name = "LDA"
 
-    def __init__(self, vocab_size: int, n_topics: int = 10,
-                 alpha: float = 0.1, beta: float = 0.01):
+    def __init__(self, vocab_size: int, n_topics: int = 10):
         if vocab_size < 1 or n_topics < 2:
             raise WorkloadError("LDA needs a vocabulary and >= 2 topics")
         self.vocab_size = vocab_size
         self.n_topics = n_topics
-        self.alpha = alpha
-        self.beta = beta
 
     def init_params(self, rng: np.random.Generator) -> \
             dict[str, np.ndarray]:
@@ -81,7 +83,7 @@ class LDAModel(PSTrainable):
 
         log_likelihood = 0.0
         n_tokens = 0
-        vocab_beta = self.vocab_size * self.beta
+        vocab_beta = self.vocab_size * BETA
         for d, doc in enumerate(documents):
             topics = assignments[d]
             for position, word in enumerate(doc):
@@ -93,8 +95,8 @@ class LDAModel(PSTrainable):
                 delta_word[old, word] -= 1
                 delta_total[old] -= 1
                 # Collapsed Gibbs conditional.
-                weights = ((doc_topic[d] + self.alpha)
-                           * (topic_word[:, word] + self.beta)
+                weights = ((doc_topic[d] + ALPHA)
+                           * (topic_word[:, word] + BETA)
                            / (topic_total + vocab_beta))
                 weights = np.maximum(weights, 1e-12)
                 probabilities = weights / weights.sum()
@@ -114,6 +116,3 @@ class LDAModel(PSTrainable):
         objective = -log_likelihood / max(1, n_tokens)
         deltas = {"topic_word": delta_word, "topic_total": delta_total}
         return deltas, objective
-
-    def objective_name(self) -> str:
-        return "neg-log-likelihood"

@@ -19,19 +19,20 @@ from repro.ml.base import PSTrainable, TrainState
 #: runs exercise real scatter/gather.
 _BLOCK = 4
 
+#: L2 regularization weight.
+L2 = 1e-4
+
 
 class MLRModel(PSTrainable):
     """Softmax regression with L2 regularization."""
 
     name = "MLR"
 
-    def __init__(self, n_features: int, n_classes: int,
-                 l2: float = 1e-4):
+    def __init__(self, n_features: int, n_classes: int):
         if n_features < 1 or n_classes < 2:
             raise WorkloadError("MLR needs >= 1 feature and >= 2 classes")
         self.n_features = n_features
         self.n_classes = n_classes
-        self.l2 = l2
 
     # -- parameter layout ----------------------------------------------------
 
@@ -75,10 +76,10 @@ class MLRModel(PSTrainable):
         n = len(labels)
         loss = -float(np.mean(
             np.log(probs[np.arange(n), labels] + 1e-12)))
-        loss += 0.5 * self.l2 * float(np.sum(weights * weights))
+        loss += 0.5 * L2 * float(np.sum(weights * weights))
 
         probs[np.arange(n), labels] -= 1.0
-        grad = features.T @ probs / n + self.l2 * weights
+        grad = features.T @ probs / n + L2 * weights
 
         lr = state.learning_rate / np.sqrt(1.0 + state.iteration)
         deltas = {}
@@ -87,12 +88,9 @@ class MLRModel(PSTrainable):
             deltas[key] = -lr * grad[:, lo:hi]
         return deltas, loss
 
-    def objective_name(self) -> str:
-        return "cross-entropy"
-
     def accuracy(self, params: Mapping[str, np.ndarray],
                  features: np.ndarray, labels: np.ndarray) -> float:
-        """Top-1 accuracy, for example scripts and tests."""
+        """Top-1 accuracy of ``params`` on labelled data."""
         weights = self._assemble(params)
         predictions = np.argmax(features @ weights, axis=1)
         return float(np.mean(predictions == labels))

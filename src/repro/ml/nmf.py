@@ -18,20 +18,21 @@ from repro.ml.base import PSTrainable, TrainState
 
 _BLOCK = 128
 
+#: L2 regularization weight on both factor matrices.
+L2 = 1e-3
+
 
 class NMFModel(PSTrainable):
     """Gradient-descent NMF with non-negativity projection."""
 
     name = "NMF"
 
-    def __init__(self, n_users: int, n_items: int, rank: int = 8,
-                 l2: float = 1e-3):
+    def __init__(self, n_users: int, n_items: int, rank: int = 8):
         if min(n_users, n_items, rank) < 1:
             raise WorkloadError("NMF dims must be positive")
         self.n_users = n_users
         self.n_items = n_items
         self.rank = rank
-        self.l2 = l2
 
     def block_keys(self) -> list[str]:
         return [f"h:{start}"
@@ -76,7 +77,7 @@ class NMFModel(PSTrainable):
                                 item_factors[items])
         errors = predictions - values
         loss = float(errors @ errors) / len(values) \
-            + self.l2 * (float(np.sum(user_factors ** 2))
+            + L2 * (float(np.sum(user_factors ** 2))
                          + float(np.sum(item_factors ** 2)))
 
         lr = state.learning_rate / np.sqrt(1.0 + state.iteration)
@@ -85,14 +86,14 @@ class NMFModel(PSTrainable):
         w_grad = np.zeros_like(user_factors)
         np.add.at(w_grad, users,
                   errors[:, None] * item_factors[items])
-        w_grad = w_grad / len(values) + self.l2 * user_factors
+        w_grad = w_grad / len(values) + L2 * user_factors
         np.maximum(user_factors - lr * w_grad, 0.0, out=user_factors)
 
         # Shared H step (pushed as deltas).
         h_grad = np.zeros_like(item_factors)
         np.add.at(h_grad, items,
                   errors[:, None] * user_factors[users])
-        h_grad = h_grad / len(values) + self.l2 * item_factors
+        h_grad = h_grad / len(values) + L2 * item_factors
         updated = np.maximum(item_factors - lr * h_grad, 0.0)
         step = updated - item_factors
 
@@ -101,6 +102,3 @@ class NMFModel(PSTrainable):
             lo, hi = self._block_range(key)
             deltas[key] = step[lo:hi]
         return deltas, loss
-
-    def objective_name(self) -> str:
-        return "l2-loss"

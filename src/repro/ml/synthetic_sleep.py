@@ -66,6 +66,3 @@ class SleepModel(PSTrainable):
         target = float(partition.get("target_epochs", 10))
         objective = max(0.0, target - progress)
         return {"state": delta}, objective
-
-    def objective_name(self) -> str:
-        return "remaining-epochs"

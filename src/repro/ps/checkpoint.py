@@ -9,7 +9,9 @@ checkpoint data."
 
 Checkpoints use the PS wire format (:mod:`repro.ps.serialization`) with
 a small header recording the clock, so a resumed job continues from the
-exact synchronous step it paused at.
+exact synchronous step it paused at.  The local runtime resumes a job
+by passing :func:`load_checkpoint`'s parameters as the job's
+``initial_params``.
 """
 
 from __future__ import annotations
@@ -53,26 +55,3 @@ def load_checkpoint(path: "str | Path") -> \
         raise PSError(f"{path}: unsupported checkpoint version {version}")
     params = decode(blob[4 + 12:])
     return params, int(clock)
-
-
-def checkpoint_servers(path: "str | Path", servers,
-                       clock: int = 0) -> Path:
-    """Snapshot every shard of a job's servers into one file."""
-    merged: dict[str, np.ndarray] = {}
-    for server in servers:
-        merged.update(server.checkpoint())
-    return save_checkpoint(path, merged, clock=clock)
-
-
-def restore_servers(path: "str | Path", servers, partitioner) -> int:
-    """Load a checkpoint back into its shards; returns the clock."""
-    params, clock = load_checkpoint(path)
-    for server in servers:
-        shard_keys = partitioner.keys_of_shard(server.shard_id)
-        missing = [key for key in shard_keys if key not in params]
-        if missing:
-            raise PSError(
-                f"checkpoint misses keys for shard {server.shard_id}: "
-                f"{missing[:3]}")
-        server.restore({key: params[key] for key in shard_keys})
-    return clock

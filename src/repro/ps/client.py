@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.errors import PSError
 from repro.ps.partition import RangePartitioner
-from repro.ps.serialization import decode, encode
 from repro.ps.transport import InProcessTransport
 
 
@@ -54,14 +53,3 @@ class PSClient:
             self.transport.push(shard, self.worker_id, shard_deltas,
                                 self.clock)
         self.clock += 1
-
-    # -- serialization helpers (COMP-side work, §IV-A) ------------------------
-
-    @staticmethod
-    def serialize(deltas: Mapping[str, np.ndarray]) -> bytes:
-        """Encode deltas on the COMP side, before the COMM subtask."""
-        return encode(deltas)
-
-    @staticmethod
-    def deserialize(frame: bytes) -> dict[str, np.ndarray]:
-        return decode(frame)

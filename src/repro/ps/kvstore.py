@@ -78,17 +78,6 @@ class KVStore:
             self._version += 1
             return self._version
 
-    def assign(self, values: dict[str, np.ndarray]) -> int:
-        """Overwrite entries (checkpoint restore path)."""
-        with self._lock:
-            for key, value in values.items():
-                if key not in self._data:
-                    raise PSError(f"unknown key {key!r}")
-                self._data[key] = np.asarray(value,
-                                             dtype=np.float64).copy()
-            self._version += 1
-            return self._version
-
     def total_bytes(self) -> int:
         with self._lock:
             return sum(v.nbytes for v in self._data.values())

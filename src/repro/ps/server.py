@@ -79,6 +79,3 @@ class PSServer:
     def checkpoint(self) -> dict[str, np.ndarray]:
         """Snapshot the full shard (model migration / fault tolerance)."""
         return self.store.snapshot()
-
-    def restore(self, values: Mapping[str, np.ndarray]) -> None:
-        self.store.assign(dict(values))

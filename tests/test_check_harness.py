@@ -72,6 +72,12 @@ def _invariants(violations):
     return {violation.invariant for violation in violations}
 
 
+def _only_violation(runtime):
+    violations = InvariantChecker().check_runtime(runtime)
+    assert len(violations) == 1, violations
+    return violations[0]
+
+
 # ------------------------------------------------- audit invariants
 
 
@@ -126,6 +132,15 @@ class TestAuditInvariants:
                                              net_rate_cap=1.4))
         assert "busy-vs-served" in _invariants(violations)
 
+    def test_nic_serving_below_its_busy_time_detected(self):
+        # Even the primary slot alone serves one work second per busy
+        # second, so a NIC busy 50 s cannot have served only 40 s.
+        nic = _resource("net", busy=50.0, submitted=40.0, served=40.0)
+        violations = self.check(_group_audit(net=nic))
+        assert [(v.invariant, v.where, v.message) for v in violations] == [
+            ("busy-vs-served", "group g1 (net)",
+             "served 40.000000s below busy 50.000000s")]
+
     def test_violations_render_with_context(self):
         bad = _resource(submitted=50.0, served=40.0, busy=40.0)
         violation = self.check(_group_audit(cpu=bad))[0]
@@ -174,6 +189,15 @@ class TestTraceInvariants:
         tracer.complete(track, "COMP", 1.0, 9.0, cat="comp")
         violations = self.check(tracer, 4.0)  # run only lasted to t=4
         assert "span-bounds" in _invariants(violations)
+
+    @pytest.mark.parametrize("at", [-1.0, 5.0])
+    def test_instant_outside_run_bounds_detected(self, at):
+        tracer = Tracer(lambda: at)
+        tracer.instant("tick")
+        violations = self.check(tracer, 4.0)  # the run spans [0, 4]
+        assert violations == [Violation(
+            "span-bounds", "instant 'tick'",
+            f"time {at} outside the run [0, 4.0]")]
 
     def test_overlapping_spans_in_one_lane_detected(self):
         tracer = Tracer(lambda: 10.0)
@@ -281,6 +305,38 @@ class TestCheckedRuns:
         assert all(isinstance(v, Violation)
                    for v in excinfo.value.violations)
 
+    def test_negative_duration_cycle_is_caught(self, runtime,
+                                               monkeypatch):
+        cycle = runtime.master.finished_cycles[0]
+        monkeypatch.setattr(cycle, "duration", -1.0)
+        found = _only_violation(runtime)
+        assert (found.invariant, found.where) == \
+            ("span-bounds", f"job {cycle.job_id}")
+        assert found.message == "cycle with negative duration -1.0"
+
+    @pytest.mark.parametrize("edge", ["start", "end"])
+    def test_cycle_outside_the_run_is_caught(self, runtime, monkeypatch,
+                                             edge):
+        # Stretch one job's first cycle back to t=-1, or its last one to
+        # a second past the end of the run; the other edge stays put.
+        cycles = sorted(runtime.master.finished_cycles,
+                        key=lambda c: c.finished_at)
+        job_id = cycles[0].job_id
+        mine = [c for c in cycles if c.job_id == job_id]
+        if edge == "start":
+            cycle = mine[0]
+            monkeypatch.setattr(cycle, "duration", cycle.finished_at + 1.0)
+        else:
+            cycle = mine[-1]
+            start = cycle.finished_at - cycle.duration
+            end = runtime.sim.now + 1.0
+            monkeypatch.setattr(cycle, "finished_at", end)
+            monkeypatch.setattr(cycle, "duration", end - start)
+        found = _only_violation(runtime)
+        assert (found.invariant, found.where) == \
+            ("span-bounds", f"job {job_id}")
+        assert "outside the run [0, " in found.message
+
     def test_unpurged_crash_queue_is_caught(self, monkeypatch):
         """Regression oracle: killed processes leave in-flight subtasks
         queued; without the purge the checker flags them at teardown."""
@@ -315,17 +371,11 @@ class TestLedgerInvariants:
         assert InvariantChecker().check_runtime(runtime) == []
         return runtime
 
-    @staticmethod
-    def only_violation(runtime):
-        violations = InvariantChecker().check_runtime(runtime)
-        assert len(violations) == 1, violations
-        return violations[0]
-
     def test_free_pool_count_must_match_the_owner_map(self, runtime,
                                                       monkeypatch):
         cluster = runtime.cluster
         monkeypatch.setattr(cluster, "_free", cluster._free[:-1])
-        found = self.only_violation(runtime)
+        found = _only_violation(runtime)
         assert (found.invariant, found.where) == ("ledger", "cluster")
         assert "free pool reports 11 machines but 12" in found.message
 
@@ -333,14 +383,14 @@ class TestLedgerInvariants:
                                                     monkeypatch):
         machine = runtime.master.groups["g0"].machine_ids[0]
         monkeypatch.setitem(runtime.cluster._owner_of, machine, "ghost")
-        found = self.only_violation(runtime)
+        found = _only_violation(runtime)
         assert (found.invariant, found.where) == ("ledger", "group g0")
         assert "the cluster says it owns" in found.message
 
     def test_member_must_agree_on_its_group(self, runtime, monkeypatch):
         job = runtime.master.groups["g0"].jobs()[0]
         monkeypatch.setattr(job, "group_id", "g1")
-        found = self.only_violation(runtime)
+        found = _only_violation(runtime)
         assert (found.invariant, found.where) == \
             ("membership", f"job {job.job_id}")
         assert "member of group g0 but believes it is in 'g1'" \
@@ -353,7 +403,7 @@ class TestLedgerInvariants:
         twin.group_id = "g1"
         monkeypatch.setitem(runtime.master.groups["g1"]._jobs, job.job_id,
                             twin)
-        found = self.only_violation(runtime)
+        found = _only_violation(runtime)
         assert (found.invariant, found.where) == \
             ("membership", f"job {job.job_id}")
         assert "member of both g0 and g1" in found.message

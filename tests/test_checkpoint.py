@@ -7,13 +7,7 @@ from repro.core.local_runtime import LocalHarmonyRuntime, LocalJob
 from repro.errors import PSError
 from repro.ml import MLRModel
 from repro.ml.datasets import make_classification, partition_rows
-from repro.ps import PSServer, RangePartitioner
-from repro.ps.checkpoint import (
-    checkpoint_servers,
-    load_checkpoint,
-    restore_servers,
-    save_checkpoint,
-)
+from repro.ps.checkpoint import load_checkpoint, save_checkpoint
 
 
 class TestCheckpointFile:
@@ -42,42 +36,6 @@ class TestCheckpointFile:
         bad.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(PSError, match="not a Harmony checkpoint"):
             load_checkpoint(bad)
-
-
-class TestServerRoundtrip:
-    def _build(self):
-        keys = [f"k{i}" for i in range(6)]
-        partitioner = RangePartitioner(keys, 2)
-        servers = []
-        for shard in range(partitioner.n_shards):
-            server = PSServer(shard, n_workers=1)
-            server.init_params(
-                {k: np.full(3, float(shard))
-                 for k in partitioner.keys_of_shard(shard)})
-            servers.append(server)
-        return partitioner, servers
-
-    def test_checkpoint_and_restore_servers(self, tmp_path):
-        partitioner, servers = self._build()
-        servers[0].store.update(
-            {partitioner.keys_of_shard(0)[0]: np.ones(3)})
-        path = checkpoint_servers(tmp_path / "all.ckpt", servers,
-                                  clock=3)
-        # Wreck the state, then restore.
-        for server in servers:
-            for key in partitioner.keys_of_shard(server.shard_id):
-                server.store.assign({key: np.zeros(3)})
-        clock = restore_servers(path, servers, partitioner)
-        assert clock == 3
-        first_key = partitioner.keys_of_shard(0)[0]
-        assert np.allclose(servers[0].store.get(first_key), 1.0)
-
-    def test_restore_detects_missing_keys(self, tmp_path):
-        partitioner, servers = self._build()
-        path = save_checkpoint(tmp_path / "partial.ckpt",
-                               {"k0": np.ones(3)})
-        with pytest.raises(PSError, match="misses keys"):
-            restore_servers(path, servers, partitioner)
 
 
 class TestResumeTraining:

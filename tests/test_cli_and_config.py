@@ -25,6 +25,9 @@ from repro.config import (
 )
 from repro.core.regroup import FEWER_JOBS_PREFERENCE
 
+KNOB_AUDIT = Path(__file__).resolve().parents[1] / "benchmarks" \
+    / "knob_audit.py"
+
 
 class TestCli:
     def test_list_exits_cleanly(self, capsys):
@@ -169,11 +172,45 @@ class TestSimConfig:
         """Defaulted parameters of public callables in ``src/repro``, as
         ``benchmarks/knob_audit.py`` counts them.  A new knob moves this
         count: update it and ROADMAP's knob count on purpose."""
-        tool = Path(__file__).resolve().parents[1] / "benchmarks" \
-            / "knob_audit.py"
-        count = subprocess.run([sys.executable, str(tool), "--count"],
+        count = subprocess.run([sys.executable, str(KNOB_AUDIT), "--count"],
                                capture_output=True, text=True, check=True)
-        assert int(count.stdout) == 267
+        assert int(count.stdout) == 255
+
+    @pytest.fixture(scope="class")
+    def audit_report(self):
+        return subprocess.run([sys.executable, str(KNOB_AUDIT)],
+                              capture_output=True, text=True,
+                              check=True).stdout
+
+    @staticmethod
+    def listed(report, heading):
+        section = report.split(f"\n{heading} (", 1)[1].split("\n\n", 1)[0]
+        return [line.strip() for line in section.splitlines()[1:]]
+
+    def test_only_the_tracer_parameter_has_no_setter(self, audit_report):
+        """Every other defaulted parameter is set by some caller; the
+        tracer is README's way to trace the local runtime's barriers."""
+        assert self.listed(audit_report,
+                           "defaulted parameters with no setter") == [
+            "repro.core.local_runtime.LocalHarmonyRuntime.__init__(tracer=)",
+        ]
+
+    def test_only_the_documented_exclusions_are_test_only(self,
+                                                          audit_report):
+        """The accessors and oracle helpers ``knob_audit.py``'s docstring
+        names; any other public name needs a caller outside tests."""
+        assert self.listed(audit_report,
+                           "public names only tests reference") == [
+            "repro.check.invariants.InvariantChecker.assert_clean",
+            "repro.check.oracle.step_boundaries",
+            "repro.check.oracle.predict_job_span",
+            "repro.check.oracle.job_subtasks",
+            "repro.check.oracle.predict_group_iteration_boundaries",
+            "repro.faults.plan.FaultPlan.build",
+            "repro.shard.placer.GlobalPlacer.cell_of",
+            "repro.sim.events.Event.add_callback",
+            "repro.sim.simulator.FastpathStats.engaged",
+        ]
 
 
 class TestSchedulerConfig:

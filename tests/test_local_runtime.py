@@ -1,14 +1,15 @@
 """Tests for the threaded local runtime (real PS + real models)."""
 
 import threading
+import time
 
 import pytest
 
-from repro.core.local_runtime import LocalHarmonyRuntime, LocalJob
+from repro.core.local_runtime import LocalHarmonyRuntime, LocalJob, _LossBoard
 from repro.core.subtask import SubTaskKind
 from repro.core.synchronizer import SubTaskSynchronizer
-from repro.errors import SchedulingError, SimulationError, WorkloadError
-from repro.ml import LassoModel, LDAModel, MLRModel
+from repro.errors import SimulationError, WorkloadError
+from repro.ml import ConvergenceTracker, LassoModel, LDAModel, MLRModel
 from repro.ml.datasets import (
     make_classification,
     make_documents,
@@ -196,26 +197,39 @@ class TestLocalRuntimeFailurePaths:
         result = runtime.run()["mlr"]
         assert result.epochs == 1
 
-    def test_a_worker_that_never_reports_stalls_the_loss_board(self):
-        # Worker 1's clock runs backwards, so its profiled durations are
-        # negative and it dies after its PUSH, before reporting a loss.
-        # Worker 0 then waits on the loss board until the barrier
-        # timeout, and the run raises the first error.
-        ticks = {"mlr-w1": 0.0}
+    @pytest.mark.parametrize("dies_at", [
+        1,   # before its first PULL: worker 1 waits at the barrier
+        3,   # before its first COMP: worker 1 waits on the loss board
+        6,   # after its first PUSH: worker 1 waits on the loss board
+    ], ids=["pull", "comp", "report"])
+    def test_a_worker_error_stops_its_peers(self, dies_at):
+        """Worker 0 raises at its ``dies_at``-th clock read.  Its error
+        releases the job's barriers and loss board, so worker 1 stops at
+        once and the run raises that error well inside the 10 s barrier
+        timeout (without the release it waits the timeout out)."""
+        reads = {"mlr-w0": 0}
 
         def clock():
             name = threading.current_thread().name
-            if name in ticks:
-                ticks[name] -= 1.0
-                return ticks[name]
-            return 0.0
+            if name in reads:
+                reads[name] += 1
+                if reads[name] == dies_at:
+                    raise RuntimeError("worker 0 lost")
+            return time.perf_counter()
 
         runtime = LocalHarmonyRuntime([mlr_job(n_workers=2)],
-                                      barrier_timeout=0.2, clock=clock)
-        with pytest.raises(SchedulingError, match="finite and >= 0"):
+                                      barrier_timeout=10, clock=clock)
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="worker 0 lost"):
             runtime.run()
-        # Worker 0's iteration was profiled before it stalled.
-        assert runtime.profiler.get("mlr").samples == 1
+        assert time.perf_counter() - started < 5.0
+
+
+class TestLossBoard:
+    def test_a_missing_report_stalls_until_the_timeout(self):
+        board = _LossBoard(2, ConvergenceTracker(max_epochs=5))
+        with pytest.raises(SimulationError, match="stalled at epoch 0"):
+            board.report(0, 1.0, timeout=0.05)
 
 
 class TestSynchronizer:

@@ -70,12 +70,6 @@ class TestKVStore:
         with pytest.raises(PSError):
             store.snapshot(["missing"])
 
-    def test_assign_overwrites(self):
-        store = KVStore()
-        store.init("w", np.zeros(2))
-        store.assign({"w": np.array([7.0, 8.0])})
-        assert np.allclose(store.get("w"), [7.0, 8.0])
-
     def test_total_bytes(self):
         store = KVStore()
         store.init("w", np.zeros(4))
@@ -218,15 +212,6 @@ class TestServerClient:
         assert transport.bytes_pushed > 0
         assert transport.total_bytes == (transport.bytes_pulled
                                          + transport.bytes_pushed)
-
-    def test_checkpoint_restore_roundtrip(self):
-        _, _, servers, clients = self._build(n_workers=1)
-        clients[0].push({"k0": np.array([3.0, 4.0])})
-        snapshot = servers[0].checkpoint()
-        clients[0].push({"k0": np.array([1.0, 1.0])})
-        servers[0].restore(snapshot)
-        value = servers[0].store.get("k0")
-        assert np.allclose(value, [3.0, 4.0])
 
     def test_duplicate_shard_registration_rejected(self):
         transport = InProcessTransport()

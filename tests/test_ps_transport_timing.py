@@ -67,13 +67,6 @@ class TestClientWiring:
         with pytest.raises(PSError):
             transport.pull(99, ["k0"], clock=0)
 
-    def test_serialize_helpers_roundtrip(self):
-        _, clients = build()
-        payload = {"k0": np.arange(4.0)}
-        frame = PSClient.serialize(payload)
-        decoded = PSClient.deserialize(frame)
-        assert np.allclose(decoded["k0"], payload["k0"])
-
 
 class TestSleepModelRegistration:
     def test_sleep_model_is_ps_trainable(self):
