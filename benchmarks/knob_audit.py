@@ -10,7 +10,11 @@ Reads the source tree statically (nothing is imported) and prints:
 2. every such defaulted parameter that no call site in ``src/``,
    ``benchmarks/``, ``examples/`` or ``tests/`` sets;
 3. every public module-level function or class, and every public method
-   or property of a public class, that only ``tests/`` references.
+   or property of a public class, that only ``tests/`` references;
+4. every leaf of ``SimConfig``'s dataclass tree (a field whose type is
+   not another dataclass of ``src/repro``) that nothing in ``src/``
+   reads: no attribute load of its name outside its declaring class's
+   ``__post_init__`` (a construction-time check is not a use).
 
 ``--count`` prints the count alone.  ``--root`` audits another checkout
 (default: this one).
@@ -44,7 +48,8 @@ the class or function it hands to a registry.  Re-exports in a package
 ``__getattr__`` imports from), and the profiling table of
 ``benchmarks/layer_profile.py``, do not count.
 
-Pinned in ``tests/test_cli_and_config.py``: the count, and both lists.
+Pinned in ``tests/test_cli_and_config.py``: the count, and all three
+lists; the config-field list is empty.
 The one parameter without a setter is ``LocalHarmonyRuntime(tracer=)``,
 README's way to trace the local runtime's barrier waits.  The nine
 public names only tests reference are kept on purpose:
@@ -59,8 +64,8 @@ public names only tests reference are kept on purpose:
   ``step_boundaries``, ``predict_job_span``, ``job_subtasks`` and
   ``predict_group_iteration_boundaries``.
 
-Any other name on either list fails tier 1: give it a caller, or delete
-it with its tests.
+Any other name on the last three lists fails tier 1: give it a caller,
+or delete it with its tests.
 """
 
 from __future__ import annotations
@@ -477,6 +482,55 @@ def _test_only(sources: list[Source]) -> list[tuple[str, str]]:
             for name, qualname in names if name not in outside]
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if (isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+                or isinstance(decorator, ast.Attribute)
+                and decorator.attr == "dataclass"):
+            return True
+    return False
+
+
+def _unread_config_fields(sources: list[Source]) -> list[str]:
+    """Leaves of ``SimConfig``'s dataclass tree nothing in src reads."""
+    src = [s for s in sources if s.module and s.module.startswith("repro")]
+    classes = {node.name: node for source in src for node in source.tree.body
+               if isinstance(node, ast.ClassDef) and _is_dataclass(node)}
+    leaves: list[tuple[str, str]] = []  # (path, field name)
+
+    def walk(class_name: str, prefix: str) -> None:
+        for item in classes[class_name].body:
+            if not (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                continue
+            name = item.target.id
+            annotation = item.annotation
+            kind = (annotation.id if isinstance(annotation, ast.Name) else
+                    annotation.value if isinstance(annotation, ast.Constant)
+                    else None)
+            if kind in classes:
+                walk(kind, f"{prefix}{name}.")
+            else:
+                leaves.append((f"{prefix}{name}", name))
+
+    walk("SimConfig", "")
+    read: set[str] = set()
+
+    def scan(node: ast.AST) -> None:
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            scan(child)
+
+    for source in src:
+        scan(source.tree)
+    return [path for path, name in leaves if name not in read]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", type=Path, default=ROOT)
@@ -487,6 +541,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.count:
         print(model.count())
         return 0
+    unread = _unread_config_fields(_sources(args.root))
     print(f"knob count: {model.count()}")
     print(f"\ndefaulted parameters with no setter ({len(unset)}):")
     for target, param in unset:
@@ -494,6 +549,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\npublic names only tests reference ({len(test_only)}):")
     for qualname, users in test_only:
         print(f"  {qualname}" + ("" if users == "tests" else "  (unused)"))
+    print(f"\nconfig fields nothing in src reads ({len(unread)}):")
+    for path in unread:
+        print(f"  {path}")
     return 0
 
 

@@ -7,8 +7,9 @@ seeded so that property tests draw the same cases every run) in this
 process under a standard-library line tracer and prints:
 
 1. executed/total executable lines for ``src/repro``;
-2. every unexecuted line in the scheduling and simulation packages
-   (``PACKAGES``) with its source text, tagged ``excused`` when it sits
+2. every unexecuted line in the scheduling, simulation, checking,
+   fault, tracing, metrics and workload packages (``PACKAGES``) with
+   its source text, tagged ``excused`` when it sits
    inside a statement marked ``# pragma: no cover - <reason>``.
 
 It exits 1 if any unexecuted line in those packages is not excused, or
@@ -40,7 +41,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
 #: The packages in which every line must run or carry an excuse.
-PACKAGES = ("core", "sim", "shard", "policies", "cluster", "baselines")
+PACKAGES = ("core", "sim", "shard", "policies", "cluster", "baselines",
+            "check", "faults", "trace", "metrics", "workloads")
 
 _PRAGMA = re.compile(r"#\s*pragma: no cover - \S")
 

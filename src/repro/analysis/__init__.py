@@ -9,7 +9,8 @@ four domain rule families generic linters cannot express:
   config mutation, event-loop re-entry;
 - **TRC** trace hygiene: span begin/end balance, metric and span
   names pinned to the declared registry;
-- **CACHE** PlanCache fingerprint coverage of scoring inputs.
+- **CONC** concurrency discipline of the threaded runtime: lock
+  coverage, state shared with worker threads, lock order.
 
 Suppress one line with ``# harmony: allow[RULE-ID] reason``; adopt
 pre-existing findings with the expiring baseline file

@@ -12,7 +12,7 @@ Usage::
 
 ``--changed-only`` resolves the file set from ``git diff --name-only
 <base>`` (``--base``, default HEAD); the whole tree is still parsed so
-project-level rules (CACHE001, CONC001–003) keep their cross-file
+project-level rules (CONC001–003) keep their cross-file
 models, but only findings in changed files are reported — pre-commit
 runs stay fast and focused on a 155+-file tree.
 

@@ -18,7 +18,6 @@ import os
 from dataclasses import dataclass, field
 
 from repro.analysis import (  # noqa: F401  (rule registration side effect)
-    rules_cache,
     rules_conc,
     rules_det,
     rules_sim,

@@ -15,7 +15,6 @@ FAMILIES = {
     "DET": "determinism",
     "SIM": "simulation safety",
     "TRC": "trace hygiene",
-    "CACHE": "plan-cache fingerprint coverage",
     "CONC": "concurrency discipline",
 }
 

@@ -3,7 +3,7 @@
 SARIF (Static Analysis Results Interchange Format) is what code
 hosts ingest to render findings as inline review annotations; CI
 uploads the file produced by ``python -m repro lint --format sarif``
-and every DET/SIM/TRC/CACHE/CONC finding lands on its line in the PR
+and every DET/SIM/TRC/CONC finding lands on its line in the PR
 diff.  Only unsuppressed findings become results — suppressed and
 baselined ones are by definition accepted.
 """

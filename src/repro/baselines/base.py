@@ -2,10 +2,11 @@
 
 :class:`BaselineMaster` owns the queue, the cluster ledger and the
 demand/metrics oracles; *which* queued jobs start, grouped how, is
-delegated to a :class:`~repro.policies.base.SchedulingPolicy`.  The
-master observes (queue, free machines, running groups), the policy
-decides (:class:`~repro.policies.base.PolicyDecision`), and the master
-applies the starts and re-asks until a pass makes no progress.  The
+delegated to a :data:`~repro.policies.base.Policy`, a function of the
+observation.  The master observes (queue, free machines, running
+groups), the policy returns a tuple of
+:class:`~repro.policies.base.GroupStart`, and the master applies the
+starts and re-asks until a pass makes no progress.  The
 ledgers, the group start/stop lifecycle, the decision-application path
 and the run loop are the ones Harmony's master and runtime use
 (:class:`~repro.core.master.MasterBase`,
@@ -36,9 +37,9 @@ from repro.errors import SimulationError
 from repro.metrics.utilization import ClusterUsageRecorder
 from repro.policies.base import (
     GroupStart,
+    Policy,
     PolicyObservation,
     RunningGroupView,
-    SchedulingPolicy,
 )
 from repro.sim import RandomStreams, Simulator
 from repro.workloads.apps import JobSpec
@@ -62,7 +63,7 @@ class BaselineMaster(MasterBase):
     def __init__(self, sim: Simulator, cluster: Cluster,
                  cost_model: CostModel, config: SimConfig,
                  streams: RandomStreams, recorder: ClusterUsageRecorder,
-                 mode: ExecutionMode, policy: SchedulingPolicy,
+                 mode: ExecutionMode, policy: Policy,
                  shuffle_seed: int | None = None,
                  dop_scale: float = 1.0):
         self.mode = mode  # read by MasterBase's memory floors
@@ -179,7 +180,7 @@ class BaselineMaster(MasterBase):
     def _pump(self) -> None:
         """Ask the policy for admission passes until one makes no
         progress (the policy sees the post-start cluster each time)."""
-        while self._apply(self.policy.decide(self._observe()), self._queue):
+        while self._apply(self.policy(self._observe()), self._queue):
             pass
 
     def _admit(self, group: GroupRuntime, start: GroupStart) -> None:
@@ -236,7 +237,7 @@ class BaselineRuntime(RuntimeBase):
 
     def __init__(self, n_machines: int, workload: Sequence[JobSpec],
                  mode: ExecutionMode, name: str,
-                 policy: SchedulingPolicy,
+                 policy: Policy,
                  config: SimConfig = DEFAULT_SIM_CONFIG,
                  shuffle_seed: int | None = None,
                  dop_scale: float = 1.0):

@@ -199,9 +199,9 @@ class InvariantChecker:
                         f"{cur.finished_at - cur.duration:.6f} overlaps "
                         f"the previous one ending at "
                         f"{prev.finished_at:.6f}"))
-            job = master.jobs.get(job_id)
-            if job is None:
-                continue
+            # Every cycle is a member job's, and a master never drops
+            # a job it registered.
+            job = master.jobs[job_id]
             budget = job.spec.iterations + rolled_back.get(job_id, 0)
             if len(cycles) > budget:
                 out.append(Violation(

@@ -7,6 +7,7 @@ training, and the scheduler constants quoted in §IV-B (5% thresholds).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -31,6 +32,18 @@ MB = 1024.0 ** 2
 M4_2XLARGE_NET_BPS = 1.1e9 / 8.0
 
 
+def _check_rules(config, rules) -> None:
+    """Reject ``config`` at construction on its first broken rule.
+
+    ``rules`` holds ``(field, holds, description)`` triples.  Conditions
+    are stated positively so that NaN fails them too.
+    """
+    for name, holds, rule in rules:
+        if not holds:
+            raise ValueError(f"{name} must be {rule}, got "
+                             f"{getattr(config, name)!r}")
+
+
 @dataclass(frozen=True)
 class MachineSpec:
     """Hardware description of one cluster machine.
@@ -38,7 +51,6 @@ class MachineSpec:
     Defaults describe the paper's m4.2xlarge EC2 instance.
     """
 
-    cores: int = 8
     memory_gb: float = 32.0
     #: Fraction of physical memory usable by job data before the managed
     #: runtime (JVM in the paper) hits GC trouble / OOM.
@@ -46,6 +58,17 @@ class MachineSpec:
     network_bps: float = M4_2XLARGE_NET_BPS
     disk_read_bps: float = 180.0 * MB
     disk_write_bps: float = 150.0 * MB
+
+    def __post_init__(self):
+        finite = "in (0, inf)"
+        _check_rules(self, (
+            ("memory_gb", 0 < self.memory_gb < math.inf, finite),
+            ("usable_memory_fraction",
+             0 < self.usable_memory_fraction <= 1, "in (0, 1]"),
+            ("network_bps", 0 < self.network_bps < math.inf, finite),
+            ("disk_read_bps", 0 < self.disk_read_bps < math.inf, finite),
+            ("disk_write_bps", 0 < self.disk_write_bps < math.inf, finite),
+        ))
 
     @property
     def usable_memory_gb(self) -> float:
@@ -86,18 +109,6 @@ class GCModel:
 #: The orders Algorithm 1's L4 loop can grow the candidate job set in
 #: (``SchedulerConfig.admission_order``).
 ADMISSION_ORDERS = ("critical", "sjf", "ljf", "interleave")
-
-
-def _check_rules(config, rules) -> None:
-    """Reject ``config`` at construction on its first broken rule.
-
-    ``rules`` holds ``(field, holds, description)`` triples.  Conditions
-    are stated positively so that NaN fails them too.
-    """
-    for name, holds, rule in rules:
-        if not holds:
-            raise ValueError(f"{name} must be {rule}, got "
-                             f"{getattr(config, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ under the 5% benefit threshold.
 
 :class:`MasterBase` holds what this master shares with the queue-policy
 master (:mod:`repro.baselines.base`): the job and group ledgers, the
-group start/stop lifecycle, and the one path that turns a
-:class:`~repro.policies.base.PolicyDecision` into running groups.
+group start/stop lifecycle, and the one path that turns a tuple of
+:class:`~repro.policies.base.GroupStart` into running groups.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.metrics.utilization import (
     DecisionRecord,
     busy_fraction,
 )
-from repro.policies.base import GroupStart, PolicyDecision
+from repro.policies.base import GroupStart
 from repro.policies.planner import plan_decision
 from repro.sim import RandomStreams, Simulator
 from repro.workloads.apps import JobSpec
@@ -127,8 +127,8 @@ class MasterBase:
     group allocates machines, builds its :class:`GroupRuntime` and opens
     its usage record; stopping one (drained or crashed) keeps its audit
     and cycles, closes the record and frees the machines.  Subclasses
-    decide which groups to start and when, as a
-    :class:`~repro.policies.base.PolicyDecision` that :meth:`_apply`
+    decide which groups to start and when, as a tuple of
+    :class:`~repro.policies.base.GroupStart` that :meth:`_apply`
     carries out, and place each started group's jobs in
     :meth:`_admit`.  They set ``mode`` (the groups' execution
     discipline, which the memory floors read at construction) and
@@ -229,11 +229,11 @@ class MasterBase:
         self.cluster.release_all(group.group_id)
         return victims
 
-    def _apply(self, decision: PolicyDecision,
+    def _apply(self, starts: Sequence[GroupStart],
                eligible: Iterable[str]) -> bool:
-        """Start every applicable group of ``decision``, in order.
+        """Start every applicable group of ``starts``, in order.
 
-        The only code that turns a decision into running groups.  A
+        The only code that turns starts into running groups.  A
         start is stale, and skipped, when its ids repeat, when one of
         them is not (or no longer) ``eligible``, or when it wants more
         machines than are free: deciders reason about a snapshot, the
@@ -241,7 +241,7 @@ class MasterBase:
         """
         eligible = set(eligible)
         applied = False
-        for start in decision.starts:
+        for start in starts:
             ids = start.job_ids
             if len(set(ids)) != len(ids) or not eligible.issuperset(ids) \
                     or start.n_machines > self.cluster.n_free:

@@ -11,6 +11,8 @@ recovery time, as it is in production.
 
 from __future__ import annotations
 
+import math
+
 from repro.cluster.cluster import Cluster
 from repro.errors import SimulationError
 from repro.metrics.faults import FaultLog, FaultRecord
@@ -24,9 +26,9 @@ class HealthMonitor:
     def __init__(self, sim: Simulator, cluster: Cluster, master,
                  interval: float = 30.0, timeout: float = 90.0,
                  log: FaultLog | None = None):
-        if interval <= 0 or timeout <= 0:
+        if not (0 < interval < math.inf and 0 < timeout < math.inf):
             raise SimulationError(
-                f"heartbeat interval/timeout must be positive "
+                f"heartbeat interval/timeout must be positive and finite "
                 f"(got {interval}/{timeout})")
         self.sim = sim
         self.cluster = cluster

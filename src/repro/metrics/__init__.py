@@ -2,7 +2,7 @@
 
 from repro.metrics.faults import FaultLog, FaultRecord, FaultSummary
 from repro.metrics.reporting import format_table
-from repro.metrics.stats import cdf_points, mean, percentile, speedup
+from repro.metrics.stats import cdf_points
 from repro.metrics.timeline import Timeline, bin_segments
 from repro.metrics.utilization import (
     ClusterUsageRecorder,
@@ -21,7 +21,4 @@ __all__ = [
     "bin_segments",
     "cdf_points",
     "format_table",
-    "mean",
-    "percentile",
-    "speedup",
 ]

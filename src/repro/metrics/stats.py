@@ -1,29 +1,10 @@
-"""Small statistics helpers used by experiments and reports."""
+"""Statistics helpers used by experiments and reports."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
 import numpy as np
-
-
-def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean; 0.0 for an empty sequence (reports stay total)."""
-    return float(np.mean(values)) if len(values) else 0.0
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0-100)."""
-    if not len(values):
-        return 0.0
-    return float(np.percentile(values, q))
-
-
-def speedup(baseline: float, measured: float) -> float:
-    """Speedup of ``measured`` relative to ``baseline`` (>1 is faster)."""
-    if measured <= 0:
-        raise ValueError(f"non-positive measurement {measured}")
-    return baseline / measured
 
 
 def cdf_points(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:

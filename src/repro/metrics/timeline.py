@@ -31,8 +31,6 @@ def bin_segments(segments: Iterable[BusySegment], t_end: float,
             continue
         first = int((lo - t_start) // bin_seconds)
         last = min(int(np.ceil((hi - t_start) / bin_seconds)), n_bins)
-        if last <= first:
-            continue
         # Each touched bin contributes its overlap with [lo, hi): the
         # vectorized form clips the segment against every bin edge at
         # once (a long segment over fine bins was O(bins) in Python).

@@ -1,9 +1,10 @@
 """Pluggable scheduling policies and the policy registry.
 
-The protocol lives in :mod:`repro.policies.base`: a policy observes
-the queue/cluster through a :class:`~repro.policies.base.PolicyObservation`
-and decides which queued jobs start, grouped how
-(:class:`~repro.policies.base.PolicyDecision`).  The policy families:
+A policy is a function (:data:`~repro.policies.base.Policy`): it
+observes the queue/cluster through a
+:class:`~repro.policies.base.PolicyObservation` and returns the groups
+to start, a tuple of :class:`~repro.policies.base.GroupStart`.  The
+policy families:
 
 * :mod:`repro.policies.queueing` — FIFO packing (the legacy baseline
   scan) plus EASY / conservative reservation backfill.
@@ -18,39 +19,26 @@ and decides which queued jobs start, grouped how
 """
 
 from repro.policies.base import (
-    FunctionPolicy,
     GroupStart,
-    PolicyDecision,
+    Policy,
     PolicyObservation,
     RunningGroupView,
-    SchedulingPolicy,
 )
 from repro.policies.interleave import cassini
 from repro.policies.packing import synergy
-from repro.policies.planner import HarmonyPlanPolicy
-from repro.policies.queueing import (
-    conservative,
-    conservative_backfill,
-    easy,
-    easy_backfill,
-    fcfs,
-    packed_fifo,
-)
+from repro.policies.planner import harmony_static
+from repro.policies.queueing import conservative, easy, fcfs, packed_fifo
 
 __all__ = [
-    "FunctionPolicy",
     "GroupStart",
-    "PolicyDecision",
+    "Policy",
     "PolicyObservation",
     "RunningGroupView",
-    "SchedulingPolicy",
-    "HarmonyPlanPolicy",
     "cassini",
+    "harmony_static",
     "synergy",
     "conservative",
-    "conservative_backfill",
     "easy",
-    "easy_backfill",
     "fcfs",
     "packed_fifo",
 ]

@@ -1,13 +1,14 @@
-"""The scheduling-policy protocol: observe the cluster, emit starts.
+"""What a scheduling policy sees and what it returns.
 
-A :class:`SchedulingPolicy` looks at a :class:`PolicyObservation` — the
-queued jobs, the free-machine count, and callbacks into the master's
-(memoized) demand/metrics oracles — and returns a
-:class:`PolicyDecision`: which queued jobs to start, grouped how, on how
+A policy is a function (:data:`Policy`) from a :class:`PolicyObservation`
+— the queued jobs, the free-machine count, and callbacks into the
+master's (memoized) demand/metrics oracles — to a tuple of
+:class:`GroupStart`: which queued jobs to start, grouped how, on how
 many machines, optionally with per-job phase offsets.  The queue-driven
-master (:class:`repro.baselines.base.BaselineMaster`) applies decisions
-verbatim and re-asks until a decision makes no progress, so a policy
-only ever reasons about one admission pass.
+master (:class:`repro.baselines.base.BaselineMaster`) applies the starts
+verbatim and re-asks until a pass makes no progress, so a policy only
+ever reasons about one admission pass.  Policies with parameters are
+``functools.partial`` bindings of one pass function.
 
 Everything a policy can observe is deterministic: the queue is an
 ordered tuple, running groups are sorted by group id, and the metric
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 from repro.errors import SchedulingError
 
@@ -70,15 +71,8 @@ class GroupStart:
 
 
 @dataclass(frozen=True)
-class PolicyDecision:
-    """Everything one ``decide()`` pass wants started, in order."""
-
-    starts: tuple[GroupStart, ...] = ()
-
-
-@dataclass(frozen=True)
 class PolicyObservation:
-    """Cluster/queue snapshot handed to ``decide()``.
+    """Cluster/queue snapshot handed to a policy.
 
     The callables are bound master methods.  ``batch_demand`` and
     ``metrics_at`` are memoized per run, so a policy re-asking the same
@@ -108,28 +102,5 @@ class PolicyObservation:
         field(default=lambda: ())
 
 
-@runtime_checkable
-class SchedulingPolicy(Protocol):
-    """Observe cluster/job metrics, emit a grouping/placement plan."""
-
-    #: Stable identifier used in registries, leaderboards and reports.
-    name: str
-
-    def decide(self, obs: PolicyObservation) -> PolicyDecision: ...
-
-
-@dataclass(frozen=True)
-class FunctionPolicy:
-    """A :class:`SchedulingPolicy` from a pure ``decide`` function.
-
-    The partner of the ``functools.partial`` factory idiom: policy
-    families are written once as
-    ``_family(param_a, param_b, observation)`` and instantiated as
-    ``FunctionPolicy(name, partial(_family, a, b))``.
-    """
-
-    name: str
-    decide_fn: Callable[[PolicyObservation], PolicyDecision]
-
-    def decide(self, obs: PolicyObservation) -> PolicyDecision:
-        return self.decide_fn(obs)
+#: One admission pass: the groups to start, in order.
+Policy = Callable[[PolicyObservation], tuple[GroupStart, ...]]

@@ -26,15 +26,8 @@ epoch the engine's primary/secondary discipline keeps them apart).
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.core.perfmodel import PerfModel
-from repro.policies.base import (
-    FunctionPolicy,
-    GroupStart,
-    PolicyDecision,
-    PolicyObservation,
-)
+from repro.policies.base import GroupStart, PolicyObservation
 
 #: Strictly-better margin for partner selection; ties resolve to the
 #: earliest queued candidate so the scan is hash-order independent.
@@ -46,11 +39,14 @@ MAX_GROUP_JOBS = 4
 #: Lowest Eq. 1 compatibility at which a partner may join a group.
 COMPAT_THRESHOLD = 0.85
 
+#: The Eq. 1 model every compatibility is taken with.
+_PERF_MODEL = PerfModel()
 
-def _compatibility(perf_model: PerfModel, obs: PolicyObservation,
-                   batch: tuple[str, ...], m: int) -> float:
+
+def _compatibility(obs: PolicyObservation, batch: tuple[str, ...],
+                   m: int) -> float:
     metrics = [obs.metrics_at(job_id, m) for job_id in batch]
-    estimate = perf_model.estimate_group(metrics, m)
+    estimate = _PERF_MODEL.estimate_group(metrics, m)
     t_group = estimate.t_group_iteration
     if t_group <= 0:
         return 1.0
@@ -68,8 +64,8 @@ def _phase_offsets(obs: PolicyObservation, batch: tuple[str, ...],
     return tuple(offsets)
 
 
-def _cassini_pass(perf_model: PerfModel,
-                  obs: PolicyObservation) -> PolicyDecision:
+def cassini(obs: PolicyObservation) -> tuple[GroupStart, ...]:
+    """Phase-offset COMM interleaving over Eq. 1 compatibility."""
     starts: list[GroupStart] = []
     free = obs.n_free
     queue = list(obs.queue)
@@ -90,8 +86,7 @@ def _cassini_pass(perf_model: PerfModel,
                 trial_demand = obs.batch_demand(trial)
                 if trial_demand > free:
                     continue
-                compat = _compatibility(perf_model, obs, trial,
-                                        trial_demand)
+                compat = _compatibility(obs, trial, trial_demand)
                 if compat < COMPAT_THRESHOLD:
                     continue
                 if best is None or compat > best[0] + _TIE_EPSILON:
@@ -104,9 +99,4 @@ def _cassini_pass(perf_model: PerfModel,
             if len(batch) > 1 else None
         starts.append(GroupStart(batch, demand, start_offsets=offsets))
         free -= demand
-    return PolicyDecision(tuple(starts))
-
-
-def cassini(perf_model: PerfModel) -> FunctionPolicy:
-    """Phase-offset COMM interleaving over Eq. 1 compatibility."""
-    return FunctionPolicy("cassini", partial(_cassini_pass, perf_model))
+    return tuple(starts)

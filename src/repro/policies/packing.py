@@ -20,15 +20,8 @@ iteration anywhere.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.core.perfmodel import PerfModel
-from repro.policies.base import (
-    FunctionPolicy,
-    GroupStart,
-    PolicyDecision,
-    PolicyObservation,
-)
+from repro.policies.base import GroupStart, PolicyObservation
 
 #: Most jobs one packed group may hold.
 MAX_GROUP_JOBS = 4
@@ -36,17 +29,20 @@ MAX_GROUP_JOBS = 4
 #: Smallest Eq. 3 score rise for which a candidate joins a group.
 GAIN_THRESHOLD = 0.02
 
+#: The Eq. 3 model every packing score is taken with.
+_PERF_MODEL = PerfModel()
 
-def _pack_score(perf_model: PerfModel, obs: PolicyObservation,
-                batch: tuple[str, ...], m: int) -> float:
+
+def _pack_score(obs: PolicyObservation, batch: tuple[str, ...],
+                m: int) -> float:
     """Weighted-utilization score of co-locating ``batch`` on ``m``."""
     metrics = [obs.metrics_at(job_id, m) for job_id in batch]
-    estimate = perf_model.estimate_group(metrics, m)
-    return perf_model.score(estimate.utilization)
+    estimate = _PERF_MODEL.estimate_group(metrics, m)
+    return _PERF_MODEL.score(estimate.utilization)
 
 
-def _synergy_pass(perf_model: PerfModel,
-                  obs: PolicyObservation) -> PolicyDecision:
+def synergy(obs: PolicyObservation) -> tuple[GroupStart, ...]:
+    """Resource-sensitive packing scored on the Eq. 3 utilization."""
     starts: list[GroupStart] = []
     free = obs.n_free
     queue = list(obs.queue)
@@ -62,7 +58,7 @@ def _synergy_pass(perf_model: PerfModel,
             break  # FIFO: the head waits for machines, everyone waits
         queue.pop(0)
         batch = (head,)
-        score = _pack_score(perf_model, obs, batch, demand)
+        score = _pack_score(obs, batch, demand)
         # Greedy accretion in queue order: each candidate joins when
         # the packed group's weighted utilization (memory floors
         # included via batch_demand) improves by > GAIN_THRESHOLD.
@@ -74,8 +70,7 @@ def _synergy_pass(perf_model: PerfModel,
             if trial_demand > free:
                 index += 1
                 continue
-            trial_score = _pack_score(perf_model, obs, trial,
-                                      trial_demand)
+            trial_score = _pack_score(obs, trial, trial_demand)
             if trial_score > score + GAIN_THRESHOLD:
                 batch = trial
                 demand = trial_demand
@@ -85,9 +80,4 @@ def _synergy_pass(perf_model: PerfModel,
                 index += 1
         starts.append(GroupStart(batch, demand))
         free -= demand
-    return PolicyDecision(tuple(starts))
-
-
-def synergy(perf_model: PerfModel) -> FunctionPolicy:
-    """Resource-sensitive packing scored on the Eq. 3 utilization."""
-    return FunctionPolicy("synergy", partial(_synergy_pass, perf_model))
+    return tuple(starts)

@@ -1,9 +1,8 @@
 """Queue-order admission policies: packed FIFO and backfill families.
 
-Two families, both built with the ``functools.partial`` factory idiom
-(after stmobo's batch-simulator policies, where
-``easy_backfill = partial(_backfill_sched, 1)`` and
-``conservative_backfill = partial(_backfill_sched, None)``):
+Two pass functions, each bound into policies with the
+``functools.partial`` idiom (after stmobo's batch-simulator policies,
+where ``easy_backfill = partial(_backfill_sched, 1)``):
 
 * :func:`_packed_fifo_pass` — the transcription of the historical
   ``BaselineMaster._pump`` admission scan: FIFO in batches of up to
@@ -11,14 +10,14 @@ Two families, both built with the ``functools.partial`` factory idiom
   backfill on; the naive and isolated baselines are exactly that
   policy at their legacy group sizes, and the differential tests pin
   the transcription bitwise-equal to the pre-refactor masters.
-  :func:`fcfs` binds it at size 1 with backfill off, so a blocked head
+  :data:`fcfs` binds it at size 1 with backfill off, so a blocked head
   blocks the queue.
 * :func:`_reservation_backfill` — classic supercomputing backfill
   with *reservations*: a blocked job reserves a start time computed
   from the running groups' predicted releases, and later jobs may only
   jump the queue when doing so provably does not delay any
-  reservation.  :func:`easy` binds ``max_reservations=1`` (EASY
-  backfill), :func:`conservative` binds ``None`` (every blocked job
+  reservation.  :data:`easy` binds ``max_reservations=1`` (EASY
+  backfill), :data:`conservative` binds ``None`` (every blocked job
   reserves).
 """
 
@@ -28,12 +27,7 @@ import math
 from functools import partial
 
 from repro.errors import SchedulingError
-from repro.policies.base import (
-    FunctionPolicy,
-    GroupStart,
-    PolicyDecision,
-    PolicyObservation,
-)
+from repro.policies.base import GroupStart, Policy, PolicyObservation
 
 #: Reservation start times closer than this are "not delayed" (float
 #: noise from re-accumulating the same release timeline).
@@ -44,7 +38,7 @@ _DELAY_TOL = 1e-9
 
 
 def _packed_fifo_pass(group_size: int, backfill: bool,
-                      obs: PolicyObservation) -> PolicyDecision:
+                      obs: PolicyObservation) -> tuple[GroupStart, ...]:
     """One admission pass of the historical ``BaselineMaster._pump``.
 
     Every quirk of the original scan is intentional and load-bearing
@@ -78,22 +72,20 @@ def _packed_fifo_pass(group_size: int, backfill: bool,
                 break  # strict FIFO: head-of-line blocks
             # Backfill: try a later batch.
             index += group_size
-    return PolicyDecision(tuple(starts))
+    return tuple(starts)
 
 
-def packed_fifo(group_size: int = 1) -> FunctionPolicy:
+def packed_fifo(group_size: int = 1) -> Policy:
     """The legacy baseline admission policy (with backfill) in batches
     of up to ``group_size`` jobs."""
     if group_size < 1:
         raise SchedulingError(f"group_size must be >= 1, got {group_size}")
-    return FunctionPolicy(f"packed-fifo(size={group_size})",
-                          partial(_packed_fifo_pass, group_size, True))
+    return partial(_packed_fifo_pass, group_size, True)
 
 
-def fcfs() -> FunctionPolicy:
-    """Strict first-come-first-served: single-job groups, a blocked
-    head blocks everyone behind it."""
-    return FunctionPolicy("fcfs", partial(_packed_fifo_pass, 1, False))
+#: Strict first-come-first-served: single-job groups, a blocked head
+#: blocks everyone behind it.
+fcfs = partial(_packed_fifo_pass, 1, False)
 
 
 # -- reservation backfill (EASY / conservative) -----------------------------
@@ -130,7 +122,7 @@ def _reservation_start_times(now: float, free: int,
 
 
 def _reservation_backfill(max_reservations: int | None,
-                          obs: PolicyObservation) -> PolicyDecision:
+                          obs: PolicyObservation) -> tuple[GroupStart, ...]:
     """FCFS with backfill against shadow reservations.
 
     A queued job starts immediately when it fits *and* running it would
@@ -169,22 +161,12 @@ def _reservation_backfill(max_reservations: int | None,
             releases.append((obs.now + runtime_estimate, demand))
         elif max_reservations is None or len(reserved) < max_reservations:
             reserved.append(demand)
-    return PolicyDecision(tuple(starts))
+    return tuple(starts)
 
 
-#: EASY backfill: only the head-of-line blocked job holds a reservation.
-easy_backfill = partial(_reservation_backfill, 1)
+#: FCFS + EASY backfill: only the head-of-line blocked job holds a
+#: reservation.
+easy = partial(_reservation_backfill, 1)
 
-#: Conservative backfill: every blocked job holds a reservation.
-conservative_backfill = partial(_reservation_backfill, None)
-
-
-def easy() -> FunctionPolicy:
-    """FCFS + EASY backfill (one reservation)."""
-    return FunctionPolicy("easy", easy_backfill)
-
-
-def conservative() -> FunctionPolicy:
-    """FCFS + conservative backfill (reservations for every blocked
-    job)."""
-    return FunctionPolicy("conservative", conservative_backfill)
+#: FCFS + conservative backfill: every blocked job holds a reservation.
+conservative = partial(_reservation_backfill, None)

@@ -28,13 +28,11 @@ from repro.baselines.isolated import IsolatedRuntime
 from repro.baselines.naive import NaiveRuntime
 from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.group_runtime import ExecutionMode
-from repro.core.perfmodel import PerfModel
 from repro.core.runtime import HarmonyRuntime
-from repro.core.scheduler import HarmonyScheduler
 from repro.errors import SchedulingError
 from repro.policies.interleave import cassini
 from repro.policies.packing import synergy
-from repro.policies.planner import HarmonyPlanPolicy
+from repro.policies.planner import harmony_static
 from repro.policies.queueing import conservative, easy, fcfs
 from repro.workloads.apps import JobSpec
 
@@ -92,14 +90,14 @@ def _isolated(n_machines, workload, config):
 def _fcfs(n_machines, workload, config):
     return BaselineRuntime(
         n_machines, workload, mode=ExecutionMode.ISOLATED, name="fcfs",
-        config=config, dop_scale=IsolatedRuntime.DOP_SCALE, policy=fcfs())
+        config=config, dop_scale=IsolatedRuntime.DOP_SCALE, policy=fcfs)
 
 
 @register("easy", "EASY backfill: one reservation for the queue head")
 def _easy(n_machines, workload, config):
     return BaselineRuntime(
         n_machines, workload, mode=ExecutionMode.ISOLATED, name="easy",
-        config=config, dop_scale=IsolatedRuntime.DOP_SCALE, policy=easy())
+        config=config, dop_scale=IsolatedRuntime.DOP_SCALE, policy=easy)
 
 
 @register("conservative",
@@ -108,7 +106,7 @@ def _conservative(n_machines, workload, config):
     return BaselineRuntime(
         n_machines, workload, mode=ExecutionMode.ISOLATED,
         name="conservative", config=config,
-        dop_scale=IsolatedRuntime.DOP_SCALE, policy=conservative())
+        dop_scale=IsolatedRuntime.DOP_SCALE, policy=conservative)
 
 
 # -- co-locating competitors on the coordinated executor ----------------------
@@ -117,23 +115,20 @@ def _conservative(n_machines, workload, config):
 def _synergy(n_machines, workload, config):
     return BaselineRuntime(
         n_machines, workload, mode=ExecutionMode.HARMONY,
-        name="synergy", config=config, policy=synergy(PerfModel()))
+        name="synergy", config=config, policy=synergy)
 
 
 @register("cassini", "phase-offset COMM interleaving by compatibility")
 def _cassini(n_machines, workload, config):
     return BaselineRuntime(
         n_machines, workload, mode=ExecutionMode.HARMONY,
-        name="cassini", config=config, policy=cassini(PerfModel()))
+        name="cassini", config=config, policy=cassini)
 
 
 @register("harmony-static",
           "Algorithm 1 grouping once at admission, no adaptation")
 def _harmony_static(n_machines, workload, config):
-    def scheduler_factory(memory_floor):
-        return HarmonyScheduler(config=config.scheduler,
-                                memory_floor=memory_floor)
     return BaselineRuntime(
         n_machines, workload, mode=ExecutionMode.HARMONY,
         name="harmony-static", config=config,
-        policy=HarmonyPlanPolicy(scheduler_factory))
+        policy=harmony_static(config.scheduler))

@@ -37,6 +37,13 @@ class TraceConfig:
     #: so an unexpectedly long run cannot exhaust memory.
     max_events: int = 2_000_000
 
+    def __post_init__(self):
+        # Stated positively so that NaN fails too; ``repro.config``
+        # imports this module, so its rule helper is out of reach.
+        if not self.max_events >= 0:
+            raise ValueError(f"max_events must be >= 0, got "
+                             f"{self.max_events!r}")
+
 
 @dataclass(frozen=True)
 class Track:
@@ -157,12 +164,6 @@ class MetricsRegistry:
                    for name, counter in self.counters.items()
                    if name.endswith(suffix))
 
-    def snapshot(self) -> dict[str, float]:
-        """Final values of every counter and gauge, by name."""
-        values = {name: c.value for name, c in self.counters.items()}
-        values.update({name: g.value for name, g in self.gauges.items()})
-        return values
-
 
 class Tracer:
     """Records spans, instants, and metrics against one clock."""
@@ -185,11 +186,7 @@ class Tracer:
         self.thread_names: dict[tuple[int, int], str] = {}
         self.thread_sort: dict[tuple[int, int], int] = {}
 
-    # -- clock / capacity ----------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self._clock()
+    # -- capacity -------------------------------------------------------
 
     @property
     def open_spans(self) -> int:

@@ -283,64 +283,6 @@ class TestTrcFamily:
         assert len(messages) == 1 and "'bogus.name'" in messages[0]
 
 
-CACHE_PROFILER = """
-from dataclasses import dataclass
-
-@dataclass
-class JobMetrics:
-    job_id: str
-    cpu_work: float
-    t_net: float
-
-    def t_cpu_at(self, m):
-        return self.cpu_work / m
-"""
-
-CACHE_FINGERPRINT_PARTIAL = """
-def _prefix_fingerprints(jobs):
-    return [hash((job.job_id, job.cpu_work)) for job in jobs]
-"""
-
-CACHE_FINGERPRINT_FULL = """
-def _prefix_fingerprints(jobs):
-    return [hash((job.job_id, job.cpu_work, job.t_net))
-            for job in jobs]
-"""
-
-
-class TestCacheFamily:
-    def test_uncovered_field_read_flagged(self, tmp_path):
-        report = lint(tmp_path, {
-            "src/repro/core/profiler.py": CACHE_PROFILER,
-            "src/repro/core/scheduler.py": CACHE_FINGERPRINT_PARTIAL,
-            "src/repro/core/grouping.py":
-                "def score(m):\n    return m.t_net\n"})
-        assert "CACHE001" in rule_ids(report)
-        finding = [f for f in report.findings
-                   if f.rule_id == "CACHE001"][0]
-        assert "t_net" in finding.message
-
-    def test_covered_reads_clean(self, tmp_path):
-        report = lint(tmp_path, {
-            "src/repro/core/profiler.py": CACHE_PROFILER,
-            "src/repro/core/scheduler.py": CACHE_FINGERPRINT_FULL,
-            "src/repro/core/grouping.py":
-                "def score(m):\n    return m.t_net + m.t_cpu_at(4)\n"})
-        assert "CACHE001" not in rule_ids(report)
-
-    def test_derived_method_resolved_to_fields(self, tmp_path):
-        """Reading t_cpu_at() counts as reading cpu_work."""
-        report = lint(tmp_path, {
-            "src/repro/core/profiler.py": CACHE_PROFILER,
-            "src/repro/core/scheduler.py": """
-def _prefix_fingerprints(jobs):
-    return [hash((job.job_id, job.t_net)) for job in jobs]
-""",
-            "src/repro/core/grouping.py":
-                "def score(m):\n    return m.t_cpu_at(4)\n"})
-        assert "CACHE001" in rule_ids(report)
-
-
 class TestSuppression:
     def test_allow_on_same_line(self, tmp_path):
         report = lint(tmp_path, {"src/repro/core/x.py": """
@@ -534,11 +476,6 @@ _POSITIVE_FIXTURES = {
             span = t.begin(0, "NOPE")
             t.end(span)
         """)},
-    "CACHE001": {
-        "src/repro/core/profiler.py": CACHE_PROFILER,
-        "src/repro/core/scheduler.py": CACHE_FINGERPRINT_PARTIAL,
-        "src/repro/core/grouping.py":
-            "def score(m):\n    return m.t_net\n"},
     "CONC001": {"src/repro/core/x.py": CONC_MIXED_DISCIPLINE},
     "CONC002": {"src/repro/core/x.py": CONC_POOL_MUTATION},
     "CONC003": {"src/repro/core/x.py": CONC_LOCK_CYCLE},
@@ -607,7 +544,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "SIM001", "TRC001", "CACHE001"):
+        for rule_id in ("DET001", "SIM001", "TRC001", "CONC001"):
             assert rule_id in out
 
     def test_write_baseline_then_clean(self, tmp_path, capsys):

@@ -8,8 +8,9 @@ from repro.baselines.naive import run_naive_cases
 from repro.core.group_runtime import ExecutionMode
 from repro.core.job import JobState
 from repro.errors import SimulationError
-from repro.policies.base import FunctionPolicy, GroupStart, PolicyDecision
-from repro.policies.queueing import fcfs, packed_fifo
+from repro.policies.base import GroupStart
+from repro.policies.queueing import fcfs
+from repro.policies.registry import build_runtime
 from repro.workloads.apps import DATASETS, JobSpec, LDA, MLR
 from repro.workloads.generator import WorkloadGenerator
 
@@ -17,6 +18,20 @@ from repro.workloads.generator import WorkloadGenerator
 @pytest.fixture(scope="module")
 def workload():
     return WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
+
+
+def group_sizes(runtime):
+    """Run ``runtime``; the job count of each group it started."""
+    sizes = []
+    admit = runtime.master._admit
+
+    def counting_admit(group, start):
+        sizes.append(len(start.job_ids))
+        admit(group, start)
+
+    runtime.master._admit = counting_admit
+    runtime.run()
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +48,8 @@ class TestIsolated:
         assert isolated_result.scheduler_name == "isolated"
 
     def test_one_job_per_group(self, workload):
-        runtime = IsolatedRuntime(24, workload)
-        assert runtime.master.policy.name == \
-            packed_fifo(group_size=1).name
+        sizes = group_sizes(IsolatedRuntime(24, workload))
+        assert sizes == [1] * len(workload)
 
     def test_machines_for_balances_cpu_and_network(self, workload):
         runtime = IsolatedRuntime(100, workload)
@@ -55,7 +69,7 @@ class TestIsolated:
 
     def test_strict_fifo_blocks_head_of_line(self, workload):
         lenient = IsolatedRuntime(24, workload).run()
-        strict = IsolatedRuntime(24, workload, ).run()
+        strict = build_runtime("fcfs", 24, workload).run()
         # Both complete; backfill cannot be slower than strict FIFO.
         assert lenient.makespan <= strict.makespan * 1.05
 
@@ -90,9 +104,9 @@ class TestNaive:
             assert case.scheduler_name == "naive"
 
     def test_group_size_respected(self, workload):
-        runtime = NaiveRuntime(24, workload, group_size=3)
-        assert runtime.master.policy.name == \
-            packed_fifo(group_size=3).name
+        sizes = group_sizes(NaiveRuntime(24, workload, group_size=3))
+        assert sum(sizes) == len(workload)
+        assert max(sizes) == 3
 
 
 class TestComparativeShape:
@@ -115,11 +129,11 @@ class TestComparativeShape:
 def _cramming(width):
     """A policy that starts the whole queue on ``width`` machines,
     whatever its memory floor says."""
-    def decide(obs):
+    def cram(obs):
         if not obs.queue:
-            return PolicyDecision(())
-        return PolicyDecision((GroupStart(tuple(obs.queue), width),))
-    return FunctionPolicy("cram", decide)
+            return ()
+        return (GroupStart(tuple(obs.queue), width),)
+    return cram
 
 
 class TestJobsThatDoNotFit:
@@ -149,14 +163,14 @@ class TestJobsThatDoNotFit:
                        model_scale=40.0)
         small = JobSpec("small", LDA, DATASETS["LDA"][1], iterations=5)
 
-        def decide(obs):
+        def huge_first(obs):
             if "huge" in obs.queue:
-                return PolicyDecision((GroupStart(("huge",), 2),))
-            return fcfs().decide(obs)
+                return (GroupStart(("huge",), 2),)
+            return fcfs(obs)
 
         runtime = BaselineRuntime(8, [huge, small],
                                   mode=ExecutionMode.HARMONY, name="x",
-                                  policy=FunctionPolicy("x", decide))
+                                  policy=huge_first)
         result = runtime.run()
         assert result.outcomes["huge"].state is JobState.FAILED
         assert result.outcomes["huge"].finish_time == 0.0

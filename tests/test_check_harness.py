@@ -26,11 +26,12 @@ from repro.check.differential import (
     PERFMODEL_CASE_TOL,
     PERFMODEL_MEAN_TOL,
 )
+from repro.check import scenarios
 from repro.check.scenarios import CheckedRun
 from repro.config import SimConfig
 from repro.core.group_runtime import GroupAudit
 from repro.core.runtime import HarmonyRuntime
-from repro.errors import InvariantViolationError
+from repro.errors import InvariantViolationError, SimulationError
 from repro.sim.resources import ResourceAudit
 from repro.trace import Tracer
 from repro.workloads.costmodel import CostModel
@@ -252,6 +253,22 @@ class TestTraceInvariants:
                             float(index) + 3.0, cat="comm")
         violations = self.check(tracer, 10.0)
         assert "comm-occupancy" in _invariants(violations)
+
+    def test_a_zero_length_span_does_not_hide_an_overlap(self):
+        # An overlap of 1.25 tolerances on two lanes, with a zero-length
+        # COMP on a third lane right where it starts: the zero-length
+        # span is not in service, so it must not cancel the overlap.
+        tol = InvariantChecker().time_tol
+        tracer = self._group_tracer("harmony")
+        lanes = [tracer.track("machines 0-3 · g1", f"m{i} cpu")
+                 for i in range(3)]
+        tracer.complete(lanes[0], "COMP", 0.0, 5.0 + 0.75 * tol,
+                        cat="comp")
+        tracer.complete(lanes[1], "COMP", 5.0 - 0.5 * tol, 9.0,
+                        cat="comp")
+        tracer.complete(lanes[2], "COMP", 5.0, 5.0, cat="comp")
+        violations = self.check(tracer, 10.0)
+        assert _invariants(violations) == {"comp-exclusive"}
 
     def test_back_to_back_handoffs_do_not_count_as_overlap(self):
         tracer = self._group_tracer("harmony")
@@ -514,6 +531,30 @@ class TestFuzzedScenarios:
         assert result.fastpath.engaged
         assert result.fastpath.engines_deactivated == 0
 
+    def test_a_run_error_fails_the_scenario(self, monkeypatch):
+        def failing_run(self, max_sim_seconds=None):
+            raise SimulationError("boom")
+
+        monkeypatch.setattr(HarmonyRuntime, "run", failing_run)
+        checked = run_checked(ScenarioGenerator(3).generate())
+        assert checked.error == "SimulationError: boom"
+        assert "  error: SimulationError: boom" in checked.report()
+
+    def test_arrivals_past_the_horizon_fail_the_scenario(self,
+                                                         monkeypatch):
+        # Seed 9's jobs arrive at 0, 312 and 624 s.
+        monkeypatch.setattr(scenarios, "MAX_SCENARIO_SECONDS", 100.0)
+        checked = run_checked(ScenarioGenerator(9).generate())
+        assert checked.error == "only 1 of 3 jobs were submitted"
+
+    def test_jobs_unfinished_at_the_horizon_fail_the_scenario(
+            self, monkeypatch):
+        # Seed 3 submits all eight jobs at t=0.
+        monkeypatch.setattr(scenarios, "MAX_SCENARIO_SECONDS", 100.0)
+        checked = run_checked(ScenarioGenerator(3).generate())
+        assert checked.error.startswith(
+            "stuck: 8 job(s) unfinished after 100 simulated seconds: ")
+
     def test_failing_run_reports_the_replay_command(self):
         scenario = ScenarioGenerator(99).generate()
         checked = CheckedRun(
@@ -564,6 +605,11 @@ class TestDifferential:
         assert metrics.t_net == pytest.approx(
             profile.t_pull + profile.t_push)
         assert metrics.m_observed == 8
+
+    def test_no_gap_against_a_worthless_oracle_plan(self):
+        case = OracleCase(n_jobs=4, n_machines=8, harmony_score=0.5,
+                          oracle_score=0.0)
+        assert case.gap == 0.0
 
     def test_oracle_gap_is_one_sided(self):
         # Harmony beating the oracle's prefix-restricted search is not
@@ -687,6 +733,40 @@ class TestCheckCli:
         assert "FAIL" in captured.out
         assert "replay: PYTHONPATH=src python -m repro check --seed 5" \
             in captured.out
+
+    def test_rotating_seed_runs_after_the_listed_ones(self, monkeypatch):
+        import repro.check.cli as cli
+
+        seeds = []
+
+        def passing_run(scenario, checker):
+            seeds.append(scenario.seed)
+            return CheckedRun(scenario=scenario, violations=[],
+                              finished_jobs=len(scenario.specs))
+
+        monkeypatch.setattr(cli, "run_checked", passing_run)
+        assert check_main(["--seed", "3", "--rotating", "7"]) == 0
+        assert seeds == [3, _rotating_seed(7)]
+
+    def test_a_failed_differential_exits_nonzero(self, capsys,
+                                                 monkeypatch):
+        import repro.check.cli as cli
+
+        class _Report:
+            def summary(self):
+                return "differential: stubbed"
+
+            def failures(self):
+                return ["oracle gap 0.9 > 0.3"]
+
+        monkeypatch.setattr(cli, "run_differential",
+                            lambda n_cases, seed: _Report())
+        monkeypatch.setattr(cli, "run_checked", lambda scenario, checker:
+                            CheckedRun(scenario=scenario, violations=[]))
+        assert check_main(["--seed", "3", "--differential"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL oracle gap 0.9 > 0.3" in captured.out
+        assert "1 failure(s)" in captured.err
 
     def test_differential_flag_runs_the_suites(self, capsys,
                                                monkeypatch):

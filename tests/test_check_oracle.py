@@ -16,8 +16,10 @@ from repro.check.oracle import (
     job_subtasks,
     predict_group_boundaries,
     predict_group_iteration_boundaries,
+    predict_iteration_seconds,
     predict_job_span,
     exact_metrics,
+    step_boundaries,
 )
 from repro.core.group_runtime import (
     NAIVE_CPU_INTERFERENCE,
@@ -26,6 +28,7 @@ from repro.core.group_runtime import (
     GroupRuntime,
 )
 from repro.core.job import Job, JobState
+from repro.core.profiler import JobMetrics
 from repro.sim import RandomStreams, Simulator
 from repro.sim.resources import (
     primary_secondary,
@@ -107,6 +110,19 @@ def oracle_inputs(specs, m, mode, seed=3):
                         config.execution.secondary_comm_rate),
                     "disk": processor_sharing()}
     return jobs, policies
+
+
+class TestInputErrors:
+    def test_a_negative_step_count_is_rejected(self):
+        with pytest.raises(ValueError, match="negative n_steps -1"):
+            step_boundaries(0.0, -1, 0.1)
+
+    def test_an_iteration_needs_a_machine(self):
+        metrics = JobMetrics(job_id="j", cpu_work=4.0, t_net=1.0,
+                             m_observed=1)
+        assert predict_iteration_seconds(metrics, 2) == 3.0
+        with pytest.raises(ValueError, match="at least one machine"):
+            predict_iteration_seconds(metrics, 0)
 
 
 class TestAgainstEngine:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from repro.config import (
     SimConfig,
 )
 from repro.core.regroup import FEWER_JOBS_PREFERENCE
+from repro.trace.tracer import TraceConfig
 
 KNOB_AUDIT = Path(__file__).resolve().parents[1] / "benchmarks" \
     / "knob_audit.py"
@@ -98,7 +100,6 @@ class TestSubcommandDispatch:
 class TestMachineSpec:
     def test_m4_2xlarge_defaults(self):
         spec = MachineSpec()
-        assert spec.cores == 8
         assert spec.memory_gb == 32.0
         assert spec.network_bps == pytest.approx(1.1e9 / 8)
 
@@ -110,6 +111,42 @@ class TestMachineSpec:
     def test_units(self):
         assert GB == 1024.0 ** 3
         assert MB == 1024.0 ** 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("memory_gb", 0.0),
+        ("memory_gb", -32.0),
+        ("memory_gb", math.nan),
+        ("memory_gb", math.inf),
+        ("usable_memory_fraction", 0.0),
+        ("usable_memory_fraction", 1.5),
+        ("usable_memory_fraction", math.nan),
+        ("network_bps", 0.0),
+        ("network_bps", math.nan),
+        ("network_bps", math.inf),
+        ("disk_read_bps", -5.0),
+        ("disk_read_bps", math.nan),
+        ("disk_read_bps", math.inf),
+        ("disk_write_bps", 0.0),
+        ("disk_write_bps", math.nan),
+        ("disk_write_bps", math.inf),
+    ])
+    def test_bad_value_fails_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MachineSpec(**{field: value})
+
+    def test_a_fully_usable_machine_is_valid(self):
+        assert MachineSpec(usable_memory_fraction=1.0).usable_memory_gb \
+            == 32.0
+
+
+class TestTraceConfig:
+    @pytest.mark.parametrize("value", [-1, math.nan])
+    def test_bad_event_cap_fails_at_construction(self, value):
+        with pytest.raises(ValueError, match="max_events"):
+            TraceConfig(enabled=True, max_events=value)
+
+    def test_a_zero_event_cap_is_valid(self):
+        assert TraceConfig(enabled=True, max_events=0).max_events == 0
 
 
 class TestSimConfig:
@@ -142,7 +179,6 @@ class TestSimConfig:
 
         assert list(leaves(SimConfig())) == [
             "seed",
-            "machine.cores",
             "machine.memory_gb",
             "machine.usable_memory_fraction",
             "machine.network_bps",
@@ -211,6 +247,13 @@ class TestSimConfig:
             "repro.sim.events.Event.add_callback",
             "repro.sim.simulator.FastpathStats.engaged",
         ]
+
+    def test_every_config_field_has_a_reader(self, audit_report):
+        """Every leaf of ``SimConfig()`` is read somewhere in ``src``
+        beyond its own construction-time check; a dead field fails
+        here until it is deleted."""
+        assert self.listed(audit_report,
+                           "config fields nothing in src reads") == []
 
 
 class TestSchedulerConfig:

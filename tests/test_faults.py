@@ -1,6 +1,7 @@
 """Tests for the fault-injection subsystem (repro.faults) and the
 master's crash-recovery path."""
 
+import math
 import threading
 import time
 
@@ -55,6 +56,18 @@ class TestFaultPlan:
                            duration=60.0, severity=2.0)
         plan = FaultPlan.build([late, early])
         assert plan.events == (early, late)
+
+    def test_describe_lists_every_event(self):
+        plan = FaultPlan.build([
+            FaultEvent(5.0, FaultKind.NETWORK_DROP, 1, duration=60.0,
+                       severity=2.0),
+            FaultEvent(100.0, FaultKind.MACHINE_CRASH, 0,
+                       duration=900.0)], seed=7)
+        assert plan.describe().splitlines() == [
+            "FaultPlan: 2 events (seed 7)",
+            "  t=      5.0s network_drop      machine=1 dur=60s sev=2.0",
+            "  t=    100.0s machine_crash     machine=0 dur=900s sev=1.0"]
+        assert FaultPlan.build([]).describe() == "FaultPlan: 0 events"
 
     def test_of_kind_filters(self):
         plan = FaultPlan.generate(seed=5, n_machines=8,
@@ -246,6 +259,22 @@ class TestHealthMonitor:
                                 interval=5.0, timeout=10.0)
         return sim, cluster, master, monitor
 
+    @pytest.mark.parametrize("field, value", [
+        ("interval", 0.0),
+        ("interval", -5.0),
+        ("interval", math.nan),
+        ("interval", math.inf),
+        ("timeout", 0.0),
+        ("timeout", math.nan),
+        ("timeout", math.inf),
+    ])
+    def test_bad_heartbeat_setting_fails_at_construction(self, field,
+                                                         value):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="positive and finite"):
+            HealthMonitor(sim, Cluster(4, MachineSpec()),
+                          _RecordingMaster(), **{field: value})
+
     def test_silenced_machine_detected_after_timeout(self):
         sim, _cluster, master, monitor = self._fixture()
         monitor.start()
@@ -273,6 +302,12 @@ class TestHealthMonitor:
         sim.call_at(20.0, monitor.stop)
         sim.run()  # would never drain if the loop survived
         assert sim.now == pytest.approx(20.0)
+
+    def test_a_monitor_starts_once(self):
+        _sim, _cluster, _master, monitor = self._fixture()
+        monitor.start()
+        with pytest.raises(SimulationError, match="already started"):
+            monitor.start()
 
 
 # ------------------------------------------------ end-to-end recovery
@@ -448,6 +483,13 @@ class TestTransientFaults:
             10.0, FaultKind.MACHINE_CRASH, 99)], seed=1)
         runtime = HarmonyRuntime(24, jobs, fault_plan=plan)
         with pytest.raises(SimulationError, match="unknown machine"):
+            runtime.injector.install()
+
+    def test_a_plan_installs_once(self):
+        jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
+        runtime = HarmonyRuntime(24, jobs, fault_plan=_crash_plan())
+        runtime.injector.install()
+        with pytest.raises(SimulationError, match="already installed"):
             runtime.injector.install()
 
 

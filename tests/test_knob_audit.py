@@ -85,3 +85,42 @@ def test_register_decorator_counts_as_a_use(tmp_path, monkeypatch):
     assert test_only == [("repro.rules.NamedRule", "tests"),
                          ("repro.rules.PlainRule", "tests"),
                          ("repro.rules.LazyExport", "tests")]
+
+
+CONFIG_FIXTURE = {
+    "src/repro/config.py": '''\
+        from dataclasses import dataclass, field
+
+
+        @dataclass(frozen=True)
+        class Machine:
+            memory_gb: float = 32.0
+            cores: int = 8
+
+            def __post_init__(self):
+                if not self.cores > 0:
+                    raise ValueError("cores")
+
+
+        @dataclass(frozen=True)
+        class SimConfig:
+            seed: int = 1
+            machine: Machine = field(default_factory=Machine)
+            legacy: "float | None" = None
+        ''',
+    "src/repro/run.py": '''\
+        def run(config):
+            return config.seed, config.machine.memory_gb
+        ''',
+}
+
+
+def test_config_fields_read_only_by_their_checks_are_unread(tmp_path,
+                                                           monkeypatch):
+    for rel, text in CONFIG_FIXTURE.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    tool = _tool(monkeypatch)
+    assert tool._unread_config_fields(tool._sources(tmp_path)) == [
+        "machine.cores", "legacy"]

@@ -6,34 +6,19 @@ import pytest
 from repro.metrics import (
     ClusterUsageRecorder,
     DecisionRecord,
+    FaultLog,
+    FaultRecord,
     Timeline,
     bin_segments,
     cdf_points,
     format_table,
-    mean,
-    percentile,
-    speedup,
 )
+from repro.metrics.utilization import busy_fraction
 from repro.sim import RateResource, Simulator, serial
 from repro.sim.resources import BusySegment
 
 
 class TestStats:
-    def test_mean_of_empty_is_zero(self):
-        assert mean([]) == 0.0
-
-    def test_mean(self):
-        assert mean([1.0, 2.0, 3.0]) == 2.0
-
-    def test_percentile(self):
-        assert percentile(list(range(101)), 50) == 50.0
-        assert percentile([], 50) == 0.0
-
-    def test_speedup(self):
-        assert speedup(10.0, 5.0) == 2.0
-        with pytest.raises(ValueError):
-            speedup(10.0, 0.0)
-
     def test_cdf_points_monotone(self):
         values, fractions = cdf_points([3.0, 1.0, 2.0])
         assert list(values) == [1.0, 2.0, 3.0]
@@ -144,6 +129,18 @@ class TestRecorder:
         timeline = recorder.utilization_timeline("cpu", t_end=10.0)
         assert timeline.values[0] == pytest.approx(0.5)
 
+    def test_a_zero_length_window_is_idle(self):
+        sim = Simulator()
+        cpu = RateResource(sim, serial(), "cpu")
+        cpu.submit(10.0)
+        sim.run()
+        assert busy_fraction(cpu, 5.0, 5.0) == 0.0
+        assert busy_fraction(cpu, 0.0, 10.0) == pytest.approx(1.0)
+        recorder = ClusterUsageRecorder(total_machines=4)
+        recorder.group_started("g", 2, 10.0, cpu, cpu)
+        recorder.group_stopped("g", 10.0)
+        assert recorder.finished_groups[0].busy_fraction("cpu") == 0.0
+
     def test_double_start_raises(self):
         recorder = ClusterUsageRecorder(total_machines=4)
         sim = Simulator()
@@ -161,6 +158,17 @@ class TestRecorder:
         recorder.group_started("g", 2, 0.0, cpu, net)
         recorder.finish(100.0)
         assert len(recorder.finished_groups) == 1
+
+
+class TestFaultLog:
+    def test_an_undetected_crash_has_no_detection_time(self):
+        log = FaultLog()
+        blip = log.fault_injected(FaultRecord(100.0, "machine_crash", 1))
+        seen = log.fault_injected(FaultRecord(200.0, "machine_crash", 2))
+        log.crash_detected(seen, 290.0)
+        assert blip.detection_seconds is None
+        assert seen.detection_seconds == 90.0
+        assert log.summary().mean_detection_seconds == 90.0
 
 
 class TestDecisionRecord:

@@ -1,8 +1,8 @@
-"""The policy protocol and the competitor zoo (repro.policies).
+"""The policy functions and the competitor zoo (repro.policies).
 
 Covers the decision-level edge cases (empty queues, jobs larger than
 the cluster, reservation-delay vetoes), the bitwise differential pins
-(legacy constructor args vs explicit policy objects; registry entries
+(legacy constructor args vs explicit policies; registry entries
 vs direct runtimes), hash-seed independence of the tie-breaks, and
 harmonylint cleanliness of the package.
 """
@@ -21,32 +21,21 @@ import pytest
 from repro.baselines.base import BaselineRuntime
 from repro.baselines.isolated import IsolatedRuntime
 from repro.baselines.naive import NaiveRuntime
-from repro.config import SimConfig
+from repro.config import SchedulerConfig, SimConfig
 from repro.core.group_runtime import ExecutionMode
-from repro.core.perfmodel import PerfModel
 from repro.core.profiler import JobMetrics
 from repro.core.runtime import HarmonyRuntime
-from repro.core.scheduler import HarmonyScheduler
 from repro.errors import SchedulingError, SimulationError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.policies.interleave import cassini
 from repro.policies.packing import synergy
 from repro.policies.base import (
-    FunctionPolicy,
     GroupStart,
-    PolicyDecision,
     PolicyObservation,
     RunningGroupView,
-    SchedulingPolicy,
 )
-from repro.policies.queueing import (
-    conservative,
-    easy,
-    easy_backfill,
-    fcfs,
-    packed_fifo,
-)
-from repro.policies.planner import HarmonyPlanPolicy, plan_decision
+from repro.policies.queueing import conservative, easy, fcfs, packed_fifo
+from repro.policies.planner import harmony_static, plan_decision
 from repro.policies.registry import available, build_runtime, register
 from repro.workloads.generator import WorkloadGenerator
 
@@ -72,40 +61,36 @@ def make_obs(queue=(), free=8, cluster=16, demands=None, solo=None,
 
 
 class TestDecisionEdgeCases:
-    @pytest.mark.parametrize("policy", [fcfs(), easy(), conservative(),
+    @pytest.mark.parametrize("policy", [fcfs, easy, conservative,
                                         packed_fifo(group_size=2)])
     def test_empty_queue_yields_no_starts(self, policy):
-        decision = policy.decide(make_obs(queue=(), free=8))
-        assert decision.starts == ()
+        assert policy(make_obs(queue=(), free=8)) == ()
 
     def test_backfill_with_empty_queue_and_running_groups(self):
         # Reservation bookkeeping must not blow up when there is
         # nothing to reserve *for* but machines are still busy.
         running = (RunningGroupView("b0", ("j9",), 8,
                                     predicted_release=500.0),)
-        decision = easy().decide(make_obs(queue=(), free=0,
-                                          running=running))
-        assert decision.starts == ()
+        assert easy(make_obs(queue=(), free=0, running=running)) == ()
 
-    @pytest.mark.parametrize("policy", [easy(), conservative()])
+    @pytest.mark.parametrize("policy", [easy, conservative])
     def test_job_larger_than_cluster_never_wedges(self, policy):
         # "huge" cannot run on any cluster state; the jobs behind it
         # must still be admitted, and no infinite reservation forms.
         obs = make_obs(queue=("huge", "small"), free=8, cluster=16,
                        demands={"huge": 99, "small": 2})
-        decision = policy.decide(obs)
-        assert [s.job_ids for s in decision.starts] == [("small",)]
+        assert [s.job_ids for s in policy(obs)] == [("small",)]
 
     def test_fcfs_head_of_line_blocks(self):
         obs = make_obs(queue=("wide", "narrow"), free=4, cluster=16,
                        demands={"wide": 8, "narrow": 1})
-        assert fcfs().decide(obs).starts == ()
+        assert fcfs(obs) == ()
 
     def test_packed_fifo_backfills_past_blocked_head(self):
         obs = make_obs(queue=("wide", "narrow"), free=4, cluster=16,
                        demands={"wide": 8, "narrow": 1})
-        decision = packed_fifo(group_size=1).decide(obs)
-        assert [s.job_ids for s in decision.starts] == [("narrow",)]
+        starts = packed_fifo(group_size=1)(obs)
+        assert [s.job_ids for s in starts] == [("narrow",)]
 
     def test_backfill_vetoed_when_it_delays_reservation(self):
         # Head "blocked" (demand 8) reserves t=100, when the running
@@ -117,7 +102,7 @@ class TestDecisionEdgeCases:
         obs = make_obs(queue=("blocked", "cand"), free=2, cluster=16,
                        demands={"blocked": 8, "cand": 2},
                        solo={"cand": 500.0}, running=running)
-        assert easy_backfill(obs).starts == ()
+        assert easy(obs) == ()
 
     def test_backfill_allowed_when_it_finishes_in_time(self):
         # Same scenario, but the candidate releases its machines at
@@ -127,8 +112,7 @@ class TestDecisionEdgeCases:
         obs = make_obs(queue=("blocked", "cand"), free=2, cluster=16,
                        demands={"blocked": 8, "cand": 2},
                        solo={"cand": 50.0}, running=running)
-        decision = easy_backfill(obs)
-        assert [s.job_ids for s in decision.starts] == [("cand",)]
+        assert [s.job_ids for s in easy(obs)] == [("cand",)]
 
     def test_group_start_validation(self):
         with pytest.raises(SchedulingError):
@@ -137,12 +121,6 @@ class TestDecisionEdgeCases:
             GroupStart(("a",), 0)
         with pytest.raises(SchedulingError):
             GroupStart(("a", "b"), 2, start_offsets=(0.0,))
-
-    def test_policies_satisfy_the_protocol(self):
-        for policy in (fcfs(), easy(), conservative(),
-                       packed_fifo(group_size=3)):
-            assert isinstance(policy, SchedulingPolicy)
-            assert policy.name
 
 
 class TestDifferentialPins:
@@ -232,15 +210,12 @@ class _StaleStartPolicy:
     and one wider than the free machines; after them, a one-machine
     start of the jobs its first start just took."""
 
-    name = "stale-starts"
-
     def __init__(self):
-        self.inner = fcfs()
         self.seen: list[str] = []
         self.emitted = {"started-earlier": 0, "started-now": 0,
                         "repeated": 0, "too-wide": 0}
 
-    def decide(self, obs):
+    def __call__(self, obs):
         self.seen += [job_id for job_id in obs.queue
                       if job_id not in self.seen]
         stale = []
@@ -255,11 +230,11 @@ class _StaleStartPolicy:
             stale.append(GroupStart((head,), obs.n_free + 1))
             self.emitted["repeated"] += 1
             self.emitted["too-wide"] += 1
-        starts = self.inner.decide(obs).starts
+        starts = fcfs(obs)
         if starts:
             starts += (GroupStart(starts[0].job_ids, 1),)
             self.emitted["started-now"] += 1
-        return PolicyDecision(tuple(stale) + starts)
+        return tuple(stale) + starts
 
 
 class TestStaleStarts:
@@ -272,11 +247,11 @@ class TestStaleStarts:
 
         def run(policy):
             runtime = BaselineRuntime(20, jobs, mode=ExecutionMode.ISOLATED,
-                                      name=policy.name, policy=policy)
+                                      name="stale-starts", policy=policy)
             return runtime, runtime.run()
 
         stale_rt, stale = run(policy)
-        plain_rt, plain = run(fcfs())
+        plain_rt, plain = run(fcfs)
         assert all(count > 0 for count in policy.emitted.values())
         assert len(stale.finished) == len(jobs)
         assert not stale.failed
@@ -292,8 +267,7 @@ class TestStaleStarts:
         jobs = WorkloadGenerator(5).base_workload(hyper_params_per_pair=1)
         runtime = BaselineRuntime(
             20, jobs, mode=ExecutionMode.ISOLATED, name="ghost",
-            policy=FunctionPolicy("ghost", lambda obs: PolicyDecision(
-                (GroupStart(("ghost",), 1),) + fcfs().decide(obs).starts)))
+            policy=lambda obs: (GroupStart(("ghost",), 1),) + fcfs(obs))
         result = runtime.run()
         assert len(result.finished) == len(jobs)
         assert "ghost" not in runtime.master.jobs
@@ -301,16 +275,15 @@ class TestStaleStarts:
 
 class TestPlanDecision:
     def test_no_plan_starts_nothing(self):
-        assert plan_decision(None, 8) == PolicyDecision(())
+        assert plan_decision(None, 8) == ()
 
     def test_groups_that_no_longer_fit_are_skipped_in_order(self):
         plan = SimpleNamespace(groups=[
             SimpleNamespace(job_ids=("a",), n_machines=5),
             SimpleNamespace(job_ids=("b", "c"), n_machines=4),
             SimpleNamespace(job_ids=("d",), n_machines=3)])
-        decision = plan_decision(plan, 8)
-        assert decision.starts == (GroupStart(("a",), 5),
-                                   GroupStart(("d",), 3))
+        assert plan_decision(plan, 8) == (GroupStart(("a",), 5),
+                                          GroupStart(("d",), 3))
 
 
 def metric_obs(metrics, queue, free=8, cluster=16, demands=None):
@@ -346,8 +319,7 @@ class TestPackingAndInterleavingPasses:
     def test_a_head_no_cluster_can_place_is_stepped_over(self, make):
         obs = metric_obs(self.METRICS, ("huge", "a"),
                          demands={"huge": 99, "a": 2})
-        decision = make(PerfModel()).decide(obs)
-        assert [s.job_ids for s in decision.starts] == [("a",)]
+        assert [s.job_ids for s in make(obs)] == [("a",)]
 
     @pytest.mark.parametrize("make, partner", [(cassini, "twin"),
                                                (synergy, "dud")])
@@ -360,25 +332,19 @@ class TestPackingAndInterleavingPasses:
         # alone, and the FIFO head "wide" then waits for machines.
         obs = metric_obs(self.METRICS, ("a", "wide", partner), free=8,
                          demands={"a": 2, "wide": 7, partner: 2})
-        decision = make(PerfModel()).decide(obs)
-        assert [s.job_ids for s in decision.starts] == [("a",)]
+        assert [s.job_ids for s in make(obs)] == [("a",)]
 
     def test_jobs_without_work_are_fully_compatible(self):
         obs = metric_obs(self.METRICS, ("idle", "idle2"))
-        decision = cassini(PerfModel()).decide(obs)
-        assert [s.job_ids for s in decision.starts] == [("idle", "idle2")]
+        assert [s.job_ids for s in cassini(obs)] == [("idle", "idle2")]
 
     def test_plan_policy_skips_jobs_no_cluster_can_place(self):
-        def factory(memory_floor):
-            return HarmonyScheduler(memory_floor=memory_floor)
-
         demands = {"huge": 99, "a": 2}
         only_huge = metric_obs(self.METRICS, ("huge",), demands=demands)
-        assert HarmonyPlanPolicy(factory).decide(only_huge) \
-            == PolicyDecision(())
+        assert harmony_static(SchedulerConfig())(only_huge) == ()
         both = metric_obs(self.METRICS, ("huge", "a"), demands=demands)
-        decision = HarmonyPlanPolicy(factory).decide(both)
-        assert [s.job_ids for s in decision.starts] == [("a",)]
+        starts = harmony_static(SchedulerConfig())(both)
+        assert [s.job_ids for s in starts] == [("a",)]
 
     def test_a_reservation_no_release_can_meet_vetoes_nothing(self):
         # "blocked" needs 10 of 16 machines, but only 4 are free and
@@ -386,8 +352,7 @@ class TestPackingAndInterleavingPasses:
         # and a backfill cannot delay inf.
         obs = make_obs(queue=("blocked", "cand"), free=4, cluster=16,
                        demands={"blocked": 10, "cand": 2})
-        decision = conservative().decide(obs)
-        assert [s.job_ids for s in decision.starts] == [("cand",)]
+        assert [s.job_ids for s in conservative(obs)] == [("cand",)]
 
     def test_packed_fifo_needs_a_positive_group_size(self):
         with pytest.raises(SchedulingError, match="group_size"):

@@ -16,6 +16,7 @@ from repro.errors import TraceError
 from repro.experiments.common import run_single_group, scaled_workload
 from repro.sim import RateResource, Simulator
 from repro.sim.resources import BusySegment, level_samples
+from repro.metrics.export import export_counters
 from repro.trace import (
     TraceConfig,
     Tracer,
@@ -23,6 +24,7 @@ from repro.trace import (
     counter_rows,
     write_chrome_trace,
 )
+from repro.trace.names import is_declared
 from repro.workloads.generator import WorkloadGenerator
 
 
@@ -81,12 +83,50 @@ class TestTracer:
         assert a == b
         assert a.pid == c.pid and a.tid != c.tid
 
+    def test_a_full_tracer_drops_instants_too(self):
+        tracer = Tracer(lambda: 0.0,
+                        TraceConfig(enabled=True, max_events=0))
+        tracer.instant("tick")
+        assert tracer.instants == []
+        assert tracer.dropped_events == 1
+
+    def test_a_pattern_name_matches_only_the_same_pattern(self):
+        declared = {"job.*.steps", "plan-patch"}
+        assert is_declared("job.*.steps", declared)
+        assert is_declared("job.j7.steps", declared)
+        assert not is_declared("job.*.bytes", declared)
+        assert not is_declared("job.*", declared)
+
     def test_registry_total_sums_suffix(self):
         tracer = Tracer(lambda: 0.0)
         tracer.counter("job.a.steps").add(3)
         tracer.counter("job.b.steps").add(4)
         tracer.counter("job.a.bytes").add(100)
         assert tracer.registry.total(".steps") == pytest.approx(7)
+
+
+class TestExport:
+    def test_span_args_and_no_counter_lane(self):
+        tracer = Tracer(lambda: 1.0)
+        track = tracer.track("machines 0-3 · g1", "m0 cpu")
+        tracer.end(tracer.begin(track, "COMP", cat="comp",
+                                args={"job": "j1"}), args={"m": 4})
+        (meta_process, meta_thread, span) = chrome_trace_events(tracer)
+        assert span["args"] == {"job": "j1", "m": 4}
+        # No counter sampled: no metrics process is declared.
+        assert [meta_process["args"]["name"],
+                meta_thread["args"]["name"]] == \
+            ["machines 0-3 · g1", "m0 cpu"]
+
+    def test_files_land_in_new_directories(self, tmp_path):
+        tracer = Tracer(lambda: 2.0)
+        tracer.counter("faults.injected").add(3)
+        trace = write_chrome_trace(tmp_path / "a" / "trace.json", tracer)
+        assert json.loads(trace.read_text())["traceEvents"]
+        counters = export_counters(tmp_path / "b" / "counters.csv",
+                                   tracer)
+        assert counters.read_text().splitlines() == [
+            "kind,name,value", "counter,faults.injected,3"]
 
 
 class TestDisabledTracingCostsNothing:

@@ -52,6 +52,12 @@ class TestJobSpec:
         with pytest.raises(WorkloadError, match="finite"):
             JobSpec("a", MLR, DATASETS["MLR"][0], **{field: value})
 
+    def test_describe_names_the_job_and_its_scales(self):
+        spec = JobSpec("j1", MLR, DATASETS["MLR"][0], compute_scale=1.5,
+                       model_scale=0.5, iterations=40)
+        assert spec.describe() == \
+            f"j1: MLR/{DATASETS['MLR'][0].name} cs=1.50 ms=0.50 iters=40"
+
     def test_table_one_inventory(self):
         assert set(APPS) == {"NMF", "LDA", "MLR", "Lasso"}
         assert DATASETS["NMF"][0].input_gb == 45.6
@@ -159,6 +165,14 @@ class TestGenerator:
     def test_subset_size_checked(self):
         with pytest.raises(WorkloadError):
             comp_intensive_subset(make_base_workload(), 100)
+        with pytest.raises(WorkloadError, match="asked for 100 of 80"):
+            comm_intensive_subset(make_base_workload(), 100)
+
+    def test_empty_workloads_rejected(self):
+        with pytest.raises(WorkloadError, match="hyper-param"):
+            WorkloadGenerator(1).base_workload(hyper_params_per_pair=0)
+        with pytest.raises(WorkloadError, match="at least one job"):
+            WorkloadGenerator(1).sized_workload(0)
 
 
 class TestArrivals:
@@ -184,6 +198,11 @@ class TestArrivals:
         stamped = with_arrival_times(jobs, times)
         assert [j.submit_time for j in stamped] == times
 
+    def test_with_arrival_times_rejects_negative_times(self):
+        jobs = make_base_workload(hyper_params_per_pair=1)[:2]
+        with pytest.raises(WorkloadError, match="negative arrival time"):
+            with_arrival_times(jobs, [0.0, -1.0])
+
     def test_with_arrival_times_length_mismatch(self):
         jobs = make_base_workload(hyper_params_per_pair=1)
         with pytest.raises(WorkloadError):
@@ -194,6 +213,8 @@ class TestArrivals:
             batch_arrivals(-1)
         with pytest.raises(WorkloadError):
             poisson_arrivals(-1, 10.0)
+        with pytest.raises(WorkloadError, match="inter-arrival"):
+            poisson_arrivals(3, -10.0)
 
 
 class TestTraces:
@@ -219,3 +240,12 @@ class TestTraces:
     def test_invalid_burstiness_rejected(self):
         with pytest.raises(WorkloadError):
             google_trace_arrivals(10, burstiness=1.0)
+
+    def test_invalid_count_or_gap_rejected(self):
+        with pytest.raises(WorkloadError, match="negative job count"):
+            google_trace_arrivals(-1)
+        with pytest.raises(WorkloadError, match="inter-arrival"):
+            google_trace_arrivals(10, mean_interarrival_seconds=0.0)
+
+    def test_an_empty_trace_has_no_arrivals(self):
+        assert google_trace_arrivals(0) == []
