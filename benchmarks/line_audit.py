@@ -8,9 +8,9 @@ process under a standard-library line tracer and prints:
 
 1. executed/total executable lines for ``src/repro``;
 2. every unexecuted line in the scheduling, simulation, checking,
-   fault, tracing, metrics and workload packages (``PACKAGES``) with
-   its source text, tagged ``excused`` when it sits
-   inside a statement marked ``# pragma: no cover - <reason>``.
+   fault, tracing, metrics, workload, ML and parameter-server packages
+   (``PACKAGES``) with its source text, tagged ``excused`` when it
+   sits inside a statement marked ``# pragma: no cover - <reason>``.
 
 It exits 1 if any unexecuted line in those packages is not excused, or
 if the suite itself fails.  There are no flags.
@@ -42,7 +42,7 @@ SRC = ROOT / "src" / "repro"
 
 #: The packages in which every line must run or carry an excuse.
 PACKAGES = ("core", "sim", "shard", "policies", "cluster", "baselines",
-            "check", "faults", "trace", "metrics", "workloads")
+            "check", "faults", "trace", "metrics", "workloads", "ml", "ps")
 
 _PRAGMA = re.compile(r"#\s*pragma: no cover - \S")
 

@@ -91,7 +91,10 @@ def main(argv: list[str] | None = None) -> int:
         "see --list for the full set")
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Run the Harmony reproduction's experiments.",
+        description="Run the Harmony reproduction's experiments.\n\n"
+                    "A named experiment that does not take --scale or "
+                    "--seed rejects it;\n'all' passes each flag only "
+                    "to the experiments that take it.",
         epilog=epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("driver", nargs="?",
@@ -124,6 +127,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.driver not in DRIVERS:
         print(f"unknown experiment {args.driver!r}; "
               "use --list to see the options", file=sys.stderr)
+        return 2
+    accepted = inspect.signature(
+        importlib.import_module(DRIVERS[args.driver]).run).parameters
+    rejected = [f"--{flag}" for flag, value in (("scale", args.scale),
+                                                ("seed", args.seed))
+                if value is not None and flag not in accepted]
+    if rejected:
+        print(f"experiment {args.driver!r} takes no "
+              f"{' or '.join(rejected)}", file=sys.stderr)
         return 2
     _run_driver(args.driver, args.scale, args.seed)
     return 0

@@ -12,12 +12,10 @@ four domain rule families generic linters cannot express:
 - **CONC** concurrency discipline of the threaded runtime: lock
   coverage, state shared with worker threads, lock order.
 
-Suppress one line with ``# harmony: allow[RULE-ID] reason``; adopt
-pre-existing findings with the expiring baseline file
-(``lint-baseline.json``, ``--write-baseline``).
+Suppress one line with ``# harmony: allow[RULE-ID] reason`` on it or
+on the line above; that is the only way to silence a finding.
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.engine import (
     AnalysisConfig,
     Analyzer,
@@ -30,8 +28,6 @@ __all__ = [
     "AnalysisConfig",
     "AnalysisReport",
     "Analyzer",
-    "Baseline",
-    "BaselineEntry",
     "BaseRule",
     "FileContext",
     "Finding",

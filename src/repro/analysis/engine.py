@@ -1,12 +1,8 @@
 """The harmonylint engine: collect files, run rules, filter findings.
 
-Order of filters per finding:
-
-1. inline ``# harmony: allow[RULE-ID]`` on the finding's line (or the
-   line above it) → counted as *suppressed*;
-2. a live baseline entry → counted as *baselined*;
-3. an expired baseline entry → reported, marked ``baseline_expired``;
-4. otherwise → reported.
+One filter per finding: an inline ``# harmony: allow[RULE-ID]`` on the
+finding's line (or the line above it) counts it as *suppressed*; every
+other finding is reported.
 
 Findings are ordered (path, line, rule id) so output is stable across
 runs and machines regardless of rule registration order.
@@ -23,7 +19,6 @@ from repro.analysis import (  # noqa: F401  (rule registration side effect)
     rules_sim,
     rules_trc,
 )
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import AnalysisReport, Finding
 from repro.analysis.visitors import BaseRule, FileContext, REGISTRY
 
@@ -38,14 +33,8 @@ class AnalysisConfig:
     paths: list[str] = field(default_factory=lambda: ["src"])
     #: Rule ids to run; empty means every registered rule.
     select: set[str] = field(default_factory=set)
-    baseline_path: str | None = "lint-baseline.json"
     #: Root that finding paths are reported relative to.
     root: str = "."
-    #: When set (``--changed-only``), every file is still *parsed* —
-    #: project rules need the whole tree to build their cross-file
-    #: models — but per-file rules only run on these paths and
-    #: project-rule findings outside them are dropped.
-    report_paths: set[str] | None = None
 
 
 def collect_sources(paths: list[str], root: str = ".") -> list[str]:
@@ -102,11 +91,8 @@ class Analyzer:
                     message=f"file does not parse: {error.msg}"))
         report.n_files = len(contexts)
 
-        scoped = self.config.report_paths
         raw: list[tuple[FileContext | None, Finding]] = []
         for ctx in contexts:
-            if scoped is not None and ctx.path not in scoped:
-                continue
             for rule in self.rules:
                 if rule.project_level:
                     continue
@@ -116,36 +102,13 @@ class Analyzer:
             if rule.project_level:
                 by_path = {ctx.path: ctx for ctx in contexts}
                 for finding in rule.check_project(contexts):
-                    if scoped is not None and \
-                            finding.path not in scoped:
-                        continue
                     raw.append((by_path.get(finding.path), finding))
 
-        baseline = Baseline.load(self._baseline_file()) \
-            if self.config.baseline_path else Baseline()
         for ctx, finding in raw:
             if ctx is not None and _suppressed(ctx, finding):
                 report.suppressed.append(finding)
-                continue
-            entry = baseline.match(finding)
-            if entry is not None and not entry.expired():
-                report.baselined.append(finding)
-                continue
-            if entry is not None:
-                finding = Finding(
-                    rule_id=finding.rule_id, path=finding.path,
-                    line=finding.line, message=finding.message,
-                    snippet=finding.snippet, baseline_expired=True)
-            report.findings.append(finding)
+            else:
+                report.findings.append(finding)
         report.findings.sort(
             key=lambda f: (f.path, f.line, f.rule_id))
-        report.stale_baseline_entries = [
-            f"{entry.path} {entry.rule} ({entry.reason})"
-            for entry in baseline.stale_entries()]
         return report
-
-    def _baseline_file(self) -> str:
-        path = self.config.baseline_path or "lint-baseline.json"
-        if os.path.isabs(path):
-            return path
-        return os.path.join(self.config.root, path)

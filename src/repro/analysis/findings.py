@@ -45,17 +45,14 @@ class Finding:
     path: str
     line: int
     message: str
-    #: The stripped source line, used for drift-tolerant baselining.
+    #: The stripped source line, shown in JSON and SARIF reports.
     snippet: str = ""
-    #: Set when the finding matched an *expired* baseline entry.
-    baseline_expired: bool = False
 
     def anchor(self) -> str:
         return f"{self.path}:{self.line}"
 
     def render(self) -> str:
-        note = " [baseline expired]" if self.baseline_expired else ""
-        return f"{self.anchor()}: {self.rule_id} {self.message}{note}"
+        return f"{self.anchor()}: {self.rule_id} {self.message}"
 
     def to_json(self) -> dict:
         return {
@@ -64,7 +61,6 @@ class Finding:
             "line": self.line,
             "message": self.message,
             "snippet": self.snippet,
-            "baseline_expired": self.baseline_expired,
         }
 
 
@@ -73,13 +69,9 @@ class AnalysisReport:
     """Everything one ``python -m repro lint`` run produced."""
 
     findings: list[Finding] = field(default_factory=list)
-    #: Findings masked by a live (non-expired) baseline entry.
-    baselined: list[Finding] = field(default_factory=list)
     #: Findings masked by an inline ``# harmony: allow[...]`` comment.
     suppressed: list[Finding] = field(default_factory=list)
     n_files: int = 0
-    #: Baseline entries that matched nothing (stale; safe to delete).
-    stale_baseline_entries: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:

@@ -4,8 +4,8 @@ SARIF (Static Analysis Results Interchange Format) is what code
 hosts ingest to render findings as inline review annotations; CI
 uploads the file produced by ``python -m repro lint --format sarif``
 and every DET/SIM/TRC/CONC finding lands on its line in the PR
-diff.  Only unsuppressed findings become results — suppressed and
-baselined ones are by definition accepted.
+diff.  Only unsuppressed findings become results — suppressed ones
+are by definition accepted.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _rule_descriptor(rule_id: str) -> dict:
 
 
 def _result(finding: Finding) -> dict:
-    result = {
+    return {
         "ruleId": finding.rule_id,
         "level": "error",
         "message": {"text": finding.message},
@@ -53,9 +53,6 @@ def _result(finding: Finding) -> dict:
             },
         }],
     }
-    if finding.baseline_expired:
-        result["properties"] = {"baselineExpired": True}
-    return result
 
 
 def render_sarif(report: AnalysisReport) -> str:
@@ -83,7 +80,6 @@ def render_sarif(report: AnalysisReport) -> str:
             "properties": {
                 "filesAnalyzed": report.n_files,
                 "suppressed": len(report.suppressed),
-                "baselined": len(report.baselined),
             },
         }],
     }

@@ -23,7 +23,6 @@ but the wall clock); CI replays it on every push.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -278,32 +277,6 @@ def to_json(result: TournamentResult) -> dict:
     }
 
 
-def write_csv(result: TournamentResult, path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rank", "policy", "jct_score",
-                         "makespan_score", "mean_cpu_utilization",
-                         "n_failed"])
-        for row in result.leaderboard:
-            writer.writerow([row.rank, row.policy,
-                             f"{row.jct_score:.6f}",
-                             f"{row.makespan_score:.6f}",
-                             f"{row.mean_cpu_utilization:.6f}",
-                             row.n_failed])
-        writer.writerow([])
-        writer.writerow(["policy", "arrival", "n_machines", "engine",
-                         "mean_jct", "makespan", "cpu_utilization",
-                         "net_utilization", "n_finished", "n_failed"])
-        for cell in result.cells:
-            writer.writerow([cell.policy, cell.arrival,
-                             cell.n_machines, cell.engine,
-                             f"{cell.mean_jct:.6f}",
-                             f"{cell.makespan:.6f}",
-                             f"{cell.cpu_utilization:.6f}",
-                             f"{cell.net_utilization:.6f}",
-                             cell.n_finished, cell.n_failed])
-
-
 def _params_from_expect(payload: dict) -> TournamentParams:
     raw = dict(payload["params"])
     for key in ("policies", "arrivals", "engines"):
@@ -378,34 +351,15 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro tournament",
         description="Round-robin scheduler tournament over the policy "
                     "registry.")
-    defaults = TournamentParams()
-    parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--scale", type=float, default=defaults.scale,
-                        help="workload/cluster scale in (0, 1]")
-    parser.add_argument("--policies", default=None,
-                        help="comma-separated policy names "
-                             "(default: all registered)")
-    parser.add_argument("--arrivals", default=",".join(defaults.arrivals),
-                        help="comma-separated subset of batch,poisson")
-    parser.add_argument("--clusters",
-                        default=",".join(str(s) for s in
-                                         defaults.cluster_scales),
-                        help="comma-separated cluster-size multipliers")
-    parser.add_argument("--engines", default=",".join(defaults.engines),
-                        help="comma-separated subset of fast,reference")
-    parser.add_argument("--poisson-mean", type=float,
-                        default=defaults.poisson_mean_seconds,
-                        help="poisson mean inter-arrival seconds")
-    parser.add_argument("--no-invariants", action="store_true",
-                        help="skip the repro.check invariant harness")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="tournament seed (default: 0, or the "
+                             "--expect file's seed)")
     parser.add_argument("--output", default=None,
                         help="write the full result as JSON here")
-    parser.add_argument("--csv", default=None,
-                        help="write leaderboard + cells as CSV here")
     parser.add_argument("--expect", default=None,
-                        help="JSON expect file; exit 1 unless this "
-                             "run reproduces its leaderboard ordering "
-                             "and every cell")
+                        help="JSON expect file; replay its parameters "
+                             "and exit 1 unless this run reproduces its "
+                             "leaderboard ordering and every cell")
     parser.add_argument("--assert-sanity", action="store_true",
                         help="exit 1 on invariant violations, engine "
                              "disagreement, or harmony losing to naive")
@@ -417,24 +371,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name:15s} {summary}")
         return 0
 
-    params = TournamentParams(
-        seed=args.seed, scale=args.scale,
-        policies=(tuple(args.policies.split(","))
-                  if args.policies else ()),
-        arrivals=tuple(args.arrivals.split(",")),
-        cluster_scales=tuple(float(s)
-                             for s in args.clusters.split(",")),
-        engines=tuple(args.engines.split(",")),
-        poisson_mean_seconds=args.poisson_mean,
-        check_invariants=not args.no_invariants)
+    params = TournamentParams(seed=args.seed or 0)
     if args.expect is not None:
-        # Replays must compare like with like: the expect file's
-        # parameters win over the defaults (explicit flags aside, the
-        # committed baseline defines the experiment).
+        # A replay runs the expect file's parameters, so it compares
+        # like with like; a different explicit seed cannot apply.
         with open(args.expect) as handle:
-            expect_params = _params_from_expect(json.load(handle))
-        if params == TournamentParams(seed=args.seed):
-            params = expect_params
+            params = _params_from_expect(json.load(handle))
+        if args.seed is not None and args.seed != params.seed:
+            parser.error(f"--seed {args.seed} differs from seed "
+                         f"{params.seed} of {args.expect}")
     result = run(params)
     print(report(result))
     print(one_line(result))
@@ -444,9 +389,6 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(to_json(result), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.output}")
-    if args.csv is not None:
-        write_csv(result, args.csv)
-        print(f"wrote {args.csv}")
 
     problems = []
     if args.expect is not None:

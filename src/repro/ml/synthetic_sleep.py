@@ -26,15 +26,14 @@ class SleepModel(PSTrainable):
     """A PS-trainable whose COMP takes a configurable wall time.
 
     The "model" is a single counter; each compute sleeps for
-    ``comp_seconds`` (optionally spinning to hold the CPU token
-    honestly) and pushes a unit increment, so the objective decreases
-    deterministically — convergence bookkeeping works as usual.
+    ``comp_seconds`` and pushes a unit increment, so the objective
+    decreases deterministically — convergence bookkeeping works as
+    usual.
     """
 
     name = "SleepModel"
 
-    def __init__(self, comp_seconds: float, payload_elements: int = 128,
-                 spin: bool = False):
+    def __init__(self, comp_seconds: float, payload_elements: int = 128):
         if comp_seconds < 0:
             raise WorkloadError(
                 f"comp_seconds must be >= 0, got {comp_seconds}")
@@ -42,7 +41,6 @@ class SleepModel(PSTrainable):
             raise WorkloadError("payload needs at least one element")
         self.comp_seconds = comp_seconds
         self.payload_elements = payload_elements
-        self.spin = spin
 
     def init_params(self, rng: np.random.Generator) -> \
             dict[str, np.ndarray]:
@@ -51,13 +49,7 @@ class SleepModel(PSTrainable):
     def compute(self, params: Mapping[str, np.ndarray],
                 partition: dict, state: TrainState) -> \
             tuple[dict[str, np.ndarray], float]:
-        # harmony: allow[DET001] synthetic workload burns real CPU time by design
-        deadline = time.perf_counter() + self.comp_seconds
-        if self.spin:
-            # harmony: allow[DET001] synthetic workload burns real CPU time by design
-            while time.perf_counter() < deadline:
-                pass  # burn CPU for real
-        elif self.comp_seconds > 0:
+        if self.comp_seconds > 0:
             time.sleep(self.comp_seconds)
         progress = float(params["state"][0])
         delta = np.zeros(self.payload_elements)

@@ -48,11 +48,6 @@ class InProcessTransport:
             raise PSError(f"no server for shard {shard_id}")
         return server
 
-    @property
-    def n_shards(self) -> int:
-        with self._lock:
-            return len(self._servers)
-
     # -- request routing --------------------------------------------------
 
     def pull(self, shard_id: int, keys: list[str],

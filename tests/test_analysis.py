@@ -1,12 +1,11 @@
 """Tests for harmonylint (repro.analysis): each rule family on
 small fixtures (positive flagged / negative clean), suppression
-comments, the expiring baseline, the CLI, and self-application to
-this repository's own tree."""
+comments, the CLI, and self-application to this repository's own
+tree."""
 
 import ast
 import json
 import os
-import shutil
 import subprocess
 import sys
 import textwrap
@@ -14,12 +13,6 @@ import textwrap
 import pytest
 
 from repro.analysis import AnalysisConfig, Analyzer, REGISTRY
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineEntry,
-    TODAY_ENV,
-    snippet_hash,
-)
 from repro.analysis.cli import main as lint_main
 from repro.analysis.findings import FAMILIES
 from repro.analysis.visitors import ImportMap, module_name
@@ -27,7 +20,7 @@ from repro.analysis.visitors import ImportMap, module_name
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def lint(tmp_path, files, select=(), baseline_path=None):
+def lint(tmp_path, files, select=()):
     """Write ``files`` (relpath -> source) under ``tmp_path`` and run
     the analyzer over the whole tree."""
     for relpath, source in files.items():
@@ -35,7 +28,6 @@ def lint(tmp_path, files, select=(), baseline_path=None):
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(source))
     config = AnalysisConfig(paths=["."], select=set(select),
-                            baseline_path=baseline_path,
                             root=str(tmp_path))
     return Analyzer(config).run()
 
@@ -324,60 +316,6 @@ class TestSuppression:
         assert "DET001" not in rule_ids(report)
 
 
-class TestBaseline:
-    def _write_baseline(self, tmp_path, expires):
-        source = "import time\nt = time.time()\n"
-        (tmp_path / "src").mkdir(parents=True, exist_ok=True)
-        (tmp_path / "src" / "x.py").write_text(source)
-        baseline = Baseline([BaselineEntry(
-            rule="DET001", path="src/x.py",
-            snippet_hash=snippet_hash("t = time.time()"),
-            reason="pre-existing", expires=expires)])
-        baseline.save(str(tmp_path / "lint-baseline.json"))
-
-    def _run(self, tmp_path):
-        config = AnalysisConfig(paths=["."], select={"DET001"},
-                                baseline_path="lint-baseline.json",
-                                root=str(tmp_path))
-        return Analyzer(config).run()
-
-    def test_live_entry_masks_finding(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TODAY_ENV, "2026-01-01")
-        self._write_baseline(tmp_path, expires="2026-12-31")
-        report = self._run(tmp_path)
-        assert not report.findings
-        assert len(report.baselined) == 1
-        assert report.ok
-
-    def test_expired_entry_resurfaces_finding(self, tmp_path,
-                                              monkeypatch):
-        monkeypatch.setenv(TODAY_ENV, "2027-06-01")
-        self._write_baseline(tmp_path, expires="2026-12-31")
-        report = self._run(tmp_path)
-        assert len(report.findings) == 1
-        assert report.findings[0].baseline_expired
-        assert not report.ok
-
-    def test_baseline_keyed_by_snippet_not_line(self, tmp_path,
-                                                monkeypatch):
-        """Edits above the finding do not unmask it."""
-        monkeypatch.setenv(TODAY_ENV, "2026-01-01")
-        self._write_baseline(tmp_path, expires="2026-12-31")
-        moved = "import time\n\n\n# a comment\nt = time.time()\n"
-        (tmp_path / "src" / "x.py").write_text(moved)
-        report = self._run(tmp_path)
-        assert not report.findings
-        assert len(report.baselined) == 1
-
-    def test_stale_entry_reported(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TODAY_ENV, "2026-01-01")
-        self._write_baseline(tmp_path, expires="2026-12-31")
-        (tmp_path / "src" / "x.py").write_text("t = 0\n")
-        report = self._run(tmp_path)
-        assert not report.findings
-        assert report.stale_baseline_entries
-
-
 CONC_MIXED_DISCIPLINE = textwrap.dedent("""
     import threading
 
@@ -517,7 +455,7 @@ class TestCli:
         (tmp_path / "src").mkdir()
         (tmp_path / "src" / "x.py").write_text(
             "import time\nt = time.time()\n")
-        code = lint_main(["--root", str(tmp_path), "--no-baseline"])
+        code = lint_main(["--root", str(tmp_path)])
         assert code == 1
         assert "DET001" in capsys.readouterr().out
 
@@ -530,8 +468,7 @@ class TestCli:
         (tmp_path / "src").mkdir()
         (tmp_path / "src" / "x.py").write_text(
             "import time\nt = time.time()\n")
-        code = lint_main(["--root", str(tmp_path), "--format", "json",
-                          "--no-baseline"])
+        code = lint_main(["--root", str(tmp_path), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["findings"][0]["rule"] == "DET001"
@@ -547,15 +484,6 @@ class TestCli:
         for rule_id in ("DET001", "SIM001", "TRC001", "CONC001"):
             assert rule_id in out
 
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        (tmp_path / "src").mkdir()
-        (tmp_path / "src" / "x.py").write_text(
-            "import time\nt = time.time()\n")
-        assert lint_main(["--root", str(tmp_path),
-                          "--write-baseline"]) == 0
-        assert (tmp_path / "lint-baseline.json").exists()
-        assert lint_main(["--root", str(tmp_path)]) == 0
-
     def test_output_file_written(self, tmp_path, capsys):
         (tmp_path / "src").mkdir()
         (tmp_path / "src" / "x.py").write_text("x = 1\n")
@@ -568,9 +496,8 @@ class TestCli:
 class TestSelfApplication:
     def test_own_tree_is_clean(self):
         """The linter applied to this repository: every finding is
-        fixed, suppressed inline, or baselined with a justification."""
+        fixed or suppressed inline with a justification."""
         config = AnalysisConfig(paths=["src", "benchmarks"],
-                                baseline_path="lint-baseline.json",
                                 root=REPO_ROOT)
         report = Analyzer(config).run()
         assert report.ok, "\n".join(
@@ -984,63 +911,12 @@ class TestImportMap:
             "repro.shard"
 
 
-class TestChangedOnly:
-    @staticmethod
-    def _git(cwd, *args):
-        subprocess.run(
-            ["git", "-c", "user.email=lint@test",
-             "-c", "user.name=lint", *args],
-            cwd=cwd, check=True, capture_output=True)
-
-    @pytest.fixture
-    def repo(self, tmp_path):
-        if shutil.which("git") is None:
-            pytest.skip("git not available")
-        (tmp_path / "src").mkdir()
-        (tmp_path / "src" / "old.py").write_text(
-            "import time\nt = time.time()\n")
-        (tmp_path / "src" / "fresh.py").write_text("x = 1\n")
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "add", "-A")
-        self._git(tmp_path, "commit", "-q", "-m", "seed")
-        return tmp_path
-
-    def test_only_changed_files_reported(self, repo, capsys):
-        """A pre-existing finding in an untouched file stays out of a
-        --changed-only run; one in the edited file is reported."""
-        (repo / "src" / "fresh.py").write_text(
-            "import time\nt = time.time()\n")
-        code = lint_main(["--root", str(repo), "--changed-only",
-                          "--no-baseline", "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        paths = {f["path"] for f in payload["findings"]}
-        assert code == 1
-        assert paths == {"src/fresh.py"}
-
-    def test_no_changes_exits_zero(self, repo, capsys):
-        assert lint_main(["--root", str(repo), "--changed-only",
-                          "--no-baseline"]) == 0
-
-    def test_unknown_base_exits_two(self, repo, capsys):
-        assert lint_main(["--root", str(repo), "--changed-only",
-                          "--base", "no-such-ref"]) == 2
-
-    def test_outside_git_exits_two(self, tmp_path, capsys):
-        if shutil.which("git") is None:
-            pytest.skip("git not available")
-        (tmp_path / "src").mkdir()
-        (tmp_path / "src" / "x.py").write_text("x = 1\n")
-        assert lint_main(["--root", str(tmp_path),
-                          "--changed-only"]) == 2
-
-
 class TestSarifExport:
     def test_sarif_document_structure(self, tmp_path, capsys):
         (tmp_path / "src").mkdir()
         (tmp_path / "src" / "x.py").write_text(
             "import time\nt = time.time()\n")
-        code = lint_main(["--root", str(tmp_path), "--format", "sarif",
-                          "--no-baseline"])
+        code = lint_main(["--root", str(tmp_path), "--format", "sarif"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         run = payload["runs"][0]
@@ -1058,8 +934,7 @@ class TestSarifExport:
         (tmp_path / "src" / "x.py").write_text(
             "import time\n"
             "t = time.time()  # harmony: allow[DET001] fixture\n")
-        code = lint_main(["--root", str(tmp_path), "--format", "sarif",
-                          "--no-baseline"])
+        code = lint_main(["--root", str(tmp_path), "--format", "sarif"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         run = payload["runs"][0]

@@ -1,5 +1,7 @@
 """Tests for model checkpointing and resume on the real runtime."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.errors import PSError
 from repro.ml import MLRModel
 from repro.ml.datasets import make_classification, partition_rows
 from repro.ps.checkpoint import load_checkpoint, save_checkpoint
+from repro.ps.serialization import encode
 
 
 class TestCheckpointFile:
@@ -36,6 +39,14 @@ class TestCheckpointFile:
         bad.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(PSError, match="not a Harmony checkpoint"):
             load_checkpoint(bad)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        future = tmp_path / "future.ckpt"
+        future.write_bytes(b"HCKP" + struct.pack("<IQ", 2, 0)
+                           + encode({"w": np.ones(1)}))
+        with pytest.raises(PSError,
+                           match="unsupported checkpoint version 2"):
+            load_checkpoint(future)
 
 
 class TestResumeTraining:

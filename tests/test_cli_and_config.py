@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,46 @@ class TestCli:
     def test_scale_flag_is_forwarded(self, capsys):
         assert main(["fig10_main", "--scale", "0.15", "--seed", "5"]) == 0
         assert "Harmony" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("driver, flags, named", [
+        ("fig03_dop_sweep", ["--seed", "5"], "--seed"),
+        ("local_validation", ["--scale", "0.5"], "--scale"),
+        ("fig02_single_job", ["--scale", "0.5", "--seed", "1"],
+         "--scale or --seed"),
+        ("fig09_workload_cdf", ["--scale", "0.5"], "--scale"),
+        ("scalability", ["--scale", "0.5", "--seed", "1"], "--scale"),
+    ])
+    def test_flag_the_driver_does_not_take_is_rejected(
+            self, monkeypatch, capsys, driver, flags, named):
+        """A flag a named driver's ``run`` does not take exits 2 before
+        the driver runs, instead of being silently dropped."""
+        def refuse(*args):
+            raise AssertionError("the driver must not run")
+
+        monkeypatch.setattr("repro.__main__._run_driver", refuse)
+        assert main([driver, *flags]) == 2
+        assert (f"experiment {driver!r} takes no {named}"
+                in capsys.readouterr().err)
+
+    def test_all_passes_each_flag_only_where_it_is_taken(
+            self, monkeypatch, capsys):
+        passed = {}
+
+        def seed_only(seed=0):
+            passed["seed_only"] = {"seed": seed}
+
+        def no_flags():
+            passed["no_flags"] = {}
+
+        for run in (seed_only, no_flags):
+            module = types.ModuleType(f"driver_{run.__name__}")
+            module.run = run
+            module.report = repr
+            monkeypatch.setitem(sys.modules, module.__name__, module)
+        monkeypatch.setattr("repro.__main__.DRIVERS", {
+            "seed_only": "driver_seed_only", "no_flags": "driver_no_flags"})
+        assert main(["all", "--scale", "0.5", "--seed", "3"]) == 0
+        assert passed == {"seed_only": {"seed": 3}, "no_flags": {}}
 
 
 class TestSubcommandDispatch:
@@ -210,7 +251,7 @@ class TestSimConfig:
         count: update it and ROADMAP's knob count on purpose."""
         count = subprocess.run([sys.executable, str(KNOB_AUDIT), "--count"],
                                capture_output=True, text=True, check=True)
-        assert int(count.stdout) == 255
+        assert int(count.stdout) == 253
 
     @pytest.fixture(scope="class")
     def audit_report(self):

@@ -18,6 +18,7 @@ from repro.ml import (
 from repro.ml.base import TrainState
 from repro.ml.datasets import partition_rows
 from repro.ml.lasso import soft_threshold
+from repro.ml.synthetic_sleep import SleepModel
 
 
 class TestDatasets:
@@ -71,6 +72,22 @@ class TestDatasets:
     def test_partition_rows_rejects_zero(self):
         with pytest.raises(WorkloadError):
             partition_rows(10, 0)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: make_ratings(5, 5, density=0.0), "density"),
+    (lambda: make_ratings(5, 5, density=1.5), "density"),
+    (lambda: make_documents(0, vocab_size=5), "document dims"),
+    (lambda: make_documents(3, vocab_size=5, doc_length=0),
+     "document dims"),
+    (lambda: LDAModel(vocab_size=0), "vocabulary"),
+    (lambda: LDAModel(vocab_size=5, n_topics=1), "topics"),
+    (lambda: SleepModel(0.0, payload_elements=0), "payload"),
+], ids=["density-zero", "density-above-one", "no-docs", "empty-docs",
+        "no-vocab", "one-topic", "no-payload"])
+def test_out_of_range_workload_rejected(build, match):
+    with pytest.raises(WorkloadError, match=match):
+        build()
 
 
 def _loss_curve(model, partition, epochs=25, lr=0.3, seed=0):
@@ -225,6 +242,10 @@ class TestLDA:
 
 
 class TestConvergenceTracker:
+    def test_zero_patience_rejected(self):
+        with pytest.raises(ConvergenceError, match="patience"):
+            ConvergenceTracker(patience=0)
+
     def test_threshold_stops(self):
         tracker = ConvergenceTracker(threshold=0.5)
         assert tracker.record(1.0) is False

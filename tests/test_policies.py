@@ -477,7 +477,6 @@ class TestHarmonylintClean:
     def test_policies_package_passes_det_and_sim_rules(self):
         from repro.analysis.engine import AnalysisConfig, Analyzer
         report = Analyzer(AnalysisConfig(
-            paths=["src/repro/policies"], root=REPO_ROOT,
-            baseline_path=None)).run()
+            paths=["src/repro/policies"], root=REPO_ROOT)).run()
         assert [str(f) for f in report.findings] == []
         assert report.n_files >= 6

@@ -17,6 +17,19 @@ from repro.ps import (
 from repro.ps.serialization import decode, encode
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: RangePartitioner(["a"], 0), "need >= 1 shard"),
+    (lambda: RangePartitioner(["a"], 1).keys_of_shard(1), "out of range"),
+    (lambda: KVStore().update({"zzz": np.ones(1)}), "unknown key"),
+    (lambda: decode(encode({"w": np.ones(2)}) + b"\0"), "trailing bytes"),
+    (lambda: PSServer(0, n_workers=0), "need >= 1 worker"),
+], ids=["no-shards", "shard-out-of-range", "update-unknown-key",
+        "trailing-frame-bytes", "no-workers"])
+def test_invalid_request_rejected(build, match):
+    with pytest.raises(PSError, match=match):
+        build()
+
+
 class TestKVStore:
     def test_init_and_get_copies(self):
         store = KVStore()
@@ -192,6 +205,17 @@ class TestServerClient:
         servers[0].handle_push(0, {}, clock=0)
         with pytest.raises(PSError):
             servers[0].handle_push(0, {}, clock=0)
+
+    def test_short_pull_answer_rejected(self, monkeypatch):
+        """A shard that answers without some requested key fails the
+        pull instead of handing the worker a partial model."""
+        _, transport, _, clients = self._build(n_workers=1)
+        answer = transport.pull
+        monkeypatch.setattr(
+            transport, "pull",
+            lambda shard, keys, clock: answer(shard, keys[1:], clock))
+        with pytest.raises(PSError, match="pull failed to gather"):
+            clients[0].pull()
 
     def test_unknown_worker_rejected(self):
         _, _, servers, _ = self._build(n_workers=1)

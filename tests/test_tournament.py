@@ -21,7 +21,6 @@ from repro.experiments.tournament import (
     one_line,
     run,
     to_json,
-    write_csv,
 )
 
 BASELINE = (Path(__file__).resolve().parents[1] / "benchmarks"
@@ -129,14 +128,6 @@ class TestPersistence:
         assert "/".join(map(str, _cell_key(payload["cells"][0]))) \
             in problems[0]
 
-    def test_csv_writer(self, mini_result, tmp_path):
-        path = tmp_path / "tournament.csv"
-        write_csv(mini_result, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("rank,policy,jct_score")
-        # leaderboard rows + blank + cell header + cell rows
-        assert len(lines) >= 1 + 4 + 1 + 8
-
     def test_one_line_summary(self, mini_result):
         line = one_line(mini_result)
         assert "tournament[seed=0]" in line
@@ -164,6 +155,21 @@ class TestCli:
         assert written["params"]["policies"] == ["fcfs", "easy"]
         assert written["ordering"] == json.loads(
             expect.read_text())["ordering"]
+
+
+    def test_seed_other_than_the_expect_files_is_a_usage_error(
+            self, monkeypatch, capsys):
+        """A replay runs the expect file's parameters, so an explicit
+        seed that differs from the file's is refused before anything
+        runs instead of being silently dropped."""
+        def refuse(params):
+            raise AssertionError("the tournament must not run")
+
+        monkeypatch.setattr("repro.experiments.tournament.run", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seed", "1", "--expect", str(BASELINE)])
+        assert exit_info.value.code == 2
+        assert "--seed 1 differs from seed 0" in capsys.readouterr().err
 
 
 class TestCommittedBaseline:
