@@ -10,9 +10,9 @@ from repro.experiments import sim_engines
 
 
 def test_sim_engine_fast_path(once, benchmark):
-    comparison = once(sim_engines.run)
+    comparison = once(sim_engines.run_solo)
     print()
-    print(sim_engines.report(comparison))
+    print(sim_engines.report((comparison,)))
     benchmark.extra_info["speedup"] = round(comparison.speedup, 2)
     benchmark.extra_info["fast_seconds"] = round(
         comparison.fast.wall_seconds, 3)
@@ -38,7 +38,7 @@ def test_sim_engine_multi_job(once, benchmark):
     """
     comparison = once(sim_engines.run_multi)
     print()
-    print(sim_engines.report(comparison))
+    print(sim_engines.report((comparison,)))
     benchmark.extra_info["speedup"] = round(comparison.speedup, 2)
     benchmark.extra_info["fast_seconds"] = round(
         comparison.fast.wall_seconds, 3)

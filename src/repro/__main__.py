@@ -41,7 +41,18 @@ DRIVERS = {name: f"repro.experiments.{name}" for name in (
     "extensions",
     "design_ablations",
     "trace_demo",
+    "faults",
+    "sim_engines",
+    "sched_churn",
 )}
+
+
+def _scale(text: str) -> float:
+    """``--scale``'s type: a float in (0, 1], NaN rejected."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in (0, 1]")
+    return value
 
 
 def _run_driver(name: str, scale: float | None, seed: int | None) -> None:
@@ -101,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="experiment name, or 'all'")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments")
-    parser.add_argument("--scale", type=float, default=None,
+    parser.add_argument("--scale", type=_scale, default=None,
                         help="workload/cluster scale in (0, 1] "
                              "(1.0 = the paper's 80 jobs/100 machines)")
     parser.add_argument("--seed", type=int, default=None,

@@ -471,9 +471,7 @@ class _FunctionScanner:
 
     # -- expressions ------------------------------------------------------
 
-    def _expr(self, node: ast.expr | None, held: frozenset) -> None:
-        if node is None:
-            return
+    def _expr(self, node: ast.expr, held: frozenset) -> None:
         # Note: ast.walk descends into lambdas, so a ``wait_for``
         # predicate is scanned inline with the current held set.
         for child in ast.walk(node):
@@ -575,8 +573,8 @@ class _FunctionScanner:
 
     def _record_access(self, target: tuple, node: ast.AST, write: bool,
                        held: frozenset) -> None:
-        if target[0] == "name" and target[1] in self.model.local_names:
-            return
+        """Callers record a ``("name", x)`` target only for a non-local
+        ``x``."""
         self.model.accesses.append(Access(
             target, node, write, held, in_init=self.in_init,
             in_nested=self.in_nested))
@@ -789,16 +787,15 @@ class ClassModel:
     def all_writes_guarded(self, method_name: str,
                            project: "ProjectModel | None" = None,
                            _depth: int = 3) -> bool:
-        """Every mutation reachable from ``method_name`` holds a lock.
+        """Every mutation reachable from ``method_name`` (a method of
+        this class) holds a lock.
 
         Used to decide whether calling into this class from another
         thread is safe without caller-side synchronization.  Follows
         ``self.m()`` calls and, when a project model is supplied,
         one level of typed field calls.
         """
-        model = self.methods.get(method_name)
-        if model is None:
-            return False
+        model = self.methods[method_name]
         context = self.context_held.get(method_name, frozenset())
         for access in model.accesses:
             if access.write and not access.in_init and \

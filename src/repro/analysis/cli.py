@@ -12,7 +12,8 @@ Every finding in the linted files is reported unless an inline
 ``# harmony: allow[RULE-ID] reason`` silences it; there is no other way.
 
 Exit codes: 0 clean (everything fixed or suppressed), 1 findings,
-2 usage error.
+2 usage error (an unknown rule id, a path that does not exist, or a
+file that does not parse).
 """
 
 from __future__ import annotations
@@ -99,11 +100,23 @@ def main(argv: "list[str] | None" = None) -> int:
               f"--list-rules", file=sys.stderr)
         return 2
 
+    missing = [path for path in args.paths
+               if not os.path.exists(os.path.join(args.root, path))]
+    if missing:
+        print(f"no such file or directory: {', '.join(missing)}",
+              file=sys.stderr)
+        return 2
+
     config = AnalysisConfig(
         paths=list(args.paths) or _default_paths(args.root),
         select=set(args.select),
         root=args.root)
-    report = Analyzer(config).run()
+    try:
+        report = Analyzer(config).run()
+    except SyntaxError as error:
+        print(f"{error.filename}:{error.lineno}: file does not parse: "
+              f"{error.msg}", file=sys.stderr)
+        return 2
     if args.format == "json":
         rendered = _render_json(report)
     elif args.format == "sarif":
@@ -119,7 +132,3 @@ def main(argv: "list[str] | None" = None) -> int:
     else:
         print(rendered)
     return report.exit_code()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

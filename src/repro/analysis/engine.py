@@ -75,6 +75,8 @@ class Analyzer:
             or rule_id in self.config.select]
 
     def run(self) -> AnalysisReport:
+        """Lint every collected file; a file that does not parse raises
+        its ``SyntaxError`` (``filename`` is the reported path)."""
         root = self.config.root
         contexts: list[FileContext] = []
         report = AnalysisReport()
@@ -82,13 +84,8 @@ class Analyzer:
             with open(os.path.join(root, relpath),
                       encoding="utf-8") as handle:
                 source = handle.read()
-            try:
-                contexts.append(FileContext.parse(
-                    relpath.replace(os.sep, "/"), source))
-            except SyntaxError as error:
-                report.findings.append(Finding(
-                    rule_id="DET001", path=relpath, line=error.lineno or 0,
-                    message=f"file does not parse: {error.msg}"))
+            contexts.append(FileContext.parse(
+                relpath.replace(os.sep, "/"), source))
         report.n_files = len(contexts)
 
         raw: list[tuple[FileContext | None, Finding]] = []

@@ -41,13 +41,13 @@ class SanitizerError(Exception):
 def _call_site() -> str:
     """``file:line`` of the nearest caller outside this module and
     :mod:`threading` (so a lock built inside ``Condition.__init__`` is
-    classed by the user's ``Condition()`` call site)."""
+    classed by the user's ``Condition()`` call site), else of the
+    outermost frame."""
     internal = (__file__, threading.__file__)
     frame = sys._getframe(1)
-    while frame is not None and frame.f_code.co_filename in internal:
+    while frame.f_back is not None and \
+            frame.f_code.co_filename in internal:
         frame = frame.f_back
-    if frame is None:
-        return "<unknown>"
     return f"{frame.f_code.co_filename}:{frame.f_lineno}"
 
 

@@ -194,10 +194,11 @@ class BaseRule:
     #: Project rules see every file at once (cross-file properties).
     project_level = False
 
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
+    def check(  # pragma: no cover - base-class stub
+            self, ctx: FileContext) -> Iterable[Finding]:
         return ()
 
-    def check_project(self,
+    def check_project(self,  # pragma: no cover - base-class stub
                       contexts: list[FileContext]) -> Iterable[Finding]:
         return ()
 
@@ -223,25 +224,12 @@ def functions_of(tree: ast.Module) -> list[ast.AST]:
 def is_generator(function: ast.AST) -> bool:
     """True when ``function`` contains a yield of its own (i.e. it is a
     simulated process / coroutine, not a plain function)."""
-    for node in ast.walk(function):
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            owner = _enclosing_function(node, function)
-            if owner is function:
-                return True
-    return False
-
-
-def _enclosing_function(target: ast.AST, root: ast.AST) -> ast.AST | None:
-    """The innermost function of ``root`` containing ``target``."""
-    owner = None
-    stack = [(root, root)]
+    stack = list(ast.iter_child_nodes(function))
     while stack:
-        node, current = stack.pop()
-        if node is target:
-            return current
-        for child in ast.iter_child_nodes(node):
-            next_fn = child if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                        ast.Lambda)) else current
-            stack.append((child, next_fn))
-    return owner
+        node = stack.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return False

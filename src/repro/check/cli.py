@@ -87,7 +87,3 @@ def main(argv: "list[str] | None" = None) -> int:
               file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - python -m repro.check.cli
-    raise SystemExit(main())

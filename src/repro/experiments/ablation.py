@@ -108,7 +108,3 @@ def report(result: AblationResult) -> str:
         " — at Table I footprints, spilling is what makes co-location "
         "possible at all")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

@@ -84,7 +84,3 @@ def report(result: DesignAblationsResult) -> str:
           f"{r.makespan_minutes:.0f}", f"{r.cpu_utilization:.1%}")
          for r in result.rows],
         title="Design-choice ablations (reproduction-specific knobs)")
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

@@ -107,7 +107,3 @@ def report(result: ExtensionsResult) -> str:
         f"interference slowdown {result.interference_slowdown:.2f}x, "
         f"all-reduce/PS makespan {result.allreduce_makespan_ratio:.2f}x")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

@@ -105,7 +105,3 @@ def report(result: FaultsResult) -> str:
         f"({summary.rerun_work_seconds / 60:.1f} min re-run work), "
         f"{summary.unrecovered_jobs} jobs unrecovered")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

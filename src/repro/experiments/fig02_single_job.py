@@ -63,7 +63,3 @@ def report(result: Fig02Result) -> str:
         title="Fig. 2 — single-job utilization (paper: 40-70% CPU with "
               "workload-dependent ratios, never both high)")
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

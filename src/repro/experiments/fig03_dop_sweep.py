@@ -72,7 +72,3 @@ def report(result: Fig03Result) -> str:
         title="Fig. 3 — DoP sweep (paper: CPU util falls with m, COMP "
               "shrinks ~1/m, PULL/PUSH stay flat)")
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

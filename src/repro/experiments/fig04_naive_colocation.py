@@ -92,7 +92,3 @@ def report(result: Fig04Result) -> str:
         ["workload", "CPU util (%)", "Network util (%)"], cells,
         title="Fig. 4 — naive co-location (paper: pairs average ~50%, "
               "triple OOMs)")
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

@@ -63,7 +63,3 @@ def report(result: Fig09Result) -> str:
                  f"{quartiles[0]:.1f} / {quartiles[1]:.1f} / "
                  f"{quartiles[2]:.1f} min")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

@@ -99,7 +99,3 @@ def report(result: Fig10Result) -> str:
         f"{result.harmony.migration_overhead_seconds / result.harmony.makespan:.1%}"
         " of makespan (paper: <2%)")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

@@ -69,7 +69,3 @@ def report(result: Fig11Result) -> str:
         "paper: Harmony 93.2% CPU / 83.1% net on a ~1100-min makespan; "
         "isolated ~55% CPU on a ~1770-min makespan")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

@@ -89,7 +89,3 @@ def report(result: Fig12Result) -> str:
         rows,
         title="Fig. 12 — group shapes (paper: comp-intensive uses larger"
               " DoPs, comm-intensive smaller; jobs/group indifferent)")
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

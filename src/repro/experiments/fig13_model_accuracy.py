@@ -118,7 +118,3 @@ def report(result: Fig13Result) -> str:
         f"{result.mean_utilization_error:.1%} "
         f"(n={len(result.utilization_errors)}) — paper: below 5%")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

@@ -94,7 +94,3 @@ def report(result: Fig14Result) -> str:
                  f"{result.makespan_gap:+.1%}, CPU util "
                  f"{result.utilization_gap:+.1%}")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

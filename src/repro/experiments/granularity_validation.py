@@ -124,7 +124,3 @@ def report(result: GranularityResult) -> str:
         title="Granularity validation — one-pipeline abstraction vs "
               "Fig. 7 per-worker simulation")
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

@@ -98,7 +98,3 @@ def report(result: LocalValidationResult) -> str:
         "(>= ~1 proves one-COMP-at-a-time); overlap gain "
         f"{result.overlap_gain:.2f}x over free-running sleepers")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

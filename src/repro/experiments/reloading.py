@@ -136,7 +136,3 @@ def report(result: ReloadingResult) -> str:
                  f"{min_alpha:.2f}, max {max_alpha:.2f} "
                  "(paper main run: mean 0.34, min 0.11, max 1.0)")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

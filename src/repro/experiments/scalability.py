@@ -238,7 +238,3 @@ def report(result: ScalabilityResult) -> str:
         title="Oracle exhaustive search (Bell-number growth; the paper "
               "reports ~10 h at 4K jobs)"))
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

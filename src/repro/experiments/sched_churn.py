@@ -222,7 +222,3 @@ def report(result: ChurnRunResult) -> str:
         [(result.n_schedule_calls, result.n_patched, result.cache_hits,
           result.cache_misses, result.groups_certified)],
         title=f"Scheduler churn stream ({len(result.scores)} decisions)")
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

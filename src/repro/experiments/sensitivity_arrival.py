@@ -78,7 +78,3 @@ def report(result: SensitivityArrivalResult) -> str:
          for r in result.rows],
         title="§V-D arrival sensitivity (paper: 2.11/1.60 at batch, "
               "2.01/1.56 at 8 min, 2.02/1.57 on traces)")
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

@@ -86,7 +86,3 @@ def report(result: SensitivityRatioResult) -> str:
         title="§V-D ratio sensitivity (paper: comp 1.58x makespan / "
               "2.31x JCT with larger DoPs; comm 1.57x / 1.83x with "
               "smaller DoPs)")
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

@@ -4,7 +4,7 @@ Runs the same group — once under the ``"fast"`` engine and once under
 ``"reference"`` — and compares both wall-clock cost and simulated
 outcomes.  Two scenarios cover the engine's two lanes:
 
-* :func:`run` — a long single-job group, the *solo lane*'s shape: the
+* :func:`run_solo` — a long single-job group, the *solo lane*'s shape: the
   whole job batches in closed form (~4.2x, the median of 24 runs on a
   shared 2-vCPU host).
 * :func:`run_multi` — a 5-job contended group, the *coordinated drive
@@ -18,10 +18,9 @@ the two runs' simulated durations and iteration times are asserted
 bitwise-equal by the caller (and exhaustively by
 ``tests/test_sim_fastpath.py``).
 
-Used by ``benchmarks/bench_sim_engines.py`` (which asserts the
-fast-over-reference ratio in-process) and runnable standalone::
-
-    PYTHONPATH=src python -m repro.experiments.sim_engines
+:func:`run` measures both.  Used by ``benchmarks/bench_sim_engines.py``
+(which asserts the fast-over-reference ratio in-process, one scenario a
+test) and runnable as ``python -m repro sim_engines``.
 """
 
 from __future__ import annotations
@@ -40,6 +39,8 @@ DEFAULT_ITERATIONS = 30_000
 SOLO_MACHINES = 4
 #: Best-of rounds per engine.
 SOLO_ROUNDS = 2
+#: Workload and simulation seed of both scenarios.
+SEED = 7
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,11 @@ class EngineComparison:
                 and a.per_job_cycle_seconds == b.per_job_cycle_seconds)
 
 
-def run(seed: int = 7) -> EngineComparison:
+def run_solo() -> EngineComparison:
     """Measure both engines on one long isolated single-job group."""
-    pool = WorkloadGenerator(seed).base_workload(hyper_params_per_pair=1)
+    pool = WorkloadGenerator(SEED).base_workload(hyper_params_per_pair=1)
     spec = replace(pool[0], iterations=DEFAULT_ITERATIONS, submit_time=0.0)
-    config = deterministic_config(seed)
+    config = deterministic_config(SEED)
     runs: dict[str, EngineRun] = {}
     for engine in ("fast", "reference"):
         cfg = config.with_engine(engine)
@@ -110,24 +111,23 @@ def run(seed: int = 7) -> EngineComparison:
 MULTI_JOBS = 5
 MULTI_ITERATIONS = 2_400
 MULTI_MACHINES = 24
-MULTI_SEED = 7
 MULTI_ROUNDS = 3
 
 
 def run_multi() -> EngineComparison:
     """Measure both engines on one contended multi-job HARMONY group.
 
-    Unlike :func:`run` this times CPU seconds (``time.process_time``)
+    Unlike :func:`run_solo` this times CPU seconds (``time.process_time``)
     over interleaved rounds, keeping best-of: the effect under test
     (~2.1x) is smaller than the solo lane's, and wall-clock noise on a
     shared machine can exceed it.
     """
-    pool = WorkloadGenerator(MULTI_SEED).base_workload(
+    pool = WorkloadGenerator(SEED).base_workload(
         hyper_params_per_pair=1)
     specs = [replace(pool[i % len(pool)], job_id=f"j{i}",
                      iterations=MULTI_ITERATIONS, submit_time=0.0)
              for i in range(MULTI_JOBS)]
-    config = deterministic_config(MULTI_SEED)
+    config = deterministic_config(SEED)
     best: dict[str, float] = {"fast": float("inf"),
                               "reference": float("inf")}
     results: dict[str, SingleGroupResult] = {}
@@ -150,7 +150,17 @@ def run_multi() -> EngineComparison:
         n_jobs=MULTI_JOBS)
 
 
-def report(comparison: EngineComparison) -> str:
+def run() -> tuple[EngineComparison, EngineComparison]:
+    """Both scenarios: the solo lane's, then the drive lane's."""
+    return run_solo(), run_multi()
+
+
+def report(comparisons: tuple[EngineComparison, ...]) -> str:
+    """One block per scenario."""
+    return "\n".join(_report_one(comparison) for comparison in comparisons)
+
+
+def _report_one(comparison: EngineComparison) -> str:
     lines = [
         f"simulator engines, {comparison.n_jobs} job(s) x "
         f"{comparison.n_iterations} iterations on "
@@ -162,8 +172,3 @@ def report(comparison: EngineComparison) -> str:
         f"{comparison.outcomes_equal}",
     ]
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    print(report(run()))
-    print(report(run_multi()))

@@ -8,7 +8,7 @@ utilization feed per-scenario-normalized leaderboards, and the two
 engines' outcomes are compared exactly (the fast path must win time,
 never change behaviour).
 
-Runnable standalone or through the CLI::
+Runnable through the CLI::
 
     PYTHONPATH=src python -m repro tournament --seed 0
     PYTHONPATH=src python -m repro tournament --list-policies
@@ -398,7 +398,3 @@ def main(argv: list[str] | None = None) -> int:
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
     return 1 if problems else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    raise SystemExit(main())

@@ -135,7 +135,3 @@ def report(result: TraceDemoResult) -> str:
         f"counters: {result.counters_path}",
     ]
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(report(run()))

@@ -81,7 +81,3 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    raise SystemExit(main())

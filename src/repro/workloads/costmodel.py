@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cluster.allreduce import AllReduceModel
 from repro.cluster.disk import DiskModel
 from repro.cluster.network import NetworkModel
 from repro.config import GB, MachineSpec
@@ -66,7 +67,6 @@ class CostModel:
         self.network = NetworkModel(self.spec)
         self.disk = DiskModel(self.spec)
         self.comm_architecture = comm_architecture
-        from repro.cluster.allreduce import AllReduceModel
         self._allreduce = AllReduceModel(self.spec)
 
     # -- subtask durations ----------------------------------------------

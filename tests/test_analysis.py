@@ -14,8 +14,14 @@ import pytest
 
 from repro.analysis import AnalysisConfig, Analyzer, REGISTRY
 from repro.analysis.cli import main as lint_main
-from repro.analysis.findings import FAMILIES
-from repro.analysis.visitors import ImportMap, module_name
+from repro.analysis.findings import FAMILIES, Rule
+from repro.analysis.visitors import (
+    BaseRule,
+    FileContext,
+    ImportMap,
+    module_name,
+    register,
+)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -477,6 +483,29 @@ class TestCli:
     def test_unknown_rule_id_exits_two(self, tmp_path, capsys):
         assert lint_main(["--root", str(tmp_path),
                           "--select", "NOPE999"]) == 2
+
+    def test_missing_path_exits_two_and_names_it(self, tmp_path, capsys):
+        """A mistyped path is a usage error, not a clean run over no
+        files."""
+        (tmp_path / "src").mkdir()
+        assert lint_main(["--root", str(tmp_path), "src",
+                          "src/repro/cor"]) == 2
+        err = capsys.readouterr().err
+        assert "src/repro/cor" in err
+        assert "'src'" not in err and "src," not in err
+
+    @pytest.mark.parametrize("select", [[], ["--select", "DET002"]])
+    def test_unparsable_file_exits_two_naming_file_and_line(
+            self, tmp_path, capsys, select):
+        """A file that does not parse is a usage error under any rule
+        selection, never a finding of some rule."""
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "ok.py").write_text("x = 1\n")
+        (tmp_path / "src" / "broken.py").write_text("x = 1\ndef f(:\n")
+        assert lint_main(["--root", str(tmp_path), *select]) == 2
+        captured = capsys.readouterr()
+        assert "src/broken.py:2: file does not parse" in captured.err
+        assert "DET001" not in captured.out + captured.err
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -940,3 +969,426 @@ class TestSarifExport:
         run = payload["runs"][0]
         assert run["results"] == []
         assert run["properties"]["suppressed"] == 1
+
+
+class TestDetEscapeForms:
+    """Each way set iteration order can escape, one fixture each."""
+
+    @pytest.mark.parametrize("body, description", [
+        ("return [item for item in pending]", "comprehension over a set"),
+        ("return list(pending)", "list() over a set"),
+        ("return pending.pop()", "set.pop() takes an arbitrary element"),
+        ("return ','.join(pending)", "str.join over a set"),
+        ("return list(pending.union({c}))", "list() over a set"),
+    ])
+    def test_escape_flagged(self, tmp_path, body, description):
+        report = lint(tmp_path, {"src/repro/core/x.py": f"""
+            def order(a, b, c):
+                pending = {{a, b}}
+                {body}
+            """}, select=["DET004"])
+        assert [finding.message.split(";")[0]
+                for finding in report.findings] == [description]
+
+    def test_lambda_identity_sort_key_flagged(self, tmp_path):
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            def order(groups):
+                return sorted(groups, key=lambda group: hash(group))
+            """}, select=["DET005"])
+        assert rule_ids(report) == {"DET005"}
+
+
+class TestSimSetattr:
+    def test_setattr_on_a_config_flagged(self, tmp_path):
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            def tweak(sim_config):
+                setattr(sim_config, "seed", 1)
+            """}, select=["SIM002"])
+        assert "bypasses frozen" in report.findings[0].message
+
+    def test_setattr_on_an_unnamed_receiver_or_no_args_clean(
+            self, tmp_path):
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            def tweak(configs, pair):
+                setattr(configs[0], "seed", 1)
+                setattr(**pair)
+            """}, select=["SIM002"])
+        assert not report.findings
+
+
+class TestTrcEarlyExit:
+    def test_return_between_begin_and_end_flagged(self, tmp_path):
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            def f(tracer, flag):
+                span = tracer.begin(0, "COMP")
+                if flag:
+                    return None
+                if not flag:
+                    raise ValueError(flag)
+                tracer.end(span)
+            """}, select=["TRC001"])
+        assert len(report.findings) == 1
+        assert "early exit" in report.findings[0].message
+        assert report.findings[0].line == 5
+
+
+class TestConcThreadEntries:
+    """CONC002's ways of handing a callable to another thread, and of
+    reaching unsynchronized state from it."""
+
+    def test_timer_positional_callable_flagged(self, tmp_path):
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            import threading
+
+
+            class Launcher:
+                def run(self):
+                    hits = []
+
+                    def tick():
+                        hits.append(1)
+
+                    threading.Timer(1.0, tick).start()
+                    return hits
+            """}, select=["CONC002"])
+        assert "mutates captured 'hits'" in report.findings[0].message
+
+    def test_executor_recognized_by_name(self, tmp_path):
+        """An untyped receiver named like a pool is an executor; one
+        named otherwise, or reached through an attribute, is not."""
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            class Fan:
+                def __init__(self):
+                    self.results = []
+
+                def work(self, item):
+                    self.results.append(item)
+
+                def run(self, worker_pool, jobs, ctx, item):
+                    worker_pool.submit(self.work, item)
+                    jobs.submit(self.work, item)
+                    ctx.pool.submit(self.work, item)
+            """}, select=["CONC002"])
+        assert [finding.line for finding in report.findings] == [10]
+        assert "Fan.work() mutates unguarded state" in \
+            report.findings[0].message
+
+    def test_untracked_callables_clean(self, tmp_path):
+        """A callable that is not a nested def, a lambda or a method
+        reference of a known class is not followed."""
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            class Fan:
+                def run(self, pool, handlers, other):
+                    pool.submit(print, 1)
+                    pool.submit(handlers[0], 1)
+                    pool.submit(handlers[0].run, 1)
+                    pool.submit(other.field.run, 1)
+                    pool.submit(self.missing, 1)
+            """}, select=["CONC002"])
+        assert not report.findings
+
+    def test_method_of_a_local_and_of_a_field_object(self, tmp_path):
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            class Box:
+                def __init__(self):
+                    self.items = []
+
+                def add(self, item):
+                    self.items.append(item)
+
+
+            class Holder:
+                def __init__(self):
+                    self.box = Box()
+
+
+            class Fan:
+                def __init__(self):
+                    self.holder = Holder()
+
+                def run(self, pool):
+                    box = Box()
+                    pool.submit(box.add, 1)
+                    pool.submit(self.holder.box.add, 1)
+            """}, select=["CONC002"])
+        assert [finding.line for finding in report.findings] == [21, 22]
+        for finding in report.findings:
+            assert "Box.add() mutates unguarded state" in finding.message
+
+    def test_thread_body_reaches_unguarded_state(self, tmp_path):
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            import threading
+
+
+            class Box:
+                def __init__(self):
+                    self.items = []
+
+                def add(self, item):
+                    self.items.append(item)
+
+
+            class Worker:
+                def __init__(self):
+                    self.count = 0
+                    self.box = Box()
+
+                def bump(self):
+                    self.count += 1
+
+                def run(self):
+                    local_box = Box()
+
+                    def body():
+                        self.count = 1
+                        self.bump()
+                        self.box.add(1)
+                        local_box.add(1)
+
+                    threading.Thread(target=body).start()
+            """}, select=["CONC002"])
+        message = report.findings[0].message
+        # The finding names at most three issues, sorted.
+        assert "calls local_box.add() on Box" in message
+        assert "calls self.bump() which mutates" in message
+        assert "calls self.box.add() on Box" in message
+
+    def test_thread_body_writing_self_flagged(self, tmp_path):
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            import threading
+
+
+            class Worker:
+                def run(self):
+                    def body():
+                        self.count = 1
+
+                    threading.Thread(target=body).start()
+            """}, select=["CONC002"])
+        assert "mutates self.count" in report.findings[0].message
+
+    def test_helper_chains_are_followed(self, tmp_path):
+        """A pooled method is unsafe when a ``self`` helper or a typed
+        field's method it calls writes without a lock."""
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            class Box:
+                def __init__(self):
+                    self.items = []
+
+                def keep(self, item):
+                    self.items.append(item)
+
+
+            class Fan:
+                def __init__(self):
+                    self.box = Box()
+                    self.n = 0
+
+                def via_helper(self, item):
+                    self.store(item)
+
+                def store(self, item):
+                    self.n = item
+
+                def via_field(self, item):
+                    self.box.keep(item)
+
+                def run(self, pool):
+                    pool.submit(self.via_helper, 1)
+                    pool.submit(self.via_field, 1)
+            """}, select=["CONC002"])
+        assert [finding.line for finding in report.findings] == [25, 26]
+
+    def test_mutual_recursion_terminates(self, tmp_path):
+        """The helper walk stops at a fixed depth, so methods that call
+        each other are analysed in bounded time."""
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            class Ping:
+                def ping(self, n):
+                    return self.pong(n - 1)
+
+                def pong(self, n):
+                    return self.ping(n - 1)
+
+                def run(self, pool):
+                    pool.submit(self.ping, 8)
+            """}, select=["CONC002"])
+        assert not report.findings
+
+
+class TestConcModelEdges:
+    def test_lock_order_cycle_through_field_calls(self, tmp_path):
+        """Two classes each call into the other while holding their own
+        lock; the cycle runs through helper and field calls."""
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            import threading
+
+
+            class Inner:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.outer = Outer()
+
+                def work(self):
+                    with self._lock:
+                        pass
+
+                def back(self):
+                    with self._lock:
+                        self.outer.poke()
+
+
+            class Outer:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.inner = Inner()
+
+                def run(self):
+                    with self._lock:
+                        self.step()
+
+                def step(self):
+                    self.helper()
+                    self.inherited()
+                    self.step()
+
+                def helper(self):
+                    self.inner.work()
+
+                def poke(self):
+                    with self._lock:
+                        pass
+            """}, select=["CONC003"])
+        assert rule_ids(report) == {"CONC003"}
+        assert "Inner._lock" in report.findings[0].message
+        assert "Outer._lock" in report.findings[0].message
+
+    def test_reentrant_acquire_adds_no_edge(self, tmp_path):
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            import threading
+
+
+            class Box:
+                def __init__(self):
+                    self._lock = threading.RLock()
+                    self.n = 0
+
+                def bump(self):
+                    with self._lock:
+                        with self._lock:
+                            self.n += 1
+            """}, select=["CONC001", "CONC003"])
+        assert not report.findings
+
+    def test_function_local_lock_cycle_flagged(self, tmp_path):
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            import threading
+
+
+            def shuffle(first: threading.Lock, second: threading.Lock):
+                with first:
+                    with second:
+                        pass
+                with second:
+                    with first:
+                        pass
+            """}, select=["CONC003"])
+        assert "shuffle:first" in report.findings[0].message
+
+    def test_annotated_and_listed_fields(self, tmp_path):
+        """Fields typed by annotation (``Optional``, ``None | T``, an
+        annotated lock, an unparsable string) or by a list literal of
+        constructor calls; a lock field rebound outside ``__init__``
+        is not itself a guarded field."""
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            import threading
+            from typing import Optional
+
+
+            class Box:
+                def __init__(self):
+                    self.items = []
+
+                def add(self, item):
+                    self.items.append(item)
+
+
+            class Fan:
+                def __init__(self):
+                    self._lock: threading.Lock = make_lock()
+                    self.first: Optional[Box] = None
+                    self.second: None | Box = None
+                    self.odd: "not (valid" = None
+                    self.boxes = [Box()]
+                    self.n = 0
+
+                def reset(self):
+                    self._lock = threading.Lock()
+                    with self._lock:
+                        self.n = 0
+
+                def run(self, pool):
+                    pool.submit(self.first.add, 1)
+                    pool.submit(self.second.add, 1)
+            """}, select=["CONC001", "CONC002"])
+        assert [(finding.rule_id, finding.line)
+                for finding in report.findings] == [
+                    ("CONC002", 29), ("CONC002", 30)]
+
+    def test_local_class_and_async_statements_scanned(self, tmp_path):
+        """A class defined in a method is a local name, statements
+        inside ``async with``/``async for`` are scanned, and a local
+        with an unparsable string annotation is skipped."""
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            import threading
+
+
+            class Store:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._items = {}
+
+                def put(self, key, value):
+                    LOG.append(key)
+                    with self._lock:
+                        self._items[key] = value
+
+                async def drain(self, source):
+                    class Local:
+                        pass
+
+                    count: "not (valid" = 0
+                    async for key in source:
+                        self._items.pop(key, None)
+                    return Local, count
+            """}, select=["CONC001"])
+        assert {finding.line for finding in report.findings} == {21}
+
+
+class TestEngineAndRegistry:
+    def test_an_absolute_file_path_is_linted(self, tmp_path, capsys):
+        (tmp_path / "x.py").write_text("import time\nt = time.time()\n")
+        (tmp_path / "y.py").write_text("import time\nt = time.time()\n")
+        assert lint_main(["--root", str(tmp_path),
+                          str(tmp_path / "x.py")]) == 1
+        out = capsys.readouterr().out
+        assert "x.py:2" in out and "y.py" not in out
+
+    def test_rule_outside_a_known_family_rejected(self):
+        with pytest.raises(ValueError, match="not in a known family"):
+            Rule("XYZ001", "no such family")
+
+    def test_duplicate_rule_id_rejected(self):
+        existing = REGISTRY["DET001"]
+
+        class Duplicate(BaseRule):
+            rule = Rule("DET001", "same id again")
+
+        with pytest.raises(ValueError, match="duplicate rule id DET001"):
+            register(Duplicate)
+        assert REGISTRY["DET001"] is existing
+
+    def test_finding_on_a_node_without_a_position(self):
+        ctx = FileContext.parse("src/x.py", "x = 1\n")
+        finding = ctx.finding(REGISTRY["DET001"].rule, ctx.tree, "whole")
+        assert (finding.line, finding.snippet) == (0, "")

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import math
 import os
+import runpy
 import subprocess
 import sys
 import types
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.__main__ as repro_main
 from repro import errors
 from repro.__main__ import DRIVERS, main
 from repro.config import (
@@ -36,8 +38,17 @@ class TestCli:
     def test_list_exits_cleanly(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "fig10_main" in out
-        assert "reloading" in out
+        assert len(DRIVERS) == 22
+        for name in DRIVERS:
+            assert f"  {name} " in out
+
+    def test_python_dash_m_runs_main(self, monkeypatch, capsys):
+        """``python -m repro`` is the package's one entry point."""
+        monkeypatch.setattr(sys, "argv", ["repro", "--list"])
+        with pytest.raises(SystemExit) as excinfo:
+            runpy.run_path(repro_main.__file__, run_name="__main__")
+        assert excinfo.value.code == 0
+        assert "available experiments" in capsys.readouterr().out
 
     def test_no_args_lists(self, capsys):
         assert main([]) == 0
@@ -82,6 +93,27 @@ class TestCli:
         assert main([driver, *flags]) == 2
         assert (f"experiment {driver!r} takes no {named}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["fig10_main", "--scale", "0"],
+        ["fig10_main", "--scale", "1.5"],
+        ["fig10_main", "--scale", "nan"],
+        ["all", "--scale", "0"],
+    ])
+    def test_scale_outside_unit_interval_is_a_usage_error(
+            self, monkeypatch, capsys, argv):
+        """``--scale`` is checked by the parser, before any driver is
+        imported or run."""
+        def refuse(*args):
+            raise AssertionError("no driver may be imported or run")
+
+        monkeypatch.setattr("repro.__main__._run_driver", refuse)
+        monkeypatch.setattr("repro.__main__.importlib.import_module",
+                            refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"{argv[-1]} is not in (0, 1]" in capsys.readouterr().err
 
     def test_all_passes_each_flag_only_where_it_is_taken(
             self, monkeypatch, capsys):
@@ -251,7 +283,7 @@ class TestSimConfig:
         count: update it and ROADMAP's knob count on purpose."""
         count = subprocess.run([sys.executable, str(KNOB_AUDIT), "--count"],
                                capture_output=True, text=True, check=True)
-        assert int(count.stdout) == 253
+        assert int(count.stdout) == 252
 
     @pytest.fixture(scope="class")
     def audit_report(self):

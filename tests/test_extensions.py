@@ -147,4 +147,7 @@ class TestDesignAblationsDriver:
         assert "no periodic check" in labels
         assert "no swap fine-tuning" in labels
         assert any(label.startswith("admission=") for label in labels)
+        assert result.row("default").label == "default"
+        with pytest.raises(KeyError):
+            result.row("no such variant")
         assert "ablations" in design_ablations.report(result).lower()

@@ -120,5 +120,7 @@ class TestGranularityDriver:
         from repro.experiments import granularity_validation
         result = granularity_validation.run(iterations=8)
         assert result.worst_abstraction_error < 0.08
+        assert result.worst_model_error == max(
+            row.model_error for row in result.rows)
         text = granularity_validation.report(result)
         assert "Granularity validation" in text

@@ -113,3 +113,21 @@ def test_lines_run_on_a_worker_thread_count(tmp_path):
     worker_line = _line('out.append("worker line")')
     assert worker_line in tool.executable_lines(path)
     assert worker_line in tracer.hits[str(path.resolve())]
+
+
+def test_audit_covers_every_file_under_the_root(tmp_path):
+    """No package list: a top-level module and a nested one are both
+    audited, and only the unexcused line counts as an offender."""
+    tool = _tool()
+    (tmp_path / "pkg" / "deep").mkdir(parents=True)
+    (tmp_path / "top.py").write_text("x = 1\n")
+    (tmp_path / "pkg" / "deep" / "inner.py").write_text(
+        "y = 2  # pragma: no cover - debug aid\n")
+    report, offenders = tool.audit(tmp_path, {})
+    assert report == [
+        "0/2 executable lines executed",
+        "  excused    pkg/deep/inner.py:1: "
+        "y = 2  # pragma: no cover - debug aid",
+        "  UNEXECUTED top.py:1: x = 1",
+    ]
+    assert offenders == 1

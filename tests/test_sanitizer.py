@@ -77,6 +77,17 @@ class TestLockOrder:
                     pass
         sanitizer.check()
 
+    def test_diamond_of_consistent_orders_clean(self, sanitizer):
+        """Two paths to one lock are not a cycle: the search visits
+        the shared successor once."""
+        a, b, c, d, e = (sanitizer.lock(f"{name}.py:1")
+                         for name in "abcde")
+        for first, second in ((a, b), (a, c), (b, d), (c, d), (e, a)):
+            with first:
+                with second:
+                    pass
+        sanitizer.check()
+
     def test_reentrant_rlock_no_self_edge(self, sanitizer):
         rlock = sanitizer.rlock("a.py:1")
         with rlock:
@@ -86,6 +97,19 @@ class TestLockOrder:
 
 
 class TestOwnership:
+    def test_locked_and_repr_show_the_state(self, sanitizer):
+        lock = sanitizer.lock("a.py:1")
+        rlock = sanitizer.rlock("b.py:1")
+        assert not lock.locked()
+        assert repr(lock) == "<SanitizedLock unlocked site=a.py:1>"
+        with lock, rlock, rlock:
+            assert lock.locked()
+            assert repr(lock) == "<SanitizedLock locked site=a.py:1>"
+            assert repr(rlock) == (f"<SanitizedRLock owner="
+                                   f"{threading.get_ident()} count=2 "
+                                   f"site=b.py:1>")
+        sanitizer.check()
+
     def test_foreign_release_detected(self, sanitizer):
         lock = sanitizer.lock("a.py:1")
         lock.acquire()
@@ -100,6 +124,14 @@ class TestOwnership:
         with pytest.raises(SanitizerError, match="does not own it"):
             sanitizer.check()
         rlock.release()
+
+    def test_condition_protocol_refuses_a_non_owner(self, sanitizer):
+        """``_release_save`` keeps ``threading._RLock``'s own check,
+        though ``Condition.wait`` tests ``_is_owned()`` first."""
+        rlock = sanitizer.rlock("a.py:1")
+        with pytest.raises(RuntimeError, match="un-acquired"):
+            rlock._release_save()
+        sanitizer.check()
 
 
 class TestInstall:

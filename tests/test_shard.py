@@ -26,6 +26,7 @@ from repro.core.scheduler import HarmonyScheduler, SchedulePlan
 from repro.errors import ClusterError, SchedulingError
 from repro.experiments.scalability import (
     ScalabilityResult,
+    ShardRow,
     ShardScalabilityResult,
 )
 from repro.metrics.utilization import ClusterUsageRecorder
@@ -680,6 +681,13 @@ class TestScalabilityGuards:
             == 0.0
         assert ShardScalabilityResult(
             rows=[], churn_steps=4).speedup_at_largest == 0.0
+
+    def test_sweep_without_an_unsharded_row_yields_zero(self):
+        rows = [ShardRow(n_cells=2, n_jobs=30, n_machines=40,
+                         cold_seconds=1.0, churn_seconds=1.0,
+                         jobs_scheduled=30, score=1.0)]
+        assert ShardScalabilityResult(
+            rows=rows, churn_steps=4).speedup_at_largest == 0.0
 
     def test_scale_cli_smoke(self, capsys):
         from repro.shard.cli import main

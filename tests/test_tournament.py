@@ -11,9 +11,11 @@ import pytest
 from repro.experiments.tournament import (
     CellResult,
     TournamentParams,
+    TournamentResult,
     _cell_key,
     _cell_problems,
     _check_expect,
+    _engine_disagreements,
     _leaderboard,
     _params_from_expect,
     _sanity_problems,
@@ -22,6 +24,7 @@ from repro.experiments.tournament import (
     run,
     to_json,
 )
+from repro.policies.registry import available
 
 BASELINE = (Path(__file__).resolve().parents[1] / "benchmarks"
             / "baseline_tournament.json")
@@ -61,6 +64,10 @@ class TestLeaderboard:
         assert [row.policy for row in rows] == ["a", "b"]
         assert [row.rank for row in rows] == [1, 2]
 
+    def test_policy_without_cells_gets_no_row(self):
+        rows = _leaderboard((_cell("a", 1.0),), ("a", "b"))
+        assert [row.policy for row in rows] == ["a"]
+
     def test_winner_scores_one(self):
         cells = (_cell("fast", 10.0), _cell("slow", 30.0))
         rows = _leaderboard(cells, ("fast", "slow"))
@@ -97,11 +104,35 @@ class TestRun:
         # harmony: allow[DET006] exact reproducibility is the property under test
         assert simulated(again) == simulated(mini_result)
 
+    def test_default_roster_is_the_whole_registry(self):
+        assert TournamentParams().resolved_policies() == tuple(
+            name for name, _ in available())
+
     def test_unknown_arrival_rejected(self):
         from repro.errors import SimulationError
         with pytest.raises(SimulationError):
             run(TournamentParams(policies=("fcfs",),
                                  arrivals=("lognormal",)))
+
+
+class TestSanity:
+    def test_engine_disagreement_found(self):
+        cells = (_cell("a", 1.0), _cell("a", 2.0, engine="reference"),
+                 _cell("b", 1.0), _cell("b", 1.0, engine="reference"),
+                 _cell("c", 1.0))
+        assert _engine_disagreements(cells) == (("a", "batch", 20),)
+
+    def test_every_kind_of_problem_reported(self):
+        cells = (replace(_cell("harmony", 2.0), violations=("overlap",)),
+                 _cell("naive", 1.0))
+        result = TournamentResult(
+            params=MINI, cells=cells,
+            leaderboard=_leaderboard(cells, ("harmony", "naive")),
+            engine_disagreements=(("naive", "batch", 20),))
+        assert _sanity_problems(result) == [
+            "invariant violation in harmony/batch/20/fast: overlap",
+            "fast/reference outcomes differ for ('naive', 'batch', 20)",
+            "harmony mean-JCT score 2.0000 worse than naive 1.0000"]
 
 
 class TestPersistence:
@@ -127,6 +158,12 @@ class TestPersistence:
         assert "makespan" in problems[0]
         assert "/".join(map(str, _cell_key(payload["cells"][0]))) \
             in problems[0]
+
+    def test_expect_names_a_cell_the_run_lacks(self, mini_result):
+        cell = dict(to_json(mini_result)["cells"][0], policy="absent")
+        assert _cell_problems(mini_result, [cell]) == [
+            f"cell absent/batch/{cell['n_machines']}/{cell['engine']} "
+            f"missing from this run"]
 
     def test_one_line_summary(self, mini_result):
         line = one_line(mini_result)
@@ -155,6 +192,12 @@ class TestCli:
         assert written["params"]["policies"] == ["fcfs", "easy"]
         assert written["ordering"] == json.loads(
             expect.read_text())["ordering"]
+
+        tampered = json.loads(expect.read_text())
+        tampered["cells"][0]["makespan"] += 1.0
+        expect.write_text(json.dumps(tampered))
+        assert main(["--expect", str(expect)]) == 1
+        assert "FAIL: cell " in capsys.readouterr().err
 
 
     def test_seed_other_than_the_expect_files_is_a_usage_error(
