@@ -23,9 +23,9 @@ def test_sim_engine_fast_path(once, benchmark):
     # event-loop machinery, never from changed arithmetic.
     assert comparison.outcomes_equal
 
-    # The fast path's headline claim (~4.2x, the median of 24 runs
-    # on the deterministic config; the floor leaves headroom for CI
-    # jitter).
+    # The fast path's headline claim (~4.1x, the median of 24 runs
+    # on the deterministic config, lowest 2.75x; the floor leaves
+    # headroom for CI jitter).
     assert comparison.speedup >= 3.0
 
 
@@ -47,7 +47,7 @@ def test_sim_engine_multi_job(once, benchmark):
 
     assert comparison.outcomes_equal
 
-    # ~2.1x, the median of 24 runs (each wake still hands its
-    # completion to a generator through an event, which the solo lane
-    # skips); the floor leaves headroom for CI jitter.
+    # ~2.5x, the median of 24 runs, lowest 2.15x (each wake still
+    # hands its completion to a generator through an event, which the
+    # solo lane skips); the floor leaves headroom for CI jitter.
     assert comparison.speedup >= 1.5

@@ -86,7 +86,6 @@ LAYERS: dict[tuple[str, str], str] = {
     ("repro.sim.fastpath", "GroupBatchEngine.await_background"): SOLO,
     # Drive lane: parked wakes served in drive windows.
     ("repro.sim.fastpath", "GroupBatchEngine"): DRIVE,
-    ("repro.sim.resources", "RateResource.serve_parked"): DRIVE,
     ("repro.sim.resources", "RateResource._repark"): DRIVE,
     ("repro.sim.resources", "RateResource.set_wake_owner"): DRIVE,
     # Per-event lane: submits and queued wakes.
@@ -101,12 +100,16 @@ LAYERS: dict[tuple[str, str], str] = {
     ("repro.sim.resources", "RateResource"): SERVICE,
     ("repro.sim.resources", "ServiceRecord"): SERVICE,
     ("repro.sim.resources", "BusySegment"): SERVICE,
+    ("repro.sim.resources", "ResourceAudit"): SERVICE,
     ("repro.sim.resources", "level_samples"): SERVICE,
     ("repro.sim.resources", "serial"): SERVICE,
     ("repro.sim.resources", "primary_secondary"): SERVICE,
     ("repro.sim.resources", "processor_sharing"): SERVICE,
-    # Completion hand-off to the waiting generators.
+    # Completion hand-off to the waiting generators.  A queued task is
+    # its own completion event: its __init__ is the Event.__init__ of
+    # the subtask.
     ("repro.sim.events", "Event"): EVENTS,
+    ("repro.sim.resources", "_Task"): EVENTS,
     ("repro.sim.process", "Process"): EVENTS,
     # The PULL -> COMP -> PUSH generators and what they read per step.
     ("repro.core.group_runtime", "GroupRuntime"): GENERATORS,

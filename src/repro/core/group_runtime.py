@@ -23,6 +23,7 @@ machine's; the barrier latency and straggler effects appear as the
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Protocol
@@ -269,9 +270,10 @@ class GroupRuntime:
             raise SimulationError(
                 f"job {job.job_id} is still a member of group "
                 f"{job.group_id}; cannot also join {self.group_id}")
-        if start_delay < 0:
+        if not 0.0 <= start_delay < math.inf:
             raise SimulationError(
-                f"job {job.job_id}: negative start_delay {start_delay}")
+                f"job {job.job_id}: start_delay {start_delay} must be "
+                f"finite and >= 0")
         if not self.memory.admit(job):
             return False
         self._jobs[job.job_id] = job
@@ -352,10 +354,22 @@ class GroupRuntime:
         trace = self._trace
         # Hot-loop locals: the jitter stream name is fixed for the
         # job's lifetime; build it once instead of 3x per iteration.
-        jitter = self.streams.jitter
         jitter_name = f"duration:{self.group_id}:{job_id}"
         jitter_cv = self._duration_jitter_cv
         on_iteration = self.hooks.on_iteration
+        # Per-group constants: the config is frozen, the ledger is the
+        # group's for life and the footprint table's ``adaptive`` never
+        # changes.  A call that would return at once under them (a
+        # jitter draw at cv 0, an interference draw at probability 0,
+        # the hill climber with adaptation off) is not made; skipping
+        # a factor that would be 1.0 drops a ``* 1.0``, which is exact.
+        jitter = self.streams.jitter if jitter_cv > 0.0 else None
+        interference = (self._comm_interference
+                        if self.config.execution
+                        .comm_interference_probability > 0.0 else None)
+        gc_inflation = self.memory.ledger.gc_inflation
+        record_iteration = (self.memory.record_iteration
+                            if self.footprints.adaptive else None)
         # Bytes moved per COMM subtask, for the registry's throughput
         # counters (PULL is a no-op under all-reduce).
         pull_bytes = (spec.comm_gb_per_direction * GB
@@ -404,10 +418,12 @@ class GroupRuntime:
             cycle_start = self.sim.now
 
             # PULL subtask (network).
-            t_pull = (profile.t_pull * barrier
-                      * jitter(jitter_name, jitter_cv)
-                      * self._comm_interference()
-                      * self._fault_net_factor)
+            t_pull = profile.t_pull * barrier
+            if jitter is not None:
+                t_pull *= jitter(jitter_name, jitter_cv)
+            if interference is not None:
+                t_pull *= interference()
+            t_pull *= self._fault_net_factor
             record_pull = (self.net.serve_solo(t_pull) if batched else
                            (yield self.net.submit(t_pull)))
             if trace is not None and t_pull > 0:
@@ -440,10 +456,11 @@ class GroupRuntime:
                                        self.sim.now, cat="stall")
 
             # COMP subtask (CPU), inflated by GC pressure.
-            gc_factor = self.memory.gc_inflation()
-            t_comp_base = (profile.t_comp * barrier
-                           * jitter(jitter_name, jitter_cv)
-                           * self._fault_cpu_factor)
+            gc_factor = gc_inflation()
+            t_comp_base = profile.t_comp * barrier
+            if jitter is not None:
+                t_comp_base *= jitter(jitter_name, jitter_cv)
+            t_comp_base *= self._fault_cpu_factor
             t_comp = t_comp_base * gc_factor
             record_comp = (self.cpu.serve_solo(t_comp) if batched else
                            (yield self.cpu.submit(t_comp)))
@@ -455,10 +472,12 @@ class GroupRuntime:
             reload_event = self._submit_reload(job)
 
             # PUSH subtask (network).
-            t_push = (profile.t_push * barrier
-                      * jitter(jitter_name, jitter_cv)
-                      * self._comm_interference()
-                      * self._fault_net_factor)
+            t_push = profile.t_push * barrier
+            if jitter is not None:
+                t_push *= jitter(jitter_name, jitter_cv)
+            if interference is not None:
+                t_push *= interference()
+            t_push *= self._fault_net_factor
             record_push = (self.net.serve_solo(t_push) if batched else
                            (yield self.net.submit(t_push)))
             if trace is not None:
@@ -481,8 +500,9 @@ class GroupRuntime:
                 stall=stall,
                 alpha=job.alpha)
             self.cycles.append(cycle)
-            self.memory.record_iteration(job, cycle.gc_overhead, stall,
-                                         busy_seconds=cycle.duration)
+            if record_iteration is not None:
+                record_iteration(job, cycle.gc_overhead, stall,
+                                 busy_seconds=cycle.duration)
             if trace is not None:
                 # Registry counters survive regroupings by design: they
                 # are keyed by job, not by the group executing it.
@@ -548,10 +568,9 @@ class GroupRuntime:
 
     def _comm_interference(self) -> float:
         """Occasional bursty-traffic slowdown on a COMM subtask (§VI
-        multi-tenant interference; off by default)."""
+        multi-tenant interference; off by default, and then not
+        called)."""
         probability = self.config.execution.comm_interference_probability
-        if probability <= 0.0:
-            return 1.0
         rng = self.streams.stream(f"interference:{self.group_id}")
         if rng.random() >= probability:
             return 1.0

@@ -273,9 +273,6 @@ class GroupMemoryManager:
 
     # -- queries -----------------------------------------------------------------
 
-    def gc_inflation(self) -> float:
-        return self.ledger.gc_inflation()
-
     def alphas(self) -> dict[str, float]:
         """Snapshot of per-job disk-block ratios (reported in §V-G)."""
         return {job_id: job.alpha for job_id, job in self._jobs.items()}

@@ -5,11 +5,11 @@ Runs the same group — once under the ``"fast"`` engine and once under
 outcomes.  Two scenarios cover the engine's two lanes:
 
 * :func:`run_solo` — a long single-job group, the *solo lane*'s shape: the
-  whole job batches in closed form (~4.2x, the median of 24 runs on a
+  whole job batches in closed form (~4.1x, the median of 24 runs on a
   shared 2-vCPU host).
 * :func:`run_multi` — a 5-job contended group, the *coordinated drive
   lane*'s shape: every wake is parked and served in drive windows
-  without heap round-trips (~2.1x, median of the same 24 runs; each
+  without heap round-trips (~2.5x, median of the same 24 runs; each
   wake still hands its completion to a generator through an event,
   which the solo lane skips).
 
@@ -119,7 +119,7 @@ def run_multi() -> EngineComparison:
 
     Unlike :func:`run_solo` this times CPU seconds (``time.process_time``)
     over interleaved rounds, keeping best-of: the effect under test
-    (~2.1x) is smaller than the solo lane's, and wall-clock noise on a
+    (~2.5x) is smaller than the solo lane's, and wall-clock noise on a
     shared machine can exceed it.
     """
     pool = WorkloadGenerator(SEED).base_workload(

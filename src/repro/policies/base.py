@@ -24,6 +24,7 @@ implement the competitor zoo.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -53,7 +54,7 @@ class GroupStart:
     job_ids: tuple[str, ...]
     n_machines: int
     #: Per-job start delays in seconds (CASSINI-style phase staggering);
-    #: ``None`` means everyone starts immediately.
+    #: each finite and >= 0; ``None`` means everyone starts immediately.
     start_offsets: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -63,11 +64,19 @@ class GroupStart:
             raise SchedulingError(
                 f"group of {list(self.job_ids)} wants "
                 f"{self.n_machines} machines")
-        if self.start_offsets is not None and \
-                len(self.start_offsets) != len(self.job_ids):
+        if self.start_offsets is None:
+            return
+        if len(self.start_offsets) != len(self.job_ids):
             raise SchedulingError(
                 f"{len(self.start_offsets)} offsets for "
                 f"{len(self.job_ids)} jobs")
+        for job_id, offset in zip(self.job_ids, self.start_offsets,
+                                  strict=True):
+            # Stated positively so that NaN fails it too.
+            if not 0.0 <= offset < math.inf:
+                raise SchedulingError(
+                    f"job {job_id}: start offset {offset} must be "
+                    f"finite and >= 0")
 
 
 @dataclass(frozen=True)

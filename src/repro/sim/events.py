@@ -6,7 +6,6 @@ until someone calls :meth:`Event.succeed` or :meth:`Event.fail`.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from typing import Any, TYPE_CHECKING
 
@@ -27,22 +26,12 @@ class Event:
     time; callbacks registered after the trigger run immediately.
     """
 
-    __slots__ = ("sim", "name", "order", "_callbacks", "_triggered",
-                 "_ok", "_value")
-
-    #: Process-wide monotonic creation counter.  ``order`` makes ties
-    #: between same-timestamp events resolve by *insertion order*, never
-    #: by ``id()`` — object identity varies run to run (and between the
-    #: fast-path and reference engines), which made tie-heavy schedules
-    #: flaky to compare.
-    _creation_counter = itertools.count()
+    __slots__ = ("sim", "name", "_callbacks", "_triggered", "_ok",
+                 "_value")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
         self.name = name
-        #: Monotonic creation index; the deterministic tiebreak for
-        #: same-timestamp orderings (see ``__lt__``).
-        self.order = next(Event._creation_counter)
         self._callbacks: list[Callback] = []
         self._triggered = False
         self._ok = False
@@ -105,14 +94,6 @@ class Event:
             callback(self)
         else:
             self._callbacks.append(callback)
-
-    def __lt__(self, other: "Event") -> bool:
-        """Creation-order comparison, so events (and tuples containing
-        them, e.g. ``(when, event)`` heap entries) sort deterministically
-        when timestamps tie."""
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.order < other.order
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self._triggered else "pending"

@@ -17,14 +17,18 @@ its resource instead of a heap entry — and one cancellable *driver*
 entry stands in for the group's earliest park.  When it fires,
 consecutive parked wakes are served at their true times (forward-only
 warps, so every hook observes true state) until an external heap
-entry must interleave.  Each wake is served by
-:meth:`RateResource.serve_parked`: ``_advance``, then ``_repark``, the
-parked resource's own reschedule step.  ``_repark`` replays the
-reference ``_reschedule``'s arithmetic in the same order, pops the
-finished task and hands its record to the waiting process, and holds
-the next completion as a ``(when, seq)`` park instead of queuing a
-wake, so it has no wake handle to retract and no mode to dispatch on.
-The lane skips the heap round-trips, never the arithmetic.
+entry must interleave.  Each wake is served by the resource's
+``_advance``, then ``_repark``, the parked resource's own reschedule
+step.  ``_repark`` replays the reference ``_reschedule``'s arithmetic
+in the same order, pops the finished task and triggers it (a queued
+task is its own completion event, so the hand-off to the waiting
+process is one trigger), and holds the next completion as a ``(when,
+seq)`` park instead of queuing a wake, so it has no wake handle to
+retract and no mode to dispatch on.  When that completion resumes a
+process whose next submit re-parks the same resource, the nested
+``_repark`` is the live one and the outer frame stops right after its
+pop: the resource is parked once per wake.  The lane skips the heap
+round-trips, never the arithmetic.
 
 A single-job group whose hooks have no per-iteration callback
 (``hooks.on_iteration is None``) may instead take the **solo lane**:
@@ -197,7 +201,8 @@ class GroupBatchEngine:
                                 and head[1] < resource._pending_wake_seq)):
                         break
                 sim._now = when  # warp(), inlined for the hot loop
-                resource.serve_parked()
+                resource._advance()
+                resource._repark()
                 served += 1
         finally:
             self._in_drive = False

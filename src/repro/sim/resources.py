@@ -18,6 +18,14 @@ Three policies cover every resource in the paper:
 * :func:`processor_sharing` — equal sharing among all active tasks, with
   an optional interference penalty.  Models the *naive co-location*
   baseline (uncoordinated contention) and shared disk bandwidth.
+
+A queued task is its own completion event: :meth:`RateResource.submit`
+returns it, the waiting process yields it, and the wake that finishes
+it triggers it with a :class:`ServiceRecord` — one object per subtask.
+Each wake re-plans the next completion: the reference engine queues it
+as a heap entry (``_reschedule``); a resource parked under a fast-path
+owner (:mod:`repro.sim.fastpath`) holds it as ``(when, seq)``
+(``_repark``), replaying the same arithmetic in the same order.
 """
 
 from __future__ import annotations
@@ -94,13 +102,31 @@ class ServiceRecord:
     work: float
 
 
-@dataclass(slots=True)
-class _Task:
-    work_remaining: float
-    work_total: float
-    event: Event
-    submitted_at: float
-    started_at: float | None = None
+class _Task(Event):
+    """A queued subtask, and its own completion event.
+
+    :meth:`RateResource.submit` returns the task itself: the waiting
+    process yields it, :meth:`RateResource.cancel` finds it by identity,
+    and the completing wake triggers it with a :class:`ServiceRecord`.
+    """
+
+    __slots__ = ("work_remaining", "work_total", "submitted_at",
+                 "started_at")
+
+    def __init__(self, sim: Simulator, name: str, work: float,
+                 submitted_at: float):
+        # Event.__init__'s fields, set here so that a subtask costs one
+        # allocation and one __init__ call on the hot path.
+        self.sim = sim
+        self.name = name
+        self._callbacks = []
+        self._triggered = False
+        self._ok = False
+        self._value = None
+        self.work_remaining = work
+        self.work_total = work
+        self.submitted_at = submitted_at
+        self.started_at: float | None = None
 
 
 @dataclass(slots=True)
@@ -220,7 +246,8 @@ class RateResource:
         return len(self._tasks)
 
     def submit(self, work: float) -> Event:
-        """Enqueue ``work`` seconds of service; returns a completion event.
+        """Enqueue ``work`` seconds of service; returns the queued task,
+        which is its own completion event.
 
         The event value is a :class:`ServiceRecord`.
         """
@@ -229,26 +256,28 @@ class RateResource:
                 f"work {work} on {self.name!r} must be finite and >= 0")
         sim = self.sim
         self._advance()
-        event = Event(sim, self._task_name)
+        task = _Task(sim, self._task_name, work, sim._now)
         self.work_submitted += work
-        self._tasks.append(_Task(work, work, event, sim._now))
+        self._tasks.append(task)
         # Zero-work tasks are popped as already-finished by the
         # rescheduling pass below.
         if self._wake_owner is not None:
             self._repark()
         else:
             self._reschedule()
-        return event
+        return task
 
     def cancel(self, event: Event) -> bool:
-        """Remove a pending task identified by its completion event.
+        """Remove a pending task: ``event`` is what :meth:`submit`
+        returned.
 
-        Returns True if the task was found and removed.  The event is
-        *not* triggered; the caller owns it.
+        Returns True if the task was found and removed; an event this
+        resource did not issue, or one already completed, is not found.
+        The event is *not* triggered; the caller owns it.
         """
         self._advance()
         for index, task in enumerate(self._tasks):
-            if task.event is event:
+            if task is event:
                 self.work_discarded += max(task.work_remaining, 0.0)
                 del self._tasks[index]
                 if self._wake_owner is not None:
@@ -414,13 +443,24 @@ class RateResource:
         Replays ``_reschedule``'s arithmetic in the same order, with
         the horizon scanned over the per-queue-length memo
         (:meth:`_rates_for`).  A parked resource never queues a wake,
-        so there is no handle to retract.
+        so there is no handle to retract.  ``_advance`` then ``_repark``
+        is the parked wake step, the counterpart of the reference
+        engine's ``_on_wake``: :meth:`drain` and the drive lane run it
+        at each parked wake after warping the clock to its fire time.
         """
         self._pending_wake_at = None
         self._pending_wake_seq = None
         self._wake_generation += 1
         generation = self._wake_generation
         self._pop_finished()
+        if self._wake_generation != generation:
+            # A completion above resumed a process whose submit() or
+            # cancel() ran a nested _repark on the final queue at this
+            # same instant (or whose hook purged the queue).  That park
+            # is the live one and its owner has been told; the entry
+            # this frame would queue is generation-dead on arrival in
+            # the reference engine.
+            return
         tasks = self._tasks
         if tasks:
             cached = self._rates_cache.get(len(tasks))
@@ -438,15 +478,8 @@ class RateResource:
                 when = now + max(horizon, 0.0)
                 if when - now <= _EPSILON:
                     raise self._stalled(now)
-                # A completion above may have resumed a process whose
-                # submit() ran a nested _repark — that nested park is
-                # the live one (the entry this frame would have queued
-                # is generation-dead on arrival in the reference
-                # engine), so a stale frame must not overwrite it.  The
-                # park draws its tiebreak sequence number at the same
-                # point call_at would have.
-                if self._wake_generation != generation:
-                    return
+                # The park draws its tiebreak sequence number at the
+                # same point call_at would have.
                 self._pending_wake_at = when
                 self._pending_wake_seq = next(self.sim._sequence)
         self._wake_owner.park_changed(self)
@@ -469,17 +502,18 @@ class RateResource:
     def drain(self) -> None:
         """Serve the queue to completion by warping the clock.
 
-        Runs the parked wake step (:meth:`serve_parked`) at each
-        parked wake in turn, without queue round-trips.  Only a solo
-        batch of the owner, which holds the simulator clock, may call
-        this.
+        Runs the parked wake step (``_advance`` + :meth:`_repark`) at
+        each parked wake in turn, without queue round-trips.  Only a
+        solo batch of the owner, which holds the simulator clock, may
+        call this.
         """
         while self._tasks:
             when = self._pending_wake_at
             if when is None:
                 return  # starved queue: nothing will ever complete
             self.sim.warp(when)
-            self.serve_parked()
+            self._advance()
+            self._repark()
 
     def serve_solo(self, work: float) -> ServiceRecord:
         """Fused submit + drain for an empty parked resource.
@@ -562,19 +596,6 @@ class RateResource:
         """
         self._wake_owner = owner
 
-    def serve_parked(self) -> None:
-        """Serve the parked wake due at the current clock: ``_advance``
-        + :meth:`_repark`.
-
-        The parked counterpart of the reference engine's ``_on_wake``,
-        run by :meth:`drain` and the drive lane (whose caller has warped
-        the clock to the parked fire time).  Both halves replay their
-        arithmetic from the per-queue-length memo (:meth:`_rates_for`),
-        so the result is bitwise equal to the reference path.
-        """
-        self._advance()
-        self._repark()
-
     def _rates_for(
             self, n: int
     ) -> tuple[tuple[float, ...], float, tuple[int, ...]]:
@@ -621,31 +642,32 @@ class RateResource:
         # Scan-before-allocate: most rescheduling passes pop nothing
         # (every submit, every cancel) or exactly one task (every
         # completion wake), so neither common case may build throwaway
-        # lists.
+        # lists.  Plain iteration and remove() (a task has no __eq__,
+        # so it matches by identity, at once for the head) keep both
+        # free of index arithmetic.
         tasks = self._tasks
-        first = -1
-        for index, task in enumerate(tasks):
-            if task.work_remaining <= _EPSILON:
-                first = index
+        for first in tasks:
+            if first.work_remaining <= _EPSILON:
                 break
-        if first < 0:
+        else:
             return
-        for index in range(first + 1, len(tasks)):
-            if tasks[index].work_remaining <= _EPSILON:
+        tasks.remove(first)
+        for task in tasks:
+            if task.work_remaining <= _EPSILON:
                 # Multiple simultaneous completions: rebuild the queue
                 # and deliver in FIFO order.
-                finished = [t for t in tasks
-                            if t.work_remaining <= _EPSILON]
+                finished = [first] + [t for t in tasks
+                                      if t.work_remaining <= _EPSILON]
                 self._tasks = [t for t in tasks
                                if t.work_remaining > _EPSILON]
                 for task in finished:
                     self._complete(task)
                 return
-        self._complete(tasks.pop(first))
+        self._complete(first)
 
     def _complete(self, task: _Task) -> None:
         now = self.sim._now
         started = task.started_at
-        task.event.succeed(ServiceRecord(
+        task._trigger(True, ServiceRecord(
             task.submitted_at, now if started is None else started, now,
             task.work_total))

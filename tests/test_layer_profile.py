@@ -1,7 +1,7 @@
 """Smoke test of ``benchmarks/layer_profile.py``: every table entry
-resolves, foreign code is charged to its ``repro`` caller, and one
-profiled ``solo`` pass and one ``churn`` pass (Algorithm 1 alone) map
-all but 2% of their self time."""
+resolves, every simulator definition has an entry, foreign code is
+charged to its ``repro`` caller, and one profiled ``solo`` pass and one
+``churn`` pass (Algorithm 1 alone) map all but 2% of their self time."""
 
 import importlib.util
 import re
@@ -31,6 +31,28 @@ def test_every_entry_resolves():
     tool = _tool()
     assert tool.unresolved_entries() == []
     assert set(tool.LAYERS.values()) <= set(tool.LAYER_ORDER)
+
+
+def test_every_sim_definition_has_an_entry():
+    """Every top-level class and function of a ``repro.sim`` module is
+    covered by a table entry.  Tier 1 profiles only ``solo`` and
+    ``churn``; a simulator name without an entry would leave the drive
+    lane's self time (the ``group5`` profile) unmapped."""
+    import inspect
+    import pkgutil
+
+    import repro.sim
+
+    tool = _tool()
+    uncovered = []
+    for info in pkgutil.iter_modules(repro.sim.__path__, "repro.sim."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if ((inspect.isclass(value) or inspect.isfunction(value))
+                    and value.__module__ == info.name
+                    and tool.layer_of(info.name, name) is None):
+                uncovered.append(f"{info.name}:{name}")
+    assert uncovered == []
 
 
 def test_a_missing_entry_is_reported(monkeypatch):

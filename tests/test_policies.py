@@ -122,6 +122,12 @@ class TestDecisionEdgeCases:
         with pytest.raises(SchedulingError):
             GroupStart(("a", "b"), 2, start_offsets=(0.0,))
 
+    @pytest.mark.parametrize("offset", [-1.0, float("nan"), float("inf")])
+    def test_group_start_rejects_an_offset_outside_zero_to_inf(
+            self, offset):
+        with pytest.raises(SchedulingError, match="job b: start offset"):
+            GroupStart(("a", "b"), 2, start_offsets=(0.0, offset))
+
 
 class TestDifferentialPins:
     """The refactor must not move a single float."""
@@ -187,21 +193,39 @@ class TestCompetitorRuntimes:
         violations = InvariantChecker().check_runtime(runtime)
         assert violations == []
 
-    def test_negative_start_delay_rejected(self, jobs, sim_config):
+    @staticmethod
+    def _group(sim_config):
         from repro.cluster.cluster import Cluster
         from repro.core.group_runtime import GroupRuntime
-        from repro.core.job import Job
         from repro.sim import RandomStreams, Simulator
         from repro.workloads.costmodel import CostModel
 
         sim = Simulator()
         cluster = Cluster(8, sim_config.machine)
-        group = GroupRuntime(
+        return GroupRuntime(
             sim, "g0", cluster.allocate(4, "g0"), ExecutionMode.HARMONY,
             CostModel(sim_config.machine), sim_config,
             RandomStreams(7), hooks=_InertHooks())
+
+    def test_negative_start_delay_rejected(self, jobs, sim_config):
+        from repro.core.job import Job
+
+        group = self._group(sim_config)
         with pytest.raises(SimulationError):
             group.add_job(Job(jobs[0]), start_delay=-1.0)
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_start_delay_rejected(self, jobs, sim_config,
+                                             delay):
+        """NaN used to start the job at once and +inf to park it
+        forever; neither admits the job now."""
+        from repro.core.job import Job
+
+        group = self._group(sim_config)
+        job = Job(jobs[0])
+        with pytest.raises(SimulationError, match="must be finite"):
+            group.add_job(job, start_delay=delay)
+        assert group.is_idle and job.group_id is None
 
 
 class _StaleStartPolicy:

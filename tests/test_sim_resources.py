@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ResourceError
 from repro.sim import (
+    Event,
     RateResource,
     Simulator,
     primary_secondary,
@@ -418,3 +419,63 @@ class TestReparkDifferential:
         after = parks[parks.index(park) + 1:]
         assert park[0] is not None
         assert all(when != park[0] for when, _ in after)
+
+
+class TestHandOff:
+    """A queued task is its own completion event: ``submit`` returns it,
+    ``cancel`` matches it by identity, and a wake triggers it."""
+
+    def test_submit_returns_the_queued_task_itself(self, sim):
+        cpu = RateResource(sim, serial(), "cpu")
+        first = cpu.submit(2.0)
+        second = cpu.submit(3.0)
+        assert len(cpu._tasks) == 2
+        assert cpu._tasks[0] is first and cpu._tasks[1] is second
+        assert isinstance(first, Event)
+        drain(sim)
+        assert first.value.finished_at == 2.0
+        assert second.value.finished_at == 5.0
+
+    def test_a_task_starts_as_a_fresh_event(self, sim):
+        """The task sets Event's fields itself; they must match what
+        Event.__init__ sets."""
+        cpu = RateResource(sim, serial(), "cpu")
+        task = cpu.submit(2.0)
+        fresh = Event(sim, task.name)
+        assert ({slot: getattr(task, slot) for slot in Event.__slots__}
+                == {slot: getattr(fresh, slot) for slot in Event.__slots__})
+        # The queue's remove() and cancel() match tasks by identity.
+        assert type(task).__eq__ is object.__eq__
+
+    def test_cancel_of_another_resources_event_changes_nothing(self, sim):
+        cpu = RateResource(sim, serial(), "cpu")
+        net = RateResource(sim, primary_secondary(), "net")
+        on_cpu = cpu.submit(2.0)
+        on_net = net.submit(3.0)
+        sim.run(until=1.0)
+        before = (cpu.audit(), net.audit())
+        assert cpu.cancel(on_net) is False
+        assert net.cancel(on_cpu) is False
+        assert (cpu.audit(), net.audit()) == before
+        drain(sim)
+        assert on_cpu.value.finished_at == 2.0
+        assert on_net.value.finished_at == 3.0
+
+    @pytest.mark.parametrize("parked", [False, True],
+                             ids=["queued", "parked"])
+    def test_a_purged_task_never_triggers(self, sim, parked):
+        cpu = RateResource(sim, serial(), "cpu")
+        if parked:
+            cpu.set_wake_owner(_IdleOwner())
+        running = cpu.submit(2.0)
+        waiting = cpu.submit(3.0)
+        sim.run(until=1.0)
+        assert cpu.purge() == 4.0
+        later = cpu.submit(1.0)
+        if parked:
+            cpu.drain()
+        else:
+            drain(sim)
+        assert not running.triggered and not waiting.triggered
+        assert later.value.finished_at == 2.0
+        assert cpu.cancel(running) is False
