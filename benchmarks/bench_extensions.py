@@ -4,14 +4,11 @@ from repro.experiments import design_ablations, extensions
 
 
 def test_section6_extensions(once):
-    result = once(extensions.run, scale=0.5, n_failures=4)
+    result = once(extensions.run, scale=0.5)
     print()
     print(extensions.report(result))
 
-    # Fault tolerance: failures cost a little time, never correctness.
-    assert len(result.with_failures.finished) == \
-        len(result.baseline.finished)
-    assert result.failure_slowdown < 1.5
+    # Fault tolerance is bench_faults.py's exhibit.
     # All-reduce completes the same workload (the scheduler "does not
     # care how exactly communication is done"), paying the replica
     # memory and ring-synchronization costs.

@@ -197,11 +197,10 @@ class BaselineMaster(MasterBase):
             self.sim.now + remaining * estimate.t_group_iteration
         offsets = start.start_offsets or (0.0,) * len(batch)
         for job, delay in zip(batch, offsets, strict=True):
-            job.state = JobState.RUNNING  # queue policies do not profile
+            job.transition(JobState.RUNNING)
             if not group.add_job(job, start_delay=delay):
                 # The job does not fit even fully spilled.
-                job.state = JobState.FAILED
-                job.finish_time = self.sim.now
+                self._end_job(job, JobState.FAILED)
         if group.is_idle:
             self._stop_group(group)  # no job fitted: free its machines
 

@@ -29,7 +29,8 @@ class JobState(enum.Enum):
 
 #: Legal transitions of the job state machine.
 _TRANSITIONS: dict[JobState, frozenset[JobState]] = {
-    JobState.WAITING: frozenset({JobState.PROFILING}),
+    # Queue policies do not profile: their jobs start straight away.
+    JobState.WAITING: frozenset({JobState.PROFILING, JobState.RUNNING}),
     # A very short job can converge, be paused by a rebuild, or fail
     # while still being profiled.
     JobState.PROFILING: frozenset({JobState.PROFILED, JobState.RUNNING,

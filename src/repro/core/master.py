@@ -16,7 +16,7 @@ under the 5% benefit threshold.
 
 :class:`MasterBase` holds what this master shares with the queue-policy
 master (:mod:`repro.baselines.base`): the job and group ledgers, the
-group start/stop lifecycle, and the one path that turns a tuple of
+group start/stop lifecycle, and the path that turns a tuple of
 :class:`~repro.policies.base.GroupStart` into running groups.
 """
 
@@ -130,8 +130,12 @@ class MasterBase:
     decide which groups to start and when, as a tuple of
     :class:`~repro.policies.base.GroupStart` that :meth:`_apply`
     carries out, and place each started group's jobs in
-    :meth:`_admit`.  They set ``mode`` (the groups' execution
-    discipline, which the memory floors read at construction) and
+    :meth:`_admit`.  That is the path for immediate starts; the Harmony
+    master also calls :meth:`_start_group` directly where it reserves a
+    group before its jobs arrive (a bootstrap profiling group, a
+    profiled job's new group, a regrouping's plan slots).  Subclasses
+    set ``mode`` (the groups' execution discipline, which the memory
+    floors read at construction) and
     ``group_prefix``: group ids key the groups' RNG stream names, so
     each master keeps its prefix.
     """
@@ -233,11 +237,12 @@ class MasterBase:
                eligible: Iterable[str]) -> bool:
         """Start every applicable group of ``starts``, in order.
 
-        The only code that turns starts into running groups.  A
-        start is stale, and skipped, when its ids repeat, when one of
-        them is not (or no longer) ``eligible``, or when it wants more
-        machines than are free: deciders reason about a snapshot, the
-        master owns the ledger.  Returns whether anything started.
+        The path for immediate starts: each started group's jobs join
+        it at once through :meth:`_admit`.  A start is stale, and
+        skipped, when its ids repeat, when one of them is not (or no
+        longer) ``eligible``, or when it wants more machines than are
+        free: deciders reason about a snapshot, the master owns the
+        ledger.  Returns whether anything started.
         """
         eligible = set(eligible)
         applied = False
@@ -323,8 +328,6 @@ class HarmonyMaster(MasterBase):
         self._last_apply_time = float("-inf")
         #: group_id -> index of its open DecisionRecord + epoch start.
         self._open_decisions: dict[str, tuple[int, float]] = {}
-        #: Count of machine failures processed (§VI fault tolerance).
-        self.failures_injected = 0
         #: Recovery accounting sink (repro.faults); optional.
         self.fault_log = fault_log
 
@@ -503,16 +506,11 @@ class HarmonyMaster(MasterBase):
         """A machine dies: the group on it crashes and every co-located
         job restarts from its last checkpoint (§VI fault tolerance).
 
-        Returns the ids of the affected jobs.  The machine itself
-        returns to service unless the cluster's failure ledger says
-        otherwise (the legacy ``failure_times`` path models the paper's
-        process-level failures: "the shared runtime catches all
-        exceptions ... a machine/process failure may have an impact on
-        all co-located jobs"; the :mod:`repro.faults` injector marks
-        the machine failed first and repairs it after a downtime).
-        The health monitor calls this on heartbeat loss, once the
-        detection latency has elapsed on the simulator clock, so
-        recovery measurements include it.
+        Returns the ids of the affected jobs.  The health monitor calls
+        this on heartbeat loss, once the detection latency has elapsed
+        on the simulator clock, so recovery measurements include it.
+        The :mod:`repro.faults` injector has already marked the machine
+        failed; it rejoins the pool when the injector repairs it.
         """
         owner = self.cluster.owner_of(machine_id)
         group = self.groups.get(owner) if owner else None
@@ -521,11 +519,9 @@ class HarmonyMaster(MasterBase):
                           group=group.group_id if group else None,
                           victims=group.n_jobs if group else 0)
         if group is None:
-            self.failures_injected += 1
             return []  # free machine, or a non-group owner
         group_id = group.group_id
         victims = self._stop_group(group, crashed=True)
-        self.failures_injected += 1
         if self._rebuild is not None:
             self._rebuild.draining.discard(group_id)
 

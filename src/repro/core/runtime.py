@@ -12,7 +12,6 @@ statistics, and the performance model's prediction errors.
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -272,7 +271,13 @@ class RuntimeBase:
 
 
 class HarmonyRuntime(RuntimeBase):
-    """One Harmony experiment: workload in, RunResult out."""
+    """One Harmony experiment: workload in, RunResult out.
+
+    ``fault_plan`` (a :class:`~repro.faults.plan.FaultPlan`) is the
+    run's only fault input: a planned crash silences its machine, and
+    the :class:`~repro.faults.monitor.HealthMonitor` reports it to the
+    master once the heartbeat timeout has passed.
+    """
 
     master: HarmonyMaster
 
@@ -282,7 +287,6 @@ class HarmonyRuntime(RuntimeBase):
                  cost_model: CostModel | None = None,
                  scheduler_factory=None,
                  scheduler_name: str = "harmony",
-                 failure_times: Sequence[float] | None = None,
                  fault_plan=None):
         super().__init__(n_machines, workload, config, cost_model,
                          name=scheduler_name)
@@ -292,11 +296,6 @@ class HarmonyRuntime(RuntimeBase):
                                     self.recorder, perf_model=perf_model,
                                     scheduler_factory=scheduler_factory,
                                     fault_log=self.fault_log)
-        self.failure_times = sorted(failure_times or [])
-        for when in self.failure_times:
-            if not (math.isfinite(when) and when >= 0.0):
-                raise ValueError(
-                    f"failure time {when!r} must be finite and >= 0")
         self.fault_plan = fault_plan
         self.monitor = None
         self.injector = None
@@ -308,16 +307,6 @@ class HarmonyRuntime(RuntimeBase):
             self.injector = FaultInjector(self.sim, self.cluster,
                                           self.master, self.monitor,
                                           fault_plan, log=self.fault_log)
-
-    def _fail_random_machine(self) -> None:
-        """Kill a uniformly chosen allocated machine (§VI failures)."""
-        rng = self.streams.stream("machine-failures")
-        allocated = [m.machine_id for m in self.cluster.machines
-                     if self.cluster.owner_of(m.machine_id) is not None]
-        if not allocated:
-            return  # nothing running; the failure hits a free machine
-        victim = int(allocated[rng.integers(0, len(allocated))])
-        self.master.inject_machine_failure(victim)
 
     def _pacer(self):
         """Drives the master's periodic utilization check (§IV-B2) until
@@ -364,8 +353,6 @@ class HarmonyRuntime(RuntimeBase):
                 and self.injector.pending_repairs > 0)
 
     def _install(self) -> None:
-        for when in self.failure_times:
-            self.sim.call_at(when, self._fail_random_machine)
         if self.injector is not None:
             self.injector.install()
             self.monitor.start()

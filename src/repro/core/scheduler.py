@@ -240,15 +240,13 @@ class PlanCache:
     republished jobs simply age out of the LRU order.
     """
 
-    __slots__ = ("max_entries", "hits", "misses", "_entries")
+    __slots__ = ("max_entries", "_entries")
 
     def __init__(self, max_entries: int = PLAN_CACHE_ENTRIES):
         if max_entries < 1:
             raise SchedulingError(
                 f"cache needs >= 1 entry, got {max_entries}")
         self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
         #: key -> (metrics tuple, n, packed candidate or None)
         self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
 
@@ -262,9 +260,7 @@ class PlanCache:
         # Slices of unequal length never compare equal.
         if entry is not None and entry[0][:entry[1]] == jobs[:n]:
             self._entries.move_to_end(key)
-            self.hits += 1
             return entry[2]
-        self.misses += 1
         return _CACHE_MISS
 
     def put(self, key: tuple, jobs: tuple, n: int,

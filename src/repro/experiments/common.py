@@ -79,14 +79,14 @@ class _CollectingHooks:
         self.failed: list[tuple[str, Exception]] = []
 
     def on_job_finished(self, job, group):
-        job.state = JobState.FINISHED
+        job.transition(JobState.FINISHED)
         self.finished.append(job.job_id)
 
     def on_job_paused(self, job, group):  # pragma: no cover - unused
-        job.state = JobState.PAUSED
+        job.transition(JobState.PAUSED)
 
     def on_job_failed(self, job, group, error):
-        job.state = JobState.FAILED
+        job.transition(JobState.FAILED)
         self.failed.append((job.job_id, error))
 
 
@@ -114,7 +114,7 @@ def run_single_group(specs: Sequence[JobSpec], n_machines: int,
             spec = replace(spec, iterations=min(spec.iterations,
                                                 max_iterations))
         job = Job(spec)
-        job.state = JobState.RUNNING
+        job.transition(JobState.RUNNING)
         group.add_job(job)
     sim.run()
     group.stop()  # every job has left the group by now

@@ -1,11 +1,10 @@
-"""§VI extensions: fault tolerance, all-reduce, multi-tenant noise.
+"""§VI extensions: all-reduce and multi-tenant noise.
 
 The paper's discussion section sketches three directions beyond the
-evaluated system; this driver exercises all three:
+evaluated system.  Fault tolerance ("checkpointing (per epoch) and
+restart") is the ``faults`` exhibit (:mod:`repro.experiments.faults`);
+this driver exercises the other two:
 
-* **Fault tolerance** — "checkpointing (per epoch) and restart";
-  machine failures crash whole groups, whose jobs restart from their
-  last checkpoint.
 * **All-reduce** — "its scheduling approach can be easily applied to
   other communication architecture such as all-reduce"; the cost model
   swaps PS pull/push for one ring all-reduce per iteration (with the
@@ -20,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.config import DEFAULT_SIM_CONFIG
 from repro.core.runtime import HarmonyRuntime, RunResult
 from repro.experiments.common import scaled_workload
@@ -32,14 +29,8 @@ from repro.workloads.costmodel import CostModel
 @dataclass
 class ExtensionsResult:
     baseline: RunResult
-    with_failures: RunResult
-    failures_injected: int
     allreduce: RunResult
     with_interference: RunResult
-
-    @property
-    def failure_slowdown(self) -> float:
-        return self.with_failures.makespan / self.baseline.makespan
 
     @property
     def interference_slowdown(self) -> float:
@@ -50,20 +41,12 @@ class ExtensionsResult:
         return self.allreduce.makespan / self.baseline.makespan
 
 
-def run(scale: float = 0.5, seed: int = 2021,
-        n_failures: int = 4) -> ExtensionsResult:
+def run(scale: float = 0.5, seed: int = 2021) -> ExtensionsResult:
     """Run the experiment; see the module docstring for
     the paper exhibit it reproduces."""
     workload, n_machines = scaled_workload(scale, seed)
 
     baseline = HarmonyRuntime(n_machines, workload).run()
-
-    # Failures spread over the first two thirds of the baseline run.
-    failure_times = list(np.linspace(0.2, 0.66, n_failures)
-                         * baseline.makespan)
-    failing = HarmonyRuntime(n_machines, workload,
-                             failure_times=failure_times)
-    with_failures = failing.run()
 
     allreduce = HarmonyRuntime(
         n_machines, workload,
@@ -78,8 +61,6 @@ def run(scale: float = 0.5, seed: int = 2021,
 
     return ExtensionsResult(
         baseline=baseline,
-        with_failures=with_failures,
-        failures_injected=failing.master.failures_injected,
         allreduce=allreduce,
         with_interference=with_interference)
 
@@ -89,8 +70,6 @@ def report(result: ExtensionsResult) -> str:
     rows = []
     for label, run_result in (
             ("baseline (PS)", result.baseline),
-            (f"+ {result.failures_injected} machine failures",
-             result.with_failures),
             ("all-reduce architecture", result.allreduce),
             ("+ 10% bursty interference", result.with_interference)):
         rows.append((label,
@@ -100,10 +79,8 @@ def report(result: ExtensionsResult) -> str:
     lines = [format_table(
         ["configuration", "makespan (min)", "jobs finished",
          "CPU util"], rows,
-        title="§VI extensions — fault tolerance, all-reduce, "
-              "multi-tenant interference")]
+        title="§VI extensions — all-reduce, multi-tenant interference")]
     lines.append(
-        f"failure slowdown {result.failure_slowdown:.2f}x, "
         f"interference slowdown {result.interference_slowdown:.2f}x, "
         f"all-reduce/PS makespan {result.allreduce_makespan_ratio:.2f}x")
     return "\n".join(lines)

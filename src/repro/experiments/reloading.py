@@ -99,7 +99,7 @@ def run(seed: int = 2021,
     for spec in _workload(seed):
         spec = replace(spec, iterations=min(spec.iterations, _ITERATIONS))
         job = Job(spec)
-        job.state = JobState.RUNNING
+        job.transition(JobState.RUNNING)
         group.add_job(job)
     simulator.run()
     durations = [c.duration for c in group.cycles]

@@ -34,14 +34,13 @@ class FaultInjector:
     """Binds a fault plan to a simulator / cluster / master triple."""
 
     def __init__(self, sim: Simulator, cluster: Cluster, master,
-                 monitor: HealthMonitor, plan: FaultPlan,
-                 log: FaultLog | None = None):
+                 monitor: HealthMonitor, plan: FaultPlan, log: FaultLog):
         self.sim = sim
         self.cluster = cluster
         self.master = master
         self.monitor = monitor
         self.plan = plan
-        self.log = log if log is not None else FaultLog()
+        self.log = log
         self._installed = False
         #: Crash repairs scheduled but not yet applied — the runtime's
         #: stall watchdog waits for these before declaring a deadlock.

@@ -38,15 +38,9 @@ class ScheduledCall:
     in closed form can never drag the loop backwards in time.
     """
 
-    __slots__ = ("when", "seq", "cancelled")
+    __slots__ = ("cancelled",)
 
-    def __init__(self, when: float, seq: int = -1):
-        #: Absolute fire time the entry was queued at (after clamping).
-        self.when = when
-        #: Sequence number the entry was queued with — the same-time
-        #: tiebreak position a coordinated fast-path drive must respect
-        #: when it races this entry against a parked wake.
-        self.seq = seq
+    def __init__(self):
         self.cancelled = False
 
 
@@ -142,7 +136,7 @@ class Simulator:
                 f"cannot schedule at {when} before now={self._now}")
         when = max(when, self._now)
         seq = next(self._sequence) if sequence is None else sequence
-        handle = ScheduledCall(when, seq)
+        handle = ScheduledCall()
         # The third field keeps heap entries totally ordered even when
         # two share (when, seq) — a re-queued parked wake can coexist
         # with the cancelled driver entry that carried its sequence

@@ -283,7 +283,7 @@ class TestSimConfig:
         count: update it and ROADMAP's knob count on purpose."""
         count = subprocess.run([sys.executable, str(KNOB_AUDIT), "--count"],
                                capture_output=True, text=True, check=True)
-        assert int(count.stdout) == 252
+        assert int(count.stdout) == 248
 
     @pytest.fixture(scope="class")
     def audit_report(self):

@@ -71,7 +71,6 @@ def _fault_plan(seed):
 VARIANTS = {
     "plain": lambda seed: {},
     "fault_plan": lambda seed: {"fault_plan": _fault_plan(seed)},
-    "failure_times": lambda seed: {"failure_times": [5000.0, 15000.0]},
     "fixed_alpha": lambda seed: {"config": SimConfig(
         seed=seed, memory=MemoryConfig(fixed_alpha=0.5))},
     "error_injector": lambda seed: {"perf_model": PerfModel(

@@ -1,15 +1,16 @@
 """Tests for the §VI extensions: failures, all-reduce, interference."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.allreduce import AllReduceModel
 from repro.config import ExecutionConfig, SimConfig
 from repro.config import GB, MachineSpec
+from repro.core.master import CHECKPOINT_INTERVAL_ITERATIONS
 from repro.core.runtime import HarmonyRuntime
 from repro.errors import WorkloadError
 from repro.workloads.costmodel import CostModel
 from repro.workloads.generator import WorkloadGenerator
+from tests.fault_plans import crash_plan
 
 
 def small_workload(seed=3):
@@ -17,19 +18,30 @@ def small_workload(seed=3):
 
 
 class TestMachineFailures:
+    """Crashes from a :class:`FaultPlan`, each on a machine a group owns
+    when the heartbeat monitor detects it."""
+
     def test_all_jobs_still_finish(self):
-        runtime = HarmonyRuntime(24, small_workload(),
-                                 failure_times=[3600.0, 10800.0])
+        runtime = HarmonyRuntime(24, small_workload(), fault_plan=crash_plan(
+            [(3600.0, 12), (10800.0, 20)]))
         result = runtime.run()
         assert len(result.finished) == 8
-        assert runtime.master.failures_injected >= 1
+        assert runtime.monitor.detections == 2
+        assert all(record.job_ids for record in result.fault_log.records)
 
     def test_failure_loses_checkpointed_progress_only(self):
         """Victims restart with at most checkpoint_interval extra
         iterations, never more than the job's total."""
         runtime = HarmonyRuntime(24, small_workload(),
-                                 failure_times=[3600.0])
+                                 fault_plan=crash_plan([(3600.0, 12)]))
         result = runtime.run()
+        [record] = result.fault_log.records
+        assert record.job_ids
+        rolled_back = runtime.master.rolled_back_iterations
+        assert set(rolled_back) <= set(record.job_ids)
+        assert all(0 <= lost <= CHECKPOINT_INTERVAL_ITERATIONS
+                   for lost in rolled_back.values())
+        assert record.lost_iterations == sum(rolled_back.values())
         for outcome in result.finished:
             assert outcome.finish_time is not None
 
@@ -42,16 +54,19 @@ class TestMachineFailures:
     def test_crashed_group_releases_machines(self):
         """After a mid-run failure the cluster ledger stays
         consistent (everything released at the end)."""
-        runtime = HarmonyRuntime(24, small_workload(),
-                                 failure_times=[3600.0, 7200.0])
-        runtime.run()
+        runtime = HarmonyRuntime(24, small_workload(), fault_plan=crash_plan(
+            [(3600.0, 12), (7200.0, 0)]))
+        result = runtime.run()
+        assert all(record.job_ids for record in result.fault_log.records)
         assert runtime.cluster.n_free == runtime.cluster.size
 
     def test_failures_inflate_makespan_when_frequent(self):
         baseline = HarmonyRuntime(24, small_workload()).run()
-        hammered = HarmonyRuntime(
-            24, small_workload(),
-            failure_times=list(np.arange(1, 20) * 1800.0)).run()
+        # A crash every 30 minutes, each on a machine a group owns.
+        machines = (0, 1, 0, 0, 6, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0)
+        hammered = HarmonyRuntime(24, small_workload(), fault_plan=crash_plan(
+            [(1800.0 * k, m) for k, m in enumerate(machines, start=1)])).run()
+        assert all(record.job_ids for record in hammered.fault_log.records)
         assert hammered.makespan > baseline.makespan * 0.9
         assert len(hammered.finished) == 8
 
@@ -129,10 +144,9 @@ class TestInterference:
 class TestExtensionsDriver:
     def test_driver_runs_and_reports(self):
         from repro.experiments import extensions
-        result = extensions.run(scale=0.2, n_failures=2)
+        result = extensions.run(scale=0.2)
         text = extensions.report(result)
-        assert "fault tolerance" in text
-        assert result.failure_slowdown > 0.5
+        assert "all-reduce architecture" in text
         assert len(result.allreduce.finished) == \
             len(result.baseline.finished)
 

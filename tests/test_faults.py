@@ -20,6 +20,7 @@ from repro.faults import FaultEvent, FaultKind, FaultPlan, HealthMonitor
 from repro.sim import Simulator
 from repro.workloads.apps import DATASETS, JobSpec, LDA
 from repro.workloads.generator import WorkloadGenerator
+from tests.fault_plans import crash_plan
 
 
 # ---------------------------------------------------------------- plans
@@ -313,23 +314,18 @@ class TestHealthMonitor:
 # ------------------------------------------------ end-to-end recovery
 
 
-def _crash_plan(machine_id=5, at=3600.0, downtime=1800.0):
-    return FaultPlan.build([FaultEvent(
-        time=at, kind=FaultKind.MACHINE_CRASH, machine_id=machine_id,
-        duration=downtime)], seed=42)
-
-
 class TestCrashRecoveryEndToEnd:
     def _run(self):
         jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
-        runtime = HarmonyRuntime(24, jobs, fault_plan=_crash_plan())
+        runtime = HarmonyRuntime(24, jobs, fault_plan=crash_plan(
+            [(3600.0, 5)], downtime=1800.0))
         return runtime, runtime.run()
 
     def test_jobs_regroup_on_survivors_and_all_finish(self):
         runtime, result = self._run()
         assert len(result.finished) == 8
         assert not result.failed
-        assert runtime.master.failures_injected == 1
+        assert runtime.monitor.detections == 1
 
         log = result.fault_log
         assert log is not None and len(log.records) == 1
@@ -487,7 +483,8 @@ class TestTransientFaults:
 
     def test_a_plan_installs_once(self):
         jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
-        runtime = HarmonyRuntime(24, jobs, fault_plan=_crash_plan())
+        runtime = HarmonyRuntime(24, jobs, fault_plan=crash_plan(
+            [(3600.0, 5)], downtime=1800.0))
         runtime.injector.install()
         with pytest.raises(SimulationError, match="already installed"):
             runtime.injector.install()

@@ -28,6 +28,14 @@ class TestJobStates:
             job.transition(state)
         assert job.is_done
 
+    def test_queue_policy_start_skips_profiling(self):
+        """Queue policies do not profile: their masters start a job
+        straight from WAITING."""
+        job = _job()
+        job.transition(JobState.RUNNING)
+        job.transition(JobState.FINISHED)
+        assert job.is_done
+
     def test_illegal_transition_raises(self):
         job = _job()
         with pytest.raises(JobStateError):

@@ -21,6 +21,7 @@ from repro.metrics.utilization import ClusterUsageRecorder
 from repro.sim import RandomStreams, Simulator
 from repro.workloads.costmodel import CostModel
 from repro.workloads.generator import WorkloadGenerator
+from tests.fault_plans import crash_plan
 
 
 def fixed_alpha_config(alpha):
@@ -173,9 +174,14 @@ class TestShrunkSlotSafety:
 class TestPauseResumeStability:
     def test_repeated_failures_never_wedge_rebuilds(self):
         jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
-        failure_times = [float(t) for t in range(1200, 20_000, 2400)]
-        runtime = HarmonyRuntime(24, jobs, failure_times=failure_times)
+        # A crash every 2,400 s, each on a machine a group owns.
+        machines = (8, 0, 0, 0, 0, 0, 1, 0)
+        crashes = list(zip(range(1200, 20_000, 2400), machines,
+                           strict=True))
+        runtime = HarmonyRuntime(24, jobs, fault_plan=crash_plan(crashes))
         result = run_guarded(runtime)
+        assert all(record.job_ids for record in result.fault_log.records)
+        assert runtime.monitor.detections == len(crashes)
         assert len(result.finished) == len(jobs)
         assert runtime.master._rebuild is None
         assert runtime.master._pending_moves == {}

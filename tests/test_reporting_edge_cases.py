@@ -10,6 +10,7 @@ from repro.sim import RandomStreams, Simulator
 from repro.workloads.apps import DATASETS, JobSpec, LDA
 from repro.workloads.costmodel import CostModel
 from repro.workloads.generator import WorkloadGenerator
+from tests.fault_plans import crash_plan
 
 
 class _Hooks:
@@ -103,25 +104,41 @@ class TestCrashEdgeCases:
 
 
 class TestRuntimeFailureEdges:
+    """Crashes at the edges of a run, each on a machine a group owns
+    (or, after the last job, owned during the run)."""
+
     def test_failure_at_time_zero(self):
+        """The t=0 submissions start groups before the crash fires."""
         jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
-        result = HarmonyRuntime(24, jobs, failure_times=[0.0]).run()
+        result = HarmonyRuntime(
+            24, jobs, fault_plan=crash_plan([(0.0, 20)])).run()
+        [record] = result.fault_log.records
+        assert record.job_ids
         assert len(result.finished) == len(jobs)
 
     def test_many_failures_on_one_machine(self):
+        """Crashes in one heartbeat window: machine 12 three times
+        within a second (one detection), and at the same instant one
+        machine in each of two other groups."""
         jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
-        runtime = HarmonyRuntime(
-            24, jobs, failure_times=[1800.0, 1800.5, 1801.0])
+        runtime = HarmonyRuntime(24, jobs, fault_plan=crash_plan(
+            [(1800.0, 12), (1800.5, 12), (1801.0, 12),
+             (1800.0, 8), (1800.0, 16)]))
         result = runtime.run()
+        displaced = [record for record in result.fault_log.records
+                     if record.job_ids]
+        assert len({record.group_id for record in displaced}) == 3
+        assert runtime.monitor.detections == 3
         assert len(result.finished) == len(jobs)
 
     def test_failure_after_everything_finished(self):
         jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
         baseline = HarmonyRuntime(24, jobs).run()
         late = baseline.makespan + 10_000.0
-        result = HarmonyRuntime(24, jobs,
-                                failure_times=[late]).run()
+        result = HarmonyRuntime(
+            24, jobs, fault_plan=crash_plan([(late, 12)])).run()
         assert len(result.finished) == len(jobs)
+        assert result.makespan == baseline.makespan
 
 
 class TestProfilingEdgeCases:

@@ -31,6 +31,7 @@ from repro.sim import RandomStreams, Simulator
 from repro.workloads.costmodel import CostModel
 from repro.workloads.generator import WorkloadGenerator
 from tests.fastpath_views import cycles_view, ledger_view
+from tests.fault_plans import crash_plan
 
 POOL = WorkloadGenerator(2021).base_workload(hyper_params_per_pair=1)
 
@@ -341,9 +342,10 @@ class TestMasterDifferential:
     transitions, pauses, regroups, migrations, faults — must be
     bitwise identical, with the drive lane engaged."""
 
-    @pytest.mark.parametrize("failure_times", [[], [150.0, 900.0]],
+    # Each crash lands on a machine a group owns when it is detected.
+    @pytest.mark.parametrize("crashes", [(), ((150.0, 8), (900.0, 0))],
                              ids=["no-faults", "faults"])
-    def test_fig10_run_bitwise_equal(self, failure_times):
+    def test_fig10_run_bitwise_equal(self, crashes):
         pool = WorkloadGenerator(11).base_workload(
             hyper_params_per_pair=1)
         specs = [replace(pool[i % len(pool)], job_id=f"j{i}",
@@ -352,12 +354,19 @@ class TestMasterDifferential:
         results = {}
         for engine in ("fast", "reference"):
             cfg = deterministic_config(11).with_engine(engine)
-            runtime = HarmonyRuntime(20, specs, config=cfg,
-                                     failure_times=failure_times)
+            runtime = HarmonyRuntime(
+                20, specs, config=cfg,
+                fault_plan=crash_plan(crashes) if crashes else None)
             result = runtime.run()
             results[engine] = (result, runtime.sim.fastpath_stats)
         fast, fast_stats = results["fast"]
         ref, ref_stats = results["reference"]
+        if crashes:
+            records = fast.fault_log.records
+            assert len(records) == len(crashes)
+            assert all(record.job_ids for record in records)
+            assert ([r.job_ids for r in records]
+                    == [r.job_ids for r in ref.fault_log.records])
         assert fast.makespan == ref.makespan
         for job_id, outcome in fast.outcomes.items():
             other = ref.outcomes[job_id]

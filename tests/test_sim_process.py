@@ -153,6 +153,21 @@ class TestKill:
         assert sim.now == 10.0  # the stale timeout still fired
         assert process.ok
 
+    def test_kill_before_the_first_step_skips_it(self, sim):
+        """A group crashed at the instant it started kills job
+        processes whose zero-delay first step is still queued; that
+        step must not run the finished generator."""
+        started = []
+
+        def proc():
+            started.append(sim.now)
+            yield sim.timeout(1.0)
+        process = sim.spawn(proc())
+        process.kill()
+        sim.run()
+        assert started == []
+        assert process.ok and process.value is None
+
 
 class TestFailures:
     def test_unobserved_exception_propagates(self, sim):
