@@ -113,11 +113,12 @@ class _Rebuild:
     individual jobs migrate in and out ("the master simply pauses the
     job and executes the other co-located jobs in the meanwhile,
     keeping the resources busy", §IV-B4).  ``slots`` are the plan groups
-    that need fresh machine sets once the drain releases them.
+    that need fresh machine sets once the drain releases them, as
+    (slot name, machines): a slot's jobs are those routed to it.
     """
 
     draining: set[str]
-    slots: list[tuple[str, tuple[str, ...], int]]
+    slots: list[tuple[str, int]]
 
 
 class MasterBase:
@@ -129,11 +130,8 @@ class MasterBase:
     and cycles, closes the record and frees the machines.  Subclasses
     decide which groups to start and when, as a tuple of
     :class:`~repro.policies.base.GroupStart` that :meth:`_apply`
-    carries out, and place each started group's jobs in
-    :meth:`_admit`.  That is the path for immediate starts; the Harmony
-    master also calls :meth:`_start_group` directly where it reserves a
-    group before its jobs arrive (a bootstrap profiling group, a
-    profiled job's new group, a regrouping's plan slots).  Subclasses
+    carries out (the only code that starts a group), and place each
+    started group's jobs in :meth:`_admit`.  Subclasses
     set ``mode`` (the groups' execution discipline, which the memory
     floors read at construction) and
     ``group_prefix``: group ids key the groups' RNG stream names, so
@@ -207,17 +205,6 @@ class MasterBase:
         regroup gates."""
         return None
 
-    def _start_group(self, n_machines: int) -> GroupRuntime:
-        group_id = f"{self.group_prefix}{next(self._group_ids)}"
-        machine_ids = self.cluster.allocate(n_machines, group_id)
-        group = GroupRuntime(self.sim, group_id, machine_ids, self.mode,
-                             self.cost_model, self.config, self.streams,
-                             hooks=self, footprints=self.footprints)
-        self.groups[group_id] = group
-        self.recorder.group_started(group_id, n_machines, self.sim.now,
-                                    group.cpu, group.net)
-        return group
-
     def _stop_group(self, group: GroupRuntime,
                     crashed: bool = False) -> list[Job]:
         """Take a group down; returns the jobs a crash displaced."""
@@ -237,22 +224,32 @@ class MasterBase:
                eligible: Iterable[str]) -> bool:
         """Start every applicable group of ``starts``, in order.
 
-        The path for immediate starts: each started group's jobs join
-        it at once through :meth:`_admit`.  A start is stale, and
-        skipped, when its ids repeat, when one of them is not (or no
-        longer) ``eligible``, or when it wants more machines than are
-        free: deciders reason about a snapshot, the master owns the
-        ledger.  Returns whether anything started.
+        Each start allocates its machines, builds its
+        :class:`GroupRuntime`, opens its usage record and hands the new
+        group to :meth:`_admit`.  A start is stale, and skipped, when
+        its ids repeat, when one of them is not (or no longer)
+        ``eligible``, or when it wants more machines than are free:
+        deciders reason about a snapshot, the master owns the ledger.
+        Returns whether anything started.
         """
         eligible = set(eligible)
         applied = False
         for start in starts:
-            ids = start.job_ids
+            ids, n_machines = start.job_ids, start.n_machines
             if len(set(ids)) != len(ids) or not eligible.issuperset(ids) \
-                    or start.n_machines > self.cluster.n_free:
+                    or n_machines > self.cluster.n_free:
                 continue
             eligible.difference_update(ids)
-            self._admit(self._start_group(start.n_machines), start)
+            group_id = f"{self.group_prefix}{next(self._group_ids)}"
+            group = GroupRuntime(
+                self.sim, group_id,
+                self.cluster.allocate(n_machines, group_id), self.mode,
+                self.cost_model, self.config, self.streams, hooks=self,
+                footprints=self.footprints)
+            self.groups[group_id] = group
+            self.recorder.group_started(group_id, n_machines, self.sim.now,
+                                        group.cpu, group.net)
+            self._admit(group, start)
             applied = True
         return applied
 
@@ -321,7 +318,6 @@ class HarmonyMaster(MasterBase):
             self._trace.track("master", "scheduler", process_sort=0)
             if self._trace is not None else None)
 
-        self._waiting: list[str] = []
         self._profiling_iterations: dict[str, int] = {}
         self._pending_moves: dict[str, str] = {}
         self._rebuild: _Rebuild | None = None
@@ -357,7 +353,6 @@ class HarmonyMaster(MasterBase):
     def submit(self, spec: JobSpec) -> Job:
         """Accept a job into the queue (the Fig. 6 'waiting' state)."""
         job = self._add_job(spec)
-        self._waiting.append(spec.job_id)
         self._pump()
         return job
 
@@ -448,12 +443,10 @@ class HarmonyMaster(MasterBase):
     # -------------------------------------------------------- profiling path
 
     def _needs_profiling(self) -> list[Job]:
-        waiting = [self.jobs[jid] for jid in self._waiting
-                   if self.jobs[jid].state is JobState.WAITING]
         unmeasured = [job for job in
                       self.jobs_in_state(JobState.PAUSED)
                       if not self.profiler.has(job.job_id)]
-        return waiting + unmeasured
+        return self.jobs_in_state(JobState.WAITING) + unmeasured
 
     def _assign_profiling(self) -> None:
         """Deploy queued jobs for profiling (§IV-B1): into a group that
@@ -461,21 +454,13 @@ class HarmonyMaster(MasterBase):
         else a fresh bootstrap group on free machines."""
         for job in self._needs_profiling():
             target = self._profiling_target(job)
-            if target is None:
-                target = self._bootstrap_group(job)
-            if target is None:
+            if target is not None:
+                self._join(job, target)
+                continue
+            bootstrap = GroupStart((job.job_id,), max(
+                _BOOTSTRAP_MACHINES, self._memory_floor([job.job_id])))
+            if not self._apply((bootstrap,), bootstrap.job_ids):
                 break  # no capacity anywhere; wait for an event
-            previous_state = job.state
-            job.transition(JobState.PROFILING)
-            self._profiling_iterations[job.job_id] = 0
-            # The target admits the job (can_admit, or a fresh group at
-            # its floor), and admission then never fails.
-            admitted = target.add_job(job, restore=False)
-            assert admitted
-            self._note_recovered(job)
-            self._note_membership_change(target)
-            if previous_state is JobState.WAITING:
-                self._waiting.remove(job.job_id)
 
     def _profiling_target(self, job: Job) -> GroupRuntime | None:
         def profiling_count(group: GroupRuntime) -> int:
@@ -490,13 +475,6 @@ class HarmonyMaster(MasterBase):
         already_profiling = [g for g in candidates if profiling_count(g)]
         pool = already_profiling if already_profiling else candidates
         return min(pool, key=lambda g: g.n_machines)
-
-    def _bootstrap_group(self, job: Job) -> GroupRuntime | None:
-        floor = self._memory_floor([job.job_id])
-        wanted = max(_BOOTSTRAP_MACHINES, floor)
-        if wanted > self.cluster.n_free:
-            return None
-        return self._start_group(wanted)
 
     # ---------------------------------------------------- failure injection
 
@@ -676,13 +654,13 @@ class HarmonyMaster(MasterBase):
                           n_options=len(options))
         if action == "stay":
             job.transition(JobState.RUNNING)
-            return
-        if action == "move":
-            self._pending_moves[job.job_id] = target_id  # type: ignore[arg-type]
+        elif action == "move":
+            self._route(job, target_id)  # type: ignore[arg-type]
         elif action == "new":
-            group = self._start_group(new_m)  # type: ignore[arg-type]
-            self._pending_moves[job.job_id] = group.group_id
-        current_group.request_pause(job.job_id)
+            start = GroupStart((job.job_id,), new_m)  # type: ignore[arg-type]
+            self._apply((start,), start.job_ids)
+        else:
+            current_group.request_pause(job.job_id)
 
     def _balanced_machines(self, metrics: JobMetrics) -> int | None:
         """Machine count balancing one job's CPU and network use, capped
@@ -717,30 +695,27 @@ class HarmonyMaster(MasterBase):
         m = group.n_machines
         candidates = self._metrics_of(self.jobs_in_state(JobState.PAUSED))
 
-        replacement = find_similar_job(candidates, target, m, threshold)
-        if replacement is not None:
-            job = self.jobs[replacement.job_id]
-            if group.can_admit(job) \
-                    and self._patch_accepts(group, target, [replacement],
-                                            kind="similar"):
-                self._resume_into(job, group)
+        def patches() -> Iterable[tuple[str, Sequence[JobMetrics]]]:
+            # The bundle is searched only when no single job patches.
+            replacement = find_similar_job(candidates, target, m,
+                                           threshold)
+            if replacement is not None:
+                yield "similar", [replacement]
+            bundle = find_similar_bundle(candidates, target, m, threshold)
+            if bundle is not None:
+                yield "bundle", bundle
+
+        for kind, patch in patches():
+            jobs = [self.jobs[item.job_id] for item in patch]
+            # A bundle's jobs each fit beside the survivors, but together
+            # they may not: admission stops at the first that does not,
+            # and the repair escalates.
+            if all(group.can_admit(job) for job in jobs) \
+                    and self._patch_accepts(group, target, patch,
+                                            kind=kind) \
+                    and all(self._join(job, group) for job in jobs):
                 self.fast_path_replacements += 1
                 return
-
-        bundle = find_similar_bundle(candidates, target, m, threshold)
-        if bundle is not None:
-            jobs = [self.jobs[item.job_id] for item in bundle]
-            if all(group.can_admit(job) for job in jobs) \
-                    and self._patch_accepts(group, target, bundle,
-                                            kind="bundle"):
-                admitted = True
-                for job in jobs:
-                    if not self._resume_into(job, group):
-                        admitted = False
-                        break
-                if admitted:
-                    self.fast_path_replacements += 1
-                    return
 
         self.full_path_regroups += 1
         self._escalate(group)
@@ -902,8 +877,55 @@ class HarmonyMaster(MasterBase):
                         (metrics.job_id for metrics in pool))
 
     def _admit(self, group: GroupRuntime, start: GroupStart) -> None:
+        """A job still running elsewhere moves into ``group`` at its next
+        iteration boundary; any other joins it now."""
         for job_id in start.job_ids:
-            self._resume_into(self.jobs[job_id], group)
+            job = self.jobs[job_id]
+            if job.group_id is not None:
+                self._route(job, group.group_id)
+            else:
+                self._join(job, group)
+
+    def _route(self, job: Job, target: str) -> None:
+        """Send ``job`` to ``target`` (a group id or a plan slot): it
+        joins there once paused, so a job running elsewhere is asked to
+        pause at its next iteration boundary (§IV-B4)."""
+        self._pending_moves[job.job_id] = target
+        if job.group_id is not None:
+            self.groups[job.group_id].request_pause(job.job_id)
+
+    def _join(self, job: Job, group: GroupRuntime) -> bool:
+        """Start ``job``, which runs in no group, in ``group`` now.
+
+        A job without metrics profiles there (§IV-B1); one with metrics
+        resumes as RUNNING, from its checkpoint once it has migrated.
+        Returns False, leaving the job where it is, when it is done,
+        was placed by a more recent decision, or does not fit: plans
+        and bundles are admitted job by job, and each admission shrinks
+        the group's memory headroom.
+        """
+        if job.is_done or job.group_id is not None \
+                or not group.can_admit(job):
+            return False
+        restore = False
+        if self.profiler.has(job.job_id):
+            restore = job.migrations > 0
+            self._pending_moves.pop(job.job_id, None)
+            if job.state is not JobState.RUNNING:
+                job.transition(JobState.RUNNING)
+        else:
+            job.transition(JobState.PROFILING)
+            self._profiling_iterations[job.job_id] = 0
+        admitted = group.add_job(job, restore=restore)
+        assert admitted  # can_admit held, so admission cannot fail
+        self._note_recovered(job)
+        if restore:
+            self.migration_overhead_seconds += \
+                self.cost_model.disk.restore_seconds(
+                    self.cost_model.checkpoint_bytes(job.spec,
+                                                     group.n_machines))
+        self._note_membership_change(group)
+        return True
 
     # ------------------------------------------------------ plan application
 
@@ -949,14 +971,13 @@ class HarmonyMaster(MasterBase):
             matched_live.add(gid)
 
         # Routing table: where every planned job must end up.
-        slots: list[tuple[str, tuple[str, ...], int]] = []
+        slots: list[tuple[str, int]] = []
         routes: dict[str, str] = {}
         for index, group_plan in enumerate(plan.groups):
             target = matched_plan.get(index)
             if target is None:
                 target = f"slot:{index}"
-                slots.append((target, group_plan.job_ids,
-                              group_plan.n_machines))
+                slots.append((target, group_plan.n_machines))
             for job_id in group_plan.job_ids:
                 routes[job_id] = target
 
@@ -977,11 +998,7 @@ class HarmonyMaster(MasterBase):
             job = self.jobs.get(job_id)
             if job is None or job.is_done or job.group_id == target:
                 continue
-            self._pending_moves[job_id] = target
-            if job.group_id is not None:
-                holder = self.groups.get(job.group_id)
-                if holder is not None:
-                    holder.request_pause(job_id)
+            self._route(job, target)
 
         self._rebuild = _Rebuild(draining=draining, slots=slots)
         self._settle_routes()
@@ -1002,22 +1019,25 @@ class HarmonyMaster(MasterBase):
         # waiting for the whole drain would leave the cluster idle for
         # a full iteration of the slowest draining group.
         remaining_slots = []
-        for slot, job_ids, n_machines in rebuild.slots:
+        for slot, n_machines in rebuild.slots:
             if rebuild.draining and n_machines > self.cluster.n_free:
-                remaining_slots.append((slot, job_ids, n_machines))
+                remaining_slots.append((slot, n_machines))
                 continue
+            # The slot opens for the jobs still routed to it, if any: a
+            # crash may have displaced them all.
+            routed = tuple(job_id for job_id, target
+                           in self._pending_moves.items()
+                           if target == slot
+                           and not self.jobs[job_id].is_done)
             n_machines = min(n_machines, self.cluster.n_free)
-            alive = [jid for jid in job_ids
-                     if jid in self.jobs and not self.jobs[jid].is_done]
-            if n_machines < 1 or not alive:
-                for jid in job_ids:
-                    if self._pending_moves.get(jid) == slot:
-                        del self._pending_moves[jid]
-                continue
-            group = self._start_group(n_machines)
-            for job_id, target in list(self._pending_moves.items()):
-                if target == slot:
-                    self._pending_moves[job_id] = group.group_id
+            if routed and n_machines >= 1:
+                self._apply((GroupStart(routed, n_machines),), routed)
+            # Whoever is still routed here did not fit (or is done) and
+            # returns to the waiting pool.
+            for job_id in [job_id for job_id, target
+                           in self._pending_moves.items()
+                           if target == slot]:
+                del self._pending_moves[job_id]
         rebuild.slots = remaining_slots
         if rebuild.draining:
             self._settle_routes()
@@ -1038,40 +1058,11 @@ class HarmonyMaster(MasterBase):
             group = self.groups.get(target)
             if group is None:
                 continue  # target slot not created yet
-            if group.can_admit(job):
-                self._resume_into(job, group)
-            elif group.pause_pending_count == 0:
+            if not self._join(job, group) \
+                    and group.pause_pending_count == 0:
                 # Nothing will leave the target to make room: the route
                 # is stale, return the job to the general waiting pool.
                 self._pending_moves.pop(job_id, None)
-
-    def _resume_into(self, job: Job, group: GroupRuntime) -> bool:
-        """Restore a paused/profiled job into a group as RUNNING."""
-        if job.is_done or job.group_id is not None:
-            # A stale plan can reference a job that finished or was
-            # placed by a more recent decision; leave it where it is.
-            return False
-        if not group.can_admit(job):
-            # Central memory gate: plans and replacement bundles are
-            # admitted job by job, and each admission shrinks the
-            # group's headroom — a stale or optimistic decision must
-            # not over-commit the group (the job stays paused and is
-            # picked up by a later pump).
-            return False
-        restore = job.migrations > 0
-        admitted = group.add_job(job, restore=restore)
-        assert admitted  # can_admit held, so admission cannot fail
-        self._pending_moves.pop(job.job_id, None)
-        if job.state is not JobState.RUNNING:
-            job.transition(JobState.RUNNING)
-        self._note_recovered(job)
-        if restore:
-            self.migration_overhead_seconds += \
-                self.cost_model.disk.restore_seconds(
-                    self.cost_model.checkpoint_bytes(job.spec,
-                                                     group.n_machines))
-        self._note_membership_change(group)
-        return True
 
     # ------------------------------------------------------ scoring helpers
 

@@ -63,7 +63,7 @@ class TestMachineFailures:
     def test_failures_inflate_makespan_when_frequent(self):
         baseline = HarmonyRuntime(24, small_workload()).run()
         # A crash every 30 minutes, each on a machine a group owns.
-        machines = (0, 1, 0, 0, 6, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0)
+        machines = (0, 1, 0, 0, 6, 0, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 0)
         hammered = HarmonyRuntime(24, small_workload(), fault_plan=crash_plan(
             [(1800.0 * k, m) for k, m in enumerate(machines, start=1)])).run()
         assert all(record.job_ids for record in hammered.fault_log.records)

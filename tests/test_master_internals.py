@@ -8,8 +8,10 @@ from repro.config import ExecutionConfig, MemoryConfig, SimConfig
 from repro.core.job import JobState
 from repro.core.master import HarmonyMaster
 from repro.core.memory_manager import TARGET_PRESSURE
+from repro.core.scheduler import GroupPlan, SchedulePlan
 from repro.errors import SchedulingError, SimulationError
 from repro.metrics.utilization import ClusterUsageRecorder
+from repro.policies.base import GroupStart
 from repro.sim import RandomStreams, Simulator
 from repro.workloads.apps import APPS, DATASETS, JobSpec, LDA, MLR
 from repro.workloads.costmodel import CostModel
@@ -321,6 +323,39 @@ class TestPeriodicCheck:
         master._rebuild = _Rebuild(draining=set(), slots=[])
         master.periodic_check()  # no exception, no change
         assert master._rebuild is not None
+
+
+class TestPlanSlots:
+    def test_a_slot_whose_jobs_a_crash_displaced_opens_no_group(self):
+        """A regrouping routes a and b to a fresh 6-machine slot, which
+        waits for their 4-machine group to drain; a crash displaces both
+        first.  The slot opens nothing (no empty group spends an id),
+        and the waiting pool's admission places them."""
+        sim, master = build_master(n_machines=8)
+        for name in ("a", "b"):
+            master._add_job(lda_spec(name)).state = JobState.PAUSED
+            master.profiler.record_iteration(name, 1.0, 1.0, 4)
+        assert master._apply((GroupStart(("a", "b"), 4),), ("a", "b"))
+        (old,) = master.groups.values()
+        metrics = master._metrics_of(old.jobs())
+        estimate = master.perf_model.estimate_group(metrics, 6)
+        master._apply_plan(SchedulePlan(
+            groups=(GroupPlan(("a", "b"), 6, estimate),),
+            utilization=estimate.utilization, score=1.0,
+            total_machines=8), scope_group_ids={old.group_id})
+        assert master._pending_moves == {"a": "slot:0", "b": "slot:0"}
+        assert master._rebuild.draining == {old.group_id}
+
+        machine = old.machine_ids[0]
+        master.cluster.mark_failed(machine)
+        assert master.inject_machine_failure(machine) == ["a", "b"]
+        assert master._rebuild is None
+        assert [usage.group_id for usage in
+                master.recorder.finished_groups] == [old.group_id]
+        assert master.groups
+        assert all(not group.is_idle for group in master.groups.values())
+        assert all(master.jobs[name].group_id in master.groups
+                   for name in ("a", "b"))
 
 
 class TestBalancedMachines:

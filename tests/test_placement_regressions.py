@@ -18,6 +18,7 @@ from repro.core.master import HarmonyMaster
 from repro.core.runtime import HarmonyRuntime
 from repro.experiments.common import scaled_workload
 from repro.metrics.utilization import ClusterUsageRecorder
+from repro.policies.base import GroupStart
 from repro.sim import RandomStreams, Simulator
 from repro.workloads.costmodel import CostModel
 from repro.workloads.generator import WorkloadGenerator
@@ -81,8 +82,9 @@ POOL = {spec.job_id: spec for spec in scaled_workload(1.0, 7)[0]}
 
 def rejected_at_floor(job_ids, architecture, spill, fixed_alpha,
                       n_machines=20):
-    """Start a group sized at the jobs' memory floor and admit them one
-    by one through the gate; returns (floor, ids the group refused)."""
+    """Start a group sized at the jobs' memory floor, whose jobs the
+    master admits one by one through the gate; returns (floor, ids the
+    group refused)."""
     config = replace(DEFAULT_SIM_CONFIG, memory=replace(
         DEFAULT_SIM_CONFIG.memory, spill_enabled=spill,
         fixed_alpha=fixed_alpha))
@@ -95,10 +97,9 @@ def rejected_at_floor(job_ids, architecture, spill, fixed_alpha,
     floor = master._memory_floor(job_ids)
     if floor > n_machines:
         return floor, []
-    group = master._start_group(floor)
+    assert master._apply((GroupStart(tuple(job_ids), floor),), job_ids)
     return floor, [job_id for job_id in job_ids
-                   if not (group.can_admit(master.jobs[job_id])
-                           and group.add_job(master.jobs[job_id]))]
+                   if master.jobs[job_id].group_id is None]
 
 
 #: Every (architecture, spill, fixed alpha) but all-reduce's default,

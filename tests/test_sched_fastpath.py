@@ -34,6 +34,7 @@ from repro.errors import SchedulingError
 from repro.experiments import sched_churn
 from repro.experiments.fig13_model_accuracy import make_error_injector
 from repro.metrics.utilization import ClusterUsageRecorder
+from repro.policies.base import GroupStart
 from repro.shard.scheduler import ShardedScheduler
 from repro.trace.tracer import Tracer
 from repro.sim import RandomStreams, Simulator
@@ -859,10 +860,11 @@ class TestMasterPatchPath:
                                iterations=3)
                  for name in ("survivor", "done", "p1", "p2")}
         jobs = {name: master._add_job(spec) for name, spec in specs.items()}
-        group = master._start_group(3)
-        jobs["survivor"].state = JobState.RUNNING
-        assert group.add_job(jobs["survivor"])
+        jobs["survivor"].state = JobState.PAUSED
         self.feed(master, "survivor", 1.0, 1.0)
+        assert master._apply((GroupStart(("survivor",), 3),), ["survivor"])
+        (group,) = master.groups.values()
+        assert jobs["survivor"].state is JobState.RUNNING
         self.feed(master, "done", 4.0, 2.0)
         for name in ("p1", "p2"):
             jobs[name].state = JobState.PAUSED
@@ -876,9 +878,9 @@ class TestMasterPatchPath:
         assert jobs["p2"].group_id != group.group_id
         assert master.fast_path_replacements == 0
         assert master.full_path_regroups == 1
-        # A job that is done, or already placed, is never resumed.
-        assert master._resume_into(jobs["done"], group) is False
-        assert master._resume_into(jobs["p1"], group) is False
+        # A job that is done, or already placed, never joins.
+        assert master._join(jobs["done"], group) is False
+        assert master._join(jobs["p1"], group) is False
 
     def test_profiler_publish_invalidates_scheduler_plan_cache(self):
         """After a publish through the master's profiler, the master's
