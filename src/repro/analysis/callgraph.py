@@ -202,14 +202,13 @@ class _FunctionScanner:
 
     def scan(self) -> None:
         node = self.model.node
-        args = getattr(node, "args", None)
-        if args is not None:
-            for arg in (args.posonlyargs + args.args + args.kwonlyargs):
-                self.model.local_names.add(arg.arg)
-                self._note_param(arg)
-            for extra in (args.vararg, args.kwarg):
-                if extra is not None:
-                    self.model.local_names.add(extra.arg)
+        args = node.args
+        for arg in (args.posonlyargs + args.args + args.kwonlyargs):
+            self.model.local_names.add(arg.arg)
+            self._note_param(arg)
+        for extra in (args.vararg, args.kwarg):
+            if extra is not None:
+                self.model.local_names.add(extra.arg)
         self._block(list(node.body), frozenset())
         self.model.lock_locals = set(self.local_locks)
 
@@ -333,15 +332,15 @@ class _FunctionScanner:
             self._mutation_target(target.value, target, held)
             self._expr(target.slice, held)
             return
-        if isinstance(target, ast.Attribute):
-            chain = _receiver_chain(target)
-            if chain and chain[0] == "self" and len(chain) == 2:
-                self._record_access(("self", chain[1]), target,
-                                    write=True, held=held)
-            elif chain and chain[0] != "self" and len(chain) >= 2 and \
-                    not self._is_local(chain[0]):
-                self._record_access(("name", chain[0]), target,
-                                    write=True, held=held)
+        # The grammar's last store target: an attribute.
+        chain = _receiver_chain(target)
+        if chain and chain[0] == "self" and len(chain) == 2:
+            self._record_access(("self", chain[1]), target,
+                                write=True, held=held)
+        elif chain and chain[0] != "self" and len(chain) >= 2 and \
+                not self._is_local(chain[0]):
+            self._record_access(("name", chain[0]), target,
+                                write=True, held=held)
 
     def _mutation_target(self, receiver: ast.expr, node: ast.AST,
                          held: frozenset) -> None:
@@ -504,10 +503,9 @@ class _FunctionScanner:
         elif len(chain) >= 2 and chain[0] in self.imports.aliases:
             # ``threading.Thread(...)`` / ``np.mean(...)``: the root is
             # an imported module or object, not a captured variable.
-            qualified = self.imports.qualify(node.func)
-            if qualified is not None:
-                self.model.calls.append(CallSite(
-                    "name", (qualified,), node, held, self.in_nested))
+            self.model.calls.append(CallSite(
+                "name", (self.imports.qualify(node.func),), node, held,
+                self.in_nested))
         elif len(chain) >= 2 and not self._is_local(chain[0]):
             # A mutator call on a captured/global name is a write to it.
             if chain[-1] in MUTATOR_METHODS and len(chain) == 2:
@@ -516,10 +514,10 @@ class _FunctionScanner:
             self.model.calls.append(CallSite(
                 "var", tuple(chain), node, held, self.in_nested))
         else:
-            qualified = self.imports.qualify(node.func)
-            if qualified is not None:
-                self.model.calls.append(CallSite(
-                    "name", (qualified,), node, held, self.in_nested))
+            # A name chain (chain is not None) always qualifies.
+            self.model.calls.append(CallSite(
+                "name", (self.imports.qualify(node.func),), node, held,
+                self.in_nested))
 
     def _is_local(self, name: str) -> bool:
         return name in self.model.local_names or name == "self"
@@ -595,13 +593,13 @@ def scan_function(node: ast.AST, imports: ImportMap,
                   outer_types: dict[str, str] | None = None) \
         -> FunctionModel:
     """Build the :class:`FunctionModel` for one function node."""
-    model = FunctionModel(getattr(node, "name", "<lambda>"), node)
+    model = FunctionModel(node.name, node)
     if outer_types:
         model.local_types.update(outer_types)
     scanner = _FunctionScanner(
         model, imports, class_name, lock_fields or set(),
         module_locks or set(), outer_locks or set(),
-        scope or getattr(node, "name", ""), in_nested)
+        scope or node.name, in_nested)
     scanner._self_elt_types = self_elt_types
     scanner.scan()
     return model
@@ -950,12 +948,13 @@ class ProjectModel:
                                               class_model.ctx,
                                               call.node))
         # Module-level functions participate in the global graph too
-        # (cross-file cycles through module locks).
+        # (cross-file cycles through module locks).  They inherit no
+        # held context, and an Acquire never lists its own token as
+        # held (_record_acquire drops a re-entrant acquisition).
         for ctx, model in self.module_functions.values():
             for acq in model.acquires:
                 for held in sorted(acq.held, key=str):
-                    if held != acq.token:
-                        edges.append((held, acq.token, ctx, acq.node))
+                    edges.append((held, acq.token, ctx, acq.node))
         return edges
 
     def lock_order_cycles(self):

@@ -68,11 +68,10 @@ class UnorderedTaint:
     # -- taint sources ---------------------------------------------------
 
     def _collect(self) -> None:
-        args = getattr(self.function, "args", None)
-        if args is not None:
-            for arg in (args.posonlyargs + args.args + args.kwonlyargs):
-                if _annotation_is_set(arg.annotation):
-                    self.tainted.add(arg.arg)
+        args = self.function.args
+        for arg in (args.posonlyargs + args.args + args.kwonlyargs):
+            if _annotation_is_set(arg.annotation):
+                self.tainted.add(arg.arg)
         # Two passes so ``b = a`` taints ``b`` even when ``a``'s own
         # tainting assignment appears later in the source.
         for _ in range(2):

@@ -220,9 +220,9 @@ class InvariantChecker:
 
     def _check_cluster(self, cluster, master,
                        out: list[Violation]) -> None:
-        free = sum(1 for m in cluster.machines
-                   if cluster.owner_of(m.machine_id) is None
-                   and not cluster.is_failed(m.machine_id))
+        free = sum(1 for m in cluster.machine_ids
+                   if cluster.owner_of(m) is None
+                   and not cluster.is_failed(m))
         if cluster.n_free != free:
             out.append(Violation(
                 "ledger", "cluster",

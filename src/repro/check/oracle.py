@@ -150,7 +150,9 @@ def predict_group_boundaries(jobs, policies) -> dict:
     for job_index in range(len(jobs)):
         push_next(job_index)
     pending = sum(len(tape) for tape in tapes)
-    while pending:
+    # The loop ends at the "if not pending" below, which also ends it
+    # at once when no tape holds a subtask.
+    while True:
         # Cascade every completion at the current instant (zero-work
         # subtasks chain through several resources without advancing
         # the clock).  A spent task only completes from a position its

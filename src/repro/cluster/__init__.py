@@ -1,9 +1,8 @@
-"""Cluster substrate: machines, allocation ledger, memory/network/disk models."""
+"""Cluster substrate: allocation ledger, memory/network/disk models."""
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.disk import DiskModel
-from repro.cluster.machine import Machine
 from repro.cluster.memory import MemoryLedger
 from repro.cluster.network import NetworkModel
 
-__all__ = ["Cluster", "DiskModel", "Machine", "MemoryLedger", "NetworkModel"]
+__all__ = ["Cluster", "DiskModel", "MemoryLedger", "NetworkModel"]

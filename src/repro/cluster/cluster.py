@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.cluster.machine import Machine
 from repro.config import MachineSpec
 from repro.errors import ClusterError
 
@@ -43,8 +42,7 @@ class Cluster:
         if n_machines <= 0:
             raise ClusterError(f"cluster needs >= 1 machine, got {n_machines}")
         self.spec = spec if spec is not None else MachineSpec()
-        self.machines = tuple(Machine(i, self.spec)
-                              for i in range(n_machines))
+        self.machine_ids = range(n_machines)
         self._free: list[int] = list(range(n_machines))
         self._owner_of: dict[int, str] = {}
         #: Machines out of service (crashed, not yet repaired).  A
@@ -57,7 +55,7 @@ class Cluster:
 
     @property
     def size(self) -> int:
-        return len(self.machines)
+        return len(self.machine_ids)
 
     @property
     def n_free(self) -> int:
@@ -118,8 +116,7 @@ class Cluster:
     def release_all(self, owner: str) -> int:
         """Release every machine held by ``owner``; returns the count."""
         ids = self.owned_by(owner)
-        if ids:
-            self.release(ids, owner)
+        self.release(ids, owner)
         return len(ids)
 
     # -- failure ledger (repro.faults) ---------------------------------

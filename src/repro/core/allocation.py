@@ -171,11 +171,13 @@ def allocate_machines(groups: Sequence[Sequence[int]],
         n_candidates - spare]
     above = priorities > threshold
     granted = np.bincount(group_index[above], minlength=len(floors))
+    # At most spare - 1 priorities lie strictly above the
+    # (n_candidates - spare)-th order statistic, so at least one tied
+    # grant is always handed out.
     remaining = spare - int(above.sum())
-    if remaining > 0:
-        tied = np.nonzero(np.bincount(group_index[
-            priorities == threshold], minlength=len(floors)))[0]
-        granted[tied[:remaining]] += 1
+    tied = np.nonzero(np.bincount(group_index[
+        priorities == threshold], minlength=len(floors)))[0]
+    granted[tied[:remaining]] += 1
     return [int(n) for n in base + granted]
 
 

@@ -412,7 +412,10 @@ class GroupRuntime:
         reload_event: Event | None = self._submit_reload(job)
         finished = False
 
-        while job.remaining_iterations > 0:
+        # A job leaves only by a pause or by finishing: the iteration
+        # that takes remaining_iterations to 0 finishes it, and a
+        # finished job never joins a group again.
+        while True:
             if job_id in self._pause_requested:
                 break
             cycle_start = self.sim.now
@@ -441,8 +444,9 @@ class GroupRuntime:
                     # engine would block (its completion may lie behind
                     # the warped clock — await_background restores
                     # max(now, completion), like the real wait does).
-                    if not reload_event.triggered:
-                        engine.await_background(self.disk)
+                    # Nothing else drains the parked disk inside a
+                    # batch, so the reload is still pending here.
+                    engine.await_background(self.disk)
                     reload_record = reload_event.value
                 else:
                     reload_record = yield reload_event
@@ -581,8 +585,9 @@ class GroupRuntime:
         self._jobs.pop(job.job_id, None)
         self._processes.pop(job.job_id, None)
         self._pause_requested.discard(job.job_id)
-        if job.group_id == self.group_id:
-            job.group_id = None
+        # add_job sets a member's group_id and refuses a job already in
+        # a group; only this line and crash() clear it.
+        job.group_id = None
 
     # -- failure injection (§VI fault tolerance) ----------------------------------
 
@@ -627,8 +632,7 @@ class GroupRuntime:
             process.kill()
         for job in victims:
             self.memory.evict(job)
-            if job.group_id == self.group_id:
-                job.group_id = None
+            job.group_id = None
         self._jobs.clear()
         self._processes.clear()
         self._pause_requested.clear()

@@ -56,7 +56,7 @@ class Job:
     spec: JobSpec
     state: JobState = JobState.WAITING
     #: Iterations still needed for convergence.
-    remaining_iterations: int = field(default=0)
+    remaining_iterations: int = field(init=False)
     #: Current disk-block ratio (alpha_j of §IV-C).
     alpha: float = 0.0
     #: Whether the model-data spill fallback is active (§IV-C, §V-G).
@@ -72,8 +72,7 @@ class Job:
     job_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.remaining_iterations == 0:
-            self.remaining_iterations = self.spec.iterations
+        self.remaining_iterations = self.spec.iterations
         self.submit_time = self.spec.submit_time
         self.job_id = self.spec.job_id
 

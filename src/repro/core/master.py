@@ -318,7 +318,6 @@ class HarmonyMaster(MasterBase):
             self._trace.track("master", "scheduler", process_sort=0)
             if self._trace is not None else None)
 
-        self._profiling_iterations: dict[str, int] = {}
         self._pending_moves: dict[str, str] = {}
         self._rebuild: _Rebuild | None = None
         self._last_apply_time = float("-inf")
@@ -376,15 +375,15 @@ class HarmonyMaster(MasterBase):
 
     def on_iteration(self, job: Job, group: GroupRuntime) -> None:
         cycle = group.cycles[-1]
-        self.profiler.record_iteration(job.job_id, cycle.t_cpu_measured,
-                                       cycle.t_net_measured,
-                                       group.n_machines)
-        if job.state is JobState.PROFILING:
-            count = self._profiling_iterations.get(job.job_id, 0) + 1
-            self._profiling_iterations[job.job_id] = count
-            if count >= _PROFILING_ITERATIONS:
-                job.transition(JobState.PROFILED)
-                self._on_job_profiled(job)
+        metrics = self.profiler.record_iteration(
+            job.job_id, cycle.t_cpu_measured, cycle.t_net_measured,
+            group.n_machines)
+        # _join profiles only a job without metrics, so while PROFILING
+        # the sample count is the number of profiled iterations.
+        if job.state is JobState.PROFILING \
+                and metrics.samples >= _PROFILING_ITERATIONS:
+            job.transition(JobState.PROFILED)
+            self._on_job_profiled(job)
 
     def on_job_finished(self, job: Job, group: GroupRuntime) -> None:
         self._end_job(job, JobState.FINISHED)
@@ -521,8 +520,9 @@ class HarmonyMaster(MasterBase):
                 rerun_seconds += ((job.remaining_iterations - before)
                                   * metrics.t_iteration_at(
                                       group.n_machines))
-            if job.state is not JobState.PAUSED:
-                job.transition(JobState.PAUSED)
+            # Never PAUSED yet: on_job_paused fires after _drop_job has
+            # taken a job out of its group, so no crash victim is.
+            job.transition(JobState.PAUSED)
             job.migrations += 1
             self._pending_moves.pop(job.job_id, None)
         if self.fault_log is not None and fault_record is not None:
@@ -911,11 +911,12 @@ class HarmonyMaster(MasterBase):
         if self.profiler.has(job.job_id):
             restore = job.migrations > 0
             self._pending_moves.pop(job.job_id, None)
-            if job.state is not JobState.RUNNING:
-                job.transition(JobState.RUNNING)
+            # Metrics come only from iterations run in a group, and a
+            # job leaves its group only finished or PAUSED (a pause or
+            # a crash), so a profiled job outside every group is PAUSED.
+            job.transition(JobState.RUNNING)
         else:
             job.transition(JobState.PROFILING)
-            self._profiling_iterations[job.job_id] = 0
         admitted = group.add_job(job, restore=restore)
         assert admitted  # can_admit held, so admission cannot fail
         self._note_recovered(job)

@@ -46,14 +46,6 @@ class SubTaskSynchronizer:
         #: Jobs whose barriers were force-released (worker loss).
         self._released: set[str] = set()
         self._timeout = timeout
-        self._lanes: dict[str, object] = {}
-
-    def _lane(self, job_id: str):
-        track = self._lanes.get(job_id)
-        if track is None:
-            track = self._trace.track("synchronizer", job_id)
-            self._lanes[job_id] = track
-        return track
 
     def register_job(self, job_id: str, n_workers: int) -> None:
         if n_workers < 1:
@@ -142,7 +134,8 @@ class SubTaskSynchronizer:
             handle = None
             if self._trace is not None:
                 handle = self._trace.begin(
-                    self._lane(job_id), f"barrier·{kind.value}",
+                    self._trace.track("synchronizer", job_id),
+                    f"barrier·{kind.value}",
                     cat="barrier", args={"iteration": iteration})
             done = self._condition.wait_for(ready, timeout=self._timeout)
             if handle is not None:

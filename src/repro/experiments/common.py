@@ -76,7 +76,7 @@ class _CollectingHooks:
 
     def __init__(self):
         self.finished: list[str] = []
-        self.failed: list[tuple[str, Exception]] = []
+        self.failed: list[tuple[str, OutOfMemoryError]] = []
 
     def on_job_finished(self, job, group):
         job.transition(JobState.FINISHED)
@@ -119,11 +119,8 @@ def run_single_group(specs: Sequence[JobSpec], n_machines: int,
     sim.run()
     group.stop()  # every job has left the group by now
     duration = sim.now
-    oom = None
-    for _job_id, error in hooks.failed:
-        if isinstance(error, OutOfMemoryError):
-            oom = error
-            break
+    # A group fails a job only on an OOM at admission (NAIVE mode).
+    oom = hooks.failed[0][1] if hooks.failed else None
     cycles = [c.duration for c in group.cycles]
     per_job: dict[str, float] = {}
     for job_id in sorted({c.job_id for c in group.cycles}):

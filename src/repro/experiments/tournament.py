@@ -57,7 +57,6 @@ class TournamentParams:
     cluster_scales: tuple[float, ...] = (1.0, 1.4)
     engines: tuple[str, ...] = ("fast", "reference")
     poisson_mean_seconds: float = POISSON_MEAN_SECONDS
-    check_invariants: bool = True
 
     def resolved_policies(self) -> tuple[str, ...]:
         if self.policies:
@@ -127,10 +126,8 @@ def _run_cell(policy: str, arrival: str, workload, n_machines: int,
     result = runtime.run()
     # harmony: allow[DET001] wall_seconds measures real runtime, never simulation state
     wall = time.perf_counter() - t0
-    violations: tuple[str, ...] = ()
-    if params.check_invariants:
-        violations = tuple(
-            str(v) for v in InvariantChecker().check_runtime(runtime))
+    violations = tuple(
+        str(v) for v in InvariantChecker().check_runtime(runtime))
     return CellResult(
         policy=policy, arrival=arrival, n_machines=n_machines,
         engine=engine, mean_jct=result.mean_jct,

@@ -36,8 +36,8 @@ class HealthMonitor:
         self.interval = interval
         self.timeout = timeout
         self.log = log
-        self._last_beat: dict[int, float] = {
-            m.machine_id: sim.now for m in cluster.machines}
+        self._last_beat: dict[int, float] = dict.fromkeys(
+            cluster.machine_ids, sim.now)
         self._silenced: dict[int, FaultRecord | None] = {}
         self._reported: set[int] = set()
         self._process = None

@@ -206,10 +206,11 @@ class GroupBatchEngine:
                 served += 1
         finally:
             self._in_drive = False
-        if served:
-            stats = sim.fastpath_stats
-            stats.drive_windows += 1
-            stats.wakes_served += served
+        # The driver is queued at its own park's (when, seq), so the
+        # first pass always serves that wake: served >= 1.
+        stats = sim.fastpath_stats
+        stats.drive_windows += 1
+        stats.wakes_served += served
         self._sync_driver()
 
     # -- solo-lane eligibility -----------------------------------------

@@ -1392,3 +1392,174 @@ class TestEngineAndRegistry:
         ctx = FileContext.parse("src/x.py", "x = 1\n")
         finding = ctx.finding(REGISTRY["DET001"].rule, ctx.tree, "whole")
         assert (finding.line, finding.snippet) == (0, "")
+
+
+class TestModelShapes:
+    """Source shapes the call-graph model meets rarely: each one is
+    either skipped or modelled, never mistaken for another."""
+
+    @staticmethod
+    def _function(source):
+        from repro.analysis.callgraph import scan_function
+
+        ctx = FileContext.parse("src/repro/core/x.py",
+                                textwrap.dedent(source))
+        return scan_function(ctx.tree.body[-1], ctx.imports)
+
+    def test_bare_and_non_name_annotations(self):
+        model = self._function("""
+            def f():
+                total: int
+                done: None = None
+                total = 0
+            """)
+        assert {"total", "done"} <= model.local_names
+        assert model.local_types == {"total": "int"}
+
+    def test_attribute_and_nested_loop_targets(self):
+        model = self._function("""
+            from repro.core.job import Job
+
+
+            def f(self, pairs):
+                jobs = [Job() for _ in pairs]
+                for self.cursor in pairs:
+                    pass
+                for (a, b), job in zip(pairs, jobs):
+                    pass
+            """)
+        assert "cursor" not in model.local_names
+        assert model.local_types == {"job": "repro.core.job.Job"}
+
+    def test_a_field_annotated_with_a_non_name_has_no_type(self):
+        from repro.analysis.callgraph import ClassModel
+
+        ctx = FileContext.parse("src/repro/core/x.py", textwrap.dedent("""
+            from repro.core.job import Job
+
+
+            class Holder:
+                def __init__(self):
+                    self.job: Job = Job()
+                    self.limit: None = None
+            """))
+        model = ClassModel(ctx, ctx.tree.body[-1])
+        assert model.field_types == {"job": "repro.core.job.Job"}
+
+    def test_thread_keywords_and_self_calls_of_a_guarded_method(
+            self, tmp_path):
+        """A ``target=`` after other keywords is found; a Thread with
+        no callable hands nothing over; a guarded method that recurses
+        or calls an inherited method stays clean."""
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            import threading
+
+
+            class Base:
+                pass
+
+
+            class Worker(Base):
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.count = 0
+
+                def work(self):
+                    with self._lock:
+                        self.count += 1
+                    self.log()
+                    self.work()
+
+                def bump(self):
+                    self.count += 1
+
+                def start(self):
+                    threading.Thread(daemon=True, target=self.work)
+                    threading.Thread(daemon=True)
+                    threading.Thread(daemon=True, target=self.bump)
+            """}, select=["CONC002"])
+        assert [finding.line for finding in report.findings] == [26]
+        assert "Worker.bump() mutates unguarded state" in \
+            report.findings[0].message
+
+    def test_reentry_and_a_cycle_off_the_start_lock(self, tmp_path):
+        """Re-acquiring a held RLock (directly, through a call, or in a
+        helper only ever called under it) adds no edge, nor does a
+        call on a field of unknown class; the b/c cycle is found from
+        a, off its path; a lock bound to a module attribute is not a
+        module lock."""
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            import threading
+            import types
+
+            shared = types.SimpleNamespace()
+            shared.lock = threading.Lock()
+
+
+            class Store:
+                def __init__(self):
+                    self._a = threading.Lock()
+                    self._b = threading.Lock()
+                    self._c = threading.Lock()
+                    self._r = threading.RLock()
+                    self.sink = make_sink()
+
+                def reenter(self):
+                    with self._r:
+                        with self._r:
+                            self._again()
+
+                def _again(self):
+                    with self._r:
+                        self.sink.flush()
+
+                def ab(self):
+                    with self._a:
+                        with self._b:
+                            pass
+
+                def bc(self):
+                    with self._b:
+                        with self._c:
+                            pass
+
+                def cb(self):
+                    with self._c:
+                        with self._b:
+                            pass
+            """}, select=["CONC003"])
+        [finding] = report.findings
+        assert "_b" in finding.message and "_c" in finding.message
+        assert "_r" not in finding.message and "_a" not in finding.message
+
+    def test_run_on_a_non_simulator_receiver_is_clean(self, tmp_path):
+        report = lint(tmp_path, {"src/repro/core/x.py": SIM_HEADER + """
+def process(sim, worker):
+    yield sim.timeout(1)
+    worker.run()
+"""}, select=["SIM003"])
+        assert not report.findings
+
+    def test_handles_outside_local_names_are_not_tracked(self, tmp_path):
+        """TRC001 follows span handles bound to local names; one kept
+        on an attribute is not followed.  A service helper called
+        without its span-name argument has no name to check."""
+        report = lint(tmp_path, {"src/repro/core/x.py": """
+            class Probe:
+                def run(self, tracer, track, flag):
+                    self.handle = tracer.begin(track, "COMP")
+                    if flag:
+                        return None
+                    tracer.end(self.handle)
+
+                def serve(self, group):
+                    group._trace_service("cpu", "j1")
+            """}, select=["TRC001", "TRC003"])
+        assert not report.findings
+
+    def test_module_names_of_a_directory_and_a_bare_relative_import(
+            self):
+        assert module_name("src/repro/shard") == "repro.shard"
+        imports = ImportMap.of(ast.parse("from . import cells\n"),
+                               module="repro.shard.scheduler")
+        assert imports.aliases["cells"] == "repro.shard.cells"

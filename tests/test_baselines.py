@@ -47,6 +47,12 @@ class TestIsolated:
     def test_scheduler_name(self, isolated_result):
         assert isolated_result.scheduler_name == "isolated"
 
+    def test_summary_has_no_regroup_gates(self, isolated_result):
+        """Only the Harmony master has regroup gates to report."""
+        assert isolated_result.gates is None
+        text = isolated_result.summary()
+        assert "mean JCT" in text and "regroup gates" not in text
+
     def test_one_job_per_group(self, workload):
         sizes = group_sizes(IsolatedRuntime(24, workload))
         assert sizes == [1] * len(workload)

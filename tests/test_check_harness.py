@@ -368,8 +368,8 @@ class TestCheckedRuns:
             master.sim.call_at(spec.submit_time,
                                lambda s=spec: master.submit(s))
         master.sim.run(until=1800.0)
-        victim = next(m.machine_id for m in runtime.cluster.machines
-                      if runtime.cluster.owner_of(m.machine_id))
+        victim = next(m for m in runtime.cluster.machine_ids
+                      if runtime.cluster.owner_of(m))
         master.inject_machine_failure(victim)
         violations = InvariantChecker().check_runtime(runtime)
         assert "teardown" in _invariants(violations)

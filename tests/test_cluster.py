@@ -93,6 +93,17 @@ class TestCluster:
         assert cluster.n_free == 2
         assert cluster.owner_of(held) is None
 
+    def test_a_machine_restored_while_owned_stays_with_its_owner(self):
+        cluster = Cluster(2)
+        (held, _) = cluster.allocate(2, "g0")
+        cluster.mark_failed(held)
+        cluster.restore_machine(held)
+        assert not cluster.is_failed(held)
+        assert cluster.owner_of(held) == "g0"
+        assert cluster.n_free == 0
+        cluster.release_all("g0")
+        assert cluster.n_free == 2
+
 
 class TestMemoryLedger:
     def test_empty_ledger_has_no_pressure(self, machine_spec):

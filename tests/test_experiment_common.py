@@ -26,6 +26,15 @@ class TestRunSingleGroup:
         long = run_single_group([spec], 8, max_iterations=10)
         assert short.duration_seconds < long.duration_seconds
 
+    def test_a_one_iteration_job_has_no_steady_cycle(self):
+        """The first cycle is warm-up, so a one-iteration run leaves no
+        per-job cycle and pacing falls back to the group mean."""
+        spec = JobSpec("j", LDA, DATASETS["LDA"][1], iterations=4)
+        result = run_single_group([spec], 8, max_iterations=1)
+        assert result.per_job_cycle_seconds == {}
+        assert result.pacing_cycle_seconds() == \
+            result.mean_iteration_seconds > 0
+
     def test_oom_is_reported_not_raised(self):
         specs = [JobSpec("a", MLR, DATASETS["MLR"][1], model_scale=2.0,
                          iterations=3),

@@ -237,6 +237,11 @@ class TestSensitivity:
         assert "google traces (avg)" in labels
         assert "arrival sensitivity" in sensitivity_arrival.report(result)
 
+    def test_arrival_sweep_without_trace_windows_has_no_trace_row(self):
+        result = sensitivity_arrival.run(
+            scale=SCALE, mean_arrival_minutes=(0.0,), n_trace_windows=0)
+        assert [row.label for row in result.rows] == ["poisson 0 min"]
+
 
 class TestScalability:
     def test_schedule_times_reported(self):

@@ -304,6 +304,15 @@ class TestHealthMonitor:
         sim.run()  # would never drain if the loop survived
         assert sim.now == pytest.approx(20.0)
 
+    def test_stop_before_start_and_after_the_loop_died(self):
+        sim, _cluster, _master, monitor = self._fixture()
+        monitor.stop()  # never started: nothing to kill
+        monitor.start()
+        process = monitor._process
+        process.kill()
+        monitor.stop()  # already dead: not killed twice
+        assert monitor._process is None and not process.alive
+
     def test_a_monitor_starts_once(self):
         _sim, _cluster, _master, monitor = self._fixture()
         monitor.start()
@@ -346,6 +355,18 @@ class TestCrashRecoveryEndToEnd:
         assert summary.n_crashes == 1
         assert summary.unrecovered_jobs == 0
         assert summary.max_recovery_seconds >= record.detection_seconds
+
+    def test_a_crash_without_downtime_is_never_repaired(self):
+        """A zero ``duration`` crash schedules no repair: the machine
+        stays out of service and the jobs finish on the survivors."""
+        jobs = WorkloadGenerator(3).base_workload(hyper_params_per_pair=1)
+        runtime = HarmonyRuntime(24, jobs, fault_plan=crash_plan(
+            [(3600.0, 5)], downtime=0.0))
+        result = runtime.run()
+        assert len(result.finished) == 8
+        assert runtime.injector.pending_repairs == 0
+        assert runtime.cluster.is_failed(5)
+        assert runtime.cluster.owner_of(5) is None
 
     def test_a_whole_cluster_outage_waits_for_the_repairs(self):
         # Every machine is down for two hours: nothing runs and nothing
@@ -400,8 +421,8 @@ class TestCrashRecoveryEndToEnd:
             master.sim.call_at(spec.submit_time,
                                lambda s=spec: master.submit(s))
         master.sim.run(until=3600.0)
-        victim = next(m.machine_id for m in runtime.cluster.machines
-                      if runtime.cluster.owner_of(m.machine_id))
+        victim = next(m for m in runtime.cluster.machine_ids
+                      if runtime.cluster.owner_of(m))
         group = master.groups[runtime.cluster.owner_of(victim)]
         before = {j.job_id: j.remaining_iterations
                   for j in group.jobs()}

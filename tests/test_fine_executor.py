@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import ExecutionConfig, SimConfig
 from repro.core.fine_executor import (
+    WARMUP_ITERATIONS,
     FineGrainedResult,
     SimBarrier,
     run_fine_grained_group,
@@ -101,6 +102,22 @@ class TestFineGrainedGroup:
         result = FineGrainedResult(duration_seconds=0.0)
         with pytest.raises(SimulationError):
             result.pacing_cycle_seconds()
+
+    def test_a_job_with_only_warmup_cycles_does_not_pace(self):
+        result = FineGrainedResult(duration_seconds=0.0, cycles={
+            "warm": [9.0] * WARMUP_ITERATIONS,
+            "steady": [9.0] * WARMUP_ITERATIONS + [2.0, 4.0]})
+        assert result.pacing_cycle_seconds() == 3.0
+        del result.cycles["steady"]
+        with pytest.raises(SimulationError, match="no steady-state"):
+            result.pacing_cycle_seconds()
+
+    def test_a_group_without_jobs_measures_nothing(self):
+        """No job, no time: the busy fractions stay 0 instead of
+        dividing by a zero-length run."""
+        result = run_fine_grained_group([], 2, quiet_config(),
+                                        iterations=1)
+        assert result == FineGrainedResult(duration_seconds=0.0)
 
     def test_straggler_jitter_stretches_cycles(self):
         """With per-machine jitter, the barrier waits for the slowest

@@ -204,6 +204,10 @@ class TestReporting:
         assert lines[0] == "T"
         assert "bbbb" in text and "2.50" in text
 
+    def test_untitled_table_starts_at_its_header(self):
+        assert format_table(["a"], [("x",)]).splitlines() == [
+            "a", "-", "x"]
+
     def test_row_width_mismatch_raises(self):
         with pytest.raises(ValueError):
             format_table(["a"], [("x", "y")])

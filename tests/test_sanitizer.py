@@ -125,6 +125,38 @@ class TestOwnership:
             sanitizer.check()
         rlock.release()
 
+    def test_a_repeated_violation_is_recorded_once(self, sanitizer):
+        rlock = sanitizer.rlock("a.py:1")
+        rlock.acquire()
+
+        def release_twice():
+            rlock.release()
+            rlock.release()
+
+        run_thread(release_twice)
+        assert len(sanitizer.violations) == 1
+        rlock.release()
+
+    def test_a_failed_nonblocking_acquire_takes_nothing(self, sanitizer):
+        rlock = sanitizer.rlock("a.py:1")
+        held = threading.Event()
+        done = threading.Event()
+
+        def hold():
+            with rlock:
+                held.set()
+                done.wait(timeout=10)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        assert held.wait(timeout=10)
+        assert rlock.acquire(blocking=False) is False
+        done.set()
+        thread.join(timeout=10)
+        assert rlock.acquire(blocking=False) is True
+        rlock.release()
+        sanitizer.check()
+
     def test_condition_protocol_refuses_a_non_owner(self, sanitizer):
         """``_release_save`` keeps ``threading._RLock``'s own check,
         though ``Condition.wait`` tests ``_is_owned()`` first."""

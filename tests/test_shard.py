@@ -699,6 +699,19 @@ class TestScalabilityGuards:
         assert "Sharded scheduling" in out
         assert "speedup at largest" in out
 
+    def test_scale_cli_without_an_unsharded_row_prints_no_speedup(
+            self, capsys):
+        """An empty pool places nothing, so the churn republishes no
+        running job, and a sweep with no one-cell row has no speedup
+        to print."""
+        from repro.shard.cli import main
+
+        code = main(["--cells", "2", "--sizes", "0x4", "--churn", "1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Sharded scheduling" in out
+        assert "speedup at largest" not in out
+
     def test_scale_cli_min_speedup_floor_fails_closed(self, capsys):
         from repro.shard.cli import main
 

@@ -1,5 +1,7 @@
 """Tests for rate-based shared resources."""
 
+import math
+
 import pytest
 
 from repro.errors import ResourceError
@@ -419,6 +421,50 @@ class TestReparkDifferential:
         after = parks[parks.index(park) + 1:]
         assert park[0] is not None
         assert all(when != park[0] for when, _ in after)
+
+
+class TestSoloSecondCycle:
+    """At a clock of 2**25 s, whose float spacing (7.5e-9 s) nears
+    ``_EPSILON``, the clock can round ``serve_solo``'s first completion
+    horizon down and leave more than ``_EPSILON`` of work, so the solo
+    lane runs a second closed-form cycle.  Its record and ledger equal
+    the reference wakes' bit for bit."""
+
+    CLOCK = 2.0 ** 25
+    RATE = 0.3
+    WORK = RATE * (2.5 * math.ulp(CLOCK))
+
+    def _run(self, solo):
+        sim = Simulator()
+        sim.call_at(self.CLOCK, lambda: None)
+        sim.run()
+        resource = RateResource(sim, lambda n: (self.RATE,), "cpu")
+        cycles = None
+        if solo:
+            resource.set_wake_owner(_IdleOwner())
+            generation = resource._wake_generation
+            record = resource.serve_solo(self.WORK)
+            # One generation for the submit, one per cycle.
+            cycles = resource._wake_generation - generation - 1
+        else:
+            event = resource.submit(self.WORK)
+            sim.run()
+            record = event.value
+        resource.close_segments()
+        ledger = (resource.busy_seconds, resource.work_served,
+                  resource.work_submitted,
+                  [(s.start, s.end, s.level) for s in resource.segments])
+        return ((record.submitted_at, record.started_at,
+                 record.finished_at, record.work), ledger, sim.now, cycles)
+
+    def test_second_cycle_equals_the_reference(self):
+        solo, ledger, now, cycles = self._run(solo=True)
+        reference, reference_ledger, reference_now, _ = self._run(
+            solo=False)
+        assert cycles == 2
+        assert solo == reference
+        assert ledger == reference_ledger
+        assert now == reference_now > self.CLOCK
 
 
 class TestHandOff:

@@ -200,6 +200,21 @@ class TestCli:
         assert "FAIL: cell " in capsys.readouterr().err
 
 
+    def test_without_an_expect_file_the_seed_flag_is_the_seed(
+            self, monkeypatch, mini_result, capsys):
+        """No replay: the run takes ``--seed`` and default parameters,
+        and nothing is compared."""
+        seen = []
+
+        def fake_run(params):
+            seen.append(params)
+            return mini_result
+
+        monkeypatch.setattr("repro.experiments.tournament.run", fake_run)
+        assert main(["--seed", "3"]) == 0
+        assert seen == [TournamentParams(seed=3)]
+        assert capsys.readouterr().err == ""
+
     def test_seed_other_than_the_expect_files_is_a_usage_error(
             self, monkeypatch, capsys):
         """A replay runs the expect file's parameters, so an explicit

@@ -118,6 +118,16 @@ class TestExport:
                 meta_thread["args"]["name"]] == \
             ["machines 0-3 · g1", "m0 cpu"]
 
+    def test_events_without_a_category_or_args_omit_them(self):
+        tracer = Tracer(lambda: 1.0)
+        track = tracer.track("g1", "m0 cpu")
+        tracer.complete(track, "COMP", 0.0)
+        tracer.instant("regroup")
+        (_, _, span, instant) = chrome_trace_events(tracer)
+        assert "cat" not in span and "args" not in span
+        assert "cat" not in instant and "args" not in instant
+        assert instant["s"] == "g"
+
     def test_files_land_in_new_directories(self, tmp_path):
         tracer = Tracer(lambda: 2.0)
         tracer.counter("faults.injected").add(3)
@@ -148,8 +158,8 @@ class TestDisabledTracingCostsNothing:
 
 
 class TestBarrierSpans:
-    def test_waiting_worker_records_barrier_span(self):
-        tracer = Tracer(time.perf_counter)
+    @staticmethod
+    def _blocked_arrival(tracer):
         synchronizer = SubTaskSynchronizer(timeout=10.0, tracer=tracer)
         synchronizer.register_job("j", 2)
 
@@ -166,8 +176,11 @@ class TestBarrierSpans:
         # arrives — exactly the wait the span must capture.
         passed.append(synchronizer.arrive("j", 0, SubTaskKind.PULL))
         thread.join()
-
         assert passed == [True, True]
+
+    def test_waiting_worker_records_barrier_span(self):
+        tracer = Tracer(time.perf_counter)
+        self._blocked_arrival(tracer)
         assert tracer.open_spans == 0  # every begun span was closed
         barrier_spans = [s for s in tracer.spans if s.cat == "barrier"]
         assert len(barrier_spans) == 1  # only the blocked worker waited
@@ -175,6 +188,16 @@ class TestBarrierSpans:
         assert barrier_spans[0].duration > 0.0
         wait = tracer.registry.counters["job.j.barrier_wait_seconds"]
         assert wait.value == pytest.approx(barrier_spans[0].duration)
+
+    def test_a_full_tracer_drops_the_span_and_its_wait(self):
+        """Past ``max_events`` the closed span is dropped, and with it
+        the wait it would have added to the job's counter."""
+        tracer = Tracer(time.perf_counter,
+                        TraceConfig(enabled=True, max_events=0))
+        self._blocked_arrival(tracer)
+        assert tracer.open_spans == 0
+        assert tracer.spans == []
+        assert "job.j.barrier_wait_seconds" not in tracer.registry.counters
 
     def test_untraced_synchronizer_still_works(self):
         synchronizer = SubTaskSynchronizer(timeout=5.0)
